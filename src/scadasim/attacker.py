@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import Engine, Event, SimTime
+from .engine import MS_PER_STEP, Engine, Event
 from .network import NetworkFabric, Packet
 from .vulnhost import HTTP_REQUEST_LEN, LOGIN_LENS, PROBE_LEN, SESSION_CMD_LENS
 
@@ -80,7 +80,7 @@ class AttackerComponent:
         goal: AttackGoal,
         address_range: list[str],
         port_set: list[int],
-        attack_start: SimTime,
+        attack_start: int,
         pacing_ms: int = 2,
         probe_timeout_ms: int = 10,
         skip_unreachable_after: int | None = 3,
@@ -125,12 +125,12 @@ class AttackerComponent:
 
     def _log(self, action: str, target: str, outcome: str) -> None:
         self.state.action_log.append(
-            ActionRecord(self.engine.now.total_ms, self.state.stage, action, target, outcome)
+            ActionRecord(self.engine.now, self.state.stage, action, target, outcome)
         )
 
     def _enter(self, stage: str) -> None:
         self.state.stage = stage
-        self.state.stage_times.append((self.engine.now.total_ms, stage))
+        self.state.stage_times.append((self.engine.now, stage))
         self._log("stage", stage, "entered")
 
     # -- engine events --------------------------------------------------------
@@ -358,10 +358,7 @@ class AttackerComponent:
         if self.state.impact:
             if self.goal.kind == "dos" and self.enforce_dos:
                 self._enforce_targets = [a for a, _, outcome in self.state.impact if outcome == "ok"]
-                self.engine.schedule(
-                    SimTime(self.engine.now.step + 1, self.enforce_offset_ms),
-                    "attacker", "enforce",
-                )
+                self._schedule_enforce()
             else:
                 self._enter("done")
         else:
@@ -380,9 +377,11 @@ class AttackerComponent:
                 self.node_id,
             )
             self._log("enforce_dos", addr, "sent")
-        self.engine.schedule(
-            SimTime(self.engine.now.step + 1, self.enforce_offset_ms), "attacker", "enforce"
-        )
+        self._schedule_enforce()
+
+    def _schedule_enforce(self) -> None:
+        next_step_ms = (self.engine.now // MS_PER_STEP + 1) * MS_PER_STEP
+        self.engine.schedule(next_step_ms + self.enforce_offset_ms, "attacker", "enforce")
 
     # -- inbound packets -------------------------------------------------------------
 
@@ -480,7 +479,7 @@ class AttackerComponent:
     def _on_impact_result(self, addr: str, context: dict, payload: dict) -> None:
         output = payload.get("output", "")
         ok = output in ("service stopped", "spoofing active")
-        self.state.impact.append((addr, self.engine.now.total_ms, "ok" if ok else "rejected"))
+        self.state.impact.append((addr, self.engine.now, "ok" if ok else "rejected"))
         self._log("impact", addr, output or "no output")
         self._schedule_advance()
 

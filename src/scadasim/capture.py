@@ -16,7 +16,6 @@ import numpy as np
 
 from .network import Packet
 
-TABLE1_ATTACK_SHARES = {1: 98.05, 2: 97.75, 3: 98.01, 4: 72.80, 5: 71.86, 6: 71.02}
 BALANCE_TOLERANCE_PP = 3.0
 
 CSV_HEADER = "time_ms,src,dst,protocol,length,label,stage"
@@ -84,7 +83,7 @@ class TrafficCollector:
     def record(self, packet: Packet) -> None:
         self.snapshots.append(
             CapturedPacket(
-                time_ms=packet.sent_at.total_ms,
+                time_ms=packet.sent_at,
                 src=packet.src,
                 dst=packet.dst,
                 protocol=packet.protocol,
@@ -283,21 +282,3 @@ def import_csv(path: str) -> LabeledDataset:
         )
     return LabeledDataset.from_records(records, scenario_id="custom", seed=None)
 
-
-def make_scenario(scenario_id: int, seed: int):
-    """Run one of the six reference scenarios end to end and return its dataset.
-
-    Raises CalibrationError when the achieved attack share misses the target
-    balance for that scenario id.
-    """
-    from .scenario import run_reference_scenario  # deferred: scenario wires the collector
-
-    if scenario_id not in TABLE1_ATTACK_SHARES:
-        raise ValueError(f"scenario_id must be 1..6, got {scenario_id}")
-    result = run_reference_scenario(scenario_id, seed)
-    dataset = result.dataset
-    target = TABLE1_ATTACK_SHARES[scenario_id]
-    achieved = dataset.balance[0]
-    if abs(achieved - target) > BALANCE_TOLERANCE_PP:
-        raise CalibrationError(scenario_id, target, achieved)
-    return dataset

@@ -19,8 +19,8 @@ from .capture import (
     export_csv,
     import_csv,
 )
-from .config import ConfigError, ScenarioConfig
-from .ids import ALGORITHMS, PurityError, evaluate, save_model, train_model
+from .config import ConfigError
+from .ids import ALGORITHMS, EvalCell, PurityError, evaluate, save_model, train_model
 from .ids.models import SEMI_SUPERVISED
 from .scenario import load_fixture, run_scenario
 
@@ -42,12 +42,8 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _load_scenario(spec: str) -> ScenarioConfig:
-    return load_fixture(spec)
-
-
 def cmd_simulate(args) -> int:
-    config = _load_scenario(args.scenario)
+    config = load_fixture(args.scenario)
     result = run_scenario(config, seed=args.seed, trace=args.trace)
     os.makedirs(args.out, exist_ok=True)
     export_csv(result.dataset, os.path.join(args.out, "dataset.csv"))
@@ -75,7 +71,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dataset_export(args) -> int:
-    config = _load_scenario(args.scenario)
+    config = load_fixture(args.scenario)
     result = run_scenario(config, seed=args.seed)
     out_dir = os.path.dirname(args.out)
     if out_dir:
@@ -156,16 +152,11 @@ def cmd_ids_eval(args) -> int:
     return EXIT_OK
 
 
-def render_table(cells) -> list[str]:
+def render_table(cells: list[EvalCell]) -> list[str]:
     header = f"{'algorithm':<10} {'train':<16} {'test':<16} {'TP':>8} {'FP':>6} {'FN':>6} " \
              f"{'precision':>9} {'recall':>9} {'F1':>9}"
     lines = [header, "-" * len(header)]
-    for cell in cells:
-        if hasattr(cell, "algorithm"):
-            c = cell
-        else:  # dict from a report file
-            from .ids.evaluation import EvalCell
-            c = EvalCell(**cell)
+    for c in cells:
         lines.append(
             f"{c.algorithm:<10} {c.train_scenario:<16} {c.test_scenario:<16} "
             f"{c.tp:>8} {c.fp:>6} {c.fn:>6} {c.precision:>9.4f} {c.recall:>9.4f} {c.f1:>9.4f}"
@@ -177,7 +168,7 @@ def cmd_report(args) -> int:
     if not os.path.isfile(args.report):
         raise FileNotFoundError(f"report file not found: {args.report}")
     with open(args.report, "r", encoding="utf-8") as fh:
-        cells = json.load(fh)
+        cells = [EvalCell(**d) for d in json.load(fh)]
     print("\n".join(render_table(cells)))
     return EXIT_OK
 

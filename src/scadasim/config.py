@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .attacker import AttackGoal
+from .engine import MS_PER_STEP
 from .network import IctTopology, NetLink, NetNode, SpanConfig
 from .powergrid import (
     BoundPoint,
@@ -28,6 +29,9 @@ from .powergrid import (
 from .vulnhost import PE_METHODS, HostService, RceVuln
 
 FORMAT_VERSION = 1
+# build_simulation starts the i-th RTU's report cycle RTU_STAGGER_MS * i
+# after its configured offset.
+RTU_STAGGER_MS = 10
 
 
 class ConfigError(ValueError):
@@ -356,6 +360,8 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         attack_start_jitter_steps=int(durations_raw.get("attack_start_jitter_steps", 0)),
         max_attack_steps=int(durations_raw.get("max_attack_steps", 2000)),
     )
+    if durations.warmup_steps < 0:
+        errors.append(f"durations.warmup_steps: must not be negative, got {durations.warmup_steps}")
     capture_raw = raw.get("capture", {})
     balance = capture_raw.get("balance_target")
     capture = CaptureSection(
@@ -375,9 +381,15 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if scada is not None:
         if scada.mtu_host not in host_ids:
             errors.append(f"scada.mtu: unknown host {scada.mtu_host!r}")
-        for rtu in scada.rtus:
+        for i, rtu in enumerate(scada.rtus):
             if rtu.host not in host_ids:
                 errors.append(f"scada.rtus[{rtu.station}]: unknown host {rtu.host!r}")
+            offset = rtu.report_offset_ms + RTU_STAGGER_MS * i
+            if not 0 <= offset < MS_PER_STEP:
+                errors.append(
+                    f"scada.rtus[{rtu.station}].report_offset_ms: reports {offset} ms into "
+                    f"the step, outside [0, {MS_PER_STEP})"
+                )
             if grid is not None:
                 try:
                     rtu.binding.validate(grid.model)
@@ -394,6 +406,10 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             errors.append(f"attacker: unknown host {attacker.host!r}")
         if not attacker.port_set:
             errors.append("attacker: empty port set")
+        for name, value in (("probe_pacing_ms", attacker.probe_pacing_ms),
+                            ("probe_timeout_ms", attacker.probe_timeout_ms)):
+            if value < 0:
+                errors.append(f"attacker.{name}: must not be negative, got {value}")
     if topology is not None and topology.span is None and raw.get("capture") is not None:
         errors.append("capture: requires ict.span to be configured")
 

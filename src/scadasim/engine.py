@@ -1,16 +1,16 @@
 """Deterministic discrete-event scheduler coordinating all simulator components.
 
-One grid step corresponds to 1000 ms of network time; network events are
-scheduled at millisecond resolution inside a step. A single heap ordered by
-(due time, insertion sequence) makes every run reproducible bit for bit.
+Simulation time is a plain ``int`` of milliseconds. One grid step corresponds
+to ``MS_PER_STEP`` (1000) ms, so the step of a time ``t`` is
+``t // MS_PER_STEP``. A single heap ordered by (due time, insertion sequence)
+makes every run reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 MS_PER_STEP = 1000
 
@@ -19,45 +19,14 @@ class SimulationError(RuntimeError):
     """Fatal scheduling or dispatch failure; aborts the run."""
 
 
-@dataclass(frozen=True, order=True)
-class SimTime:
-    """Clock value: grid step plus millisecond offset within the step."""
+class Event(NamedTuple):
+    """Heap entry; ``seq`` is unique, so ordering never compares ``target``."""
 
-    step: int = 0
-    offset_ms: int = 0
-
-    def __post_init__(self):
-        if self.step < 0 or not 0 <= self.offset_ms < MS_PER_STEP:
-            raise ValueError(f"invalid SimTime(step={self.step}, offset_ms={self.offset_ms})")
-
-    @classmethod
-    def from_ms(cls, total_ms: int) -> "SimTime":
-        return cls(total_ms // MS_PER_STEP, total_ms % MS_PER_STEP)
-
-    @property
-    def total_ms(self) -> int:
-        return self.step * MS_PER_STEP + self.offset_ms
-
-    def plus_ms(self, ms: int) -> "SimTime":
-        return SimTime.from_ms(self.total_ms + ms)
-
-    def __str__(self) -> str:
-        return f"{self.step}+{self.offset_ms}ms"
-
-
-@dataclass(frozen=True)
-class Event:
-    due: SimTime
+    due: int
     seq: int
     target: str
     kind: str
     payload: Any = None
-
-
-@dataclass
-class RunSummary:
-    events_processed: int
-    final_time: SimTime
 
 
 Handler = Callable[["Engine", Event], None]
@@ -81,8 +50,8 @@ class Engine:
     """
 
     def __init__(self, trace: bool = False):
-        self.now = SimTime(0, 0)
-        self._heap: list[tuple[SimTime, int, Event]] = []
+        self.now = 0
+        self._heap: list[Event] = []
         self._seq = 0
         self._handlers: dict[str, Handler] = {}
         self.trace_lines: list[str] | None = [] if trace else None
@@ -92,35 +61,35 @@ class Engine:
             raise SimulationError(f"component {target!r} registered twice")
         self._handlers[target] = handler
 
-    def schedule(self, due: SimTime, target: str, kind: str, payload: Any = None) -> Event:
+    def schedule(self, due: int, target: str, kind: str, payload: Any = None) -> Event:
         if due < self.now:
             raise SimulationError(
-                f"event {event_name(target, kind)} scheduled at {due} in the past (clock {self.now})"
+                f"event {event_name(target, kind)} scheduled at {due}ms in the past (clock {self.now}ms)"
             )
         event = Event(due, self._seq, target, kind, payload)
         self._seq += 1
-        heappush(self._heap, (due, event.seq, event))
+        heappush(self._heap, event)
         return event
 
     def schedule_in(self, delay_ms: int, target: str, kind: str, payload: Any = None) -> Event:
-        return self.schedule(self.now.plus_ms(delay_ms), target, kind, payload)
+        return self.schedule(self.now + delay_ms, target, kind, payload)
 
-    def run(self, until: SimTime) -> RunSummary:
-        """Dispatch every event with due <= until, exactly once.
+    def run(self, until_ms: int) -> int:
+        """Dispatch every event with due <= until_ms, exactly once; returns their number.
 
         The clock ends at the due time of the last dispatched event and never
         advances past it on an empty queue.
         """
         processed = 0
-        while self._heap and self._heap[0][0] <= until:
-            due, _, event = heappop(self._heap)
-            self.now = due
+        while self._heap and self._heap[0].due <= until_ms:
+            event = heappop(self._heap)
+            self.now = due = event.due
             handler = self._handlers.get(event.target)
             if handler is None:
                 raise SimulationError(f"no component registered for event {event_name(event.target, event.kind)}")
             if self.trace_lines is not None:
                 self.trace_lines.append(
-                    f"{due.step},{due.offset_ms},{event.seq},{event.target},{event.kind}"
+                    f"{due // MS_PER_STEP},{due % MS_PER_STEP},{event.seq},{event.target},{event.kind}"
                 )
             try:
                 handler(self, event)
@@ -128,10 +97,10 @@ class Engine:
                 raise
             except Exception as exc:
                 raise SimulationError(
-                    f"handler failed on event {event_name(event.target, event.kind)} at {due}: {exc}"
+                    f"handler failed on event {event_name(event.target, event.kind)} at {due}ms: {exc}"
                 ) from exc
             processed += 1
-        return RunSummary(events_processed=processed, final_time=self.now)
+        return processed
 
 
 def event_name(target: str, kind: str) -> str:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .engine import Engine, Event, SimTime, derive_seed
+from .engine import Engine, Event, derive_seed
 
 PROTOCOLS = ("SCADA", "HTTP", "SSH", "TELNET", "SCAN_PROBE", "OTHER")
 NODE_KINDS = ("host", "switch", "router_firewall")
@@ -26,14 +26,14 @@ class NetworkConfigError(ValueError):
 
 @dataclass
 class Packet:
-    sent_at: SimTime
+    sent_at: int  # ms
     src: str
     dst: str
     protocol: str
     length_bytes: int
     payload: dict
     origin_actor: str
-    delivered_at: SimTime | None = None
+    delivered_at: int | None = None
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -167,12 +167,6 @@ class NetworkFabric:
             raise NetworkConfigError(f"cannot register app on {node_id!r}")
         self._apps[node_id] = app
 
-    def node_of_address(self, address: str) -> NetNode | None:
-        for n in self.topology.nodes:
-            if n.address == address:
-                return n
-        return None
-
     # -- engine event handler -------------------------------------------------
 
     def handle(self, engine: Engine, event: Event) -> None:
@@ -215,7 +209,7 @@ class NetworkFabric:
         """Queue one hop: loss/down checks, then FIFO serialization plus latency."""
         if link.link_id not in self.links:
             raise NetworkConfigError(f"unknown link {link.link_id!r}")
-        now_ms = self.engine.now.total_ms
+        now_ms = self.engine.now
         if not link.up:
             self._log_hop(link, from_node, now_ms, now_ms, None, packet, "link_down")
             return
@@ -229,9 +223,7 @@ class NetworkFabric:
         arrive_ms = start_ms + serialization_ms + link.latency_ms
         to_node = link.endpoint_b if from_node == link.endpoint_a else link.endpoint_a
         self._log_hop(link, from_node, now_ms, start_ms, arrive_ms, packet, None)
-        self.engine.schedule(
-            SimTime.from_ms(arrive_ms), "net", "arrival", (to_node, packet, link.link_id)
-        )
+        self.engine.schedule(arrive_ms, "net", "arrival", (to_node, packet, link.link_id))
 
     def set_link_state(self, link_id: str, up: bool) -> None:
         if link_id not in self.links:

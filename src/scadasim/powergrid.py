@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .engine import SimTime, derive_seed
+from .engine import derive_seed
 
 
 class GridConfigError(ValueError):
@@ -139,7 +139,6 @@ class Measurement:
     source_device: str
     quantity: str
     value: float
-    at: SimTime
 
 
 @dataclass(frozen=True)
@@ -355,9 +354,7 @@ def sample_load_profile(
     return out
 
 
-def measurements_for(
-    binding: RtuBinding, solution: PowerFlowSolution, at: SimTime
-) -> list[Measurement]:
+def measurements_for(binding: RtuBinding, solution: PowerFlowSolution) -> list[Measurement]:
     """Copy the bound quantities out of a converged solution."""
     if not solution.converged:
         raise GridConfigError("measurements requested from a non-converged solution")
@@ -376,5 +373,5 @@ def measurements_for(
             if pt.quantity not in values:
                 raise GridConfigError(f"binding {pt.point_id}: unknown quantity {pt.quantity!r}")
             value = values[pt.quantity]
-        out.append(Measurement(binding.station, pt.quantity, value, at))
+        out.append(Measurement(binding.station, pt.quantity, value))
     return out

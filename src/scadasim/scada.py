@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Engine, Event, SimTime
+from .engine import MS_PER_STEP, Engine, Event
 from .network import NetworkFabric, Packet
 from .powergrid import RtuBinding, measurements_for
 
@@ -35,7 +35,7 @@ class TelemetryFrame:
 @dataclass(frozen=True)
 class CompromiseEffect:
     kind: str  # dos | manipulate
-    active_from: SimTime
+    active_from: int  # ms
     transform: dict[str, tuple[float, float]] | None = None  # quantity -> (scale, offset)
 
     def __post_init__(self):
@@ -82,13 +82,13 @@ class RtuApp:
         self.sequence_no = 0
         self.reports_sent = 0
         engine.register(f"rtu:{station}", self.handle)
-        engine.schedule(SimTime(0, report_offset_ms), f"rtu:{station}", "report")
+        engine.schedule(report_offset_ms, f"rtu:{station}", "report")
 
     def handle(self, engine: Engine, event: Event) -> None:
         if event.kind == "report":
             self.emit_report()
             engine.schedule(
-                SimTime(engine.now.step + 1, self.report_offset_ms),
+                (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + self.report_offset_ms,
                 f"rtu:{self.station}",
                 "report",
             )
@@ -100,10 +100,10 @@ class RtuApp:
         solution, stale = self.grid.current_solution()
         if solution is None:
             return
-        measurements = measurements_for(self.binding, solution, self.engine.now)
+        measurements = measurements_for(self.binding, solution)
         manipulated = False
         points = []
-        for m in measurements:
+        for point, m in zip(self.binding.points, measurements):
             value = m.value
             if self.effect is not None and self.effect.kind == "manipulate":
                 scale, offset = self.effect.transform.get(m.quantity, (1.0, 0.0))
@@ -111,8 +111,7 @@ class RtuApp:
                 if transformed != value:
                     manipulated = True
                 value = transformed
-            point_id = next(p.point_id for p in self.binding.points if p.quantity == m.quantity)
-            points.append((point_id, m.quantity, value))
+            points.append((point.point_id, m.quantity, value))
         self.sequence_no += 1
         frame = TelemetryFrame(
             frame_kind="measurement_report",
@@ -161,7 +160,7 @@ class TablePoint:
     point_id: str
     quantity: str
     value: float
-    at: SimTime
+    at: int  # ms
     sequence_no: int
     stale: bool = False
 
@@ -198,13 +197,14 @@ class MtuApp:
         self.interrogations_sent = 0
         self.history: list[tuple[int, str, str, str, float, bool]] = []
         engine.register("mtu", self.handle)
-        engine.schedule(SimTime(0, check_offset_ms), "mtu", "cycle_check")
+        engine.schedule(check_offset_ms, "mtu", "cycle_check")
 
     def handle(self, engine: Engine, event: Event) -> None:
         if event.kind == "cycle_check":
             self.cycle_check()
             engine.schedule(
-                SimTime(engine.now.step + 1, self.check_offset_ms), "mtu", "cycle_check"
+                (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + self.check_offset_ms,
+                "mtu", "cycle_check",
             )
 
     def on_telemetry(self, fabric: NetworkFabric, packet: Packet) -> None:
@@ -242,7 +242,7 @@ class MtuApp:
             self.out_of_order_count += 1
             return True  # acked but not applied: newer data already in the table
         self.last_sequence[station] = frame.sequence_no
-        self.last_report_step[station] = self.engine.now.step
+        self.last_report_step[station] = self.engine.now // MS_PER_STEP
         for point_id, quantity, value in frame.points:
             self.table[(station, point_id)] = TablePoint(
                 station=station,
@@ -257,7 +257,7 @@ class MtuApp:
 
     def cycle_check(self) -> None:
         """Mark stale stations, optionally re-interrogate them, snapshot the table."""
-        step = self.engine.now.step
+        step = self.engine.now // MS_PER_STEP
         for station, address in self.stations.items():
             missed = step - self.last_report_step.get(station, 0)
             if missed > self.STALE_AFTER_CYCLES:

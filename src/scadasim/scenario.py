@@ -12,9 +12,15 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .attacker import AttackerComponent
-from .capture import LabeledDataset, TrafficCollector, label_records
-from .config import ScenarioConfig, load_config
-from .engine import MS_PER_STEP, Engine, Event, SimTime, derive_seed
+from .capture import (
+    BALANCE_TOLERANCE_PP,
+    CalibrationError,
+    LabeledDataset,
+    TrafficCollector,
+    label_records,
+)
+from .config import RTU_STAGGER_MS, ScenarioConfig, load_config
+from .engine import MS_PER_STEP, Engine, Event, derive_seed
 from .network import NetworkFabric, Packet
 from .powergrid import PowerFlowSolution, sample_load_profile, solve_power_flow
 from .scada import CompromiseRecord, MtuApp, RtuApp
@@ -34,12 +40,12 @@ class GridComponent:
         self._last_converged: PowerFlowSolution | None = None
         self._stale = False
         engine.register("grid", self.handle)
-        engine.schedule(SimTime(0, 0), "grid", "tick")
+        engine.schedule(0, "grid", "tick")
 
     def handle(self, engine: Engine, event: Event) -> None:
         if event.kind != "tick":
             return
-        step = engine.now.step
+        step = engine.now // MS_PER_STEP
         scaling = sample_load_profile(
             self.seed, step, self.load_ids,
             day_steps=self.section.day_steps,
@@ -53,7 +59,7 @@ class GridComponent:
             self.stale_solves += 1
             self._stale = True
         self.history.append((step, solution if solution.converged else self._last_converged))
-        engine.schedule(SimTime(step + 1, 0), "grid", "tick")
+        engine.schedule((step + 1) * MS_PER_STEP, "grid", "tick")
 
     def current_solution(self) -> tuple[PowerFlowSolution | None, bool]:
         """Last converged solution plus a staleness flag for failed solves."""
@@ -85,15 +91,17 @@ class OpsComponent:
         self.addresses = addresses
         self.host = host
         self.requests_sent = 0
+        # monitor_targets is fixed for the run, so the reply lookup is too
+        self._monitor_by_address = {addresses[t]: t for t in section.monitor_targets}
         self._unanswered: dict[str, int] = {}
         self.down: set[str] = set()
         engine.register("ops", self.handle)
-        engine.schedule(SimTime(0, 150), "ops", "tick")
+        engine.schedule(150, "ops", "tick")
 
     def handle(self, engine: Engine, event: Event) -> None:
         if event.kind != "tick":
             return
-        step = engine.now.step
+        step = engine.now // MS_PER_STEP
         section = self.section
         if step % section.http_period_steps == 0:
             for target in section.http_targets:
@@ -113,7 +121,7 @@ class OpsComponent:
                         and self._unanswered[target] > section.give_up_after
                     ):
                         self.down.add(target)
-        engine.schedule(SimTime(step + 1, 150), "ops", "tick")
+        engine.schedule((step + 1) * MS_PER_STEP + 150, "ops", "tick")
 
     def _send(self, target: str, protocol: str, length: int, payload: dict) -> bool:
         if target in self.down:
@@ -125,28 +133,36 @@ class OpsComponent:
         return True
 
     def on_packet(self, fabric: NetworkFabric, packet: Packet) -> None:
-        by_address = {self.addresses[t]: t for t in self.section.monitor_targets}
-        target = by_address.get(packet.src)
+        target = self._monitor_by_address.get(packet.src)
         if target is not None:
             self._unanswered[target] = 0
         self.host.on_packet(fabric, packet)
 
 
 @dataclass
-class ScenarioResult:
+class Simulation:
+    """One run: the wired components, then what ``run_scenario`` fills in."""
+
     config: ScenarioConfig
     seed: int
-    dataset: LabeledDataset
-    attacker: AttackerComponent
-    mtu: MtuApp
-    rtus: dict[str, RtuApp]
+    engine: Engine
+    fabric: NetworkFabric
+    hosts: dict[str, SimHost]
     grid: GridComponent
+    rtus: dict[str, RtuApp]
+    mtu: MtuApp
+    attacker: AttackerComponent
+    ops: OpsComponent | None
     collector: TrafficCollector
     compromise_log: list[CompromiseRecord]
     attack_start_step: int
-    final_step: int
-    events_processed: int
-    trace_lines: list[str] | None
+    dataset: LabeledDataset | None = None
+    final_step: int | None = None
+    events_processed: int = 0
+
+    @property
+    def trace_lines(self) -> list[str] | None:
+        return self.engine.trace_lines
 
     def run_summary(self) -> dict:
         attack_pct, normal_pct = self.dataset.balance
@@ -182,8 +198,8 @@ class ScenarioResult:
         return lines
 
 
-def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False):
-    """Wire every component onto a fresh engine; returns the live objects."""
+def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> Simulation:
+    """Wire every component onto a fresh engine."""
     engine = Engine(trace=trace)
     fabric = NetworkFabric(config.topology, engine, derive_seed(seed, "net"))
     addresses = {n.node_id: n.address for n in config.topology.nodes if n.address}
@@ -211,7 +227,7 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False):
         host = hosts[rtu_cfg.host]
         rtu = RtuApp(
             engine, fabric, host, rtu_cfg.station, rtu_cfg.binding, mtu_addr,
-            grid, compromise_log, report_offset_ms=rtu_cfg.report_offset_ms + 10 * i,
+            grid, compromise_log, report_offset_ms=rtu_cfg.report_offset_ms + RTU_STAGGER_MS * i,
         )
         host.scada_app = rtu
         rtus[rtu_cfg.station] = rtu
@@ -234,7 +250,7 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False):
         config.attacker.goal,
         config.attacker.address_range,
         config.attacker.port_set,
-        attack_start=SimTime(attack_start_step, 0),
+        attack_start=attack_start_step * MS_PER_STEP,
         pacing_ms=config.attacker.probe_pacing_ms,
         probe_timeout_ms=config.attacker.probe_timeout_ms,
         skip_unreachable_after=config.attacker.skip_unreachable_after,
@@ -257,56 +273,47 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False):
     if config.topology.span is not None:
         fabric.mirror_sink = collector.record
 
-    return engine, fabric, hosts, grid, rtus, mtu, attacker, ops, collector, compromise_log, attack_start_step
+    return Simulation(
+        config=config, seed=seed, engine=engine, fabric=fabric, hosts=hosts, grid=grid,
+        rtus=rtus, mtu=mtu, attacker=attacker, ops=ops, collector=collector,
+        compromise_log=compromise_log, attack_start_step=attack_start_step,
+    )
 
 
-def run_scenario(config: ScenarioConfig, seed: int | None = None, trace: bool = False) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig, seed: int | None = None, trace: bool = False) -> Simulation:
     """Warm-up phase, attack phase (until impact or terminal stage), post phase."""
     seed = config.seed if seed is None else seed
-    (engine, fabric, hosts, grid, rtus, mtu, attacker, ops, collector,
-     compromise_log, attack_start_step) = build_simulation(config, seed, trace)
+    sim = build_simulation(config, seed, trace)
+    engine, attacker = sim.engine, sim.attacker
 
-    events = 0
-    step = attack_start_step
-    events += engine.run(SimTime(step, MS_PER_STEP - 1)).events_processed
+    step = sim.attack_start_step
+    sim.events_processed += engine.run(_last_ms_of(step))
 
-    deadline = attack_start_step + config.durations.max_attack_steps
+    deadline = sim.attack_start_step + config.durations.max_attack_steps
     while (
         attacker.state.stage not in ("done", "failed")
         and not attacker.state.impact
         and step < deadline
     ):
         step += 1
-        events += engine.run(SimTime(step, MS_PER_STEP - 1)).events_processed
+        sim.events_processed += engine.run(_last_ms_of(step))
 
-    final_step = step + config.durations.post_steps
-    events += engine.run(SimTime(final_step, MS_PER_STEP - 1)).events_processed
+    sim.final_step = step + config.durations.post_steps
+    sim.events_processed += engine.run(_last_ms_of(sim.final_step))
 
-    coverage_end_ms = SimTime(final_step, MS_PER_STEP - 1).total_ms
     records = label_records(
-        collector.snapshots,
+        sim.collector.snapshots,
         config.attacker.host,
         attacker.state.stage_times,
-        coverage_end_ms,
+        _last_ms_of(sim.final_step),
         label_manipulated_reports=config.capture.label_manipulated_reports,
     )
-    dataset = LabeledDataset.from_records(records, config.scenario_id, seed)
+    sim.dataset = LabeledDataset.from_records(records, config.scenario_id, seed)
+    return sim
 
-    return ScenarioResult(
-        config=config,
-        seed=seed,
-        dataset=dataset,
-        attacker=attacker,
-        mtu=mtu,
-        rtus=rtus,
-        grid=grid,
-        collector=collector,
-        compromise_log=compromise_log,
-        attack_start_step=attack_start_step,
-        final_step=final_step,
-        events_processed=events,
-        trace_lines=engine.trace_lines,
-    )
+
+def _last_ms_of(step: int) -> int:
+    return step * MS_PER_STEP + MS_PER_STEP - 1
 
 
 def fixture_path(name: str):
@@ -327,6 +334,18 @@ def load_fixture(spec) -> ScenarioConfig:
     return load_config(str(spec))
 
 
-def run_reference_scenario(scenario_id: int, seed: int, trace: bool = False) -> ScenarioResult:
+def make_scenario(scenario_id: int, seed: int) -> LabeledDataset:
+    """Run one of the six reference scenarios end to end and return its dataset.
+
+    Raises CalibrationError when the achieved attack share misses the
+    fixture's balance target.
+    """
+    if scenario_id not in range(1, 7):
+        raise ValueError(f"scenario_id must be 1..6, got {scenario_id}")
     config = load_fixture(scenario_id)
-    return run_scenario(config, seed=seed, trace=trace)
+    dataset = run_scenario(config, seed=seed).dataset
+    target = config.capture.balance_target
+    achieved = dataset.balance[0]
+    if abs(achieved - target) > BALANCE_TOLERANCE_PP:
+        raise CalibrationError(scenario_id, target, achieved)
+    return dataset

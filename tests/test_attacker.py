@@ -1,7 +1,7 @@
 import pytest
 
 from scadasim.attacker import ActionRecord, AttackGoal, AttackerComponent
-from scadasim.engine import Engine, SimTime
+from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric, SpanConfig
 from scadasim.vulnhost import HostService, RceVuln, SimHost
 
@@ -60,7 +60,7 @@ def rig(goal=None, port_set=None, address_range=None, skip_after=None,
         goal or AttackGoal(kind="dos"),
         address_range or ["10.0.0.10", "10.0.0.11", "10.0.0.50"],
         port_set or [21, 22, 23, 80, 443],
-        attack_start=SimTime(0, 0),
+        attack_start=0,
         skip_unreachable_after=skip_after,
     )
     fabric.register_app("attacker", attacker)
@@ -74,14 +74,14 @@ def stages_in_log(attacker):
 class TestScan:
     def test_discovers_exactly_the_open_ports(self):
         engine, fabric, attacker, _, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert {p for p, _ in attacker.state.discovered["10.0.0.11"]} == {22, 23, 80}
         assert attacker.state.discovered.get("10.0.0.10") is None  # reachable, nothing open
         assert "10.0.0.10" in attacker.state.reachable
 
     def test_protocol_guess_recorded_per_port(self):
         engine, fabric, attacker, _, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert attacker.state.discovered["10.0.0.11"] == {(22, "SSH"), (23, "TELNET"), (80, "HTTP")}
 
     def test_probe_count_is_addresses_times_ports_without_short_circuit(self):
@@ -89,7 +89,7 @@ class TestScan:
             address_range=["10.0.0.10", "10.0.0.11"],
             port_set=list(range(1, 1025)),
         )
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert attacker.probes_sent == 2 * 1024
 
     def test_unreachable_short_circuit_skips_remaining_ports(self):
@@ -98,7 +98,7 @@ class TestScan:
             port_set=list(range(1, 101)),
             skip_after=3,
         )
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         # dead address probed 3 times, live address in full
         assert attacker.probes_sent == 3 + 100
         summaries = {r.target: r.outcome for r in attacker.state.action_log if r.action == "scan_host"}
@@ -107,7 +107,7 @@ class TestScan:
     def test_host_behind_down_link_is_absent_from_discovered(self):
         engine, fabric, attacker, _, _ = rig()
         fabric.set_link_state("l-rtu", False)
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert "10.0.0.11" not in attacker.state.discovered
         assert "10.0.0.11" not in attacker.state.reachable
 
@@ -119,7 +119,7 @@ class TestScan:
 class TestRce:
     def test_ports_tried_ascending_first_success_wins(self):
         engine, fabric, attacker, _, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         attempts = [r for r in attacker.state.action_log if r.action == "rce_attempt"]
         targets = [r.target for r in attempts]
         assert targets == ["10.0.0.11:22", "10.0.0.11:23", "10.0.0.11:80"]
@@ -129,7 +129,7 @@ class TestRce:
 
     def test_session_recorded_with_user(self):
         engine, fabric, attacker, _, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         session = attacker.state.sessions["10.0.0.11"]
         assert session.user in ("www-data", "root")  # root after S3
         assert session.port == 80
@@ -137,7 +137,7 @@ class TestRce:
     def test_all_rce_failed_leads_to_failed_without_s3_s4(self):
         services = {80: HostService(80, "HTTP", banner="nginx")}  # nothing exploitable
         engine, fabric, attacker, _, rtu = rig(rtu_services=services)
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert attacker.state.stage == "failed"
         stages = {r.stage for r in attacker.state.action_log}
         assert "S3_pe" not in stages and "S4_impact" not in stages
@@ -147,7 +147,7 @@ class TestRce:
 class TestPrivilegeEscalation:
     def test_suid_path_reaches_root(self):
         engine, fabric, attacker, rtu_host, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert "10.0.0.11" in attacker.state.rooted
         checks = [r for r in attacker.state.action_log if r.action == "privilege_check"]
         assert checks[0].outcome == "whoami=www-data"
@@ -156,7 +156,7 @@ class TestPrivilegeEscalation:
 
     def test_no_pe_paths_logs_two_failed_attempts(self):
         engine, fabric, attacker, _, rtu = rig(rtu_pe=())
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         pe = [r for r in attacker.state.action_log if r.action == "pe_attempt"]
         assert [r.outcome for r in pe] == ["suid_binary: denied", "sudoers_script: denied"]
         assert attacker.state.rooted == set()
@@ -165,7 +165,7 @@ class TestPrivilegeEscalation:
 
     def test_sudoers_fallback_after_suid_denied(self):
         engine, fabric, attacker, _, _ = rig(rtu_pe=("sudoers_script",))
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         pe = [r.outcome for r in attacker.state.action_log if r.action == "pe_attempt"]
         assert pe == ["suid_binary: denied", "sudoers_script: root"]
         assert "10.0.0.11" in attacker.state.rooted
@@ -174,7 +174,7 @@ class TestPrivilegeEscalation:
 class TestImpact:
     def test_dos_goal_stops_the_rtu(self):
         engine, fabric, attacker, rtu_host, rtu = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert rtu.stopped is True
         assert rtu_host.silenced is True
         assert attacker.state.impact[0][2] == "ok"
@@ -185,40 +185,40 @@ class TestImpact:
             manipulation={"P_kW": (0.5, 0.0), "Q_kvar": (0.5, 0.0)},
         )
         engine, fabric, attacker, _, rtu = rig(goal=goal)
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert rtu.transform == {"P_kW": (0.5, 0.0), "Q_kvar": (0.5, 0.0)}
         assert attacker.state.stage == "done"
 
     def test_goal_with_specific_target_skips_other_hosts(self):
         goal = AttackGoal(kind="dos", target_addresses=("10.0.0.99",))
         engine, fabric, attacker, _, rtu = rig(goal=goal)
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         assert attacker.state.stage == "failed"
         assert rtu.stopped is False
 
     def test_stage_sequence_is_monotone_s1_to_s4(self):
         engine, fabric, attacker, _, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         seen = [s for _, s in attacker.state.stage_times]
         assert seen[:4] == ["S1_scan", "S2_rce", "S3_pe", "S4_impact"]
 
     def test_stage_gating_no_s3_without_s2_success(self):
         # exploitable service exists only on rtu1; mtu must never see S3/S4 actions
         engine, fabric, attacker, _, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         for rec in attacker.state.action_log:
             if rec.action in ("privilege_check", "pe_attempt", "impact"):
                 assert rec.target == "10.0.0.11"
 
     def test_action_log_times_are_monotone(self):
         engine, fabric, attacker, _, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         times = [r.time_ms for r in attacker.state.action_log]
         assert times == sorted(times)
 
     def test_action_log_csv_export_shape(self):
         engine, fabric, attacker, _, _ = rig()
-        engine.run(SimTime(120, 0))
+        engine.run(120_000)
         lines = attacker.export_action_log()
         assert lines[0] == "time_ms,stage,action,target,outcome"
         assert all(line.count(",") >= 4 for line in lines[1:])
@@ -228,7 +228,7 @@ class TestDosEnforcement:
     def test_enforce_stream_reissues_stop_commands(self):
         engine, fabric, attacker, rtu_host, rtu = rig()
         attacker.enforce_dos = True
-        engine.run(SimTime(60, 0))
+        engine.run(60_000)
         enforce = [r for r in attacker.state.action_log if r.action == "enforce_dos"]
         assert len(enforce) >= 10  # roughly one per step after impact
         assert attacker.state.stage == "S4_impact"  # stays in impact while enforcing
@@ -243,7 +243,7 @@ class TestEscalationInvariant:
         for trial in range(8):
             pe = subsets[rng.randrange(len(subsets))]
             engine, fabric, attacker, _, _ = rig(rtu_pe=pe)
-            engine.run(SimTime(120, 0))
+            engine.run(120_000)
             if pe:
                 assert attacker.state.rooted == {"10.0.0.11"}
             else:

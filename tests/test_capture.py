@@ -13,7 +13,6 @@ from scadasim.capture import (
     label_records,
     labels_array,
 )
-from scadasim.engine import SimTime
 from scadasim.network import Packet
 
 
@@ -28,7 +27,7 @@ STAGES = [(1000, "S1_scan"), (5000, "S2_rce"), (6000, "S3_pe"), (7000, "S4_impac
 class TestCollector:
     def test_snapshot_copies_packet_fields(self):
         collector = TrafficCollector()
-        packet = Packet(SimTime(2, 345), "a", "b", "HTTP", 222, {"type": "x"}, "h1")
+        packet = Packet(2345, "a", "b", "HTTP", 222, {"type": "x"}, "h1")
         collector.record(packet)
         s = collector.snapshots[0]
         assert (s.time_ms, s.src, s.dst, s.protocol, s.length_bytes, s.origin_actor) == (
@@ -37,7 +36,7 @@ class TestCollector:
 
     def test_manipulated_flag_carried_through(self):
         collector = TrafficCollector()
-        packet = Packet(SimTime(0, 1), "a", "b", "SCADA", 61, {"manipulated": True}, "rtu1-host")
+        packet = Packet(1, "a", "b", "SCADA", 61, {"manipulated": True}, "rtu1-host")
         collector.record(packet)
         assert collector.snapshots[0].manipulated is True
 

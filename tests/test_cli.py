@@ -1,10 +1,23 @@
+import hashlib
 import json
 import os
 
 import pytest
+import yaml
 
 from scadasim.capture import import_csv
 from scadasim.cli import main
+from scadasim.scenario import fixture_path
+
+# sha256 of `simulate --scenario reference --seed 1 --trace`; a refactor that
+# changes any of these bytes must say why and re-pin them.
+PINNED_REFERENCE_SEED_1 = {
+    "attacker_actions.csv": "0a3a717fa60bbf5b2f936d02b61065428866d3f3006f363b46ed50810dfd511f",
+    "dataset.csv": "d62100e050b04dfe599210a43a0868ec493ead924025c0e7e6062a46fa7b0ab0",
+    "mtu_measurements.csv": "cc63d20a2556f3779acaf1fb0a4b96f8a34f6147ff6a7369758302f41ba1cf83",
+    "run_summary.json": "e201488305abe379e4752d2a51d5bdf3057cd546dcfb9b3e35f0a4110b122249",
+    "trace.csv": "425b8189ac9687290ca26513de1425cc5c89b3e04e6fb0b188e0a537fdf7a621",
+}
 
 
 def run_cli(*argv):
@@ -65,6 +78,42 @@ class TestSimulate:
         bad = tmp_path / "bad.yaml"
         bad.write_text("format_version: 1\n")
         assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
+
+    def test_reference_seed_1_artifact_hashes_are_pinned(self, tmp_path):
+        out = tmp_path / "pinned"
+        assert run_cli("simulate", "--scenario", "reference", "--seed", "1",
+                       "--out", str(out), "--trace") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in PINNED_REFERENCE_SEED_1}
+        assert digests == PINNED_REFERENCE_SEED_1
+
+
+def _second_rtu(raw, offset_ms):
+    second = dict(raw["scada"]["rtus"][0], station="rtu2", report_offset_ms=offset_ms)
+    raw["scada"]["rtus"].append(second)
+
+
+@pytest.mark.parametrize("field, mutate", [
+    pytest.param("report_offset_ms",
+                 lambda raw: raw["scada"]["rtus"][0].update(report_offset_ms=1000), id="offset-1000"),
+    pytest.param("report_offset_ms",
+                 lambda raw: raw["scada"]["rtus"][0].update(report_offset_ms=-5), id="offset-neg"),
+    # the second RTU reports 10 ms after its configured offset
+    pytest.param("report_offset_ms", lambda raw: _second_rtu(raw, 990), id="offset-2nd-rtu-990"),
+    pytest.param("warmup_steps",
+                 lambda raw: raw["durations"].update(warmup_steps=-3), id="warmup-neg"),
+    pytest.param("probe_pacing_ms",
+                 lambda raw: raw["attacker"].update(probe_pacing_ms=-3), id="pacing-neg"),
+    pytest.param("probe_timeout_ms",
+                 lambda raw: raw["attacker"].update(probe_timeout_ms=-1), id="timeout-neg"),
+])
+def test_out_of_range_timing_exits_2_naming_field(tmp_path, capsys, field, mutate):
+    raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+    mutate(raw)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert field in capsys.readouterr().err
 
 
 class TestDatasetExport:

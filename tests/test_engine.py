@@ -1,25 +1,11 @@
 import pytest
 
-from scadasim.engine import MS_PER_STEP, Engine, SimTime, SimulationError, derive_seed
-
-
-def test_simtime_ordering_and_arithmetic():
-    assert SimTime(3, 0) < SimTime(3, 1) < SimTime(4, 0)
-    assert SimTime(2, 999).plus_ms(1) == SimTime(3, 0)
-    assert SimTime.from_ms(4321).total_ms == 4321
-    assert SimTime.from_ms(4321) == SimTime(4, 321)
-
-
-def test_simtime_rejects_bad_values():
-    with pytest.raises(ValueError):
-        SimTime(-1, 0)
-    with pytest.raises(ValueError):
-        SimTime(0, MS_PER_STEP)
+from scadasim.engine import MS_PER_STEP, Engine, SimulationError, derive_seed
 
 
 def collect_order(engine, log):
     def handler(eng, event):
-        log.append((event.due.step, event.due.offset_ms, event.kind))
+        log.append((event.due, event.kind))
     return handler
 
 
@@ -27,14 +13,14 @@ def test_dispatch_follows_due_then_insertion_order():
     engine = Engine()
     log = []
     engine.register("a", collect_order(engine, log))
-    engine.schedule(SimTime(5, 0), "a", "late")
-    engine.schedule(SimTime(3, 0), "a", "early")
-    engine.schedule(SimTime(3, 0), "a", "early-second")  # same due: insertion order
-    engine.schedule(SimTime(4, 500), "a", "mid")
-    summary = engine.run(SimTime(10, 0))
-    assert [k for _, _, k in log] == ["early", "early-second", "mid", "late"]
-    assert summary.events_processed == 4
-    assert summary.final_time == SimTime(5, 0)
+    engine.schedule(5000, "a", "late")
+    engine.schedule(3000, "a", "early")
+    engine.schedule(3000, "a", "early-second")  # same due: insertion order
+    engine.schedule(4500, "a", "mid")
+    processed = engine.run(10_000)
+    assert [k for _, k in log] == ["early", "early-second", "mid", "late"]
+    assert processed == 4
+    assert engine.now == 5000
 
 
 def test_handler_scheduling_later_event_is_dispatched_after_current_step():
@@ -44,43 +30,41 @@ def test_handler_scheduling_later_event_is_dispatched_after_current_step():
     def handler(eng, event):
         order.append(event.kind)
         if event.kind == "first":
-            eng.schedule(SimTime(5, 0), "a", "chained")
+            eng.schedule(5000, "a", "chained")
 
     engine.register("a", handler)
-    engine.schedule(SimTime(3, 0), "a", "first")
-    engine.schedule(SimTime(4, 0), "a", "second")
-    engine.run(SimTime(9, 0))
+    engine.schedule(3000, "a", "first")
+    engine.schedule(4000, "a", "second")
+    engine.run(9000)
     assert order == ["first", "second", "chained"]
 
 
 def test_empty_queue_run_keeps_clock_at_zero():
     engine = Engine()
-    summary = engine.run(SimTime(100, 0))
-    assert summary.events_processed == 0
-    assert summary.final_time == SimTime(0, 0)
+    assert engine.run(100_000) == 0
+    assert engine.now == 0
 
 
 def test_until_before_first_event_dispatches_nothing():
     engine = Engine()
     engine.register("a", lambda e, ev: None)
-    engine.schedule(SimTime(10, 0), "a", "later")
-    summary = engine.run(SimTime(5, 0))
-    assert summary.events_processed == 0
+    engine.schedule(10000, "a", "later")
+    assert engine.run(5000) == 0
 
 
 def test_scheduling_in_the_past_is_fatal():
     engine = Engine()
-    engine.register("a", lambda e, ev: e.schedule(SimTime(0, 0), "a", "bad"))
-    engine.schedule(SimTime(2, 0), "a", "go")
+    engine.register("a", lambda e, ev: e.schedule(0, "a", "bad"))
+    engine.schedule(2000, "a", "go")
     with pytest.raises(SimulationError, match="in the past"):
-        engine.run(SimTime(3, 0))
+        engine.run(3000)
 
 
 def test_unknown_target_is_fatal_and_names_the_event():
     engine = Engine()
-    engine.schedule(SimTime(1, 0), "ghost", "boo")
+    engine.schedule(1000, "ghost", "boo")
     with pytest.raises(SimulationError, match="ghost/boo"):
-        engine.run(SimTime(2, 0))
+        engine.run(2000)
 
 
 def test_handler_failure_aborts_with_event_name():
@@ -90,9 +74,9 @@ def test_handler_failure_aborts_with_event_name():
         raise ValueError("inner")
 
     engine.register("a", boom)
-    engine.schedule(SimTime(1, 5), "a", "explode")
+    engine.schedule(1005, "a", "explode")
     with pytest.raises(SimulationError, match="a/explode"):
-        engine.run(SimTime(2, 0))
+        engine.run(2000)
 
 
 def test_trace_replay_determinism():
@@ -100,20 +84,22 @@ def test_trace_replay_determinism():
         engine = Engine(trace=True)
 
         def handler(eng, event):
-            if event.kind == "tick" and event.due.step < 5:
-                eng.schedule(SimTime(event.due.step + 1, 0), "a", "tick")
-                eng.schedule(SimTime(event.due.step + 1, 250), "b", "sub")
+            step = event.due // MS_PER_STEP
+            if event.kind == "tick" and step < 5:
+                eng.schedule((step + 1) * MS_PER_STEP, "a", "tick")
+                eng.schedule((step + 1) * MS_PER_STEP + 250, "b", "sub")
 
         engine.register("a", handler)
         engine.register("b", lambda e, ev: None)
-        engine.schedule(SimTime(0, 0), "a", "tick")
-        engine.run(SimTime(50, 0))
+        engine.schedule(0, "a", "tick")
+        engine.run(50000)
         return engine.trace_lines
 
     first = run_once()
     second = run_once()
     assert first == second
     assert first[0] == "0,0,0,a,tick"
+    assert first[2] == "1,250,2,b,sub"
 
 
 def test_no_event_dispatched_twice_and_none_skipped():
@@ -121,8 +107,8 @@ def test_no_event_dispatched_twice_and_none_skipped():
     seen = []
     engine.register("a", lambda e, ev: seen.append(ev.seq))
     for step in range(20):
-        engine.schedule(SimTime(step, step % 7), "a", "e")
-    engine.run(SimTime(19, 999))
+        engine.schedule(step * MS_PER_STEP + step % 7, "a", "e")
+    engine.run(19999)
     assert sorted(seen) == list(range(20))
     assert len(set(seen)) == 20
 

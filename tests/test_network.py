@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from scadasim.engine import Engine, SimTime
+from scadasim.engine import Engine
 from scadasim.network import (
     IctTopology,
     NetLink,
@@ -86,9 +86,9 @@ class TestTopologyValidation:
 
     def test_bad_packet_rejected(self):
         with pytest.raises(NetworkConfigError, match="protocol"):
-            Packet(SimTime(0, 0), "a", "b", "BOGUS", 60, {}, "x")
+            Packet(0, "a", "b", "BOGUS", 60, {}, "x")
         with pytest.raises(NetworkConfigError, match="length"):
-            Packet(SimTime(0, 0), "a", "b", "HTTP", 10, {}, "x")
+            Packet(0, "a", "b", "HTTP", 10, {}, "x")
 
 
 class TestDelivery:
@@ -97,12 +97,12 @@ class TestDelivery:
         engine, fabric, sinks = build(line_topology())
         engine.register("src", lambda e, ev: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(1, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(1000)
         assert len(sinks["h2"].received) == 1
         packet = sinks["h2"].received[0]
         # two hops, 11 ms each
-        assert packet.delivered_at.total_ms - packet.sent_at.total_ms == 22
+        assert packet.delivered_at - packet.sent_at == 22
 
     def test_fifo_serialization_queues_back_to_back_sends(self):
         engine, fabric, sinks = build(line_topology(), log=True)
@@ -112,9 +112,9 @@ class TestDelivery:
                 fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
 
         engine.register("src", burst)
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(1, 0))
-        arrivals = [p.delivered_at.total_ms for p in sinks["h2"].received]
+        engine.schedule(0, "src", "go")
+        engine.run(1000)
+        arrivals = [p.delivered_at for p in sinks["h2"].received]
         # first hop serializes 1 ms apart; second hop preserves spacing
         assert arrivals == [22, 23, 24]
         for t in fabric.transmissions:
@@ -129,8 +129,8 @@ class TestDelivery:
         fabric.set_link_state("l2", False)
         engine.register("src", lambda e, ev: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(1, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(1000)
         assert sinks["h2"].received == []
 
     def test_link_recovery_delivers_again(self):
@@ -139,8 +139,8 @@ class TestDelivery:
         fabric.set_link_state("l2", True)
         engine.register("src", lambda e, ev: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(1, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(1000)
         assert len(sinks["h2"].received) == 1
 
     def test_zero_loss_always_delivers(self):
@@ -151,16 +151,16 @@ class TestDelivery:
                 fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
 
         engine.register("src", burst)
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(10, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(10_000)
         assert len(sinks["h2"].received) == 200
 
     def test_scheduled_link_toggle_appears_in_trace(self):
         engine = Engine(trace=True)
         topo = line_topology()
         fabric = NetworkFabric(topo, engine, 1)
-        engine.schedule(SimTime(2, 500), "net", "set_link_state", ("l2", False))
-        engine.run(SimTime(3, 0))
+        engine.schedule(2500, "net", "set_link_state", ("l2", False))
+        engine.run(3000)
         assert any(line == "2,500,0,net,set_link_state" for line in engine.trace_lines)
         assert fabric.links["l2"].up is False
 
@@ -182,8 +182,8 @@ class TestLossStatistics:
                 fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
 
         engine.register("src", burst)
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(100, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(100_000)
         observed = 1.0 - len(sinks["h2"].received) / n
         stderr = math.sqrt(p * (1 - p) / n)
         assert abs(observed - p) <= 3 * stderr
@@ -198,8 +198,8 @@ class TestLossStatistics:
                     fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
 
             engine.register("src", burst)
-            engine.schedule(SimTime(0, 0), "src", "go")
-            engine.run(SimTime(10, 0))
+            engine.schedule(0, "src", "go")
+            engine.run(10_000)
             outcomes.append(len(sinks["h2"].received))
         assert outcomes[0] == outcomes[1]
 
@@ -211,8 +211,8 @@ class TestSwitchAndSpan:
         fabric.mirror_sink = mirrored.append
         engine.register("src", lambda e, ev: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(1, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(1000)
         assert len(mirrored) == 1
         assert mirrored[0].dst == "10.0.0.2"
 
@@ -222,8 +222,8 @@ class TestSwitchAndSpan:
         fabric.mirror_sink = mirrored.append
         engine.register("src", lambda e, ev: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(1, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(1000)
         assert mirrored == []
 
     def test_hundred_packets_mirror_in_order(self):
@@ -236,8 +236,8 @@ class TestSwitchAndSpan:
                 fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x", "n": i}, "h1")
 
         engine.register("src", burst)
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(10, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(10_000)
         assert mirrored == list(range(100))
         assert fabric.mirrored_count == 100
 
@@ -252,11 +252,11 @@ class TestSwitchAndSpan:
 
         engine.register("src", exchange)
         engine.register("rsp", reply)
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.schedule(SimTime(0, 500), "rsp", "go")
+        engine.schedule(0, "src", "go")
+        engine.schedule(500, "rsp", "go")
         # second request after the switch learned both sides
-        engine.schedule(SimTime(1, 0), "src", "go")
-        engine.run(SimTime(2, 0))
+        engine.schedule(1000, "src", "go")
+        engine.run(2000)
         # first request flooded to mon as well; second one must not
         mon_hits = len(sinks["mon"].received)
         assert mon_hits == 0  # mon never matches dst, flooded frames are dropped there
@@ -280,8 +280,8 @@ class TestSwitchAndSpan:
             fabric.send_app_message("ext", "10.0.0.2", "HTTP", 125, {"type": "blocked"}, "ext")
 
         engine.register("src", send)
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(1, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(1000)
         assert [p.payload["type"] for p in sinks["h2"].received] == ["ok"]
         assert fabric.blocked_count == 1
 
@@ -293,8 +293,8 @@ class TestSpecExamples:
         engine.register("src", lambda e, ev: fabric.transmit(
             Packet(e.now, "10.0.0.1", "10.0.0.2", "HTTP", 125, {}, "h1"),
             fabric.links["l1"], "h1"))
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.run(SimTime(1, 0))
+        engine.schedule(0, "src", "go")
+        engine.run(1000)
         hop = fabric.transmissions[0]
         assert hop.arrive_ms - hop.send_ms == 11
 
@@ -327,10 +327,10 @@ class TestSpecExamples:
 
         engine.register("src", exchange)
         engine.register("rsp", reply)
-        engine.schedule(SimTime(0, 0), "src", "go")
-        engine.schedule(SimTime(0, 500), "rsp", "go")   # edge switch learned h1 already
-        engine.schedule(SimTime(1, 0), "src", "go")     # fully learned exchange
-        engine.run(SimTime(2, 0))
+        engine.schedule(0, "src", "go")
+        engine.schedule(500, "rsp", "go")   # edge switch learned h1 already
+        engine.schedule(1000, "src", "go")     # fully learned exchange
+        engine.run(2000)
         assert len(sinks["h2"].received) == 2
         # first request flooded through the core (unknown dst); the learned
         # reply and second request stay on the edge segment

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from scadasim.engine import SimTime
 from scadasim.powergrid import (
     BoundPoint,
     Bus,
@@ -202,7 +201,7 @@ class TestMeasurements:
     def test_three_bound_points_give_three_measurements(self):
         grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)
         sol = solve_power_flow(grid)
-        measurements = measurements_for(self.binding(), sol, SimTime(4, 20))
+        measurements = measurements_for(self.binding(), sol)
         assert len(measurements) == 3
         assert [m.quantity for m in measurements] == [
             "transformer_loading_percent", "P_kW", "Q_kvar",
@@ -211,13 +210,13 @@ class TestMeasurements:
     def test_empty_binding_gives_empty_list(self):
         grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)
         sol = solve_power_flow(grid)
-        assert measurements_for(RtuBinding("rtu1"), sol, SimTime(0, 0)) == []
+        assert measurements_for(RtuBinding("rtu1"), sol) == []
 
     def test_values_are_copied_from_solution(self):
         grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)
         sol = solve_power_flow(grid)
         sol.transformer_p_kw = 120.0
-        m = measurements_for(self.binding(), sol, SimTime(0, 0))[1]
+        m = measurements_for(self.binding(), sol)[1]
         assert m.value == 120.0
 
     def test_unknown_element_rejected_at_validation(self):

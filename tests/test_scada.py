@@ -1,6 +1,6 @@
 import pytest
 
-from scadasim.engine import Engine, SimTime
+from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric
 from scadasim.powergrid import (
     BoundPoint,
@@ -52,7 +52,7 @@ class StaticGrid:
         return self.solution, False
 
 
-def rig(interrogate=True):
+def rig(interrogate=True, binding=BINDING):
     topo = IctTopology(
         nodes=[
             NetNode("rtu1-host", "host", "10.0.0.11"),
@@ -69,7 +69,7 @@ def rig(interrogate=True):
     fabric.register_app("mtu-host", mtu_host)
     grid = StaticGrid()
     compromise_log = []
-    rtu = RtuApp(engine, fabric, rtu_host, "rtu1", BINDING, "10.0.0.10", grid, compromise_log)
+    rtu = RtuApp(engine, fabric, rtu_host, "rtu1", binding, "10.0.0.10", grid, compromise_log)
     mtu = MtuApp(engine, fabric, mtu_host, {"rtu1": "10.0.0.11"}, interrogate_stale=interrogate)
     rtu_host.scada_app = rtu
     mtu_host.scada_app = mtu
@@ -83,21 +83,31 @@ class TestReporting:
 
     def test_report_cycle_fills_mtu_table_with_true_values(self):
         engine, fabric, rtu, mtu, grid, _ = rig()
-        engine.run(SimTime(5, 999))
+        engine.run(5999)
         assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
         assert mtu.value("rtu1", "m1") == grid.solution.transformer_loading_percent
         assert mtu.out_of_order_count == 0
 
+    def test_points_of_the_same_quantity_keep_their_own_ids(self):
+        binding = RtuBinding(
+            "rtu1", (BoundPoint("va", "V_pu", "lv"), BoundPoint("vb", "V_pu", "b2"))
+        )
+        engine, fabric, rtu, mtu, grid, _ = rig(binding=binding)
+        engine.run(1999)
+        assert sorted(point_id for _, point_id in mtu.table) == ["va", "vb"]
+        assert mtu.value("rtu1", "va") == grid.solution.bus_voltage_pu["lv"]
+        assert mtu.value("rtu1", "vb") == grid.solution.bus_voltage_pu["b2"]
+
     def test_one_report_per_cycle_with_strictly_increasing_sequence(self):
         engine, fabric, rtu, mtu, grid, _ = rig()
-        engine.run(SimTime(9, 999))
+        engine.run(9999)
         assert rtu.reports_sent == 10
         assert rtu.sequence_no == 10
 
     def test_manipulate_scales_reported_values(self):
         engine, fabric, rtu, mtu, grid, _ = rig()
         rtu.apply_manipulate({"P_kW": (0.5, 0.0)})
-        engine.run(SimTime(3, 999))
+        engine.run(3999)
         assert mtu.value("rtu1", "m2") == pytest.approx(grid.solution.transformer_p_kw * 0.5)
         # untransformed quantity passes through
         assert mtu.value("rtu1", "m1") == grid.solution.transformer_loading_percent
@@ -114,14 +124,14 @@ class TestReporting:
             return packet
 
         fabric.send_app_message = spy
-        engine.run(SimTime(2, 999))
+        engine.run(2999)
         reports = [p for p in captured if p.payload.get("type") == "telemetry_report"]
         assert reports and all(p.payload["manipulated"] is False for p in reports)
         assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
 
     def test_dos_stops_all_reports_after_activation(self):
         engine, fabric, rtu, mtu, grid, log = rig(interrogate=False)
-        engine.run(SimTime(4, 999))
+        engine.run(4999)
 
         class Stop:
             def __init__(self, rtu):
@@ -131,11 +141,11 @@ class TestReporting:
                 self.rtu.apply_dos()
 
         engine.register("killer", Stop(rtu))
-        engine.schedule(SimTime(5, 10), "killer", "go")
-        engine.run(SimTime(20, 999))
+        engine.schedule(5010, "killer", "go")
+        engine.run(20_999)
         assert rtu.reports_sent == 5  # steps 0..4 only
         assert log and log[0].effect.kind == "dos"
-        assert log[0].effect.active_from == SimTime(5, 10)
+        assert log[0].effect.active_from == 5010
 
 
 class TestMtuIngest:
@@ -158,27 +168,27 @@ class TestMtuIngest:
 
     def test_stale_after_three_missed_cycles(self):
         engine, fabric, rtu, mtu, grid, _ = rig(interrogate=False)
-        engine.run(SimTime(2, 999))
+        engine.run(2999)
         rtu.running = False  # silent failure, not a compromise
-        engine.run(SimTime(5, 999))
+        engine.run(5999)
         point = mtu.table[("rtu1", "m2")]
         assert point.stale is False  # step 5: only 3 cycles missed
-        engine.run(SimTime(6, 999))
+        engine.run(6999)
         assert mtu.table[("rtu1", "m2")].stale is True
 
     def test_stale_station_is_reinterrogated(self):
         engine, fabric, rtu, mtu, grid, _ = rig(interrogate=True)
-        engine.run(SimTime(2, 999))
+        engine.run(2999)
         rtu.running = False
-        engine.run(SimTime(10, 999))
+        engine.run(10_999)
         assert mtu.interrogations_sent == 5  # stale from step 6, one per check through step 10
         rtu.running = True  # service restored: interrogation triggers a report
-        engine.run(SimTime(11, 999))
+        engine.run(11_999)
         assert mtu.table[("rtu1", "m2")].stale is False
 
     def test_history_rows_have_csv_shape(self):
         engine, fabric, rtu, mtu, grid, _ = rig()
-        engine.run(SimTime(3, 999))
+        engine.run(3999)
         step, station, point, quantity, value, stale = mtu.history[0]
         assert station == "rtu1"
         assert quantity in ("transformer_loading_percent", "P_kW", "Q_kvar")
@@ -188,8 +198,8 @@ class TestMtuIngest:
 class TestEffectValidation:
     def test_dos_with_transform_rejected(self):
         with pytest.raises(ValueError):
-            CompromiseEffect(kind="dos", active_from=SimTime(0, 0), transform={"P_kW": (0.5, 0)})
+            CompromiseEffect(kind="dos", active_from=0, transform={"P_kW": (0.5, 0)})
 
     def test_manipulate_requires_transform(self):
         with pytest.raises(ValueError):
-            CompromiseEffect(kind="manipulate", active_from=SimTime(0, 0))
+            CompromiseEffect(kind="manipulate", active_from=0)

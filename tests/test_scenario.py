@@ -1,7 +1,7 @@
 import pytest
 
 from scadasim.capture import export_csv
-from scadasim.scenario import load_fixture, run_scenario
+from scadasim.scenario import load_fixture, make_scenario, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -124,14 +124,10 @@ class TestScenarioShapes:
 
 class TestMakeScenario:
     def test_make_scenario_checks_balance_and_returns_dataset(self):
-        from scadasim.capture import make_scenario
-
         ds = make_scenario(4, seed=2)
         assert ds.scenario_id == "4"
         assert abs(ds.balance[0] - 72.80) <= 3.0
 
     def test_make_scenario_rejects_bad_id(self):
-        from scadasim.capture import make_scenario
-
         with pytest.raises(ValueError, match="1..6"):
             make_scenario(9, seed=0)

@@ -1,6 +1,6 @@
 import pytest
 
-from scadasim.engine import Engine, SimTime
+from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric
 from scadasim.vulnhost import (
     BANNER_LEN,
@@ -43,7 +43,7 @@ def rig(services=None, pe_paths=frozenset()):
 
 def send(engine, fabric, payload, protocol="SCAN_PROBE", length=60, at_ms=0):
     engine.schedule(
-        SimTime.from_ms(at_ms), "driver", "send",
+        at_ms, "driver", "send",
         (payload, protocol, length),
     )
 
@@ -55,8 +55,8 @@ def run(engine, fabric, sends):
 
     engine.register("driver", driver)
     for i, item in enumerate(sends):
-        engine.schedule(SimTime.from_ms(i * 50), "driver", "send", item)
-    engine.run(SimTime(30, 0))
+        engine.schedule(i * 50, "driver", "send", item)
+    engine.run(30_000)
 
 
 WEB = {80: HostService(80, "HTTP", banner="nginx", rce=RceVuln("cmd_param", "www-data"))}
