@@ -186,7 +186,7 @@ class AttackerComponent:
         addr, port = target
         gate = self.skip_unreachable_after
         if (
-            gate is not None
+            gate  # None or 0: never skip
             and not self._gate_passed
             and self._addr_probes >= gate
         ):

@@ -155,21 +155,31 @@ def cmd_ids_eval(args) -> int:
 def render_table(cells: list[EvalCell]) -> list[str]:
     header = f"{'algorithm':<10} {'train':<16} {'test':<16} {'TP':>8} {'FP':>6} {'FN':>6} " \
              f"{'precision':>9} {'recall':>9} {'F1':>9}"
-    lines = [header, "-" * len(header)]
-    for c in cells:
-        lines.append(
-            f"{c.algorithm:<10} {c.train_scenario:<16} {c.test_scenario:<16} "
-            f"{c.tp:>8} {c.fp:>6} {c.fn:>6} {c.precision:>9.4f} {c.recall:>9.4f} {c.f1:>9.4f}"
-        )
-    return lines
+    return [header, "-" * len(header)] + [_table_row(c) for c in cells]
+
+
+def _table_row(c: EvalCell) -> str:
+    return (f"{c.algorithm:<10} {c.train_scenario:<16} {c.test_scenario:<16} "
+            f"{c.tp:>8} {c.fp:>6} {c.fn:>6} {c.precision:>9.4f} {c.recall:>9.4f} {c.f1:>9.4f}")
 
 
 def cmd_report(args) -> int:
     if not os.path.isfile(args.report):
         raise FileNotFoundError(f"report file not found: {args.report}")
     with open(args.report, "r", encoding="utf-8") as fh:
-        cells = [EvalCell(**d) for d in json.load(fh)]
-    print("\n".join(render_table(cells)))
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{args.report}: not valid JSON: {exc}") from None
+    if not isinstance(payload, list):
+        raise DatasetFormatError(f"{args.report}: expected a list of report cells")
+    lines = render_table([])
+    for i, d in enumerate(payload):
+        try:
+            lines.append(_table_row(EvalCell(**d)))
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{args.report}: cell {i}: {exc}") from None
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -4,12 +4,19 @@ telemetry, background operator traffic, the attacker, and capture settings.
 Loading validates everything up front and reports every error found, not just
 the first. Cross-references (bus ids, host ids, link endpoints, bindings) must
 all resolve before a simulation is allowed to start.
+
+The dataclasses are the schema: ``_fill`` reads each field with its annotated
+type, its default and its ``_bounded`` bounds, and never raises.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -32,6 +39,14 @@ FORMAT_VERSION = 1
 # build_simulation starts the i-th RTU's report cycle RTU_STAGGER_MS * i
 # after its configured offset.
 RTU_STAGGER_MS = 10
+# dataclass field -> YAML key, where the two differ
+_KEYS = {
+    "bus_id": "id", "line_id": "id", "transformer_id": "id", "load_id": "id", "der_id": "id",
+    "node_id": "id", "link_id": "id", "point_id": "id", "from_bus": "from", "to_bus": "to",
+    "endpoint_a": "a", "endpoint_b": "b", "switch_id": "switch", "monitor_node_id": "monitor",
+    "executing_user": "user", "target_addresses": "targets", "manipulation": "transform",
+    "mtu_host": "host",
+}
 
 
 class ConfigError(ValueError):
@@ -42,19 +57,25 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
+def _bounded(default, lo, hi=None):
+    """A field default together with the inclusive bounds the loader enforces."""
+    return field(default=default, metadata={"lo": lo, "hi": hi})
+
+
 @dataclass
 class DurationsConfig:
-    warmup_steps: int = 30
-    post_steps: int = 30
-    attack_start_jitter_steps: int = 0
-    max_attack_steps: int = 2000
+    warmup_steps: int = _bounded(30, lo=0)
+    post_steps: int = _bounded(30, lo=0)
+    attack_start_jitter_steps: int = _bounded(0, lo=0)
+    max_attack_steps: int = _bounded(2000, lo=0)
 
 
 @dataclass
 class GridSection:
     model: GridModel
-    day_steps: int = 1440
-    noise_amplitude: float = 0.08
+    # read from grid.profile
+    day_steps: int = _bounded(1440, lo=1)
+    noise_amplitude: float = _bounded(0.08, lo=0)
 
 
 @dataclass
@@ -73,6 +94,7 @@ class RtuConfig:
 
 @dataclass
 class ScadaSection:
+    # mtu_host and interrogate_stale are read from scada.mtu, mtu_host as its `host`
     mtu_host: str
     rtus: list[RtuConfig]
     interrogate_stale: bool = True
@@ -82,15 +104,16 @@ class ScadaSection:
 class OpsSection:
     host: str
     http_targets: list[str] = field(default_factory=list)
-    http_period_steps: int = 5
-    http_port: int = 80
+    http_period_steps: int = _bounded(5, lo=1)
+    http_port: int = _bounded(80, lo=1, hi=65535)
     keepalive_targets: list[str] = field(default_factory=list)
-    keepalive_period_steps: int = 7
-    keepalive_port: int = 22
+    keepalive_period_steps: int = _bounded(7, lo=1)
+    keepalive_port: int = _bounded(22, lo=1, hi=65535)
     monitor_targets: list[str] = field(default_factory=list)
-    monitor_period_steps: int = 6
-    monitor_port: int = 2404
-    give_up_after: int = 0  # consecutive missed liveness probes; 0 = never give up
+    monitor_period_steps: int = _bounded(6, lo=1)
+    monitor_port: int = _bounded(2404, lo=1, hi=65535)
+    # consecutive missed liveness probes; 0 = never give up
+    give_up_after: int = _bounded(0, lo=0)
 
 
 @dataclass
@@ -99,9 +122,10 @@ class AttackerSection:
     goal: AttackGoal
     address_range: list[str]
     port_set: list[int]
-    probe_pacing_ms: int = 2
-    probe_timeout_ms: int = 10
-    skip_unreachable_after: int | None = 3
+    probe_pacing_ms: int = _bounded(2, lo=0)
+    probe_timeout_ms: int = _bounded(10, lo=0)
+    # unanswered probes before an address is skipped; null or 0 = never skip
+    skip_unreachable_after: int | None = _bounded(3, lo=0)
     enforce_dos: bool = False
 
 
@@ -111,18 +135,18 @@ class CaptureSection:
     balance_target: float | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
-    format_version: int
-    scenario_id: str
-    seed: int
-    durations: DurationsConfig
+    format_version: int = field(metadata={"lo": FORMAT_VERSION, "hi": FORMAT_VERSION})
+    scenario_id: str = "custom"
+    seed: int = 0
+    durations: DurationsConfig = field(default_factory=DurationsConfig)
     grid: GridSection
     topology: IctTopology
     hosts: dict[str, HostEntry]
     scada: ScadaSection
     attacker: AttackerSection
-    capture: CaptureSection
+    capture: CaptureSection = field(default_factory=CaptureSection)
     ops: OpsSection | None = None
 
 
@@ -167,214 +191,204 @@ def expand_port_set(spec) -> list[int]:
     return sorted(set(ports))
 
 
-def _build_grid(raw: dict, errors: list[str]) -> GridSection | None:
+# kind -> (the YAML values it takes, its name in messages); a bool is only ever a bool
+_SCALARS = {bool: (bool, "a boolean"), int: (int, "an integer"), float: ((int, float), "a number"),
+            str: ((str, int, float), "a string"), list: (list, "a list"), dict: (dict, "a mapping")}
+_hints = cache(get_type_hints)
+
+
+def _value(value, kind, where: str, errors: list[str], lo=None, hi=None):
+    """``value`` read as ``kind`` and converted to it; ``kind`` is a ``_SCALARS``
+    key, a dataclass, ``X | None``, ``str | list[str]``, ``dict[K, V]``, or a list,
+    frozenset or tuple of one kind. A wrong type or a value outside the inclusive
+    bounds appends an error naming ``where`` and reads as None.
+    """
+    if kind in _SCALARS:
+        accepts, name = _SCALARS[kind]
+        if not isinstance(value, accepts) or (isinstance(value, bool) and kind is not bool):
+            errors.append(f"{where}: expected {name}, got {value!r:.60}")
+            return None
+        value = kind(value)
+        if kind is float and not math.isfinite(value):
+            errors.append(f"{where}: expected a finite number, got {value!r}")
+            return None
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+            errors.append(f"{where}: must be {bound}, got {value!r}")
+            return None
+        return value
+    if is_dataclass(kind):
+        return _fill(kind, value, where, errors)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType:
+        if value is None and NoneType in args:
+            return None
+        # X | None takes X; str | list[str] takes the arm that fits the value
+        arm = args[0] if NoneType in args else args[isinstance(value, list)]
+        return _value(value, arm, where, errors, lo, hi)
+    if origin is dict:
+        items = _value(value, dict, where, errors)
+        return None if items is None else {
+            _value(k, args[0], where, errors): _value(v, args[1], f"{where}.{k}", errors)
+            for k, v in items.items()}
+    if origin in (list, tuple, frozenset):
+        items = _value(value, list, where, errors)
+        if items is None:
+            return None
+        if origin is tuple and Ellipsis not in args and len(items) != len(args):
+            errors.append(f"{where}: expected {len(args)} items, got {len(items)}")
+            return None
+        return origin(_value(v, args[0], f"{where}[{i}]", errors) for i, v in enumerate(items))
+
+
+def _read(raw: dict, key, kind, path: str, errors: list[str], default=MISSING,
+          lo=None, hi=None):
+    """The value under ``key`` of mapping ``raw`` at dotted ``path``, read by
+    ``_value``; an absent key reads as ``default``, or is an error without one."""
+    where = f"{path}.{key}" if path else key
+    if key in raw:
+        return _value(raw[key], kind, where, errors, lo, hi)
+    if default is MISSING:
+        errors.append(f"{where}: missing")
+        return None
+    return default
+
+
+def _fill(cls, raw, path: str, errors: list[str], /, **given):
+    """An instance of dataclass ``cls`` read from mapping ``raw`` at ``path``.
+
+    Each field not in ``given`` is read under its YAML key (its name, or its
+    ``_KEYS`` entry) with its annotated type, default and ``_bounded`` bounds.
+    Returns None after appending errors, including a ValueError raised by the
+    class's own validation.
+    """
+    start = len(errors)
+    if _value(raw, dict, path, errors) is None:
+        return None
+    hints = _hints(cls)
+    for f in fields(cls):
+        if f.name not in given:
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            given[f.name] = _read(raw, _KEYS.get(f.name, f.name), hints[f.name], path, errors,
+                                  default, **f.metadata)
+    if len(errors) > start:
+        return None
+    return _checked(path, errors, cls, **given)
+
+
+def _checked(path: str, errors: list[str], check, /, *args, **kwargs):
+    """``check(*args, **kwargs)``, or None after recording the ValueError it raised."""
     try:
-        buses = tuple(Bus(str(b["id"]), float(b["nominal_kv"])) for b in raw.get("buses", []))
-        tx_raw = raw["transformer"]
-        transformer = Transformer(
-            str(tx_raw["id"]), str(tx_raw["hv_bus"]), str(tx_raw["lv_bus"]),
-            float(tx_raw["rating_kva"]), float(tx_raw["resistance_ohm"]),
-            float(tx_raw["reactance_ohm"]),
-        )
-        lines = tuple(
-            Line(str(l["id"]), str(l["from"]), str(l["to"]), float(l["resistance_ohm"]),
-                 float(l["reactance_ohm"]), float(l["rating_kva"]))
-            for l in raw.get("lines", [])
-        )
-        loads = tuple(
-            Load(str(l["id"]), str(l["bus"]), float(l["p_kw"]), float(l["q_kvar"]))
-            for l in raw.get("loads", [])
-        )
-        ders = tuple(
-            Der(str(d["id"]), str(d["bus"]), float(d["p_kw"])) for d in raw.get("ders", [])
-        )
-        model = GridModel(buses, lines, transformer, loads, ders)
-        model.validate()
-        profile = raw.get("profile", {})
-        return GridSection(
-            model=model,
-            day_steps=int(profile.get("day_steps", 1440)),
-            noise_amplitude=float(profile.get("noise_amplitude", 0.08)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"grid: {exc}")
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
         return None
 
 
-def _build_topology(raw: dict, errors: list[str]) -> IctTopology | None:
-    try:
-        nodes = [
-            NetNode(
-                str(n["id"]), str(n["kind"]), n.get("address"),
-                tuple(n.get("blocked_prefixes", ())),
-            )
-            for n in raw.get("nodes", [])
-        ]
-        links = [
-            NetLink(
-                str(l["id"]), str(l["a"]), str(l["b"]),
-                int(l.get("latency_ms", 1)),
-                float(l.get("loss_probability", 0.0)),
-                int(l.get("bandwidth_bps", 10_000_000)),
-                bool(l.get("up", True)),
-            )
-            for l in raw.get("links", [])
-        ]
-        span_raw = raw.get("span")
-        span = None
-        if span_raw is not None:
-            span = SpanConfig(str(span_raw["switch"]), str(span_raw["monitor"]))
-        topology = IctTopology(nodes=nodes, links=links, span=span)
-        topology.validate()
-        return topology
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"ict: {exc}")
+def _read_grid(raw, errors: list[str]) -> GridSection | None:
+    start = len(errors)
+    if _value(raw, dict, "grid", errors) is None:
         return None
+    model = GridModel(
+        _read(raw, "buses", tuple[Bus, ...], "grid", errors, ()),
+        _read(raw, "lines", tuple[Line, ...], "grid", errors, ()),
+        _read(raw, "transformer", Transformer, "grid", errors),
+        _read(raw, "loads", tuple[Load, ...], "grid", errors, ()),
+        _read(raw, "ders", tuple[Der, ...], "grid", errors, ()),
+    )
+    section = _fill(GridSection, raw.get("profile", {}), "grid.profile", errors, model=model)
+    if len(errors) == start:
+        _checked("grid", errors, model.validate)
+    return section if len(errors) == start else None
 
 
-def _build_hosts(raw: dict, errors: list[str]) -> dict[str, HostEntry]:
-    out: dict[str, HostEntry] = {}
-    for node_id, entry in (raw or {}).items():
-        try:
-            services: dict[int, HostService] = {}
-            for svc in entry.get("services", []):
-                rce_raw = svc.get("rce")
-                rce = None
-                if rce_raw is not None:
-                    rce = RceVuln(str(rce_raw["method"]), str(rce_raw["user"]))
-                service = HostService(
-                    int(svc["port"]), str(svc["protocol"]), str(svc.get("banner", "")), rce
-                )
-                if service.port in services:
-                    raise ValueError(f"duplicate service on port {service.port}")
-                services[service.port] = service
-            pe_paths = frozenset(str(p) for p in entry.get("pe_paths", []))
-            for p in pe_paths:
-                if p not in PE_METHODS:
-                    raise ValueError(f"unknown pe path {p!r}")
-            out[str(node_id)] = HostEntry(services=services, pe_paths=pe_paths)
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(f"hosts.{node_id}: {exc}")
-    return out
-
-
-def _build_scada(raw: dict, errors: list[str]) -> ScadaSection | None:
-    try:
-        mtu_raw = raw["mtu"]
-        rtus = []
-        for r in raw.get("rtus", []):
-            points = tuple(
-                BoundPoint(str(p["id"]), str(p["quantity"]), str(p["element"]))
-                for p in r.get("points", [])
-            )
-            rtus.append(
-                RtuConfig(
-                    station=str(r["station"]),
-                    host=str(r["host"]),
-                    binding=RtuBinding(str(r["station"]), points),
-                    report_offset_ms=int(r.get("report_offset_ms", 20)),
-                )
-            )
-        return ScadaSection(
-            mtu_host=str(mtu_raw["host"]),
-            rtus=rtus,
-            interrogate_stale=bool(mtu_raw.get("interrogate_stale", True)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"scada: {exc}")
+def _read_topology(raw, errors: list[str]) -> IctTopology | None:
+    start = len(errors)
+    if _value(raw, dict, "ict", errors) is None:
         return None
+    nodes = _read(raw, "nodes", list[NetNode], "ict", errors, []) or []
+    for i, node in enumerate(nodes):
+        for key, text in (("id", node.node_id), ("address", node.address)) if node else ():
+            # dataset.csv never quotes its fields
+            if text and not {",", "\r", "\n"}.isdisjoint(text):
+                errors.append(f"ict.nodes[{i}].{key}: {text!r} holds a comma or line break, "
+                              "which the dataset CSV cannot carry")
+    topology = IctTopology(
+        nodes=[n for n in nodes if n is not None],
+        links=[l for l in _read(raw, "links", list[NetLink], "ict", errors, []) or [] if l],
+        span=_read(raw, "span", SpanConfig | None, "ict", errors, None),
+    )
+    if len(errors) == start:
+        _checked("ict", errors, topology.validate)
+    return topology
 
 
-def _build_ops(raw: dict | None, errors: list[str]) -> OpsSection | None:
-    if raw is None:
+def _read_hosts(raw, errors: list[str]) -> dict[str, HostEntry]:
+    hosts: dict[str, HostEntry] = {}
+    for key, entry in (_value(raw, dict, "hosts", errors) or {}).items():
+        path = f"hosts.{key}"
+        if _value(entry, dict, path, errors) is None:
+            continue
+        services: dict[int, HostService] = {}
+        listed = _read(entry, "services", list[HostService], path, errors, []) or []
+        for i, svc in enumerate(listed):
+            if svc is not None and services.setdefault(svc.port, svc) is not svc:
+                errors.append(f"{path}.services[{i}]: duplicate service on port {svc.port}")
+        host = _fill(HostEntry, entry, path, errors, services=services)
+        node_id = _value(key, str, path, errors)
+        if host is not None and node_id is not None:
+            for pe in sorted(host.pe_paths.difference(PE_METHODS)):
+                errors.append(f"{path}.pe_paths: unknown pe path {pe!r}")
+            hosts[node_id] = host
+    return hosts
+
+
+def _read_scada(raw, errors: list[str]) -> ScadaSection | None:
+    start = len(errors)
+    if _value(raw, dict, "scada", errors) is None:
         return None
-    try:
-        return OpsSection(
-            host=str(raw["host"]),
-            http_targets=[str(t) for t in raw.get("http_targets", [])],
-            http_period_steps=int(raw.get("http_period_steps", 5)),
-            http_port=int(raw.get("http_port", 80)),
-            keepalive_targets=[str(t) for t in raw.get("keepalive_targets", [])],
-            keepalive_period_steps=int(raw.get("keepalive_period_steps", 7)),
-            keepalive_port=int(raw.get("keepalive_port", 22)),
-            monitor_targets=[str(t) for t in raw.get("monitor_targets", [])],
-            monitor_period_steps=int(raw.get("monitor_period_steps", 6)),
-            monitor_port=int(raw.get("monitor_port", 2404)),
-            give_up_after=int(raw.get("give_up_after", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"ops: {exc}")
-        return None
+    rtus = []
+    for i, r in enumerate(_read(raw, "rtus", list, "scada", errors, []) or []):
+        # an RTU's mapping holds its binding's fields (station, points) too
+        binding = _fill(RtuBinding, r, f"scada.rtus[{i}]", errors)
+        if binding is not None:
+            rtus.append(_fill(RtuConfig, r, f"scada.rtus[{i}]", errors,
+                              station=binding.station, binding=binding))
+    section = _fill(ScadaSection, raw.get("mtu"), "scada.mtu", errors, rtus=rtus)
+    return section if len(errors) == start else None
 
 
-def _build_attacker(raw: dict, errors: list[str]) -> AttackerSection | None:
-    try:
-        goal_raw = raw["goal"]
-        manipulation = None
-        if goal_raw.get("transform"):
-            manipulation = {
-                str(q): (float(pair[0]), float(pair[1]))
-                for q, pair in goal_raw["transform"].items()
-            }
-        targets = goal_raw.get("targets")
-        goal = AttackGoal(
-            kind=str(goal_raw["kind"]),
-            target_addresses=tuple(str(t) for t in targets) if targets else None,
-            manipulation=manipulation,
-        )
-        skip = raw.get("skip_unreachable_after", 3)
-        return AttackerSection(
-            host=str(raw["host"]),
-            goal=goal,
-            address_range=expand_address_range(raw["address_range"]),
-            port_set=expand_port_set(raw["port_set"]),
-            probe_pacing_ms=int(raw.get("probe_pacing_ms", 2)),
-            probe_timeout_ms=int(raw.get("probe_timeout_ms", 10)),
-            skip_unreachable_after=None if skip in (None, 0, "none") else int(skip),
-            enforce_dos=bool(raw.get("enforce_dos", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"attacker: {exc}")
+def _read_attacker(raw, errors: list[str]) -> AttackerSection | None:
+    start = len(errors)
+    if _value(raw, dict, "attacker", errors) is None:
         return None
+    address_range = _read(raw, "address_range", str | list[str], "attacker", errors)
+    port_set = _read(raw, "port_set", str | list[str], "attacker", errors)
+    if len(errors) == start:
+        address_range = _checked("attacker.address_range", errors, expand_address_range,
+                                 address_range)
+        port_set = _checked("attacker.port_set", errors, expand_port_set, port_set)
+    section = _fill(AttackerSection, raw, "attacker", errors, address_range=address_range,
+                    port_set=port_set)
+    return section if len(errors) == start else None
 
 
 def load_config_dict(raw: dict) -> ScenarioConfig:
-    errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a mapping"])
-    version = raw.get("format_version")
-    if version != FORMAT_VERSION:
-        errors.append(f"format_version: expected {FORMAT_VERSION}, got {version!r}")
+    errors: list[str] = []
+    grid = _read_grid(raw.get("grid", {}), errors)
+    topology = _read_topology(raw.get("ict", {}), errors)
+    hosts = _read_hosts(raw.get("hosts", {}), errors)
+    scada = _read_scada(raw.get("scada", {}), errors)
+    attacker = _read_attacker(raw.get("attacker", {}), errors)
+    config = _fill(ScenarioConfig, raw, "", errors, grid=grid, topology=topology, hosts=hosts,
+                   scada=scada, attacker=attacker)
+    ops = config.ops if config is not None else None
 
-    grid = _build_grid(raw.get("grid", {}), errors)
-    topology = _build_topology(raw.get("ict", {}), errors)
-    hosts = _build_hosts(raw.get("hosts", {}), errors)
-    scada = _build_scada(raw.get("scada", {}), errors)
-    ops = _build_ops(raw.get("ops"), errors)
-    attacker = _build_attacker(raw.get("attacker", {}), errors)
-
-    durations_raw = raw.get("durations", {})
-    durations = DurationsConfig(
-        warmup_steps=int(durations_raw.get("warmup_steps", 30)),
-        post_steps=int(durations_raw.get("post_steps", 30)),
-        attack_start_jitter_steps=int(durations_raw.get("attack_start_jitter_steps", 0)),
-        max_attack_steps=int(durations_raw.get("max_attack_steps", 2000)),
-    )
-    if durations.warmup_steps < 0:
-        errors.append(f"durations.warmup_steps: must not be negative, got {durations.warmup_steps}")
-    capture_raw = raw.get("capture", {})
-    balance = capture_raw.get("balance_target")
-    capture = CaptureSection(
-        label_manipulated_reports=bool(capture_raw.get("label_manipulated_reports", True)),
-        balance_target=None if balance is None else float(balance),
-    )
-
-    # cross references; the host set comes from the raw node list so these
+    # cross references; the host set comes from the nodes as read, so these
     # checks still run (and report) when topology validation itself failed
-    host_ids = {
-        str(n.get("id")) for n in raw.get("ict", {}).get("nodes", [])
-        if isinstance(n, dict) and n.get("kind") == "host"
-    }
+    host_ids = {n.node_id for n in topology.nodes if n.kind == "host"} if topology else set()
     for node_id in hosts:
         if node_id not in host_ids:
             errors.append(f"hosts.{node_id}: not a host node in ict.nodes")
@@ -391,10 +405,7 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
                     f"the step, outside [0, {MS_PER_STEP})"
                 )
             if grid is not None:
-                try:
-                    rtu.binding.validate(grid.model)
-                except ValueError as exc:
-                    errors.append(f"scada.rtus[{rtu.station}]: {exc}")
+                _checked(f"scada.rtus[{rtu.station}]", errors, rtu.binding.validate, grid.model)
     if ops is not None:
         if ops.host not in host_ids:
             errors.append(f"ops: unknown host {ops.host!r}")
@@ -406,32 +417,18 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
             errors.append(f"attacker: unknown host {attacker.host!r}")
         if not attacker.port_set:
             errors.append("attacker: empty port set")
-        for name, value in (("probe_pacing_ms", attacker.probe_pacing_ms),
-                            ("probe_timeout_ms", attacker.probe_timeout_ms)):
-            if value < 0:
-                errors.append(f"attacker.{name}: must not be negative, got {value}")
     if topology is not None and topology.span is None and raw.get("capture") is not None:
         errors.append("capture: requires ict.span to be configured")
 
     if errors:
         raise ConfigError(errors)
-
-    return ScenarioConfig(
-        format_version=FORMAT_VERSION,
-        scenario_id=str(raw.get("scenario_id", "custom")),
-        seed=int(raw.get("seed", 0)),
-        durations=durations,
-        grid=grid,
-        topology=topology,
-        hosts=hosts,
-        scada=scada,
-        attacker=attacker,
-        capture=capture,
-        ops=ops,
-    )
+    return config
 
 
 def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"{path}: not a readable YAML document: {exc}"]) from None
     return load_config_dict(raw)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -19,18 +19,7 @@ class EvalCell:
     f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "train_scenario": self.train_scenario,
-            "test_scenario": self.test_scenario,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def f1_score(precision: float, recall: float) -> float:

@@ -106,6 +106,25 @@ def _second_rtu(raw, offset_ms):
                  lambda raw: raw["attacker"].update(probe_pacing_ms=-3), id="pacing-neg"),
     pytest.param("probe_timeout_ms",
                  lambda raw: raw["attacker"].update(probe_timeout_ms=-1), id="timeout-neg"),
+    pytest.param("durations.post_steps",
+                 lambda raw: raw["durations"].update(post_steps=-40), id="post-neg"),
+    pytest.param("durations.post_steps",
+                 lambda raw: raw["durations"].update(post_steps=None), id="post-null"),
+    pytest.param("hosts.rtu1-host",
+                 lambda raw: raw.update(hosts={"rtu1-host": -5}), id="host-entry-int"),
+    pytest.param("ops.http_period_steps",
+                 lambda raw: raw["ops"].update(http_period_steps=0), id="http-period-0"),
+    pytest.param("grid.profile.day_steps",
+                 lambda raw: raw["grid"]["profile"].update(day_steps=0), id="day-steps-0"),
+    pytest.param("attacker.enforce_dos",
+                 lambda raw: raw["attacker"].update(enforce_dos="no"), id="enforce-dos-str"),
+    pytest.param("durations.warmup_steps",
+                 lambda raw: raw["durations"].update(warmup_steps=2.7), id="warmup-float"),
+    pytest.param("attacker.skip_unreachable_after",
+                 lambda raw: raw["attacker"].update(skip_unreachable_after=-2), id="skip-neg"),
+    pytest.param("grid.profile.noise_amplitude",
+                 lambda raw: raw["grid"]["profile"].update(noise_amplitude=float("nan")),
+                 id="noise-nan"),
 ])
 def test_out_of_range_timing_exits_2_naming_field(tmp_path, capsys, field, mutate):
     raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
@@ -193,6 +212,18 @@ class TestReport:
         assert run_cli("report", "--report", str(out / "eval_report.json")) == 0
         rendered = capsys.readouterr().out
         assert "knn" in rendered and "F1" in rendered
+
+    @pytest.mark.parametrize("text, detail", [
+        pytest.param('[{"algorithm": "knn"}]', "cell 0", id="cell-lacks-fields"),
+        pytest.param('{"algorithm": "knn"}', "list", id="top-level-not-a-list"),
+        pytest.param('[{"algorithm": ', "JSON", id="invalid-json"),
+    ])
+    def test_malformed_report_exits_2_naming_file(self, tmp_path, capsys, text, detail):
+        report = tmp_path / "eval_report.json"
+        report.write_text(text, encoding="utf-8")
+        assert run_cli("report", "--report", str(report)) == 2
+        err = capsys.readouterr().err
+        assert str(report) in err and detail in err
 
 
 class TestReportShape:

@@ -1,5 +1,11 @@
+import copy
+import re
+from functools import cache
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scadasim.config import (
     ConfigError,
@@ -123,11 +129,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match="manipulation spec"):
             load_config_dict(raw)
 
+    @pytest.mark.parametrize("mutate, field", [
+        pytest.param(lambda raw: raw["ict"]["nodes"][1].update(address="10.0.0.10,x"),
+                     "ict.nodes[1].address", id="comma-in-address"),
+        pytest.param(lambda raw: raw["ict"]["nodes"].append({"id": "sw\r\n2", "kind": "switch"}),
+                     "ict.nodes[5].id", id="line-break-in-id"),
+    ])
+    def test_csv_unsafe_address_or_node_id_rejected(self, mutate, field):
+        # dataset.csv is written unquoted, so such a value would break its re-import
+        raw = minimal_raw()
+        mutate(raw)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config_dict(raw)
+
     def test_yaml_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(minimal_raw()))
         config = load_config(str(path))
         assert config.scada.rtus[0].station == "rtu1"
+
+    def test_yaml_syntax_error_is_a_config_error(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("format_version: 1\ngrid: [\n")
+        with pytest.raises(ConfigError, match="broken.yaml"):
+            load_config(str(path))
 
 
 class TestShippedFixtures:
@@ -156,3 +181,48 @@ class TestShippedFixtures:
             config = load_fixture(sid)
             assert config.attacker.goal.kind == "manipulate"
             assert config.attacker.goal.manipulation
+
+
+FIXTURES = ["reference"] + [f"scenario{i}" for i in range(1, 7)]
+
+
+@cache
+def _fixture_tree(name):
+    """A shipped fixture's parsed YAML and every key path in it."""
+    raw = yaml.safe_load(fixture_path(name).read_text(encoding="utf-8"))
+    paths = []
+
+    def walk(node, prefix):
+        children = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            paths.append(prefix + (key,))
+            walk(child, prefix + (key,))
+
+    walk(raw, ())
+    return raw, paths
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_single_field_mutation_loads_or_raises_config_error(data):
+    base, paths = _fixture_tree(data.draw(st.sampled_from(FIXTURES), label="fixture"))
+    path = data.draw(st.sampled_from(paths), label="path")
+    raw = copy.deepcopy(base)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_VALUES, label="value")
+    try:
+        load_config_dict(raw)
+    except ConfigError:
+        pass
