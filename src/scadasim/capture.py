@@ -10,6 +10,7 @@ coverage are a hard error, never a guess.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,27 +187,34 @@ class FeatureDictionary:
 
     @classmethod
     def build(cls, records: list[LabeledRecord]) -> "FeatureDictionary":
-        src: dict[str, int] = {}
-        dst: dict[str, int] = {}
-        proto: dict[str, int] = {}
+        def first_seen_codes(name: str) -> dict[str, int]:
+            values = dict.fromkeys(map(operator.attrgetter(name), records))
+            return {value: code for code, value in enumerate(values, start=1)}
+
         lengths = [r.length_bytes for r in records] or [0]
-        for r in records:
-            src.setdefault(r.src, len(src) + 1)
-            dst.setdefault(r.dst, len(dst) + 1)
-            proto.setdefault(r.protocol, len(proto) + 1)
-        return cls(src, dst, proto, min(lengths), max(lengths))
+        return cls(first_seen_codes("src"), first_seen_codes("dst"),
+                   first_seen_codes("protocol"), min(lengths), max(lengths))
 
     def encode(self, records: list[LabeledRecord]) -> np.ndarray:
-        """(N, 4) float matrix: src code, dst code, protocol code, normalized length."""
-        n = len(records)
-        out = np.zeros((n, 4), dtype=np.float64)
+        """(N, 4) float matrix: src code, dst code, protocol code, normalized length.
+
+        Each distinct (src, dst, protocol, length) record is coded once, and
+        the matrix is gathered from those rows.
+        """
+        index: dict[tuple, int] = {}
+        inverse = np.fromiter(
+            (index.setdefault((r.src, r.dst, r.protocol, r.length_bytes), len(index))
+             for r in records),
+            dtype=np.intp, count=len(records),
+        )
         span = self.length_max - self.length_min
-        for i, r in enumerate(records):
-            out[i, 0] = self.src_codes.get(r.src, 0)
-            out[i, 1] = self.dst_codes.get(r.dst, 0)
-            out[i, 2] = self.protocol_codes.get(r.protocol, 0)
-            out[i, 3] = 0.0 if span == 0 else (r.length_bytes - self.length_min) / span
-        return out
+        table = np.array(
+            [(self.src_codes.get(s, 0), self.dst_codes.get(d, 0), self.protocol_codes.get(p, 0),
+              0.0 if span == 0 else (length - self.length_min) / span)
+             for s, d, p, length in index],
+            dtype=np.float64,
+        ).reshape(len(index), 4)
+        return table[inverse]
 
     def to_dict(self) -> dict:
         return {

@@ -308,11 +308,14 @@ def _read_topology(raw, errors: list[str]) -> IctTopology | None:
         return None
     nodes = _read(raw, "nodes", list[NetNode], "ict", errors, []) or []
     for i, node in enumerate(nodes):
-        for key, text in (("id", node.node_id), ("address", node.address)) if node else ():
-            # dataset.csv never quotes its fields
-            if text and not {",", "\r", "\n"}.isdisjoint(text):
-                errors.append(f"ict.nodes[{i}].{key}: {text!r} holds a comma or line break, "
-                              "which the dataset CSV cannot carry")
+        if node is None:
+            continue
+        # dataset.csv never quotes its fields; an IP address holds neither
+        if not {",", "\r", "\n"}.isdisjoint(node.node_id):
+            errors.append(f"ict.nodes[{i}].id: {node.node_id!r} holds a comma or line break, "
+                          "which the dataset CSV cannot carry")
+        if node.address is not None:
+            _checked(f"ict.nodes[{i}].address", errors, ipaddress.ip_address, node.address)
     topology = IctTopology(
         nodes=[n for n in nodes if n is not None],
         links=[l for l in _read(raw, "links", list[NetLink], "ict", errors, []) or [] if l],
@@ -426,9 +429,13 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise ConfigError([f"{path}: not a readable YAML document: {exc}"]) from None
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ConfigError([f"{path}: cannot read the scenario file: {exc.strerror}"]) from None
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: not a readable YAML document: {exc}"]) from None
     return load_config_dict(raw)

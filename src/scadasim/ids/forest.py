@@ -14,19 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import derive_seed
+from .rows import unique_rows
 
 GINI_EPS = 1e-12
 
 
-def _unique_weighted(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None):
+def _unique_weighted(X: np.ndarray, y: np.ndarray):
     """Collapse duplicate rows; returns (rows, pos_weight, total_weight)."""
-    if weights is None:
-        weights = np.ones(len(X))
-    rows, inverse = np.unique(X, axis=0, return_inverse=True)
-    total = np.zeros(len(rows))
-    positive = np.zeros(len(rows))
-    np.add.at(total, inverse, weights)
-    np.add.at(positive, inverse, weights * y)
+    rows, inverse = unique_rows(X)
+    total = np.bincount(inverse, minlength=len(rows)).astype(np.float64)
+    positive = np.bincount(inverse, weights=y, minlength=len(rows))
     return rows, positive, total
 
 
@@ -231,12 +228,12 @@ class RandomForestDetector:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.trees:
             raise ValueError("model not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        votes = np.zeros(len(X), dtype=np.int64)
+        rows, inverse = unique_rows(np.asarray(X, dtype=np.float64))
+        votes = np.zeros(len(rows), dtype=np.int64)
         for tree in self.trees:
-            votes += tree.predict(X)
+            votes += tree.predict(rows)
         # majority; exact ties go to attack
-        return (votes * 2 >= len(self.trees)).astype(np.int64)
+        return (votes * 2 >= len(self.trees)).astype(np.int64)[inverse]
 
     def to_dict(self) -> dict:
         return {

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ..engine import derive_seed
+from .rows import unique_rows
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -152,7 +153,7 @@ class IsolationForestDetector:
         Xq = np.asarray(Xq, dtype=np.float64)
         if len(Xq) == 0:
             return np.zeros(0)
-        rows, inverse = np.unique(Xq, axis=0, return_inverse=True)
+        rows, inverse = unique_rows(Xq)
         depths = np.zeros(len(rows))
         for tree in self.trees:
             depths += tree.path_length(rows)

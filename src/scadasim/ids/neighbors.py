@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .rows import unique_rows
+
 LRD_EPS = 1e-12
 
 
@@ -48,13 +50,23 @@ class KnnDetector:
             raise ValueError(f"feature dimension mismatch: {Xq.shape} vs {self.X.shape}")
         if len(Xq) == 0:
             return np.zeros(0, dtype=np.int64)
-        rows, inverse = np.unique(Xq, axis=0, return_inverse=True)
-        train_index = np.arange(len(self.X))
+        rows, inverse = unique_rows(Xq)
+        # Identical training rows lie at bit-identical distances, so distances
+        # are taken to each distinct training row once; only the group tied at
+        # the k-th distance needs the training index to break its tie.
+        train_rows, group = unique_rows(self.X)
+        sizes = np.bincount(group)
+        attacks = np.bincount(group, weights=self.y).astype(np.int64)
         out = np.zeros(len(rows), dtype=np.int64)
         for i, row in enumerate(rows):
-            d = _row_distances(self.X, row)
-            order = np.lexsort((train_index, d))[: self.k]
-            attack_votes = int(self.y[order].sum())
+            d = _row_distances(train_rows, row)
+            by_distance = np.argsort(d, kind="stable")
+            reach = np.searchsorted(np.cumsum(sizes[by_distance]), self.k)
+            kth = d[by_distance[reach]]
+            closer = d < kth
+            need = self.k - int(sizes[closer].sum())
+            tied = np.flatnonzero((d == kth)[group])[:need]
+            attack_votes = int(attacks[closer].sum()) + int(self.y[tied].sum())
             out[i] = 1 if attack_votes * 2 >= self.k else 0
         return out[inverse]
 
@@ -63,10 +75,7 @@ class KnnDetector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KnnDetector":
-        det = cls(k=int(data["k"]))
-        det.X = np.asarray(data["X"], dtype=np.float64)
-        det.y = np.asarray(data["y"], dtype=np.int64)
-        return det
+        return cls(k=int(data["k"])).fit(data["X"], data["y"])
 
 
 class LofDetector:
@@ -127,7 +136,7 @@ class LofDetector:
             raise ValueError(f"feature dimension mismatch: {Xq.shape} vs {self.X.shape}")
         if len(Xq) == 0:
             return np.zeros(0)
-        rows, inverse = np.unique(Xq, axis=0, return_inverse=True)
+        rows, inverse = unique_rows(Xq)
         out = np.zeros(len(rows))
         for i, row in enumerate(rows):
             d = _row_distances(self.X, row)

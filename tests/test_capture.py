@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scadasim.capture import (
     CapturedPacket,
@@ -149,6 +152,38 @@ class TestFeatures:
         train = [LabeledRecord(0, "a", "m", "SCADA", 61, "normal")] * 3
         fd = FeatureDictionary.build(train)
         assert fd.encode(train)[:, 3].tolist() == [0.0, 0.0, 0.0]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_build_and_encode_match_per_record_reference(self, data):
+        record = st.builds(
+            lambda src, dst, protocol, length: LabeledRecord(0, src, dst, protocol, length, "normal"),
+            st.sampled_from("abc"), st.sampled_from("mn"), st.sampled_from(["SCADA", "HTTP"]),
+            st.integers(20, 30))
+        train = data.draw(st.lists(record, max_size=30), label="train")
+        # the test set repeats records and holds values (and lengths) training never saw
+        test = data.draw(st.lists(st.one_of(st.sampled_from(train), record) if train else record,
+                                  max_size=30), label="test")
+        fd = FeatureDictionary.build(train)
+
+        codes = ({}, {}, {})
+        for r in train:
+            for table, value in zip(codes, (r.src, r.dst, r.protocol)):
+                table.setdefault(value, len(table) + 1)
+        lengths = [r.length_bytes for r in train] or [0]
+        assert [list(t.items()) for t in (fd.src_codes, fd.dst_codes, fd.protocol_codes)] == \
+            [list(t.items()) for t in codes]
+        assert (fd.length_min, fd.length_max) == (min(lengths), max(lengths))
+
+        span = fd.length_max - fd.length_min
+        expected = np.array([
+            [fd.src_codes.get(r.src, 0), fd.dst_codes.get(r.dst, 0),
+             fd.protocol_codes.get(r.protocol, 0),
+             0.0 if span == 0 else (r.length_bytes - fd.length_min) / span]
+            for r in test], dtype=np.float64).reshape(len(test), 4)
+        got = fd.encode(test)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_dictionary_round_trips_through_dict(self):
         train = [LabeledRecord(0, "a", "m", "SCADA", 61, "normal"),

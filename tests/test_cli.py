@@ -19,6 +19,17 @@ PINNED_REFERENCE_SEED_1 = {
     "trace.csv": "425b8189ac9687290ca26513de1425cc5c89b3e04e6fb0b188e0a537fdf7a621",
 }
 
+# sha256 of `ids eval --algo rf,knn,lof,iforest --train ref-a.csv --test ref-a.csv
+# ref-b.csv --seed 0`, where ref-a/ref-b are reference seeds 1/2; a speed-up of
+# the detectors or the encoding must leave every one of these bytes unchanged.
+PINNED_IDS_EVAL = {
+    "eval_report.json": "fd1f22bd977e42f81fb2859320b002f0037b7db7c50896cead695e4bd8ca7d7e",
+    "models/iforest.json": "50594e267c87e30935a7f0831fd5748ee7028f876f8a12eb178f2f1965c3231b",
+    "models/knn.json": "2f902d4356b3ed3bd6d65e81fd333938c908eded69a63bd6d70ac09e4398b0f5",
+    "models/lof.json": "eae41870ad9b71317ee9f467b7ba9ed00bd7a5deecd053a1ec8c10f71a24c58b",
+    "models/rf.json": "2457e0428001124d2909d29ab955a55fd1bca209615f3bf120f1910bb28df2af",
+}
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -73,6 +84,21 @@ class TestSimulate:
     def test_unknown_config_path_exits_2(self, tmp_path, capsys):
         assert run_cli("simulate", "--scenario", str(tmp_path / "nope.yaml"),
                        "--out", str(tmp_path / "o")) == 2
+
+    def test_directory_as_scenario_exits_2_naming_path(self, tmp_path, capsys):
+        assert run_cli("simulate", "--scenario", str(tmp_path),
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{tmp_path}: cannot read" in err
+
+    def test_non_ip_node_address_exits_2_naming_field(self, tmp_path, capsys):
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        node = next(n for n in raw["ict"]["nodes"] if n["id"] == "mtu-host")
+        node["address"] = "x"
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
+        assert "address" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -189,6 +215,15 @@ class TestIdsCommands:
                        "--test", str(tmp_path / "ghost.csv"), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "ghost.csv" in capsys.readouterr().err
+
+    def test_eval_artifact_hashes_are_pinned(self, tmp_path, two_datasets):
+        a, b = two_datasets
+        out = tmp_path / "pinned"
+        assert run_cli("ids", "eval", "--algo", "rf,knn,lof,iforest", "--train", str(a),
+                       "--test", str(a), str(b), "--out", str(out), "--seed", "0") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in PINNED_IDS_EVAL}
+        assert digests == PINNED_IDS_EVAL
 
     def test_eval_reruns_are_byte_identical(self, tmp_path, two_datasets):
         a, b = two_datasets

@@ -142,6 +142,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(field)):
             load_config_dict(raw)
 
+    @pytest.mark.parametrize("address", ["x", "10.0.0", "10.0.0.256", ""])
+    def test_node_address_must_be_an_ip_address(self, address):
+        # the attacker's address range could never reach such a node
+        raw = minimal_raw()
+        raw["ict"]["nodes"][1]["address"] = address
+        with pytest.raises(ConfigError, match=re.escape("ict.nodes[1].address")):
+            load_config_dict(raw)
+
     def test_yaml_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(minimal_raw()))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scadasim.capture import LabeledRecord
 from scadasim.ids import (
@@ -18,6 +20,7 @@ from scadasim.ids import (
     save_model,
     train_model,
 )
+from scadasim.ids.rows import unique_rows
 
 
 def toy_records(n_attack=5, n_normal=5):
@@ -117,10 +120,63 @@ class TestKnn:
         expected = [oracle(q) for q in queries]
         assert got.tolist() == expected
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_distance_then_index_oracle_with_duplicates_and_ties(self, data):
+        # A 0-2 grid makes duplicate rows and equal-distance ties common;
+        # squared distances on it are exact, so the oracle's order is exact.
+        dim = data.draw(st.integers(1, 3), label="dim")
+        n = data.draw(st.integers(1, 40), label="n")
+        X = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
+                                        min_size=n, max_size=n), label="X"), dtype=np.float64)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="y"))
+        off_grid = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+        queries = np.array(data.draw(st.lists(st.lists(off_grid, min_size=dim, max_size=dim),
+                                              min_size=1, max_size=12), label="queries"))
+        k = data.draw(st.integers(1, n), label="k")
+
+        def oracle(q):
+            nearest = sorted((float(np.sum((X[i] - q) ** 2)), i) for i in range(n))[:k]
+            votes = sum(int(y[i]) for _, i in nearest)
+            return 1 if votes * 2 >= k else 0
+
+        got = KnnDetector(k=k).fit(X, y).predict(queries)
+        assert got.tolist() == [oracle(q) for q in queries]
+
+    def test_loaded_k_larger_than_training_set_refused(self):
+        data = KnnDetector(k=3).fit(np.zeros((3, 2)), np.array([0, 1, 0])).to_dict()
+        with pytest.raises(ValueError, match="exceeds"):
+            KnnDetector.from_dict(dict(data, k=4))
+
     def test_dimension_mismatch_refused(self):
         det = KnnDetector(k=1).fit(np.zeros((3, 4)), np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="dimension"):
             det.predict(np.zeros((2, 3)))
+
+
+class TestUniqueRows:
+    @staticmethod
+    def assert_matches_np_unique(X):
+        rows, inverse = unique_rows(X)
+        expected_rows, expected_inverse = np.unique(X, axis=0, return_inverse=True)
+        assert rows.tobytes() == expected_rows.tobytes()
+        assert rows.shape == expected_rows.shape
+        assert inverse.tolist() == expected_inverse.reshape(-1).tolist()
+
+    @pytest.mark.parametrize("X", [
+        pytest.param(np.zeros((0, 4)), id="empty"),
+        pytest.param(np.array([[3.0, 1.0, 2.0, 0.25]]), id="one-row"),
+        # a test length below the training minimum encodes below 0
+        pytest.param(np.array([[1.0, 2.0, 1.0, -0.5], [1.0, 2.0, 1.0, 0.0],
+                               [1.0, 2.0, 1.0, -0.5], [0.0, 2.0, 1.0, 1.5]]), id="negative"),
+    ])
+    def test_edge_cases_match_np_unique(self, X):
+        self.assert_matches_np_unique(X)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rows=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=60))
+    def test_duplicate_heavy_rows_match_np_unique(self, rows):
+        self.assert_matches_np_unique(np.array(rows, dtype=np.float64).reshape(-1, 3) / 2)
 
 
 def lof_oracle(train, queries, k, eps=1e-12):
