@@ -1,23 +1,40 @@
 """Four-stage attacker: scan, remote code execution, privilege escalation, impact.
 
-The attacker is a single logical actor driven by engine events, with one
-outstanding request/response exchange at a time. Scan probes are paced at a
-fixed interval and fired without waiting for replies; every other exchange
-waits for the response (or a timeout) before the next action. All emitted
-packets carry the attacker's node id as origin_actor, which is what the
-labeling stage keys on.
+The attacker is one procedure, the generator ``AttackerComponent._campaign``,
+which reads top to bottom as the attack: scan, RCE, PE, impact and, for a DoS
+goal with ``enforce_dos``, the keep-down stream. It yields either a wait (an
+event kind and its due time in ms) or an ``Exchange`` (a request that expects
+one reply). A small driver in ``handle`` and ``on_packet`` schedules the waits,
+sends the requests and resumes the generator with the reply payload, or with
+``None`` when the reply does not come in time. All emitted packets carry the
+attacker's node id as origin_actor, which is what the labeling stage keys on.
+
+Attack timing:
+
+- scan probes are ``pacing_ms`` (the config's ``probe_pacing_ms``) apart and
+  do not wait for replies;
+- after ``skip_unreachable_after`` unanswered probes to one address the scan
+  waits ``probe_timeout_ms`` once more and moves on if still nothing came back;
+- the scan ends ``probe_timeout_ms`` after the last probe;
+- every other request waits up to ``RESPONSE_TIMEOUT_MS`` (100 ms) for its
+  reply; replies are matched to their request by an attempt id the host
+  echoes, so a reply that comes after its timeout is ignored;
+- the next action comes ``pacing_ms`` after a reply, but at once after a
+  timeout;
+- the DoS enforce stream fires ``ENFORCE_OFFSET_MS`` (500 ms) into each step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import MS_PER_STEP, Engine, Event
 from .network import NetworkFabric, Packet
-from .vulnhost import HTTP_REQUEST_LEN, LOGIN_LENS, PROBE_LEN, SESSION_CMD_LENS
+from .vulnhost import HTTP_REQUEST_LEN, LOGIN_LENS, PE_METHODS, PROBE_LEN, SESSION_CMD_LENS
 
-STAGES = ("S1_scan", "S2_rce", "S3_pe", "S4_impact", "done", "failed")
 RESPONSE_TIMEOUT_MS = 100
+ENFORCE_OFFSET_MS = 500
 
 
 @dataclass(frozen=True)
@@ -68,8 +85,19 @@ class AttackerState:
     impact: list[tuple[str, int, str]] = field(default_factory=list)  # (address, ms, outcome)
 
 
+class Exchange(NamedTuple):
+    """One request that waits for its reply; ``kind`` and ``target`` name it in the log."""
+
+    kind: str
+    target: str
+    dst: str
+    protocol: str
+    length: int
+    payload: dict
+
+
 class AttackerComponent:
-    """Engine target ``attacker``: the stage machine and its packet I/O."""
+    """Engine target ``attacker``: the attack procedure and its packet I/O."""
 
     def __init__(
         self,
@@ -85,7 +113,6 @@ class AttackerComponent:
         probe_timeout_ms: int = 10,
         skip_unreachable_after: int | None = 3,
         enforce_dos: bool = False,
-        enforce_offset_ms: int = 500,
     ):
         self.engine = engine
         self.fabric = fabric
@@ -98,25 +125,12 @@ class AttackerComponent:
         self.probe_timeout_ms = probe_timeout_ms
         self.skip_unreachable_after = skip_unreachable_after
         self.enforce_dos = enforce_dos
-        self.enforce_offset_ms = enforce_offset_ms
 
         self.state = AttackerState()
         self.probes_sent = 0
-        self._addr_index = 0
-        self._port_index = 0
-        self._addr_probes = 0
-        self._addr_replies: dict[str, int] = {}
-        self._gate_passed = False
-        self._pending: tuple[int, str, dict] | None = None  # (attempt id, kind, context)
-        self._attempt_counter = 0
-        self._rce_plan: list[tuple[str, int, str]] = []
-        self._rce_index = 0
-        self._pe_hosts: list[str] = []
-        self._pe_index = 0
-        self._pe_methods_left: list[str] = []
-        self._impact_hosts: list[str] = []
-        self._impact_index = 0
-        self._enforce_targets: list[str] = []
+        self._pending: tuple[int, Exchange] | None = None  # (attempt id, request)
+        self._attempts = 0
+        self._procedure = self._campaign()
 
         engine.register("attacker", self.handle)
         engine.schedule(attack_start, "attacker", "start")
@@ -133,202 +147,152 @@ class AttackerComponent:
         self.state.stage_times.append((self.engine.now, stage))
         self._log("stage", stage, "entered")
 
-    # -- engine events --------------------------------------------------------
+    # -- the attack procedure --------------------------------------------------
 
-    def handle(self, engine: Engine, event: Event) -> None:
-        if event.kind == "start":
-            self._enter("S1_scan")
-            self._scan_next()
-        elif event.kind == "scan_next":
-            self._scan_next()
-        elif event.kind == "gate_check":
-            self._gate_check(event.payload)
-        elif event.kind == "scan_done":
-            self._finish_scan()
-        elif event.kind == "next_action":
-            self._advance()
-        elif event.kind == "timeout":
-            self._on_timeout(event.payload)
-        elif event.kind == "enforce":
-            self._enforce_tick()
+    def _campaign(self):
+        state = self.state
+        gate = self.skip_unreachable_after  # None or 0: never skip
 
-    # -- stage 1: scan ---------------------------------------------------------
-
-    def _current_scan_target(self) -> tuple[str, int] | None:
-        while self._addr_index < len(self.address_range):
-            if self._port_index < len(self.port_set):
-                return self.address_range[self._addr_index], self.port_set[self._port_index]
-            self._next_address()
-        return None
-
-    def _next_address(self) -> None:
-        if self._addr_index < len(self.address_range):
-            addr = self.address_range[self._addr_index]
-            if self._addr_probes > 0:
-                open_ports = sorted(p for p, _ in self.state.discovered.get(addr, set()))
-                if addr not in self.state.reachable:
-                    outcome = "unreachable"
-                elif open_ports:
-                    outcome = "open:" + ",".join(str(p) for p in open_ports)
-                else:
-                    outcome = "no_open_ports"
-                self._log("scan_host", addr, outcome)
-        self._addr_index += 1
-        self._port_index = 0
-        self._addr_probes = 0
-        self._gate_passed = False
-
-    def _scan_next(self) -> None:
-        target = self._current_scan_target()
-        if target is None:
-            self.engine.schedule_in(self.probe_timeout_ms, "attacker", "scan_done")
-            return
-        addr, port = target
-        gate = self.skip_unreachable_after
-        if (
-            gate  # None or 0: never skip
-            and not self._gate_passed
-            and self._addr_probes >= gate
-        ):
-            if self._addr_replies.get(addr, 0) > 0:
-                self._gate_passed = True
-            else:
-                self.engine.schedule_in(self.probe_timeout_ms, "attacker", "gate_check", addr)
-                return
-        self.fabric.send_app_message(
-            self.node_id, addr, "SCAN_PROBE", PROBE_LEN,
-            {"type": "probe", "port": port}, self.node_id,
-        )
-        self.probes_sent += 1
-        self._addr_probes += 1
-        self._port_index += 1
-        self.engine.schedule_in(self.pacing_ms, "attacker", "scan_next")
-
-    def _gate_check(self, addr: str) -> None:
-        if self._addr_replies.get(addr, 0) > 0:
-            self._gate_passed = True
-        else:
-            self._next_address()
-        self._scan_next()
-
-    def _finish_scan(self) -> None:
-        self._next_address()  # summary row for the last address
-        self._rce_plan = []
+        self._enter("S1_scan")
         for addr in self.address_range:
-            ports = self.state.discovered.get(addr)
-            if not ports:
-                continue
-            for port, protocol in sorted(ports):
-                self._rce_plan.append((addr, port, protocol))
+            probes = 0
+            gate_passed = False
+            for port in self.port_set:
+                if gate and not gate_passed and probes >= gate:
+                    if addr not in state.reachable:  # no reply to any probe yet
+                        yield "gate_check", self.engine.now + self.probe_timeout_ms
+                        if addr not in state.reachable:
+                            break
+                    gate_passed = True
+                self._send(addr, "SCAN_PROBE", PROBE_LEN, {"type": "probe", "port": port})
+                self.probes_sent += 1
+                probes += 1
+                yield "scan_next", self.engine.now + self.pacing_ms
+            if probes:
+                self._log("scan_host", addr, self._scan_outcome(addr))
+        yield "scan_done", self.engine.now + self.probe_timeout_ms
+
+        plan = [(addr, port, protocol) for addr in self.address_range
+                for port, protocol in sorted(state.discovered.get(addr, ()))]
         self._enter("S2_rce")
-        self._rce_index = 0
-        self._advance()
-
-    # -- stages 2-4 driver -------------------------------------------------------
-
-    def _advance(self) -> None:
-        stage = self.state.stage
-        if stage == "S2_rce":
-            self._rce_next()
-        elif stage == "S3_pe":
-            self._pe_next()
-        elif stage == "S4_impact":
-            self._impact_next()
-
-    def _schedule_advance(self) -> None:
-        self.engine.schedule_in(self.pacing_ms, "attacker", "next_action")
-
-    def _send_pending(self, kind: str, context: dict, dst: str, protocol: str,
-                      length: int, payload: dict) -> None:
-        self._attempt_counter += 1
-        attempt = self._attempt_counter
-        self._pending = (attempt, kind, context)
-        self.fabric.send_app_message(self.node_id, dst, protocol, length, payload, self.node_id)
-        self.engine.schedule_in(RESPONSE_TIMEOUT_MS, "attacker", "timeout", attempt)
-
-    def _on_timeout(self, attempt: int) -> None:
-        if self._pending is None or self._pending[0] != attempt:
-            return
-        _, kind, context = self._pending
-        self._pending = None
-        self._log(kind, context.get("target", "?"), "timeout")
-        if kind in ("whoami_check", "pe_attempt"):
-            # the PE cursor only moves on replies; a dead host must not loop
-            self._pe_index += 1
-            self._pe_methods_left = []
-        self._advance()
-
-    # -- stage 2: RCE ---------------------------------------------------------
-
-    def _rce_next(self) -> None:
-        while self._rce_index < len(self._rce_plan):
-            addr, port, protocol = self._rce_plan[self._rce_index]
-            self._rce_index += 1
-            if addr in self.state.sessions:
+        for addr, port, protocol in plan:
+            if addr in state.sessions:
                 continue  # first success per host wins
             target = f"{addr}:{port}"
             if protocol == "HTTP":
-                self._send_pending(
-                    "rce_attempt", {"target": target, "addr": addr, "port": port, "protocol": protocol},
-                    addr, "HTTP", HTTP_REQUEST_LEN,
+                reply = yield Exchange(
+                    "rce_attempt", target, addr, "HTTP", HTTP_REQUEST_LEN,
                     {"type": "rce_attempt", "port": port, "method": "cmd_param", "command": "whoami"},
                 )
-                return
-            if protocol in ("SSH", "TELNET"):
+                refusal = "refused"
+            elif protocol in LOGIN_LENS:
                 lens = LOGIN_LENS[protocol]
-                self._send_pending(
-                    "login_hello", {"target": target, "addr": addr, "port": port, "protocol": protocol},
-                    addr, protocol, lens[0],
-                    {"type": "login_hello", "port": port},
-                )
-                return
-            self._log("rce_attempt", target, f"skipped: no exploit for {protocol}")
-        # plan exhausted
-        if self.state.sessions:
-            self._enter("S3_pe")
-            self._pe_hosts = list(self.state.sessions)
-            self._pe_index = 0
-            self._pe_methods_left = []
-            self._advance()
-        else:
+                reply = yield Exchange("login_hello", target, addr, protocol, lens[0],
+                                       {"type": "login_hello", "port": port})
+                if reply is None:
+                    continue
+                if not reply.get("ok"):
+                    self._log("rce_attempt", target, "failed: no login service")
+                    yield self._pause()
+                    continue
+                reply = yield Exchange("login_auth", target, addr, protocol, lens[2],
+                                       {"type": "login_auth", "port": port})
+                refusal = "auth failed"
+            else:
+                self._log("rce_attempt", target, f"skipped: no exploit for {protocol}")
+                continue
+            if reply is None:
+                continue
+            if reply.get("ok"):
+                user = reply.get("output", "?")
+                state.sessions[addr] = SessionInfo(addr, reply["session"], port, protocol, user)
+                self._log("rce_attempt", target, f"session user={user}")
+            else:
+                self._log("rce_attempt", target, f"failed: {reply.get('error', refusal)}")
+            yield self._pause()
+        if not state.sessions:
             self._enter("failed")
             self._log("abort", "-", "no RCE succeeded")
-
-    # -- stage 3: privilege escalation -------------------------------------------
-
-    def _pe_next(self) -> None:
-        if self._pe_index >= len(self._pe_hosts):
-            self._enter("S4_impact")
-            self._impact_hosts = [a for a in self.state.sessions if self.goal.matches(a)]
-            self._impact_index = 0
-            self._advance()
             return
-        addr = self._pe_hosts[self._pe_index]
-        session = self.state.sessions[addr]
-        if not self._pe_methods_left and addr not in self.state.rooted:
-            # fresh host: check privileges first
-            self._send_session_cmd("whoami_check", addr, session, "whoami")
-            return
-        if self._pe_methods_left:
-            method = self._pe_methods_left.pop(0)
-            self._send_session_cmd("pe_attempt", addr, session, f"escalate {method}", extra=method)
-            return
-        self._pe_index += 1
-        self._pe_methods_left = []
-        self._advance()
 
-    def _send_session_cmd(self, kind: str, addr: str, session: SessionInfo,
-                          command: str, extra: str | None = None) -> None:
+        self._enter("S3_pe")
+        for addr, session in list(state.sessions.items()):
+            reply = yield self._session_cmd("whoami_check", session, "whoami")
+            if reply is None:
+                continue  # a dead host must not stall the stage
+            user = reply.get("output", "?")
+            self._log("privilege_check", addr, f"whoami={user}")
+            if user == "root":
+                self._rooted(session)
+            yield self._pause()
+            for method in PE_METHODS if user != "root" else ():
+                reply = yield self._session_cmd("pe_attempt", session, f"escalate {method}")
+                if reply is None:
+                    break
+                if reply.get("output", "?") == "root":
+                    self._rooted(session)
+                    self._log("pe_attempt", addr, f"{method}: root")
+                    yield self._pause()
+                    break
+                self._log("pe_attempt", addr, f"{method}: denied")
+                yield self._pause()
+
+        self._enter("S4_impact")
+        hosts = [a for a in state.sessions if self.goal.matches(a)]
+        if not any(a in state.rooted for a in hosts):
+            self._enter("failed")
+            self._log("abort", "-", "no rooted host matches the goal")
+            return
+        command = self._impact_command()
+        for addr in hosts:
+            if addr not in state.rooted:
+                self._log("impact_skipped", addr, "not rooted")
+                continue
+            reply = yield self._session_cmd("impact", state.sessions[addr], command)
+            if reply is None:
+                continue
+            output = reply.get("output", "")
+            ok = output in ("service stopped", "spoofing active")
+            state.impact.append((addr, self.engine.now, "ok" if ok else "rejected"))
+            self._log("impact", addr, output or "no output")
+            yield self._pause()
+        if not state.impact:
+            self._enter("failed")
+            self._log("abort", "-", "impact commands rejected")
+            return
+        if self.goal.kind == "dos" and self.enforce_dos:
+            # keep-down stream: re-issue the stop command once per step, fire and forget
+            targets = [a for a, _, outcome in state.impact if outcome == "ok"]
+            while True:
+                yield "enforce", (self.engine.now // MS_PER_STEP + 1) * MS_PER_STEP + ENFORCE_OFFSET_MS
+                for addr in targets:
+                    request = self._session_cmd("enforce_dos", state.sessions[addr], "stop_service")
+                    self._send(request.dst, request.protocol, request.length, request.payload)
+                    self._log("enforce_dos", addr, "sent")
+        self._enter("done")
+
+    def _pause(self) -> tuple[str, int]:
+        return "next_action", self.engine.now + self.pacing_ms
+
+    def _scan_outcome(self, addr: str) -> str:
+        if addr not in self.state.reachable:
+            return "unreachable"
+        open_ports = sorted(p for p, _ in self.state.discovered.get(addr, set()))
+        if open_ports:
+            return "open:" + ",".join(str(p) for p in open_ports)
+        return "no_open_ports"
+
+    def _session_cmd(self, kind: str, session: SessionInfo, command: str) -> Exchange:
         lens = SESSION_CMD_LENS.get(session.protocol, SESSION_CMD_LENS["HTTP"])
-        self._send_pending(
-            kind,
-            {"target": addr, "addr": addr, "command": command, "extra": extra},
-            addr, session.protocol, lens[0],
+        return Exchange(
+            kind, session.address, session.address, session.protocol, lens[0],
             {"type": "session_cmd", "session": session.session_id,
              "protocol": session.protocol, "command": command},
         )
 
-    # -- stage 4: impact -----------------------------------------------------------
+    def _rooted(self, session: SessionInfo) -> None:
+        self.state.rooted.add(session.address)
+        session.user = "root"
 
     def _impact_command(self) -> str:
         if self.goal.kind == "dos":
@@ -339,175 +303,51 @@ class AttackerComponent:
         ]
         return "spoof " + " ".join(parts)
 
-    def _impact_next(self) -> None:
-        eligible = [a for a in self._impact_hosts if a in self.state.rooted]
-        if not eligible:
-            self._enter("failed")
-            self._log("abort", "-", "no rooted host matches the goal")
+    # -- driver: engine events and inbound packets ---------------------------------
+
+    def _send(self, dst: str, protocol: str, length: int, payload: dict) -> None:
+        self.fabric.send_app_message(self.node_id, dst, protocol, length, payload, self.node_id)
+
+    def _resume(self, reply: dict | None) -> None:
+        try:
+            request = self._procedure.send(reply)
+        except StopIteration:
             return
-        while self._impact_index < len(self._impact_hosts):
-            addr = self._impact_hosts[self._impact_index]
-            self._impact_index += 1
-            if addr not in self.state.rooted:
-                self._log("impact_skipped", addr, "not rooted")
-                continue
-            session = self.state.sessions[addr]
-            self._send_session_cmd("impact", addr, session, self._impact_command())
-            return
-        # all matching hosts handled
-        if self.state.impact:
-            if self.goal.kind == "dos" and self.enforce_dos:
-                self._enforce_targets = [a for a, _, outcome in self.state.impact if outcome == "ok"]
-                self._schedule_enforce()
-            else:
-                self._enter("done")
+        if isinstance(request, Exchange):
+            self._attempts += 1
+            self._pending = (self._attempts, request)
+            self._send(request.dst, request.protocol, request.length,
+                       {**request.payload, "attempt": self._attempts})
+            self.engine.schedule(self.engine.now + RESPONSE_TIMEOUT_MS, "attacker", "timeout",
+                                 self._attempts)
         else:
-            self._enter("failed")
-            self._log("abort", "-", "impact commands rejected")
+            kind, due = request
+            self.engine.schedule(due, "attacker", kind)
 
-    def _enforce_tick(self) -> None:
-        """Keep-down stream: re-issue the stop command once per step, fire and forget."""
-        for addr in self._enforce_targets:
-            session = self.state.sessions[addr]
-            lens = SESSION_CMD_LENS.get(session.protocol, SESSION_CMD_LENS["HTTP"])
-            self.fabric.send_app_message(
-                self.node_id, addr, session.protocol, lens[0],
-                {"type": "session_cmd", "session": session.session_id,
-                 "protocol": session.protocol, "command": "stop_service"},
-                self.node_id,
-            )
-            self._log("enforce_dos", addr, "sent")
-        self._schedule_enforce()
-
-    def _schedule_enforce(self) -> None:
-        next_step_ms = (self.engine.now // MS_PER_STEP + 1) * MS_PER_STEP
-        self.engine.schedule(next_step_ms + self.enforce_offset_ms, "attacker", "enforce")
-
-    # -- inbound packets -------------------------------------------------------------
+    def handle(self, engine: Engine, event: Event) -> None:
+        if event.kind == "timeout":
+            if self._pending is None or self._pending[0] != event.payload:
+                return  # answered in time
+            request = self._pending[1]
+            self._pending = None
+            self._log(request.kind, request.target, "timeout")
+        self._resume(None)
 
     def on_packet(self, fabric: NetworkFabric, packet: Packet) -> None:
         payload = packet.payload
         kind = payload.get("type")
         src = packet.src
         if kind == "probe_reply" or (kind == "refused" and self.state.stage == "S1_scan"):
-            self._addr_replies[src] = self._addr_replies.get(src, 0) + 1
             self.state.reachable.add(src)
             if kind == "probe_reply" and payload.get("state") == "open":
                 self.state.discovered.setdefault(src, set()).add(
                     (payload["port"], payload.get("service", "OTHER"))
                 )
             return
-        if self._pending is None:
-            return
-        _, pending_kind, context = self._pending
-        if context.get("addr") != src:
-            return
+        if self._pending is None or payload.get("attempt") != self._pending[0]:
+            return  # not the reply to the request in flight, e.g. one that came too late
         self._pending = None
-        handler = {
-            "rce_attempt": self._on_rce_result,
-            "login_hello": self._on_login_challenge,
-            "login_auth": self._on_login_result,
-            "whoami_check": self._on_whoami,
-            "pe_attempt": self._on_pe_result,
-            "impact": self._on_impact_result,
-        }.get(pending_kind)
-        if handler is not None:
-            handler(src, context, payload)
-
-    def _on_rce_result(self, addr: str, context: dict, payload: dict) -> None:
-        target = context["target"]
-        if payload.get("ok"):
-            user = payload.get("output", "?")
-            self.state.sessions[addr] = SessionInfo(
-                addr, payload["session"], context["port"], context["protocol"], user
-            )
-            self._log("rce_attempt", target, f"session user={user}")
-        else:
-            self._log("rce_attempt", target, f"failed: {payload.get('error', 'refused')}")
-        self._schedule_advance()
-
-    def _on_login_challenge(self, addr: str, context: dict, payload: dict) -> None:
-        if not payload.get("ok"):
-            self._log("rce_attempt", context["target"], "failed: no login service")
-            self._schedule_advance()
-            return
-        lens = LOGIN_LENS[context["protocol"]]
-        self._send_pending(
-            "login_auth", context, addr, context["protocol"], lens[2],
-            {"type": "login_auth", "port": context["port"]},
-        )
-
-    def _on_login_result(self, addr: str, context: dict, payload: dict) -> None:
-        target = context["target"]
-        if payload.get("ok"):
-            user = payload.get("output", "?")
-            self.state.sessions[addr] = SessionInfo(
-                addr, payload["session"], context["port"], context["protocol"], user
-            )
-            self._log("rce_attempt", target, f"session user={user}")
-        else:
-            self._log("rce_attempt", target, f"failed: {payload.get('error', 'auth failed')}")
-        self._schedule_advance()
-
-    def _on_whoami(self, addr: str, context: dict, payload: dict) -> None:
-        user = payload.get("output", "?")
-        self._log("privilege_check", addr, f"whoami={user}")
-        if user == "root":
-            self.state.rooted.add(addr)
-            self.state.sessions[addr].user = "root"
-            self._pe_index += 1
-            self._pe_methods_left = []
-        else:
-            self._pe_methods_left = ["suid_binary", "sudoers_script"]
-        self._schedule_advance()
-
-    def _on_pe_result(self, addr: str, context: dict, payload: dict) -> None:
-        method = context["extra"]
-        output = payload.get("output", "?")
-        if output == "root":
-            self.state.rooted.add(addr)
-            self.state.sessions[addr].user = "root"
-            self._log("pe_attempt", addr, f"{method}: root")
-            self._pe_index += 1
-            self._pe_methods_left = []
-        else:
-            self._log("pe_attempt", addr, f"{method}: denied")
-            if not self._pe_methods_left:
-                self._pe_index += 1
-        self._schedule_advance()
-
-    def _on_impact_result(self, addr: str, context: dict, payload: dict) -> None:
-        output = payload.get("output", "")
-        ok = output in ("service stopped", "spoofing active")
-        self.state.impact.append((addr, self.engine.now, "ok" if ok else "rejected"))
-        self._log("impact", addr, output or "no output")
-        self._schedule_advance()
-
-    # -- introspection ------------------------------------------------------------
-
-    def peek_next_action(self) -> tuple:
-        """Deterministic next action implied by the current state and cursors."""
-        stage = self.state.stage
-        if stage == "idle":
-            if not self.address_range or not self.port_set:
-                return ("finish_scan",)
-            return ("probe", self.address_range[0], self.port_set[0])
-        if stage == "S1_scan":
-            target = self._current_scan_target()
-            return ("probe", *target) if target else ("finish_scan",)
-        if stage == "S2_rce":
-            if self._rce_index < len(self._rce_plan):
-                return ("rce", *self._rce_plan[self._rce_index])
-            return ("enter_s3",) if self.state.sessions else ("fail",)
-        if stage == "S3_pe":
-            if self._pe_index < len(self._pe_hosts):
-                return ("pe", self._pe_hosts[self._pe_index])
-            return ("enter_s4",)
-        if stage == "S4_impact":
-            if self._impact_index < len(self._impact_hosts):
-                return ("impact", self._impact_hosts[self._impact_index])
-            return ("finish",)
-        return (stage,)
+        self._resume(payload)
 
     def export_action_log(self) -> list[str]:
         lines = ["time_ms,stage,action,target,outcome"]

@@ -1,8 +1,9 @@
 """Command-line entry point: simulate scenarios, export datasets, train and
 evaluate detectors, render reports.
 
-Exit codes: 0 success, 2 configuration error, 3 balance calibration failure,
-4 IDS training-protocol violation (semi-supervised purity), 1 anything else.
+Exit codes: 0 success, 2 configuration or dataset error (including training
+data a detector cannot fit), 3 balance calibration failure, 4 IDS
+training-protocol violation (semi-supervised purity), 1 anything else.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from .capture import (
     import_csv,
 )
 from .config import ConfigError
-from .ids import ALGORITHMS, EvalCell, PurityError, evaluate, save_model, train_model
+from .ids import (
+    ALGORITHMS,
+    EvalCell,
+    PurityError,
+    TrainingDataError,
+    evaluate,
+    save_model,
+    train_model,
+)
 from .ids.models import SEMI_SUPERVISED
 from .scenario import load_fixture, run_scenario
 
@@ -99,15 +108,19 @@ def _load_datasets(paths: list[str]) -> list[tuple[str, LabeledDataset]]:
     return out
 
 
-def _training_records(datasets: list[tuple[str, LabeledDataset]], algorithm: str,
-                      semi_train: str):
+def _train(args, train_sets: list[tuple[str, LabeledDataset]], algorithm: str):
+    """(model, number of training records) for one algorithm on the --train files."""
+    warmup = algorithm in SEMI_SUPERVISED and args.semi_train == "warmup"
     records = []
-    for _, ds in datasets:
-        if algorithm in SEMI_SUPERVISED and semi_train == "warmup":
-            records.extend(ds.warmup_slice())
-        else:
-            records.extend(ds.records)
-    return records
+    for _, ds in train_sets:
+        records.extend(ds.warmup_slice() if warmup else ds.records)
+    try:
+        return train_model(algorithm, records, seed=args.seed), len(records)
+    except TrainingDataError as exc:
+        source = "the warm-up slice of " if warmup else ""
+        raise TrainingDataError(
+            f"cannot train {algorithm} on {source}{' '.join(args.train)}: {exc}"
+        ) from None
 
 
 def cmd_ids_train(args) -> int:
@@ -115,11 +128,10 @@ def cmd_ids_train(args) -> int:
     train_sets = _load_datasets(args.train)
     os.makedirs(args.out, exist_ok=True)
     for algorithm in algorithms:
-        records = _training_records(train_sets, algorithm, args.semi_train)
-        model = train_model(algorithm, records, seed=args.seed)
+        model, n_records = _train(args, train_sets, algorithm)
         path = os.path.join(args.out, f"{algorithm}.json")
         save_model(model, path)
-        print(f"trained {algorithm} on {len(records)} records -> {path}")
+        print(f"trained {algorithm} on {n_records} records -> {path}")
     return EXIT_OK
 
 
@@ -133,8 +145,7 @@ def cmd_ids_eval(args) -> int:
     train_name = "+".join(name for name, _ in train_sets)
     cells = []
     for algorithm in algorithms:
-        records = _training_records(train_sets, algorithm, args.semi_train)
-        model = train_model(algorithm, records, seed=args.seed)
+        model, _ = _train(args, train_sets, algorithm)
         save_model(model, os.path.join(models_dir, f"{algorithm}.json"))
         for name, ds in test_sets:
             predictions = model.predict_records(ds.records)
@@ -246,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except PurityError as exc:
         print(f"ids protocol violation: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (DatasetFormatError, FileNotFoundError) as exc:
+    except (DatasetFormatError, FileNotFoundError, TrainingDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive

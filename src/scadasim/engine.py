@@ -71,9 +71,6 @@ class Engine:
         heappush(self._heap, event)
         return event
 
-    def schedule_in(self, delay_ms: int, target: str, kind: str, payload: Any = None) -> Event:
-        return self.schedule(self.now + delay_ms, target, kind, payload)
-
     def run(self, until_ms: int) -> int:
         """Dispatch every event with due <= until_ms, exactly once; returns their number.
 

@@ -13,6 +13,7 @@ from .models import (
     ALGORITHMS,
     PurityError,
     TrafficModel,
+    TrainingDataError,
     load_model,
     save_model,
     train_model,
@@ -27,6 +28,7 @@ __all__ = [
     "PurityError",
     "RandomForestDetector",
     "TrafficModel",
+    "TrainingDataError",
     "evaluate",
     "f1_score",
     "load_model",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import unique_rows
+from .rows import TrainingDataError, unique_rows
 
 GINI_EPS = 1e-12
 
@@ -202,7 +202,7 @@ class RandomForestDetector:
         y = np.asarray(y, dtype=np.int64)
         classes = np.unique(y)
         if len(classes) < 2:
-            raise ValueError(
+            raise TrainingDataError(
                 f"random forest needs both classes in the training set, got only {classes.tolist()}"
             )
         rows, positive, total = _unique_weighted(X, y)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import unique_rows
+from .rows import TrainingDataError, unique_rows
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -132,7 +132,7 @@ class IsolationForestDetector:
     def fit(self, X: np.ndarray) -> "IsolationForestDetector":
         X = np.asarray(X, dtype=np.float64)
         if self.subsample > len(X):
-            raise ValueError(f"subsample {self.subsample} exceeds training set size {len(X)}")
+            raise TrainingDataError(f"subsample {self.subsample} exceeds training set size {len(X)}")
         size = min(self.subsample, len(X))
         self.sample_size = size
         max_depth = max(1, math.ceil(math.log2(max(2, size))))

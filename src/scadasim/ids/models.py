@@ -18,6 +18,7 @@ from ..capture import FeatureDictionary, LabeledRecord, labels_array
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
+from .rows import TrainingDataError
 
 MODEL_FORMAT_VERSION = 1
 ALGORITHMS = ("rf", "knn", "lof", "iforest")
@@ -89,12 +90,13 @@ def train_model(
 
     Supervised algorithms (rf, knn) need both classes present. Semi-supervised
     algorithms (lof, iforest) refuse any attack-labeled input and calibrate
-    their threshold on training scores.
+    their threshold on training scores. Records too few or too uniform to fit
+    the detector raise TrainingDataError.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if not records:
-        raise ValueError("empty training set")
+        raise TrainingDataError("empty training set")
     params = dict(params or {})
     dictionary = FeatureDictionary.build(records)
     X = dictionary.encode(records)

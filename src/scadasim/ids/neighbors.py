@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rows import unique_rows
+from .rows import TrainingDataError, unique_rows
 
 LRD_EPS = 1e-12
 
@@ -37,7 +37,7 @@ class KnnDetector:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if self.k > len(X):
-            raise ValueError(f"k={self.k} exceeds training set size {len(X)}")
+            raise TrainingDataError(f"k={self.k} exceeds training set size {len(X)}")
         self.X = X
         self.y = y
         return self
@@ -99,7 +99,7 @@ class LofDetector:
     def fit(self, X: np.ndarray) -> "LofDetector":
         X = np.asarray(X, dtype=np.float64)
         if len(X) <= self.k:
-            raise ValueError(f"need more than k={self.k} training points, got {len(X)}")
+            raise TrainingDataError(f"need more than k={self.k} training points, got {len(X)}")
         self.X = X
         n = len(X)
         k = self.k

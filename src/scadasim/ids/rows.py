@@ -1,4 +1,4 @@
-"""Distinct feature rows.
+"""Distinct feature rows, and the error a detector raises on unusable rows.
 
 Captured SCADA traffic is heavily duplicated (tens of thousands of records,
 a few hundred distinct feature rows), so every detector does its per-row work
@@ -8,6 +8,10 @@ once per distinct row and expands the result through the inverse index.
 from __future__ import annotations
 
 import numpy as np
+
+
+class TrainingDataError(ValueError):
+    """The training rows cannot fit the model: too few of them, or one class only."""
 
 
 def unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

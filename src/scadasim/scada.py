@@ -18,6 +18,7 @@ from .powergrid import RtuBinding, measurements_for
 
 FRAME_HEADER_BYTES = 25
 BYTES_PER_POINT = 12
+CHECK_OFFSET_MS = 900  # the MTU checks its table 900 ms into each step
 
 
 def frame_length(n_points: int) -> int:
@@ -180,7 +181,6 @@ class MtuApp:
         fabric: NetworkFabric,
         host,
         stations: dict[str, str],  # station -> address
-        check_offset_ms: int = 900,
         interrogate_stale: bool = True,
     ):
         self.engine = engine
@@ -188,7 +188,6 @@ class MtuApp:
         self.host = host
         self.stations = dict(stations)
         self.interrogate_stale = interrogate_stale
-        self.check_offset_ms = check_offset_ms
         self.table: dict[tuple[str, str], TablePoint] = {}
         self.last_report_step: dict[str, int] = {s: 0 for s in stations}
         self.last_sequence: dict[str, int] = {}
@@ -197,13 +196,13 @@ class MtuApp:
         self.interrogations_sent = 0
         self.history: list[tuple[int, str, str, str, float, bool]] = []
         engine.register("mtu", self.handle)
-        engine.schedule(check_offset_ms, "mtu", "cycle_check")
+        engine.schedule(CHECK_OFFSET_MS, "mtu", "cycle_check")
 
     def handle(self, engine: Engine, event: Event) -> None:
         if event.kind == "cycle_check":
             self.cycle_check()
             engine.schedule(
-                (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + self.check_offset_ms,
+                (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + CHECK_OFFSET_MS,
                 "mtu", "cycle_check",
             )
 

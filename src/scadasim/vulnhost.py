@@ -124,7 +124,10 @@ class SimHost:
     def _reply(self, fabric, packet, protocol, length, payload) -> None:
         # Deliberately not guarded by `silenced`: the confirmation of the very
         # command that silenced the host still goes out; everything after is
-        # cut off at the on_packet entry guard.
+        # cut off at the on_packet entry guard. The request's attempt id, if it
+        # carries one, is echoed so the sender can match the reply to it.
+        if "attempt" in packet.payload:
+            payload["attempt"] = packet.payload["attempt"]
         fabric.send_app_message(self.node_id, packet.src, protocol, length, payload, self.node_id)
 
     def _refuse(self, fabric, packet, port: int) -> None:

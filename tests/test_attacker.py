@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 
 from scadasim.attacker import ActionRecord, AttackGoal, AttackerComponent
 from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric, SpanConfig
-from scadasim.vulnhost import HostService, RceVuln, SimHost
+from scadasim.vulnhost import PROBE_LEN, HostService, RceVuln, SimHost
 
 
 class FakeRtu:
@@ -26,7 +28,8 @@ RTU_SERVICES = {
 
 
 def rig(goal=None, port_set=None, address_range=None, skip_after=None,
-        rtu_pe=("suid_binary",), extra_hosts=(), rtu_services=RTU_SERVICES):
+        rtu_pe=("suid_binary",), extra_hosts=(), rtu_services=RTU_SERVICES,
+        rtu_latency_ms=1, probe_timeout_ms=10):
     nodes = [
         NetNode("attacker", "host", "10.0.0.66"),
         NetNode("sw", "switch"),
@@ -35,7 +38,7 @@ def rig(goal=None, port_set=None, address_range=None, skip_after=None,
     ]
     links = [
         NetLink("l-att", "attacker", "sw"),
-        NetLink("l-rtu", "rtu1-host", "sw"),
+        NetLink("l-rtu", "rtu1-host", "sw", latency_ms=rtu_latency_ms),
         NetLink("l-mtu", "mtu-host", "sw"),
     ]
     for i, (node_id, address) in enumerate(extra_hosts):
@@ -61,6 +64,7 @@ def rig(goal=None, port_set=None, address_range=None, skip_after=None,
         address_range or ["10.0.0.10", "10.0.0.11", "10.0.0.50"],
         port_set or [21, 22, 23, 80, 443],
         attack_start=0,
+        probe_timeout_ms=probe_timeout_ms,
         skip_unreachable_after=skip_after,
     )
     fabric.register_app("attacker", attacker)
@@ -113,7 +117,14 @@ class TestScan:
 
     def test_fresh_state_plans_a_probe_first(self):
         engine, fabric, attacker, _, _ = rig()
-        assert attacker.peek_next_action()[0] == "probe"
+        sent = []
+        send = fabric.send_app_message
+        fabric.send_app_message = lambda *args: sent.append(args) or send(*args)
+        engine.run(0)  # the start event only
+        assert sent == [("attacker", "10.0.0.10", "SCAN_PROBE", PROBE_LEN,
+                         {"type": "probe", "port": 21}, "attacker")]
+        assert attacker.probes_sent == 1
+        assert attacker.state.stage == "S1_scan"
 
 
 class TestRce:
@@ -248,3 +259,74 @@ class TestEscalationInvariant:
                 assert attacker.state.rooted == {"10.0.0.11"}
             else:
                 assert attacker.state.rooted == set()
+
+
+def flap_campaign(rtu_pe, down_at, enforce_dos):
+    """Action log and engine trace of a rig campaign in which l-rtu is down for 150 ms."""
+    engine, fabric, attacker, _, _ = rig(rtu_pe=rtu_pe)
+    attacker.enforce_dos = enforce_dos
+    engine.trace_lines = []
+    engine.schedule(down_at, "net", "set_link_state", ("l-rtu", False))
+    engine.schedule(down_at + 150, "net", "set_link_state", ("l-rtu", True))
+    engine.run(5_000)
+    return attacker.export_action_log(), engine.trace_lines
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# (PE paths, ms at which l-rtu goes down, enforce_dos) -> sha256 of the action
+# log and of the engine trace. Each flap loses the request or the reply of one
+# exchange in flight, so between them every exchange kind times out at least
+# once; the last campaign pins the DoS enforce stream.
+PINNED_FLAP_CAMPAIGNS = {
+    (("suid_binary",), 45, False): (
+        "46031c7c584e67505ee9f28a0112ef77ce2bd2ca38a6f4e00f220e176253bb2d",
+        "86b5efe842d155204c931e24f781a96b3ebe0bede48f49b61d2bbdd71e3e4b8d"),
+    (("suid_binary",), 53, False): (
+        "fd9daa0453ff7e04d1ee0a35c93067c85cc2fd06971cd68dfc32bbeb5a7004c5",
+        "ed0288b3af45beace9d0f50316ea4a7a9785ee5f9ca0aae8744499e8f17e7297"),
+    (("suid_binary",), 81, False): (
+        "d22ed1d774d053920e4e1406538701e20f32a2a3ce0ee9ffff4d49a4895ceb0e",
+        "26d4382f7649fd6bcd4e1cfbdf0a6d854a4b9fc33ab09bb7f3ccc6d193141f0f"),
+    (("suid_binary",), 91, False): (
+        "e12f9b94266e6a9b5108f71a049a03ebda41810951ebff6440b92dd155dd5349",
+        "42937a4e4e22a681481e069d8a5943f8200503ab557a19491bd73a95b14dd8b3"),
+    (("sudoers_script",), 103, False): (
+        "039143b541cff0ce3223206dd29419db20da69684102d7bec73d4f4f64806152",
+        "ec6d4201a2409679dda8557abbd0098facc7607e352df64116b0f87aa6853bf8"),
+    (("suid_binary",), 101, False): (
+        "e39356d6c41f75a26f71a565f00575524e08661280ba92cbe18772f16d5e2684",
+        "49d701f3141c28948241ee733984c51e982bd9dbb0bea7d369ee2560b9d61062"),
+    (("suid_binary",), 2000, True): (
+        "d8a5d96c8cd9c73efc2c7dd2cb6e36a54ad14fa4c1ac0361f14f45921e29a0b6",
+        "739ef5f6c7a389d532f362aea2ee88eb8b52de08245a2bb4336cdab19f8d4074"),
+}
+
+
+class TestTimeouts:
+    @pytest.mark.parametrize("campaign", list(PINNED_FLAP_CAMPAIGNS))
+    def test_link_flap_campaign_is_pinned(self, campaign):
+        log, trace = flap_campaign(*campaign)
+        assert (digest(log), digest(trace)) == PINNED_FLAP_CAMPAIGNS[campaign]
+
+    def test_flap_campaigns_time_out_every_exchange_kind(self):
+        kinds = set()
+        for campaign in PINNED_FLAP_CAMPAIGNS:
+            log, _ = flap_campaign(*campaign)
+            kinds |= {line.split(",")[2] for line in log if line.endswith(",timeout")}
+        assert kinds == {"rce_attempt", "login_hello", "login_auth",
+                         "whoami_check", "pe_attempt", "impact"}
+
+    def test_reply_after_its_timeout_is_ignored(self):
+        # a 60 ms RTU link makes every reply come after the 100 ms exchange timeout
+        engine, fabric, attacker, _, rtu = rig(rtu_latency_ms=60, probe_timeout_ms=300)
+        engine.run(120_000)
+        timeouts = [(r.action, r.target) for r in attacker.state.action_log
+                    if r.outcome == "timeout"]
+        assert timeouts == [("login_hello", "10.0.0.11:22"), ("login_hello", "10.0.0.11:23"),
+                            ("rce_attempt", "10.0.0.11:80")]
+        assert attacker.state.sessions == {}
+        assert attacker.state.stage == "failed"
+        assert rtu.stopped is False

@@ -5,7 +5,7 @@ import os
 import pytest
 import yaml
 
-from scadasim.capture import import_csv
+from scadasim.capture import CSV_HEADER, import_csv
 from scadasim.cli import main
 from scadasim.scenario import fixture_path
 
@@ -29,6 +29,9 @@ PINNED_IDS_EVAL = {
     "models/lof.json": "eae41870ad9b71317ee9f467b7ba9ed00bd7a5deecd053a1ec8c10f71a24c58b",
     "models/rf.json": "2457e0428001124d2909d29ab955a55fd1bca209615f3bf120f1910bb28df2af",
 }
+
+NORMAL_ROW = "1000,10.0.0.11,10.0.0.10,SCADA,61,normal,"
+ATTACK_ROW = "2000,10.0.0.66,10.0.0.11,SCAN_PROBE,60,attack,S1"
 
 
 def run_cli(*argv):
@@ -215,6 +218,26 @@ class TestIdsCommands:
                        "--test", str(tmp_path / "ghost.csv"), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "ghost.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("algo, rows, detail", [
+        pytest.param("rf", [], "empty training set", id="rf-header-only"),
+        pytest.param("rf", [NORMAL_ROW] * 3, "both classes", id="rf-all-normal"),
+        pytest.param("lof", [NORMAL_ROW] * 2, "more than k=20", id="lof-two-rows"),
+        pytest.param("knn", [NORMAL_ROW, ATTACK_ROW], "k=5 exceeds", id="knn-two-rows"),
+        pytest.param("iforest", [ATTACK_ROW, NORMAL_ROW], "empty training set",
+                     id="iforest-no-warmup"),
+    ])
+    def test_unusable_training_data_exits_2_naming_algorithm_and_file(
+            self, tmp_path, capsys, command, algo, rows, detail):
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+        test_args = ["--test", str(train)] if command == "eval" else []
+        code = run_cli("ids", command, "--algo", algo, "--train", str(train), *test_args,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot train {algo} on" in err and str(train) in err and detail in err
 
     def test_eval_artifact_hashes_are_pinned(self, tmp_path, two_datasets):
         a, b = two_datasets
