@@ -2,12 +2,13 @@
 
 The attacker is one procedure, the generator ``AttackerComponent._campaign``,
 which reads top to bottom as the attack: scan, RCE, PE, impact and, for a DoS
-goal with ``enforce_dos``, the keep-down stream. It yields either a wait (an
-event kind and its due time in ms) or an ``Exchange`` (a request that expects
-one reply). A small driver in ``handle`` and ``on_packet`` schedules the waits,
-sends the requests and resumes the generator with the reply payload, or with
-``None`` when the reply does not come in time. All emitted packets carry the
-attacker's node id as origin_actor, which is what the labeling stage keys on.
+goal with ``enforce_dos`` and at least one successful impact, the keep-down
+stream. It yields either a wait (an event kind and its due time in ms) or an
+``Exchange`` (a request that expects one reply). A small driver in ``handle``
+and ``on_packet`` schedules the waits, sends the requests and resumes the
+generator with the reply payload, or with ``None`` when the reply does not
+come in time. All emitted packets carry the attacker's node id as
+origin_actor, which is what the labeling stage keys on.
 
 Attack timing:
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import MS_PER_STEP, Engine, Event
+from .engine import MS_PER_STEP, Engine
 from .network import NetworkFabric, Packet
 from .vulnhost import HTTP_REQUEST_LEN, LOGIN_LENS, PE_METHODS, PROBE_LEN, SESSION_CMD_LENS
 
@@ -260,9 +261,9 @@ class AttackerComponent:
             self._enter("failed")
             self._log("abort", "-", "impact commands rejected")
             return
-        if self.goal.kind == "dos" and self.enforce_dos:
+        targets = [a for a, _, outcome in state.impact if outcome == "ok"]
+        if self.goal.kind == "dos" and self.enforce_dos and targets:
             # keep-down stream: re-issue the stop command once per step, fire and forget
-            targets = [a for a, _, outcome in state.impact if outcome == "ok"]
             while True:
                 yield "enforce", (self.engine.now // MS_PER_STEP + 1) * MS_PER_STEP + ENFORCE_OFFSET_MS
                 for addr in targets:
@@ -324,9 +325,9 @@ class AttackerComponent:
             kind, due = request
             self.engine.schedule(due, "attacker", kind)
 
-    def handle(self, engine: Engine, event: Event) -> None:
-        if event.kind == "timeout":
-            if self._pending is None or self._pending[0] != event.payload:
+    def handle(self, engine: Engine, kind: str, payload) -> None:
+        if kind == "timeout":
+            if self._pending is None or self._pending[0] != payload:
                 return  # answered in time
             request = self._pending[1]
             self._pending = None

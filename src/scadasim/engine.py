@@ -4,13 +4,18 @@ Simulation time is a plain ``int`` of milliseconds. One grid step corresponds
 to ``MS_PER_STEP`` (1000) ms, so the step of a time ``t`` is
 ``t // MS_PER_STEP``. A single heap ordered by (due time, insertion sequence)
 makes every run reproducible bit for bit.
+
+The heap holds plain ``(due, seq, target, kind, payload)`` tuples; ``seq`` is
+unique, so ordering never compares ``target``. A component registers a handler
+under its target name, and the handler is called as
+``handler(engine, kind, payload)``, with ``engine.now`` set to the due time.
 """
 
 from __future__ import annotations
 
 import hashlib
 from heapq import heappop, heappush
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 MS_PER_STEP = 1000
 
@@ -19,17 +24,7 @@ class SimulationError(RuntimeError):
     """Fatal scheduling or dispatch failure; aborts the run."""
 
 
-class Event(NamedTuple):
-    """Heap entry; ``seq`` is unique, so ordering never compares ``target``."""
-
-    due: int
-    seq: int
-    target: str
-    kind: str
-    payload: Any = None
-
-
-Handler = Callable[["Engine", Event], None]
+Handler = Callable[["Engine", str, Any], None]
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -51,7 +46,7 @@ class Engine:
 
     def __init__(self, trace: bool = False):
         self.now = 0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, str, str, Any]] = []
         self._seq = 0
         self._handlers: dict[str, Handler] = {}
         self.trace_lines: list[str] | None = [] if trace else None
@@ -61,15 +56,14 @@ class Engine:
             raise SimulationError(f"component {target!r} registered twice")
         self._handlers[target] = handler
 
-    def schedule(self, due: int, target: str, kind: str, payload: Any = None) -> Event:
+    def schedule(self, due: int, target: str, kind: str, payload: Any = None) -> None:
         if due < self.now:
             raise SimulationError(
                 f"event {event_name(target, kind)} scheduled at {due}ms in the past (clock {self.now}ms)"
             )
-        event = Event(due, self._seq, target, kind, payload)
-        self._seq += 1
-        heappush(self._heap, event)
-        return event
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (due, seq, target, kind, payload))
 
     def run(self, until_ms: int) -> int:
         """Dispatch every event with due <= until_ms, exactly once; returns their number.
@@ -77,24 +71,25 @@ class Engine:
         The clock ends at the due time of the last dispatched event and never
         advances past it on an empty queue.
         """
+        heap = self._heap
+        handlers = self._handlers
+        trace = self.trace_lines
         processed = 0
-        while self._heap and self._heap[0].due <= until_ms:
-            event = heappop(self._heap)
-            self.now = due = event.due
-            handler = self._handlers.get(event.target)
+        while heap and heap[0][0] <= until_ms:
+            due, seq, target, kind, payload = heappop(heap)
+            self.now = due
+            handler = handlers.get(target)
             if handler is None:
-                raise SimulationError(f"no component registered for event {event_name(event.target, event.kind)}")
-            if self.trace_lines is not None:
-                self.trace_lines.append(
-                    f"{due // MS_PER_STEP},{due % MS_PER_STEP},{event.seq},{event.target},{event.kind}"
-                )
+                raise SimulationError(f"no component registered for event {event_name(target, kind)}")
+            if trace is not None:
+                trace.append(f"{due // MS_PER_STEP},{due % MS_PER_STEP},{seq},{target},{kind}")
             try:
-                handler(self, event)
+                handler(self, kind, payload)
             except SimulationError:
                 raise
             except Exception as exc:
                 raise SimulationError(
-                    f"handler failed on event {event_name(event.target, event.kind)} at {due}ms: {exc}"
+                    f"handler failed on event {event_name(target, kind)} at {due}ms: {exc}"
                 ) from exc
             processed += 1
         return processed

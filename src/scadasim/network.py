@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .engine import Engine, Event, derive_seed
+from .engine import Engine, derive_seed
 
 PROTOCOLS = ("SCADA", "HTTP", "SSH", "TELNET", "SCAN_PROBE", "OTHER")
 NODE_KINDS = ("host", "switch", "router_firewall")
@@ -134,18 +134,24 @@ class NetworkFabric:
 
     def __init__(self, topology: IctTopology, engine: Engine, seed: int, log_transmissions: bool = False):
         topology.validate()
-        self.topology = topology
         self.engine = engine
         self.nodes = {n.node_id: n for n in topology.nodes}
         self.links = {l.link_id: l for l in topology.links}
         self._links_of: dict[str, list[NetLink]] = {n.node_id: [] for n in topology.nodes}
+        # per (link id, sending node): [far end, time the sender's FIFO is busy until]
+        self._hops: dict[tuple[str, str], list] = {}
         for link in topology.links:
             self._links_of[link.endpoint_a].append(link)
             self._links_of[link.endpoint_b].append(link)
+            self._hops[link.link_id, link.endpoint_a] = [link.endpoint_b, 0]
+            self._hops[link.link_id, link.endpoint_b] = [link.endpoint_a, 0]
         self._loss_rng = {
             l.link_id: random.Random(derive_seed(seed, f"link:{l.link_id}")) for l in topology.links
         }
-        self._busy_until: dict[tuple[str, str], int] = {}
+        self._host_address = {n.node_id: n.address for n in topology.nodes if n.kind == "host"}
+        self._blocked = {n.node_id: n.blocked_prefixes for n in topology.nodes
+                         if n.kind == "router_firewall"}
+        self._span_switch = topology.span.switch_id if topology.span is not None else None
         self._mac_table: dict[str, dict[str, str]] = {
             n.node_id: {} for n in topology.nodes if n.kind != "host"
         }
@@ -169,15 +175,23 @@ class NetworkFabric:
 
     # -- engine event handler -------------------------------------------------
 
-    def handle(self, engine: Engine, event: Event) -> None:
-        if event.kind == "arrival":
-            node_id, packet, ingress_link = event.payload
-            self._on_arrival(node_id, packet, ingress_link)
-        elif event.kind == "set_link_state":
-            link_id, up = event.payload
+    def handle(self, engine: Engine, kind: str, payload) -> None:
+        if kind == "arrival":
+            node_id, packet, ingress_link = payload
+            address = self._host_address.get(node_id)
+            if address is None:
+                self._forward(node_id, packet, ingress_link)
+            elif address == packet.dst:
+                packet.delivered_at = engine.now
+                app = self._apps.get(node_id)
+                if app is not None:
+                    app.on_packet(self, packet)
+            # a flooded packet at a host that does not own its address is dropped
+        elif kind == "set_link_state":
+            link_id, up = payload
             self.set_link_state(link_id, up)
         else:
-            raise NetworkConfigError(f"unknown network event kind {event.kind!r}")
+            raise NetworkConfigError(f"unknown network event kind {kind!r}")
 
     # -- sending --------------------------------------------------------------
 
@@ -206,24 +220,31 @@ class NetworkFabric:
         return packet
 
     def transmit(self, packet: Packet, link: NetLink, from_node: str) -> None:
-        """Queue one hop: loss/down checks, then FIFO serialization plus latency."""
-        if link.link_id not in self.links:
-            raise NetworkConfigError(f"unknown link {link.link_id!r}")
+        """Queue one hop of one of this fabric's links: loss/down checks, then
+        FIFO serialization plus latency.
+
+        The link's state, loss, latency and bandwidth are read on every hop,
+        so changes to them apply to the next packet.
+        """
         now_ms = self.engine.now
         if not link.up:
-            self._log_hop(link, from_node, now_ms, now_ms, None, packet, "link_down")
+            if self.transmissions is not None:
+                self._log_hop(link, from_node, now_ms, now_ms, None, packet, "link_down")
             return
-        if link.loss_probability > 0.0 and self._loss_rng[link.link_id].random() < link.loss_probability:
-            self._log_hop(link, from_node, now_ms, now_ms, None, packet, "loss")
+        loss = link.loss_probability
+        if loss > 0.0 and self._loss_rng[link.link_id].random() < loss:
+            if self.transmissions is not None:
+                self._log_hop(link, from_node, now_ms, now_ms, None, packet, "loss")
             return
-        serialization_ms = (packet.length_bytes * 8 * 1000 + link.bandwidth_bps - 1) // link.bandwidth_bps
-        key = (link.link_id, from_node)
-        start_ms = max(now_ms, self._busy_until.get(key, 0))
-        self._busy_until[key] = start_ms + serialization_ms
-        arrive_ms = start_ms + serialization_ms + link.latency_ms
-        to_node = link.endpoint_b if from_node == link.endpoint_a else link.endpoint_a
-        self._log_hop(link, from_node, now_ms, start_ms, arrive_ms, packet, None)
-        self.engine.schedule(arrive_ms, "net", "arrival", (to_node, packet, link.link_id))
+        bandwidth = link.bandwidth_bps
+        serialization_ms = (packet.length_bytes * 8000 + bandwidth - 1) // bandwidth
+        hop = self._hops[link.link_id, from_node]
+        start_ms = hop[1] if hop[1] > now_ms else now_ms
+        hop[1] = start_ms + serialization_ms
+        arrive_ms = hop[1] + link.latency_ms
+        if self.transmissions is not None:
+            self._log_hop(link, from_node, now_ms, start_ms, arrive_ms, packet, None)
+        self.engine.schedule(arrive_ms, "net", "arrival", (hop[0], packet, link.link_id))
 
     def set_link_state(self, link_id: str, up: bool) -> None:
         if link_id not in self.links:
@@ -232,25 +253,16 @@ class NetworkFabric:
 
     # -- forwarding -------------------------------------------------------------
 
-    def _on_arrival(self, node_id: str, packet: Packet, ingress_link: str) -> None:
-        node = self.nodes[node_id]
-        if node.kind == "host":
-            if node.address == packet.dst:
-                packet.delivered_at = self.engine.now
-                app = self._apps.get(node_id)
-                if app is not None:
-                    app.on_packet(self, packet)
-            return
-
-        if node.kind == "router_firewall":
-            for prefix in node.blocked_prefixes:
-                if packet.src.startswith(prefix) or packet.dst.startswith(prefix):
-                    self.blocked_count += 1
-                    return
+    def _forward(self, node_id: str, packet: Packet, ingress_link: str) -> None:
+        """A switch or firewall: filter, learn the source port, mirror, then forward or flood."""
+        for prefix in self._blocked.get(node_id, ()):
+            if packet.src.startswith(prefix) or packet.dst.startswith(prefix):
+                self.blocked_count += 1
+                return
 
         table = self._mac_table[node_id]
         table[packet.src] = ingress_link
-        if self.topology.span is not None and node_id == self.topology.span.switch_id:
+        if node_id == self._span_switch:
             self.mirrored_count += 1
             if self.mirror_sink is not None:
                 self.mirror_sink(packet)
@@ -267,15 +279,14 @@ class NetworkFabric:
         # known destination behind the ingress port: nothing to do
 
     def _log_hop(self, link, from_node, send_ms, start_ms, arrive_ms, packet, dropped) -> None:
-        if self.transmissions is not None:
-            self.transmissions.append(
-                Transmission(
-                    link_id=link.link_id,
-                    from_node=from_node,
-                    send_ms=send_ms,
-                    start_ms=start_ms,
-                    arrive_ms=arrive_ms,
-                    length_bytes=packet.length_bytes,
-                    dropped=dropped,
-                )
+        self.transmissions.append(
+            Transmission(
+                link_id=link.link_id,
+                from_node=from_node,
+                send_ms=send_ms,
+                start_ms=start_ms,
+                arrive_ms=arrive_ms,
+                length_bytes=packet.length_bytes,
+                dropped=dropped,
             )
+        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import MS_PER_STEP, Engine, Event
+from .engine import MS_PER_STEP, Engine
 from .network import NetworkFabric, Packet
 from .powergrid import RtuBinding, measurements_for
 
@@ -85,8 +85,8 @@ class RtuApp:
         engine.register(f"rtu:{station}", self.handle)
         engine.schedule(report_offset_ms, f"rtu:{station}", "report")
 
-    def handle(self, engine: Engine, event: Event) -> None:
-        if event.kind == "report":
+    def handle(self, engine: Engine, kind: str, payload) -> None:
+        if kind == "report":
             self.emit_report()
             engine.schedule(
                 (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + self.report_offset_ms,
@@ -198,8 +198,8 @@ class MtuApp:
         engine.register("mtu", self.handle)
         engine.schedule(CHECK_OFFSET_MS, "mtu", "cycle_check")
 
-    def handle(self, engine: Engine, event: Event) -> None:
-        if event.kind == "cycle_check":
+    def handle(self, engine: Engine, kind: str, payload) -> None:
+        if kind == "cycle_check":
             self.cycle_check()
             engine.schedule(
                 (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + CHECK_OFFSET_MS,

@@ -20,7 +20,7 @@ from .capture import (
     label_records,
 )
 from .config import RTU_STAGGER_MS, ScenarioConfig, load_config
-from .engine import MS_PER_STEP, Engine, Event, derive_seed
+from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
 from .powergrid import PowerFlowSolution, sample_load_profile, solve_power_flow
 from .scada import CompromiseRecord, MtuApp, RtuApp
@@ -42,8 +42,8 @@ class GridComponent:
         engine.register("grid", self.handle)
         engine.schedule(0, "grid", "tick")
 
-    def handle(self, engine: Engine, event: Event) -> None:
-        if event.kind != "tick":
+    def handle(self, engine: Engine, kind: str, payload) -> None:
+        if kind != "tick":
             return
         step = engine.now // MS_PER_STEP
         scaling = sample_load_profile(
@@ -98,8 +98,8 @@ class OpsComponent:
         engine.register("ops", self.handle)
         engine.schedule(150, "ops", "tick")
 
-    def handle(self, engine: Engine, event: Event) -> None:
-        if event.kind != "tick":
+    def handle(self, engine: Engine, kind: str, payload) -> None:
+        if kind != "tick":
             return
         step = engine.now // MS_PER_STEP
         section = self.section

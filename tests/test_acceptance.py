@@ -404,8 +404,7 @@ def test_criterion_8_mirror_completeness_delay_law_and_loss():
     rng = random.Random(5)
     lengths = [rng.randint(60, 1400) for _ in range(n_packets)]
 
-    def driver(eng, event):
-        i = event.payload
+    def driver(eng, kind, i):
         fabric.send_app_message("h1", "10.1.0.2", "OTHER", lengths[i], {"n": i}, "h1")
 
     engine.register("drv", driver)

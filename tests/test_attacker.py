@@ -244,6 +244,16 @@ class TestDosEnforcement:
         assert len(enforce) >= 10  # roughly one per step after impact
         assert attacker.state.stage == "S4_impact"  # stays in impact while enforcing
 
+    def test_no_keep_down_stream_when_every_impact_was_rejected(self):
+        engine, fabric, attacker, rtu_host, rtu = rig()
+        rtu_host.scada_app = None  # the stop command finds no service to stop
+        attacker.enforce_dos = True
+        engine.trace_lines = []
+        engine.run(60_000)
+        assert [outcome for _, _, outcome in attacker.state.impact] == ["rejected"]
+        assert not any(line.endswith(",attacker,enforce") for line in engine.trace_lines)
+        assert attacker.state.stage == "done"  # as without enforce_dos
+
 
 class TestEscalationInvariant:
     def test_no_root_without_configured_pe_path_over_randomized_configs(self):

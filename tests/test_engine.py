@@ -4,8 +4,8 @@ from scadasim.engine import MS_PER_STEP, Engine, SimulationError, derive_seed
 
 
 def collect_order(engine, log):
-    def handler(eng, event):
-        log.append((event.due, event.kind))
+    def handler(eng, kind, payload):
+        log.append((eng.now, kind))
     return handler
 
 
@@ -27,9 +27,9 @@ def test_handler_scheduling_later_event_is_dispatched_after_current_step():
     engine = Engine()
     order = []
 
-    def handler(eng, event):
-        order.append(event.kind)
-        if event.kind == "first":
+    def handler(eng, kind, payload):
+        order.append(kind)
+        if kind == "first":
             eng.schedule(5000, "a", "chained")
 
     engine.register("a", handler)
@@ -47,14 +47,14 @@ def test_empty_queue_run_keeps_clock_at_zero():
 
 def test_until_before_first_event_dispatches_nothing():
     engine = Engine()
-    engine.register("a", lambda e, ev: None)
+    engine.register("a", lambda e, kind, payload: None)
     engine.schedule(10000, "a", "later")
     assert engine.run(5000) == 0
 
 
 def test_scheduling_in_the_past_is_fatal():
     engine = Engine()
-    engine.register("a", lambda e, ev: e.schedule(0, "a", "bad"))
+    engine.register("a", lambda e, kind, payload: e.schedule(0, "a", "bad"))
     engine.schedule(2000, "a", "go")
     with pytest.raises(SimulationError, match="in the past"):
         engine.run(3000)
@@ -70,7 +70,7 @@ def test_unknown_target_is_fatal_and_names_the_event():
 def test_handler_failure_aborts_with_event_name():
     engine = Engine()
 
-    def boom(eng, event):
+    def boom(eng, kind, payload):
         raise ValueError("inner")
 
     engine.register("a", boom)
@@ -83,14 +83,14 @@ def test_trace_replay_determinism():
     def run_once():
         engine = Engine(trace=True)
 
-        def handler(eng, event):
-            step = event.due // MS_PER_STEP
-            if event.kind == "tick" and step < 5:
+        def handler(eng, kind, payload):
+            step = eng.now // MS_PER_STEP
+            if kind == "tick" and step < 5:
                 eng.schedule((step + 1) * MS_PER_STEP, "a", "tick")
                 eng.schedule((step + 1) * MS_PER_STEP + 250, "b", "sub")
 
         engine.register("a", handler)
-        engine.register("b", lambda e, ev: None)
+        engine.register("b", lambda e, kind, payload: None)
         engine.schedule(0, "a", "tick")
         engine.run(50000)
         return engine.trace_lines
@@ -105,9 +105,9 @@ def test_trace_replay_determinism():
 def test_no_event_dispatched_twice_and_none_skipped():
     engine = Engine()
     seen = []
-    engine.register("a", lambda e, ev: seen.append(ev.seq))
+    engine.register("a", lambda e, kind, payload: seen.append(payload))
     for step in range(20):
-        engine.schedule(step * MS_PER_STEP + step % 7, "a", "e")
+        engine.schedule(step * MS_PER_STEP + step % 7, "a", "e", step)
     engine.run(19999)
     assert sorted(seen) == list(range(20))
     assert len(set(seen)) == 20

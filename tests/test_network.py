@@ -95,7 +95,7 @@ class TestDelivery:
     def test_delay_is_latency_plus_serialization(self):
         # 125 bytes at 1 Mbit/s = 1 ms serialization; +10 ms latency per hop
         engine, fabric, sinks = build(line_topology())
-        engine.register("src", lambda e, ev: fabric.send_app_message(
+        engine.register("src", lambda e, kind, payload: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
         engine.schedule(0, "src", "go")
         engine.run(1000)
@@ -107,7 +107,7 @@ class TestDelivery:
     def test_fifo_serialization_queues_back_to_back_sends(self):
         engine, fabric, sinks = build(line_topology(), log=True)
 
-        def burst(e, ev):
+        def burst(e, kind, payload):
             for _ in range(3):
                 fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
 
@@ -127,7 +127,7 @@ class TestDelivery:
     def test_link_down_drops(self):
         engine, fabric, sinks = build(line_topology())
         fabric.set_link_state("l2", False)
-        engine.register("src", lambda e, ev: fabric.send_app_message(
+        engine.register("src", lambda e, kind, payload: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
         engine.schedule(0, "src", "go")
         engine.run(1000)
@@ -137,7 +137,7 @@ class TestDelivery:
         engine, fabric, sinks = build(line_topology())
         fabric.set_link_state("l2", False)
         fabric.set_link_state("l2", True)
-        engine.register("src", lambda e, ev: fabric.send_app_message(
+        engine.register("src", lambda e, kind, payload: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
         engine.schedule(0, "src", "go")
         engine.run(1000)
@@ -146,7 +146,7 @@ class TestDelivery:
     def test_zero_loss_always_delivers(self):
         engine, fabric, sinks = build(line_topology(loss=0.0))
 
-        def burst(e, ev):
+        def burst(e, kind, payload):
             for _ in range(200):
                 fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
 
@@ -177,7 +177,7 @@ class TestLossStatistics:
         engine, fabric, sinks = build(line_topology(loss=0.0), seed=42)
         fabric.links["l1"].loss_probability = p  # lossy first hop only
 
-        def burst(e, ev):
+        def burst(e, kind, payload):
             for _ in range(n):
                 fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
 
@@ -193,7 +193,7 @@ class TestLossStatistics:
         for _ in range(2):
             engine, fabric, sinks = build(line_topology(loss=0.3), seed=7)
 
-            def burst(e, ev):
+            def burst(e, kind, payload):
                 for _ in range(100):
                     fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
 
@@ -209,7 +209,7 @@ class TestSwitchAndSpan:
         engine, fabric, sinks = build(line_topology(span=True))
         mirrored = []
         fabric.mirror_sink = mirrored.append
-        engine.register("src", lambda e, ev: fabric.send_app_message(
+        engine.register("src", lambda e, kind, payload: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
         engine.schedule(0, "src", "go")
         engine.run(1000)
@@ -220,7 +220,7 @@ class TestSwitchAndSpan:
         engine, fabric, sinks = build(line_topology(span=False))
         mirrored = []
         fabric.mirror_sink = mirrored.append
-        engine.register("src", lambda e, ev: fabric.send_app_message(
+        engine.register("src", lambda e, kind, payload: fabric.send_app_message(
             "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
         engine.schedule(0, "src", "go")
         engine.run(1000)
@@ -231,7 +231,7 @@ class TestSwitchAndSpan:
         mirrored = []
         fabric.mirror_sink = lambda p: mirrored.append(p.payload["n"])
 
-        def burst(e, ev):
+        def burst(e, kind, payload):
             for i in range(100):
                 fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x", "n": i}, "h1")
 
@@ -244,10 +244,10 @@ class TestSwitchAndSpan:
     def test_learning_switch_stops_flooding_after_reply(self):
         engine, fabric, sinks = build(line_topology())
 
-        def exchange(e, ev):
+        def exchange(e, kind, payload):
             fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "req"}, "h1")
 
-        def reply(e, ev):
+        def reply(e, kind, payload):
             fabric.send_app_message("h2", "10.0.0.1", "HTTP", 125, {"type": "rsp"}, "h2")
 
         engine.register("src", exchange)
@@ -275,7 +275,7 @@ class TestSwitchAndSpan:
         )
         engine, fabric, sinks = build(topo)
 
-        def send(e, ev):
+        def send(e, kind, payload):
             fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "ok"}, "h1")
             fabric.send_app_message("ext", "10.0.0.2", "HTTP", 125, {"type": "blocked"}, "ext")
 
@@ -290,7 +290,7 @@ class TestSpecExamples:
     def test_single_hop_delay_is_latency_plus_serialization(self):
         # 125 bytes at 1 Mbit/s is 1 ms on the wire; 10 ms latency makes 11 ms
         engine, fabric, sinks = build(line_topology(), log=True)
-        engine.register("src", lambda e, ev: fabric.transmit(
+        engine.register("src", lambda e, kind, payload: fabric.transmit(
             Packet(e.now, "10.0.0.1", "10.0.0.2", "HTTP", 125, {}, "h1"),
             fabric.links["l1"], "h1"))
         engine.schedule(0, "src", "go")
@@ -319,10 +319,10 @@ class TestSpecExamples:
         mirrored = []
         fabric.mirror_sink = mirrored.append
 
-        def exchange(e, ev):
+        def exchange(e, kind, payload):
             fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "req"}, "h1")
 
-        def reply(e, ev):
+        def reply(e, kind, payload):
             fabric.send_app_message("h2", "10.0.0.1", "HTTP", 125, {"type": "rsp"}, "h2")
 
         engine.register("src", exchange)

@@ -137,7 +137,7 @@ class TestReporting:
             def __init__(self, rtu):
                 self.rtu = rtu
 
-            def __call__(self, eng, event):
+            def __call__(self, eng, kind, payload):
                 self.rtu.apply_dos()
 
         engine.register("killer", Stop(rtu))

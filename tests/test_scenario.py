@@ -1,6 +1,7 @@
 import pytest
 
 from scadasim.capture import export_csv
+from scadasim.engine import Engine
 from scadasim.scenario import load_fixture, make_scenario, run_scenario
 
 
@@ -91,6 +92,31 @@ class TestDeterminism:
         assert pa.read_bytes() == pb.read_bytes()
         assert a.trace_lines == b.trace_lines
         assert a.events_processed == b.events_processed
+
+    def test_every_event_reaches_its_handler_with_trace_on_and_off(self, monkeypatch):
+        calls = 0
+        register = Engine.register
+
+        def counting_register(engine, target, handler):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return handler(*args)
+            register(engine, target, counted)
+
+        monkeypatch.setattr(Engine, "register", counting_register)
+        runs = {}
+        for trace in (True, False):
+            calls = 0
+            result = run_scenario(load_fixture("reference"), seed=1, trace=trace)
+            runs[trace] = (result, calls)
+        traced, traced_calls = runs[True]
+        untraced, untraced_calls = runs[False]
+        assert traced_calls == traced.events_processed == len(traced.trace_lines)
+        assert untraced_calls == untraced.events_processed == traced.events_processed
+        assert untraced.dataset.records == traced.dataset.records
+        assert untraced.run_summary() == traced.run_summary()
+        assert untraced.attacker.export_action_log() == traced.attacker.export_action_log()
 
     def test_different_seed_changes_measurement_values(self):
         config = load_fixture("reference")

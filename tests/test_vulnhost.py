@@ -49,8 +49,8 @@ def send(engine, fabric, payload, protocol="SCAN_PROBE", length=60, at_ms=0):
 
 
 def run(engine, fabric, sends):
-    def driver(eng, event):
-        payload, protocol, length = event.payload
+    def driver(eng, kind, item):
+        payload, protocol, length = item
         fabric.send_app_message("client", "10.0.0.11", protocol, length, payload, "client")
 
     engine.register("driver", driver)
