@@ -7,6 +7,18 @@ tie-inclusive k-neighborhood, reachability distance, local reachability
 density, then the density ratio. Duplicate-collapsed neighborhoods (zero mean
 reachability) are floored at a shared epsilon so scores stay finite and exact
 duplicates come out at exactly 1.0.
+
+The LOF fit works once per distinct training row, and its k_dist, lrd and
+training scores equal a per-row fit bit for bit. A training point is not its
+own neighbor, but its duplicates are neighbors at distance 0, so a row's
+k-distance is the k-th smallest of the other rows' distances, counted with
+their multiplicities and with one fewer copy of its own row. The means that
+give lrd and the score run over the row's neighborhood in ascending training
+index with the member's own position deleted. Members of one distinct row can
+sit at different positions, which reorders numpy's pairwise sum and can change
+the last bit, so the mean is not taken once per distinct row; it is taken once
+per run of equal values around the deleted position, since deleting any
+position of such a run leaves the same array.
 """
 
 from __future__ import annotations
@@ -21,6 +33,19 @@ LRD_EPS = 1e-12
 def _row_distances(X: np.ndarray, row: np.ndarray) -> np.ndarray:
     diff = X - row
     return np.sqrt(np.maximum(np.einsum("ij,ij->i", diff, diff), 0.0))
+
+
+def _means_without_self(values: np.ndarray, idx: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """np.mean of `values` (one per index in `idx`) with each member's own position deleted.
+
+    Deleting any position of a run of equal values leaves the same array, so
+    one mean is taken per run that holds a member.
+    """
+    pos = np.searchsorted(idx, members)
+    run = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))[pos]
+    new_run = np.concatenate(([True], run[1:] != run[:-1]))
+    means = np.array([np.delete(values, p).mean() for p in pos[new_run]])
+    return means[np.cumsum(new_run) - 1]
 
 
 class KnnDetector:
@@ -101,26 +126,28 @@ class LofDetector:
         if len(X) <= self.k:
             raise TrainingDataError(f"need more than k={self.k} training points, got {len(X)}")
         self.X = X
-        n = len(X)
-        k = self.k
-        k_dist = np.zeros(n)
-        neighborhoods: list[np.ndarray] = []
-        neighbor_d: list[np.ndarray] = []
-        for i in range(n):
-            d = _row_distances(X, X[i])
-            d[i] = np.inf  # a point is not its own neighbor
-            kth = float(np.partition(d, k - 1)[k - 1])
-            neigh = np.nonzero(d <= kth)[0]
-            k_dist[i] = kth
-            neighborhoods.append(neigh)
-            neighbor_d.append(d[neigh])
-        lrd = np.zeros(n)
-        for i in range(n):
-            reach = np.maximum(k_dist[neighborhoods[i]], neighbor_d[i])
-            lrd[i] = 1.0 / max(LRD_EPS, float(reach.mean()))
-        scores = np.zeros(n)
-        for i in range(n):
-            scores[i] = float(lrd[neighborhoods[i]].mean()) / lrd[i]
+        rows, group = unique_rows(X)
+        sizes = np.bincount(group)
+        members = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
+        group_k_dist = np.empty(len(rows))
+        neighborhoods = []
+        for g, row in enumerate(rows):
+            d = _row_distances(rows, row)
+            others = sizes.copy()
+            others[g] -= 1  # a point's duplicates are its neighbors, the point is not
+            kth = np.partition(np.repeat(d, others), self.k - 1)[self.k - 1]
+            # ascending training indices within the k-distance, own members included
+            idx = np.flatnonzero((d <= kth)[group])
+            group_k_dist[g] = kth
+            neighborhoods.append((idx, d[group[idx]]))
+        k_dist = group_k_dist[group]
+        lrd = np.empty(len(X))
+        for m, (idx, near_d) in zip(members, neighborhoods):
+            reach = np.maximum(k_dist[idx], near_d)
+            lrd[m] = 1.0 / np.maximum(LRD_EPS, _means_without_self(reach, idx, m))
+        scores = np.empty(len(X))
+        for m, (idx, _) in zip(members, neighborhoods):
+            scores[m] = _means_without_self(lrd[idx], idx, m) / lrd[m]
         self.k_dist = k_dist
         self.lrd = lrd
         self.train_scores = scores
@@ -165,8 +192,14 @@ class LofDetector:
     def from_dict(cls, data: dict) -> "LofDetector":
         det = cls(k=int(data["k"]), quantile=float(data["quantile"]))
         det.X = np.asarray(data["X"], dtype=np.float64)
-        det.k_dist = np.asarray(data["k_dist"], dtype=np.float64)
-        det.lrd = np.asarray(data["lrd"], dtype=np.float64)
-        det.train_scores = np.asarray(data["train_scores"], dtype=np.float64)
+        n = len(det.X)
+        if det.k >= n:
+            raise ValueError(f"model field 'k'={det.k} needs more than k rows in 'X', got {n}")
+        for name in ("k_dist", "lrd", "train_scores"):
+            values = np.asarray(data[name], dtype=np.float64)
+            if values.shape != (n,):
+                raise ValueError(f"model field {name!r} has shape {values.shape}, "
+                                 f"expected one value per row of 'X' ({n})")
+            setattr(det, name, values)
         det.threshold = float(data["threshold"])
         return det

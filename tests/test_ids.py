@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from scadasim.ids import (
     save_model,
     train_model,
 )
+from scadasim.ids.neighbors import LRD_EPS, _row_distances
 from scadasim.ids.rows import unique_rows
 
 
@@ -179,15 +181,15 @@ class TestUniqueRows:
         self.assert_matches_np_unique(np.array(rows, dtype=np.float64).reshape(-1, 3) / 2)
 
 
-def lof_oracle(train, queries, k, eps=1e-12):
-    """Direct-definition LOF: k-distance, tie-inclusive neighborhood,
-    reachability, lrd, ratio. Pure python floats."""
+def lof_dist(a, b):
+    return math.sqrt(sum((p - q) ** 2 for p, q in zip(a, b)))
+
+
+def lof_oracle_density(train, k, eps=1e-12):
+    """Direct-definition k-distance and lrd of each training point, whose
+    neighborhood is every other point within its k-distance. Pure python floats."""
     n = len(train)
-
-    def dist(a, b):
-        return math.sqrt(sum((p - q) ** 2 for p, q in zip(a, b)))
-
-    d = [[dist(train[i], train[j]) for j in range(n)] for i in range(n)]
+    d = [[lof_dist(train[i], train[j]) for j in range(n)] for i in range(n)]
     k_dist = []
     neigh = []
     for i in range(n):
@@ -199,15 +201,49 @@ def lof_oracle(train, queries, k, eps=1e-12):
     for i in range(n):
         reach = [max(k_dist[j], d[i][j]) for j in neigh[i]]
         lrd.append(1.0 / max(eps, sum(reach) / len(reach)))
+    return k_dist, lrd
+
+
+def lof_oracle(train, queries, k, eps=1e-12, training=False):
+    """Direct-definition LOF: k-distance, tie-inclusive neighborhood,
+    reachability, lrd, ratio. Pure python floats. With training=True the
+    queries are the training points and each one is not its own neighbor."""
+    n = len(train)
+    k_dist, lrd = lof_oracle_density(train, k, eps)
     scores = []
-    for q in queries:
-        dq = [dist(q, train[j]) for j in range(n)]
-        kd = sorted(dq)[k - 1]
-        nq = [j for j in range(n) if dq[j] <= kd]
+    for qi, q in enumerate(queries):
+        dq = {j: lof_dist(q, train[j]) for j in range(n) if not (training and j == qi)}
+        kd = sorted(dq.values())[k - 1]
+        nq = [j for j in dq if dq[j] <= kd]
         reach = [max(k_dist[j], dq[j]) for j in nq]
         lrd_q = 1.0 / max(eps, sum(reach) / len(reach))
         scores.append(sum(lrd[j] for j in nq) / len(nq) / lrd_q)
     return scores
+
+
+def _per_row_lof_fit(X, k, quantile=99.0):
+    """The per-row LOF fit loop that LofDetector.fit replaced, kept as the
+    bit-for-bit reference: (k_dist, lrd, train_scores, threshold)."""
+    n = len(X)
+    k_dist = np.zeros(n)
+    neighborhoods = []
+    neighbor_d = []
+    for i in range(n):
+        d = _row_distances(X, X[i])
+        d[i] = np.inf  # a point is not its own neighbor
+        kth = float(np.partition(d, k - 1)[k - 1])
+        neigh = np.nonzero(d <= kth)[0]
+        k_dist[i] = kth
+        neighborhoods.append(neigh)
+        neighbor_d.append(d[neigh])
+    lrd = np.zeros(n)
+    for i in range(n):
+        reach = np.maximum(k_dist[neighborhoods[i]], neighbor_d[i])
+        lrd[i] = 1.0 / max(LRD_EPS, float(reach.mean()))
+    scores = np.zeros(n)
+    for i in range(n):
+        scores[i] = float(lrd[neighborhoods[i]].mean()) / lrd[i]
+    return k_dist, lrd, scores, float(np.percentile(scores, quantile))
 
 
 class TestLof:
@@ -221,10 +257,43 @@ class TestLof:
             got = det.score(queries)
             expected = lof_oracle(train.tolist(), queries.tolist(), k=5)
             assert np.max(np.abs(got - np.array(expected))) < 1e-9
-            got_train = det.train_scores
-            expected_train = lof_oracle(train.tolist(), train.tolist(), k=5)
-            # training scores use self-excluding neighborhoods, compare via impl contract:
-            assert got_train.shape == (n,)
+            k_dist, lrd = lof_oracle_density(train.tolist(), k=5)
+            assert np.max(np.abs(det.k_dist - np.array(k_dist))) < 1e-9
+            assert np.max(np.abs(det.lrd - np.array(lrd))) < 1e-9
+            expected_train = lof_oracle(train.tolist(), train.tolist(), k=5, training=True)
+            assert np.max(np.abs(det.train_scores - np.array(expected_train))) < 1e-9
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_fit_matches_per_row_fit_bit_for_bit(self, data):
+        # Few distinct grid rows, repeated and interleaved, so groups of
+        # duplicates share neighborhoods and means run over equal values.
+        dim = data.draw(st.integers(1, 3), label="dim")
+        distinct = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1,
+                                      max_size=8, unique=True), label="distinct")
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2,
+                                   max_size=120), label="picks")
+        floats = data.draw(st.lists(st.lists(st.floats(0, 3, allow_nan=False), min_size=dim,
+                                             max_size=dim), max_size=4), label="floats")
+        rows = [distinct[i] for i in picks] + floats
+        order = data.draw(st.permutations(range(len(rows))), label="order")
+        X = np.array([rows[i] for i in order], dtype=np.float64).reshape(-1, dim)
+        k = data.draw(st.integers(1, len(X) - 1), label="k")
+        det = LofDetector(k=k).fit(X)
+        got = (det.k_dist, det.lrd, det.train_scores, det.threshold)
+        for name, value, expected in zip(("k_dist", "lrd", "train_scores", "threshold"),
+                                         got, _per_row_lof_fit(X, k)):
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), name
+
+    def test_fit_memory_does_not_grow_with_neighborhoods(self):
+        X = np.random.default_rng(2).uniform(0, 1, size=(4, 4))[np.arange(4000) % 4]
+        tracemalloc.start()
+        try:
+            LofDetector(k=20).fit(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_duplicate_of_uniform_cluster_scores_near_one(self):
         grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=np.float64)
@@ -251,6 +320,18 @@ class TestLof:
     def test_training_set_not_larger_than_k_refused(self):
         with pytest.raises(ValueError, match="more than k"):
             LofDetector(k=5).fit(np.zeros((5, 2)))
+
+    def test_loaded_lrd_shorter_than_training_set_refused(self):
+        X = np.random.default_rng(3).uniform(0, 1, size=(10, 2))
+        data = LofDetector(k=3).fit(X).to_dict()
+        with pytest.raises(ValueError, match="'lrd'"):
+            LofDetector.from_dict(dict(data, lrd=data["lrd"][:4]))
+
+    def test_loaded_k_not_below_training_set_size_refused(self):
+        X = np.random.default_rng(3).uniform(0, 1, size=(10, 2))
+        data = LofDetector(k=3).fit(X).to_dict()
+        with pytest.raises(ValueError, match="'k'"):
+            LofDetector.from_dict(dict(data, k=10))
 
 
 class TestIsolationForest:
