@@ -1,4 +1,4 @@
-"""SPAN traffic collection, ground-truth labeling, features, dataset CSV.
+"""SPAN traffic collection, ground-truth labeling, dataset CSV.
 
 Labeling rule: a record is attack when its origin actor is the attacker (the
 stage is whatever attack stage was active when it was sent), or when it is an
@@ -10,10 +10,8 @@ coverage are a hard error, never a guess.
 from __future__ import annotations
 
 import bisect
-import operator
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .network import Packet
 
@@ -45,8 +43,7 @@ class CalibrationError(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class CapturedPacket:
+class CapturedPacket(NamedTuple):
     """Snapshot of one mirrored frame, taken as the SPAN switch handled it."""
 
     time_ms: int
@@ -58,8 +55,13 @@ class CapturedPacket:
     manipulated: bool
 
 
-@dataclass(frozen=True)
-class LabeledRecord:
+class LabeledRecord(NamedTuple):
+    """One dataset row; ``stage`` is set exactly when ``label`` is attack.
+
+    Built only by ``label_records`` and ``import_csv``, which both hold to that
+    rule, so a record does not check itself.
+    """
+
     time_ms: int
     src: str
     dst: str
@@ -67,12 +69,6 @@ class LabeledRecord:
     length_bytes: int
     label: str
     stage: str | None = None
-
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise DatasetFormatError(f"unknown label {self.label!r}")
-        if (self.stage is not None) != (self.label == "attack"):
-            raise DatasetFormatError("stage must be present exactly when label is attack")
 
 
 class TrafficCollector:
@@ -82,17 +78,10 @@ class TrafficCollector:
         self.snapshots: list[CapturedPacket] = []
 
     def record(self, packet: Packet) -> None:
-        self.snapshots.append(
-            CapturedPacket(
-                time_ms=packet.sent_at,
-                src=packet.src,
-                dst=packet.dst,
-                protocol=packet.protocol,
-                length_bytes=packet.length_bytes,
-                origin_actor=packet.origin_actor,
-                manipulated=bool(packet.payload.get("manipulated", False)),
-            )
-        )
+        self.snapshots.append(CapturedPacket(
+            packet.sent_at, packet.src, packet.dst, packet.protocol, packet.length_bytes,
+            packet.origin_actor, bool(packet.payload.get("manipulated", False)),
+        ))
 
 
 def label_records(
@@ -106,57 +95,38 @@ def label_records(
     transitions = [(ms, STAGE_TAGS[stage]) for ms, stage in stage_times if stage in STAGE_TAGS]
     times = [ms for ms, _ in transitions]
     out: list[LabeledRecord] = []
-    for snap in snapshots:
-        if snap.time_ms > coverage_end_ms:
+    for time_ms, src, dst, protocol, length_bytes, origin_actor, manipulated in snapshots:
+        if time_ms > coverage_end_ms:
             raise LabelingError(
-                f"record at {snap.time_ms}ms is outside log coverage (ends {coverage_end_ms}ms)"
+                f"record at {time_ms}ms is outside log coverage (ends {coverage_end_ms}ms)"
             )
-        if snap.origin_actor == attacker_origin:
-            idx = bisect.bisect_right(times, snap.time_ms) - 1
+        if origin_actor == attacker_origin:
+            idx = bisect.bisect_right(times, time_ms) - 1
             if idx < 0:
                 raise LabelingError(
-                    f"attacker packet at {snap.time_ms}ms precedes the first attack stage"
+                    f"attacker packet at {time_ms}ms precedes the first attack stage"
                 )
             label, stage = "attack", transitions[idx][1]
-        elif snap.manipulated and label_manipulated_reports:
+        elif manipulated and label_manipulated_reports:
             label, stage = "attack", "S4"
         else:
             label, stage = "normal", None
-        out.append(
-            LabeledRecord(
-                time_ms=snap.time_ms,
-                src=snap.src,
-                dst=snap.dst,
-                protocol=snap.protocol,
-                length_bytes=snap.length_bytes,
-                label=label,
-                stage=stage,
-            )
-        )
+        out.append(LabeledRecord(time_ms, src, dst, protocol, length_bytes, label, stage))
     return out
 
 
 @dataclass
 class LabeledDataset:
-    scenario_id: str  # "1".."6" or "custom"
-    seed: int | None
+    """Records in capture order; ``records[:warmup_end]`` is the attack-free prefix."""
+
     records: list[LabeledRecord]
-    train_ranges: list[tuple[int, int]] = field(default_factory=list)
-    test_ranges: list[tuple[int, int]] = field(default_factory=list)
+    warmup_end: int
 
     @classmethod
-    def from_records(
-        cls, records: list[LabeledRecord], scenario_id: str = "custom", seed: int | None = None
-    ) -> "LabeledDataset":
-        """Split rule: the attack-free prefix is the train range, the rest is test."""
-        first_attack = len(records)
-        for i, rec in enumerate(records):
-            if rec.label == "attack":
-                first_attack = i
-                break
-        train = [(0, first_attack)] if first_attack > 0 else []
-        test = [(first_attack, len(records))] if first_attack < len(records) else []
-        return cls(scenario_id, seed, records, train, test)
+    def from_records(cls, records: list[LabeledRecord]) -> "LabeledDataset":
+        """Split rule: the prefix before the first attack record is the warm-up (train) part."""
+        warmup_end = next((i for i, r in enumerate(records) if r.label == "attack"), len(records))
+        return cls(records, warmup_end)
 
     @property
     def balance(self) -> tuple[float, float]:
@@ -169,77 +139,7 @@ class LabeledDataset:
 
     def warmup_slice(self) -> list[LabeledRecord]:
         """The attack-free prefix used to train semi-supervised detectors."""
-        out: list[LabeledRecord] = []
-        for start, end in self.train_ranges:
-            out.extend(self.records[start:end])
-        return out
-
-
-@dataclass
-class FeatureDictionary:
-    """Categorical codes frozen at training time; unseen values map to 0."""
-
-    src_codes: dict[str, int]
-    dst_codes: dict[str, int]
-    protocol_codes: dict[str, int]
-    length_min: int
-    length_max: int
-
-    @classmethod
-    def build(cls, records: list[LabeledRecord]) -> "FeatureDictionary":
-        def first_seen_codes(name: str) -> dict[str, int]:
-            values = dict.fromkeys(map(operator.attrgetter(name), records))
-            return {value: code for code, value in enumerate(values, start=1)}
-
-        lengths = [r.length_bytes for r in records] or [0]
-        return cls(first_seen_codes("src"), first_seen_codes("dst"),
-                   first_seen_codes("protocol"), min(lengths), max(lengths))
-
-    def encode(self, records: list[LabeledRecord]) -> np.ndarray:
-        """(N, 4) float matrix: src code, dst code, protocol code, normalized length.
-
-        Each distinct (src, dst, protocol, length) record is coded once, and
-        the matrix is gathered from those rows.
-        """
-        index: dict[tuple, int] = {}
-        inverse = np.fromiter(
-            (index.setdefault((r.src, r.dst, r.protocol, r.length_bytes), len(index))
-             for r in records),
-            dtype=np.intp, count=len(records),
-        )
-        span = self.length_max - self.length_min
-        table = np.array(
-            [(self.src_codes.get(s, 0), self.dst_codes.get(d, 0), self.protocol_codes.get(p, 0),
-              0.0 if span == 0 else (length - self.length_min) / span)
-             for s, d, p, length in index],
-            dtype=np.float64,
-        ).reshape(len(index), 4)
-        return table[inverse]
-
-    def to_dict(self) -> dict:
-        return {
-            "src_codes": self.src_codes,
-            "dst_codes": self.dst_codes,
-            "protocol_codes": self.protocol_codes,
-            "length_min": self.length_min,
-            "length_max": self.length_max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureDictionary":
-        return cls(
-            dict(data["src_codes"]),
-            dict(data["dst_codes"]),
-            dict(data["protocol_codes"]),
-            int(data["length_min"]),
-            int(data["length_max"]),
-        )
-
-
-def labels_array(records: list[LabeledRecord]) -> np.ndarray:
-    """1 for attack, 0 for normal."""
-    return np.fromiter((1 if r.label == "attack" else 0 for r in records), dtype=np.int64,
-                       count=len(records))
+        return self.records[:self.warmup_end]
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +149,8 @@ def labels_array(records: list[LabeledRecord]) -> np.ndarray:
 def export_csv(dataset: LabeledDataset, path: str) -> None:
     """Write the dataset CSV: UTF-8, LF endings, fields never quoted.
 
-    Only the records cross the wire; scenario provenance (id, seed) is not
-    serialized, and the split is re-derived on import from the attack-free
-    prefix rule.
+    Only the records cross the wire; the split is re-derived on import from
+    the attack-free prefix rule.
     """
     lines = [CSV_HEADER]
     for r in dataset.records:
@@ -264,6 +163,7 @@ def export_csv(dataset: LabeledDataset, path: str) -> None:
 
 
 def import_csv(path: str) -> LabeledDataset:
+    """Read a dataset CSV; the one place outside rows are checked (label, stage)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -288,5 +188,5 @@ def import_csv(path: str) -> LabeledDataset:
         records.append(
             LabeledRecord(time_ms, src, dst, protocol, length, label, stage or None)
         )
-    return LabeledDataset.from_records(records, scenario_id="custom", seed=None)
+    return LabeledDataset.from_records(records)
 

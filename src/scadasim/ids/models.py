@@ -1,4 +1,4 @@
-"""Record-level model wrapper: feature dictionary + detector + persistence.
+"""Record-level model wrapper: feature encoding + detector + persistence.
 
 A TrafficModel owns the categorical dictionary and length normalization frozen
 from its own training records, so encoding at prediction time can never leak
@@ -10,20 +10,93 @@ offending indices.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..capture import FeatureDictionary, LabeledRecord, labels_array
+from ..capture import LabeledRecord
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
 from .rows import TrainingDataError
 
 MODEL_FORMAT_VERSION = 1
-ALGORITHMS = ("rf", "knn", "lof", "iforest")
-SUPERVISED = ("rf", "knn")
+DETECTORS = {
+    "rf": RandomForestDetector,
+    "knn": KnnDetector,
+    "lof": LofDetector,
+    "iforest": IsolationForestDetector,
+}
+ALGORITHMS = tuple(DETECTORS)
 SEMI_SUPERVISED = ("lof", "iforest")
+
+
+@dataclass
+class FeatureDictionary:
+    """Categorical codes frozen at training time; unseen values map to 0."""
+
+    src_codes: dict[str, int]
+    dst_codes: dict[str, int]
+    protocol_codes: dict[str, int]
+    length_min: int
+    length_max: int
+
+    @classmethod
+    def build(cls, records: list[LabeledRecord]) -> "FeatureDictionary":
+        def first_seen_codes(name: str) -> dict[str, int]:
+            values = dict.fromkeys(map(operator.attrgetter(name), records))
+            return {value: code for code, value in enumerate(values, start=1)}
+
+        lengths = [r.length_bytes for r in records] or [0]
+        return cls(first_seen_codes("src"), first_seen_codes("dst"),
+                   first_seen_codes("protocol"), min(lengths), max(lengths))
+
+    def encode(self, records: list[LabeledRecord]) -> np.ndarray:
+        """(N, 4) float matrix: src code, dst code, protocol code, normalized length.
+
+        Each distinct (src, dst, protocol, length) record is coded once, and
+        the matrix is gathered from those rows.
+        """
+        index: dict[tuple, int] = {}
+        inverse = np.fromiter(
+            (index.setdefault((r.src, r.dst, r.protocol, r.length_bytes), len(index))
+             for r in records),
+            dtype=np.intp, count=len(records),
+        )
+        span = self.length_max - self.length_min
+        table = np.array(
+            [(self.src_codes.get(s, 0), self.dst_codes.get(d, 0), self.protocol_codes.get(p, 0),
+              0.0 if span == 0 else (length - self.length_min) / span)
+             for s, d, p, length in index],
+            dtype=np.float64,
+        ).reshape(len(index), 4)
+        return table[inverse]
+
+    def to_dict(self) -> dict:
+        return {
+            "src_codes": self.src_codes,
+            "dst_codes": self.dst_codes,
+            "protocol_codes": self.protocol_codes,
+            "length_min": self.length_min,
+            "length_max": self.length_max,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FeatureDictionary":
+        return cls(
+            dict(data["src_codes"]),
+            dict(data["dst_codes"]),
+            dict(data["protocol_codes"]),
+            int(data["length_min"]),
+            int(data["length_max"]),
+        )
+
+
+def labels_array(records: list[LabeledRecord]) -> np.ndarray:
+    """1 for attack, 0 for normal."""
+    return np.fromiter((1 if r.label == "attack" else 0 for r in records), dtype=np.int64,
+                       count=len(records))
 
 
 class PurityError(ValueError):
@@ -67,71 +140,41 @@ class TrafficModel:
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version {version!r}")
         algorithm = data["algorithm"]
-        detector_cls = {
-            "rf": RandomForestDetector,
-            "knn": KnnDetector,
-            "lof": LofDetector,
-            "iforest": IsolationForestDetector,
-        }[algorithm]
         return cls(
             algorithm=algorithm,
             dictionary=FeatureDictionary.from_dict(data["dictionary"]),
-            detector=detector_cls.from_dict(data["detector"]),
+            detector=DETECTORS[algorithm].from_dict(data["detector"]),
         )
 
 
-def train_model(
-    algorithm: str,
-    records: list[LabeledRecord],
-    seed: int = 0,
-    params: dict | None = None,
-) -> TrafficModel:
-    """Fit one of the four detectors on labeled records.
+def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> TrafficModel:
+    """Fit one of the four detectors, with its default settings, on labeled records.
 
     Supervised algorithms (rf, knn) need both classes present. Semi-supervised
     algorithms (lof, iforest) refuse any attack-labeled input and calibrate
     their threshold on training scores. Records too few or too uniform to fit
     the detector raise TrainingDataError.
     """
-    if algorithm not in ALGORITHMS:
+    if algorithm not in DETECTORS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if not records:
         raise TrainingDataError("empty training set")
-    params = dict(params or {})
     dictionary = FeatureDictionary.build(records)
     X = dictionary.encode(records)
     y = labels_array(records)
 
-    if algorithm in SEMI_SUPERVISED:
-        bad = [i for i, r in enumerate(records) if r.label == "attack"]
+    if algorithm == "rf":
+        detector = RandomForestDetector(seed=seed).fit(X, y)
+    elif algorithm == "knn":
+        detector = KnnDetector().fit(X, y)
+    else:
+        bad = np.flatnonzero(y).tolist()
         if bad:
             raise PurityError(bad)
-
-    if algorithm == "rf":
-        detector = RandomForestDetector(
-            n_trees=params.pop("n_trees", 100),
-            max_depth=params.pop("max_depth", 16),
-            min_samples_split=params.pop("min_samples_split", 2),
-            max_features=params.pop("max_features", "sqrt"),
-            bootstrap=params.pop("bootstrap", True),
-            seed=seed,
-        ).fit(X, y)
-    elif algorithm == "knn":
-        detector = KnnDetector(k=params.pop("k", 5)).fit(X, y)
-    elif algorithm == "lof":
-        detector = LofDetector(
-            k=params.pop("k", 20), quantile=params.pop("quantile", 99.0)
-        ).fit(X)
-    else:
-        subsample = params.pop("subsample", 256)
-        detector = IsolationForestDetector(
-            n_trees=params.pop("n_trees", 100),
-            subsample=min(subsample, len(records)),
-            quantile=params.pop("quantile", 99.0),
-            seed=seed,
-        ).fit(X)
-    if params:
-        raise ValueError(f"unknown parameters for {algorithm}: {sorted(params)}")
+        if algorithm == "lof":
+            detector = LofDetector().fit(X)
+        else:
+            detector = IsolationForestDetector(subsample=min(256, len(records)), seed=seed).fit(X)
     return TrafficModel(algorithm=algorithm, dictionary=dictionary, detector=detector)
 
 

@@ -65,12 +65,6 @@ class GridComponent:
         """Last converged solution plus a staleness flag for failed solves."""
         return self._last_converged, self._stale
 
-    def solution_at(self, step: int) -> PowerFlowSolution | None:
-        for s, sol in self.history:
-            if s == step:
-                return sol
-        return None
-
 
 class OpsComponent:
     """Engine target ``ops``: light periodic operator/monitoring traffic.
@@ -308,7 +302,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, trace: bool = 
         _last_ms_of(sim.final_step),
         label_manipulated_reports=config.capture.label_manipulated_reports,
     )
-    sim.dataset = LabeledDataset.from_records(records, config.scenario_id, seed)
+    sim.dataset = LabeledDataset.from_records(records)
     return sim
 
 

@@ -1,3 +1,7 @@
+import os
+import string
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,6 @@ from hypothesis import strategies as st
 from scadasim.capture import (
     CapturedPacket,
     DatasetFormatError,
-    FeatureDictionary,
     LabeledDataset,
     LabeledRecord,
     LabelingError,
@@ -14,8 +17,8 @@ from scadasim.capture import (
     export_csv,
     import_csv,
     label_records,
-    labels_array,
 )
+from scadasim.ids.models import FeatureDictionary, labels_array
 from scadasim.network import Packet
 
 
@@ -95,9 +98,8 @@ class TestDataset:
         return [normal, normal, attack, late_normal]
 
     def test_split_is_attack_free_prefix(self):
-        ds = LabeledDataset.from_records(self.records(), "custom", 1)
-        assert ds.train_ranges == [(0, 2)]
-        assert ds.test_ranges == [(2, 4)]
+        ds = LabeledDataset.from_records(self.records())
+        assert ds.warmup_end == 2
         assert [r.label for r in ds.warmup_slice()] == ["normal", "normal"]
 
     def test_balance_percentages(self):
@@ -105,12 +107,6 @@ class TestDataset:
         attack_pct, normal_pct = ds.balance
         assert attack_pct == pytest.approx(25.0)
         assert attack_pct + normal_pct == pytest.approx(100.0)
-
-    def test_stage_must_match_label(self):
-        with pytest.raises(DatasetFormatError):
-            LabeledRecord(0, "a", "b", "SCADA", 61, "normal", "S1")
-        with pytest.raises(DatasetFormatError):
-            LabeledRecord(0, "a", "b", "SCADA", 61, "attack")
 
     def test_labels_array(self):
         arr = labels_array(self.records())
@@ -199,7 +195,7 @@ class TestCsv:
             LabeledRecord(100, "10.0.0.11", "10.0.0.10", "SCADA", 61, "normal"),
             LabeledRecord(2000, "10.0.0.66", "10.0.0.11", "SCAN_PROBE", 60, "attack", "S1"),
         ]
-        return LabeledDataset.from_records(records, "3", 42)
+        return LabeledDataset.from_records(records)
 
     def test_round_trip_identity_of_records_split_and_balance(self, tmp_path):
         ds = self.dataset()
@@ -207,8 +203,7 @@ class TestCsv:
         export_csv(ds, str(path))
         back = import_csv(str(path))
         assert back.records == ds.records
-        assert back.train_ranges == ds.train_ranges
-        assert back.test_ranges == ds.test_ranges
+        assert back.warmup_end == ds.warmup_end
         assert back.balance == ds.balance
 
     def test_export_bytes_are_stable(self, tmp_path):
@@ -243,3 +238,48 @@ class TestCsv:
         path.write_text("time_ms,src,dst,protocol,length,label,stage\n1,2,3\n")
         with pytest.raises(DatasetFormatError, match="row 2"):
             import_csv(str(path))
+
+    @pytest.mark.parametrize("row", [
+        "200,a,b,SCAN_PROBE,60,attack,",
+        "200,a,b,SCAN_PROBE,60,attack,S9",
+        "200,a,b,SCADA,61,normal,S1",
+    ], ids=["attack-without-stage", "attack-with-unknown-stage", "normal-with-stage"])
+    def test_stage_not_matching_label_names_the_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_ms,src,dst,protocol,length,label,stage\n"
+                        "100,a,b,SCADA,61,normal,\n" + row + "\n")
+        with pytest.raises(DatasetFormatError, match="row 3"):
+            import_csv(str(path))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        token = st.text(string.ascii_letters + string.digits + ".-_", max_size=12)
+
+        def records_of(label_stage, min_size, max_size):
+            record = st.builds(
+                lambda t, src, dst, protocol, length, ls: LabeledRecord(
+                    t, src, dst, protocol, length, *ls),
+                st.integers(0, 10**12), token, token, token, st.integers(0, 65535), label_stage)
+            return st.lists(record, min_size=min_size, max_size=max_size)
+
+        normal = st.just(("normal", None))
+        attack = st.sampled_from([("attack", stage) for stage in ("S1", "S2", "S3", "S4")])
+        prefix = data.draw(records_of(normal, 0, 40), label="prefix")
+        rest = data.draw(records_of(attack, 0, min(1, 40 - len(prefix))), label="first attack")
+        if rest:
+            rest += data.draw(records_of(st.one_of(normal, attack), 0, 39 - len(prefix)),
+                              label="rest")
+        ds = LabeledDataset.from_records(prefix + rest)
+        assert ds.warmup_end == len(prefix)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            export_csv(ds, first)
+            back = import_csv(first)
+            export_csv(back, second)
+            with open(first, "rb") as fh_a, open(second, "rb") as fh_b:
+                assert fh_a.read() == fh_b.read()
+        assert back.records == ds.records
+        assert back.warmup_slice() == ds.warmup_slice()
+        assert back.balance == ds.balance

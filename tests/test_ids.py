@@ -434,19 +434,15 @@ class TestTrafficModel:
             rate = preds.count("attack") / len(preds)
             assert rate <= 0.01 + 0.02
 
-    def test_unknown_algorithm_and_params_refused(self):
-        records = toy_records()
+    def test_unknown_algorithm_refused(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            train_model("svm", records)
-        with pytest.raises(ValueError, match="unknown parameters"):
-            train_model("knn", records, params={"bogus": 1})
+            train_model("svm", toy_records())
 
     def test_save_load_round_trip_preserves_predictions(self, tmp_path):
         records = toy_records(n_attack=30, n_normal=30)
         for algo in ("rf", "knn", "lof", "iforest"):
             train = [r for r in records if r.label == "normal"] if algo in ("lof", "iforest") else records
-            params = {"k": 3} if algo == "lof" else None
-            model = train_model(algo, train, seed=1, params=params)
+            model = train_model(algo, train, seed=1)
             path = tmp_path / f"{algo}.json"
             save_model(model, str(path))
             clone = load_model(str(path))

@@ -32,10 +32,11 @@ class TestReferenceRun:
         result = reference_result
         impact_step = result.attacker.state.impact[0][1] // 1000
         diverged = 0
+        truth_at = dict(result.grid.history)
         for step, station, point, quantity, value, stale in result.mtu.history:
             if station != "rtu1" or step <= impact_step:
                 continue
-            truth = result.grid.solution_at(step)
+            truth = truth_at.get(step)
             if truth is None:
                 continue
             true_value = {
@@ -52,11 +53,12 @@ class TestReferenceRun:
         result = reference_result
         attack_start = result.attack_start_step
         checked = 0
+        truth_at = dict(result.grid.history)
         for step, station, point, quantity, value, stale in result.mtu.history:
             # values reported at step s surface in the table snapshot of step s
             if not 1 <= step < attack_start:
                 continue
-            truth = result.grid.solution_at(step)
+            truth = truth_at.get(step)
             true_value = {
                 "transformer_loading_percent": truth.transformer_loading_percent,
                 "P_kW": truth.transformer_p_kw,
@@ -151,7 +153,7 @@ class TestScenarioShapes:
 class TestMakeScenario:
     def test_make_scenario_checks_balance_and_returns_dataset(self):
         ds = make_scenario(4, seed=2)
-        assert ds.scenario_id == "4"
+        assert ds.records == run_scenario(load_fixture(4), seed=2).dataset.records
         assert abs(ds.balance[0] - 72.80) <= 3.0
 
     def test_make_scenario_rejects_bad_id(self):
