@@ -13,13 +13,15 @@ import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .network import Packet
+from .network import MIN_PACKET_BYTES, Packet
 
 BALANCE_TOLERANCE_PP = 3.0
 
 CSV_HEADER = "time_ms,src,dst,protocol,length,label,stage"
 LABELS = ("normal", "attack")
 STAGE_TAGS = {"S1_scan": "S1", "S2_rce": "S2", "S3_pe": "S3", "S4_impact": "S4"}
+# every valid (label, stage field) pair of a CSV row, mapped to the record's stage
+_ROW_STAGE = {("normal", ""): None, **{("attack", tag): tag for tag in STAGE_TAGS.values()}}
 
 
 class LabelingError(RuntimeError):
@@ -163,7 +165,13 @@ def export_csv(dataset: LabeledDataset, path: str) -> None:
 
 
 def import_csv(path: str) -> LabeledDataset:
-    """Read a dataset CSV; the one place outside rows are checked (label, stage)."""
+    """Read a dataset CSV; the one place outside rows are checked.
+
+    A row must have a valid (label, stage) pair, a time of at least 0, a
+    length of at least ``MIN_PACKET_BYTES`` and non-empty src, dst and
+    protocol. Times need not increase: capture order is the order the SPAN
+    switch forwarded frames in, not the order they were sent.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -179,14 +187,23 @@ def import_csv(path: str) -> LabeledDataset:
             length = int(length_s)
         except ValueError as exc:
             raise DatasetFormatError(f"{path} row {row_no}: non-integer field: {exc}") from exc
-        if label not in LABELS:
-            raise DatasetFormatError(f"{path} row {row_no}: bad label token {label!r}")
-        if label == "attack" and stage not in ("S1", "S2", "S3", "S4"):
-            raise DatasetFormatError(f"{path} row {row_no}: bad stage {stage!r} for attack row")
-        if label == "normal" and stage != "":
-            raise DatasetFormatError(f"{path} row {row_no}: normal row carries a stage")
-        records.append(
-            LabeledRecord(time_ms, src, dst, protocol, length, label, stage or None)
-        )
+        try:
+            stage_tag = _ROW_STAGE[label, stage]
+        except KeyError:
+            if label not in LABELS:
+                problem = f"bad label token {label!r}"
+            elif label == "attack":
+                problem = f"bad stage {stage!r} for attack row"
+            else:
+                problem = "normal row carries a stage"
+            raise DatasetFormatError(f"{path} row {row_no}: {problem}") from None
+        if time_ms < 0:
+            raise DatasetFormatError(f"{path} row {row_no}: negative time_ms {time_ms}")
+        if length < MIN_PACKET_BYTES:
+            raise DatasetFormatError(
+                f"{path} row {row_no}: length {length} below {MIN_PACKET_BYTES} bytes")
+        if not (src and dst and protocol):
+            raise DatasetFormatError(f"{path} row {row_no}: empty src, dst or protocol")
+        records.append(LabeledRecord(time_ms, src, dst, protocol, length, label, stage_tag))
     return LabeledDataset.from_records(records)
 

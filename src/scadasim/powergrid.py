@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import derive_seed
@@ -79,6 +80,9 @@ class GridModel:
         for a, b in edges:
             if a not in known or b not in known:
                 raise GridConfigError(f"edge references unknown bus: {a!r}-{b!r}")
+        edge_ids = [self.transformer.transformer_id] + [ln.line_id for ln in self.lines]
+        if len(set(edge_ids)) != len(edge_ids):
+            raise GridConfigError("duplicate transformer/line ids")
         if len(edges) != len(self.buses) - 1:
             raise GridConfigError(
                 f"not radial: {len(edges)} edges for {len(self.buses)} buses (need buses-1)"
@@ -111,12 +115,6 @@ class GridModel:
                     stack.append(nxt)
         if seen != known:
             raise GridConfigError(f"disconnected buses: {sorted(known - seen)}")
-
-    def nominal_kv(self, bus_id: str) -> float:
-        for b in self.buses:
-            if b.bus_id == bus_id:
-                return b.nominal_kv
-        raise GridConfigError(f"unknown bus {bus_id!r}")
 
 
 @dataclass
@@ -166,86 +164,148 @@ class RtuBinding:
 
 
 # ---------------------------------------------------------------------------
-# solver internals
+# solver
 # ---------------------------------------------------------------------------
 
-def _tree_order(grid: GridModel) -> list[tuple[str, str, complex, str]]:
-    """Edges in BFS order from the slack as (parent, child, z_pu, edge_id)."""
-    s_base_kva = grid.transformer.rating_kva
-    adjacency: dict[str, list[tuple[str, complex, str]]] = {b.bus_id: [] for b in grid.buses}
+class Feeder:
+    """A validated grid, prepared once for repeated backward/forward sweeps.
 
-    def z_pu(r_ohm: float, x_ohm: float, side_bus: str) -> complex:
-        v_kv = grid.nominal_kv(side_bus)
-        z_base = v_kv * v_kv * 1000.0 / s_base_kva
-        return complex(r_ohm, x_ohm) / z_base
+    Buses are indexed in ``grid.buses`` order and edges in BFS order from the
+    slack; each step then sweeps over plain lists. The float operations and
+    their order are those of a sweep over the grid itself, so a solution does
+    not depend on whether the feeder is reused.
+    """
 
-    tx = grid.transformer
-    z_tx = z_pu(tx.resistance_ohm, tx.reactance_ohm, tx.lv_bus)
-    adjacency[tx.hv_bus].append((tx.lv_bus, z_tx, tx.transformer_id))
-    adjacency[tx.lv_bus].append((tx.hv_bus, z_tx, tx.transformer_id))
-    for ln in grid.lines:
-        z = z_pu(ln.resistance_ohm, ln.reactance_ohm, ln.to_bus)
-        adjacency[ln.from_bus].append((ln.to_bus, z, ln.line_id))
-        adjacency[ln.to_bus].append((ln.from_bus, z, ln.line_id))
+    def __init__(self, grid: GridModel):
+        grid.validate()
+        tx = grid.transformer
+        self.s_base = tx.rating_kva
+        self.bus_ids = [b.bus_id for b in grid.buses]
+        index = {bus_id: i for i, bus_id in enumerate(self.bus_ids)}
+        self.slack = hv = index[tx.hv_bus]
 
-    ordered: list[tuple[str, str, complex, str]] = []
-    seen = {tx.hv_bus}
-    queue = [tx.hv_bus]
-    while queue:
-        parent = queue.pop(0)
-        for child, z, edge_id in adjacency[parent]:
-            if child not in seen:
-                seen.add(child)
-                ordered.append((parent, child, z, edge_id))
-                queue.append(child)
-    return ordered
+        def z_pu(r_ohm: float, x_ohm: float, side_bus: str) -> complex:
+            v_kv = grid.buses[index[side_bus]].nominal_kv
+            z_base = v_kv * v_kv * 1000.0 / self.s_base
+            return complex(r_ohm, x_ohm) / z_base
 
+        adjacency: list[list[tuple[int, complex, str]]] = [[] for _ in self.bus_ids]
+        lv = index[tx.lv_bus]
+        z_tx = z_pu(tx.resistance_ohm, tx.reactance_ohm, tx.lv_bus)
+        adjacency[hv].append((lv, z_tx, tx.transformer_id))
+        adjacency[lv].append((hv, z_tx, tx.transformer_id))
+        for ln in grid.lines:
+            a, b = index[ln.from_bus], index[ln.to_bus]
+            z = z_pu(ln.resistance_ohm, ln.reactance_ohm, ln.to_bus)
+            adjacency[a].append((b, z, ln.line_id))
+            adjacency[b].append((a, z, ln.line_id))
 
-def _net_injections(
-    grid: GridModel,
-    load_scaling: dict[str, float],
-    der_scaling: dict[str, float],
-) -> dict[str, complex]:
-    """Net constant-power consumption per bus in per-unit (DER negative)."""
-    s_base = grid.transformer.rating_kva
-    s_net: dict[str, complex] = {b.bus_id: 0j for b in grid.buses}
-    for ld in grid.loads:
-        s_net[ld.bus] += complex(ld.p_kw, ld.q_kvar) * load_scaling.get(ld.load_id, 1.0) / s_base
-    for der in grid.ders:
-        s_net[der.bus] -= complex(der.p_kw, 0.0) * der_scaling.get(der.der_id, 1.0) / s_base
-    return s_net
+        # (parent index, child index, z_pu, edge id), parents before children
+        self.edges: list[tuple[int, int, complex, str]] = []
+        seen = {hv}
+        queue = deque([hv])
+        while queue:
+            parent = queue.popleft()
+            for child, z, edge_id in adjacency[parent]:
+                if child not in seen:
+                    seen.add(child)
+                    self.edges.append((parent, child, z, edge_id))
+                    queue.append(child)
 
+        into_bus = {child: k for k, (_, child, _, _) in enumerate(self.edges)}
+        # backward sweep, leaves first: (edge, child, parent's edge or -1 at the slack)
+        self._backward = [
+            (k, child, -1 if parent == hv else into_bus[parent])
+            for k, (parent, child, _, _) in reversed(list(enumerate(self.edges)))
+        ]
+        self._forward = [(parent, child, z) for parent, child, z, _ in self.edges]
+        self._loads = [(ld.load_id, index[ld.bus], complex(ld.p_kw, ld.q_kvar))
+                       for ld in grid.loads]
+        self._ders = [(der.der_id, index[der.bus], complex(der.p_kw, 0.0)) for der in grid.ders]
+        # edge 0 is the transformer, the slack's first adjacency entry
+        self._lines = [(k, parent, edge_id)
+                       for k, (parent, _, _, edge_id) in enumerate(self.edges) if k]
 
-def _sweep(
-    ordered: list[tuple[str, str, complex, str]],
-    slack: str,
-    s_net: dict[str, complex],
-    tol_pu: float,
-    max_iterations: int,
-) -> tuple[dict[str, complex], dict[str, complex], bool, int]:
-    """Iterate backward/forward sweeps to a voltage fixed point."""
-    voltage: dict[str, complex] = {bus: 1.0 + 0j for bus in s_net}
-    into_bus = {child: edge_id for _, child, _, edge_id in ordered}
-    branch_current: dict[str, complex] = {edge_id: 0j for _, _, _, edge_id in ordered}
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        inj = {bus: (s_net[bus] / voltage[bus]).conjugate() for bus in s_net}
-        branch_current = {edge_id: 0j for _, _, _, edge_id in ordered}
-        for parent, child, _, edge_id in reversed(ordered):
-            current = inj[child] + branch_current[edge_id]
-            branch_current[edge_id] = current
-            if parent != slack:
-                branch_current[into_bus[parent]] += current
-        max_delta = 0.0
-        for parent, child, z, edge_id in ordered:
-            new_v = voltage[parent] - z * branch_current[edge_id]
-            max_delta = max(max_delta, abs(new_v - voltage[child]))
-            voltage[child] = new_v
-        if max_delta < tol_pu:
-            converged = True
-            break
-    return voltage, branch_current, converged, iterations
+    def solve(
+        self,
+        load_scaling: dict[str, float] | None = None,
+        der_scaling: dict[str, float] | None = None,
+        tol_pu: float = 1e-8,
+        max_iterations: int = 50,
+    ) -> PowerFlowSolution:
+        """Backward/forward sweep to a fixed point.
+
+        Scaling factors default to 1.0 per element; they must be finite and >= 0.
+        Convergence means the largest per-bus voltage change of a sweep fell
+        below tol_pu before hitting the iteration cap.
+        """
+        s_base = self.s_base
+        s_net = self._injections(load_scaling, der_scaling)
+        voltage, branch_current, converged, iterations = self._sweep(s_net, tol_pu, max_iterations)
+
+        line_p: dict[str, float] = {}
+        line_q: dict[str, float] = {}
+        for k, parent, edge_id in self._lines:
+            sending = voltage[parent] * branch_current[k].conjugate() * s_base
+            line_p[edge_id] = sending.real
+            line_q[edge_id] = sending.imag
+        tx_s = voltage[self.slack] * branch_current[0].conjugate() * s_base
+
+        return PowerFlowSolution(
+            converged=converged,
+            iterations=iterations,
+            bus_voltage_pu={bus: abs(v) for bus, v in zip(self.bus_ids, voltage)},
+            line_p_kw=line_p,
+            line_q_kvar=line_q,
+            transformer_p_kw=tx_s.real,
+            transformer_q_kvar=tx_s.imag,
+            transformer_loading_percent=abs(tx_s) / s_base * 100.0,
+        )
+
+    def _injections(
+        self, load_scaling: dict[str, float] | None, der_scaling: dict[str, float] | None
+    ) -> list[complex]:
+        """Net constant-power consumption per bus in per-unit (DER negative)."""
+        load_scaling = load_scaling or {}
+        der_scaling = der_scaling or {}
+        for name, factor in list(load_scaling.items()) + list(der_scaling.items()):
+            if not math.isfinite(factor) or factor < 0:
+                raise GridConfigError(f"scaling for {name!r} must be finite and >= 0, got {factor}")
+        s_base = self.s_base
+        s_net = [0j] * len(self.bus_ids)
+        for load_id, bus, s in self._loads:
+            s_net[bus] += s * load_scaling.get(load_id, 1.0) / s_base
+        for der_id, bus, s in self._ders:
+            s_net[bus] -= s * der_scaling.get(der_id, 1.0) / s_base
+        return s_net
+
+    def _sweep(
+        self, s_net: list[complex], tol_pu: float, max_iterations: int
+    ) -> tuple[list[complex], list[complex], bool, int]:
+        """Iterate backward/forward sweeps to a voltage fixed point."""
+        voltage = [1.0 + 0j] * len(s_net)
+        branch_current = [0j] * len(self.edges)
+        converged = False
+        iterations = 0
+        for iterations in range(1, max_iterations + 1):
+            inj = [(s / v).conjugate() for s, v in zip(s_net, voltage)]
+            branch_current = [0j] * len(self.edges)
+            for k, child, up in self._backward:
+                current = inj[child] + branch_current[k]
+                branch_current[k] = current
+                if up >= 0:
+                    branch_current[up] += current
+            max_delta = 0.0
+            for (parent, child, z), current in zip(self._forward, branch_current):
+                new_v = voltage[parent] - z * current
+                delta = abs(new_v - voltage[child])
+                if delta > max_delta:
+                    max_delta = delta
+                voltage[child] = new_v
+            if max_delta < tol_pu:
+                converged = True
+                break
+        return voltage, branch_current, converged, iterations
 
 
 def solve_power_flow(
@@ -255,48 +315,8 @@ def solve_power_flow(
     tol_pu: float = 1e-8,
     max_iterations: int = 50,
 ) -> PowerFlowSolution:
-    """Backward/forward sweep to a fixed point.
-
-    Scaling factors default to 1.0 per element; they must be finite and >= 0.
-    Convergence means the largest per-bus voltage change of a sweep fell
-    below tol_pu before hitting the iteration cap.
-    """
-    grid.validate()
-    load_scaling = load_scaling or {}
-    der_scaling = der_scaling or {}
-    for name, factor in list(load_scaling.items()) + list(der_scaling.items()):
-        if not math.isfinite(factor) or factor < 0:
-            raise GridConfigError(f"scaling for {name!r} must be finite and >= 0, got {factor}")
-
-    s_base = grid.transformer.rating_kva
-    slack = grid.transformer.hv_bus
-    ordered = _tree_order(grid)
-    s_net = _net_injections(grid, load_scaling, der_scaling)
-    voltage, branch_current, converged, iterations = _sweep(
-        ordered, slack, s_net, tol_pu, max_iterations
-    )
-
-    line_p: dict[str, float] = {}
-    line_q: dict[str, float] = {}
-    tx_s = 0j
-    for parent, child, z, edge_id in ordered:
-        sending = voltage[parent] * branch_current[edge_id].conjugate() * s_base
-        if edge_id == grid.transformer.transformer_id:
-            tx_s = sending
-        else:
-            line_p[edge_id] = sending.real
-            line_q[edge_id] = sending.imag
-
-    return PowerFlowSolution(
-        converged=converged,
-        iterations=iterations,
-        bus_voltage_pu={bus: abs(v) for bus, v in voltage.items()},
-        line_p_kw=line_p,
-        line_q_kvar=line_q,
-        transformer_p_kw=tx_s.real,
-        transformer_q_kvar=tx_s.imag,
-        transformer_loading_percent=abs(tx_s) / grid.transformer.rating_kva * 100.0,
-    )
+    """One-shot ``Feeder(grid).solve(...)``; the grid is validated first."""
+    return Feeder(grid).solve(load_scaling, der_scaling, tol_pu, max_iterations)
 
 
 def check_power_balance(
@@ -309,20 +329,18 @@ def check_power_balance(
     For every non-slack bus the power arriving over the parent edge must equal
     the local net consumption plus the power sent down every child edge.
     """
-    grid.validate()
-    ordered = _tree_order(grid)
-    slack = grid.transformer.hv_bus
-    s_net = _net_injections(grid, load_scaling or {}, der_scaling or {})
-    voltage, branch_current, converged, _ = _sweep(ordered, slack, s_net, 1e-10, 500)
+    feeder = Feeder(grid)
+    s_net = feeder._injections(load_scaling, der_scaling)
+    voltage, branch_current, converged, _ = feeder._sweep(s_net, 1e-10, 500)
     if not converged:
         raise GridConfigError("power balance check: sweep did not converge")
 
-    children_of: dict[str, list[str]] = {}
-    for parent, child, _, edge_id in ordered:
-        children_of.setdefault(parent, []).append(edge_id)
+    children_of: dict[int, list[int]] = {}
+    for k, (parent, _, _, _) in enumerate(feeder.edges):
+        children_of.setdefault(parent, []).append(k)
     worst = 0.0
-    for parent, child, z, edge_id in ordered:
-        received = voltage[child] * branch_current[edge_id].conjugate()
+    for k, (_, child, _, _) in enumerate(feeder.edges):
+        received = voltage[child] * branch_current[k].conjugate()
         sent_down = sum(
             (voltage[child] * branch_current[e].conjugate() for e in children_of.get(child, [])),
             start=0j,

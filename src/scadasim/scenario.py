@@ -22,7 +22,7 @@ from .capture import (
 from .config import RTU_STAGGER_MS, ScenarioConfig, load_config
 from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
-from .powergrid import PowerFlowSolution, sample_load_profile, solve_power_flow
+from .powergrid import Feeder, PowerFlowSolution, sample_load_profile
 from .scada import CompromiseRecord, MtuApp, RtuApp
 from .vulnhost import KEEPALIVE_LENS, HTTP_REQUEST_LEN, PROBE_LEN, SimHost
 
@@ -34,6 +34,7 @@ class GridComponent:
         self.engine = engine
         self.section = section
         self.seed = seed
+        self.feeder = Feeder(section.model)
         self.load_ids = [ld.load_id for ld in section.model.loads]
         self.history: list[tuple[int, PowerFlowSolution]] = []
         self.stale_solves = 0
@@ -51,7 +52,7 @@ class GridComponent:
             day_steps=self.section.day_steps,
             noise_amplitude=self.section.noise_amplitude,
         )
-        solution = solve_power_flow(self.section.model, load_scaling=scaling)
+        solution = self.feeder.solve(scaling)
         if solution.converged:
             self._last_converged = solution
             self._stale = False

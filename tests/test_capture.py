@@ -251,16 +251,37 @@ class TestCsv:
         with pytest.raises(DatasetFormatError, match="row 3"):
             import_csv(str(path))
 
+    @pytest.mark.parametrize("row, reason", [
+        ("-5,a,b,SCADA,61,normal,", "negative time_ms"),
+        ("200,a,b,SCADA,19,normal,", "length 19 below 20"),
+        ("200,,b,SCADA,61,normal,", "empty src"),
+        ("200,a,,SCADA,61,normal,", "empty src, dst"),
+        ("200,a,b,,61,normal,", "or protocol"),
+    ], ids=["negative-time", "short-length", "empty-src", "empty-dst", "empty-protocol"])
+    def test_row_no_simulation_produces_names_the_row(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_ms,src,dst,protocol,length,label,stage\n"
+                        "100,a,b,SCADA,61,normal,\n" + row + "\n")
+        with pytest.raises(DatasetFormatError, match=f"row 3: .*{reason}"):
+            import_csv(str(path))
+
+    def test_times_out_of_order_are_accepted(self, tmp_path):
+        # capture order is forwarding order, so a later row may carry an earlier send time
+        path = tmp_path / "ds.csv"
+        path.write_text("time_ms,src,dst,protocol,length,label,stage\n"
+                        "300,a,b,SCADA,61,normal,\n100,b,a,SCADA,61,normal,\n")
+        assert [r.time_ms for r in import_csv(str(path)).records] == [300, 100]
+
     @settings(max_examples=200, deadline=None, database=None)
     @given(data=st.data())
     def test_round_trip_property(self, data):
-        token = st.text(string.ascii_letters + string.digits + ".-_", max_size=12)
+        token = st.text(string.ascii_letters + string.digits + ".-_", min_size=1, max_size=12)
 
         def records_of(label_stage, min_size, max_size):
             record = st.builds(
                 lambda t, src, dst, protocol, length, ls: LabeledRecord(
                     t, src, dst, protocol, length, *ls),
-                st.integers(0, 10**12), token, token, token, st.integers(0, 65535), label_stage)
+                st.integers(0, 10**12), token, token, token, st.integers(20, 65535), label_stage)
             return st.lists(record, min_size=min_size, max_size=max_size)
 
         normal = st.just(("normal", None))

@@ -30,6 +30,20 @@ PINNED_IDS_EVAL = {
     "models/rf.json": "2457e0428001124d2909d29ab955a55fd1bca209615f3bf120f1910bb28df2af",
 }
 
+# sha256 of `simulate --scenario N --seed 0 --grid-csv` for the fixtures that
+# the reference pin and the benchmark goldens (scenarios 1 and 4) leave out;
+# every value in these files comes out of one power-flow solve.
+PINNED_GRID_SEED_0 = {
+    2: {"grid_truth.csv": "871f18ebea9b7a4552f3af5e192c37f43e15afca36261f6bb54f95e7c7e62ab6",
+        "mtu_measurements.csv": "3fb99b2304f978999d72125696efb308797f71aca4c3e27df853adc3e6c10b25"},
+    3: {"grid_truth.csv": "e69d3ad9940d43457348b2be3f43522a7248e8c6cb0b64b2f9113e7fa303febd",
+        "mtu_measurements.csv": "f1f9b312ec7a4bb3f5557cce219012ad3aba4db8f2231bcc2a69b0de5b491350"},
+    5: {"grid_truth.csv": "3840d4f471d92636381c8b989ccf91d78a5c8e5d4841c1acaecbb6ffa321e1ec",
+        "mtu_measurements.csv": "88962915ac0cfd621298f9931eb0638ce6c58d272f2f5b7fa92c5672c6a34954"},
+    6: {"grid_truth.csv": "2fd28aa6060a65b465ae0938949f1246e77991102665a47025f07cbaf0599e95",
+        "mtu_measurements.csv": "e8e0729e4e3798e78d655ea03d08caa4202c23f1e72cb8d363aae65b14bd4912"},
+}
+
 NORMAL_ROW = "1000,10.0.0.11,10.0.0.10,SCADA,61,normal,"
 ATTACK_ROW = "2000,10.0.0.66,10.0.0.11,SCAN_PROBE,60,attack,S1"
 
@@ -115,6 +129,15 @@ class TestSimulate:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in PINNED_REFERENCE_SEED_1}
         assert digests == PINNED_REFERENCE_SEED_1
+
+    @pytest.mark.parametrize("scenario", sorted(PINNED_GRID_SEED_0))
+    def test_fixture_grid_hashes_are_pinned(self, tmp_path, scenario):
+        out = tmp_path / "grid"
+        assert run_cli("simulate", "--scenario", str(scenario), "--seed", "0",
+                       "--out", str(out), "--grid-csv") == 0
+        pinned = PINNED_GRID_SEED_0[scenario]
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
+        assert digests == pinned
 
 
 def _second_rtu(raw, offset_ms):

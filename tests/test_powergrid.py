@@ -2,15 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scadasim.powergrid import (
     BoundPoint,
     Bus,
     Der,
+    Feeder,
     GridConfigError,
     GridModel,
     Line,
     Load,
+    PowerFlowSolution,
     RtuBinding,
     Transformer,
     check_power_balance,
@@ -39,6 +43,139 @@ def two_bus_grid(r_ohm, x_ohm, p_kw, q_kvar):
     )
 
 
+# ---------------------------------------------------------------------------
+# frozen oracle: the dict-based sweep that Feeder replaced, kept verbatim in its
+# float operations so that Feeder can be held to it bit for bit
+# ---------------------------------------------------------------------------
+
+def _oracle_tree_order(grid):
+    s_base_kva = grid.transformer.rating_kva
+    adjacency = {b.bus_id: [] for b in grid.buses}
+
+    def nominal_kv(bus_id):
+        for b in grid.buses:
+            if b.bus_id == bus_id:
+                return b.nominal_kv
+        raise GridConfigError(f"unknown bus {bus_id!r}")
+
+    def z_pu(r_ohm, x_ohm, side_bus):
+        v_kv = nominal_kv(side_bus)
+        z_base = v_kv * v_kv * 1000.0 / s_base_kva
+        return complex(r_ohm, x_ohm) / z_base
+
+    tx = grid.transformer
+    z_tx = z_pu(tx.resistance_ohm, tx.reactance_ohm, tx.lv_bus)
+    adjacency[tx.hv_bus].append((tx.lv_bus, z_tx, tx.transformer_id))
+    adjacency[tx.lv_bus].append((tx.hv_bus, z_tx, tx.transformer_id))
+    for ln in grid.lines:
+        z = z_pu(ln.resistance_ohm, ln.reactance_ohm, ln.to_bus)
+        adjacency[ln.from_bus].append((ln.to_bus, z, ln.line_id))
+        adjacency[ln.to_bus].append((ln.from_bus, z, ln.line_id))
+
+    ordered = []
+    seen = {tx.hv_bus}
+    queue = [tx.hv_bus]
+    while queue:
+        parent = queue.pop(0)
+        for child, z, edge_id in adjacency[parent]:
+            if child not in seen:
+                seen.add(child)
+                ordered.append((parent, child, z, edge_id))
+                queue.append(child)
+    return ordered
+
+
+def _oracle_solve(grid, load_scaling=None, der_scaling=None, tol_pu=1e-8, max_iterations=50):
+    load_scaling = load_scaling or {}
+    der_scaling = der_scaling or {}
+    s_base = grid.transformer.rating_kva
+    slack = grid.transformer.hv_bus
+    ordered = _oracle_tree_order(grid)
+    s_net = {b.bus_id: 0j for b in grid.buses}
+    for ld in grid.loads:
+        s_net[ld.bus] += complex(ld.p_kw, ld.q_kvar) * load_scaling.get(ld.load_id, 1.0) / s_base
+    for der in grid.ders:
+        s_net[der.bus] -= complex(der.p_kw, 0.0) * der_scaling.get(der.der_id, 1.0) / s_base
+
+    voltage = {bus: 1.0 + 0j for bus in s_net}
+    into_bus = {child: edge_id for _, child, _, edge_id in ordered}
+    branch_current = {edge_id: 0j for _, _, _, edge_id in ordered}
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        inj = {bus: (s_net[bus] / voltage[bus]).conjugate() for bus in s_net}
+        branch_current = {edge_id: 0j for _, _, _, edge_id in ordered}
+        for parent, child, _, edge_id in reversed(ordered):
+            current = inj[child] + branch_current[edge_id]
+            branch_current[edge_id] = current
+            if parent != slack:
+                branch_current[into_bus[parent]] += current
+        max_delta = 0.0
+        for parent, child, z, edge_id in ordered:
+            new_v = voltage[parent] - z * branch_current[edge_id]
+            max_delta = max(max_delta, abs(new_v - voltage[child]))
+            voltage[child] = new_v
+        if max_delta < tol_pu:
+            converged = True
+            break
+
+    line_p, line_q = {}, {}
+    tx_s = 0j
+    for parent, child, z, edge_id in ordered:
+        sending = voltage[parent] * branch_current[edge_id].conjugate() * s_base
+        if edge_id == grid.transformer.transformer_id:
+            tx_s = sending
+        else:
+            line_p[edge_id] = sending.real
+            line_q[edge_id] = sending.imag
+    return PowerFlowSolution(
+        converged=converged,
+        iterations=iterations,
+        bus_voltage_pu={bus: abs(v) for bus, v in voltage.items()},
+        line_p_kw=line_p,
+        line_q_kvar=line_q,
+        transformer_p_kw=tx_s.real,
+        transformer_q_kvar=tx_s.imag,
+        transformer_loading_percent=abs(tx_s) / grid.transformer.rating_kva * 100.0,
+    )
+
+
+@st.composite
+def radial_feeders(draw):
+    """2-12 buses on one LV voltage; lines in any order and either direction."""
+    kv = draw(st.sampled_from([0.4, 0.69]))
+    ohms = st.floats(0.001, 0.05)
+    buses = [Bus("mv", 10.0), Bus("lv", kv)]
+    lines = []
+    for i in range(draw(st.integers(0, 10))):
+        parent = draw(st.sampled_from([b.bus_id for b in buses[1:]]))
+        ends = (f"b{i}", parent) if draw(st.booleans()) else (parent, f"b{i}")
+        r_ohm = draw(st.one_of(st.just(0.0), ohms))
+        lines.append(Line(f"l{i}", *ends, r_ohm, draw(ohms), 400.0))
+        buses.append(Bus(f"b{i}", kv))
+    loads, ders = [], []
+    for bus in buses[1:]:
+        if draw(st.booleans()):
+            loads.append(Load(f"ld-{bus.bus_id}", bus.bus_id,
+                              draw(st.floats(0.0, 15.0)), draw(st.floats(0.0, 6.0))))
+        if draw(st.integers(0, 2)) == 0:
+            ders.append(Der(f"der-{bus.bus_id}", bus.bus_id, draw(st.floats(0.0, 10.0))))
+    return GridModel(
+        buses=tuple(buses),
+        lines=tuple(draw(st.permutations(lines))),
+        transformer=Transformer("tx", "mv", "lv", 400.0, draw(ohms) / 10, draw(ohms) / 5),
+        loads=tuple(loads),
+        ders=tuple(ders),
+    )
+
+
+def scalings_for(ids):
+    """A scaling dict over a subset of ids (missing keys mean 1.0), or None."""
+    factor = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    some = st.dictionaries(st.sampled_from(ids), factor) if ids else st.just({})
+    return st.one_of(st.none(), some)
+
+
 class TestValidation:
     def test_disconnected_bus_rejected(self):
         grid = feeder(buses=(Bus("island", 0.4),), lines=(Line("l1", "lv", "lv", 0.1, 0.1, 100),))
@@ -55,6 +192,11 @@ class TestValidation:
             ),
         )
         with pytest.raises(GridConfigError, match="not radial"):
+            grid.validate()
+
+    def test_duplicate_edge_id_rejected(self):
+        grid = feeder(buses=(Bus("b2", 0.4),), lines=(Line("tx", "lv", "b2", 0.1, 0.1, 100),))
+        with pytest.raises(GridConfigError, match="duplicate"):
             grid.validate()
 
     def test_unknown_load_bus_rejected(self):
@@ -141,6 +283,23 @@ class TestSolver:
             )
             assert check_power_balance(grid) < 1e-6
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_feeder_matches_frozen_dict_solver_bit_for_bit(self, data):
+        grid = data.draw(radial_feeders(), label="grid")
+        load_ids = [ld.load_id for ld in grid.loads]
+        der_ids = [der.der_id for der in grid.ders]
+        steps = data.draw(st.lists(st.tuples(scalings_for(load_ids), scalings_for(der_ids)),
+                                   min_size=3, max_size=5), label="scalings")
+        cap = data.draw(st.sampled_from([0, 1, 3, 50]), label="max_iterations")
+        expected = [repr(_oracle_solve(grid, ls, ds, 1e-8, cap)) for ls, ds in steps]
+        reused = Feeder(grid)
+        for i in data.draw(st.permutations(range(len(steps))), label="order"):
+            ls, ds = steps[i]
+            assert repr(reused.solve(ls, ds, 1e-8, cap)) == expected[i]
+            assert repr(solve_power_flow(grid, ls, ds, 1e-8, cap)) == expected[i]
+            assert check_power_balance(grid, ls, ds) < 1e-6
+
     def test_monotone_loading_under_uniform_scaling(self):
         grid = feeder(
             buses=(Bus("b2", 0.4), Bus("b3", 0.4)),
@@ -164,6 +323,13 @@ class TestSolver:
         grid = two_bus_grid(0.1, 0.1, 50.0, 0.0)
         with pytest.raises(GridConfigError, match="finite and >= 0"):
             solve_power_flow(grid, load_scaling={"ld": -1.0})
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
+    def test_power_balance_refuses_the_scalings_solve_refuses(self, factor):
+        # a NaN scaling made every voltage NaN, and the check then reported 0.0
+        grid = two_bus_grid(0.1, 0.1, 50.0, 0.0)
+        with pytest.raises(GridConfigError, match="finite and >= 0"):
+            check_power_balance(grid, load_scaling={"ld": factor})
 
 
 class TestLoadProfile:
