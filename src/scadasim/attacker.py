@@ -7,8 +7,8 @@ stream. It yields either a wait (an event kind and its due time in ms) or an
 ``Exchange`` (a request that expects one reply). A small driver in ``handle``
 and ``on_packet`` schedules the waits, sends the requests and resumes the
 generator with the reply payload, or with ``None`` when the reply does not
-come in time. All emitted packets carry the attacker's node id as
-origin_actor, which is what the labeling stage keys on.
+come in time. All emitted packets carry the attacker's address as their
+source, which is what the labeling stage keys on.
 
 Attack timing:
 
@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .engine import MS_PER_STEP, Engine
 from .network import NetworkFabric, Packet
+from .powergrid import QUANTITIES
 from .vulnhost import HTTP_REQUEST_LEN, LOGIN_LENS, PE_METHODS, PROBE_LEN, SESSION_CMD_LENS
 
 RESPONSE_TIMEOUT_MS = 100
@@ -51,6 +52,10 @@ class AttackGoal:
             raise ValueError("manipulate goal requires a manipulation spec")
         if self.kind == "dos" and self.manipulation:
             raise ValueError("dos goal carries no manipulation spec")
+        for quantity in self.manipulation or ():
+            if quantity not in QUANTITIES:
+                raise ValueError(f"unknown manipulated quantity {quantity!r}; "
+                                 f"expected one of {', '.join(QUANTITIES)}")
 
     def matches(self, address: str) -> bool:
         return self.target_addresses is None or address in self.target_addresses
@@ -307,7 +312,7 @@ class AttackerComponent:
     # -- driver: engine events and inbound packets ---------------------------------
 
     def _send(self, dst: str, protocol: str, length: int, payload: dict) -> None:
-        self.fabric.send_app_message(self.node_id, dst, protocol, length, payload, self.node_id)
+        self.fabric.send_app_message(self.node_id, dst, protocol, length, payload)
 
     def _resume(self, reply: dict | None) -> None:
         try:

@@ -1,9 +1,9 @@
 """SPAN traffic collection, ground-truth labeling, dataset CSV.
 
-Labeling rule: a record is attack when its origin actor is the attacker (the
-stage is whatever attack stage was active when it was sent), or when it is an
-RTU measurement report emitted under an active manipulation effect (stage S4,
-toggleable). Everything else is normal. Records outside the ground-truth log
+Labeling rule: a record is attack when its source address is the attacker's
+(the stage is whatever attack stage was active when it was sent), or when it is
+an RTU measurement report emitted under an active manipulation effect (stage
+S4, toggleable). Everything else is normal. Records outside the ground-truth log
 coverage are a hard error, never a guess.
 """
 
@@ -35,7 +35,7 @@ class DatasetFormatError(ValueError):
 class CalibrationError(RuntimeError):
     """Scenario balance missed its target share."""
 
-    def __init__(self, scenario_id: int, target: float, achieved: float):
+    def __init__(self, scenario_id: int | str, target: float, achieved: float):
         super().__init__(
             f"scenario {scenario_id}: achieved attack share {achieved:.2f}% "
             f"outside {target:.2f}% +/- {BALANCE_TOLERANCE_PP:.1f}pp"
@@ -43,6 +43,14 @@ class CalibrationError(RuntimeError):
         self.scenario_id = scenario_id
         self.target = target
         self.achieved = achieved
+
+
+def check_balance(scenario_id: int | str, target: float | None, dataset: "LabeledDataset") -> None:
+    """Raise CalibrationError when the dataset's attack share misses ``target``
+    by more than the tolerance; a None target is not checked."""
+    achieved = dataset.balance[0]
+    if target is not None and abs(achieved - target) > BALANCE_TOLERANCE_PP:
+        raise CalibrationError(scenario_id, target, achieved)
 
 
 class CapturedPacket(NamedTuple):
@@ -53,7 +61,6 @@ class CapturedPacket(NamedTuple):
     dst: str
     protocol: str
     length_bytes: int
-    origin_actor: str
     manipulated: bool
 
 
@@ -82,13 +89,13 @@ class TrafficCollector:
     def record(self, packet: Packet) -> None:
         self.snapshots.append(CapturedPacket(
             packet.sent_at, packet.src, packet.dst, packet.protocol, packet.length_bytes,
-            packet.origin_actor, bool(packet.payload.get("manipulated", False)),
+            bool(packet.payload.get("manipulated", False)),
         ))
 
 
 def label_records(
     snapshots: list[CapturedPacket],
-    attacker_origin: str,
+    attacker_address: str,
     stage_times: list[tuple[int, str]],
     coverage_end_ms: int,
     label_manipulated_reports: bool = True,
@@ -97,12 +104,12 @@ def label_records(
     transitions = [(ms, STAGE_TAGS[stage]) for ms, stage in stage_times if stage in STAGE_TAGS]
     times = [ms for ms, _ in transitions]
     out: list[LabeledRecord] = []
-    for time_ms, src, dst, protocol, length_bytes, origin_actor, manipulated in snapshots:
+    for time_ms, src, dst, protocol, length_bytes, manipulated in snapshots:
         if time_ms > coverage_end_ms:
             raise LabelingError(
                 f"record at {time_ms}ms is outside log coverage (ends {coverage_end_ms}ms)"
             )
-        if origin_actor == attacker_origin:
+        if src == attacker_address:
             idx = bisect.bisect_right(times, time_ms) - 1
             if idx < 0:
                 raise LabelingError(

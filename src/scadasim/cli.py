@@ -14,9 +14,10 @@ import os
 import sys
 
 from .capture import (
-    BALANCE_TOLERANCE_PP,
-    LabeledDataset,
+    CalibrationError,
     DatasetFormatError,
+    LabeledDataset,
+    check_balance,
     export_csv,
     import_csv,
 )
@@ -65,17 +66,9 @@ def cmd_simulate(args) -> int:
                      ["step,offset_ms,seq,target,kind"] + result.trace_lines)
     if args.grid_csv:
         _write_lines(os.path.join(args.out, "grid_truth.csv"), result.grid_history_lines())
-    achieved = result.dataset.balance[0]
-    target = config.capture.balance_target
-    if target is not None and abs(achieved - target) > BALANCE_TOLERANCE_PP:
-        print(
-            f"calibration failure: attack share {achieved:.2f}% outside "
-            f"{target:.2f}% +/- {BALANCE_TOLERANCE_PP}pp",
-            file=sys.stderr,
-        )
-        return EXIT_CALIBRATION
+    check_balance(config.scenario_id, config.capture.balance_target, result.dataset)
     print(f"simulated scenario {config.scenario_id} seed {result.seed}: "
-          f"{len(result.dataset.records)} records, attack share {achieved:.2f}%")
+          f"{len(result.dataset.records)} records, attack share {result.dataset.balance[0]:.2f}%")
     return EXIT_OK
 
 
@@ -254,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except CalibrationError as exc:
+        print(f"calibration failure: {exc}", file=sys.stderr)
+        return EXIT_CALIBRATION
     except PurityError as exc:
         print(f"ids protocol violation: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL

@@ -32,8 +32,6 @@ class Packet:
     protocol: str
     length_bytes: int
     payload: dict
-    origin_actor: str
-    delivered_at: int | None = None
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -116,26 +114,12 @@ class PacketApp(Protocol):
     def on_packet(self, fabric: "NetworkFabric", packet: Packet) -> None: ...
 
 
-@dataclass
-class Transmission:
-    """One per-hop link traversal, kept when logging is enabled."""
-
-    link_id: str
-    from_node: str
-    send_ms: int
-    start_ms: int
-    arrive_ms: int | None
-    length_bytes: int
-    dropped: str | None
-
-
 class NetworkFabric:
     """Engine component owning all packet transport. Target name: ``net``."""
 
-    def __init__(self, topology: IctTopology, engine: Engine, seed: int, log_transmissions: bool = False):
+    def __init__(self, topology: IctTopology, engine: Engine, seed: int):
         topology.validate()
         self.engine = engine
-        self.nodes = {n.node_id: n for n in topology.nodes}
         self.links = {l.link_id: l for l in topology.links}
         self._links_of: dict[str, list[NetLink]] = {n.node_id: [] for n in topology.nodes}
         # per (link id, sending node): [far end, time the sender's FIFO is busy until]
@@ -162,14 +146,12 @@ class NetworkFabric:
         }
         self.mirrored_count = 0
         self.blocked_count = 0
-        self.transmissions: list[Transmission] | None = [] if log_transmissions else None
         engine.register("net", self.handle)
 
     # -- component wiring ---------------------------------------------------
 
     def register_app(self, node_id: str, app: PacketApp) -> None:
-        node = self.nodes.get(node_id)
-        if node is None or node.kind != "host":
+        if node_id not in self._host_address:
             raise NetworkConfigError(f"cannot register app on {node_id!r}")
         self._apps[node_id] = app
 
@@ -182,7 +164,6 @@ class NetworkFabric:
             if address is None:
                 self._forward(node_id, packet, ingress_link)
             elif address == packet.dst:
-                packet.delivered_at = engine.now
                 app = self._apps.get(node_id)
                 if app is not None:
                     app.on_packet(self, packet)
@@ -195,26 +176,12 @@ class NetworkFabric:
 
     # -- sending --------------------------------------------------------------
 
-    def send_app_message(
-        self,
-        from_node_id: str,
-        dst_address: str,
-        protocol: str,
-        length_bytes: int,
-        payload: dict,
-        origin_actor: str,
-    ) -> Packet:
-        """Build a packet at the current sim time and push it onto the host link."""
-        node = self.nodes[from_node_id]
-        packet = Packet(
-            sent_at=self.engine.now,
-            src=node.address or from_node_id,
-            dst=dst_address,
-            protocol=protocol,
-            length_bytes=length_bytes,
-            payload=payload,
-            origin_actor=origin_actor,
-        )
+    def send_app_message(self, from_node_id: str, dst_address: str, protocol: str,
+                         length_bytes: int, payload: dict) -> Packet:
+        """Build a packet from the host's address at the current sim time and push
+        it onto the host link."""
+        packet = Packet(self.engine.now, self._host_address[from_node_id], dst_address, protocol,
+                        length_bytes, payload)
         link = self._links_of[from_node_id][0]
         self.transmit(packet, link, from_node_id)
         return packet
@@ -226,25 +193,19 @@ class NetworkFabric:
         The link's state, loss, latency and bandwidth are read on every hop,
         so changes to them apply to the next packet.
         """
-        now_ms = self.engine.now
         if not link.up:
-            if self.transmissions is not None:
-                self._log_hop(link, from_node, now_ms, now_ms, None, packet, "link_down")
             return
         loss = link.loss_probability
         if loss > 0.0 and self._loss_rng[link.link_id].random() < loss:
-            if self.transmissions is not None:
-                self._log_hop(link, from_node, now_ms, now_ms, None, packet, "loss")
             return
+        now_ms = self.engine.now
         bandwidth = link.bandwidth_bps
         serialization_ms = (packet.length_bytes * 8000 + bandwidth - 1) // bandwidth
         hop = self._hops[link.link_id, from_node]
         start_ms = hop[1] if hop[1] > now_ms else now_ms
         hop[1] = start_ms + serialization_ms
-        arrive_ms = hop[1] + link.latency_ms
-        if self.transmissions is not None:
-            self._log_hop(link, from_node, now_ms, start_ms, arrive_ms, packet, None)
-        self.engine.schedule(arrive_ms, "net", "arrival", (hop[0], packet, link.link_id))
+        self.engine.schedule(hop[1] + link.latency_ms, "net", "arrival",
+                             (hop[0], packet, link.link_id))
 
     def set_link_state(self, link_id: str, up: bool) -> None:
         if link_id not in self.links:
@@ -277,16 +238,3 @@ class NetworkFabric:
                 if link.link_id != ingress_link:
                     self.transmit(packet, link, node_id)
         # known destination behind the ingress port: nothing to do
-
-    def _log_hop(self, link, from_node, send_ms, start_ms, arrive_ms, packet, dropped) -> None:
-        self.transmissions.append(
-            Transmission(
-                link_id=link.link_id,
-                from_node=from_node,
-                send_ms=send_ms,
-                start_ms=start_ms,
-                arrive_ms=arrive_ms,
-                length_bytes=packet.length_bytes,
-                dropped=dropped,
-            )
-        )

@@ -48,12 +48,6 @@ class CompromiseEffect:
             raise ValueError("manipulate effect requires a transform")
 
 
-@dataclass(frozen=True)
-class CompromiseRecord:
-    station: str
-    effect: CompromiseEffect
-
-
 class RtuApp:
     """Telemetry behavior of one RTU station; engine target ``rtu:<station>``."""
 
@@ -66,7 +60,6 @@ class RtuApp:
         binding: RtuBinding,
         mtu_address: str,
         grid,
-        compromise_log: list[CompromiseRecord],
         report_offset_ms: int = 20,
     ):
         self.engine = engine
@@ -76,7 +69,6 @@ class RtuApp:
         self.binding = binding
         self.mtu_address = mtu_address
         self.grid = grid
-        self.compromise_log = compromise_log
         self.report_offset_ms = report_offset_ms
         self.running = True
         self.effect: CompromiseEffect | None = None
@@ -127,7 +119,6 @@ class RtuApp:
             frame_length(len(points)),
             {"type": "telemetry_report", "frame": frame,
              "manipulated": manipulated, "stale_solution": stale},
-            self.host.node_id,
         )
         self.reports_sent += 1
 
@@ -141,18 +132,14 @@ class RtuApp:
 
     def apply_dos(self) -> None:
         """Permanently stop the report cycle from now on."""
-        effect = CompromiseEffect(kind="dos", active_from=self.engine.now)
-        self.effect = effect
+        self.effect = CompromiseEffect(kind="dos", active_from=self.engine.now)
         self.running = False
-        self.compromise_log.append(CompromiseRecord(self.station, effect))
 
     def apply_manipulate(self, transform: dict[str, tuple[float, float]]) -> None:
         """Affine per-quantity transform applied to all subsequent reports."""
-        effect = CompromiseEffect(
+        self.effect = CompromiseEffect(
             kind="manipulate", active_from=self.engine.now, transform=dict(transform)
         )
-        self.effect = effect
-        self.compromise_log.append(CompromiseRecord(self.station, effect))
 
 
 @dataclass
@@ -161,8 +148,6 @@ class TablePoint:
     point_id: str
     quantity: str
     value: float
-    at: int  # ms
-    sequence_no: int
     stale: bool = False
 
 
@@ -223,7 +208,6 @@ class MtuApp:
                 "SCADA",
                 frame_length(0),
                 {"type": "telemetry_ack", "frame": ack},
-                self.host.node_id,
             )
 
     def ingest(self, frame: TelemetryFrame) -> bool:
@@ -248,8 +232,6 @@ class MtuApp:
                 point_id=point_id,
                 quantity=quantity,
                 value=value,
-                at=self.engine.now,
-                sequence_no=frame.sequence_no,
                 stale=False,
             )
         return True
@@ -276,7 +258,6 @@ class MtuApp:
                         "SCADA",
                         frame_length(1),
                         {"type": "interrogation", "frame": frame},
-                        self.host.node_id,
                     )
                     self.interrogations_sent += 1
         for point in self.table.values():

@@ -12,18 +12,12 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .attacker import AttackerComponent
-from .capture import (
-    BALANCE_TOLERANCE_PP,
-    CalibrationError,
-    LabeledDataset,
-    TrafficCollector,
-    label_records,
-)
+from .capture import LabeledDataset, TrafficCollector, check_balance, label_records
 from .config import RTU_STAGGER_MS, ScenarioConfig, load_config
 from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
 from .powergrid import Feeder, PowerFlowSolution, sample_load_profile
-from .scada import CompromiseRecord, MtuApp, RtuApp
+from .scada import MtuApp, RtuApp
 from .vulnhost import KEEPALIVE_LENS, HTTP_REQUEST_LEN, PROBE_LEN, SimHost
 
 
@@ -122,8 +116,7 @@ class OpsComponent:
         if target in self.down:
             return False
         dst = self.addresses[target]
-        self.fabric.send_app_message(self.section.host, dst, protocol, length, payload,
-                                     self.section.host)
+        self.fabric.send_app_message(self.section.host, dst, protocol, length, payload)
         self.requests_sent += 1
         return True
 
@@ -149,7 +142,6 @@ class Simulation:
     attacker: AttackerComponent
     ops: OpsComponent | None
     collector: TrafficCollector
-    compromise_log: list[CompromiseRecord]
     attack_start_step: int
     dataset: LabeledDataset | None = None
     final_step: int | None = None
@@ -212,7 +204,6 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> 
         )
         hosts[node.node_id] = host
 
-    compromise_log: list[CompromiseRecord] = []
     grid = GridComponent(engine, config.grid, derive_seed(seed, "grid"))
 
     mtu_addr = addresses[config.scada.mtu_host]
@@ -222,7 +213,7 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> 
         host = hosts[rtu_cfg.host]
         rtu = RtuApp(
             engine, fabric, host, rtu_cfg.station, rtu_cfg.binding, mtu_addr,
-            grid, compromise_log, report_offset_ms=rtu_cfg.report_offset_ms + RTU_STAGGER_MS * i,
+            grid, report_offset_ms=rtu_cfg.report_offset_ms + RTU_STAGGER_MS * i,
         )
         host.scada_app = rtu
         rtus[rtu_cfg.station] = rtu
@@ -271,7 +262,7 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> 
     return Simulation(
         config=config, seed=seed, engine=engine, fabric=fabric, hosts=hosts, grid=grid,
         rtus=rtus, mtu=mtu, attacker=attacker, ops=ops, collector=collector,
-        compromise_log=compromise_log, attack_start_step=attack_start_step,
+        attack_start_step=attack_start_step,
     )
 
 
@@ -298,7 +289,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, trace: bool = 
 
     records = label_records(
         sim.collector.snapshots,
-        config.attacker.host,
+        attacker.address,
         attacker.state.stage_times,
         _last_ms_of(sim.final_step),
         label_manipulated_reports=config.capture.label_manipulated_reports,
@@ -339,8 +330,5 @@ def make_scenario(scenario_id: int, seed: int) -> LabeledDataset:
         raise ValueError(f"scenario_id must be 1..6, got {scenario_id}")
     config = load_fixture(scenario_id)
     dataset = run_scenario(config, seed=seed).dataset
-    target = config.capture.balance_target
-    achieved = dataset.balance[0]
-    if abs(achieved - target) > BALANCE_TOLERANCE_PP:
-        raise CalibrationError(scenario_id, target, achieved)
+    check_balance(scenario_id, config.capture.balance_target, dataset)
     return dataset

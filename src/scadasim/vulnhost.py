@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import NetworkFabric, Packet
+from .network import PROTOCOLS, NetworkFabric, Packet
 
 USER_LEVELS = {"www-data": 0, "operator": 0, "root": 1}
 PE_METHODS = ("suid_binary", "sudoers_script")
@@ -49,6 +49,9 @@ class HostService:
     def __post_init__(self):
         if not 1 <= self.port <= 65535:
             raise HostConfigError(f"port {self.port} out of range")
+        if self.protocol not in PROTOCOLS:
+            raise HostConfigError(f"unknown protocol {self.protocol!r}; "
+                                  f"expected one of {', '.join(PROTOCOLS)}")
         if self.rce is not None:
             if self.rce.method not in ("cmd_param", "known_credentials"):
                 raise HostConfigError(f"unknown rce method {self.rce.method!r}")
@@ -58,11 +61,8 @@ class HostService:
 
 @dataclass
 class Session:
-    host_id: str
     session_id: str
     user: str
-    established_via: tuple[int, str]
-    open: bool = True
 
 
 USER_IDS = {"www-data": 33, "operator": 1000, "root": 0}
@@ -93,7 +93,6 @@ class SimHost:
         self.silenced = False
         self._session_counter = 0
         self.scada_app = None  # RtuApp or MtuApp, set by scenario wiring
-        self.escalation_attempts: list[tuple[str, str, bool]] = []
 
     # -- inbound -------------------------------------------------------------
 
@@ -128,7 +127,7 @@ class SimHost:
         # carries one, is echoed so the sender can match the reply to it.
         if "attempt" in packet.payload:
             payload["attempt"] = packet.payload["attempt"]
-        fabric.send_app_message(self.node_id, packet.src, protocol, length, payload, self.node_id)
+        fabric.send_app_message(self.node_id, packet.src, protocol, length, payload)
 
     def _refuse(self, fabric, packet, port: int) -> None:
         self._reply(
@@ -235,12 +234,7 @@ class SimHost:
 
     def _open_session(self, svc: HostService) -> Session:
         self._session_counter += 1
-        session = Session(
-            host_id=self.node_id,
-            session_id=f"{self.node_id}-s{self._session_counter}",
-            user=svc.rce.executing_user,
-            established_via=(svc.port, svc.protocol),
-        )
+        session = Session(f"{self.node_id}-s{self._session_counter}", svc.rce.executing_user)
         self.sessions[session.session_id] = session
         return session
 
@@ -251,7 +245,7 @@ class SimHost:
         session = self.sessions.get(sid)
         proto = packet.payload.get("protocol", "HTTP")
         out_len = SESSION_CMD_LENS.get(proto, SESSION_CMD_LENS["HTTP"])[1]
-        if session is None or not session.open:
+        if session is None:
             self._reply(
                 fabric, packet, proto, out_len,
                 {"type": "cmd_output", "ok": False, "error": "session closed"},
@@ -265,8 +259,6 @@ class SimHost:
 
     def exec_command(self, session: Session, command: str) -> str:
         """Interpret the small fixed command set; deterministic output."""
-        if not session.open:
-            return "error: session closed"
         parts = command.split()
         if not parts:
             return "error: empty command"
@@ -289,12 +281,7 @@ class SimHost:
 
     def escalate(self, session: Session, method: str) -> str:
         """Try one PE path; the session user only ever moves up to root."""
-        if session.user == "root":
-            self.escalation_attempts.append((session.session_id, method, True))
-            return "root"
-        ok = method in self.pe_paths
-        self.escalation_attempts.append((session.session_id, method, ok))
-        if ok:
+        if session.user == "root" or method in self.pe_paths:
             session.user = "root"
             return "root"
         return "denied"

@@ -122,7 +122,7 @@ class TestScan:
         fabric.send_app_message = lambda *args: sent.append(args) or send(*args)
         engine.run(0)  # the start event only
         assert sent == [("attacker", "10.0.0.10", "SCAN_PROBE", PROBE_LEN,
-                         {"type": "probe", "port": 21}, "attacker")]
+                         {"type": "probe", "port": 21})]
         assert attacker.probes_sent == 1
         assert attacker.state.stage == "S1_scan"
 

@@ -22,9 +22,12 @@ from scadasim.ids.models import FeatureDictionary, labels_array
 from scadasim.network import Packet
 
 
-def snap(time_ms, origin, src="10.0.0.66", dst="10.0.0.11",
+ATTACKER = "10.0.0.66"
+
+
+def snap(time_ms, src=ATTACKER, dst="10.0.0.11",
          protocol="SCAN_PROBE", length=60, manipulated=False):
-    return CapturedPacket(time_ms, src, dst, protocol, length, origin, manipulated)
+    return CapturedPacket(time_ms, src, dst, protocol, length, manipulated)
 
 
 STAGES = [(1000, "S1_scan"), (5000, "S2_rce"), (6000, "S3_pe"), (7000, "S4_impact")]
@@ -33,16 +36,16 @@ STAGES = [(1000, "S1_scan"), (5000, "S2_rce"), (6000, "S3_pe"), (7000, "S4_impac
 class TestCollector:
     def test_snapshot_copies_packet_fields(self):
         collector = TrafficCollector()
-        packet = Packet(2345, "a", "b", "HTTP", 222, {"type": "x"}, "h1")
+        packet = Packet(2345, "a", "b", "HTTP", 222, {"type": "x"})
         collector.record(packet)
         s = collector.snapshots[0]
-        assert (s.time_ms, s.src, s.dst, s.protocol, s.length_bytes, s.origin_actor) == (
-            2345, "a", "b", "HTTP", 222, "h1")
+        assert (s.time_ms, s.src, s.dst, s.protocol, s.length_bytes) == (
+            2345, "a", "b", "HTTP", 222)
         assert s.manipulated is False
 
     def test_manipulated_flag_carried_through(self):
         collector = TrafficCollector()
-        packet = Packet(1, "a", "b", "SCADA", 61, {"manipulated": True}, "rtu1-host")
+        packet = Packet(1, "a", "b", "SCADA", 61, {"manipulated": True})
         collector.record(packet)
         assert collector.snapshots[0].manipulated is True
 
@@ -50,44 +53,45 @@ class TestCollector:
 class TestLabeling:
     def test_attacker_packets_get_stage_of_send_time(self):
         records = label_records(
-            [snap(1500, "attacker"), snap(5500, "attacker"), snap(7200, "attacker")],
-            "attacker", STAGES, coverage_end_ms=10_000,
+            [snap(1500), snap(5500), snap(7200)],
+            ATTACKER, STAGES, coverage_end_ms=10_000,
         )
         assert [(r.label, r.stage) for r in records] == [
             ("attack", "S1"), ("attack", "S2"), ("attack", "S4")]
 
     def test_pre_attack_telemetry_is_normal(self):
         records = label_records(
-            [snap(500, "rtu1-host", src="10.0.0.11", dst="10.0.0.10", protocol="SCADA", length=61),
-             snap(800, "mtu-host", src="10.0.0.10", dst="10.0.0.11", protocol="SCADA", length=25)],
-            "attacker", STAGES, coverage_end_ms=10_000,
+            [snap(500, src="10.0.0.11", dst="10.0.0.10", protocol="SCADA", length=61),
+             snap(800, src="10.0.0.10", dst="10.0.0.11", protocol="SCADA", length=25)],
+            ATTACKER, STAGES, coverage_end_ms=10_000,
         )
         assert all(r.label == "normal" and r.stage is None for r in records)
 
     def test_manipulated_report_is_attack_s4(self):
         records = label_records(
-            [snap(8000, "rtu1-host", src="10.0.0.11", dst="10.0.0.10",
+            [snap(8000, src="10.0.0.11", dst="10.0.0.10",
                   protocol="SCADA", length=61, manipulated=True)],
-            "attacker", STAGES, coverage_end_ms=10_000,
+            ATTACKER, STAGES, coverage_end_ms=10_000,
         )
         assert records[0].label == "attack"
         assert records[0].stage == "S4"
 
     def test_manipulated_labeling_can_be_toggled_off(self):
         records = label_records(
-            [snap(8000, "rtu1-host", manipulated=True)],
-            "attacker", STAGES, coverage_end_ms=10_000,
+            [snap(8000, src="10.0.0.11", dst="10.0.0.10", manipulated=True)],
+            ATTACKER, STAGES, coverage_end_ms=10_000,
             label_manipulated_reports=False,
         )
         assert records[0].label == "normal"
 
     def test_record_outside_coverage_is_fatal(self):
         with pytest.raises(LabelingError, match="outside log coverage"):
-            label_records([snap(99_999, "mtu-host")], "attacker", STAGES, coverage_end_ms=10_000)
+            label_records([snap(99_999, src="10.0.0.10")], ATTACKER, STAGES,
+                          coverage_end_ms=10_000)
 
     def test_attacker_packet_before_first_stage_is_fatal(self):
         with pytest.raises(LabelingError, match="precedes"):
-            label_records([snap(10, "attacker")], "attacker", STAGES, coverage_end_ms=10_000)
+            label_records([snap(10)], ATTACKER, STAGES, coverage_end_ms=10_000)
 
 
 class TestDataset:

@@ -32,16 +32,25 @@ PINNED_IDS_EVAL = {
 
 # sha256 of `simulate --scenario N --seed 0 --grid-csv` for the fixtures that
 # the reference pin and the benchmark goldens (scenarios 1 and 4) leave out;
-# every value in these files comes out of one power-flow solve.
+# every value in the grid and MTU files comes out of one power-flow solve, and
+# the dataset and action log pin the labelling and the attack procedure.
 PINNED_GRID_SEED_0 = {
     2: {"grid_truth.csv": "871f18ebea9b7a4552f3af5e192c37f43e15afca36261f6bb54f95e7c7e62ab6",
-        "mtu_measurements.csv": "3fb99b2304f978999d72125696efb308797f71aca4c3e27df853adc3e6c10b25"},
+        "mtu_measurements.csv": "3fb99b2304f978999d72125696efb308797f71aca4c3e27df853adc3e6c10b25",
+        "dataset.csv": "5f30b5e68787b6124f0a45d9bbf5863db011e8d6353889a3c82dd96a1a346f27",
+        "attacker_actions.csv": "01912d9ebd59105b4a2fbfba98aa62ff1bc96c5989423b377750a3272051e0d2"},
     3: {"grid_truth.csv": "e69d3ad9940d43457348b2be3f43522a7248e8c6cb0b64b2f9113e7fa303febd",
-        "mtu_measurements.csv": "f1f9b312ec7a4bb3f5557cce219012ad3aba4db8f2231bcc2a69b0de5b491350"},
+        "mtu_measurements.csv": "f1f9b312ec7a4bb3f5557cce219012ad3aba4db8f2231bcc2a69b0de5b491350",
+        "dataset.csv": "8568c4b0f1b1acbc4d9a92265af0dc5737360c08570d8ff50832ac1c7adb0512",
+        "attacker_actions.csv": "ffcb4774e1a02f9cfb4f88f1b5b55bfae7d39fc7de5e4f81a8a71d4d4b85933e"},
     5: {"grid_truth.csv": "3840d4f471d92636381c8b989ccf91d78a5c8e5d4841c1acaecbb6ffa321e1ec",
-        "mtu_measurements.csv": "88962915ac0cfd621298f9931eb0638ce6c58d272f2f5b7fa92c5672c6a34954"},
+        "mtu_measurements.csv": "88962915ac0cfd621298f9931eb0638ce6c58d272f2f5b7fa92c5672c6a34954",
+        "dataset.csv": "28b2ae30c2b9ca3fd7f5ddbf91600306b9ff7c6e6b4a562e3eea69153dbb34dc",
+        "attacker_actions.csv": "12f572231ce1efb1fd1045bee9be5fa9c52286750627a9fc9483800e06fee1cb"},
     6: {"grid_truth.csv": "2fd28aa6060a65b465ae0938949f1246e77991102665a47025f07cbaf0599e95",
-        "mtu_measurements.csv": "e8e0729e4e3798e78d655ea03d08caa4202c23f1e72cb8d363aae65b14bd4912"},
+        "mtu_measurements.csv": "e8e0729e4e3798e78d655ea03d08caa4202c23f1e72cb8d363aae65b14bd4912",
+        "dataset.csv": "0e7a3d497d108b766a88b9ebd9bd710c3481b69c38316fb28de41caf136f6d6d",
+        "attacker_actions.csv": "cfb3ae9b817174509da75badb1faa33aa22fb51ea335cf882e409e533f639ded"},
 }
 
 NORMAL_ROW = "1000,10.0.0.11,10.0.0.10,SCADA,61,normal,"
@@ -130,6 +139,17 @@ class TestSimulate:
                    for name in PINNED_REFERENCE_SEED_1}
         assert digests == PINNED_REFERENCE_SEED_1
 
+    def test_missed_balance_target_exits_3_after_writing_artifacts(self, tmp_path, capsys):
+        raw = yaml.safe_load(fixture_path("scenario4").read_text(encoding="utf-8"))
+        raw["capture"]["balance_target"] = 10.0
+        config = tmp_path / "s4.yaml"
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", str(config), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "calibration failure" in err and "outside 10.00%" in err
+        assert import_csv(str(out / "dataset.csv")).records
+
     @pytest.mark.parametrize("scenario", sorted(PINNED_GRID_SEED_0))
     def test_fixture_grid_hashes_are_pinned(self, tmp_path, scenario):
         out = tmp_path / "grid"
@@ -177,6 +197,20 @@ def _second_rtu(raw, offset_ms):
     pytest.param("grid.profile.noise_amplitude",
                  lambda raw: raw["grid"]["profile"].update(noise_amplitude=float("nan")),
                  id="noise-nan"),
+    # read, not run: an unknown tag would fail the run at the first probe of the port
+    pytest.param("hosts.rtu1-host.services[1]",
+                 lambda raw: raw["hosts"]["rtu1-host"]["services"][1].update(protocol="FOO"),
+                 id="service-protocol-unknown"),
+    # read, not run: a key with a space breaks the spoof command, and a
+    # misspelt key would leave P_kW unmanipulated without a word
+    pytest.param("attacker.goal",
+                 lambda raw: raw["attacker"]["goal"]["transform"].update(
+                     {"P kW": raw["attacker"]["goal"]["transform"].pop("P_kW")}),
+                 id="goal-quantity-with-space"),
+    pytest.param("attacker.goal",
+                 lambda raw: raw["attacker"]["goal"]["transform"].update(
+                     {"P_kw": raw["attacker"]["goal"]["transform"].pop("P_kW")}),
+                 id="goal-quantity-misspelt"),
 ])
 def test_out_of_range_timing_exits_2_naming_field(tmp_path, capsys, field, mutate):
     raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))

@@ -15,11 +15,15 @@ from scadasim.network import (
 
 
 class Sink:
+    """Keeps each delivered packet and the sim time it arrived at."""
+
     def __init__(self):
         self.received = []
+        self.arrived_at = []
 
     def on_packet(self, fabric, packet):
         self.received.append(packet)
+        self.arrived_at.append(fabric.engine.now)
 
 
 def line_topology(loss=0.0, latency=10, bandwidth=1_000_000, span=False):
@@ -39,9 +43,9 @@ def line_topology(loss=0.0, latency=10, bandwidth=1_000_000, span=False):
     )
 
 
-def build(topology, seed=1, log=False):
+def build(topology, seed=1):
     engine = Engine()
-    fabric = NetworkFabric(topology, engine, seed, log_transmissions=log)
+    fabric = NetworkFabric(topology, engine, seed)
     sinks = {}
     for node in topology.nodes:
         if node.kind == "host":
@@ -86,9 +90,9 @@ class TestTopologyValidation:
 
     def test_bad_packet_rejected(self):
         with pytest.raises(NetworkConfigError, match="protocol"):
-            Packet(0, "a", "b", "BOGUS", 60, {}, "x")
+            Packet(0, "a", "b", "BOGUS", 60, {})
         with pytest.raises(NetworkConfigError, match="length"):
-            Packet(0, "a", "b", "HTTP", 10, {}, "x")
+            Packet(0, "a", "b", "HTTP", 10, {})
 
 
 class TestDelivery:
@@ -96,39 +100,32 @@ class TestDelivery:
         # 125 bytes at 1 Mbit/s = 1 ms serialization; +10 ms latency per hop
         engine, fabric, sinks = build(line_topology())
         engine.register("src", lambda e, kind, payload: fabric.send_app_message(
-            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
+            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}))
         engine.schedule(0, "src", "go")
         engine.run(1000)
         assert len(sinks["h2"].received) == 1
         packet = sinks["h2"].received[0]
         # two hops, 11 ms each
-        assert packet.delivered_at - packet.sent_at == 22
+        assert sinks["h2"].arrived_at[0] - packet.sent_at == 22
 
     def test_fifo_serialization_queues_back_to_back_sends(self):
-        engine, fabric, sinks = build(line_topology(), log=True)
+        engine, fabric, sinks = build(line_topology())
 
         def burst(e, kind, payload):
             for _ in range(3):
-                fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
+                fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"})
 
         engine.register("src", burst)
         engine.schedule(0, "src", "go")
         engine.run(1000)
-        arrivals = [p.delivered_at for p in sinks["h2"].received]
         # first hop serializes 1 ms apart; second hop preserves spacing
-        assert arrivals == [22, 23, 24]
-        for t in fabric.transmissions:
-            assert t.dropped is None
-            link = fabric.links[t.link_id]
-            serialization = (t.length_bytes * 8 * 1000 + link.bandwidth_bps - 1) // link.bandwidth_bps
-            assert t.arrive_ms == t.start_ms + serialization + link.latency_ms
-            assert t.start_ms >= t.send_ms  # queueing only ever delays
+        assert sinks["h2"].arrived_at == [22, 23, 24]
 
     def test_link_down_drops(self):
         engine, fabric, sinks = build(line_topology())
         fabric.set_link_state("l2", False)
         engine.register("src", lambda e, kind, payload: fabric.send_app_message(
-            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
+            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}))
         engine.schedule(0, "src", "go")
         engine.run(1000)
         assert sinks["h2"].received == []
@@ -138,7 +135,7 @@ class TestDelivery:
         fabric.set_link_state("l2", False)
         fabric.set_link_state("l2", True)
         engine.register("src", lambda e, kind, payload: fabric.send_app_message(
-            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
+            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}))
         engine.schedule(0, "src", "go")
         engine.run(1000)
         assert len(sinks["h2"].received) == 1
@@ -148,7 +145,7 @@ class TestDelivery:
 
         def burst(e, kind, payload):
             for _ in range(200):
-                fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
+                fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"})
 
         engine.register("src", burst)
         engine.schedule(0, "src", "go")
@@ -179,7 +176,7 @@ class TestLossStatistics:
 
         def burst(e, kind, payload):
             for _ in range(n):
-                fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
+                fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"})
 
         engine.register("src", burst)
         engine.schedule(0, "src", "go")
@@ -195,7 +192,7 @@ class TestLossStatistics:
 
             def burst(e, kind, payload):
                 for _ in range(100):
-                    fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1")
+                    fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x"})
 
             engine.register("src", burst)
             engine.schedule(0, "src", "go")
@@ -210,7 +207,7 @@ class TestSwitchAndSpan:
         mirrored = []
         fabric.mirror_sink = mirrored.append
         engine.register("src", lambda e, kind, payload: fabric.send_app_message(
-            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
+            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}))
         engine.schedule(0, "src", "go")
         engine.run(1000)
         assert len(mirrored) == 1
@@ -221,7 +218,7 @@ class TestSwitchAndSpan:
         mirrored = []
         fabric.mirror_sink = mirrored.append
         engine.register("src", lambda e, kind, payload: fabric.send_app_message(
-            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}, "h1"))
+            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}))
         engine.schedule(0, "src", "go")
         engine.run(1000)
         assert mirrored == []
@@ -233,7 +230,7 @@ class TestSwitchAndSpan:
 
         def burst(e, kind, payload):
             for i in range(100):
-                fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x", "n": i}, "h1")
+                fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "x", "n": i})
 
         engine.register("src", burst)
         engine.schedule(0, "src", "go")
@@ -245,10 +242,10 @@ class TestSwitchAndSpan:
         engine, fabric, sinks = build(line_topology())
 
         def exchange(e, kind, payload):
-            fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "req"}, "h1")
+            fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "req"})
 
         def reply(e, kind, payload):
-            fabric.send_app_message("h2", "10.0.0.1", "HTTP", 125, {"type": "rsp"}, "h2")
+            fabric.send_app_message("h2", "10.0.0.1", "HTTP", 125, {"type": "rsp"})
 
         engine.register("src", exchange)
         engine.register("rsp", reply)
@@ -276,8 +273,8 @@ class TestSwitchAndSpan:
         engine, fabric, sinks = build(topo)
 
         def send(e, kind, payload):
-            fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "ok"}, "h1")
-            fabric.send_app_message("ext", "10.0.0.2", "HTTP", 125, {"type": "blocked"}, "ext")
+            fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "ok"})
+            fabric.send_app_message("ext", "10.0.0.2", "HTTP", 125, {"type": "blocked"})
 
         engine.register("src", send)
         engine.schedule(0, "src", "go")
@@ -289,14 +286,16 @@ class TestSwitchAndSpan:
 class TestSpecExamples:
     def test_single_hop_delay_is_latency_plus_serialization(self):
         # 125 bytes at 1 Mbit/s is 1 ms on the wire; 10 ms latency makes 11 ms
-        engine, fabric, sinks = build(line_topology(), log=True)
-        engine.register("src", lambda e, kind, payload: fabric.transmit(
-            Packet(e.now, "10.0.0.1", "10.0.0.2", "HTTP", 125, {}, "h1"),
-            fabric.links["l1"], "h1"))
+        topo = IctTopology(
+            nodes=[NetNode("h1", "host", "10.0.0.1"), NetNode("h2", "host", "10.0.0.2")],
+            links=[NetLink("l1", "h1", "h2", latency_ms=10, bandwidth_bps=1_000_000)],
+        )
+        engine, fabric, sinks = build(topo)
+        engine.register("src", lambda e, kind, payload: fabric.send_app_message(
+            "h1", "10.0.0.2", "HTTP", 125, {"type": "x"}))
         engine.schedule(0, "src", "go")
         engine.run(1000)
-        hop = fabric.transmissions[0]
-        assert hop.arrive_ms - hop.send_ms == 11
+        assert sinks["h2"].arrived_at == [11]
 
     def test_traffic_on_non_mirrored_segment_is_not_captured(self):
         topo = IctTopology(
@@ -320,10 +319,10 @@ class TestSpecExamples:
         fabric.mirror_sink = mirrored.append
 
         def exchange(e, kind, payload):
-            fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "req"}, "h1")
+            fabric.send_app_message("h1", "10.0.0.2", "HTTP", 125, {"type": "req"})
 
         def reply(e, kind, payload):
-            fabric.send_app_message("h2", "10.0.0.1", "HTTP", 125, {"type": "rsp"}, "h2")
+            fabric.send_app_message("h2", "10.0.0.1", "HTTP", 125, {"type": "rsp"})
 
         engine.register("src", exchange)
         engine.register("rsp", reply)

@@ -68,12 +68,11 @@ def rig(interrogate=True, binding=BINDING):
     fabric.register_app("rtu1-host", rtu_host)
     fabric.register_app("mtu-host", mtu_host)
     grid = StaticGrid()
-    compromise_log = []
-    rtu = RtuApp(engine, fabric, rtu_host, "rtu1", binding, "10.0.0.10", grid, compromise_log)
+    rtu = RtuApp(engine, fabric, rtu_host, "rtu1", binding, "10.0.0.10", grid)
     mtu = MtuApp(engine, fabric, mtu_host, {"rtu1": "10.0.0.11"}, interrogate_stale=interrogate)
     rtu_host.scada_app = rtu
     mtu_host.scada_app = mtu
-    return engine, fabric, rtu, mtu, grid, compromise_log
+    return engine, fabric, rtu, mtu, grid
 
 
 class TestReporting:
@@ -82,7 +81,7 @@ class TestReporting:
         assert frame_length(0) == 25
 
     def test_report_cycle_fills_mtu_table_with_true_values(self):
-        engine, fabric, rtu, mtu, grid, _ = rig()
+        engine, fabric, rtu, mtu, grid = rig()
         engine.run(5999)
         assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
         assert mtu.value("rtu1", "m1") == grid.solution.transformer_loading_percent
@@ -92,20 +91,20 @@ class TestReporting:
         binding = RtuBinding(
             "rtu1", (BoundPoint("va", "V_pu", "lv"), BoundPoint("vb", "V_pu", "b2"))
         )
-        engine, fabric, rtu, mtu, grid, _ = rig(binding=binding)
+        engine, fabric, rtu, mtu, grid = rig(binding=binding)
         engine.run(1999)
         assert sorted(point_id for _, point_id in mtu.table) == ["va", "vb"]
         assert mtu.value("rtu1", "va") == grid.solution.bus_voltage_pu["lv"]
         assert mtu.value("rtu1", "vb") == grid.solution.bus_voltage_pu["b2"]
 
     def test_one_report_per_cycle_with_strictly_increasing_sequence(self):
-        engine, fabric, rtu, mtu, grid, _ = rig()
+        engine, fabric, rtu, mtu, grid = rig()
         engine.run(9999)
         assert rtu.reports_sent == 10
         assert rtu.sequence_no == 10
 
     def test_manipulate_scales_reported_values(self):
-        engine, fabric, rtu, mtu, grid, _ = rig()
+        engine, fabric, rtu, mtu, grid = rig()
         rtu.apply_manipulate({"P_kW": (0.5, 0.0)})
         engine.run(3999)
         assert mtu.value("rtu1", "m2") == pytest.approx(grid.solution.transformer_p_kw * 0.5)
@@ -113,7 +112,7 @@ class TestReporting:
         assert mtu.value("rtu1", "m1") == grid.solution.transformer_loading_percent
 
     def test_identity_transform_reports_true_values_unflagged(self):
-        engine, fabric, rtu, mtu, grid, _ = rig()
+        engine, fabric, rtu, mtu, grid = rig()
         rtu.apply_manipulate({"P_kW": (1.0, 0.0)})
         captured = []
         original = fabric.send_app_message
@@ -130,7 +129,7 @@ class TestReporting:
         assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
 
     def test_dos_stops_all_reports_after_activation(self):
-        engine, fabric, rtu, mtu, grid, log = rig(interrogate=False)
+        engine, fabric, rtu, mtu, grid = rig(interrogate=False)
         engine.run(4999)
 
         class Stop:
@@ -144,13 +143,13 @@ class TestReporting:
         engine.schedule(5010, "killer", "go")
         engine.run(20_999)
         assert rtu.reports_sent == 5  # steps 0..4 only
-        assert log and log[0].effect.kind == "dos"
-        assert log[0].effect.active_from == 5010
+        assert rtu.effect.kind == "dos"
+        assert rtu.effect.active_from == 5010
 
 
 class TestMtuIngest:
     def test_out_of_order_sequence_keeps_newer_value(self):
-        engine, fabric, rtu, mtu, grid, _ = rig()
+        engine, fabric, rtu, mtu, grid = rig()
         newer = TelemetryFrame("measurement_report", "rtu1", (("m2", "P_kW", 60.0),), 5)
         older = TelemetryFrame("measurement_report", "rtu1", (("m2", "P_kW", 10.0),), 4)
         assert mtu.ingest(newer) is True
@@ -159,7 +158,7 @@ class TestMtuIngest:
         assert mtu.out_of_order_count == 1
 
     def test_malformed_frame_counted_and_dropped(self):
-        engine, fabric, rtu, mtu, grid, _ = rig()
+        engine, fabric, rtu, mtu, grid = rig()
         empty = TelemetryFrame("measurement_report", "rtu1", (), 1)
         assert mtu.ingest(empty) is False
         assert mtu.malformed_count == 1
@@ -167,7 +166,7 @@ class TestMtuIngest:
         assert mtu.malformed_count == 2
 
     def test_stale_after_three_missed_cycles(self):
-        engine, fabric, rtu, mtu, grid, _ = rig(interrogate=False)
+        engine, fabric, rtu, mtu, grid = rig(interrogate=False)
         engine.run(2999)
         rtu.running = False  # silent failure, not a compromise
         engine.run(5999)
@@ -177,7 +176,7 @@ class TestMtuIngest:
         assert mtu.table[("rtu1", "m2")].stale is True
 
     def test_stale_station_is_reinterrogated(self):
-        engine, fabric, rtu, mtu, grid, _ = rig(interrogate=True)
+        engine, fabric, rtu, mtu, grid = rig(interrogate=True)
         engine.run(2999)
         rtu.running = False
         engine.run(10_999)
@@ -187,7 +186,7 @@ class TestMtuIngest:
         assert mtu.table[("rtu1", "m2")].stale is False
 
     def test_history_rows_have_csv_shape(self):
-        engine, fabric, rtu, mtu, grid, _ = rig()
+        engine, fabric, rtu, mtu, grid = rig()
         engine.run(3999)
         step, station, point, quantity, value, stale = mtu.history[0]
         assert station == "rtu1"

@@ -72,15 +72,16 @@ class TestReferenceRun:
         snapshots = reference_result.collector.snapshots
         records = reference_result.dataset.records
         assert len(snapshots) == len(records)
+        attacker_address = reference_result.attacker.address
+        assert attacker_address == "10.0.0.66"
         for snap, rec in zip(snapshots, records):
-            if snap.origin_actor == "attacker-host":
+            if snap.src == attacker_address:
                 assert rec.label == "attack"
 
-    def test_compromise_log_has_manipulation_record(self, reference_result):
-        log = reference_result.compromise_log
-        assert len(log) == 1
-        assert log[0].station == "rtu1"
-        assert log[0].effect.kind == "manipulate"
+    def test_only_rtu1_carries_a_manipulation_effect(self, reference_result):
+        rtus = reference_result.rtus
+        assert rtus["rtu1"].effect.kind == "manipulate"
+        assert [name for name, rtu in rtus.items() if rtu.effect is not None] == ["rtu1"]
 
 
 class TestDeterminism:

@@ -51,7 +51,7 @@ def send(engine, fabric, payload, protocol="SCAN_PROBE", length=60, at_ms=0):
 def run(engine, fabric, sends):
     def driver(eng, kind, item):
         payload, protocol, length = item
-        fabric.send_app_message("client", "10.0.0.11", protocol, length, payload, "client")
+        fabric.send_app_message("client", "10.0.0.11", protocol, length, payload)
 
     engine.register("driver", driver)
     for i, item in enumerate(sends):
@@ -116,7 +116,6 @@ class TestServiceSurface:
         assert result.payload["output"] == "operator"
         session = host.sessions[result.payload["session"]]
         assert session.user == "operator"
-        assert session.established_via == (22, "SSH")
 
     def test_login_without_credentials_vuln_fails(self):
         services = {22: HostService(22, "SSH", banner="openssh")}
@@ -137,8 +136,7 @@ class TestServiceSurface:
 
 class TestCommandsAndEscalation:
     def open_session(self, host, user="www-data"):
-        svc = HostService(80, "HTTP", rce=RceVuln("cmd_param", user))
-        session = Session("srv", "srv-s1", user, (80, "HTTP"))
+        session = Session("srv-s1", user)
         host.sessions[session.session_id] = session
         return session
 
@@ -158,13 +156,17 @@ class TestCommandsAndEscalation:
         session = self.open_session(host)
         out = host.exec_command(session, "rm -rf /")
         assert out.startswith("error: unknown command")
-        assert session.open
+        assert host.exec_command(session, "whoami") == "www-data"
 
-    def test_closed_session_rejects_commands(self):
-        _, _, _, host = rig(services=WEB)
-        session = self.open_session(host)
-        session.open = False
-        assert host.exec_command(session, "whoami") == "error: session closed"
+    def test_unknown_session_id_is_answered_session_closed(self):
+        engine, fabric, client, host = rig(services=WEB)
+        self.open_session(host)
+        run(engine, fabric, [
+            ({"type": "session_cmd", "session": "srv-s9", "protocol": "HTTP",
+              "command": "whoami"}, "HTTP", 300),
+        ])
+        [reply] = client.responses
+        assert reply.payload == {"type": "cmd_output", "ok": False, "error": "session closed"}
 
     def test_escalation_via_configured_suid(self):
         _, _, _, host = rig(services=WEB, pe_paths={"suid_binary"})
@@ -172,13 +174,12 @@ class TestCommandsAndEscalation:
         assert host.exec_command(session, "escalate suid_binary") == "root"
         assert host.exec_command(session, "whoami") == "root"
 
-    def test_escalation_without_path_fails_and_is_logged(self):
+    def test_escalation_without_path_is_denied(self):
         _, _, _, host = rig(services=WEB)
         session = self.open_session(host)
         assert host.exec_command(session, "escalate suid_binary") == "denied"
         assert host.exec_command(session, "escalate sudoers_script") == "denied"
         assert session.user == "www-data"
-        assert [ok for _, _, ok in host.escalation_attempts] == [False, False]
 
     def test_escalation_is_idempotent_for_root(self):
         _, _, _, host = rig(services=WEB, pe_paths={"suid_binary"})
