@@ -171,6 +171,48 @@ def export_csv(dataset: LabeledDataset, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+class _RowProblem(Exception):
+    """What is wrong with one CSV row; import_csv adds the file and row number."""
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise _RowProblem(f"non-integer field: {exc}") from exc
+
+
+def _check_time(time_ms: int) -> int:
+    if time_ms < 0:
+        raise _RowProblem(f"negative time_ms {time_ms}")
+    return time_ms
+
+
+def _row_fields(line: str) -> tuple:
+    """Every check of one row, in order; returns the fields after the time
+    as a record holds them: (src, dst, protocol, length, label, stage)."""
+    parts = line.split(",")
+    if len(parts) != 7:
+        raise _RowProblem(f"expected 7 fields, got {len(parts)}")
+    time_s, src, dst, protocol, length_s, label, stage = parts
+    time_ms = _integer(time_s)
+    length = _integer(length_s)
+    try:
+        stage_tag = _ROW_STAGE[label, stage]
+    except KeyError:
+        if label not in LABELS:
+            raise _RowProblem(f"bad label token {label!r}") from None
+        if label == "attack":
+            raise _RowProblem(f"bad stage {stage!r} for attack row") from None
+        raise _RowProblem("normal row carries a stage") from None
+    _check_time(time_ms)
+    if length < MIN_PACKET_BYTES:
+        raise _RowProblem(f"length {length} below {MIN_PACKET_BYTES} bytes")
+    if not (src and dst and protocol):
+        raise _RowProblem("empty src, dst or protocol")
+    return (src, dst, protocol, length, label, stage_tag)
+
+
 def import_csv(path: str) -> LabeledDataset:
     """Read a dataset CSV; the one place outside rows are checked.
 
@@ -178,39 +220,27 @@ def import_csv(path: str) -> LabeledDataset:
     length of at least ``MIN_PACKET_BYTES`` and non-empty src, dst and
     protocol. Times need not increase: capture order is the order the SPAN
     switch forwarded frames in, not the order they were sent.
+
+    Each distinct row tail (everything after the time) is checked once, the
+    first time it appears; a later row with the same tail can only be wrong
+    in its time, so only its time is checked, and it shares the first row's
+    field objects. The first bad row still raises the same error as a full
+    check of every row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise DatasetFormatError(f"{path}: missing or wrong header")
     records: list[LabeledRecord] = []
+    fields_of: dict[str, tuple] = {}
     for row_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise DatasetFormatError(f"{path} row {row_no}: expected 7 fields, got {len(parts)}")
-        time_s, src, dst, protocol, length_s, label, stage = parts
+        time_s, _, tail = line.partition(",")
         try:
-            time_ms = int(time_s)
-            length = int(length_s)
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path} row {row_no}: non-integer field: {exc}") from exc
-        try:
-            stage_tag = _ROW_STAGE[label, stage]
-        except KeyError:
-            if label not in LABELS:
-                problem = f"bad label token {label!r}"
-            elif label == "attack":
-                problem = f"bad stage {stage!r} for attack row"
-            else:
-                problem = "normal row carries a stage"
-            raise DatasetFormatError(f"{path} row {row_no}: {problem}") from None
-        if time_ms < 0:
-            raise DatasetFormatError(f"{path} row {row_no}: negative time_ms {time_ms}")
-        if length < MIN_PACKET_BYTES:
-            raise DatasetFormatError(
-                f"{path} row {row_no}: length {length} below {MIN_PACKET_BYTES} bytes")
-        if not (src and dst and protocol):
-            raise DatasetFormatError(f"{path} row {row_no}: empty src, dst or protocol")
-        records.append(LabeledRecord(time_ms, src, dst, protocol, length, label, stage_tag))
+            fields = fields_of.get(tail)
+            if fields is None:
+                fields = fields_of[tail] = _row_fields(line)
+            time_ms = _check_time(_integer(time_s))
+        except _RowProblem as exc:
+            raise DatasetFormatError(f"{path} row {row_no}: {exc}") from exc.__cause__
+        records.append(LabeledRecord(time_ms, *fields))
     return LabeledDataset.from_records(records)
-

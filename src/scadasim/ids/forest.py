@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import TrainingDataError, unique_rows
+from .rows import FlatForest, TrainingDataError, read_tree, row_blocks, unique_rows
 
 GINI_EPS = 1e-12
 
@@ -128,28 +128,6 @@ class DecisionTree:
         p = np.divide(pos, tot, out=np.zeros_like(pos), where=tot > 0)
         return 2.0 * p * (1.0 - p)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X), dtype=np.int64)
-        node_of = np.zeros(len(X), dtype=np.int64)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        label = np.asarray(self.label)
-        active = np.arange(len(X))
-        while len(active):
-            nodes = node_of[active]
-            at_leaf = feature[nodes] == -1
-            done = active[at_leaf]
-            out[done] = label[node_of[done]]
-            active = active[~at_leaf]
-            if not len(active):
-                break
-            nodes = node_of[active]
-            goes_left = X[active, feature[nodes]] <= threshold[nodes]
-            node_of[active] = np.where(goes_left, left[nodes], right[nodes])
-        return out
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature,
@@ -162,11 +140,10 @@ class DecisionTree:
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTree":
         tree = cls(max_depth=None, min_samples_split=2, max_features=None)
-        tree.feature = [int(v) for v in data["feature"]]
-        tree.threshold = [float(v) for v in data["threshold"]]
-        tree.left = [int(v) for v in data["left"]]
-        tree.right = [int(v) for v in data["right"]]
-        tree.label = [int(v) for v in data["label"]]
+        fields = read_tree(data, {"feature": int, "threshold": float, "left": int, "right": int,
+                                  "label": int})
+        for name, values in fields.items():
+            setattr(tree, name, values)
         return tree
 
 
@@ -229,9 +206,11 @@ class RandomForestDetector:
         if not self.trees:
             raise ValueError("model not fitted")
         rows, inverse = unique_rows(np.asarray(X, dtype=np.float64))
+        forest = FlatForest(self.trees, "threshold")
+        label = np.concatenate([t.label for t in self.trees]).astype(np.int64)
         votes = np.zeros(len(rows), dtype=np.int64)
-        for tree in self.trees:
-            votes += tree.predict(rows)
+        for block in row_blocks(len(rows), len(self.trees)):
+            votes[block] = label[forest.leaves(rows[block], np.less_equal)].sum(axis=0)
         # majority; exact ties go to attack
         return (votes * 2 >= len(self.trees)).astype(np.int64)[inverse]
 

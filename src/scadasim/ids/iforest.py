@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import TrainingDataError, unique_rows
+from .rows import FlatForest, TrainingDataError, read_tree, row_blocks, unique_rows
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -67,31 +67,6 @@ class _IsolationTree:
         self.right[node] = self._grow(X[~mask], rng, max_depth, depth + 1)
         return node
 
-    def path_length(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X))
-        node_of = np.zeros(len(X), dtype=np.int64)
-        depth = np.zeros(len(X))
-        feature = np.asarray(self.feature)
-        split = np.asarray(self.split)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        leaf_size = np.asarray(self.leaf_size)
-        active = np.arange(len(X))
-        while len(active):
-            nodes = node_of[active]
-            at_leaf = feature[nodes] == -1
-            done = active[at_leaf]
-            sizes = leaf_size[node_of[done]]
-            out[done] = depth[done] + np.array([average_path_length(int(s)) for s in sizes])
-            active = active[~at_leaf]
-            if not len(active):
-                break
-            nodes = node_of[active]
-            goes_left = X[active, feature[nodes]] < split[nodes]
-            node_of[active] = np.where(goes_left, left[nodes], right[nodes])
-            depth[active] += 1.0
-        return out
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature,
@@ -104,11 +79,10 @@ class _IsolationTree:
     @classmethod
     def from_dict(cls, data: dict) -> "_IsolationTree":
         tree = cls()
-        tree.feature = [int(v) for v in data["feature"]]
-        tree.split = [float(v) for v in data["split"]]
-        tree.left = [int(v) for v in data["left"]]
-        tree.right = [int(v) for v in data["right"]]
-        tree.leaf_size = [int(v) for v in data["leaf_size"]]
+        fields = read_tree(data, {"feature": int, "split": float, "left": int, "right": int,
+                                  "leaf_size": int})
+        for name, values in fields.items():
+            setattr(tree, name, values)
         return tree
 
 
@@ -154,9 +128,17 @@ class IsolationForestDetector:
         if len(Xq) == 0:
             return np.zeros(0)
         rows, inverse = unique_rows(Xq)
+        forest = FlatForest(self.trees, "split")
+        # h(x) at each leaf: its depth plus c(leaf size), c taken once per distinct size
+        sizes, size_of = np.unique(np.concatenate([t.leaf_size for t in self.trees]),
+                                   return_inverse=True)
+        c = np.array([average_path_length(int(s)) for s in sizes])
+        leaf_path = forest.depth() + c[size_of]
         depths = np.zeros(len(rows))
-        for tree in self.trees:
-            depths += tree.path_length(rows)
+        for block in row_blocks(len(rows), len(self.trees)):
+            block_depths = depths[block]
+            for path in leaf_path[forest.leaves(rows[block], np.less)]:
+                block_depths += path  # tree by tree in tree order: the float sum keeps its bits
         mean_depth = depths / len(self.trees)
         denom = average_path_length(self.sample_size)
         if denom <= 0:

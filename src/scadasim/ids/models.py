@@ -10,7 +10,6 @@ offending indices.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,21 @@ ALGORITHMS = tuple(DETECTORS)
 SEMI_SUPERVISED = ("lof", "iforest")
 
 
+def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarray]:
+    """The one pass over the records that encoding and training make.
+
+    Returns each distinct (src, dst, protocol, length, label) key numbered in
+    first-seen order, and each record's key number. The label rides along so
+    that training takes its labels from the same pass; encoding ignores it.
+    """
+    index: dict[tuple, int] = {}
+    inverse = np.fromiter(
+        (index.setdefault(r[1:6], len(index)) for r in records),  # fields src .. label
+        dtype=np.intp, count=len(records),
+    )
+    return index, inverse
+
+
 @dataclass
 class FeatureDictionary:
     """Categorical codes frozen at training time; unseen values map to 0."""
@@ -44,34 +58,38 @@ class FeatureDictionary:
 
     @classmethod
     def build(cls, records: list[LabeledRecord]) -> "FeatureDictionary":
-        def first_seen_codes(name: str) -> dict[str, int]:
-            values = dict.fromkeys(map(operator.attrgetter(name), records))
+        return cls._from_keys(_distinct_keys(records)[0])
+
+    @classmethod
+    def _from_keys(cls, keys: dict[tuple, int]) -> "FeatureDictionary":
+        """Codes in first-seen order over the distinct keys, which is their
+        first-seen order over the records; the lengths' range is theirs too."""
+        def first_seen_codes(column: int) -> dict[str, int]:
+            values = dict.fromkeys(key[column] for key in keys)
             return {value: code for code, value in enumerate(values, start=1)}
 
-        lengths = [r.length_bytes for r in records] or [0]
-        return cls(first_seen_codes("src"), first_seen_codes("dst"),
-                   first_seen_codes("protocol"), min(lengths), max(lengths))
+        lengths = [key[3] for key in keys] or [0]
+        return cls(first_seen_codes(0), first_seen_codes(1), first_seen_codes(2),
+                   min(lengths), max(lengths))
 
     def encode(self, records: list[LabeledRecord]) -> np.ndarray:
         """(N, 4) float matrix: src code, dst code, protocol code, normalized length.
 
-        Each distinct (src, dst, protocol, length) record is coded once, and
-        the matrix is gathered from those rows.
+        Each distinct record is coded once, and the matrix is gathered from
+        those rows.
         """
-        index: dict[tuple, int] = {}
-        inverse = np.fromiter(
-            (index.setdefault((r.src, r.dst, r.protocol, r.length_bytes), len(index))
-             for r in records),
-            dtype=np.intp, count=len(records),
-        )
+        keys, inverse = _distinct_keys(records)
+        return self._table(keys)[inverse]
+
+    def _table(self, keys: dict[tuple, int]) -> np.ndarray:
+        """One encoded row per distinct key, in key order."""
         span = self.length_max - self.length_min
-        table = np.array(
+        return np.array(
             [(self.src_codes.get(s, 0), self.dst_codes.get(d, 0), self.protocol_codes.get(p, 0),
               0.0 if span == 0 else (length - self.length_min) / span)
-             for s, d, p, length in index],
+             for s, d, p, length, _ in keys],
             dtype=np.float64,
-        ).reshape(len(index), 4)
-        return table[inverse]
+        ).reshape(len(keys), 4)
 
     def to_dict(self) -> dict:
         return {
@@ -91,12 +109,6 @@ class FeatureDictionary:
             int(data["length_min"]),
             int(data["length_max"]),
         )
-
-
-def labels_array(records: list[LabeledRecord]) -> np.ndarray:
-    """1 for attack, 0 for normal."""
-    return np.fromiter((1 if r.label == "attack" else 0 for r in records), dtype=np.int64,
-                       count=len(records))
 
 
 class PurityError(ValueError):
@@ -159,9 +171,10 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if not records:
         raise TrainingDataError("empty training set")
-    dictionary = FeatureDictionary.build(records)
-    X = dictionary.encode(records)
-    y = labels_array(records)
+    keys, inverse = _distinct_keys(records)
+    dictionary = FeatureDictionary._from_keys(keys)
+    X = dictionary._table(keys)[inverse]
+    y = np.array([label == "attack" for *_, label in keys], dtype=np.int64)[inverse]
 
     if algorithm == "rf":
         detector = RandomForestDetector(seed=seed).fit(X, y)

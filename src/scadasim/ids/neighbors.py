@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rows import TrainingDataError, unique_rows
+from .rows import TrainingDataError, row_blocks, unique_rows
 
 LRD_EPS = 1e-12
 
@@ -78,21 +78,34 @@ class KnnDetector:
         rows, inverse = unique_rows(Xq)
         # Identical training rows lie at bit-identical distances, so distances
         # are taken to each distinct training row once; only the group tied at
-        # the k-th distance needs the training index to break its tie.
+        # the k-th distance needs the training index to break its tie. Its
+        # first `need` members in training-index order carry the votes read
+        # off a running attack count over the members of each group.
         train_rows, group = unique_rows(self.X)
         sizes = np.bincount(group)
         attacks = np.bincount(group, weights=self.y).astype(np.int64)
-        out = np.zeros(len(rows), dtype=np.int64)
-        for i, row in enumerate(rows):
-            d = _row_distances(train_rows, row)
-            by_distance = np.argsort(d, kind="stable")
-            reach = np.searchsorted(np.cumsum(sizes[by_distance]), self.k)
-            kth = d[by_distance[reach]]
-            closer = d < kth
-            need = self.k - int(sizes[closer].sum())
-            tied = np.flatnonzero((d == kth)[group])[:need]
-            attack_votes = int(attacks[closer].sum()) + int(self.y[tied].sum())
-            out[i] = 1 if attack_votes * 2 >= self.k else 0
+        first_member = np.cumsum(sizes) - sizes
+        running = np.concatenate(([0], np.cumsum(self.y[np.argsort(group, kind="stable")])))
+        out = np.empty(len(rows), dtype=np.int64)
+        for block in row_blocks(len(rows), train_rows.size):
+            diff = train_rows - rows[block, None]
+            # the elementwise operations of _row_distances, a block of rows at once
+            d = np.sqrt(np.maximum(np.einsum("qij,qij->qi", diff, diff), 0.0))
+            by_distance = np.argsort(d, axis=1, kind="stable")
+            reach = np.argmax(np.cumsum(sizes[by_distance], axis=1) >= self.k, axis=1)
+            kth_group = by_distance[np.arange(len(d)), reach]
+            kth = d[np.arange(len(d)), kth_group][:, None]
+            closer = (d < kth).astype(np.int64)
+            need = self.k - closer @ sizes
+            votes = closer @ attacks
+            tied = d == kth
+            n_tied = tied.sum(axis=1)
+            one = n_tied == 1
+            start = first_member[kth_group[one]]
+            votes[one] += running[start + need[one]] - running[start]
+            for i in np.flatnonzero(n_tied > 1):  # several groups at the k-th distance
+                votes[i] += self.y[np.flatnonzero(tied[i][group])[:need[i]]].sum()
+            out[block] = votes * 2 >= self.k
         return out[inverse]
 
     def to_dict(self) -> dict:

@@ -1,13 +1,23 @@
-"""Distinct feature rows, and the error a detector raises on unusable rows.
+"""Distinct feature rows, row blocks, tree walks, and the error a detector
+raises on unusable rows.
 
 Captured SCADA traffic is heavily duplicated (tens of thousands of records,
 a few hundred distinct feature rows), so every detector does its per-row work
 once per distinct row and expands the result through the inverse index.
+KNN and both forests score the distinct rows as array blocks: a block of
+query rows against every distinct training row, or every (tree, row) pair
+stepped one tree level at a time. Blocks are sized by ``row_blocks`` so that
+their temporaries stay small however many distinct rows there are.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 import numpy as np
+
+# values in the largest temporary array of one block (512 KiB of float64)
+BLOCK_VALUES = 1 << 16
 
 
 class TrainingDataError(ValueError):
@@ -29,3 +39,86 @@ def unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(X), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return ordered[first], inverse
+
+
+def row_blocks(n_rows: int, values_per_row: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(n_rows)`` whose rows hold at most
+    BLOCK_VALUES values together, at least one row each."""
+    step = max(1, BLOCK_VALUES // max(1, values_per_row))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
+def read_tree(data: dict, fields: dict[str, type]) -> dict[str, list]:
+    """One tree's parallel node arrays from a model file.
+
+    Builders emit nodes in preorder, so each child of an inner node (feature
+    not -1) has a greater index than its node. A tree that breaks this, or has
+    a child out of range, arrays of unequal length or no node, is refused with
+    a ValueError naming the field: a walk of it could loop forever or leave
+    the tree.
+    """
+    tree = {name: [kind(v) for v in data[name]] for name, kind in fields.items()}
+    n = len(tree["feature"])
+    if n == 0:
+        raise ValueError("tree field 'feature' is empty; a tree needs a root node")
+    for name, values in tree.items():
+        if len(values) != n:
+            raise ValueError(f"tree field {name!r} has {len(values)} entries, "
+                             f"expected one per node ({n})")
+    node = np.arange(n)
+    inner = np.asarray(tree["feature"]) != -1
+    for name in ("left", "right"):
+        child = np.asarray(tree[name])
+        bad = np.flatnonzero(inner & ((child <= node) | (child >= n)))
+        if len(bad):
+            raise ValueError(f"tree field {name!r}: node {bad[0]} has child {child[bad[0]]}, "
+                             f"expected an index above {bad[0]} and below {n}")
+    return tree
+
+
+class FlatForest:
+    """The nodes of several trees in one array per field, tree after tree.
+
+    ``roots[t]`` is the first node of tree t. Each leaf (feature -1) is its
+    own left and right child, so a walk steps every (tree, row) pair one
+    level at a time until all of them sit at leaves.
+    """
+
+    def __init__(self, trees: list, cut: str):
+        """``trees`` hold node lists ``feature``, ``left``, ``right`` and the
+        split values in the list named by ``cut``."""
+        def stacked(name: str, dtype) -> np.ndarray:
+            return np.concatenate([getattr(t, name) for t in trees]).astype(dtype)
+
+        sizes = np.array([len(t.feature) for t in trees])
+        self.roots = np.cumsum(sizes) - sizes
+        offset = np.repeat(self.roots, sizes)
+        self.feature = stacked("feature", np.intp)
+        self.cut = stacked(cut, np.float64)
+        node = np.arange(len(self.feature))
+        leaf = self.feature == -1
+        self.left = np.where(leaf, node, stacked("left", np.intp) + offset)
+        self.right = np.where(leaf, node, stacked("right", np.intp) + offset)
+
+    def leaves(self, X: np.ndarray, goes_left: Callable) -> np.ndarray:
+        """(trees, rows) index of the leaf each row of X reaches in each tree;
+        a row goes left where ``goes_left(value, cut)`` holds."""
+        node = np.repeat(self.roots[:, None], len(X), axis=1)
+        row = np.arange(len(X))
+        while True:
+            feature = self.feature[node]
+            if (feature == -1).all():
+                return node
+            left = goes_left(X[row, feature], self.cut[node])
+            node = np.where(left, self.left[node], self.right[node])
+
+    def depth(self) -> np.ndarray:
+        """Each node's depth in its tree (root 0), as float."""
+        depth = np.zeros(len(self.feature))
+        frontier, level = self.roots, 0
+        while len(frontier):
+            depth[frontier] = level
+            inner = frontier[self.feature[frontier] != -1]
+            frontier = np.concatenate((self.left[inner], self.right[inner]))
+            level += 1
+        return depth

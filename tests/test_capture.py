@@ -18,7 +18,7 @@ from scadasim.capture import (
     import_csv,
     label_records,
 )
-from scadasim.ids.models import FeatureDictionary, labels_array
+from scadasim.ids.models import FeatureDictionary, train_model
 from scadasim.network import Packet
 
 
@@ -112,9 +112,9 @@ class TestDataset:
         assert attack_pct == pytest.approx(25.0)
         assert attack_pct + normal_pct == pytest.approx(100.0)
 
-    def test_labels_array(self):
-        arr = labels_array(self.records())
-        assert arr.tolist() == [0, 0, 1, 0]
+    def test_training_labels_follow_record_labels(self):
+        model = train_model("knn", self.records() * 2)
+        assert model.detector.y.tolist() == [0, 0, 1, 0] * 2
 
 
 class TestFeatures:

@@ -81,6 +81,21 @@ class TestRandomForest:
         pred = det.predict(np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0]]))
         assert pred.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("field, edit", [
+        ("left", lambda t: t["left"].__setitem__(0, 0)),  # the root is its own child
+        ("right", lambda t: t["right"].__setitem__(0, 0)),
+        ("right", lambda t: t["right"].__setitem__(0, len(t["right"]))),  # out of range
+        ("threshold", lambda t: t["threshold"].pop()),  # one value short
+        ("feature", lambda t: [t[name].clear() for name in t]),  # no root
+    ], ids=["left-self", "right-self", "right-out-of-range", "short-threshold", "empty"])
+    def test_loaded_tree_a_walk_could_not_finish_is_refused(self, field, edit):
+        X = np.array([[float(i), 0.0] for i in range(8)])
+        data = RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
+            X, np.array([0, 1] * 4)).to_dict()
+        edit(data["trees"][0])
+        with pytest.raises(ValueError, match=repr(field)):
+            RandomForestDetector.from_dict(data)
+
 
 class TestKnn:
     def test_k1_returns_label_of_identical_training_point(self):
@@ -358,6 +373,19 @@ class TestIsolationForest:
         det = IsolationForestDetector(n_trees=10, subsample=1, seed=1).fit(X)
         scores = det.score(np.array([[0.0, 0.0], [50.0, 50.0], [4.0, 4.0]]))
         assert scores[0] == scores[1] == scores[2]
+
+    def test_loaded_tree_with_a_child_before_its_node_is_refused(self):
+        data = IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(
+            self.two_clusters()).to_dict()
+        tree = data["trees"][1]
+        inner = [i for i, f in enumerate(tree["feature"]) if f != -1]
+        tree["left"][inner[-1]] = inner[0]  # a later node points back at the root
+        with pytest.raises(ValueError, match="'left'"):
+            IsolationForestDetector.from_dict(data)
+        tree["left"][inner[-1]] = inner[-1] + 1
+        tree["leaf_size"].append(1)  # one entry too many
+        with pytest.raises(ValueError, match="'leaf_size'"):
+            IsolationForestDetector.from_dict(data)
 
     def test_subsample_larger_than_training_refused(self):
         with pytest.raises(ValueError, match="subsample"):

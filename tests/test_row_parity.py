@@ -1,0 +1,391 @@
+"""The once-per-distinct-row and array-block code paths against frozen copies
+of the row-by-row code they replaced.
+
+The CSV reader checks each distinct row tail once; KNN scores blocks of
+distinct query rows; both forests walk all their trees together. Each must
+give exactly what the row-by-row code gave: the same records and error
+messages, the same predictions, and scores equal byte for byte.
+"""
+
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scadasim.capture import (
+    _ROW_STAGE,
+    CSV_HEADER,
+    LABELS,
+    DatasetFormatError,
+    LabeledDataset,
+    LabeledRecord,
+    import_csv,
+)
+from scadasim.ids import (
+    IsolationForestDetector,
+    KnnDetector,
+    RandomForestDetector,
+    load_model,
+    save_model,
+    train_model,
+)
+from scadasim.ids import rows as rows_module
+from scadasim.ids.iforest import average_path_length
+from scadasim.ids.rows import unique_rows
+from scadasim.network import MIN_PACKET_BYTES
+
+# ---------------------------------------------------------------------------
+# frozen row-by-row code
+# ---------------------------------------------------------------------------
+
+
+def frozen_import_csv(path: str) -> LabeledDataset:
+    """The reader that checked every field of every row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise DatasetFormatError(f"{path}: missing or wrong header")
+    records: list[LabeledRecord] = []
+    for row_no, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise DatasetFormatError(f"{path} row {row_no}: expected 7 fields, got {len(parts)}")
+        time_s, src, dst, protocol, length_s, label, stage = parts
+        try:
+            time_ms = int(time_s)
+            length = int(length_s)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path} row {row_no}: non-integer field: {exc}") from exc
+        try:
+            stage_tag = _ROW_STAGE[label, stage]
+        except KeyError:
+            if label not in LABELS:
+                problem = f"bad label token {label!r}"
+            elif label == "attack":
+                problem = f"bad stage {stage!r} for attack row"
+            else:
+                problem = "normal row carries a stage"
+            raise DatasetFormatError(f"{path} row {row_no}: {problem}") from None
+        if time_ms < 0:
+            raise DatasetFormatError(f"{path} row {row_no}: negative time_ms {time_ms}")
+        if length < MIN_PACKET_BYTES:
+            raise DatasetFormatError(
+                f"{path} row {row_no}: length {length} below {MIN_PACKET_BYTES} bytes")
+        if not (src and dst and protocol):
+            raise DatasetFormatError(f"{path} row {row_no}: empty src, dst or protocol")
+        records.append(LabeledRecord(time_ms, src, dst, protocol, length, label, stage_tag))
+    return LabeledDataset.from_records(records)
+
+
+def frozen_knn_predict(X, y, k, Xq):
+    """KNN prediction one distinct query row at a time."""
+    rows, inverse = unique_rows(Xq)
+    train_rows, group = unique_rows(X)
+    sizes = np.bincount(group)
+    attacks = np.bincount(group, weights=y).astype(np.int64)
+    out = np.zeros(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        diff = train_rows - row
+        d = np.sqrt(np.maximum(np.einsum("ij,ij->i", diff, diff), 0.0))
+        by_distance = np.argsort(d, kind="stable")
+        reach = np.searchsorted(np.cumsum(sizes[by_distance]), k)
+        kth = d[by_distance[reach]]
+        closer = d < kth
+        need = k - int(sizes[closer].sum())
+        tied = np.flatnonzero((d == kth)[group])[:need]
+        attack_votes = int(attacks[closer].sum()) + int(y[tied].sum())
+        out[i] = 1 if attack_votes * 2 >= k else 0
+    return out[inverse]
+
+
+def frozen_tree_predict(tree, X):
+    """One decision tree's labels, the rows walked level by level."""
+    out = np.zeros(len(X), dtype=np.int64)
+    node_of = np.zeros(len(X), dtype=np.int64)
+    feature = np.asarray(tree.feature)
+    threshold = np.asarray(tree.threshold)
+    left = np.asarray(tree.left)
+    right = np.asarray(tree.right)
+    label = np.asarray(tree.label)
+    active = np.arange(len(X))
+    while len(active):
+        nodes = node_of[active]
+        at_leaf = feature[nodes] == -1
+        done = active[at_leaf]
+        out[done] = label[node_of[done]]
+        active = active[~at_leaf]
+        if not len(active):
+            break
+        nodes = node_of[active]
+        goes_left = X[active, feature[nodes]] <= threshold[nodes]
+        node_of[active] = np.where(goes_left, left[nodes], right[nodes])
+    return out
+
+
+def frozen_forest_predict(det, X):
+    rows, inverse = unique_rows(np.asarray(X, dtype=np.float64))
+    votes = np.zeros(len(rows), dtype=np.int64)
+    for tree in det.trees:
+        votes += frozen_tree_predict(tree, rows)
+    return (votes * 2 >= len(det.trees)).astype(np.int64)[inverse]
+
+
+def frozen_path_length(tree, X):
+    """One isolation tree's path lengths, c(leaf size) taken per (leaf, row)."""
+    out = np.zeros(len(X))
+    node_of = np.zeros(len(X), dtype=np.int64)
+    depth = np.zeros(len(X))
+    feature = np.asarray(tree.feature)
+    split = np.asarray(tree.split)
+    left = np.asarray(tree.left)
+    right = np.asarray(tree.right)
+    leaf_size = np.asarray(tree.leaf_size)
+    active = np.arange(len(X))
+    while len(active):
+        nodes = node_of[active]
+        at_leaf = feature[nodes] == -1
+        done = active[at_leaf]
+        sizes = leaf_size[node_of[done]]
+        out[done] = depth[done] + np.array([average_path_length(int(s)) for s in sizes])
+        active = active[~at_leaf]
+        if not len(active):
+            break
+        nodes = node_of[active]
+        goes_left = X[active, feature[nodes]] < split[nodes]
+        node_of[active] = np.where(goes_left, left[nodes], right[nodes])
+        depth[active] += 1.0
+    return out
+
+
+def frozen_iforest_score(det, Xq):
+    Xq = np.asarray(Xq, dtype=np.float64)
+    rows, inverse = unique_rows(Xq)
+    depths = np.zeros(len(rows))
+    for tree in det.trees:
+        depths += frozen_path_length(tree, rows)
+    mean_depth = depths / len(det.trees)
+    denom = average_path_length(det.sample_size)
+    if denom <= 0:
+        return np.ones(len(Xq))
+    return (2.0 ** (-mean_depth / denom))[inverse]
+
+
+# ---------------------------------------------------------------------------
+# CSV reader
+# ---------------------------------------------------------------------------
+
+GOOD_TAILS = [
+    "10.0.0.11,10.0.0.10,SCADA,61,normal,",
+    "10.0.0.10,10.0.0.11,SCADA,64,normal,",
+    "10.0.0.66,10.0.0.11,SCAN_PROBE,60,attack,S1",
+    "10.0.0.66,10.0.0.11,SSH,120,attack,S2",
+    "10.0.0.66,10.0.0.12,HTTP,20,attack,S4",
+]
+BAD_TIMES = ["-1", "x7", "", "1.5", "-0x1"]
+BAD_TAILS = [
+    "a,b,SCADA,sixty,normal,",  # non-integer length
+    "a,b,SCADA,61,suspicious,",  # bad label
+    "a,b,SCAN_PROBE,60,attack,S9",  # bad stage
+    "a,b,SCADA,61,normal,S1",  # normal row with a stage
+    "a,b,SCADA,19,normal,",  # short
+    ",b,SCADA,61,normal,",  # empty src
+    "a,b,SCADA,61,normal",  # too few fields
+    "a,b,SCADA,61,normal,,extra",  # too many fields
+]
+# two faults in one row: the check that comes first must win
+TWO_FAULTS = [
+    "x1,a,b,SCADA,61,suspicious,",  # non-integer time before the label
+    "-4,a,b,SCADA,61,suspicious,",  # the label before a negative time
+    "-4,a,b,SCADA,sixty,normal,",  # a non-integer length before a negative time
+    "-4,a,b,SCADA,19,normal,",  # a negative time before a short length
+    "5,,b,SCADA,19,normal,",  # a short length before an empty src
+    "x1,a,b",  # the field count before anything else
+]
+
+
+def read_both(text):
+    """(records or error message) of the reader and of the frozen reader."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        for reader in (import_csv, frozen_import_csv):
+            try:
+                ds = reader(path)
+                results.append((repr(ds.records), ds.warmup_end))
+            except DatasetFormatError as exc:
+                results.append(str(exc).replace(path, "<path>"))
+    return results
+
+
+good_rows = st.lists(
+    st.tuples(st.integers(0, 10**9), st.integers(0, len(GOOD_TAILS) - 1)), max_size=60)
+
+
+class TestCsvReader:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rows=good_rows)
+    def test_valid_files_read_as_the_frozen_reader_reads_them(self, rows):
+        text = "".join(f"{t},{GOOD_TAILS[i]}\n" for t, i in rows)
+        new, frozen = read_both(CSV_HEADER + "\n" + text)
+        assert new == frozen
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows=good_rows, data=st.data())
+    def test_one_malformed_row_gives_the_frozen_readers_error(self, rows, data):
+        lines = [f"{t},{GOOD_TAILS[i]}" for t, i in rows]
+        kind = data.draw(st.sampled_from(["bad time", "bad tail", "two faults"]), label="kind")
+        if kind == "bad time":
+            # the tail repeats a good row's, so only the time can be wrong
+            tail = data.draw(st.sampled_from([GOOD_TAILS[i] for _, i in rows] or GOOD_TAILS))
+            bad = data.draw(st.sampled_from(BAD_TIMES), label="time") + "," + tail
+        elif kind == "bad tail":
+            bad = "7," + data.draw(st.sampled_from(BAD_TAILS), label="tail")
+        else:
+            bad = data.draw(st.sampled_from(TWO_FAULTS), label="row")
+        lines.insert(data.draw(st.integers(0, len(lines)), label="at"), bad)
+        new, frozen = read_both(CSV_HEADER + "\n" + "\n".join(lines) + "\n")
+        assert isinstance(frozen, str)
+        assert new == frozen
+
+    def test_bad_tail_after_many_good_rows_names_its_row(self):
+        lines = [f"{t},{GOOD_TAILS[t % len(GOOD_TAILS)]}" for t in range(500)]
+        lines.append("9,10.0.0.11,10.0.0.10,SCADA,61,normal,S3")
+        new, frozen = read_both(CSV_HEADER + "\n" + "\n".join(lines) + "\n")
+        assert new == frozen == "<path> row 502: normal row carries a stage"
+
+    def test_rows_with_the_same_tail_share_field_objects(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text(CSV_HEADER + "\n" + "".join(f"{t},{GOOD_TAILS[2]}\n" for t in (5, 9)))
+        a, b = import_csv(str(path)).records
+        assert (a.time_ms, b.time_ms) == (5, 9)
+        assert a.src is b.src and a.dst is b.dst and a.protocol is b.protocol
+        assert a.label is b.label and a.stage is b.stage
+
+
+# ---------------------------------------------------------------------------
+# detectors
+# ---------------------------------------------------------------------------
+
+def feature_rows(data, n_min, n_max, label):
+    """Encoded-traffic-like rows: three small category codes and a length
+    normalized to [0, 1] as the encoder does, drawn from a few distinct rows
+    so that duplicates and equal distances are common."""
+    pool = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+                                        st.integers(20, 29)),
+                              min_size=1, max_size=12), label=f"{label} pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_min, max_size=n_max),
+                      label=f"{label} picks")
+    return np.array([(s, d, p, (length - 20) / 9) for s, d, p, length in
+                     (pool[i] for i in picks)], dtype=np.float64).reshape(-1, 4)
+
+
+def rows_on_cuts(trees, cut, row):
+    """Copies of `row` whose split feature equals a tree node's cut, where
+    the walk's comparison decides the branch."""
+    out = []
+    for tree in trees:
+        for f, value in zip(tree.feature, getattr(tree, cut)):
+            if f != -1:
+                out.append(np.array(row, dtype=np.float64))
+                out[-1][f] = value
+    return np.array(out).reshape(-1, len(row))
+
+
+# one block of one row, a few rows, and the default size
+block_values = st.sampled_from([1, 2000, rows_module.BLOCK_VALUES])
+
+
+class TestKnnBlocks:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data(), block=block_values)
+    def test_predictions_equal_the_row_by_row_code(self, data, block):
+        X = feature_rows(data, 1, 60, "train")
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X)),
+                               label="y"), dtype=np.int64)
+        Xq = np.vstack([X, feature_rows(data, 1, 40, "query")])
+        k = data.draw(st.integers(1, len(X)), label="k")
+        with mock.patch.object(rows_module, "BLOCK_VALUES", block):
+            got = KnnDetector(k=k).fit(X, y).predict(Xq)
+        assert got.tolist() == frozen_knn_predict(X, y, k, Xq).tolist()
+
+    def test_several_groups_tied_at_the_kth_distance(self):
+        # two groups at distance 1 from the query, members interleaved by
+        # training index, so the vote takes the first members of both groups
+        X = np.array([[0.0, 0, 0, 0.5], [2.0, 0, 0, 0.5]] * 3 + [[9.0, 9, 9, 1.0]])
+        y = np.array([0, 1, 1, 1, 0, 0, 1])
+        query = np.array([[1.0, 0, 0, 0.5]])
+        for k in range(1, 7):
+            got = KnnDetector(k=k).fit(X, y).predict(query)
+            assert got.tolist() == frozen_knn_predict(X, y, k, query).tolist(), k
+
+    def test_more_distinct_queries_than_one_block_holds(self):
+        rng = np.random.default_rng(5)
+        X = np.round(rng.uniform(0, 3, size=(300, 4)), 1)
+        y = (rng.random(300) < 0.4).astype(np.int64)
+        Xq = np.round(rng.uniform(0, 3, size=(400, 4)), 1)
+        det = KnnDetector(k=7).fit(X, y)
+        assert 4 * len(unique_rows(X)[0]) * len(unique_rows(Xq)[0]) > rows_module.BLOCK_VALUES
+        assert det.predict(Xq).tolist() == frozen_knn_predict(X, y, 7, Xq).tolist()
+
+
+class TestForestWalk:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data(), block=block_values)
+    def test_isolation_scores_equal_the_per_tree_sum_byte_for_byte(self, data, block):
+        X = feature_rows(data, 2, 80, "train")
+        subsample = data.draw(st.integers(1, len(X)), label="subsample")
+        n_trees = data.draw(st.integers(1, 12), label="n_trees")
+        seed = data.draw(st.integers(0, 3), label="seed")
+        with mock.patch.object(rows_module, "BLOCK_VALUES", block):
+            det = IsolationForestDetector(n_trees=n_trees, subsample=subsample, seed=seed).fit(X)
+            Xq = np.vstack([X, feature_rows(data, 1, 30, "query"),
+                            rows_on_cuts(det.trees, "split", X[0])])
+            score = det.score(Xq)
+        assert score.tobytes() == frozen_iforest_score(det, Xq).tobytes()
+        train_scores = frozen_iforest_score(det, X)
+        assert det.train_scores.tobytes() == train_scores.tobytes()
+        assert det.threshold == float(np.percentile(train_scores, det.quantile))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data(), block=block_values)
+    def test_forest_votes_equal_the_per_tree_walk(self, data, block):
+        X = feature_rows(data, 2, 80, "train")
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X)),
+                               label="y"), dtype=np.int64)
+        y[:2] = (0, 1)  # both classes
+        det = RandomForestDetector(n_trees=data.draw(st.integers(1, 12), label="n_trees"),
+                                   max_depth=data.draw(st.sampled_from([1, 3, None])),
+                                   seed=data.draw(st.integers(0, 3), label="seed")).fit(X, y)
+        Xq = np.vstack([X, feature_rows(data, 1, 30, "query"),
+                        rows_on_cuts(det.trees, "threshold", X[0])])
+        with mock.patch.object(rows_module, "BLOCK_VALUES", block):
+            got = det.predict(Xq)
+        assert got.tolist() == frozen_forest_predict(det, Xq).tolist()
+
+    def test_forests_read_back_from_files_score_the_same(self, tmp_path):
+        rng = np.random.default_rng(3)
+        records = [LabeledRecord(i, f"h{int(rng.integers(4))}", "mtu", "SCADA",
+                                 int(rng.integers(25, 90)), "normal") for i in range(300)]
+        records += [LabeledRecord(300 + i, "atk", f"h{i % 3}", "SCAN_PROBE", 60, "attack", "S1")
+                    for i in range(60)]
+        normal = records[:300]
+        iforest = train_model("iforest", normal, seed=2)
+        rf = train_model("rf", records, seed=2)
+        X = iforest.dictionary.encode(records)
+        for name, model in (("iforest", iforest), ("rf", rf)):
+            save_model(model, str(tmp_path / f"{name}.json"))
+        iforest_back = load_model(str(tmp_path / "iforest.json"))
+        rf_back = load_model(str(tmp_path / "rf.json"))
+        assert iforest_back.detector.score(X).tobytes() == iforest.detector.score(X).tobytes()
+        assert iforest.detector.score(X).tobytes() == \
+            frozen_iforest_score(iforest_back.detector, X).tobytes()
+        X = rf.dictionary.encode(records)
+        assert rf_back.detector.predict(X).tolist() == rf.detector.predict(X).tolist()
+        assert rf.detector.predict(X).tolist() == \
+            frozen_forest_predict(rf_back.detector, X).tolist()
+
