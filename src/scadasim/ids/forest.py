@@ -205,8 +205,10 @@ class RandomForestDetector:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.trees:
             raise ValueError("model not fitted")
-        rows, inverse = unique_rows(np.asarray(X, dtype=np.float64))
+        X = np.asarray(X, dtype=np.float64)
         forest = FlatForest(self.trees, "threshold")
+        forest.check_columns(X)
+        rows, inverse = unique_rows(X)
         label = np.concatenate([t.label for t in self.trees]).astype(np.int64)
         votes = np.zeros(len(rows), dtype=np.int64)
         for block in row_blocks(len(rows), len(self.trees)):

@@ -125,10 +125,11 @@ class IsolationForestDetector:
         if not self.trees:
             raise ValueError("model not fitted")
         Xq = np.asarray(Xq, dtype=np.float64)
+        forest = FlatForest(self.trees, "split")
+        forest.check_columns(Xq)
         if len(Xq) == 0:
             return np.zeros(0)
         rows, inverse = unique_rows(Xq)
-        forest = FlatForest(self.trees, "split")
         # h(x) at each leaf: its depth plus c(leaf size), c taken once per distinct size
         sizes, size_of = np.unique(np.concatenate([t.leaf_size for t in self.trees]),
                                    return_inverse=True)

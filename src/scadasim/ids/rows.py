@@ -53,9 +53,9 @@ def read_tree(data: dict, fields: dict[str, type]) -> dict[str, list]:
 
     Builders emit nodes in preorder, so each child of an inner node (feature
     not -1) has a greater index than its node. A tree that breaks this, or has
-    a child out of range, arrays of unequal length or no node, is refused with
-    a ValueError naming the field: a walk of it could loop forever or leave
-    the tree.
+    a child out of range, a feature below -1, arrays of unequal length or no
+    node, is refused with a ValueError naming the field: a walk of it could
+    loop forever, leave the tree or read a column counted from the end.
     """
     tree = {name: [kind(v) for v in data[name]] for name, kind in fields.items()}
     n = len(tree["feature"])
@@ -65,8 +65,13 @@ def read_tree(data: dict, fields: dict[str, type]) -> dict[str, list]:
         if len(values) != n:
             raise ValueError(f"tree field {name!r} has {len(values)} entries, "
                              f"expected one per node ({n})")
+    feature = np.asarray(tree["feature"])
+    bad = np.flatnonzero(feature < -1)
+    if len(bad):
+        raise ValueError(f"tree field 'feature': node {bad[0]} has feature {feature[bad[0]]}, "
+                         f"expected -1 for a leaf or a column index")
     node = np.arange(n)
-    inner = np.asarray(tree["feature"]) != -1
+    inner = feature != -1
     for name in ("left", "right"):
         child = np.asarray(tree[name])
         bad = np.flatnonzero(inner & ((child <= node) | (child >= n)))
@@ -99,6 +104,12 @@ class FlatForest:
         leaf = self.feature == -1
         self.left = np.where(leaf, node, stacked("left", np.intp) + offset)
         self.right = np.where(leaf, node, stacked("right", np.intp) + offset)
+
+    def check_columns(self, X: np.ndarray) -> None:
+        """Refuse X unless it is 2-D with a column for every feature a split reads."""
+        if X.ndim != 2 or X.shape[1] <= self.feature.max():
+            raise ValueError(f"feature dimension mismatch: {X.shape} vs trees that split "
+                             f"on column {self.feature.max()}")
 
     def leaves(self, X: np.ndarray, goes_left: Callable) -> np.ndarray:
         """(trees, rows) index of the leaf each row of X reaches in each tree;

@@ -133,13 +133,6 @@ QUANTITIES = ("transformer_loading_percent", "P_kW", "Q_kvar", "V_pu")
 
 
 @dataclass(frozen=True)
-class Measurement:
-    source_device: str
-    quantity: str
-    value: float
-
-
-@dataclass(frozen=True)
 class BoundPoint:
     point_id: str
     quantity: str
@@ -308,17 +301,6 @@ class Feeder:
         return voltage, branch_current, converged, iterations
 
 
-def solve_power_flow(
-    grid: GridModel,
-    load_scaling: dict[str, float] | None = None,
-    der_scaling: dict[str, float] | None = None,
-    tol_pu: float = 1e-8,
-    max_iterations: int = 50,
-) -> PowerFlowSolution:
-    """One-shot ``Feeder(grid).solve(...)``; the grid is validated first."""
-    return Feeder(grid).solve(load_scaling, der_scaling, tol_pu, max_iterations)
-
-
 def check_power_balance(
     grid: GridModel,
     load_scaling: dict[str, float] | None = None,
@@ -372,8 +354,11 @@ def sample_load_profile(
     return out
 
 
-def measurements_for(binding: RtuBinding, solution: PowerFlowSolution) -> list[Measurement]:
-    """Copy the bound quantities out of a converged solution."""
+def measurements_for(
+    binding: RtuBinding, solution: PowerFlowSolution
+) -> list[tuple[str, str, float]]:
+    """Copy the bound quantities out of a converged solution as
+    (point_id, quantity, value) points."""
     if not solution.converged:
         raise GridConfigError("measurements requested from a non-converged solution")
     values = {
@@ -391,5 +376,5 @@ def measurements_for(binding: RtuBinding, solution: PowerFlowSolution) -> list[M
             if pt.quantity not in values:
                 raise GridConfigError(f"binding {pt.point_id}: unknown quantity {pt.quantity!r}")
             value = values[pt.quantity]
-        out.append(Measurement(binding.station, pt.quantity, value))
+        out.append((pt.point_id, pt.quantity, value))
     return out

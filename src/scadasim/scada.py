@@ -2,10 +2,12 @@
 
 Frames are 25 bytes of header plus 12 bytes per point, so packet lengths are
 deterministic and meaningful to a length-based detector. RTUs push one
-measurement report per grid step; the MTU acknowledges each report, keeps a
-last-value table, and re-interrogates stations that went stale (three missed
-cycles). Compromise effects model the two attack outcomes: a DoS'd RTU goes
-silent, a manipulated RTU reports affinely transformed values.
+measurement report per grid step as a plain payload: ``station``, ``seq`` and
+``points``, each point a ``(point_id, quantity, value)`` tuple. The MTU
+acknowledges each report, keeps a last-value table, and re-interrogates
+stations that went stale (three missed cycles). Compromise effects model the
+two attack outcomes: a DoS'd RTU goes silent, a manipulated RTU reports
+affinely transformed values.
 """
 
 from __future__ import annotations
@@ -23,14 +25,6 @@ CHECK_OFFSET_MS = 900  # the MTU checks its table 900 ms into each step
 
 def frame_length(n_points: int) -> int:
     return FRAME_HEADER_BYTES + BYTES_PER_POINT * n_points
-
-
-@dataclass(frozen=True)
-class TelemetryFrame:
-    frame_kind: str  # measurement_report | command | ack
-    station_address: str
-    points: tuple[tuple[str, str, float], ...]  # (point_id, quantity, value)
-    sequence_no: int
 
 
 @dataclass(frozen=True)
@@ -90,35 +84,27 @@ class RtuApp:
         """One measurement report per cycle, unless the service was stopped."""
         if not self.running or self.host.silenced:
             return
-        solution, stale = self.grid.current_solution()
+        solution = self.grid.current_solution()
         if solution is None:
             return
-        measurements = measurements_for(self.binding, solution)
         manipulated = False
         points = []
-        for point, m in zip(self.binding.points, measurements):
-            value = m.value
+        for point_id, quantity, value in measurements_for(self.binding, solution):
             if self.effect is not None and self.effect.kind == "manipulate":
-                scale, offset = self.effect.transform.get(m.quantity, (1.0, 0.0))
+                scale, offset = self.effect.transform.get(quantity, (1.0, 0.0))
                 transformed = value * scale + offset
                 if transformed != value:
                     manipulated = True
                 value = transformed
-            points.append((point.point_id, m.quantity, value))
+            points.append((point_id, quantity, value))
         self.sequence_no += 1
-        frame = TelemetryFrame(
-            frame_kind="measurement_report",
-            station_address=self.station,
-            points=tuple(points),
-            sequence_no=self.sequence_no,
-        )
         self.fabric.send_app_message(
             self.host.node_id,
             self.mtu_address,
             "SCADA",
             frame_length(len(points)),
-            {"type": "telemetry_report", "frame": frame,
-             "manipulated": manipulated, "stale_solution": stale},
+            {"type": "telemetry_report", "station": self.station, "seq": self.sequence_no,
+             "points": points, "manipulated": manipulated},
         )
         self.reports_sent += 1
 
@@ -140,15 +126,6 @@ class RtuApp:
         self.effect = CompromiseEffect(
             kind="manipulate", active_from=self.engine.now, transform=dict(transform)
         )
-
-
-@dataclass
-class TablePoint:
-    station: str
-    point_id: str
-    quantity: str
-    value: float
-    stale: bool = False
 
 
 class MtuApp:
@@ -173,7 +150,7 @@ class MtuApp:
         self.host = host
         self.stations = dict(stations)
         self.interrogate_stale = interrogate_stale
-        self.table: dict[tuple[str, str], TablePoint] = {}
+        self.table: dict[tuple[str, str], tuple[str, float]] = {}  # -> (quantity, value)
         self.last_report_step: dict[str, int] = {s: 0 for s in stations}
         self.last_sequence: dict[str, int] = {}
         self.out_of_order_count = 0
@@ -192,79 +169,46 @@ class MtuApp:
             )
 
     def on_telemetry(self, fabric: NetworkFabric, packet: Packet) -> None:
-        if packet.payload["type"] != "telemetry_report":
-            return
-        frame = packet.payload["frame"]
-        if self.ingest(frame):
-            ack = TelemetryFrame(
-                frame_kind="ack",
-                station_address=frame.station_address,
-                points=(),
-                sequence_no=frame.sequence_no,
-            )
+        report = packet.payload
+        if report["type"] == "telemetry_report" and self.ingest(report):
             fabric.send_app_message(
-                self.host.node_id,
-                packet.src,
-                "SCADA",
-                frame_length(0),
-                {"type": "telemetry_ack", "frame": ack},
+                self.host.node_id, packet.src, "SCADA", frame_length(0), {"type": "telemetry_ack"}
             )
 
-    def ingest(self, frame: TelemetryFrame) -> bool:
-        """Update the point table; returns False for malformed frames (dropped)."""
-        if (
-            not isinstance(frame, TelemetryFrame)
-            or frame.frame_kind != "measurement_report"
-            or len(frame.points) < 1
-        ):
+    def ingest(self, report: dict) -> bool:
+        """Update the point table; returns False for a report with no points (dropped)."""
+        if not report["points"]:
             self.malformed_count += 1
             return False
-        station = frame.station_address
+        station = report["station"]
         last_seq = self.last_sequence.get(station)
-        if last_seq is not None and frame.sequence_no <= last_seq:
+        if last_seq is not None and report["seq"] <= last_seq:
             self.out_of_order_count += 1
             return True  # acked but not applied: newer data already in the table
-        self.last_sequence[station] = frame.sequence_no
+        self.last_sequence[station] = report["seq"]
         self.last_report_step[station] = self.engine.now // MS_PER_STEP
-        for point_id, quantity, value in frame.points:
-            self.table[(station, point_id)] = TablePoint(
-                station=station,
-                point_id=point_id,
-                quantity=quantity,
-                value=value,
-                stale=False,
-            )
+        for point_id, quantity, value in report["points"]:
+            self.table[(station, point_id)] = (quantity, value)
         return True
 
     def cycle_check(self) -> None:
-        """Mark stale stations, optionally re-interrogate them, snapshot the table."""
+        """Find stale stations, optionally re-interrogate them, snapshot the table."""
         step = self.engine.now // MS_PER_STEP
+        stale_stations = set()
         for station, address in self.stations.items():
-            missed = step - self.last_report_step.get(station, 0)
-            if missed > self.STALE_AFTER_CYCLES:
-                for key, point in self.table.items():
-                    if key[0] == station:
-                        point.stale = True
+            if step - self.last_report_step[station] > self.STALE_AFTER_CYCLES:
+                stale_stations.add(station)
                 if self.interrogate_stale and not self.host.silenced:
-                    frame = TelemetryFrame(
-                        frame_kind="command",
-                        station_address=station,
-                        points=(("interrogation", "all", 0.0),),
-                        sequence_no=0,
-                    )
                     self.fabric.send_app_message(
-                        self.host.node_id,
-                        address,
-                        "SCADA",
-                        frame_length(1),
-                        {"type": "interrogation", "frame": frame},
+                        self.host.node_id, address, "SCADA", frame_length(1),
+                        {"type": "interrogation"},
                     )
                     self.interrogations_sent += 1
-        for point in self.table.values():
+        for (station, point_id), (quantity, value) in self.table.items():
             self.history.append(
-                (step, point.station, point.point_id, point.quantity, point.value, point.stale)
+                (step, station, point_id, quantity, value, station in stale_stations)
             )
 
     def value(self, station: str, point_id: str) -> float | None:
-        point = self.table.get((station, point_id))
-        return None if point is None else point.value
+        entry = self.table.get((station, point_id))
+        return None if entry is None else entry[1]

@@ -33,7 +33,6 @@ class GridComponent:
         self.history: list[tuple[int, PowerFlowSolution]] = []
         self.stale_solves = 0
         self._last_converged: PowerFlowSolution | None = None
-        self._stale = False
         engine.register("grid", self.handle)
         engine.schedule(0, "grid", "tick")
 
@@ -49,16 +48,14 @@ class GridComponent:
         solution = self.feeder.solve(scaling)
         if solution.converged:
             self._last_converged = solution
-            self._stale = False
         else:
             self.stale_solves += 1
-            self._stale = True
         self.history.append((step, solution if solution.converged else self._last_converged))
         engine.schedule((step + 1) * MS_PER_STEP, "grid", "tick")
 
-    def current_solution(self) -> tuple[PowerFlowSolution | None, bool]:
-        """Last converged solution plus a staleness flag for failed solves."""
-        return self._last_converged, self._stale
+    def current_solution(self) -> PowerFlowSolution | None:
+        """The last converged solution; None until one step converged."""
+        return self._last_converged
 
 
 class OpsComponent:
@@ -79,7 +76,6 @@ class OpsComponent:
         self.section = section
         self.addresses = addresses
         self.host = host
-        self.requests_sent = 0
         # monitor_targets is fixed for the run, so the reply lookup is too
         self._monitor_by_address = {addresses[t]: t for t in section.monitor_targets}
         self._unanswered: dict[str, int] = {}
@@ -117,7 +113,6 @@ class OpsComponent:
             return False
         dst = self.addresses[target]
         self.fabric.send_app_message(self.section.host, dst, protocol, length, payload)
-        self.requests_sent += 1
         return True
 
     def on_packet(self, fabric: NetworkFabric, packet: Packet) -> None:

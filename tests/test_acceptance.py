@@ -27,12 +27,12 @@ from scadasim.network import (
 from scadasim.powergrid import (
     Bus,
     Der,
+    Feeder,
     GridModel,
     Line,
     Load,
     Transformer,
     check_power_balance,
-    solve_power_flow,
 )
 from scadasim.scenario import load_fixture, run_scenario
 
@@ -293,7 +293,7 @@ class TestCriterion6Oracles:
                 loads=(Load("ld", "b2", p_kw, q_kvar),),
                 ders=(),
             )
-            sol = solve_power_flow(grid)
+            sol = Feeder(grid).solve()
             assert sol.converged
             s_base, z_base = 400.0, 0.4 * 0.4 * 1000.0 / 400.0
             rpu, xpu = r / z_base, x / z_base

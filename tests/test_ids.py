@@ -96,6 +96,26 @@ class TestRandomForest:
         with pytest.raises(ValueError, match=repr(field)):
             RandomForestDetector.from_dict(data)
 
+    def test_loaded_tree_with_a_feature_below_minus_one_is_refused(self):
+        # -2 would read the second column from the end through numpy's negative indexing
+        X = np.array([[float(i), 0.0] for i in range(8)])
+        data = RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
+            X, np.array([0, 1] * 4)).to_dict()
+        data["trees"][0]["feature"][0] = -2
+        with pytest.raises(ValueError, match="'feature'"):
+            RandomForestDetector.from_dict(data)
+
+    def test_rows_without_a_column_a_split_reads_are_refused(self):
+        X = np.array([[float(i), 0.0] for i in range(8)])
+        data = RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
+            X, np.array([0, 1] * 4)).to_dict()
+        data["trees"][0]["feature"][0] = 7  # the root splits on a column X lacks
+        det = RandomForestDetector.from_dict(data)
+        with pytest.raises(ValueError, match="feature dimension mismatch"):
+            det.predict(X)
+        with pytest.raises(ValueError, match="feature dimension mismatch"):
+            det.predict(np.zeros(8))
+
 
 class TestKnn:
     def test_k1_returns_label_of_identical_training_point(self):
@@ -386,6 +406,21 @@ class TestIsolationForest:
         tree["leaf_size"].append(1)  # one entry too many
         with pytest.raises(ValueError, match="'leaf_size'"):
             IsolationForestDetector.from_dict(data)
+
+    def test_loaded_tree_with_a_bad_feature_is_refused_or_cannot_score(self):
+        X = self.two_clusters()
+        data = IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(X).to_dict()
+        tree = data["trees"][0]
+        inner = [i for i, f in enumerate(tree["feature"]) if f != -1]
+        tree["feature"][inner[0]] = -2
+        with pytest.raises(ValueError, match="'feature'"):
+            IsolationForestDetector.from_dict(data)
+        tree["feature"][inner[0]] = 7
+        det = IsolationForestDetector.from_dict(data)
+        with pytest.raises(ValueError, match="feature dimension mismatch"):
+            det.score(X)
+        with pytest.raises(ValueError, match="feature dimension mismatch"):
+            det.predict(X[:0])
 
     def test_subsample_larger_than_training_refused(self):
         with pytest.raises(ValueError, match="subsample"):

@@ -20,7 +20,6 @@ from scadasim.powergrid import (
     check_power_balance,
     measurements_for,
     sample_load_profile,
-    solve_power_flow,
 )
 
 
@@ -208,7 +207,7 @@ class TestValidation:
 class TestSolver:
     def test_no_injection_gives_flat_profile(self):
         grid = feeder(buses=(Bus("b2", 0.4),), lines=(Line("l1", "lv", "b2", 0.1, 0.1, 100),))
-        sol = solve_power_flow(grid)
+        sol = Feeder(grid).solve()
         assert sol.converged
         assert sol.transformer_loading_percent == pytest.approx(0.0, abs=1e-12)
         assert sol.transformer_p_kw == pytest.approx(0.0, abs=1e-12)
@@ -224,7 +223,7 @@ class TestSolver:
             lines=(Line("l1", "lv", "b2", 1e-9, 1e-9, 400.0),),
             loads=(Load("ld", "b2", 100.0, 0.0),),
         )
-        sol = solve_power_flow(grid)
+        sol = Feeder(grid).solve()
         assert sol.converged
         assert sol.line_p_kw["l1"] == pytest.approx(100.0, abs=1e-3)
 
@@ -243,7 +242,7 @@ class TestSolver:
             z_base = 0.4 * 0.4 * 1000.0 / s_base
             rpu, xpu = r / z_base, x / z_base
             p, q = p_kw / s_base, q_kvar / s_base
-            sol = solve_power_flow(grid)
+            sol = Feeder(grid).solve()
             assert sol.converged
             v1 = sol.bus_voltage_pu["lv"]  # sending end actually solved by the sweep
             b = 2.0 * (p * rpu + q * xpu) - v1 * v1
@@ -297,7 +296,7 @@ class TestSolver:
         for i in data.draw(st.permutations(range(len(steps))), label="order"):
             ls, ds = steps[i]
             assert repr(reused.solve(ls, ds, 1e-8, cap)) == expected[i]
-            assert repr(solve_power_flow(grid, ls, ds, 1e-8, cap)) == expected[i]
+            assert repr(Feeder(grid).solve(ls, ds, 1e-8, cap)) == expected[i]
             assert check_power_balance(grid, ls, ds) < 1e-6
 
     def test_monotone_loading_under_uniform_scaling(self):
@@ -313,7 +312,7 @@ class TestSolver:
         # DER held fixed but below total load, so higher scaling means more import
         previous = 0.0
         for f in (1.0, 1.1, 1.25, 1.5, 2.0):
-            sol = solve_power_flow(grid, load_scaling={"ld2": f, "ld3": f})
+            sol = Feeder(grid).solve(load_scaling={"ld2": f, "ld3": f})
             assert sol.converged
             apparent = math.hypot(sol.transformer_p_kw, sol.transformer_q_kvar)
             assert apparent >= previous
@@ -322,7 +321,7 @@ class TestSolver:
     def test_negative_scaling_rejected(self):
         grid = two_bus_grid(0.1, 0.1, 50.0, 0.0)
         with pytest.raises(GridConfigError, match="finite and >= 0"):
-            solve_power_flow(grid, load_scaling={"ld": -1.0})
+            Feeder(grid).solve(load_scaling={"ld": -1.0})
 
     @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
     def test_power_balance_refuses_the_scalings_solve_refuses(self, factor):
@@ -366,24 +365,23 @@ class TestMeasurements:
 
     def test_three_bound_points_give_three_measurements(self):
         grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)
-        sol = solve_power_flow(grid)
+        sol = Feeder(grid).solve()
         measurements = measurements_for(self.binding(), sol)
         assert len(measurements) == 3
-        assert [m.quantity for m in measurements] == [
-            "transformer_loading_percent", "P_kW", "Q_kvar",
+        assert [(point_id, quantity) for point_id, quantity, _ in measurements] == [
+            ("m1", "transformer_loading_percent"), ("m2", "P_kW"), ("m3", "Q_kvar"),
         ]
 
     def test_empty_binding_gives_empty_list(self):
         grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)
-        sol = solve_power_flow(grid)
+        sol = Feeder(grid).solve()
         assert measurements_for(RtuBinding("rtu1"), sol) == []
 
     def test_values_are_copied_from_solution(self):
         grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)
-        sol = solve_power_flow(grid)
+        sol = Feeder(grid).solve()
         sol.transformer_p_kw = 120.0
-        m = measurements_for(self.binding(), sol)[1]
-        assert m.value == 120.0
+        assert measurements_for(self.binding(), sol)[1] == ("m2", "P_kW", 120.0)
 
     def test_unknown_element_rejected_at_validation(self):
         grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)

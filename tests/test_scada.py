@@ -1,22 +1,25 @@
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric
 from scadasim.powergrid import (
     BoundPoint,
     Bus,
+    Feeder,
     GridModel,
     Line,
     Load,
     RtuBinding,
     Transformer,
-    solve_power_flow,
 )
 from scadasim.scada import (
     CompromiseEffect,
     MtuApp,
     RtuApp,
-    TelemetryFrame,
     frame_length,
 )
 from scadasim.vulnhost import SimHost
@@ -46,10 +49,10 @@ class StaticGrid:
     """Grid stand-in: one fixed converged solution."""
 
     def __init__(self):
-        self.solution = solve_power_flow(make_grid())
+        self.solution = Feeder(make_grid()).solve()
 
     def current_solution(self):
-        return self.solution, False
+        return self.solution
 
 
 def rig(interrogate=True, binding=BINDING):
@@ -73,6 +76,30 @@ def rig(interrogate=True, binding=BINDING):
     rtu_host.scada_app = rtu
     mtu_host.scada_app = mtu
     return engine, fabric, rtu, mtu, grid
+
+
+def report(station, seq, points):
+    """A telemetry report payload as RtuApp sends it."""
+    return {"type": "telemetry_report", "station": station, "seq": seq,
+            "points": points, "manipulated": False}
+
+
+def spy_sends(fabric):
+    """Record every packet the fabric is asked to send from now on."""
+    captured = []
+    original = fabric.send_app_message
+
+    def spy(*args, **kwargs):
+        packet = original(*args, **kwargs)
+        captured.append(packet)
+        return packet
+
+    fabric.send_app_message = spy
+    return captured
+
+
+def stale_flags_at(mtu, step):
+    return {stale for row_step, _, _, _, _, stale in mtu.history if row_step == step}
 
 
 class TestReporting:
@@ -114,15 +141,7 @@ class TestReporting:
     def test_identity_transform_reports_true_values_unflagged(self):
         engine, fabric, rtu, mtu, grid = rig()
         rtu.apply_manipulate({"P_kW": (1.0, 0.0)})
-        captured = []
-        original = fabric.send_app_message
-
-        def spy(*args, **kwargs):
-            packet = original(*args, **kwargs)
-            captured.append(packet)
-            return packet
-
-        fabric.send_app_message = spy
+        captured = spy_sends(fabric)
         engine.run(2999)
         reports = [p for p in captured if p.payload.get("type") == "telemetry_report"]
         assert reports and all(p.payload["manipulated"] is False for p in reports)
@@ -150,30 +169,34 @@ class TestReporting:
 class TestMtuIngest:
     def test_out_of_order_sequence_keeps_newer_value(self):
         engine, fabric, rtu, mtu, grid = rig()
-        newer = TelemetryFrame("measurement_report", "rtu1", (("m2", "P_kW", 60.0),), 5)
-        older = TelemetryFrame("measurement_report", "rtu1", (("m2", "P_kW", 10.0),), 4)
-        assert mtu.ingest(newer) is True
-        assert mtu.ingest(older) is True  # acked but ignored
+        assert mtu.ingest(report("rtu1", 5, [("m2", "P_kW", 60.0)])) is True
+        assert mtu.ingest(report("rtu1", 5, [("m2", "P_kW", 30.0)])) is True  # acked but ignored
+        assert mtu.ingest(report("rtu1", 4, [("m2", "P_kW", 10.0)])) is True
         assert mtu.value("rtu1", "m2") == 60.0
-        assert mtu.out_of_order_count == 1
+        assert mtu.out_of_order_count == 2
 
     def test_malformed_frame_counted_and_dropped(self):
         engine, fabric, rtu, mtu, grid = rig()
-        empty = TelemetryFrame("measurement_report", "rtu1", (), 1)
-        assert mtu.ingest(empty) is False
+        assert mtu.ingest(report("rtu1", 1, [])) is False
         assert mtu.malformed_count == 1
-        assert mtu.ingest("not a frame") is False
-        assert mtu.malformed_count == 2
+        # an RTU whose binding has no points sends such reports; none is acked
+        engine, fabric, rtu, mtu, grid = rig(binding=RtuBinding("rtu1"))
+        captured = spy_sends(fabric)
+        engine.run(2999)
+        assert rtu.reports_sent == 3
+        assert mtu.malformed_count == 3
+        assert mtu.table == {} and mtu.last_sequence == {}
+        assert [p.payload["type"] for p in captured] == ["telemetry_report"] * 3
 
     def test_stale_after_three_missed_cycles(self):
         engine, fabric, rtu, mtu, grid = rig(interrogate=False)
         engine.run(2999)
         rtu.running = False  # silent failure, not a compromise
         engine.run(5999)
-        point = mtu.table[("rtu1", "m2")]
-        assert point.stale is False  # step 5: only 3 cycles missed
+        assert stale_flags_at(mtu, 5) == {False}  # step 5: only 3 cycles missed
         engine.run(6999)
-        assert mtu.table[("rtu1", "m2")].stale is True
+        assert stale_flags_at(mtu, 6) == {True}
+        assert [row[2] for row in mtu.history if row[0] == 6] == ["m1", "m2", "m3"]
 
     def test_stale_station_is_reinterrogated(self):
         engine, fabric, rtu, mtu, grid = rig(interrogate=True)
@@ -181,9 +204,10 @@ class TestMtuIngest:
         rtu.running = False
         engine.run(10_999)
         assert mtu.interrogations_sent == 5  # stale from step 6, one per check through step 10
+        assert stale_flags_at(mtu, 10) == {True}
         rtu.running = True  # service restored: interrogation triggers a report
         engine.run(11_999)
-        assert mtu.table[("rtu1", "m2")].stale is False
+        assert stale_flags_at(mtu, 11) == {False}
 
     def test_history_rows_have_csv_shape(self):
         engine, fabric, rtu, mtu, grid = rig()
@@ -192,6 +216,136 @@ class TestMtuIngest:
         assert station == "rtu1"
         assert quantity in ("transformer_loading_percent", "P_kW", "Q_kvar")
         assert isinstance(value, float) and isinstance(stale, bool)
+
+
+@dataclass
+class FrozenTablePoint:
+    station: str
+    point_id: str
+    quantity: str
+    value: float
+    stale: bool = False
+
+
+class FrozenMtu:
+    """Oracle: the MTU table as it was once kept, one object per point with a
+    stale flag set by the check that found the station stale and cleared by
+    the next applied report. Its ingest and cycle_check are kept verbatim but
+    for taking the step as an argument."""
+
+    STALE_AFTER_CYCLES = 3
+
+    def __init__(self, stations, interrogate_stale, silenced):
+        self.stations = dict(stations)
+        self.interrogate_stale = interrogate_stale
+        self.silenced = silenced
+        self.table = {}
+        self.last_report_step = {s: 0 for s in stations}
+        self.last_sequence = {}
+        self.out_of_order_count = 0
+        self.malformed_count = 0
+        self.interrogations_sent = 0
+        self.history = []
+
+    def ingest(self, frame, step):
+        if len(frame["points"]) < 1:
+            self.malformed_count += 1
+            return False
+        station = frame["station"]
+        last_seq = self.last_sequence.get(station)
+        if last_seq is not None and frame["seq"] <= last_seq:
+            self.out_of_order_count += 1
+            return True
+        self.last_sequence[station] = frame["seq"]
+        self.last_report_step[station] = step
+        for point_id, quantity, value in frame["points"]:
+            self.table[(station, point_id)] = FrozenTablePoint(
+                station=station, point_id=point_id, quantity=quantity, value=value, stale=False,
+            )
+        return True
+
+    def cycle_check(self, step):
+        for station in self.stations:
+            missed = step - self.last_report_step.get(station, 0)
+            if missed > self.STALE_AFTER_CYCLES:
+                for key, point in self.table.items():
+                    if key[0] == station:
+                        point.stale = True
+                if self.interrogate_stale and not self.silenced:
+                    self.interrogations_sent += 1
+        for point in self.table.values():
+            self.history.append(
+                (step, point.station, point.point_id, point.quantity, point.value, point.stale)
+            )
+
+
+class RecordingFabric:
+    def __init__(self):
+        self.sent = []
+
+    def send_app_message(self, src, dst, protocol, length, payload):
+        self.sent.append((dst, length, payload))
+
+
+STATION_POOL = ("s0", "s1", "s2", "x0")
+QUANTITY_POOL = ("P_kW", "Q_kvar", "V_pu")
+
+
+@st.composite
+def mtu_runs(draw):
+    """Stations, each with a fixed point set, and a random walk of reports and checks."""
+    stations = draw(st.lists(st.sampled_from(STATION_POOL), unique=True, max_size=3))
+    point_sets = {
+        station: draw(st.lists(st.tuples(st.sampled_from(("p0", "p1", "p2")),
+                                         st.sampled_from(QUANTITY_POOL)),
+                               min_size=1, max_size=3, unique_by=lambda p: p[0]))
+        for station in STATION_POOL
+    }
+    op = st.one_of(
+        st.tuples(st.just("advance"), st.integers(1, 5)),
+        st.tuples(st.just("check")),
+        st.tuples(st.just("report"), st.sampled_from(STATION_POOL), st.integers(0, 6),
+                  st.booleans(), st.floats(-1e3, 1e3, allow_nan=False)),
+    )
+    ops = draw(st.lists(op, max_size=60))
+    return stations, point_sets, ops, draw(st.booleans()), draw(st.booleans())
+
+
+class TestMtuAgainstFrozenCopy:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(run=mtu_runs())
+    def test_history_and_counters_match_the_per_point_stale_flags(self, run):
+        stations, point_sets, ops, interrogate, silenced = run
+        addresses = {station: f"10.0.1.{i}" for i, station in enumerate(stations)}
+        engine = Engine()
+        fabric = RecordingFabric()
+        host = SimHost("mtu-host", "10.0.0.10")
+        host.silenced = silenced
+        mtu = MtuApp(engine, fabric, host, addresses, interrogate_stale=interrogate)
+        frozen = FrozenMtu(addresses, interrogate, silenced)
+        step = 0
+        for kind, *args in ops:
+            if kind == "advance":
+                step += args[0]
+            elif kind == "check":
+                engine.now = step * 1000 + 900
+                mtu.cycle_check()
+                frozen.cycle_check(step)
+            else:
+                station, seq, empty, value = args
+                points = [] if empty else [
+                    (point_id, quantity, value + i)
+                    for i, (point_id, quantity) in enumerate(point_sets[station])
+                ]
+                engine.now = step * 1000 + 20
+                assert mtu.ingest(report(station, seq, points)) == frozen.ingest(
+                    report(station, seq, points), step)
+        assert mtu.history == frozen.history
+        assert mtu.out_of_order_count == frozen.out_of_order_count
+        assert mtu.malformed_count == frozen.malformed_count
+        assert mtu.interrogations_sent == frozen.interrogations_sent == len(fabric.sent)
+        assert all(payload == {"type": "interrogation"} and length == frame_length(1)
+                   for _, length, payload in fabric.sent)
 
 
 class TestEffectValidation:
