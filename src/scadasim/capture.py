@@ -227,8 +227,15 @@ def import_csv(path: str) -> LabeledDataset:
     field objects. The first bad row still raises the same error as a full
     check of every row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bad byte's row: the line breaks before it, as splitlines counts them
+        row_no = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetFormatError(
+            f"{path} row {row_no}: byte {raw[exc.start]:#04x} is not valid UTF-8") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise DatasetFormatError(f"{path}: missing or wrong header")
     records: list[LabeledRecord] = []

@@ -85,9 +85,13 @@ def cmd_dataset_export(args) -> int:
 
 def _parse_algorithms(spec: str) -> list[str]:
     algorithms = [a.strip() for a in spec.split(",") if a.strip()]
-    for a in algorithms:
+    if not algorithms:
+        raise ConfigError([f"--algo names no algorithm; expected some of {'/'.join(ALGORITHMS)}"])
+    for i, a in enumerate(algorithms):
         if a not in ALGORITHMS:
             raise ConfigError([f"unknown algorithm {a!r}; expected {'/'.join(ALGORITHMS)}"])
+        if a in algorithms[:i]:
+            raise ConfigError([f"--algo names {a!r} twice; name each algorithm once"])
     return algorithms
 
 

@@ -17,6 +17,8 @@ from ..engine import derive_seed
 from .rows import FlatForest, TrainingDataError, read_tree, row_blocks, unique_rows
 
 GINI_EPS = 1e-12
+# a tree's node lists and their types
+TREE_FIELDS = {"feature": int, "threshold": float, "left": int, "right": int, "label": int}
 
 
 def _unique_weighted(X: np.ndarray, y: np.ndarray):
@@ -27,57 +29,59 @@ def _unique_weighted(X: np.ndarray, y: np.ndarray):
     return rows, positive, total
 
 
-class DecisionTree:
-    """CART-style binary tree, Gini impurity, <= threshold goes left."""
+def _gini(pos: float, tot: float) -> float:
+    if tot <= 0:
+        return 0.0
+    p = pos / tot
+    return 2.0 * p * (1.0 - p)
 
-    def __init__(self, max_depth: int | None, min_samples_split: int, max_features: int | None):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        # parallel arrays; leaves carry feature -1 and the label in `label`
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.label: list[int] = []
 
-    def fit(self, rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng) -> None:
-        self._rows = rows
-        self._grow(np.arange(len(rows)), positive, total, rng, depth=0)
-        del self._rows
+def _gini_vec(pos: np.ndarray, tot: np.ndarray) -> np.ndarray:
+    p = np.divide(pos, tot, out=np.zeros_like(pos), where=tot > 0)
+    return 2.0 * p * (1.0 - p)
 
-    def _leaf(self, positive_sum: float, total_sum: float) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        # majority label; ties resolve to attack (fail-safe toward detection)
-        self.label.append(1 if positive_sum * 2 >= total_sum else 0)
-        return node
 
-    def _grow(self, idx: np.ndarray, positive: np.ndarray, total: np.ndarray, rng, depth: int) -> int:
+def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
+              max_depth: int | None, min_samples_split: int,
+              max_features: int | None) -> dict[str, list]:
+    """One CART-style tree on weighted rows: Gini impurity, <= threshold goes left.
+
+    Returns the TREE_FIELDS node lists in preorder. Leaves carry feature -1
+    and their majority label, inner nodes label -1.
+    """
+    tree: dict[str, list] = {name: [] for name in TREE_FIELDS}
+    features, thresholds, lefts, rights, labels = tree.values()
+    n_features = rows.shape[1]
+
+    def grow(idx: np.ndarray, depth: int) -> int:
         pos_sum = float(positive[idx].sum())
         tot_sum = float(total[idx].sum())
+        # a leaf unless a split is found below: its majority label, ties to
+        # attack (fail-safe toward detection)
+        index = len(features)
+        features.append(-1)
+        thresholds.append(0.0)
+        lefts.append(-1)
+        rights.append(-1)
+        labels.append(1 if pos_sum * 2 >= tot_sum else 0)
         pure = pos_sum < GINI_EPS or pos_sum > tot_sum - GINI_EPS
         if (
             pure
             or len(idx) < 2
-            or tot_sum < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
+            or tot_sum < min_samples_split
+            or (max_depth is not None and depth >= max_depth)
         ):
-            return self._leaf(pos_sum, tot_sum)
+            return index
 
-        n_features = self._rows.shape[1]
-        if self.max_features is None or self.max_features >= n_features:
+        if max_features is None or max_features >= n_features:
             candidates = np.arange(n_features)
         else:
-            candidates = rng.choice(n_features, self.max_features, replace=False)
+            candidates = rng.choice(n_features, max_features, replace=False)
 
-        parent_gini = self._gini(pos_sum, tot_sum)
+        parent_gini = _gini(pos_sum, tot_sum)
         best = None  # (gain, feature, threshold, order, split_at)
         for f in candidates:
-            values = self._rows[idx, f]
+            values = rows[idx, f]
             order = np.argsort(values, kind="mergesort")
             sv = values[order]
             distinct = np.nonzero(sv[1:] != sv[:-1])[0]  # split after these positions
@@ -90,8 +94,8 @@ class DecisionTree:
             right_pos = pos_sum - left_pos
             right_tot = tot_sum - left_tot
             weighted = (
-                left_tot * self._gini_vec(left_pos, left_tot)
-                + right_tot * self._gini_vec(right_pos, right_tot)
+                left_tot * _gini_vec(left_pos, left_tot)
+                + right_tot * _gini_vec(right_pos, right_tot)
             ) / tot_sum
             gains = parent_gini - weighted
             at = int(np.argmax(gains))  # first maximum: lowest threshold wins ties
@@ -101,50 +105,16 @@ class DecisionTree:
                 threshold = float((sv[pos] + sv[pos + 1]) / 2.0)
                 best = (gain, int(f), threshold, order, pos)
         if best is None:
-            return self._leaf(pos_sum, tot_sum)
+            return index
 
         _, f, threshold, order, pos = best
-        left_idx = idx[order[: pos + 1]]
-        right_idx = idx[order[pos + 1:]]
-        node = len(self.feature)
-        self.feature.append(f)
-        self.threshold.append(threshold)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.label.append(-1)
-        self.left[node] = self._grow(left_idx, positive, total, rng, depth + 1)
-        self.right[node] = self._grow(right_idx, positive, total, rng, depth + 1)
-        return node
+        features[index], thresholds[index], labels[index] = f, threshold, -1
+        lefts[index] = grow(idx[order[: pos + 1]], depth + 1)
+        rights[index] = grow(idx[order[pos + 1:]], depth + 1)
+        return index
 
-    @staticmethod
-    def _gini(pos: float, tot: float) -> float:
-        if tot <= 0:
-            return 0.0
-        p = pos / tot
-        return 2.0 * p * (1.0 - p)
-
-    @staticmethod
-    def _gini_vec(pos: np.ndarray, tot: np.ndarray) -> np.ndarray:
-        p = np.divide(pos, tot, out=np.zeros_like(pos), where=tot > 0)
-        return 2.0 * p * (1.0 - p)
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecisionTree":
-        tree = cls(max_depth=None, min_samples_split=2, max_features=None)
-        fields = read_tree(data, {"feature": int, "threshold": float, "left": int, "right": int,
-                                  "label": int})
-        for name, values in fields.items():
-            setattr(tree, name, values)
-        return tree
+    grow(np.arange(len(rows)), 0)
+    return tree
 
 
 class RandomForestDetector:
@@ -165,7 +135,7 @@ class RandomForestDetector:
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.seed = seed
-        self.trees: list[DecisionTree] = []
+        self.trees: list[dict[str, list]] = []
 
     def _resolved_max_features(self, n_features: int) -> int | None:
         if self.max_features == "sqrt":
@@ -188,18 +158,14 @@ class RandomForestDetector:
         self.trees = []
         for i in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, f"tree:{i}"))
+            sample = rows, positive, total
             if self.bootstrap:
                 counts = rng.multinomial(n, total / n)
                 scale = np.divide(counts, total, out=np.zeros_like(total), where=total > 0)
-                tree_pos = positive * scale
                 tree_tot = total * scale
                 keep = tree_tot > 0
-                tree = DecisionTree(self.max_depth, self.min_samples_split, k)
-                tree.fit(rows[keep], tree_pos[keep], tree_tot[keep], rng)
-            else:
-                tree = DecisionTree(self.max_depth, self.min_samples_split, k)
-                tree.fit(rows, positive, total, rng)
-            self.trees.append(tree)
+                sample = rows[keep], (positive * scale)[keep], tree_tot[keep]
+            self.trees.append(grow_tree(*sample, rng, self.max_depth, self.min_samples_split, k))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -209,7 +175,7 @@ class RandomForestDetector:
         forest = FlatForest(self.trees, "threshold")
         forest.check_columns(X)
         rows, inverse = unique_rows(X)
-        label = np.concatenate([t.label for t in self.trees]).astype(np.int64)
+        label = np.concatenate([t["label"] for t in self.trees]).astype(np.int64)
         votes = np.zeros(len(rows), dtype=np.int64)
         for block in row_blocks(len(rows), len(self.trees)):
             votes[block] = label[forest.leaves(rows[block], np.less_equal)].sum(axis=0)
@@ -224,7 +190,7 @@ class RandomForestDetector:
             "max_features": self.max_features,
             "bootstrap": self.bootstrap,
             "seed": self.seed,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees,
         }
 
     @classmethod
@@ -237,5 +203,5 @@ class RandomForestDetector:
             bootstrap=bool(data["bootstrap"]),
             seed=int(data["seed"]),
         )
-        det.trees = [DecisionTree.from_dict(t) for t in data["trees"]]
+        det.trees = [read_tree(t, TREE_FIELDS) for t in data["trees"]]
         return det

@@ -16,6 +16,8 @@ from ..engine import derive_seed
 from .rows import FlatForest, TrainingDataError, read_tree, row_blocks, unique_rows
 
 EULER_GAMMA = 0.5772156649015329
+# a tree's node lists and their types
+TREE_FIELDS = {"feature": int, "split": float, "left": int, "right": int, "leaf_size": int}
 
 
 def average_path_length(n: int) -> float:
@@ -28,62 +30,38 @@ def average_path_length(n: int) -> float:
     return 2.0 * harmonic - 2.0 * (n - 1) / n
 
 
-class _IsolationTree:
-    __slots__ = ("feature", "split", "left", "right", "leaf_size")
+def grow_tree(X: np.ndarray, rng, max_depth: int) -> dict[str, list]:
+    """One isolation tree on the sample X: the TREE_FIELDS node lists in
+    preorder, leaves with feature -1. A row goes left where its value is
+    below the split."""
+    tree: dict[str, list] = {name: [] for name in TREE_FIELDS}
+    features, splits, lefts, rights, leaf_sizes = tree.values()
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.split: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf_size: list[int] = []
-
-    def build(self, X: np.ndarray, rng, max_depth: int) -> None:
-        self._grow(X, rng, max_depth, depth=0)
-
-    def _node(self, feature: int, split: float, leaf_size: int) -> int:
-        idx = len(self.feature)
-        self.feature.append(feature)
-        self.split.append(split)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_size.append(leaf_size)
-        return idx
-
-    def _grow(self, X: np.ndarray, rng, max_depth: int, depth: int) -> int:
+    def grow(X: np.ndarray, depth: int) -> int:
         n = len(X)
+        index = len(features)  # a leaf unless a split is drawn below
+        features.append(-1)
+        splits.append(0.0)
+        lefts.append(-1)
+        rights.append(-1)
+        leaf_sizes.append(n)
         if n <= 1 or depth >= max_depth:
-            return self._node(-1, 0.0, n)
+            return index
         lo = X.min(axis=0)
         hi = X.max(axis=0)
         splittable = np.nonzero(hi > lo)[0]
         if len(splittable) == 0:  # all duplicates
-            return self._node(-1, 0.0, n)
+            return index
         f = int(splittable[rng.integers(len(splittable))])
         value = float(rng.uniform(lo[f], hi[f]))
-        node = self._node(f, value, n)
+        features[index], splits[index] = f, value
         mask = X[:, f] < value
-        self.left[node] = self._grow(X[mask], rng, max_depth, depth + 1)
-        self.right[node] = self._grow(X[~mask], rng, max_depth, depth + 1)
-        return node
+        lefts[index] = grow(X[mask], depth + 1)
+        rights[index] = grow(X[~mask], depth + 1)
+        return index
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "split": self.split,
-            "left": self.left,
-            "right": self.right,
-            "leaf_size": self.leaf_size,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "_IsolationTree":
-        tree = cls()
-        fields = read_tree(data, {"feature": int, "split": float, "left": int, "right": int,
-                                  "leaf_size": int})
-        for name, values in fields.items():
-            setattr(tree, name, values)
-        return tree
+    grow(X, 0)
+    return tree
 
 
 class IsolationForestDetector:
@@ -98,7 +76,7 @@ class IsolationForestDetector:
         self.subsample = subsample
         self.quantile = quantile
         self.seed = seed
-        self.trees: list[_IsolationTree] = []
+        self.trees: list[dict[str, list]] = []
         self.sample_size: int | None = None
         self.train_scores: np.ndarray | None = None
         self.threshold: float | None = None
@@ -114,9 +92,7 @@ class IsolationForestDetector:
         for i in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, f"itree:{i}"))
             idx = rng.choice(len(X), size, replace=False)
-            tree = _IsolationTree()
-            tree.build(X[idx], rng, max_depth)
-            self.trees.append(tree)
+            self.trees.append(grow_tree(X[idx], rng, max_depth))
         self.train_scores = self.score(X)
         self.threshold = float(np.percentile(self.train_scores, self.quantile))
         return self
@@ -131,7 +107,7 @@ class IsolationForestDetector:
             return np.zeros(0)
         rows, inverse = unique_rows(Xq)
         # h(x) at each leaf: its depth plus c(leaf size), c taken once per distinct size
-        sizes, size_of = np.unique(np.concatenate([t.leaf_size for t in self.trees]),
+        sizes, size_of = np.unique(np.concatenate([t["leaf_size"] for t in self.trees]),
                                    return_inverse=True)
         c = np.array([average_path_length(int(s)) for s in sizes])
         leaf_path = forest.depth() + c[size_of]
@@ -158,7 +134,7 @@ class IsolationForestDetector:
             "sample_size": self.sample_size,
             "threshold": self.threshold,
             "train_scores": self.train_scores.tolist(),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees,
         }
 
     @classmethod
@@ -172,5 +148,5 @@ class IsolationForestDetector:
         det.sample_size = int(data["sample_size"])
         det.threshold = float(data["threshold"])
         det.train_scores = np.asarray(data["train_scores"], dtype=np.float64)
-        det.trees = [_IsolationTree.from_dict(t) for t in data["trees"]]
+        det.trees = [read_tree(t, TREE_FIELDS) for t in data["trees"]]
         return det

@@ -31,6 +31,11 @@ ALGORITHMS = tuple(DETECTORS)
 SEMI_SUPERVISED = ("lof", "iforest")
 
 
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in DETECTORS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+
+
 def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarray]:
     """The one pass over the records that encoding and training make.
 
@@ -152,6 +157,7 @@ class TrafficModel:
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version {version!r}")
         algorithm = data["algorithm"]
+        _check_algorithm(algorithm)
         return cls(
             algorithm=algorithm,
             dictionary=FeatureDictionary.from_dict(data["dictionary"]),
@@ -167,8 +173,7 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
     their threshold on training scores. Records too few or too uniform to fit
     the detector raise TrainingDataError.
     """
-    if algorithm not in DETECTORS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    _check_algorithm(algorithm)
     if not records:
         raise TrainingDataError("empty training set")
     keys, inverse = _distinct_keys(records)

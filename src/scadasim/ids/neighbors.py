@@ -113,7 +113,11 @@ class KnnDetector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KnnDetector":
-        return cls(k=int(data["k"])).fit(data["X"], data["y"])
+        det = cls(k=int(data["k"])).fit(data["X"], data["y"])
+        if det.y.shape != (len(det.X),):
+            raise ValueError(f"model field 'y' has shape {det.y.shape}, "
+                             f"expected one value per row of 'X' ({len(det.X)})")
+        return det
 
 
 class LofDetector:

@@ -89,13 +89,13 @@ class FlatForest:
     level at a time until all of them sit at leaves.
     """
 
-    def __init__(self, trees: list, cut: str):
+    def __init__(self, trees: list[dict[str, list]], cut: str):
         """``trees`` hold node lists ``feature``, ``left``, ``right`` and the
         split values in the list named by ``cut``."""
         def stacked(name: str, dtype) -> np.ndarray:
-            return np.concatenate([getattr(t, name) for t in trees]).astype(dtype)
+            return np.concatenate([t[name] for t in trees]).astype(dtype)
 
-        sizes = np.array([len(t.feature) for t in trees])
+        sizes = np.array([len(t["feature"]) for t in trees])
         self.roots = np.cumsum(sizes) - sizes
         offset = np.repeat(self.roots, sizes)
         self.feature = stacked("feature", np.intp)

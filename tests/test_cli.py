@@ -277,6 +277,36 @@ class TestIdsCommands:
         assert "ghost.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_that_is_not_utf8_exits_2_naming_file_and_row(
+            self, tmp_path, capsys, command):
+        train = tmp_path / "train.csv"
+        train.write_bytes("\n".join([CSV_HEADER, NORMAL_ROW, ATTACK_ROW]).encode("utf-8")
+                          + b"\n1000,10.0.0.11,10.0.0.\xff,SCADA,61,normal,\n")
+        test_args = ["--test", str(train)] if command == "eval" else []
+        code = run_cli("ids", command, "--algo", "rf", "--train", str(train), *test_args,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{train} row 4: byte 0xff" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("algo, detail", [
+        pytest.param(",", "names no algorithm", id="empty"),
+        pytest.param("rf,knn,rf", "'rf' twice", id="repeated"),
+        pytest.param("lof, lof", "'lof' twice", id="repeated-after-space"),
+    ])
+    def test_algo_list_naming_none_or_one_twice_exits_2(
+            self, tmp_path, capsys, two_datasets, command, algo, detail):
+        a, _ = two_datasets
+        out = tmp_path / "out"
+        test_args = ["--test", str(a)] if command == "eval" else []
+        code = run_cli("ids", command, "--algo", algo, "--train", str(a), *test_args,
+                       "--out", str(out))
+        assert code == 2
+        assert detail in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("algo, rows, detail", [
         pytest.param("rf", [], "empty training set", id="rf-header-only"),
         pytest.param("rf", [NORMAL_ROW] * 3, "both classes", id="rf-all-normal"),

@@ -185,6 +185,12 @@ class TestKnn:
         with pytest.raises(ValueError, match="exceeds"):
             KnnDetector.from_dict(dict(data, k=4))
 
+    def test_loaded_y_without_one_label_per_row_refused(self):
+        data = KnnDetector(k=3).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])).to_dict()
+        for y in (data["y"][:3], data["y"] + [0], [data["y"]]):
+            with pytest.raises(ValueError, match="'y'"):
+                KnnDetector.from_dict(dict(data, y=y))
+
     def test_dimension_mismatch_refused(self):
         det = KnnDetector(k=1).fit(np.zeros((3, 4)), np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="dimension"):
@@ -500,6 +506,11 @@ class TestTrafficModel:
     def test_unknown_algorithm_refused(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             train_model("svm", toy_records())
+
+    def test_loaded_unknown_algorithm_refused(self):
+        data = train_model("knn", toy_records(), seed=0).to_dict()
+        with pytest.raises(ValueError, match="unknown algorithm 'svm'"):
+            TrafficModel.from_dict(dict(data, algorithm="svm"))
 
     def test_save_load_round_trip_preserves_predictions(self, tmp_path):
         records = toy_records(n_attack=30, n_normal=30)

@@ -105,11 +105,11 @@ def frozen_tree_predict(tree, X):
     """One decision tree's labels, the rows walked level by level."""
     out = np.zeros(len(X), dtype=np.int64)
     node_of = np.zeros(len(X), dtype=np.int64)
-    feature = np.asarray(tree.feature)
-    threshold = np.asarray(tree.threshold)
-    left = np.asarray(tree.left)
-    right = np.asarray(tree.right)
-    label = np.asarray(tree.label)
+    feature = np.asarray(tree["feature"])
+    threshold = np.asarray(tree["threshold"])
+    left = np.asarray(tree["left"])
+    right = np.asarray(tree["right"])
+    label = np.asarray(tree["label"])
     active = np.arange(len(X))
     while len(active):
         nodes = node_of[active]
@@ -138,11 +138,11 @@ def frozen_path_length(tree, X):
     out = np.zeros(len(X))
     node_of = np.zeros(len(X), dtype=np.int64)
     depth = np.zeros(len(X))
-    feature = np.asarray(tree.feature)
-    split = np.asarray(tree.split)
-    left = np.asarray(tree.left)
-    right = np.asarray(tree.right)
-    leaf_size = np.asarray(tree.leaf_size)
+    feature = np.asarray(tree["feature"])
+    split = np.asarray(tree["split"])
+    left = np.asarray(tree["left"])
+    right = np.asarray(tree["right"])
+    leaf_size = np.asarray(tree["leaf_size"])
     active = np.arange(len(X))
     while len(active):
         nodes = node_of[active]
@@ -289,7 +289,7 @@ def rows_on_cuts(trees, cut, row):
     the walk's comparison decides the branch."""
     out = []
     for tree in trees:
-        for f, value in zip(tree.feature, getattr(tree, cut)):
+        for f, value in zip(tree["feature"], tree[cut]):
             if f != -1:
                 out.append(np.array(row, dtype=np.float64))
                 out[-1][f] = value
