@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .network import MIN_PACKET_BYTES, Packet
+from .writers import write_lines
 
 BALANCE_TOLERANCE_PP = 3.0
 
@@ -159,16 +161,12 @@ def export_csv(dataset: LabeledDataset, path: str) -> None:
     """Write the dataset CSV: UTF-8, LF endings, fields never quoted.
 
     Only the records cross the wire; the split is re-derived on import from
-    the attack-free prefix rule.
+    the attack-free prefix rule. Rows are formatted a block at a time as they
+    are written.
     """
-    lines = [CSV_HEADER]
-    for r in dataset.records:
-        stage = r.stage or ""
-        lines.append(
-            f"{r.time_ms},{r.src},{r.dst},{r.protocol},{r.length_bytes},{r.label},{stage}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (f"{time_ms},{src},{dst},{protocol},{length},{label},{stage or ''}"
+            for time_ms, src, dst, protocol, length, label, stage in dataset.records)
+    write_lines(path, chain((CSV_HEADER,), rows))
 
 
 class _RowProblem(Exception):

@@ -4,6 +4,9 @@ evaluate detectors, render reports.
 Exit codes: 0 success, 2 configuration or dataset error (including training
 data a detector cannot fit), 3 balance calibration failure, 4 IDS
 training-protocol violation (semi-supervised purity), 1 anything else.
+An option value that cannot be used (an --algo list that names no known
+algorithm or one twice, an --out that cannot be a directory) is refused with
+exit code 2 before any work.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .capture import (
     CalibrationError,
@@ -33,6 +37,7 @@ from .ids import (
 )
 from .ids.models import SEMI_SUPERVISED
 from .scenario import load_fixture, run_scenario
+from .writers import write_json, write_lines
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,31 +46,34 @@ EXIT_CALIBRATION = 3
 EXIT_PROTOCOL = 4
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+class OptionError(ValueError):
+    """A command-line option's value cannot be used; the message names the option."""
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def _make_out_dir(out: str, directory: str) -> None:
+    """Create ``directory`` (and its parents) for the files of ``--out out``,
+    before any work is done."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise OptionError(f"--out {out}: cannot create directory {directory}: "
+                          f"{exc.strerror}") from None
 
 
 def cmd_simulate(args) -> int:
     config = load_fixture(args.scenario)
+    _make_out_dir(args.out, args.out)
     result = run_scenario(config, seed=args.seed, trace=args.trace)
-    os.makedirs(args.out, exist_ok=True)
     export_csv(result.dataset, os.path.join(args.out, "dataset.csv"))
-    _write_lines(os.path.join(args.out, "attacker_actions.csv"),
-                 result.attacker.export_action_log())
-    _write_lines(os.path.join(args.out, "mtu_measurements.csv"), result.mtu_history_lines())
-    _write_json(os.path.join(args.out, "run_summary.json"), result.run_summary())
+    write_lines(os.path.join(args.out, "attacker_actions.csv"),
+                result.attacker.export_action_log())
+    write_lines(os.path.join(args.out, "mtu_measurements.csv"), result.mtu_history_lines())
+    write_json(os.path.join(args.out, "run_summary.json"), result.run_summary())
     if args.trace:
-        _write_lines(os.path.join(args.out, "trace.csv"),
-                     ["step,offset_ms,seq,target,kind"] + result.trace_lines)
+        write_lines(os.path.join(args.out, "trace.csv"),
+                    chain(("step,offset_ms,seq,target,kind",), result.trace_lines))
     if args.grid_csv:
-        _write_lines(os.path.join(args.out, "grid_truth.csv"), result.grid_history_lines())
+        write_lines(os.path.join(args.out, "grid_truth.csv"), result.grid_history_lines())
     check_balance(config.scenario_id, config.capture.balance_target, result.dataset)
     print(f"simulated scenario {config.scenario_id} seed {result.seed}: "
           f"{len(result.dataset.records)} records, attack share {result.dataset.balance[0]:.2f}%")
@@ -74,10 +82,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_dataset_export(args) -> int:
     config = load_fixture(args.scenario)
-    result = run_scenario(config, seed=args.seed)
     out_dir = os.path.dirname(args.out)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        _make_out_dir(args.out, out_dir)
+    result = run_scenario(config, seed=args.seed)
     export_csv(result.dataset, args.out)
     print(f"wrote {args.out}: {len(result.dataset.records)} records")
     return EXIT_OK
@@ -86,12 +94,13 @@ def cmd_dataset_export(args) -> int:
 def _parse_algorithms(spec: str) -> list[str]:
     algorithms = [a.strip() for a in spec.split(",") if a.strip()]
     if not algorithms:
-        raise ConfigError([f"--algo names no algorithm; expected some of {'/'.join(ALGORITHMS)}"])
+        raise OptionError(f"--algo names no algorithm; expected some of {'/'.join(ALGORITHMS)}")
     for i, a in enumerate(algorithms):
         if a not in ALGORITHMS:
-            raise ConfigError([f"unknown algorithm {a!r}; expected {'/'.join(ALGORITHMS)}"])
+            raise OptionError(f"--algo names unknown algorithm {a!r}; "
+                              f"expected {'/'.join(ALGORITHMS)}")
         if a in algorithms[:i]:
-            raise ConfigError([f"--algo names {a!r} twice; name each algorithm once"])
+            raise OptionError(f"--algo names {a!r} twice; name each algorithm once")
     return algorithms
 
 
@@ -123,7 +132,7 @@ def _train(args, train_sets: list[tuple[str, LabeledDataset]], algorithm: str):
 def cmd_ids_train(args) -> int:
     algorithms = _parse_algorithms(args.algo)
     train_sets = _load_datasets(args.train)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out, args.out)
     for algorithm in algorithms:
         model, n_records = _train(args, train_sets, algorithm)
         path = os.path.join(args.out, f"{algorithm}.json")
@@ -136,9 +145,8 @@ def cmd_ids_eval(args) -> int:
     algorithms = _parse_algorithms(args.algo)
     train_sets = _load_datasets(args.train)
     test_sets = _load_datasets(args.test)
-    os.makedirs(args.out, exist_ok=True)
     models_dir = os.path.join(args.out, "models")
-    os.makedirs(models_dir, exist_ok=True)
+    _make_out_dir(args.out, models_dir)
     train_name = "+".join(name for name, _ in train_sets)
     cells = []
     for algorithm in algorithms:
@@ -148,14 +156,13 @@ def cmd_ids_eval(args) -> int:
             predictions = model.predict_records(ds.records)
             truth = [r.label for r in ds.records]
             cells.append(evaluate(predictions, truth, algorithm, train_name, name))
-    _write_json(os.path.join(args.out, "eval_report.json"),
-                [cell.to_dict() for cell in cells])
+    write_json(os.path.join(args.out, "eval_report.json"), [cell.to_dict() for cell in cells])
     f1_lines = ["algorithm,train,test,f1"]
     for cell in cells:
         f1_lines.append(f"{cell.algorithm},{cell.train_scenario},{cell.test_scenario},{cell.f1!r}")
-    _write_lines(os.path.join(args.out, "f1_per_scenario.csv"), f1_lines)
+    write_lines(os.path.join(args.out, "f1_per_scenario.csv"), f1_lines)
     table = render_table(cells)
-    _write_lines(os.path.join(args.out, "report_table.txt"), table)
+    write_lines(os.path.join(args.out, "report_table.txt"), table)
     print("\n".join(table))
     return EXIT_OK
 
@@ -257,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except PurityError as exc:
         print(f"ids protocol violation: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (DatasetFormatError, FileNotFoundError, TrainingDataError) as exc:
+    except (DatasetFormatError, FileNotFoundError, OptionError, TrainingDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive

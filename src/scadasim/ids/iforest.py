@@ -133,7 +133,7 @@ class IsolationForestDetector:
             "seed": self.seed,
             "sample_size": self.sample_size,
             "threshold": self.threshold,
-            "train_scores": self.train_scores.tolist(),
+            "train_scores": self.train_scores,
             "trees": self.trees,
         }
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..capture import LabeledRecord
+from ..writers import write_json
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
@@ -197,10 +198,9 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
 
 
 def save_model(model: TrafficModel, path: str) -> None:
-    """Versioned JSON, stable bytes for identical models."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    """Versioned JSON, stable bytes for identical models; arrays are written
+    a block of rows at a time."""
+    write_json(path, model.to_dict())
 
 
 def load_model(path: str) -> TrafficModel:

@@ -109,7 +109,7 @@ class KnnDetector:
         return out[inverse]
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "X": self.X.tolist(), "y": self.y.tolist()}
+        return {"k": self.k, "X": self.X, "y": self.y}
 
     @classmethod
     def from_dict(cls, data: dict) -> "KnnDetector":
@@ -198,10 +198,10 @@ class LofDetector:
         return {
             "k": self.k,
             "quantile": self.quantile,
-            "X": self.X.tolist(),
-            "k_dist": self.k_dist.tolist(),
-            "lrd": self.lrd.tolist(),
-            "train_scores": self.train_scores.tolist(),
+            "X": self.X,
+            "k_dist": self.k_dist,
+            "lrd": self.lrd,
+            "train_scores": self.train_scores,
             "threshold": self.threshold,
         }
 

@@ -1,6 +1,7 @@
 import os
 import string
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scadasim.capture import (
+    CSV_HEADER,
     CapturedPacket,
     DatasetFormatError,
     LabeledDataset,
@@ -20,6 +22,7 @@ from scadasim.capture import (
 )
 from scadasim.ids.models import FeatureDictionary, train_model
 from scadasim.network import Packet
+from scadasim.writers import BLOCK_ROWS
 
 
 ATTACKER = "10.0.0.66"
@@ -193,6 +196,27 @@ class TestFeatures:
         assert (clone.encode(train) == fd.encode(train)).all()
 
 
+def frozen_join_export(dataset: LabeledDataset, path: str) -> None:
+    """The dataset writer as it was before rows were written in blocks: every
+    row as one string, joined into one text."""
+    lines = [CSV_HEADER]
+    for r in dataset.records:
+        stage = r.stage or ""
+        lines.append(
+            f"{r.time_ms},{r.src},{r.dst},{r.protocol},{r.length_bytes},{r.label},{stage}"
+        )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def mixed_records(n: int) -> list[LabeledRecord]:
+    """n records: every third one normal, the others attacks over four stages."""
+    return [LabeledRecord(i * 7, "10.0.0.11", "10.0.0.10", "SCADA", 61, "normal") if i % 3 == 0
+            else LabeledRecord(i * 7, "10.0.0.66", f"10.0.0.{i % 200}", "SCAN_PROBE", 60 + i % 5,
+                               "attack", f"S{1 + i % 4}")
+            for i in range(n)]
+
+
 class TestCsv:
     def dataset(self):
         records = [
@@ -219,6 +243,25 @@ class TestCsv:
         text = p1.read_text()
         assert "\r" not in text
         assert text.splitlines()[0] == "time_ms,src,dst,protocol,length,label,stage"
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_export_bytes_equal_the_join_writer_around_a_block(self, tmp_path, n):
+        ds = LabeledDataset.from_records(mixed_records(n))
+        export_csv(ds, str(tmp_path / "blocks.csv"))
+        frozen_join_export(ds, str(tmp_path / "joined.csv"))
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+    def test_export_memory_does_not_grow_with_the_dataset(self, tmp_path):
+        # 50,000 rows are about 2.3 MB of CSV text; a writer holding every row
+        # as a string, then their join, peaks near 10 MB
+        ds = LabeledDataset.from_records(mixed_records(50_000))
+        tracemalloc.start()
+        try:
+            export_csv(ds, str(tmp_path / "big.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_empty_dataset_is_header_only(self, tmp_path):
         ds = LabeledDataset.from_records([])

@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 
+from scadasim import cli
 from scadasim.capture import CSV_HEADER, import_csv
 from scadasim.cli import main
 from scadasim.scenario import fixture_path
@@ -61,6 +62,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work started before --out was checked")
+
+
 @pytest.fixture(scope="module")
 def reference_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("ref-run")
@@ -106,6 +111,15 @@ class TestSimulate:
         assert summary["seed"] == 7
         assert summary["attacker_stage"] == "done"
         assert summary["packets_captured"] > 0
+
+    def test_out_that_is_a_file_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        assert run_cli("simulate", "--scenario", "4", "--seed", "0", "--out", str(taken)) == 2
+        err = capsys.readouterr().err
+        assert f"--out {taken}" in err and "cannot create directory" in err
+        assert taken.read_text(encoding="utf-8") == ""
 
     def test_unknown_config_path_exits_2(self, tmp_path, capsys):
         assert run_cli("simulate", "--scenario", str(tmp_path / "nope.yaml"),
@@ -228,6 +242,15 @@ class TestDatasetExport:
         assert len(ds.records) > 1000
         assert ds.balance[0] > 0
 
+    def test_out_under_a_file_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        out = taken / "x.csv"
+        assert run_cli("dataset", "export", "--scenario", "4", "--seed", "0",
+                       "--out", str(out)) == 2
+        assert f"--out {out}" in capsys.readouterr().err
+
 
 class TestIdsCommands:
     def test_train_writes_model_files(self, tmp_path, two_datasets):
@@ -294,6 +317,7 @@ class TestIdsCommands:
         pytest.param(",", "names no algorithm", id="empty"),
         pytest.param("rf,knn,rf", "'rf' twice", id="repeated"),
         pytest.param("lof, lof", "'lof' twice", id="repeated-after-space"),
+        pytest.param("svm", "unknown algorithm 'svm'", id="unknown"),
     ])
     def test_algo_list_naming_none_or_one_twice_exits_2(
             self, tmp_path, capsys, two_datasets, command, algo, detail):
@@ -303,8 +327,22 @@ class TestIdsCommands:
         code = run_cli("ids", command, "--algo", algo, "--train", str(a), *test_args,
                        "--out", str(out))
         assert code == 2
-        assert detail in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert detail in err and "--algo" in err and "scenario config" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_out_that_is_a_file_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, two_datasets, command):
+        a, _ = two_datasets
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "train_model", refuse_work)
+        test_args = ["--test", str(a)] if command == "eval" else []
+        code = run_cli("ids", command, "--algo", "rf", "--train", str(a), *test_args,
+                       "--out", str(taken))
+        assert code == 2
+        assert f"--out {taken}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("algo, rows, detail", [

@@ -1,12 +1,17 @@
+import io
 import json
 import math
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from scadasim import writers
 from scadasim.capture import LabeledRecord
 from scadasim.ids import (
     IsolationForestDetector,
@@ -21,6 +26,7 @@ from scadasim.ids import (
     save_model,
     train_model,
 )
+from scadasim.ids.models import FeatureDictionary
 from scadasim.ids.neighbors import LRD_EPS, _row_distances
 from scadasim.ids.rows import unique_rows
 
@@ -187,7 +193,8 @@ class TestKnn:
 
     def test_loaded_y_without_one_label_per_row_refused(self):
         data = KnnDetector(k=3).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])).to_dict()
-        for y in (data["y"][:3], data["y"] + [0], [data["y"]]):
+        labels = data["y"].tolist()  # to_dict holds the array; a model file holds this list
+        for y in (labels[:3], labels + [0], [labels]):
             with pytest.raises(ValueError, match="'y'"):
                 KnnDetector.from_dict(dict(data, y=y))
 
@@ -535,3 +542,67 @@ class TestTrafficModel:
         data["format_version"] = 99
         with pytest.raises(ValueError, match="format_version"):
             TrafficModel.from_dict(data)
+
+    def test_knn_save_memory_does_not_grow_with_training_rows(self, tmp_path):
+        # 50,000 rows of 4 random floats are a 5.4 MB model file; turning X
+        # into a list of Python floats first peaks near 10 MB
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0, 1, size=(50_000, 4))
+        detector = KnnDetector().fit(X, (rng.random(50_000) < 0.5).astype(np.int64))
+        model = TrafficModel("knn", FeatureDictionary({"a": 1}, {"b": 1}, {"SCADA": 1}, 60, 61),
+                             detector)
+        tracemalloc.start()
+        try:
+            save_model(model, str(tmp_path / "knn.json"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert (load_model(str(tmp_path / "knn.json")).detector.X == X).all()
+
+
+def _as_lists(value):
+    """The payload json.dump is given when every array is its nested list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(v) for key, v in value.items()}
+    return value
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.int64]),
+                     hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5))
+_EDGE_PAYLOAD = {
+    "empty": np.zeros((0,)), "no rows": np.zeros((0, 4)), "no columns": np.zeros((3, 0)),
+    "special": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.5]),
+    "rows": {"ints": np.arange(-3, 9, dtype=np.int64).reshape(4, 3),
+             "floats": np.array([[0.1, np.nan], [-np.inf, 2.0], [5e-324, -0.0]])},
+    "n\u00e4me": ["\u00fcn\u00efc\u00f8de", {"b": [], "a": {}}, 1e300, -7],
+}
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(payload=st.recursive(_JSON_VALUES | _ARRAYS,
+                                lambda children: st.dictionaries(st.text(), children, max_size=4),
+                                max_leaves=10),
+           block=st.sampled_from([1, 2, writers.BLOCK_ROWS]))
+    @example(payload=_EDGE_PAYLOAD, block=1)
+    @example(payload=_EDGE_PAYLOAD, block=2)
+    @example(payload=_EDGE_PAYLOAD, block=writers.BLOCK_ROWS)
+    def test_bytes_equal_json_dump_at_every_block_size(self, payload, block):
+        expected = io.StringIO()
+        json.dump(_as_lists(payload), expected, sort_keys=True, indent=1)
+        expected.write("\n")
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(writers, "BLOCK_ROWS", block):
+            path = f"{tmp}/payload.json"
+            writers.write_json(path, payload)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.getvalue().encode("utf-8")
