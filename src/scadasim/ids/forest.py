@@ -120,6 +120,12 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
 class RandomForestDetector:
     """Bootstrap ensemble of Gini trees with per-node random feature subsets."""
 
+    # each model-file field and the function that reads it back
+    FIELDS = {"n_trees": int, "max_depth": lambda value: None if value is None else int(value),
+              "min_samples_split": int, "bootstrap": bool, "seed": int,
+              "max_features": lambda value: value if value in ("sqrt", None) else int(value),
+              "trees": lambda trees: [read_tree(tree, TREE_FIELDS) for tree in trees]}
+
     def __init__(
         self,
         n_trees: int = 100,
@@ -181,27 +187,3 @@ class RandomForestDetector:
             votes[block] = label[forest.leaves(rows[block], np.less_equal)].sum(axis=0)
         # majority; exact ties go to attack
         return (votes * 2 >= len(self.trees)).astype(np.int64)[inverse]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "max_features": self.max_features,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-            "trees": self.trees,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RandomForestDetector":
-        det = cls(
-            n_trees=int(data["n_trees"]),
-            max_depth=data["max_depth"],
-            min_samples_split=int(data["min_samples_split"]),
-            max_features=data["max_features"],
-            bootstrap=bool(data["bootstrap"]),
-            seed=int(data["seed"]),
-        )
-        det.trees = [read_tree(t, TREE_FIELDS) for t in data["trees"]]
-        return det

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import FlatForest, TrainingDataError, read_tree, row_blocks, unique_rows
+from .rows import FlatForest, TrainingDataError, float_array, read_tree, row_blocks, unique_rows
 
 EULER_GAMMA = 0.5772156649015329
 # a tree's node lists and their types
@@ -65,6 +65,11 @@ def grow_tree(X: np.ndarray, rng, max_depth: int) -> dict[str, list]:
 
 
 class IsolationForestDetector:
+    # each model-file field and the function that reads it back
+    FIELDS = {"n_trees": int, "subsample": int, "quantile": float, "seed": int,
+              "sample_size": int, "threshold": float, "train_scores": float_array,
+              "trees": lambda trees: [read_tree(tree, TREE_FIELDS) for tree in trees]}
+
     def __init__(
         self,
         n_trees: int = 100,
@@ -124,29 +129,3 @@ class IsolationForestDetector:
 
     def predict(self, Xq: np.ndarray) -> np.ndarray:
         return (self.score(Xq) > self.threshold).astype(np.int64)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "subsample": self.subsample,
-            "quantile": self.quantile,
-            "seed": self.seed,
-            "sample_size": self.sample_size,
-            "threshold": self.threshold,
-            "train_scores": self.train_scores,
-            "trees": self.trees,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IsolationForestDetector":
-        det = cls(
-            n_trees=int(data["n_trees"]),
-            subsample=int(data["subsample"]),
-            quantile=float(data["quantile"]),
-            seed=int(data["seed"]),
-        )
-        det.sample_size = int(data["sample_size"])
-        det.threshold = float(data["threshold"])
-        det.train_scores = np.asarray(data["train_scores"], dtype=np.float64)
-        det.trees = [read_tree(t, TREE_FIELDS) for t in data["trees"]]
-        return det

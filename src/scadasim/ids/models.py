@@ -33,7 +33,7 @@ SEMI_SUPERVISED = ("lof", "iforest")
 
 
 def _check_algorithm(algorithm: str) -> None:
-    if algorithm not in DETECTORS:
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
@@ -61,6 +61,10 @@ class FeatureDictionary:
     protocol_codes: dict[str, int]
     length_min: int
     length_max: int
+
+    # each model-file field and the function that reads it back
+    FIELDS = {"src_codes": dict, "dst_codes": dict, "protocol_codes": dict,
+              "length_min": int, "length_max": int}
 
     @classmethod
     def build(cls, records: list[LabeledRecord]) -> "FeatureDictionary":
@@ -97,25 +101,6 @@ class FeatureDictionary:
             dtype=np.float64,
         ).reshape(len(keys), 4)
 
-    def to_dict(self) -> dict:
-        return {
-            "src_codes": self.src_codes,
-            "dst_codes": self.dst_codes,
-            "protocol_codes": self.protocol_codes,
-            "length_min": self.length_min,
-            "length_max": self.length_max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureDictionary":
-        return cls(
-            dict(data["src_codes"]),
-            dict(data["dst_codes"]),
-            dict(data["protocol_codes"]),
-            int(data["length_min"]),
-            int(data["length_max"]),
-        )
-
 
 class PurityError(ValueError):
     """Semi-supervised training input contained attack-labeled records."""
@@ -148,22 +133,57 @@ class TrafficModel:
         return {
             "format_version": MODEL_FORMAT_VERSION,
             "algorithm": self.algorithm,
-            "dictionary": self.dictionary.to_dict(),
-            "detector": self.detector.to_dict(),
+            "dictionary": fields_of(self.dictionary),
+            "detector": fields_of(self.detector),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrafficModel":
-        version = data.get("format_version")
+        version = data.get("format_version") if isinstance(data, dict) else None
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version {version!r}")
-        algorithm = data["algorithm"]
+        algorithm = data.get("algorithm")
         _check_algorithm(algorithm)
-        return cls(
-            algorithm=algorithm,
-            dictionary=FeatureDictionary.from_dict(data["dictionary"]),
-            detector=DETECTORS[algorithm].from_dict(data["detector"]),
-        )
+        return cls(algorithm, read_fields(FeatureDictionary, data.get("dictionary"), "dictionary"),
+                   read_fields(DETECTORS[algorithm], data.get("detector"), "detector"))
+
+
+def fields_of(obj) -> dict:
+    """The model-file form of a detector or a FeatureDictionary: its FIELDS by name."""
+    return {name: getattr(obj, name) for name in obj.FIELDS}
+
+
+def read_fields(cls, data: dict, where: str = "detector"):
+    """A ``cls`` whose FIELDS are read from ``data``, the model-file object at
+    ``where``, each by its reader; refused with a ValueError naming the field.
+
+    A neighbour detector (one with ``ROWS_PAST_K``) also needs 2-D rows ``X``
+    that can serve ``k``, and one value per row of ``X`` in each array field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"model field {where!r} is missing or not an object")
+    obj = cls.__new__(cls)
+    for name, read in cls.FIELDS.items():
+        if name not in data:
+            raise ValueError(f"model field {name!r} is missing from {where!r}")
+        try:
+            setattr(obj, name, read(data[name]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"model field {name!r}: {exc}") from None
+    past_k = getattr(cls, "ROWS_PAST_K", None)
+    if past_k is not None:
+        if obj.X.ndim != 2:
+            raise ValueError(f"model field 'X' has shape {obj.X.shape}, expected a list of rows")
+        rows = len(obj.X)
+        most = rows - past_k
+        if not 1 <= obj.k <= most:
+            raise ValueError(f"model field 'k'={obj.k} is below 1 or exceeds {most}, "
+                             f"the most that the {rows} rows of 'X' allow")
+        for name, value in vars(obj).items():
+            if name != "X" and isinstance(value, np.ndarray) and value.shape != (rows,):
+                raise ValueError(f"model field {name!r} has shape {value.shape}, "
+                                 f"expected one value per row of 'X' ({rows})")
+    return obj
 
 
 def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> TrafficModel:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rows import TrainingDataError, row_blocks, unique_rows
+from .rows import TrainingDataError, float_array, int_array, row_blocks, unique_rows
 
 LRD_EPS = 1e-12
 
@@ -51,6 +51,10 @@ def _means_without_self(values: np.ndarray, idx: np.ndarray, members: np.ndarray
 class KnnDetector:
     """Majority vote among the k nearest stored samples; vote ties -> attack."""
 
+    # each model-file field and the function that reads it back
+    FIELDS = {"k": int, "X": float_array, "y": int_array}
+    ROWS_PAST_K = 0  # training rows needed beyond k
+
     def __init__(self, k: int = 5):
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -61,7 +65,7 @@ class KnnDetector:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnDetector":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        if self.k > len(X):
+        if len(X) < self.k + self.ROWS_PAST_K:
             raise TrainingDataError(f"k={self.k} exceeds training set size {len(X)}")
         self.X = X
         self.y = y
@@ -108,17 +112,6 @@ class KnnDetector:
             out[block] = votes * 2 >= self.k
         return out[inverse]
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "X": self.X, "y": self.y}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KnnDetector":
-        det = cls(k=int(data["k"])).fit(data["X"], data["y"])
-        if det.y.shape != (len(det.X),):
-            raise ValueError(f"model field 'y' has shape {det.y.shape}, "
-                             f"expected one value per row of 'X' ({len(det.X)})")
-        return det
-
 
 class LofDetector:
     """Local outlier factor against an attack-free reference set.
@@ -126,6 +119,11 @@ class LofDetector:
     flag(x) is true iff LOF(x) strictly exceeds the decision threshold,
     calibrated as a quantile (default 99th percentile) of training scores.
     """
+
+    # each model-file field and the function that reads it back
+    FIELDS = {"k": int, "quantile": float, "X": float_array, "k_dist": float_array,
+              "lrd": float_array, "train_scores": float_array, "threshold": float}
+    ROWS_PAST_K = 1  # training rows needed beyond k: a point is not its own neighbor
 
     def __init__(self, k: int = 20, quantile: float = 99.0):
         if k < 1:
@@ -140,7 +138,7 @@ class LofDetector:
 
     def fit(self, X: np.ndarray) -> "LofDetector":
         X = np.asarray(X, dtype=np.float64)
-        if len(X) <= self.k:
+        if len(X) < self.k + self.ROWS_PAST_K:
             raise TrainingDataError(f"need more than k={self.k} training points, got {len(X)}")
         self.X = X
         rows, group = unique_rows(X)
@@ -193,30 +191,3 @@ class LofDetector:
 
     def predict(self, Xq: np.ndarray) -> np.ndarray:
         return (self.score(Xq) > self.threshold).astype(np.int64)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "quantile": self.quantile,
-            "X": self.X,
-            "k_dist": self.k_dist,
-            "lrd": self.lrd,
-            "train_scores": self.train_scores,
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LofDetector":
-        det = cls(k=int(data["k"]), quantile=float(data["quantile"]))
-        det.X = np.asarray(data["X"], dtype=np.float64)
-        n = len(det.X)
-        if det.k >= n:
-            raise ValueError(f"model field 'k'={det.k} needs more than k rows in 'X', got {n}")
-        for name in ("k_dist", "lrd", "train_scores"):
-            values = np.asarray(data[name], dtype=np.float64)
-            if values.shape != (n,):
-                raise ValueError(f"model field {name!r} has shape {values.shape}, "
-                                 f"expected one value per row of 'X' ({n})")
-            setattr(det, name, values)
-        det.threshold = float(data["threshold"])
-        return det

@@ -1,5 +1,5 @@
-"""Distinct feature rows, row blocks, tree walks, and the error a detector
-raises on unusable rows.
+"""Distinct feature rows, row blocks, tree walks, the readers of model-file
+fields, and the error a detector raises on unusable rows.
 
 Captured SCADA traffic is heavily duplicated (tens of thousands of records,
 a few hundred distinct feature rows), so every detector does its per-row work
@@ -12,6 +12,7 @@ their temporaries stay small however many distinct rows there are.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -48,6 +49,11 @@ def row_blocks(n_rows: int, values_per_row: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
+# readers of the array fields of a model file
+float_array = partial(np.asarray, dtype=np.float64)
+int_array = partial(np.asarray, dtype=np.int64)
+
+
 def read_tree(data: dict, fields: dict[str, type]) -> dict[str, list]:
     """One tree's parallel node arrays from a model file.
 
@@ -57,7 +63,9 @@ def read_tree(data: dict, fields: dict[str, type]) -> dict[str, list]:
     node, is refused with a ValueError naming the field: a walk of it could
     loop forever, leave the tree or read a column counted from the end.
     """
-    tree = {name: [kind(v) for v in data[name]] for name, kind in fields.items()}
+    # a missing node list reads as empty, which the length check below names
+    tree = {name: [kind(v) for v in (data[name] if name in data else ())]
+            for name, kind in fields.items()}
     n = len(tree["feature"])
     if n == 0:
         raise ValueError("tree field 'feature' is empty; a tree needs a root node")

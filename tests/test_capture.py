@@ -20,7 +20,7 @@ from scadasim.capture import (
     import_csv,
     label_records,
 )
-from scadasim.ids.models import FeatureDictionary, train_model
+from scadasim.ids.models import FeatureDictionary, fields_of, read_fields, train_model
 from scadasim.network import Packet
 from scadasim.writers import BLOCK_ROWS
 
@@ -192,7 +192,7 @@ class TestFeatures:
         train = [LabeledRecord(0, "a", "m", "SCADA", 61, "normal"),
                  LabeledRecord(1, "b", "m", "HTTP", 300, "normal")]
         fd = FeatureDictionary.build(train)
-        clone = FeatureDictionary.from_dict(fd.to_dict())
+        clone = read_fields(FeatureDictionary, fields_of(fd), "dictionary")
         assert (clone.encode(train) == fd.encode(train)).all()
 
 

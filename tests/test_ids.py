@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scadasim import writers
 from scadasim.capture import LabeledRecord
 from scadasim.ids import (
+    ALGORITHMS,
     IsolationForestDetector,
     KnnDetector,
     LofDetector,
@@ -26,7 +28,7 @@ from scadasim.ids import (
     save_model,
     train_model,
 )
-from scadasim.ids.models import FeatureDictionary
+from scadasim.ids.models import FeatureDictionary, fields_of, read_fields
 from scadasim.ids.neighbors import LRD_EPS, _row_distances
 from scadasim.ids.rows import unique_rows
 
@@ -38,6 +40,11 @@ def toy_records(n_attack=5, n_normal=5):
     for i in range(n_attack):
         records.append(LabeledRecord(100 + i, "atk", "rtu", "SCAN_PROBE", 60, "attack", "S1"))
     return records
+
+
+def training_records(algo, records):
+    """The records a detector trains on: the attack-free ones for lof and iforest."""
+    return [r for r in records if r.label == "normal"] if algo in ("lof", "iforest") else records
 
 
 class TestRandomForest:
@@ -68,9 +75,9 @@ class TestRandomForest:
         y = (X[:, 0] > 0.5).astype(np.int64)
         a = RandomForestDetector(n_trees=10, seed=42).fit(X, y)
         b = RandomForestDetector(n_trees=10, seed=42).fit(X, y)
-        assert a.to_dict() == b.to_dict()
+        assert fields_of(a) == fields_of(b)
         c = RandomForestDetector(n_trees=10, seed=43).fit(X, y)
-        assert a.to_dict() != c.to_dict()
+        assert fields_of(a) != fields_of(c)
 
     def test_single_class_training_refused(self):
         X = np.zeros((10, 4))
@@ -96,27 +103,27 @@ class TestRandomForest:
     ], ids=["left-self", "right-self", "right-out-of-range", "short-threshold", "empty"])
     def test_loaded_tree_a_walk_could_not_finish_is_refused(self, field, edit):
         X = np.array([[float(i), 0.0] for i in range(8)])
-        data = RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
-            X, np.array([0, 1] * 4)).to_dict()
+        data = fields_of(RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
+            X, np.array([0, 1] * 4)))
         edit(data["trees"][0])
         with pytest.raises(ValueError, match=repr(field)):
-            RandomForestDetector.from_dict(data)
+            read_fields(RandomForestDetector, data)
 
     def test_loaded_tree_with_a_feature_below_minus_one_is_refused(self):
         # -2 would read the second column from the end through numpy's negative indexing
         X = np.array([[float(i), 0.0] for i in range(8)])
-        data = RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
-            X, np.array([0, 1] * 4)).to_dict()
+        data = fields_of(RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
+            X, np.array([0, 1] * 4)))
         data["trees"][0]["feature"][0] = -2
         with pytest.raises(ValueError, match="'feature'"):
-            RandomForestDetector.from_dict(data)
+            read_fields(RandomForestDetector, data)
 
     def test_rows_without_a_column_a_split_reads_are_refused(self):
         X = np.array([[float(i), 0.0] for i in range(8)])
-        data = RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
-            X, np.array([0, 1] * 4)).to_dict()
+        data = fields_of(RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
+            X, np.array([0, 1] * 4)))
         data["trees"][0]["feature"][0] = 7  # the root splits on a column X lacks
-        det = RandomForestDetector.from_dict(data)
+        det = read_fields(RandomForestDetector, data)
         with pytest.raises(ValueError, match="feature dimension mismatch"):
             det.predict(X)
         with pytest.raises(ValueError, match="feature dimension mismatch"):
@@ -187,16 +194,16 @@ class TestKnn:
         assert got.tolist() == [oracle(q) for q in queries]
 
     def test_loaded_k_larger_than_training_set_refused(self):
-        data = KnnDetector(k=3).fit(np.zeros((3, 2)), np.array([0, 1, 0])).to_dict()
+        data = fields_of(KnnDetector(k=3).fit(np.zeros((3, 2)), np.array([0, 1, 0])))
         with pytest.raises(ValueError, match="exceeds"):
-            KnnDetector.from_dict(dict(data, k=4))
+            read_fields(KnnDetector, dict(data, k=4))
 
     def test_loaded_y_without_one_label_per_row_refused(self):
-        data = KnnDetector(k=3).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])).to_dict()
-        labels = data["y"].tolist()  # to_dict holds the array; a model file holds this list
+        data = fields_of(KnnDetector(k=3).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])))
+        labels = data["y"].tolist()  # fields_of holds the array; a model file holds this list
         for y in (labels[:3], labels + [0], [labels]):
             with pytest.raises(ValueError, match="'y'"):
-                KnnDetector.from_dict(dict(data, y=y))
+                read_fields(KnnDetector, dict(data, y=y))
 
     def test_dimension_mismatch_refused(self):
         det = KnnDetector(k=1).fit(np.zeros((3, 4)), np.array([0, 1, 0]))
@@ -371,15 +378,15 @@ class TestLof:
 
     def test_loaded_lrd_shorter_than_training_set_refused(self):
         X = np.random.default_rng(3).uniform(0, 1, size=(10, 2))
-        data = LofDetector(k=3).fit(X).to_dict()
+        data = fields_of(LofDetector(k=3).fit(X))
         with pytest.raises(ValueError, match="'lrd'"):
-            LofDetector.from_dict(dict(data, lrd=data["lrd"][:4]))
+            read_fields(LofDetector, dict(data, lrd=data["lrd"][:4]))
 
     def test_loaded_k_not_below_training_set_size_refused(self):
         X = np.random.default_rng(3).uniform(0, 1, size=(10, 2))
-        data = LofDetector(k=3).fit(X).to_dict()
+        data = fields_of(LofDetector(k=3).fit(X))
         with pytest.raises(ValueError, match="'k'"):
-            LofDetector.from_dict(dict(data, k=10))
+            read_fields(LofDetector, dict(data, k=10))
 
 
 class TestIsolationForest:
@@ -408,28 +415,28 @@ class TestIsolationForest:
         assert scores[0] == scores[1] == scores[2]
 
     def test_loaded_tree_with_a_child_before_its_node_is_refused(self):
-        data = IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(
-            self.two_clusters()).to_dict()
+        data = fields_of(IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(
+            self.two_clusters()))
         tree = data["trees"][1]
         inner = [i for i, f in enumerate(tree["feature"]) if f != -1]
         tree["left"][inner[-1]] = inner[0]  # a later node points back at the root
         with pytest.raises(ValueError, match="'left'"):
-            IsolationForestDetector.from_dict(data)
+            read_fields(IsolationForestDetector, data)
         tree["left"][inner[-1]] = inner[-1] + 1
         tree["leaf_size"].append(1)  # one entry too many
         with pytest.raises(ValueError, match="'leaf_size'"):
-            IsolationForestDetector.from_dict(data)
+            read_fields(IsolationForestDetector, data)
 
     def test_loaded_tree_with_a_bad_feature_is_refused_or_cannot_score(self):
         X = self.two_clusters()
-        data = IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(X).to_dict()
+        data = fields_of(IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(X))
         tree = data["trees"][0]
         inner = [i for i, f in enumerate(tree["feature"]) if f != -1]
         tree["feature"][inner[0]] = -2
         with pytest.raises(ValueError, match="'feature'"):
-            IsolationForestDetector.from_dict(data)
+            read_fields(IsolationForestDetector, data)
         tree["feature"][inner[0]] = 7
-        det = IsolationForestDetector.from_dict(data)
+        det = read_fields(IsolationForestDetector, data)
         with pytest.raises(ValueError, match="feature dimension mismatch"):
             det.score(X)
         with pytest.raises(ValueError, match="feature dimension mismatch"):
@@ -543,6 +550,39 @@ class TestTrafficModel:
         with pytest.raises(ValueError, match="format_version"):
             TrafficModel.from_dict(data)
 
+    @pytest.mark.parametrize("algo", ["knn", "lof"])
+    def test_loaded_x_that_is_not_a_list_of_rows_refused(self, algo, tmp_path):
+        # a flat X with one value per row used to load and then fail in predict
+        # with "IndexError: tuple index out of range"
+        path = tmp_path / "m.json"
+        save_model(train_model(algo, training_records(algo, toy_records(30, 30)), seed=0), str(path))
+        data = json.loads(path.read_text())
+        rows = data["detector"]["X"]
+        for X in ([row[0] for row in rows], [[row] for row in rows]):
+            data["detector"]["X"] = X
+            with pytest.raises(ValueError, match="'X'"):
+                TrafficModel.from_dict(data)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_loaded_model_without_a_field_refused_naming_it(self, algo, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train_model(algo, training_records(algo, toy_records(30, 30)), seed=0), str(path))
+        data = json.loads(path.read_text())
+        for part in ("dictionary", "detector"):
+            with pytest.raises(ValueError, match=repr(part)):
+                TrafficModel.from_dict({k: v for k, v in data.items() if k != part})
+            for name in data[part]:
+                without = {k: v for k, v in data[part].items() if k != name}
+                with pytest.raises(ValueError, match=repr(name)):
+                    TrafficModel.from_dict(dict(data, **{part: without}))
+        for name in data["detector"].get("trees", [{}])[0]:
+            tree = {k: v for k, v in data["detector"]["trees"][0].items() if k != name}
+            with pytest.raises(ValueError, match=repr(name)):
+                TrafficModel.from_dict(dict(data, detector=dict(data["detector"], trees=[tree])))
+        data["dictionary"]["length_min"] = None
+        with pytest.raises(ValueError, match="'length_min'"):
+            TrafficModel.from_dict(data)
+
     def test_knn_save_memory_does_not_grow_with_training_rows(self, tmp_path):
         # 50,000 rows of 4 random floats are a 5.4 MB model file; turning X
         # into a list of Python floats first peaks near 10 MB
@@ -559,6 +599,51 @@ class TestTrafficModel:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert (load_model(str(tmp_path / "knn.json")).detector.X == X).all()
+
+
+@st.composite
+def record_sets(draw, n, attacks):
+    """n records over a few hosts, protocols and lengths; with attacks, both labels occur."""
+    labels = draw(st.lists(st.booleans() if attacks else st.just(False), min_size=n, max_size=n))
+    if attacks:
+        labels[:2] = [False, True]
+    hosts = st.sampled_from(["rtu1", "rtu2", "mtu", "atk"])
+    return [LabeledRecord(i, draw(hosts), draw(hosts),
+                          draw(st.sampled_from(["SCADA", "HTTP", "SCAN_PROBE"])),
+                          draw(st.integers(40, 400)),
+                          "attack" if attack else "normal", "S1" if attack else None)
+            for i, attack in enumerate(labels)]
+
+
+class TestModelFileRoundTrip:
+    @pytest.mark.parametrize("cls", [RandomForestDetector, KnnDetector, LofDetector,
+                                     IsolationForestDetector])
+    def test_fields_name_every_attribute_a_detector_sets(self, cls):
+        # a loaded detector has only its FIELDS: one left out would load and
+        # then fail in predict with an AttributeError
+        assert set(vars(cls())) == set(cls.FIELDS)
+
+    def test_fields_name_every_dictionary_field(self):
+        assert {f.name for f in dataclasses.fields(FeatureDictionary)} == set(FeatureDictionary.FIELDS)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_save_load_save_keeps_bytes_and_predictions(self, algo, data):
+        supervised = algo in ("rf", "knn")
+        # LOF needs more than k=20 rows
+        records = data.draw(record_sets(data.draw(st.integers(21, 40)), supervised), label="train")
+        queries = data.draw(record_sets(data.draw(st.integers(2, 10)), True), label="queries")
+        model = train_model(algo, records, seed=data.draw(st.integers(0, 3)))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = f"{tmp}/first.json", f"{tmp}/second.json"
+            save_model(model, first)
+            loaded = load_model(first)
+            save_model(loaded, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        for batch in (records, queries):
+            assert loaded.predict_records(batch) == model.predict_records(batch)
 
 
 def _as_lists(value):
