@@ -148,13 +148,14 @@ def cmd_ids_eval(args) -> int:
     models_dir = os.path.join(args.out, "models")
     _make_out_dir(args.out, models_dir)
     train_name = "+".join(name for name, _ in train_sets)
+    # each test set's true labels, taken once for every algorithm
+    tests = [(name, ds.records, [r.label for r in ds.records]) for name, ds in test_sets]
     cells = []
     for algorithm in algorithms:
         model, _ = _train(args, train_sets, algorithm)
         save_model(model, os.path.join(models_dir, f"{algorithm}.json"))
-        for name, ds in test_sets:
-            predictions = model.predict_records(ds.records)
-            truth = [r.label for r in ds.records]
+        for name, records, truth in tests:
+            predictions = model.predict_records(records)
             cells.append(evaluate(predictions, truth, algorithm, train_name, name))
     write_json(os.path.join(args.out, "eval_report.json"), [cell.to_dict() for cell in cells])
     f1_lines = ["algorithm,train,test,f1"]

@@ -52,6 +52,19 @@ def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.n
     return index, inverse
 
 
+def code_table(value) -> dict[str, int]:
+    """A model file's categorical codes: str values to int codes of at least 1,
+    since 0 is the code of an unseen value."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object of codes, got {type(value).__name__}")
+    for name, code in value.items():
+        if not isinstance(name, str):
+            raise ValueError(f"coded value {name!r} is not a str")
+        if type(code) is not int or code < 1:  # a bool is an int, but no code
+            raise ValueError(f"code {code!r} of {name!r} is not an int of at least 1")
+    return dict(value)
+
+
 @dataclass
 class FeatureDictionary:
     """Categorical codes frozen at training time; unseen values map to 0."""
@@ -63,7 +76,7 @@ class FeatureDictionary:
     length_max: int
 
     # each model-file field and the function that reads it back
-    FIELDS = {"src_codes": dict, "dst_codes": dict, "protocol_codes": dict,
+    FIELDS = {"src_codes": code_table, "dst_codes": code_table, "protocol_codes": code_table,
               "length_min": int, "length_max": int}
 
     @classmethod

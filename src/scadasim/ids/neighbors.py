@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rows import TrainingDataError, float_array, int_array, row_blocks, unique_rows
+from .rows import TrainingDataError, float_array, label_array, row_blocks, unique_rows
 
 LRD_EPS = 1e-12
 
@@ -52,7 +52,7 @@ class KnnDetector:
     """Majority vote among the k nearest stored samples; vote ties -> attack."""
 
     # each model-file field and the function that reads it back
-    FIELDS = {"k": int, "X": float_array, "y": int_array}
+    FIELDS = {"k": int, "X": float_array, "y": label_array}
     ROWS_PAST_K = 0  # training rows needed beyond k
 
     def __init__(self, k: int = 5):

@@ -51,7 +51,18 @@ def row_blocks(n_rows: int, values_per_row: int) -> Iterator[slice]:
 
 # readers of the array fields of a model file
 float_array = partial(np.asarray, dtype=np.float64)
-int_array = partial(np.asarray, dtype=np.int64)
+
+
+def label_array(values) -> np.ndarray:
+    """Training labels, each the integer 0 (normal) or 1 (attack): a vote
+    counts a label as it is, so any other value would skew every vote."""
+    labels = np.asarray(values)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be the integers 0 and 1, got {labels.dtype} values")
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if len(bad):
+        raise ValueError(f"label {labels.flat[bad[0]]} at {bad[0]} is neither 0 nor 1")
+    return labels.astype(np.int64)
 
 
 def read_tree(data: dict, fields: dict[str, type]) -> dict[str, list]:

@@ -205,6 +205,15 @@ class TestKnn:
             with pytest.raises(ValueError, match="'y'"):
                 read_fields(KnnDetector, dict(data, y=y))
 
+    def test_loaded_y_with_a_label_other_than_0_or_1_refused(self):
+        # every label 7 used to load and count as seven attack votes each
+        data = fields_of(KnnDetector(k=3).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])))
+        for y in ([7, 7, 7, 7], [0, 1, 0, -1], [0, 1, 0, 2], [0, 1, 0, 0.5], [0.0, 1.0, 0.0, 1.0],
+                  [False, True, False, True], [0, 1, 0, "1"], [0, 1, 0, None]):
+            with pytest.raises(ValueError, match="'y'"):
+                read_fields(KnnDetector, dict(data, y=y))
+        assert read_fields(KnnDetector, dict(data, y=[1, 1, 0, 0])).y.tolist() == [1, 1, 0, 0]
+
     def test_dimension_mismatch_refused(self):
         det = KnnDetector(k=1).fit(np.zeros((3, 4)), np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="dimension"):
@@ -582,6 +591,26 @@ class TestTrafficModel:
         data["dictionary"]["length_min"] = None
         with pytest.raises(ValueError, match="'length_min'"):
             TrafficModel.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["src_codes", "dst_codes", "protocol_codes"])
+    def test_loaded_code_table_that_is_not_str_to_positive_int_refused(self, field, tmp_path):
+        # a code of "x" used to load and then fail in predict_records naming no
+        # field, and a code of 1.5 loaded and predicted silently
+        path = tmp_path / "m.json"
+        save_model(train_model("knn", toy_records(), seed=0), str(path))
+        data = json.loads(path.read_text())
+        codes = data["dictionary"][field]
+        key = next(iter(codes))
+        tables = [dict(codes, **{key: code}) for code in ("x", "1", 1.5, 1.0, True, 0, -1, None, [1])]
+        tables += [[[key, 1]], [], "x", None, 1]
+        for table in tables:
+            bad = dict(data, dictionary=dict(data["dictionary"], **{field: table}))
+            with pytest.raises(ValueError, match=repr(field)):
+                TrafficModel.from_dict(bad)
+        with pytest.raises(ValueError, match=repr(field)):
+            read_fields(FeatureDictionary, dict(data["dictionary"], **{field: {1: 1}}), "dictionary")
+        kept = dict(data, dictionary=dict(data["dictionary"], **{field: dict(codes, **{key: 9})}))
+        assert getattr(TrafficModel.from_dict(kept).dictionary, field)[key] == 9
 
     def test_knn_save_memory_does_not_grow_with_training_rows(self, tmp_path):
         # 50,000 rows of 4 random floats are a 5.4 MB model file; turning X

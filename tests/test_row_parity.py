@@ -12,7 +12,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scadasim.capture import (
@@ -185,6 +185,8 @@ GOOD_TAILS = [
     "10.0.0.66,10.0.0.12,HTTP,20,attack,S4",
 ]
 BAD_TIMES = ["-1", "x7", "", "1.5", "-0x1"]
+# times int() reads although no export writes them
+ODD_TIMES = [" 5", "+5", "1_0", "\u0663", "-0"]
 BAD_TAILS = [
     "a,b,SCADA,sixty,normal,",  # non-integer length
     "a,b,SCADA,61,suspicious,",  # bad label
@@ -223,12 +225,15 @@ def read_both(text):
 
 
 good_rows = st.lists(
-    st.tuples(st.integers(0, 10**9), st.integers(0, len(GOOD_TAILS) - 1)), max_size=60)
+    st.tuples(st.one_of(st.integers(0, 10**9), st.sampled_from(ODD_TIMES)),
+              st.integers(0, len(GOOD_TAILS) - 1)), max_size=60)
 
 
 class TestCsvReader:
     @settings(max_examples=200, deadline=None, database=None)
     @given(rows=good_rows)
+    # each odd time on a new tail, then on a tail already checked
+    @example(rows=[(t, i) for i, t in enumerate(ODD_TIMES)] + [(t, 0) for t in ODD_TIMES])
     def test_valid_files_read_as_the_frozen_reader_reads_them(self, rows):
         text = "".join(f"{t},{GOOD_TAILS[i]}\n" for t, i in rows)
         new, frozen = read_both(CSV_HEADER + "\n" + text)
