@@ -1,12 +1,12 @@
 """Command-line entry point: simulate scenarios, export datasets, train and
-evaluate detectors, render reports.
+evaluate detectors (saving each model file), render reports.
 
 Exit codes: 0 success, 2 configuration or dataset error (including training
 data a detector cannot fit), 3 balance calibration failure, 4 IDS
 training-protocol violation (semi-supervised purity), 1 anything else.
 An option value that cannot be used (an --algo list that names no known
-algorithm or one twice, an --out that cannot be a directory) is refused with
-exit code 2 before any work.
+algorithm or one twice, two --test files with one name, an --out that cannot
+be what the command writes) is refused with exit code 2 before any work.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_dataset_export(args) -> int:
     config = load_fixture(args.scenario)
+    if os.path.isdir(args.out):
+        raise OptionError(f"--out {args.out}: is a directory; expected the path of the CSV file")
     out_dir = os.path.dirname(args.out)
     if out_dir:
         _make_out_dir(args.out, out_dir)
@@ -104,24 +106,28 @@ def _parse_algorithms(spec: str) -> list[str]:
     return algorithms
 
 
+def _dataset_name(path: str) -> str:
+    """A dataset's name in the reports: its file name without the extension."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def _load_datasets(paths: list[str]) -> list[tuple[str, LabeledDataset]]:
     out = []
     for path in paths:
         if not os.path.isfile(path):
             raise FileNotFoundError(f"dataset file not found: {path}")
-        name = os.path.splitext(os.path.basename(path))[0]
-        out.append((name, import_csv(path)))
+        out.append((_dataset_name(path), import_csv(path)))
     return out
 
 
 def _train(args, train_sets: list[tuple[str, LabeledDataset]], algorithm: str):
-    """(model, number of training records) for one algorithm on the --train files."""
+    """The model of one algorithm, trained on the --train files."""
     warmup = algorithm in SEMI_SUPERVISED and args.semi_train == "warmup"
     records = []
     for _, ds in train_sets:
         records.extend(ds.warmup_slice() if warmup else ds.records)
     try:
-        return train_model(algorithm, records, seed=args.seed), len(records)
+        return train_model(algorithm, records, seed=args.seed)
     except TrainingDataError as exc:
         source = "the warm-up slice of " if warmup else ""
         raise TrainingDataError(
@@ -129,20 +135,13 @@ def _train(args, train_sets: list[tuple[str, LabeledDataset]], algorithm: str):
         ) from None
 
 
-def cmd_ids_train(args) -> int:
-    algorithms = _parse_algorithms(args.algo)
-    train_sets = _load_datasets(args.train)
-    _make_out_dir(args.out, args.out)
-    for algorithm in algorithms:
-        model, n_records = _train(args, train_sets, algorithm)
-        path = os.path.join(args.out, f"{algorithm}.json")
-        save_model(model, path)
-        print(f"trained {algorithm} on {n_records} records -> {path}")
-    return EXIT_OK
-
-
 def cmd_ids_eval(args) -> int:
     algorithms = _parse_algorithms(args.algo)
+    test_names = [_dataset_name(path) for path in args.test]
+    for i, name in enumerate(test_names):
+        if name in test_names[:i]:
+            raise OptionError(f"--test names two files called {name!r}; the report keys "
+                              "each test set by its file name")
     train_sets = _load_datasets(args.train)
     test_sets = _load_datasets(args.test)
     models_dir = os.path.join(args.out, "models")
@@ -152,7 +151,7 @@ def cmd_ids_eval(args) -> int:
     tests = [(name, ds.records, [r.label for r in ds.records]) for name, ds in test_sets]
     cells = []
     for algorithm in algorithms:
-        model, _ = _train(args, train_sets, algorithm)
+        model = _train(args, train_sets, algorithm)
         save_model(model, os.path.join(models_dir, f"{algorithm}.json"))
         for name, records, truth in tests:
             predictions = model.predict_records(records)
@@ -225,24 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out", required=True)
     export.set_defaults(func=cmd_dataset_export)
 
-    ids = sub.add_parser("ids", help="train/evaluate detectors on dataset CSVs")
+    ids = sub.add_parser("ids", help="evaluate detectors on dataset CSVs")
     ids_sub = ids.add_subparsers(dest="ids_command", required=True)
-    train = ids_sub.add_parser("train", help="train models and save them")
-    train.add_argument("--algo", required=True, help="comma list: rf,knn,lof,iforest")
-    train.add_argument("--train", nargs="+", required=True)
-    train.add_argument("--out", required=True)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--semi-train", choices=("warmup", "full"), default="warmup",
-                       help="semi-supervised training input: attack-free warm-up slice "
-                            "(default) or the full file")
-    train.set_defaults(func=cmd_ids_train)
-    evaluate_p = ids_sub.add_parser("eval", help="train, evaluate, and write reports")
-    evaluate_p.add_argument("--algo", required=True)
+    evaluate_p = ids_sub.add_parser(
+        "eval", help="train, evaluate, and write reports and the models/<algo>.json files")
+    evaluate_p.add_argument("--algo", required=True, help="comma list: rf,knn,lof,iforest")
     evaluate_p.add_argument("--train", nargs="+", required=True)
     evaluate_p.add_argument("--test", nargs="+", required=True)
     evaluate_p.add_argument("--out", required=True)
     evaluate_p.add_argument("--seed", type=int, default=0)
-    evaluate_p.add_argument("--semi-train", choices=("warmup", "full"), default="warmup")
+    evaluate_p.add_argument("--semi-train", choices=("warmup", "full"), default="warmup",
+                            help="semi-supervised training input: attack-free warm-up slice "
+                                 "(default) or the full file")
     evaluate_p.set_defaults(func=cmd_ids_eval)
 
     report = sub.add_parser("report", help="render a saved evaluation report")

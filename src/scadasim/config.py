@@ -285,6 +285,15 @@ def _checked(path: str, errors: list[str], check, /, *args, **kwargs):
         return None
 
 
+def _check_csv_name(where: str, name: str, errors: list[str]) -> None:
+    """Refuse a name with a comma or a line break: the artifact CSVs never quote
+    their fields. RTU stations and point ids go into mtu_measurements.csv and
+    trace.csv, the transformer id into grid_truth.csv; node ids keep the same rule."""
+    if not {",", "\r", "\n"}.isdisjoint(name):
+        errors.append(f"{where}: {name!r} holds a comma or line break, "
+                      "which an unquoted CSV cannot carry")
+
+
 def _read_grid(raw, errors: list[str]) -> GridSection | None:
     start = len(errors)
     if _value(raw, dict, "grid", errors) is None:
@@ -296,6 +305,8 @@ def _read_grid(raw, errors: list[str]) -> GridSection | None:
         _read(raw, "loads", tuple[Load, ...], "grid", errors, ()),
         _read(raw, "ders", tuple[Der, ...], "grid", errors, ()),
     )
+    if model.transformer is not None:
+        _check_csv_name("grid.transformer.id", model.transformer.transformer_id, errors)
     section = _fill(GridSection, raw.get("profile", {}), "grid.profile", errors, model=model)
     if len(errors) == start:
         _checked("grid", errors, model.validate)
@@ -310,10 +321,7 @@ def _read_topology(raw, errors: list[str]) -> IctTopology | None:
     for i, node in enumerate(nodes):
         if node is None:
             continue
-        # dataset.csv never quotes its fields; an IP address holds neither
-        if not {",", "\r", "\n"}.isdisjoint(node.node_id):
-            errors.append(f"ict.nodes[{i}].id: {node.node_id!r} holds a comma or line break, "
-                          "which the dataset CSV cannot carry")
+        _check_csv_name(f"ict.nodes[{i}].id", node.node_id, errors)
         if node.address is not None:
             _checked(f"ict.nodes[{i}].address", errors, ipaddress.ip_address, node.address)
     topology = IctTopology(
@@ -355,6 +363,9 @@ def _read_scada(raw, errors: list[str]) -> ScadaSection | None:
         # an RTU's mapping holds its binding's fields (station, points) too
         binding = _fill(RtuBinding, r, f"scada.rtus[{i}]", errors)
         if binding is not None:
+            _check_csv_name(f"scada.rtus[{i}].station", binding.station, errors)
+            for j, point in enumerate(binding.points):
+                _check_csv_name(f"scada.rtus[{i}].points[{j}].id", point.point_id, errors)
             rtus.append(_fill(RtuConfig, r, f"scada.rtus[{i}]", errors,
                               station=binding.station, binding=binding))
     section = _fill(ScadaSection, raw.get("mtu"), "scada.mtu", errors, rtus=rtus)

@@ -14,7 +14,6 @@ from .models import (
     PurityError,
     TrafficModel,
     TrainingDataError,
-    load_model,
     save_model,
     train_model,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "TrainingDataError",
     "evaluate",
     "f1_score",
-    "load_model",
     "save_model",
     "train_model",
 ]

@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import FlatForest, TrainingDataError, read_tree, row_blocks, unique_rows
+from .rows import FlatForest, TrainingDataError, row_blocks, unique_rows
 
 GINI_EPS = 1e-12
-# a tree's node lists and their types
-TREE_FIELDS = {"feature": int, "threshold": float, "left": int, "right": int, "label": int}
+# a tree's node lists, as its model file holds them
+TREE_FIELDS = ("feature", "threshold", "left", "right", "label")
 
 
 def _unique_weighted(X: np.ndarray, y: np.ndarray):
@@ -120,11 +120,9 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
 class RandomForestDetector:
     """Bootstrap ensemble of Gini trees with per-node random feature subsets."""
 
-    # each model-file field and the function that reads it back
-    FIELDS = {"n_trees": int, "max_depth": lambda value: None if value is None else int(value),
-              "min_samples_split": int, "bootstrap": bool, "seed": int,
-              "max_features": lambda value: value if value in ("sqrt", None) else int(value),
-              "trees": lambda trees: [read_tree(tree, TREE_FIELDS) for tree in trees]}
+    # the fields a model file holds
+    FIELDS = ("n_trees", "max_depth", "min_samples_split", "bootstrap", "seed", "max_features",
+              "trees")
 
     def __init__(
         self,

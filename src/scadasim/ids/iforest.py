@@ -13,11 +13,11 @@ import math
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import FlatForest, TrainingDataError, float_array, read_tree, row_blocks, unique_rows
+from .rows import FlatForest, TrainingDataError, row_blocks, unique_rows
 
 EULER_GAMMA = 0.5772156649015329
-# a tree's node lists and their types
-TREE_FIELDS = {"feature": int, "split": float, "left": int, "right": int, "leaf_size": int}
+# a tree's node lists, as its model file holds them
+TREE_FIELDS = ("feature", "split", "left", "right", "leaf_size")
 
 
 def average_path_length(n: int) -> float:
@@ -65,10 +65,9 @@ def grow_tree(X: np.ndarray, rng, max_depth: int) -> dict[str, list]:
 
 
 class IsolationForestDetector:
-    # each model-file field and the function that reads it back
-    FIELDS = {"n_trees": int, "subsample": int, "quantile": float, "seed": int,
-              "sample_size": int, "threshold": float, "train_scores": float_array,
-              "trees": lambda trees: [read_tree(tree, TREE_FIELDS) for tree in trees]}
+    # the fields a model file holds
+    FIELDS = ("n_trees", "subsample", "quantile", "seed", "sample_size", "threshold",
+              "train_scores", "trees")
 
     def __init__(
         self,

@@ -1,4 +1,4 @@
-"""Record-level model wrapper: feature encoding + detector + persistence.
+"""Record-level model wrapper: feature encoding + detector + model file.
 
 A TrafficModel owns the categorical dictionary and length normalization frozen
 from its own training records, so encoding at prediction time can never leak
@@ -9,7 +9,6 @@ offending indices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,19 +21,8 @@ from .neighbors import KnnDetector, LofDetector
 from .rows import TrainingDataError
 
 MODEL_FORMAT_VERSION = 1
-DETECTORS = {
-    "rf": RandomForestDetector,
-    "knn": KnnDetector,
-    "lof": LofDetector,
-    "iforest": IsolationForestDetector,
-}
-ALGORITHMS = tuple(DETECTORS)
+ALGORITHMS = ("rf", "knn", "lof", "iforest")
 SEMI_SUPERVISED = ("lof", "iforest")
-
-
-def _check_algorithm(algorithm: str) -> None:
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
 def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarray]:
@@ -52,19 +40,6 @@ def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.n
     return index, inverse
 
 
-def code_table(value) -> dict[str, int]:
-    """A model file's categorical codes: str values to int codes of at least 1,
-    since 0 is the code of an unseen value."""
-    if not isinstance(value, dict):
-        raise ValueError(f"expected an object of codes, got {type(value).__name__}")
-    for name, code in value.items():
-        if not isinstance(name, str):
-            raise ValueError(f"coded value {name!r} is not a str")
-        if type(code) is not int or code < 1:  # a bool is an int, but no code
-            raise ValueError(f"code {code!r} of {name!r} is not an int of at least 1")
-    return dict(value)
-
-
 @dataclass
 class FeatureDictionary:
     """Categorical codes frozen at training time; unseen values map to 0."""
@@ -75,9 +50,8 @@ class FeatureDictionary:
     length_min: int
     length_max: int
 
-    # each model-file field and the function that reads it back
-    FIELDS = {"src_codes": code_table, "dst_codes": code_table, "protocol_codes": code_table,
-              "length_min": int, "length_max": int}
+    # the fields a model file holds
+    FIELDS = ("src_codes", "dst_codes", "protocol_codes", "length_min", "length_max")
 
     @classmethod
     def build(cls, records: list[LabeledRecord]) -> "FeatureDictionary":
@@ -150,53 +124,10 @@ class TrafficModel:
             "detector": fields_of(self.detector),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficModel":
-        version = data.get("format_version") if isinstance(data, dict) else None
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format_version {version!r}")
-        algorithm = data.get("algorithm")
-        _check_algorithm(algorithm)
-        return cls(algorithm, read_fields(FeatureDictionary, data.get("dictionary"), "dictionary"),
-                   read_fields(DETECTORS[algorithm], data.get("detector"), "detector"))
-
 
 def fields_of(obj) -> dict:
     """The model-file form of a detector or a FeatureDictionary: its FIELDS by name."""
     return {name: getattr(obj, name) for name in obj.FIELDS}
-
-
-def read_fields(cls, data: dict, where: str = "detector"):
-    """A ``cls`` whose FIELDS are read from ``data``, the model-file object at
-    ``where``, each by its reader; refused with a ValueError naming the field.
-
-    A neighbour detector (one with ``ROWS_PAST_K``) also needs 2-D rows ``X``
-    that can serve ``k``, and one value per row of ``X`` in each array field.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"model field {where!r} is missing or not an object")
-    obj = cls.__new__(cls)
-    for name, read in cls.FIELDS.items():
-        if name not in data:
-            raise ValueError(f"model field {name!r} is missing from {where!r}")
-        try:
-            setattr(obj, name, read(data[name]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"model field {name!r}: {exc}") from None
-    past_k = getattr(cls, "ROWS_PAST_K", None)
-    if past_k is not None:
-        if obj.X.ndim != 2:
-            raise ValueError(f"model field 'X' has shape {obj.X.shape}, expected a list of rows")
-        rows = len(obj.X)
-        most = rows - past_k
-        if not 1 <= obj.k <= most:
-            raise ValueError(f"model field 'k'={obj.k} is below 1 or exceeds {most}, "
-                             f"the most that the {rows} rows of 'X' allow")
-        for name, value in vars(obj).items():
-            if name != "X" and isinstance(value, np.ndarray) and value.shape != (rows,):
-                raise ValueError(f"model field {name!r} has shape {value.shape}, "
-                                 f"expected one value per row of 'X' ({rows})")
-    return obj
 
 
 def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> TrafficModel:
@@ -207,7 +138,8 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
     their threshold on training scores. Records too few or too uniform to fit
     the detector raise TrainingDataError.
     """
-    _check_algorithm(algorithm)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if not records:
         raise TrainingDataError("empty training set")
     keys, inverse = _distinct_keys(records)
@@ -234,8 +166,3 @@ def save_model(model: TrafficModel, path: str) -> None:
     """Versioned JSON, stable bytes for identical models; arrays are written
     a block of rows at a time."""
     write_json(path, model.to_dict())
-
-
-def load_model(path: str) -> TrafficModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return TrafficModel.from_dict(json.load(fh))

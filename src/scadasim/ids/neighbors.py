@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rows import TrainingDataError, float_array, label_array, row_blocks, unique_rows
+from .rows import TrainingDataError, row_blocks, unique_rows
 
 LRD_EPS = 1e-12
 
@@ -51,9 +51,8 @@ def _means_without_self(values: np.ndarray, idx: np.ndarray, members: np.ndarray
 class KnnDetector:
     """Majority vote among the k nearest stored samples; vote ties -> attack."""
 
-    # each model-file field and the function that reads it back
-    FIELDS = {"k": int, "X": float_array, "y": label_array}
-    ROWS_PAST_K = 0  # training rows needed beyond k
+    # the fields a model file holds
+    FIELDS = ("k", "X", "y")
 
     def __init__(self, k: int = 5):
         if k < 1:
@@ -65,7 +64,7 @@ class KnnDetector:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnDetector":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        if len(X) < self.k + self.ROWS_PAST_K:
+        if len(X) < self.k:
             raise TrainingDataError(f"k={self.k} exceeds training set size {len(X)}")
         self.X = X
         self.y = y
@@ -120,10 +119,8 @@ class LofDetector:
     calibrated as a quantile (default 99th percentile) of training scores.
     """
 
-    # each model-file field and the function that reads it back
-    FIELDS = {"k": int, "quantile": float, "X": float_array, "k_dist": float_array,
-              "lrd": float_array, "train_scores": float_array, "threshold": float}
-    ROWS_PAST_K = 1  # training rows needed beyond k: a point is not its own neighbor
+    # the fields a model file holds
+    FIELDS = ("k", "quantile", "X", "k_dist", "lrd", "train_scores", "threshold")
 
     def __init__(self, k: int = 20, quantile: float = 99.0):
         if k < 1:
@@ -138,7 +135,7 @@ class LofDetector:
 
     def fit(self, X: np.ndarray) -> "LofDetector":
         X = np.asarray(X, dtype=np.float64)
-        if len(X) < self.k + self.ROWS_PAST_K:
+        if len(X) <= self.k:  # a point is not its own neighbor
             raise TrainingDataError(f"need more than k={self.k} training points, got {len(X)}")
         self.X = X
         rows, group = unique_rows(X)

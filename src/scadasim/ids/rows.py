@@ -1,5 +1,5 @@
-"""Distinct feature rows, row blocks, tree walks, the readers of model-file
-fields, and the error a detector raises on unusable rows.
+"""Distinct feature rows, row blocks, tree walks, and the error a detector
+raises on unusable rows.
 
 Captured SCADA traffic is heavily duplicated (tens of thousands of records,
 a few hundred distinct feature rows), so every detector does its per-row work
@@ -12,7 +12,6 @@ their temporaries stay small however many distinct rows there are.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -47,57 +46,6 @@ def row_blocks(n_rows: int, values_per_row: int) -> Iterator[slice]:
     BLOCK_VALUES values together, at least one row each."""
     step = max(1, BLOCK_VALUES // max(1, values_per_row))
     return (slice(start, start + step) for start in range(0, n_rows, step))
-
-
-# readers of the array fields of a model file
-float_array = partial(np.asarray, dtype=np.float64)
-
-
-def label_array(values) -> np.ndarray:
-    """Training labels, each the integer 0 (normal) or 1 (attack): a vote
-    counts a label as it is, so any other value would skew every vote."""
-    labels = np.asarray(values)
-    if labels.size and labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be the integers 0 and 1, got {labels.dtype} values")
-    bad = np.flatnonzero((labels != 0) & (labels != 1))
-    if len(bad):
-        raise ValueError(f"label {labels.flat[bad[0]]} at {bad[0]} is neither 0 nor 1")
-    return labels.astype(np.int64)
-
-
-def read_tree(data: dict, fields: dict[str, type]) -> dict[str, list]:
-    """One tree's parallel node arrays from a model file.
-
-    Builders emit nodes in preorder, so each child of an inner node (feature
-    not -1) has a greater index than its node. A tree that breaks this, or has
-    a child out of range, a feature below -1, arrays of unequal length or no
-    node, is refused with a ValueError naming the field: a walk of it could
-    loop forever, leave the tree or read a column counted from the end.
-    """
-    # a missing node list reads as empty, which the length check below names
-    tree = {name: [kind(v) for v in (data[name] if name in data else ())]
-            for name, kind in fields.items()}
-    n = len(tree["feature"])
-    if n == 0:
-        raise ValueError("tree field 'feature' is empty; a tree needs a root node")
-    for name, values in tree.items():
-        if len(values) != n:
-            raise ValueError(f"tree field {name!r} has {len(values)} entries, "
-                             f"expected one per node ({n})")
-    feature = np.asarray(tree["feature"])
-    bad = np.flatnonzero(feature < -1)
-    if len(bad):
-        raise ValueError(f"tree field 'feature': node {bad[0]} has feature {feature[bad[0]]}, "
-                         f"expected -1 for a leaf or a column index")
-    node = np.arange(n)
-    inner = feature != -1
-    for name in ("left", "right"):
-        child = np.asarray(tree[name])
-        bad = np.flatnonzero(inner & ((child <= node) | (child >= n)))
-        if len(bad):
-            raise ValueError(f"tree field {name!r}: node {bad[0]} has child {child[bad[0]]}, "
-                             f"expected an index above {bad[0]} and below {n}")
-    return tree
 
 
 class FlatForest:

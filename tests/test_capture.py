@@ -20,7 +20,7 @@ from scadasim.capture import (
     import_csv,
     label_records,
 )
-from scadasim.ids.models import FeatureDictionary, fields_of, read_fields, train_model
+from scadasim.ids.models import FeatureDictionary, train_model
 from scadasim.network import Packet
 from scadasim.writers import BLOCK_ROWS
 
@@ -187,13 +187,6 @@ class TestFeatures:
         got = fd.encode(test)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-
-    def test_dictionary_round_trips_through_dict(self):
-        train = [LabeledRecord(0, "a", "m", "SCADA", 61, "normal"),
-                 LabeledRecord(1, "b", "m", "HTTP", 300, "normal")]
-        fd = FeatureDictionary.build(train)
-        clone = read_fields(FeatureDictionary, fields_of(fd), "dictionary")
-        assert (clone.encode(train) == fd.encode(train)).all()
 
 
 def frozen_join_export(dataset: LabeledDataset, path: str) -> None:

@@ -225,6 +225,15 @@ def _second_rtu(raw, offset_ms):
                  lambda raw: raw["attacker"]["goal"]["transform"].update(
                      {"P_kw": raw["attacker"]["goal"]["transform"].pop("P_kW")}),
                  id="goal-quantity-misspelt"),
+    # read, not run: mtu_measurements.csv, trace.csv and grid_truth.csv are never quoted
+    pytest.param("scada.rtus[0].station",
+                 lambda raw: raw["scada"]["rtus"][0].update(station="rtu,1"), id="station-comma"),
+    pytest.param("scada.rtus[0].points[0].id",
+                 lambda raw: raw["scada"]["rtus"][0]["points"][0].update(id="m\n1"),
+                 id="point-id-line-break"),
+    pytest.param("grid.transformer.id",
+                 lambda raw: raw["grid"]["transformer"].update(id="tx,1"),
+                 id="transformer-id-comma"),
 ])
 def test_out_of_range_timing_exits_2_naming_field(tmp_path, capsys, field, mutate):
     raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
@@ -251,15 +260,16 @@ class TestDatasetExport:
                        "--out", str(out)) == 2
         assert f"--out {out}" in capsys.readouterr().err
 
+    def test_out_that_is_a_directory_exits_2_before_simulating(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        assert run_cli("dataset", "export", "--scenario", "4", "--seed", "0",
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"--out {tmp_path}" in err and "is a directory" in err
+
 
 class TestIdsCommands:
-    def test_train_writes_model_files(self, tmp_path, two_datasets):
-        a, _ = two_datasets
-        out = tmp_path / "models"
-        assert run_cli("ids", "train", "--algo", "rf,lof", "--train", str(a),
-                       "--out", str(out), "--seed", "0") == 0
-        assert sorted(p.name for p in out.iterdir()) == ["lof.json", "rf.json"]
-
     def test_eval_writes_reports_and_f1_rows(self, tmp_path, two_datasets):
         a, b = two_datasets
         out = tmp_path / "report"
@@ -286,9 +296,8 @@ class TestIdsCommands:
 
     def test_purity_violation_exits_4(self, tmp_path, two_datasets, capsys):
         a, _ = two_datasets
-        out = tmp_path / "models"
-        code = run_cli("ids", "train", "--algo", "lof", "--train", str(a),
-                       "--out", str(out), "--semi-train", "full")
+        code = run_cli("ids", "eval", "--algo", "lof", "--train", str(a), "--test", str(a),
+                       "--out", str(tmp_path / "out"), "--semi-train", "full")
         assert code == 4
         assert "attack-labeled" in capsys.readouterr().err
 
@@ -299,20 +308,19 @@ class TestIdsCommands:
         assert code == 2
         assert "ghost.csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["eval"])
     def test_dataset_that_is_not_utf8_exits_2_naming_file_and_row(
             self, tmp_path, capsys, command):
         train = tmp_path / "train.csv"
         train.write_bytes("\n".join([CSV_HEADER, NORMAL_ROW, ATTACK_ROW]).encode("utf-8")
                           + b"\n1000,10.0.0.11,10.0.0.\xff,SCADA,61,normal,\n")
-        test_args = ["--test", str(train)] if command == "eval" else []
-        code = run_cli("ids", command, "--algo", "rf", "--train", str(train), *test_args,
+        code = run_cli("ids", command, "--algo", "rf", "--train", str(train), "--test", str(train),
                        "--out", str(tmp_path / "out"))
         assert code == 2
         err = capsys.readouterr().err
         assert f"{train} row 4: byte 0xff" in err
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["eval"])
     @pytest.mark.parametrize("algo, detail", [
         pytest.param(",", "names no algorithm", id="empty"),
         pytest.param("rf,knn,rf", "'rf' twice", id="repeated"),
@@ -323,28 +331,26 @@ class TestIdsCommands:
             self, tmp_path, capsys, two_datasets, command, algo, detail):
         a, _ = two_datasets
         out = tmp_path / "out"
-        test_args = ["--test", str(a)] if command == "eval" else []
-        code = run_cli("ids", command, "--algo", algo, "--train", str(a), *test_args,
+        code = run_cli("ids", command, "--algo", algo, "--train", str(a), "--test", str(a),
                        "--out", str(out))
         assert code == 2
         err = capsys.readouterr().err
         assert detail in err and "--algo" in err and "scenario config" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["eval"])
     def test_out_that_is_a_file_exits_2_before_training(
             self, tmp_path, capsys, monkeypatch, two_datasets, command):
         a, _ = two_datasets
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
         monkeypatch.setattr(cli, "train_model", refuse_work)
-        test_args = ["--test", str(a)] if command == "eval" else []
-        code = run_cli("ids", command, "--algo", "rf", "--train", str(a), *test_args,
+        code = run_cli("ids", command, "--algo", "rf", "--train", str(a), "--test", str(a),
                        "--out", str(taken))
         assert code == 2
         assert f"--out {taken}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["eval"])
     @pytest.mark.parametrize("algo, rows, detail", [
         pytest.param("rf", [], "empty training set", id="rf-header-only"),
         pytest.param("rf", [NORMAL_ROW] * 3, "both classes", id="rf-all-normal"),
@@ -357,12 +363,33 @@ class TestIdsCommands:
             self, tmp_path, capsys, command, algo, rows, detail):
         train = tmp_path / "train.csv"
         train.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
-        test_args = ["--test", str(train)] if command == "eval" else []
-        code = run_cli("ids", command, "--algo", algo, "--train", str(train), *test_args,
+        code = run_cli("ids", command, "--algo", algo, "--train", str(train), "--test", str(train),
                        "--out", str(tmp_path / "out"))
         assert code == 2
         err = capsys.readouterr().err
         assert f"cannot train {algo} on" in err and str(train) in err and detail in err
+
+    def test_two_test_files_with_one_name_exit_2_before_training(
+            self, tmp_path, capsys, monkeypatch, two_datasets):
+        # both would be reported as test set 'ref-a', in rows nothing tells apart
+        a, b = two_datasets
+        twin = tmp_path / "elsewhere" / a.name
+        twin.parent.mkdir()
+        twin.write_bytes(b.read_bytes())
+        monkeypatch.setattr(cli, "train_model", refuse_work)
+        out = tmp_path / "out"
+        code = run_cli("ids", "eval", "--algo", "rf", "--train", str(a),
+                       "--test", str(a), str(twin), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--test" in err and "'ref-a'" in err
+        assert not out.exists()
+
+    def test_ids_train_is_no_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("ids", "train", "--algo", "rf", "--train", "a.csv", "--out", "models")
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'train'" in capsys.readouterr().err
 
     def test_eval_artifact_hashes_are_pinned(self, tmp_path, two_datasets):
         a, b = two_datasets
@@ -389,12 +416,14 @@ class TestReport:
     def test_report_renders_table(self, tmp_path, two_datasets, capsys):
         a, b = two_datasets
         out = tmp_path / "rep"
-        run_cli("ids", "eval", "--algo", "knn", "--train", str(a), "--test", str(b),
-                "--out", str(out))
+        assert run_cli("ids", "eval", "--algo", "knn", "--train", str(a), "--test", str(b),
+                       "--out", str(out)) == 0
         capsys.readouterr()
         assert run_cli("report", "--report", str(out / "eval_report.json")) == 0
         rendered = capsys.readouterr().out
         assert "knn" in rendered and "F1" in rendered
+        # the table rebuilt from the JSON report is the one ids eval wrote
+        assert rendered.encode("utf-8") == (out / "report_table.txt").read_bytes()
 
     @pytest.mark.parametrize("text, detail", [
         pytest.param('[{"algorithm": "knn"}]', "cell 0", id="cell-lacks-fields"),

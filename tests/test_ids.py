@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 from scadasim import writers
 from scadasim.capture import LabeledRecord
 from scadasim.ids import (
-    ALGORITHMS,
     IsolationForestDetector,
     KnnDetector,
     LofDetector,
@@ -24,11 +23,10 @@ from scadasim.ids import (
     TrafficModel,
     evaluate,
     f1_score,
-    load_model,
     save_model,
     train_model,
 )
-from scadasim.ids.models import FeatureDictionary, fields_of, read_fields
+from scadasim.ids.models import FeatureDictionary, fields_of
 from scadasim.ids.neighbors import LRD_EPS, _row_distances
 from scadasim.ids.rows import unique_rows
 
@@ -40,11 +38,6 @@ def toy_records(n_attack=5, n_normal=5):
     for i in range(n_attack):
         records.append(LabeledRecord(100 + i, "atk", "rtu", "SCAN_PROBE", 60, "attack", "S1"))
     return records
-
-
-def training_records(algo, records):
-    """The records a detector trains on: the attack-free ones for lof and iforest."""
-    return [r for r in records if r.label == "normal"] if algo in ("lof", "iforest") else records
 
 
 class TestRandomForest:
@@ -94,38 +87,13 @@ class TestRandomForest:
         pred = det.predict(np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0]]))
         assert pred.tolist() == [1, 0]
 
-    @pytest.mark.parametrize("field, edit", [
-        ("left", lambda t: t["left"].__setitem__(0, 0)),  # the root is its own child
-        ("right", lambda t: t["right"].__setitem__(0, 0)),
-        ("right", lambda t: t["right"].__setitem__(0, len(t["right"]))),  # out of range
-        ("threshold", lambda t: t["threshold"].pop()),  # one value short
-        ("feature", lambda t: [t[name].clear() for name in t]),  # no root
-    ], ids=["left-self", "right-self", "right-out-of-range", "short-threshold", "empty"])
-    def test_loaded_tree_a_walk_could_not_finish_is_refused(self, field, edit):
-        X = np.array([[float(i), 0.0] for i in range(8)])
-        data = fields_of(RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
-            X, np.array([0, 1] * 4)))
-        edit(data["trees"][0])
-        with pytest.raises(ValueError, match=repr(field)):
-            read_fields(RandomForestDetector, data)
-
-    def test_loaded_tree_with_a_feature_below_minus_one_is_refused(self):
-        # -2 would read the second column from the end through numpy's negative indexing
-        X = np.array([[float(i), 0.0] for i in range(8)])
-        data = fields_of(RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
-            X, np.array([0, 1] * 4)))
-        data["trees"][0]["feature"][0] = -2
-        with pytest.raises(ValueError, match="'feature'"):
-            read_fields(RandomForestDetector, data)
-
     def test_rows_without_a_column_a_split_reads_are_refused(self):
-        X = np.array([[float(i), 0.0] for i in range(8)])
-        data = fields_of(RandomForestDetector(n_trees=1, bootstrap=False, seed=0).fit(
-            X, np.array([0, 1] * 4)))
-        data["trees"][0]["feature"][0] = 7  # the root splits on a column X lacks
-        det = read_fields(RandomForestDetector, data)
+        X = np.array([[0.0, float(i)] for i in range(8)])
+        det = RandomForestDetector(n_trees=1, max_features=None, bootstrap=False, seed=0).fit(
+            X, np.array([0] * 4 + [1] * 4))
+        assert det.trees[0]["feature"][0] == 1  # the root splits on the second column
         with pytest.raises(ValueError, match="feature dimension mismatch"):
-            det.predict(X)
+            det.predict(X[:, :1])
         with pytest.raises(ValueError, match="feature dimension mismatch"):
             det.predict(np.zeros(8))
 
@@ -192,27 +160,6 @@ class TestKnn:
 
         got = KnnDetector(k=k).fit(X, y).predict(queries)
         assert got.tolist() == [oracle(q) for q in queries]
-
-    def test_loaded_k_larger_than_training_set_refused(self):
-        data = fields_of(KnnDetector(k=3).fit(np.zeros((3, 2)), np.array([0, 1, 0])))
-        with pytest.raises(ValueError, match="exceeds"):
-            read_fields(KnnDetector, dict(data, k=4))
-
-    def test_loaded_y_without_one_label_per_row_refused(self):
-        data = fields_of(KnnDetector(k=3).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])))
-        labels = data["y"].tolist()  # fields_of holds the array; a model file holds this list
-        for y in (labels[:3], labels + [0], [labels]):
-            with pytest.raises(ValueError, match="'y'"):
-                read_fields(KnnDetector, dict(data, y=y))
-
-    def test_loaded_y_with_a_label_other_than_0_or_1_refused(self):
-        # every label 7 used to load and count as seven attack votes each
-        data = fields_of(KnnDetector(k=3).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])))
-        for y in ([7, 7, 7, 7], [0, 1, 0, -1], [0, 1, 0, 2], [0, 1, 0, 0.5], [0.0, 1.0, 0.0, 1.0],
-                  [False, True, False, True], [0, 1, 0, "1"], [0, 1, 0, None]):
-            with pytest.raises(ValueError, match="'y'"):
-                read_fields(KnnDetector, dict(data, y=y))
-        assert read_fields(KnnDetector, dict(data, y=[1, 1, 0, 0])).y.tolist() == [1, 1, 0, 0]
 
     def test_dimension_mismatch_refused(self):
         det = KnnDetector(k=1).fit(np.zeros((3, 4)), np.array([0, 1, 0]))
@@ -385,18 +332,6 @@ class TestLof:
         with pytest.raises(ValueError, match="more than k"):
             LofDetector(k=5).fit(np.zeros((5, 2)))
 
-    def test_loaded_lrd_shorter_than_training_set_refused(self):
-        X = np.random.default_rng(3).uniform(0, 1, size=(10, 2))
-        data = fields_of(LofDetector(k=3).fit(X))
-        with pytest.raises(ValueError, match="'lrd'"):
-            read_fields(LofDetector, dict(data, lrd=data["lrd"][:4]))
-
-    def test_loaded_k_not_below_training_set_size_refused(self):
-        X = np.random.default_rng(3).uniform(0, 1, size=(10, 2))
-        data = fields_of(LofDetector(k=3).fit(X))
-        with pytest.raises(ValueError, match="'k'"):
-            read_fields(LofDetector, dict(data, k=10))
-
 
 class TestIsolationForest:
     def two_clusters(self):
@@ -423,33 +358,14 @@ class TestIsolationForest:
         scores = det.score(np.array([[0.0, 0.0], [50.0, 50.0], [4.0, 4.0]]))
         assert scores[0] == scores[1] == scores[2]
 
-    def test_loaded_tree_with_a_child_before_its_node_is_refused(self):
-        data = fields_of(IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(
-            self.two_clusters()))
-        tree = data["trees"][1]
-        inner = [i for i, f in enumerate(tree["feature"]) if f != -1]
-        tree["left"][inner[-1]] = inner[0]  # a later node points back at the root
-        with pytest.raises(ValueError, match="'left'"):
-            read_fields(IsolationForestDetector, data)
-        tree["left"][inner[-1]] = inner[-1] + 1
-        tree["leaf_size"].append(1)  # one entry too many
-        with pytest.raises(ValueError, match="'leaf_size'"):
-            read_fields(IsolationForestDetector, data)
-
     def test_loaded_tree_with_a_bad_feature_is_refused_or_cannot_score(self):
         X = self.two_clusters()
-        data = fields_of(IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(X))
-        tree = data["trees"][0]
-        inner = [i for i, f in enumerate(tree["feature"]) if f != -1]
-        tree["feature"][inner[0]] = -2
-        with pytest.raises(ValueError, match="'feature'"):
-            read_fields(IsolationForestDetector, data)
-        tree["feature"][inner[0]] = 7
-        det = read_fields(IsolationForestDetector, data)
+        det = IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(X)
+        assert max(max(tree["feature"]) for tree in det.trees) == 1  # splits read the second column
         with pytest.raises(ValueError, match="feature dimension mismatch"):
-            det.score(X)
+            det.score(X[:, :1])
         with pytest.raises(ValueError, match="feature dimension mismatch"):
-            det.predict(X[:0])
+            det.predict(X[:0, :1])
 
     def test_subsample_larger_than_training_refused(self):
         with pytest.raises(ValueError, match="subsample"):
@@ -530,87 +446,11 @@ class TestTrafficModel:
         with pytest.raises(ValueError, match="unknown algorithm"):
             train_model("svm", toy_records())
 
-    def test_loaded_unknown_algorithm_refused(self):
-        data = train_model("knn", toy_records(), seed=0).to_dict()
-        with pytest.raises(ValueError, match="unknown algorithm 'svm'"):
-            TrafficModel.from_dict(dict(data, algorithm="svm"))
-
-    def test_save_load_round_trip_preserves_predictions(self, tmp_path):
-        records = toy_records(n_attack=30, n_normal=30)
-        for algo in ("rf", "knn", "lof", "iforest"):
-            train = [r for r in records if r.label == "normal"] if algo in ("lof", "iforest") else records
-            model = train_model(algo, train, seed=1)
-            path = tmp_path / f"{algo}.json"
-            save_model(model, str(path))
-            clone = load_model(str(path))
-            assert clone.predict_records(records) == model.predict_records(records)
-            # byte-stable re-save
-            path2 = tmp_path / f"{algo}-2.json"
-            save_model(clone, str(path2))
-            assert path.read_bytes() == path2.read_bytes()
-
     def test_model_file_is_versioned(self, tmp_path):
         model = train_model("knn", toy_records(), seed=0)
         path = tmp_path / "m.json"
         save_model(model, str(path))
-        data = json.loads(path.read_text())
-        assert data["format_version"] == 1
-        data["format_version"] = 99
-        with pytest.raises(ValueError, match="format_version"):
-            TrafficModel.from_dict(data)
-
-    @pytest.mark.parametrize("algo", ["knn", "lof"])
-    def test_loaded_x_that_is_not_a_list_of_rows_refused(self, algo, tmp_path):
-        # a flat X with one value per row used to load and then fail in predict
-        # with "IndexError: tuple index out of range"
-        path = tmp_path / "m.json"
-        save_model(train_model(algo, training_records(algo, toy_records(30, 30)), seed=0), str(path))
-        data = json.loads(path.read_text())
-        rows = data["detector"]["X"]
-        for X in ([row[0] for row in rows], [[row] for row in rows]):
-            data["detector"]["X"] = X
-            with pytest.raises(ValueError, match="'X'"):
-                TrafficModel.from_dict(data)
-
-    @pytest.mark.parametrize("algo", ALGORITHMS)
-    def test_loaded_model_without_a_field_refused_naming_it(self, algo, tmp_path):
-        path = tmp_path / "m.json"
-        save_model(train_model(algo, training_records(algo, toy_records(30, 30)), seed=0), str(path))
-        data = json.loads(path.read_text())
-        for part in ("dictionary", "detector"):
-            with pytest.raises(ValueError, match=repr(part)):
-                TrafficModel.from_dict({k: v for k, v in data.items() if k != part})
-            for name in data[part]:
-                without = {k: v for k, v in data[part].items() if k != name}
-                with pytest.raises(ValueError, match=repr(name)):
-                    TrafficModel.from_dict(dict(data, **{part: without}))
-        for name in data["detector"].get("trees", [{}])[0]:
-            tree = {k: v for k, v in data["detector"]["trees"][0].items() if k != name}
-            with pytest.raises(ValueError, match=repr(name)):
-                TrafficModel.from_dict(dict(data, detector=dict(data["detector"], trees=[tree])))
-        data["dictionary"]["length_min"] = None
-        with pytest.raises(ValueError, match="'length_min'"):
-            TrafficModel.from_dict(data)
-
-    @pytest.mark.parametrize("field", ["src_codes", "dst_codes", "protocol_codes"])
-    def test_loaded_code_table_that_is_not_str_to_positive_int_refused(self, field, tmp_path):
-        # a code of "x" used to load and then fail in predict_records naming no
-        # field, and a code of 1.5 loaded and predicted silently
-        path = tmp_path / "m.json"
-        save_model(train_model("knn", toy_records(), seed=0), str(path))
-        data = json.loads(path.read_text())
-        codes = data["dictionary"][field]
-        key = next(iter(codes))
-        tables = [dict(codes, **{key: code}) for code in ("x", "1", 1.5, 1.0, True, 0, -1, None, [1])]
-        tables += [[[key, 1]], [], "x", None, 1]
-        for table in tables:
-            bad = dict(data, dictionary=dict(data["dictionary"], **{field: table}))
-            with pytest.raises(ValueError, match=repr(field)):
-                TrafficModel.from_dict(bad)
-        with pytest.raises(ValueError, match=repr(field)):
-            read_fields(FeatureDictionary, dict(data["dictionary"], **{field: {1: 1}}), "dictionary")
-        kept = dict(data, dictionary=dict(data["dictionary"], **{field: dict(codes, **{key: 9})}))
-        assert getattr(TrafficModel.from_dict(kept).dictionary, field)[key] == 9
+        assert json.loads(path.read_text())["format_version"] == 1
 
     def test_knn_save_memory_does_not_grow_with_training_rows(self, tmp_path):
         # 50,000 rows of 4 random floats are a 5.4 MB model file; turning X
@@ -627,52 +467,19 @@ class TestTrafficModel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert (load_model(str(tmp_path / "knn.json")).detector.X == X).all()
-
-
-@st.composite
-def record_sets(draw, n, attacks):
-    """n records over a few hosts, protocols and lengths; with attacks, both labels occur."""
-    labels = draw(st.lists(st.booleans() if attacks else st.just(False), min_size=n, max_size=n))
-    if attacks:
-        labels[:2] = [False, True]
-    hosts = st.sampled_from(["rtu1", "rtu2", "mtu", "atk"])
-    return [LabeledRecord(i, draw(hosts), draw(hosts),
-                          draw(st.sampled_from(["SCADA", "HTTP", "SCAN_PROBE"])),
-                          draw(st.integers(40, 400)),
-                          "attack" if attack else "normal", "S1" if attack else None)
-            for i, attack in enumerate(labels)]
+        saved = json.loads((tmp_path / "knn.json").read_text())
+        assert (np.array(saved["detector"]["X"]) == X).all()
 
 
 class TestModelFileRoundTrip:
     @pytest.mark.parametrize("cls", [RandomForestDetector, KnnDetector, LofDetector,
                                      IsolationForestDetector])
     def test_fields_name_every_attribute_a_detector_sets(self, cls):
-        # a loaded detector has only its FIELDS: one left out would load and
-        # then fail in predict with an AttributeError
+        # an attribute left out of FIELDS would be missing from the model file
         assert set(vars(cls())) == set(cls.FIELDS)
 
     def test_fields_name_every_dictionary_field(self):
         assert {f.name for f in dataclasses.fields(FeatureDictionary)} == set(FeatureDictionary.FIELDS)
-
-    @pytest.mark.parametrize("algo", ALGORITHMS)
-    @settings(max_examples=10, deadline=None)
-    @given(data=st.data())
-    def test_save_load_save_keeps_bytes_and_predictions(self, algo, data):
-        supervised = algo in ("rf", "knn")
-        # LOF needs more than k=20 rows
-        records = data.draw(record_sets(data.draw(st.integers(21, 40)), supervised), label="train")
-        queries = data.draw(record_sets(data.draw(st.integers(2, 10)), True), label="queries")
-        model = train_model(algo, records, seed=data.draw(st.integers(0, 3)))
-        with tempfile.TemporaryDirectory() as tmp:
-            first, second = f"{tmp}/first.json", f"{tmp}/second.json"
-            save_model(model, first)
-            loaded = load_model(first)
-            save_model(loaded, second)
-            with open(first, "rb") as a, open(second, "rb") as b:
-                assert a.read() == b.read()
-        for batch in (records, queries):
-            assert loaded.predict_records(batch) == model.predict_records(batch)
 
 
 def _as_lists(value):

@@ -24,14 +24,7 @@ from scadasim.capture import (
     LabeledRecord,
     import_csv,
 )
-from scadasim.ids import (
-    IsolationForestDetector,
-    KnnDetector,
-    RandomForestDetector,
-    load_model,
-    save_model,
-    train_model,
-)
+from scadasim.ids import IsolationForestDetector, KnnDetector, RandomForestDetector
 from scadasim.ids import rows as rows_module
 from scadasim.ids.iforest import average_path_length
 from scadasim.ids.rows import unique_rows
@@ -371,26 +364,3 @@ class TestForestWalk:
         with mock.patch.object(rows_module, "BLOCK_VALUES", block):
             got = det.predict(Xq)
         assert got.tolist() == frozen_forest_predict(det, Xq).tolist()
-
-    def test_forests_read_back_from_files_score_the_same(self, tmp_path):
-        rng = np.random.default_rng(3)
-        records = [LabeledRecord(i, f"h{int(rng.integers(4))}", "mtu", "SCADA",
-                                 int(rng.integers(25, 90)), "normal") for i in range(300)]
-        records += [LabeledRecord(300 + i, "atk", f"h{i % 3}", "SCAN_PROBE", 60, "attack", "S1")
-                    for i in range(60)]
-        normal = records[:300]
-        iforest = train_model("iforest", normal, seed=2)
-        rf = train_model("rf", records, seed=2)
-        X = iforest.dictionary.encode(records)
-        for name, model in (("iforest", iforest), ("rf", rf)):
-            save_model(model, str(tmp_path / f"{name}.json"))
-        iforest_back = load_model(str(tmp_path / "iforest.json"))
-        rf_back = load_model(str(tmp_path / "rf.json"))
-        assert iforest_back.detector.score(X).tobytes() == iforest.detector.score(X).tobytes()
-        assert iforest.detector.score(X).tobytes() == \
-            frozen_iforest_score(iforest_back.detector, X).tobytes()
-        X = rf.dictionary.encode(records)
-        assert rf_back.detector.predict(X).tolist() == rf.detector.predict(X).tolist()
-        assert rf.detector.predict(X).tolist() == \
-            frozen_forest_predict(rf_back.detector, X).tolist()
-
