@@ -74,9 +74,7 @@ class ActionRecord:
 class SessionInfo:
     address: str
     session_id: str
-    port: int
     protocol: str
-    user: str
 
 
 @dataclass
@@ -211,7 +209,7 @@ class AttackerComponent:
                 continue
             if reply.get("ok"):
                 user = reply.get("output", "?")
-                state.sessions[addr] = SessionInfo(addr, reply["session"], port, protocol, user)
+                state.sessions[addr] = SessionInfo(addr, reply["session"], protocol)
                 self._log("rce_attempt", target, f"session user={user}")
             else:
                 self._log("rce_attempt", target, f"failed: {reply.get('error', refusal)}")
@@ -229,14 +227,14 @@ class AttackerComponent:
             user = reply.get("output", "?")
             self._log("privilege_check", addr, f"whoami={user}")
             if user == "root":
-                self._rooted(session)
+                state.rooted.add(addr)
             yield self._pause()
             for method in PE_METHODS if user != "root" else ():
                 reply = yield self._session_cmd("pe_attempt", session, f"escalate {method}")
                 if reply is None:
                     break
                 if reply.get("output", "?") == "root":
-                    self._rooted(session)
+                    state.rooted.add(addr)
                     self._log("pe_attempt", addr, f"{method}: root")
                     yield self._pause()
                     break
@@ -295,10 +293,6 @@ class AttackerComponent:
             {"type": "session_cmd", "session": session.session_id,
              "protocol": session.protocol, "command": command},
         )
-
-    def _rooted(self, session: SessionInfo) -> None:
-        self.state.rooted.add(session.address)
-        session.user = "root"
 
     def _impact_command(self) -> str:
         if self.goal.kind == "dos":

@@ -7,6 +7,10 @@ training-protocol violation (semi-supervised purity), 1 anything else.
 An option value that cannot be used (an --algo list that names no known
 algorithm or one twice, two --test files with one name, an --out that cannot
 be what the command writes) is refused with exit code 2 before any work.
+``simulate`` and ``ids eval`` write into an existing --out directory; before
+any work they remove the optional files of an earlier run that this run does
+not write (``trace.csv``, ``grid_truth.csv``, ``models/<algo>.json``), so a
+finished run leaves no artifact of an earlier run beside its own.
 """
 
 from __future__ import annotations
@@ -60,9 +64,23 @@ def _make_out_dir(out: str, directory: str) -> None:
                           f"{exc.strerror}") from None
 
 
+def _remove_stale(out: str, paths: list[str]) -> None:
+    """Remove each of ``paths`` that an earlier run left in ``--out out``."""
+    for path in paths:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise OptionError(f"--out {out}: cannot remove {path}: {exc.strerror}") from None
+
+
 def cmd_simulate(args) -> int:
     config = load_fixture(args.scenario)
     _make_out_dir(args.out, args.out)
+    _remove_stale(args.out, [os.path.join(args.out, name) for name, written in
+                             (("trace.csv", args.trace), ("grid_truth.csv", args.grid_csv))
+                             if not written])
     result = run_scenario(config, seed=args.seed, trace=args.trace)
     export_csv(result.dataset, os.path.join(args.out, "dataset.csv"))
     write_lines(os.path.join(args.out, "attacker_actions.csv"),
@@ -146,6 +164,8 @@ def cmd_ids_eval(args) -> int:
     test_sets = _load_datasets(args.test)
     models_dir = os.path.join(args.out, "models")
     _make_out_dir(args.out, models_dir)
+    _remove_stale(args.out, [os.path.join(models_dir, f"{algorithm}.json")
+                             for algorithm in ALGORITHMS if algorithm not in algorithms])
     train_name = "+".join(name for name, _ in train_sets)
     # each test set's true labels, taken once for every algorithm
     tests = [(name, ds.records, [r.label for r in ds.records]) for name, ds in test_sets]

@@ -409,9 +409,15 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     if scada is not None:
         if scada.mtu_host not in host_ids:
             errors.append(f"scada.mtu: unknown host {scada.mtu_host!r}")
+        # a host holds one SCADA app: a second one would take over its telemetry
+        apps = {scada.mtu_host: "the MTU"}
         for i, rtu in enumerate(scada.rtus):
             if rtu.host not in host_ids:
                 errors.append(f"scada.rtus[{rtu.station}]: unknown host {rtu.host!r}")
+            elif rtu.host in apps:
+                errors.append(f"scada.rtus[{i}].host: {rtu.host!r} already runs {apps[rtu.host]}")
+            else:
+                apps[rtu.host] = f"RTU {rtu.station!r}"
             offset = rtu.report_offset_ms + RTU_STAGGER_MS * i
             if not 0 <= offset < MS_PER_STEP:
                 errors.append(

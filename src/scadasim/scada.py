@@ -5,14 +5,14 @@ deterministic and meaningful to a length-based detector. RTUs push one
 measurement report per grid step as a plain payload: ``station``, ``seq`` and
 ``points``, each point a ``(point_id, quantity, value)`` tuple. The MTU
 acknowledges each report, keeps a last-value table, and re-interrogates
-stations that went stale (three missed cycles). Compromise effects model the
-two attack outcomes: a DoS'd RTU goes silent, a manipulated RTU reports
-affinely transformed values.
+stations that went stale (three missed cycles). Each attack outcome is one
+attribute, set through the RTU's compromise hooks: a DoS sets the RTU host's
+``SimHost.silenced``, so nothing leaves that host again; a manipulation sets
+``RtuApp.transform``, a per-quantity ``(scale, offset)`` map applied to every
+later report.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .engine import MS_PER_STEP, Engine
 from .network import NetworkFabric, Packet
@@ -25,21 +25,6 @@ CHECK_OFFSET_MS = 900  # the MTU checks its table 900 ms into each step
 
 def frame_length(n_points: int) -> int:
     return FRAME_HEADER_BYTES + BYTES_PER_POINT * n_points
-
-
-@dataclass(frozen=True)
-class CompromiseEffect:
-    kind: str  # dos | manipulate
-    active_from: int  # ms
-    transform: dict[str, tuple[float, float]] | None = None  # quantity -> (scale, offset)
-
-    def __post_init__(self):
-        if self.kind not in ("dos", "manipulate"):
-            raise ValueError(f"unknown compromise kind {self.kind!r}")
-        if self.kind == "dos" and self.transform:
-            raise ValueError("dos effect carries no transform")
-        if self.kind == "manipulate" and not self.transform:
-            raise ValueError("manipulate effect requires a transform")
 
 
 class RtuApp:
@@ -56,7 +41,6 @@ class RtuApp:
         grid,
         report_offset_ms: int = 20,
     ):
-        self.engine = engine
         self.fabric = fabric
         self.host = host
         self.station = station
@@ -64,8 +48,7 @@ class RtuApp:
         self.mtu_address = mtu_address
         self.grid = grid
         self.report_offset_ms = report_offset_ms
-        self.running = True
-        self.effect: CompromiseEffect | None = None
+        self.transform: dict[str, tuple[float, float]] | None = None  # quantity -> (scale, offset)
         self.sequence_no = 0
         self.reports_sent = 0
         engine.register(f"rtu:{station}", self.handle)
@@ -81,17 +64,18 @@ class RtuApp:
             )
 
     def emit_report(self) -> None:
-        """One measurement report per cycle, unless the service was stopped."""
-        if not self.running or self.host.silenced:
+        """One measurement report per cycle, unless the host was silenced."""
+        if self.host.silenced:
             return
         solution = self.grid.current_solution()
         if solution is None:
             return
+        transform = self.transform
         manipulated = False
         points = []
         for point_id, quantity, value in measurements_for(self.binding, solution):
-            if self.effect is not None and self.effect.kind == "manipulate":
-                scale, offset = self.effect.transform.get(quantity, (1.0, 0.0))
+            if transform is not None:
+                scale, offset = transform.get(quantity, (1.0, 0.0))
                 transformed = value * scale + offset
                 if transformed != value:
                     manipulated = True
@@ -110,22 +94,21 @@ class RtuApp:
 
     def on_telemetry(self, fabric: NetworkFabric, packet: Packet) -> None:
         kind = packet.payload["type"]
-        if kind == "interrogation" and self.running and not self.host.silenced:
+        if kind == "interrogation":
             self.emit_report()
         # acks carry no state the RTU needs
 
     # -- compromise hooks, reached through a root session on the host ------------
 
     def apply_dos(self) -> None:
-        """Permanently stop the report cycle from now on."""
-        self.effect = CompromiseEffect(kind="dos", active_from=self.engine.now)
-        self.running = False
+        """Silence the host for good: no report, reply or ack leaves it from now on."""
+        self.host.silenced = True
 
     def apply_manipulate(self, transform: dict[str, tuple[float, float]]) -> None:
         """Affine per-quantity transform applied to all subsequent reports."""
-        self.effect = CompromiseEffect(
-            kind="manipulate", active_from=self.engine.now, transform=dict(transform)
-        )
+        if not transform:
+            raise ValueError("manipulate effect requires a transform")
+        self.transform = dict(transform)
 
 
 class MtuApp:

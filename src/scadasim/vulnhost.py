@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .network import PROTOCOLS, NetworkFabric, Packet
 
-USER_LEVELS = {"www-data": 0, "operator": 0, "root": 1}
+USERS = ("www-data", "operator", "root")
 PE_METHODS = ("suid_binary", "sudoers_script")
 
 PROBE_LEN = 60
@@ -55,7 +55,7 @@ class HostService:
         if self.rce is not None:
             if self.rce.method not in ("cmd_param", "known_credentials"):
                 raise HostConfigError(f"unknown rce method {self.rce.method!r}")
-            if self.rce.executing_user not in USER_LEVELS:
+            if self.rce.executing_user not in USERS:
                 raise HostConfigError(f"unknown user {self.rce.executing_user!r}")
 
 
@@ -63,9 +63,6 @@ class HostService:
 class Session:
     session_id: str
     user: str
-
-
-USER_IDS = {"www-data": 33, "operator": 1000, "root": 0}
 
 
 class SimHost:
@@ -90,7 +87,7 @@ class SimHost:
         self.services = dict(ports)
         self.pe_paths = frozenset(pe_paths)
         self.sessions: dict[str, Session] = {}
-        self.silenced = False
+        self.silenced = False  # the DoS, set by RtuApp.apply_dos: a silenced host emits nothing
         self._session_counter = 0
         self.scada_app = None  # RtuApp or MtuApp, set by scenario wiring
 
@@ -265,11 +262,6 @@ class SimHost:
         name = parts[0]
         if name == "whoami":
             return session.user
-        if name == "id":
-            uid = USER_IDS[session.user]
-            return f"uid={uid}({session.user})"
-        if name == "list_pe":
-            return " ".join(sorted(self.pe_paths)) if self.pe_paths else "none"
         if name == "escalate":
             method = parts[1] if len(parts) > 1 else ""
             return self.escalate(session, method)
@@ -294,7 +286,6 @@ class SimHost:
         if self.scada_app is None or not hasattr(self.scada_app, "apply_dos"):
             return "error: no telemetry service"
         self.scada_app.apply_dos()
-        self.silence()
         return "service stopped"
 
     def _compromise_manipulate(self, session: Session, args: list[str]) -> str:
@@ -310,7 +301,3 @@ class SimHost:
             transform[quantity] = (float(scale_s), float(offset_s or 0.0))
         self.scada_app.apply_manipulate(transform)
         return "spoofing active"
-
-    def silence(self) -> None:
-        """DoS state: the host emits nothing from now on."""
-        self.silenced = True

@@ -9,12 +9,16 @@ from scadasim.vulnhost import PROBE_LEN, HostService, RceVuln, SimHost
 
 
 class FakeRtu:
-    def __init__(self):
+    """Records the compromise hooks; like RtuApp, a DoS silences its host."""
+
+    def __init__(self, host):
+        self.host = host
         self.stopped = False
         self.transform = None
 
     def apply_dos(self):
         self.stopped = True
+        self.host.silenced = True
 
     def apply_manipulate(self, transform):
         self.transform = transform
@@ -48,7 +52,7 @@ def rig(goal=None, port_set=None, address_range=None, skip_after=None,
     engine = Engine()
     fabric = NetworkFabric(topo, engine, 11)
     rtu_host = SimHost("rtu1-host", "10.0.0.11", services=rtu_services, pe_paths=set(rtu_pe))
-    rtu = FakeRtu()
+    rtu = FakeRtu(rtu_host)
     rtu_host.scada_app = rtu
     mtu_host = SimHost("mtu-host", "10.0.0.10")
     fabric.register_app("rtu1-host", rtu_host)
@@ -153,8 +157,9 @@ class TestRce:
         engine, fabric, attacker, _, _ = rig()
         engine.run(120_000)
         session = attacker.state.sessions["10.0.0.11"]
-        assert session.user in ("www-data", "root")  # root after S3
-        assert session.port == 80
+        assert session.protocol == "HTTP"
+        rce = [r.outcome for r in attacker.state.action_log if r.action == "rce_attempt"]
+        assert rce[-1] == "session user=www-data"
 
     def test_all_rce_failed_leads_to_failed_without_s3_s4(self):
         services = {80: HostService(80, "HTTP", banner="nginx")}  # nothing exploitable

@@ -164,6 +164,29 @@ class TestSimulate:
         assert "calibration failure" in err and "outside 10.00%" in err
         assert import_csv(str(out / "dataset.csv")).records
 
+    def test_rerun_into_one_out_removes_only_the_files_it_does_not_write(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", "reference", "--seed", "5",
+                       "--out", str(out), "--trace", "--grid-csv") == 0
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert run_cli("simulate", "--scenario", "reference", "--seed", "6",
+                       "--out", str(out)) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == [
+            "attacker_actions.csv", "dataset.csv", "mtu_measurements.csv", "notes.txt",
+            "run_summary.json",
+        ]
+        assert json.loads((out / "run_summary.json").read_text())["seed"] == 6
+
+    def test_stale_file_that_cannot_be_removed_exits_2_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        (out / "trace.csv").mkdir(parents=True)
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        assert run_cli("simulate", "--scenario", "4", "--seed", "0", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: cannot remove" in err and "trace.csv" in err
+
     @pytest.mark.parametrize("scenario", sorted(PINNED_GRID_SEED_0))
     def test_fixture_grid_hashes_are_pinned(self, tmp_path, scenario):
         out = tmp_path / "grid"
@@ -186,6 +209,8 @@ def _second_rtu(raw, offset_ms):
                  lambda raw: raw["scada"]["rtus"][0].update(report_offset_ms=-5), id="offset-neg"),
     # the second RTU reports 10 ms after its configured offset
     pytest.param("report_offset_ms", lambda raw: _second_rtu(raw, 990), id="offset-2nd-rtu-990"),
+    # a host holds one SCADA app; the attacker's spoof would reach rtu2 alone
+    pytest.param("scada.rtus[1].host", lambda raw: _second_rtu(raw, 0), id="second-rtu-on-one-host"),
     pytest.param("warmup_steps",
                  lambda raw: raw["durations"].update(warmup_steps=-3), id="warmup-neg"),
     pytest.param("probe_pacing_ms",
@@ -384,6 +409,16 @@ class TestIdsCommands:
         err = capsys.readouterr().err
         assert "--test" in err and "'ref-a'" in err
         assert not out.exists()
+
+    def test_eval_into_one_out_removes_the_models_of_algorithms_it_does_not_run(
+            self, tmp_path, two_datasets):
+        a, b = two_datasets
+        out = tmp_path / "out"
+        for algo in ("rf,knn", "rf"):
+            assert run_cli("ids", "eval", "--algo", algo, "--train", str(a), "--test", str(b),
+                           "--out", str(out)) == 0
+            (out / "models" / "notes.txt").write_text("kept", encoding="utf-8")
+        assert sorted(p.name for p in (out / "models").iterdir()) == ["notes.txt", "rf.json"]
 
     def test_ids_train_is_no_command(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -142,6 +142,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(field)):
             load_config_dict(raw)
 
+    @pytest.mark.parametrize("mutate, field, runs", [
+        # the attacker's spoof would reach rtu2 alone; rtu1 would go on reporting true values
+        pytest.param(lambda raw: raw["scada"]["rtus"].append(
+                         dict(raw["scada"]["rtus"][0], station="rtu2")),
+                     "scada.rtus[1].host", "RTU 'rtu1'", id="second-rtu-on-rtu1-host"),
+        # the MTU would never hear its own host's reports
+        pytest.param(lambda raw: raw["scada"]["rtus"][0].update(host="mtu-host"),
+                     "scada.rtus[0].host", "the MTU", id="rtu-on-mtu-host"),
+    ])
+    def test_rtu_on_a_host_that_runs_a_scada_app_rejected(self, mutate, field, runs):
+        raw = minimal_raw()
+        mutate(raw)
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == [f"{field}: {raw['scada']['rtus'][-1]['host']!r} "
+                                    f"already runs {runs}"]
+
     @pytest.mark.parametrize("address", ["x", "10.0.0", "10.0.0.256", ""])
     def test_node_address_must_be_an_ip_address(self, address):
         # the attacker's address range could never reach such a node

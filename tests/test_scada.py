@@ -17,12 +17,11 @@ from scadasim.powergrid import (
     Transformer,
 )
 from scadasim.scada import (
-    CompromiseEffect,
     MtuApp,
     RtuApp,
     frame_length,
 )
-from scadasim.vulnhost import SimHost
+from scadasim.vulnhost import Session, SimHost
 
 
 BINDING = RtuBinding(
@@ -162,8 +161,33 @@ class TestReporting:
         engine.schedule(5010, "killer", "go")
         engine.run(20_999)
         assert rtu.reports_sent == 5  # steps 0..4 only
-        assert rtu.effect.kind == "dos"
-        assert rtu.effect.active_from == 5010
+        assert rtu.host.silenced
+
+
+def root_session(host):
+    session = Session(f"{host.node_id}-s1", "root")
+    host.sessions[session.session_id] = session
+    return session
+
+
+class TestCompromiseHooks:
+    def test_rooted_mtu_host_has_no_telemetry_service_to_stop_or_spoof(self):
+        engine, fabric, rtu, mtu, grid = rig()
+        session = root_session(mtu.host)
+        assert mtu.host.exec_command(session, "stop_service") == "error: no telemetry service"
+        assert mtu.host.exec_command(session, "spoof P_kW=0.5,0") == "error: no telemetry service"
+        assert mtu.host.silenced is False
+        engine.run(3999)
+        assert sorted({row[0] for row in mtu.history}) == [0, 1, 2, 3]  # one check per step
+        assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
+
+    def test_spoof_without_a_quantity_is_refused(self):
+        engine, fabric, rtu, mtu, grid = rig()
+        session = root_session(rtu.host)
+        with pytest.raises(ValueError, match="manipulate effect requires a transform"):
+            rtu.host.exec_command(session, "spoof")
+        engine.run(2999)
+        assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
 
 
 class TestMtuIngest:
@@ -191,7 +215,7 @@ class TestMtuIngest:
     def test_stale_after_three_missed_cycles(self):
         engine, fabric, rtu, mtu, grid = rig(interrogate=False)
         engine.run(2999)
-        rtu.running = False  # silent failure, not a compromise
+        rtu.host.silenced = True  # silent failure, not a compromise
         engine.run(5999)
         assert stale_flags_at(mtu, 5) == {False}  # step 5: only 3 cycles missed
         engine.run(6999)
@@ -201,11 +225,11 @@ class TestMtuIngest:
     def test_stale_station_is_reinterrogated(self):
         engine, fabric, rtu, mtu, grid = rig(interrogate=True)
         engine.run(2999)
-        rtu.running = False
+        rtu.host.silenced = True
         engine.run(10_999)
         assert mtu.interrogations_sent == 5  # stale from step 6, one per check through step 10
         assert stale_flags_at(mtu, 10) == {True}
-        rtu.running = True  # service restored: interrogation triggers a report
+        rtu.host.silenced = False  # service restored: interrogation triggers a report
         engine.run(11_999)
         assert stale_flags_at(mtu, 11) == {False}
 
@@ -346,13 +370,3 @@ class TestMtuAgainstFrozenCopy:
         assert mtu.interrogations_sent == frozen.interrogations_sent == len(fabric.sent)
         assert all(payload == {"type": "interrogation"} and length == frame_length(1)
                    for _, length, payload in fabric.sent)
-
-
-class TestEffectValidation:
-    def test_dos_with_transform_rejected(self):
-        with pytest.raises(ValueError):
-            CompromiseEffect(kind="dos", active_from=0, transform={"P_kW": (0.5, 0)})
-
-    def test_manipulate_requires_transform(self):
-        with pytest.raises(ValueError):
-            CompromiseEffect(kind="manipulate", active_from=0)

@@ -80,8 +80,8 @@ class TestReferenceRun:
 
     def test_only_rtu1_carries_a_manipulation_effect(self, reference_result):
         rtus = reference_result.rtus
-        assert rtus["rtu1"].effect.kind == "manipulate"
-        assert [name for name, rtu in rtus.items() if rtu.effect is not None] == ["rtu1"]
+        assert rtus["rtu1"].transform is not None
+        assert [name for name, rtu in rtus.items() if rtu.transform is not None] == ["rtu1"]
 
 
 class TestDeterminism:

@@ -2,6 +2,8 @@ import pytest
 
 from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric
+from scadasim.powergrid import RtuBinding
+from scadasim.scada import RtuApp
 from scadasim.vulnhost import (
     BANNER_LEN,
     HostConfigError,
@@ -144,12 +146,8 @@ class TestCommandsAndEscalation:
         _, _, _, host = rig(services=WEB, pe_paths={"suid_binary"})
         session = self.open_session(host)
         assert host.exec_command(session, "whoami") == "www-data"
-        assert host.exec_command(session, "id") == "uid=33(www-data)"
-
-    def test_list_pe_artifacts(self):
-        _, _, _, host = rig(services=WEB, pe_paths={"suid_binary", "sudoers_script"})
-        session = self.open_session(host)
-        assert host.exec_command(session, "list_pe") == "sudoers_script suid_binary"
+        # no attacker step issues `id`
+        assert host.exec_command(session, "id") == "error: unknown command 'id'"
 
     def test_unknown_command_keeps_session_open(self):
         _, _, _, host = rig(services=WEB)
@@ -209,19 +207,12 @@ class TestCommandsAndEscalation:
         assert host.scada_app.stopped is False
 
     def test_compromise_with_root_stops_service_and_silences_host(self):
-        _, _, _, host = rig(services=WEB, pe_paths={"suid_binary"})
-
-        class FakeRtu:
-            stopped = False
-
-            def apply_dos(self):
-                self.stopped = True
-
-        host.scada_app = FakeRtu()
+        engine, fabric, _, host = rig(services=WEB, pe_paths={"suid_binary"})
+        host.scada_app = RtuApp(engine, fabric, host, "rtu1", RtuBinding("rtu1"), "10.0.0.99",
+                                grid=None)
         session = self.open_session(host)
         host.exec_command(session, "escalate suid_binary")
         assert host.exec_command(session, "stop_service") == "service stopped"
-        assert host.scada_app.stopped is True
         assert host.silenced is True
 
     def test_spoof_parses_affine_transform(self):
@@ -252,6 +243,6 @@ class TestConfigChecks:
 
     def test_silenced_host_answers_nothing(self):
         engine, fabric, client, host = rig(services=WEB)
-        host.silence()
+        host.silenced = True
         run(engine, fabric, [({"type": "probe", "port": 80}, "SCAN_PROBE", 60)])
         assert client.responses == []
