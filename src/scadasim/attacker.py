@@ -12,15 +12,14 @@ source, which is what the labeling stage keys on.
 
 Attack timing:
 
-- scan probes are ``pacing_ms`` (the config's ``probe_pacing_ms``) apart and
-  do not wait for replies;
+- scan probes are ``probe_pacing_ms`` apart and do not wait for replies;
 - after ``skip_unreachable_after`` unanswered probes to one address the scan
   waits ``probe_timeout_ms`` once more and moves on if still nothing came back;
 - the scan ends ``probe_timeout_ms`` after the last probe;
 - every other request waits up to ``RESPONSE_TIMEOUT_MS`` (100 ms) for its
   reply; replies are matched to their request by an attempt id the host
   echoes, so a reply that comes after its timeout is ignored;
-- the next action comes ``pacing_ms`` after a reply, but at once after a
+- the next action comes ``probe_pacing_ms`` after a reply, but at once after a
   timeout;
 - the DoS enforce stream fires ``ENFORCE_OFFSET_MS`` (500 ms) into each step.
 """
@@ -101,34 +100,19 @@ class Exchange(NamedTuple):
 
 
 class AttackerComponent:
-    """Engine target ``attacker``: the attack procedure and its packet I/O."""
+    """Engine target ``attacker``: the attack procedure and its packet I/O.
 
-    def __init__(
-        self,
-        engine: Engine,
-        fabric: NetworkFabric,
-        node_id: str,
-        address: str,
-        goal: AttackGoal,
-        address_range: list[str],
-        port_set: list[int],
-        attack_start: int,
-        pacing_ms: int = 2,
-        probe_timeout_ms: int = 10,
-        skip_unreachable_after: int | None = 3,
-        enforce_dos: bool = False,
-    ):
+    ``section`` is the scenario's ``config.AttackerSection``, which holds every
+    attack setting; it is not typed here because ``config`` imports this module.
+    """
+
+    def __init__(self, engine: Engine, fabric: NetworkFabric, section, address: str,
+                 attack_start: int):
         self.engine = engine
         self.fabric = fabric
-        self.node_id = node_id
+        self.section = section
         self.address = address
-        self.goal = goal
-        self.address_range = [a for a in address_range if a != address]
-        self.port_set = sorted(port_set)
-        self.pacing_ms = pacing_ms
-        self.probe_timeout_ms = probe_timeout_ms
-        self.skip_unreachable_after = skip_unreachable_after
-        self.enforce_dos = enforce_dos
+        self.address_range = [a for a in section.address_range if a != address]
 
         self.state = AttackerState()
         self.probes_sent = 0
@@ -155,26 +139,27 @@ class AttackerComponent:
 
     def _campaign(self):
         state = self.state
-        gate = self.skip_unreachable_after  # None or 0: never skip
+        section = self.section
+        gate = section.skip_unreachable_after  # None or 0: never skip
 
         self._enter("S1_scan")
         for addr in self.address_range:
             probes = 0
             gate_passed = False
-            for port in self.port_set:
+            for port in section.port_set:
                 if gate and not gate_passed and probes >= gate:
                     if addr not in state.reachable:  # no reply to any probe yet
-                        yield "gate_check", self.engine.now + self.probe_timeout_ms
+                        yield "gate_check", self.engine.now + section.probe_timeout_ms
                         if addr not in state.reachable:
                             break
                     gate_passed = True
                 self._send(addr, "SCAN_PROBE", PROBE_LEN, {"type": "probe", "port": port})
                 self.probes_sent += 1
                 probes += 1
-                yield "scan_next", self.engine.now + self.pacing_ms
+                yield "scan_next", self.engine.now + section.probe_pacing_ms
             if probes:
                 self._log("scan_host", addr, self._scan_outcome(addr))
-        yield "scan_done", self.engine.now + self.probe_timeout_ms
+        yield "scan_done", self.engine.now + section.probe_timeout_ms
 
         plan = [(addr, port, protocol) for addr in self.address_range
                 for port, protocol in sorted(state.discovered.get(addr, ()))]
@@ -242,7 +227,7 @@ class AttackerComponent:
                 yield self._pause()
 
         self._enter("S4_impact")
-        hosts = [a for a in state.sessions if self.goal.matches(a)]
+        hosts = [a for a in state.sessions if section.goal.matches(a)]
         if not any(a in state.rooted for a in hosts):
             self._enter("failed")
             self._log("abort", "-", "no rooted host matches the goal")
@@ -265,7 +250,7 @@ class AttackerComponent:
             self._log("abort", "-", "impact commands rejected")
             return
         targets = [a for a, _, outcome in state.impact if outcome == "ok"]
-        if self.goal.kind == "dos" and self.enforce_dos and targets:
+        if section.goal.kind == "dos" and section.enforce_dos and targets:
             # keep-down stream: re-issue the stop command once per step, fire and forget
             while True:
                 yield "enforce", (self.engine.now // MS_PER_STEP + 1) * MS_PER_STEP + ENFORCE_OFFSET_MS
@@ -276,7 +261,7 @@ class AttackerComponent:
         self._enter("done")
 
     def _pause(self) -> tuple[str, int]:
-        return "next_action", self.engine.now + self.pacing_ms
+        return "next_action", self.engine.now + self.section.probe_pacing_ms
 
     def _scan_outcome(self, addr: str) -> str:
         if addr not in self.state.reachable:
@@ -295,18 +280,19 @@ class AttackerComponent:
         )
 
     def _impact_command(self) -> str:
-        if self.goal.kind == "dos":
+        goal = self.section.goal
+        if goal.kind == "dos":
             return "stop_service"
         parts = [
             f"{quantity}={scale},{offset}"
-            for quantity, (scale, offset) in self.goal.manipulation.items()
+            for quantity, (scale, offset) in goal.manipulation.items()
         ]
         return "spoof " + " ".join(parts)
 
     # -- driver: engine events and inbound packets ---------------------------------
 
     def _send(self, dst: str, protocol: str, length: int, payload: dict) -> None:
-        self.fabric.send_app_message(self.node_id, dst, protocol, length, payload)
+        self.fabric.send_app_message(self.section.host, dst, protocol, length, payload)
 
     def _resume(self, reply: dict | None) -> None:
         try:

@@ -36,8 +36,7 @@ from .powergrid import (
 from .vulnhost import PE_METHODS, HostService, RceVuln
 
 FORMAT_VERSION = 1
-# build_simulation starts the i-th RTU's report cycle RTU_STAGGER_MS * i
-# after its configured offset.
+# the i-th RTU reports RTU_STAGGER_MS * i after its configured offset
 RTU_STAGGER_MS = 10
 # dataclass field -> YAML key, where the two differ
 _KEYS = {
@@ -86,9 +85,10 @@ class HostEntry:
 
 @dataclass
 class RtuConfig:
-    station: str
     host: str
     binding: RtuBinding
+    # the loader adds the RTU's stagger, so a loaded config holds the ms into
+    # each step at which the RTU reports
     report_offset_ms: int = 20
 
 
@@ -359,15 +359,26 @@ def _read_scada(raw, errors: list[str]) -> ScadaSection | None:
     if _value(raw, dict, "scada", errors) is None:
         return None
     rtus = []
+    first_of: dict[str, int] = {}  # station -> index of the RTU that names it first
     for i, r in enumerate(_read(raw, "rtus", list, "scada", errors, []) or []):
+        path = f"scada.rtus[{i}]"
         # an RTU's mapping holds its binding's fields (station, points) too
-        binding = _fill(RtuBinding, r, f"scada.rtus[{i}]", errors)
-        if binding is not None:
-            _check_csv_name(f"scada.rtus[{i}].station", binding.station, errors)
-            for j, point in enumerate(binding.points):
-                _check_csv_name(f"scada.rtus[{i}].points[{j}].id", point.point_id, errors)
-            rtus.append(_fill(RtuConfig, r, f"scada.rtus[{i}]", errors,
-                              station=binding.station, binding=binding))
+        binding = _fill(RtuBinding, r, path, errors)
+        if binding is None:
+            continue
+        _check_csv_name(f"{path}.station", binding.station, errors)
+        if first_of.setdefault(binding.station, i) != i:
+            errors.append(f"{path}.station: {binding.station!r} already names "
+                          f"scada.rtus[{first_of[binding.station]}]")
+        for j, point in enumerate(binding.points):
+            _check_csv_name(f"{path}.points[{j}].id", point.point_id, errors)
+        rtu = _fill(RtuConfig, r, path, errors, binding=binding)
+        if rtu is not None:
+            rtu.report_offset_ms += RTU_STAGGER_MS * i
+            if not 0 <= rtu.report_offset_ms < MS_PER_STEP:
+                errors.append(f"{path}.report_offset_ms: reports {rtu.report_offset_ms} ms "
+                              f"into the step, outside [0, {MS_PER_STEP})")
+            rtus.append(rtu)
     section = _fill(ScadaSection, raw.get("mtu"), "scada.mtu", errors, rtus=rtus)
     return section if len(errors) == start else None
 
@@ -413,19 +424,13 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
         apps = {scada.mtu_host: "the MTU"}
         for i, rtu in enumerate(scada.rtus):
             if rtu.host not in host_ids:
-                errors.append(f"scada.rtus[{rtu.station}]: unknown host {rtu.host!r}")
+                errors.append(f"scada.rtus[{i}].host: unknown host {rtu.host!r}")
             elif rtu.host in apps:
                 errors.append(f"scada.rtus[{i}].host: {rtu.host!r} already runs {apps[rtu.host]}")
             else:
-                apps[rtu.host] = f"RTU {rtu.station!r}"
-            offset = rtu.report_offset_ms + RTU_STAGGER_MS * i
-            if not 0 <= offset < MS_PER_STEP:
-                errors.append(
-                    f"scada.rtus[{rtu.station}].report_offset_ms: reports {offset} ms into "
-                    f"the step, outside [0, {MS_PER_STEP})"
-                )
+                apps[rtu.host] = f"RTU {rtu.binding.station!r}"
             if grid is not None:
-                _checked(f"scada.rtus[{rtu.station}]", errors, rtu.binding.validate, grid.model)
+                _checked(f"scada.rtus[{i}]", errors, rtu.binding.validate, grid.model)
     if ops is not None:
         if ops.host not in host_ids:
             errors.append(f"ops: unknown host {ops.host!r}")

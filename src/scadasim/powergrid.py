@@ -335,8 +335,8 @@ def sample_load_profile(
     seed: int,
     step: int,
     load_ids: list[str],
-    day_steps: int = 1440,
-    noise_amplitude: float = 0.1,
+    day_steps: int,
+    noise_amplitude: float,
 ) -> dict[str, float]:
     """Per-load scaling factors for one step: smooth daily shape plus seeded noise.
 

@@ -35,15 +35,13 @@ class RtuApp:
         engine: Engine,
         fabric: NetworkFabric,
         host,
-        station: str,
         binding: RtuBinding,
         mtu_address: str,
         grid,
-        report_offset_ms: int = 20,
+        report_offset_ms: int,
     ):
         self.fabric = fabric
         self.host = host
-        self.station = station
         self.binding = binding
         self.mtu_address = mtu_address
         self.grid = grid
@@ -51,15 +49,15 @@ class RtuApp:
         self.transform: dict[str, tuple[float, float]] | None = None  # quantity -> (scale, offset)
         self.sequence_no = 0
         self.reports_sent = 0
-        engine.register(f"rtu:{station}", self.handle)
-        engine.schedule(report_offset_ms, f"rtu:{station}", "report")
+        engine.register(f"rtu:{binding.station}", self.handle)
+        engine.schedule(report_offset_ms, f"rtu:{binding.station}", "report")
 
     def handle(self, engine: Engine, kind: str, payload) -> None:
         if kind == "report":
             self.emit_report()
             engine.schedule(
                 (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + self.report_offset_ms,
-                f"rtu:{self.station}",
+                f"rtu:{self.binding.station}",
                 "report",
             )
 
@@ -87,7 +85,7 @@ class RtuApp:
             self.mtu_address,
             "SCADA",
             frame_length(len(points)),
-            {"type": "telemetry_report", "station": self.station, "seq": self.sequence_no,
+            {"type": "telemetry_report", "station": self.binding.station, "seq": self.sequence_no,
              "points": points, "manipulated": manipulated},
         )
         self.reports_sent += 1
@@ -126,7 +124,7 @@ class MtuApp:
         fabric: NetworkFabric,
         host,
         stations: dict[str, str],  # station -> address
-        interrogate_stale: bool = True,
+        interrogate_stale: bool,
     ):
         self.engine = engine
         self.fabric = fabric

@@ -13,12 +13,14 @@ from importlib import resources
 
 from .attacker import AttackerComponent
 from .capture import LabeledDataset, TrafficCollector, check_balance, label_records
-from .config import RTU_STAGGER_MS, ScenarioConfig, load_config
+from .config import HostEntry, ScenarioConfig, load_config
 from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
 from .powergrid import Feeder, PowerFlowSolution, sample_load_profile
 from .scada import MtuApp, RtuApp
 from .vulnhost import KEEPALIVE_LENS, HTTP_REQUEST_LEN, PROBE_LEN, SimHost
+
+OPS_OFFSET_MS = 150  # operator traffic goes out 150 ms into each step
 
 
 class GridComponent:
@@ -81,7 +83,7 @@ class OpsComponent:
         self._unanswered: dict[str, int] = {}
         self.down: set[str] = set()
         engine.register("ops", self.handle)
-        engine.schedule(150, "ops", "tick")
+        engine.schedule(OPS_OFFSET_MS, "ops", "tick")
 
     def handle(self, engine: Engine, kind: str, payload) -> None:
         if kind != "tick":
@@ -106,7 +108,7 @@ class OpsComponent:
                         and self._unanswered[target] > section.give_up_after
                     ):
                         self.down.add(target)
-        engine.schedule((step + 1) * MS_PER_STEP + 150, "ops", "tick")
+        engine.schedule((step + 1) * MS_PER_STEP + OPS_OFFSET_MS, "ops", "tick")
 
     def _send(self, target: str, protocol: str, length: int, payload: dict) -> bool:
         if target in self.down:
@@ -190,29 +192,21 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> 
     for node in config.topology.nodes:
         if node.kind != "host":
             continue
-        entry = config.hosts.get(node.node_id)
-        host = SimHost(
-            node.node_id,
-            node.address,
-            services=entry.services if entry else {},
-            pe_paths=entry.pe_paths if entry else frozenset(),
-        )
-        hosts[node.node_id] = host
+        entry = config.hosts.get(node.node_id) or HostEntry()
+        hosts[node.node_id] = SimHost(node.node_id, node.address, entry.services, entry.pe_paths)
 
     grid = GridComponent(engine, config.grid, derive_seed(seed, "grid"))
 
     mtu_addr = addresses[config.scada.mtu_host]
     rtus: dict[str, RtuApp] = {}
     stations = {}
-    for i, rtu_cfg in enumerate(config.scada.rtus):
+    for rtu_cfg in config.scada.rtus:
         host = hosts[rtu_cfg.host]
-        rtu = RtuApp(
-            engine, fabric, host, rtu_cfg.station, rtu_cfg.binding, mtu_addr,
-            grid, report_offset_ms=rtu_cfg.report_offset_ms + RTU_STAGGER_MS * i,
-        )
+        rtu = RtuApp(engine, fabric, host, rtu_cfg.binding, mtu_addr, grid,
+                     rtu_cfg.report_offset_ms)
         host.scada_app = rtu
-        rtus[rtu_cfg.station] = rtu
-        stations[rtu_cfg.station] = addresses[rtu_cfg.host]
+        rtus[rtu_cfg.binding.station] = rtu
+        stations[rtu_cfg.binding.station] = addresses[rtu_cfg.host]
     mtu = MtuApp(
         engine, fabric, hosts[config.scada.mtu_host], stations,
         interrogate_stale=config.scada.interrogate_stale,
@@ -224,19 +218,8 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> 
     if jitter > 0:
         attack_start_step += derive_seed(seed, "attack-start") % (jitter + 1)
 
-    attacker = AttackerComponent(
-        engine, fabric,
-        config.attacker.host,
-        addresses[config.attacker.host],
-        config.attacker.goal,
-        config.attacker.address_range,
-        config.attacker.port_set,
-        attack_start=attack_start_step * MS_PER_STEP,
-        pacing_ms=config.attacker.probe_pacing_ms,
-        probe_timeout_ms=config.attacker.probe_timeout_ms,
-        skip_unreachable_after=config.attacker.skip_unreachable_after,
-        enforce_dos=config.attacker.enforce_dos,
-    )
+    attacker = AttackerComponent(engine, fabric, config.attacker,
+                                 addresses[config.attacker.host], attack_start_step * MS_PER_STEP)
 
     ops = None
     if config.ops is not None:

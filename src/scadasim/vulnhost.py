@@ -72,20 +72,13 @@ class SimHost:
         self,
         node_id: str,
         address: str,
-        services: dict[int, HostService] | None = None,
-        pe_paths: frozenset[str] | set[str] = frozenset(),
+        services: dict[int, HostService],  # port -> service
+        pe_paths: frozenset[str],
     ):
-        for method in pe_paths:
-            if method not in PE_METHODS:
-                raise HostConfigError(f"unknown pe path {method!r}")
-        ports = services or {}
-        for port, svc in ports.items():
-            if port != svc.port:
-                raise HostConfigError(f"service keyed {port} but declares port {svc.port}")
         self.node_id = node_id
         self.address = address
-        self.services = dict(ports)
-        self.pe_paths = frozenset(pe_paths)
+        self.services = services
+        self.pe_paths = pe_paths
         self.sessions: dict[str, Session] = {}
         self.silenced = False  # the DoS, set by RtuApp.apply_dos: a silenced host emits nothing
         self._session_counter = 0

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from scadasim.attacker import ActionRecord, AttackGoal, AttackerComponent
+from scadasim.config import AttackerSection
 from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric, SpanConfig
 from scadasim.vulnhost import PROBE_LEN, HostService, RceVuln, SimHost
@@ -33,7 +34,7 @@ RTU_SERVICES = {
 
 def rig(goal=None, port_set=None, address_range=None, skip_after=None,
         rtu_pe=("suid_binary",), extra_hosts=(), rtu_services=RTU_SERVICES,
-        rtu_latency_ms=1, probe_timeout_ms=10):
+        rtu_latency_ms=1, probe_timeout_ms=10, enforce_dos=False):
     nodes = [
         NetNode("attacker", "host", "10.0.0.66"),
         NetNode("sw", "switch"),
@@ -51,26 +52,24 @@ def rig(goal=None, port_set=None, address_range=None, skip_after=None,
     topo = IctTopology(nodes=nodes, links=links)
     engine = Engine()
     fabric = NetworkFabric(topo, engine, 11)
-    rtu_host = SimHost("rtu1-host", "10.0.0.11", services=rtu_services, pe_paths=set(rtu_pe))
+    rtu_host = SimHost("rtu1-host", "10.0.0.11", rtu_services, frozenset(rtu_pe))
     rtu = FakeRtu(rtu_host)
     rtu_host.scada_app = rtu
-    mtu_host = SimHost("mtu-host", "10.0.0.10")
+    mtu_host = SimHost("mtu-host", "10.0.0.10", {}, frozenset())
     fabric.register_app("rtu1-host", rtu_host)
     fabric.register_app("mtu-host", mtu_host)
     for node_id, address in extra_hosts:
-        fabric.register_app(node_id, SimHost(node_id, address))
-    attacker = AttackerComponent(
-        engine,
-        fabric,
-        "attacker",
-        "10.0.0.66",
-        goal or AttackGoal(kind="dos"),
-        address_range or ["10.0.0.10", "10.0.0.11", "10.0.0.50"],
-        port_set or [21, 22, 23, 80, 443],
-        attack_start=0,
+        fabric.register_app(node_id, SimHost(node_id, address, {}, frozenset()))
+    section = AttackerSection(
+        host="attacker",
+        goal=goal or AttackGoal(kind="dos"),
+        address_range=address_range or ["10.0.0.10", "10.0.0.11", "10.0.0.50"],
+        port_set=port_set or [21, 22, 23, 80, 443],
         probe_timeout_ms=probe_timeout_ms,
         skip_unreachable_after=skip_after,
+        enforce_dos=enforce_dos,
     )
+    attacker = AttackerComponent(engine, fabric, section, "10.0.0.66", attack_start=0)
     fabric.register_app("attacker", attacker)
     return engine, fabric, attacker, rtu_host, rtu
 
@@ -253,17 +252,15 @@ class TestImpact:
 
 class TestDosEnforcement:
     def test_enforce_stream_reissues_stop_commands(self):
-        engine, fabric, attacker, rtu_host, rtu = rig()
-        attacker.enforce_dos = True
+        engine, fabric, attacker, rtu_host, rtu = rig(enforce_dos=True)
         engine.run(60_000)
         enforce = [r for r in attacker.state.action_log if r.action == "enforce_dos"]
         assert len(enforce) >= 10  # roughly one per step after impact
         assert attacker.state.stage == "S4_impact"  # stays in impact while enforcing
 
     def test_no_keep_down_stream_when_every_impact_was_rejected(self):
-        engine, fabric, attacker, rtu_host, rtu = rig()
+        engine, fabric, attacker, rtu_host, rtu = rig(enforce_dos=True)
         rtu_host.scada_app = None  # the stop command finds no service to stop
-        attacker.enforce_dos = True
         engine.trace_lines = []
         engine.run(60_000)
         assert [outcome for _, _, outcome in attacker.state.impact] == ["rejected"]
@@ -289,8 +286,7 @@ class TestEscalationInvariant:
 
 def flap_campaign(rtu_pe, down_at, enforce_dos):
     """Action log and engine trace of a rig campaign in which l-rtu is down for 150 ms."""
-    engine, fabric, attacker, _, _ = rig(rtu_pe=rtu_pe)
-    attacker.enforce_dos = enforce_dos
+    engine, fabric, attacker, _, _ = rig(rtu_pe=rtu_pe, enforce_dos=enforce_dos)
     engine.trace_lines = []
     engine.schedule(down_at, "net", "set_link_state", ("l-rtu", False))
     engine.schedule(down_at + 150, "net", "set_link_state", ("l-rtu", True))

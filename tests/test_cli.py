@@ -211,6 +211,11 @@ def _second_rtu(raw, offset_ms):
     pytest.param("report_offset_ms", lambda raw: _second_rtu(raw, 990), id="offset-2nd-rtu-990"),
     # a host holds one SCADA app; the attacker's spoof would reach rtu2 alone
     pytest.param("scada.rtus[1].host", lambda raw: _second_rtu(raw, 0), id="second-rtu-on-one-host"),
+    # one engine target per station: a second rtu1 on its own host is refused on reading
+    pytest.param("scada.rtus[1].station",
+                 lambda raw: raw["scada"]["rtus"].append(dict(raw["scada"]["rtus"][0],
+                                                              host="ops-host")),
+                 id="duplicate-station"),
     pytest.param("warmup_steps",
                  lambda raw: raw["durations"].update(warmup_steps=-3), id="warmup-neg"),
     pytest.param("probe_pacing_ms",

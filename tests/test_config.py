@@ -159,6 +159,37 @@ class TestValidation:
         assert err.value.errors == [f"{field}: {raw['scada']['rtus'][-1]['host']!r} "
                                     f"already runs {runs}"]
 
+    def test_unknown_pe_path_rejected(self):
+        raw = minimal_raw()
+        raw["hosts"]["rtu1-host"]["pe_paths"] = ["kernel_bug"]
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == ["hosts.rtu1-host.pe_paths: unknown pe path 'kernel_bug'"]
+
+    def test_duplicate_station_rejected(self):
+        # both RTUs would be engine target rtu:rtu1, and their MTU rows would mix
+        raw = minimal_raw()
+        raw["scada"]["rtus"].append(dict(raw["scada"]["rtus"][0], host="ids-host"))
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == ["scada.rtus[1].station: 'rtu1' already names scada.rtus[0]"]
+
+    @pytest.mark.parametrize("mutate, field", [
+        pytest.param(lambda rtu: rtu.update(host="ghost-host"), "scada.rtus[0].host: ",
+                     id="unknown-host"),
+        pytest.param(lambda rtu: rtu["points"][0].update(element="ghost-tx"), "scada.rtus[0]: ",
+                     id="unknown-element"),
+        pytest.param(lambda rtu: rtu.update(report_offset_ms=1000),
+                     "scada.rtus[0].report_offset_ms: ", id="offset-1000"),
+    ])
+    def test_rtu_errors_name_the_rtu_by_index(self, mutate, field):
+        raw = minimal_raw()
+        mutate(raw["scada"]["rtus"][0])
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(field)
+
     @pytest.mark.parametrize("address", ["x", "10.0.0", "10.0.0.256", ""])
     def test_node_address_must_be_an_ip_address(self, address):
         # the attacker's address range could never reach such a node
@@ -171,7 +202,7 @@ class TestValidation:
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(minimal_raw()))
         config = load_config(str(path))
-        assert config.scada.rtus[0].station == "rtu1"
+        assert config.scada.rtus[0].binding.station == "rtu1"
 
     def test_yaml_syntax_error_is_a_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"

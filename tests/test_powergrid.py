@@ -333,10 +333,10 @@ class TestSolver:
 
 class TestLoadProfile:
     def test_deterministic_per_seed_and_step(self):
-        ids = ["a", "b"]
-        assert sample_load_profile(9, 100, ids) == sample_load_profile(9, 100, ids)
-        assert sample_load_profile(9, 100, ids) != sample_load_profile(9, 101, ids)
-        assert sample_load_profile(9, 100, ids) != sample_load_profile(10, 100, ids)
+        ids, shape = ["a", "b"], {"day_steps": 1440, "noise_amplitude": 0.1}
+        assert sample_load_profile(9, 100, ids, **shape) == sample_load_profile(9, 100, ids, **shape)
+        assert sample_load_profile(9, 100, ids, **shape) != sample_load_profile(9, 101, ids, **shape)
+        assert sample_load_profile(9, 100, ids, **shape) != sample_load_profile(10, 100, ids, **shape)
 
     def test_zero_noise_is_periodic_base_shape(self):
         a = sample_load_profile(1, 7, ["x"], day_steps=100, noise_amplitude=0.0)
@@ -347,7 +347,7 @@ class TestLoadProfile:
     def test_bounds_hold_over_long_sweep(self):
         lo, hi = 10.0, -10.0
         for step in range(10_000):
-            value = sample_load_profile(3, step, ["x"])["x"]
+            value = sample_load_profile(3, step, ["x"], day_steps=1440, noise_amplitude=0.1)["x"]
             lo, hi = min(lo, value), max(hi, value)
         assert 0.2 <= lo <= hi <= 1.5
 

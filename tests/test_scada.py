@@ -65,12 +65,12 @@ def rig(interrogate=True, binding=BINDING):
     )
     engine = Engine()
     fabric = NetworkFabric(topo, engine, 3)
-    rtu_host = SimHost("rtu1-host", "10.0.0.11")
-    mtu_host = SimHost("mtu-host", "10.0.0.10")
+    rtu_host = SimHost("rtu1-host", "10.0.0.11", {}, frozenset())
+    mtu_host = SimHost("mtu-host", "10.0.0.10", {}, frozenset())
     fabric.register_app("rtu1-host", rtu_host)
     fabric.register_app("mtu-host", mtu_host)
     grid = StaticGrid()
-    rtu = RtuApp(engine, fabric, rtu_host, "rtu1", binding, "10.0.0.10", grid)
+    rtu = RtuApp(engine, fabric, rtu_host, binding, "10.0.0.10", grid, report_offset_ms=20)
     mtu = MtuApp(engine, fabric, mtu_host, {"rtu1": "10.0.0.11"}, interrogate_stale=interrogate)
     rtu_host.scada_app = rtu
     mtu_host.scada_app = mtu
@@ -343,7 +343,7 @@ class TestMtuAgainstFrozenCopy:
         addresses = {station: f"10.0.1.{i}" for i, station in enumerate(stations)}
         engine = Engine()
         fabric = RecordingFabric()
-        host = SimHost("mtu-host", "10.0.0.10")
+        host = SimHost("mtu-host", "10.0.0.10", {}, frozenset())
         host.silenced = silenced
         mtu = MtuApp(engine, fabric, host, addresses, interrogate_stale=interrogate)
         frozen = FrozenMtu(addresses, interrogate, silenced)

@@ -1,8 +1,10 @@
 import pytest
+import yaml
 
 from scadasim.capture import export_csv
+from scadasim.config import load_config_dict
 from scadasim.engine import Engine
-from scadasim.scenario import load_fixture, make_scenario, run_scenario
+from scadasim.scenario import fixture_path, load_fixture, make_scenario, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,21 @@ class TestReferenceRun:
         rtus = reference_result.rtus
         assert rtus["rtu1"].transform is not None
         assert [name for name, rtu in rtus.items() if rtu.transform is not None] == ["rtu1"]
+
+
+class TestRtuStagger:
+    def test_second_rtu_reports_10_ms_after_the_first(self):
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw["scada"]["rtus"].append(dict(raw["scada"]["rtus"][0], station="rtu2", host="ops-host"))
+        result = run_scenario(load_config_dict(raw), seed=1, trace=True)
+        # trace rows as trace.csv holds them: step,offset_ms,seq,target,kind
+        offsets = {}
+        for line in result.trace_lines:
+            _, offset_ms, _, target, kind = line.split(",")
+            if kind == "report":
+                offsets.setdefault(target, set()).add(int(offset_ms))
+        assert offsets == {"rtu:rtu1": {20}, "rtu:rtu2": {30}}
+        assert {station for _, station, *_ in result.mtu.history} == {"rtu1", "rtu2"}
 
 
 class TestDeterminism:
