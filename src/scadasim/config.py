@@ -354,24 +354,48 @@ def _read_hosts(raw, errors: list[str]) -> dict[str, HostEntry]:
     return hosts
 
 
-def _read_scada(raw, errors: list[str]) -> ScadaSection | None:
+def _known_host(raw, where: str, host_ids: set[str], errors: list[str]) -> str | None:
+    """The host node that mapping ``raw`` names under ``host``, checked on the
+    name as read, so that an error in the section's other fields cannot hide it.
+
+    None after appending an error when the name is no host node, and None
+    without one when ``raw`` holds no name: the section's own read reports that.
+    """
+    name = _value(raw["host"], str, where, []) if isinstance(raw, dict) and "host" in raw else None
+    if name is not None and name not in host_ids:
+        errors.append(f"{where}: unknown host {name!r}")
+        return None
+    return name
+
+
+def _read_scada(raw, errors: list[str], grid: GridSection | None,
+                host_ids: set[str]) -> ScadaSection | None:
     start = len(errors)
     if _value(raw, dict, "scada", errors) is None:
         return None
+    # a host holds one SCADA app: a second one would take over its telemetry
+    apps = {_known_host(raw.get("mtu"), "scada.mtu", host_ids, errors): "the MTU"}
     rtus = []
     first_of: dict[str, int] = {}  # station -> index of the RTU that names it first
     for i, r in enumerate(_read(raw, "rtus", list, "scada", errors, []) or []):
         path = f"scada.rtus[{i}]"
+        host = _known_host(r, f"{path}.host", host_ids, errors)
         # an RTU's mapping holds its binding's fields (station, points) too
         binding = _fill(RtuBinding, r, path, errors)
         if binding is None:
             continue
+        if host in apps:
+            errors.append(f"{path}.host: {host!r} already runs {apps[host]}")
+        elif host is not None:
+            apps[host] = f"RTU {binding.station!r}"
         _check_csv_name(f"{path}.station", binding.station, errors)
         if first_of.setdefault(binding.station, i) != i:
             errors.append(f"{path}.station: {binding.station!r} already names "
                           f"scada.rtus[{first_of[binding.station]}]")
         for j, point in enumerate(binding.points):
             _check_csv_name(f"{path}.points[{j}].id", point.point_id, errors)
+        if grid is not None:
+            _checked(path, errors, binding.validate, grid.model)
         rtu = _fill(RtuConfig, r, path, errors, binding=binding)
         if rtu is not None:
             rtu.report_offset_ms += RTU_STAGGER_MS * i
@@ -383,16 +407,19 @@ def _read_scada(raw, errors: list[str]) -> ScadaSection | None:
     return section if len(errors) == start else None
 
 
-def _read_attacker(raw, errors: list[str]) -> AttackerSection | None:
-    start = len(errors)
+def _read_attacker(raw, errors: list[str], host_ids: set[str]) -> AttackerSection | None:
     if _value(raw, dict, "attacker", errors) is None:
         return None
+    _known_host(raw, "attacker", host_ids, errors)
+    start = len(errors)  # after the host check: an unknown host stops no read below
     address_range = _read(raw, "address_range", str | list[str], "attacker", errors)
     port_set = _read(raw, "port_set", str | list[str], "attacker", errors)
     if len(errors) == start:
         address_range = _checked("attacker.address_range", errors, expand_address_range,
                                  address_range)
         port_set = _checked("attacker.port_set", errors, expand_port_set, port_set)
+        if port_set == []:
+            errors.append("attacker: empty port set")
     section = _fill(AttackerSection, raw, "attacker", errors, address_range=address_range,
                     port_set=port_set)
     return section if len(errors) == start else None
@@ -404,44 +431,25 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     errors: list[str] = []
     grid = _read_grid(raw.get("grid", {}), errors)
     topology = _read_topology(raw.get("ict", {}), errors)
+    # cross references; the host set comes from the nodes as read, so these
+    # checks still run (and report) when topology validation itself failed
+    host_ids = {n.node_id for n in topology.nodes if n.kind == "host"} if topology else set()
     hosts = _read_hosts(raw.get("hosts", {}), errors)
-    scada = _read_scada(raw.get("scada", {}), errors)
-    attacker = _read_attacker(raw.get("attacker", {}), errors)
+    scada = _read_scada(raw.get("scada", {}), errors, grid, host_ids)
+    attacker = _read_attacker(raw.get("attacker", {}), errors, host_ids)
     config = _fill(ScenarioConfig, raw, "", errors, grid=grid, topology=topology, hosts=hosts,
                    scada=scada, attacker=attacker)
     ops = config.ops if config is not None else None
 
-    # cross references; the host set comes from the nodes as read, so these
-    # checks still run (and report) when topology validation itself failed
-    host_ids = {n.node_id for n in topology.nodes if n.kind == "host"} if topology else set()
     for node_id in hosts:
         if node_id not in host_ids:
             errors.append(f"hosts.{node_id}: not a host node in ict.nodes")
-    if scada is not None:
-        if scada.mtu_host not in host_ids:
-            errors.append(f"scada.mtu: unknown host {scada.mtu_host!r}")
-        # a host holds one SCADA app: a second one would take over its telemetry
-        apps = {scada.mtu_host: "the MTU"}
-        for i, rtu in enumerate(scada.rtus):
-            if rtu.host not in host_ids:
-                errors.append(f"scada.rtus[{i}].host: unknown host {rtu.host!r}")
-            elif rtu.host in apps:
-                errors.append(f"scada.rtus[{i}].host: {rtu.host!r} already runs {apps[rtu.host]}")
-            else:
-                apps[rtu.host] = f"RTU {rtu.binding.station!r}"
-            if grid is not None:
-                _checked(f"scada.rtus[{i}]", errors, rtu.binding.validate, grid.model)
     if ops is not None:
         if ops.host not in host_ids:
             errors.append(f"ops: unknown host {ops.host!r}")
         for target in ops.http_targets + ops.keepalive_targets + ops.monitor_targets:
             if target not in host_ids:
                 errors.append(f"ops: unknown target host {target!r}")
-    if attacker is not None:
-        if attacker.host not in host_ids:
-            errors.append(f"attacker: unknown host {attacker.host!r}")
-        if not attacker.port_set:
-            errors.append("attacker: empty port set")
     if topology is not None and topology.span is None and raw.get("capture") is not None:
         errors.append("capture: requires ict.span to be configured")
 

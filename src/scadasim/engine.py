@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Callable
 
 MS_PER_STEP = 1000
@@ -47,7 +48,7 @@ class Engine:
     def __init__(self, trace: bool = False):
         self.now = 0
         self._heap: list[tuple[int, int, str, str, Any]] = []
-        self._seq = 0
+        self._seq = count()
         self._handlers: dict[str, Handler] = {}
         self.trace_lines: list[str] | None = [] if trace else None
 
@@ -61,9 +62,7 @@ class Engine:
             raise SimulationError(
                 f"event {event_name(target, kind)} scheduled at {due}ms in the past (clock {self.now}ms)"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (due, seq, target, kind, payload))
+        heappush(self._heap, (due, next(self._seq), target, kind, payload))
 
     def run(self, until_ms: int) -> int:
         """Dispatch every event with due <= until_ms, exactly once; returns their number.

@@ -24,7 +24,7 @@ class NetworkConfigError(ValueError):
     """Topology description is inconsistent."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     sent_at: int  # ms
     src: str
@@ -93,6 +93,9 @@ class IctTopology:
                 if end not in by_id:
                     raise NetworkConfigError(f"link {l.link_id}: unknown node {end!r}")
                 attach_count[end] = attach_count.get(end, 0) + 1
+            if l.endpoint_a == l.endpoint_b:
+                # a flood out of one end would come back in at the other, forever
+                raise NetworkConfigError(f"link {l.link_id}: both ends on {l.endpoint_a!r}")
             if not 0.0 <= l.loss_probability <= 1.0:
                 raise NetworkConfigError(f"link {l.link_id}: loss_probability out of [0,1]")
             if l.latency_ms < 0 or l.bandwidth_bps <= 0:
@@ -114,6 +117,42 @@ class PacketApp(Protocol):
     def on_packet(self, fabric: "NetworkFabric", packet: Packet) -> None: ...
 
 
+class _Port:
+    """One end of a link, as seen from the node that sends through it.
+
+    ``busy_until`` is the time this end's FIFO is busy until; ``back`` is the
+    far end's port on the same link, the ingress port of what this port sends.
+    Both ends share the link's loss RNG.
+    """
+
+    __slots__ = ("link", "far", "back", "busy_until", "rng")
+
+    def __init__(self, link: NetLink, far: "_Node", rng: random.Random):
+        self.link = link
+        self.far = far
+        self.back: _Port | None = None
+        self.busy_until = 0
+        self.rng = rng
+
+
+class _Node:
+    """A node's forwarding state. ``address`` is set on hosts only, so a node
+    without one is a switch or firewall; a MAC table entry is a port."""
+
+    __slots__ = ("node_id", "address", "app", "ports", "mac_table", "blocked", "is_span",
+                 "forwarded")
+
+    def __init__(self, node: NetNode, is_span: bool):
+        self.node_id = node.node_id
+        self.address = node.address if node.kind == "host" else None
+        self.app: PacketApp | None = None
+        self.ports: list[_Port] = []  # in link order, the order a flood takes
+        self.mac_table: dict[str, _Port] = {}
+        self.blocked = node.blocked_prefixes if node.kind == "router_firewall" else ()
+        self.is_span = is_span
+        self.forwarded = 0
+
+
 class NetworkFabric:
     """Engine component owning all packet transport. Target name: ``net``."""
 
@@ -121,58 +160,71 @@ class NetworkFabric:
         topology.validate()
         self.engine = engine
         self.links = {l.link_id: l for l in topology.links}
-        self._links_of: dict[str, list[NetLink]] = {n.node_id: [] for n in topology.nodes}
-        # per (link id, sending node): [far end, time the sender's FIFO is busy until]
-        self._hops: dict[tuple[str, str], list] = {}
+        span_switch = topology.span.switch_id if topology.span is not None else None
+        self._nodes = {n.node_id: _Node(n, n.node_id == span_switch) for n in topology.nodes}
         for link in topology.links:
-            self._links_of[link.endpoint_a].append(link)
-            self._links_of[link.endpoint_b].append(link)
-            self._hops[link.link_id, link.endpoint_a] = [link.endpoint_b, 0]
-            self._hops[link.link_id, link.endpoint_b] = [link.endpoint_a, 0]
-        self._loss_rng = {
-            l.link_id: random.Random(derive_seed(seed, f"link:{l.link_id}")) for l in topology.links
-        }
-        self._host_address = {n.node_id: n.address for n in topology.nodes if n.kind == "host"}
-        self._blocked = {n.node_id: n.blocked_prefixes for n in topology.nodes
-                         if n.kind == "router_firewall"}
-        self._span_switch = topology.span.switch_id if topology.span is not None else None
-        self._mac_table: dict[str, dict[str, str]] = {
-            n.node_id: {} for n in topology.nodes if n.kind != "host"
-        }
-        self._apps: dict[str, PacketApp] = {}
+            rng = random.Random(derive_seed(seed, f"link:{link.link_id}"))
+            a, b = self._nodes[link.endpoint_a], self._nodes[link.endpoint_b]
+            a_port, b_port = _Port(link, b, rng), _Port(link, a, rng)
+            a_port.back, b_port.back = b_port, a_port
+            a.ports.append(a_port)
+            b.ports.append(b_port)
         self.mirror_sink: Callable[[Packet], None] | None = None
-        self.forwarded_by_switch: dict[str, int] = {
-            n.node_id: 0 for n in topology.nodes if n.kind != "host"
-        }
         self.mirrored_count = 0
         self.blocked_count = 0
         engine.register("net", self.handle)
 
+    @property
+    def forwarded_by_switch(self) -> dict[str, int]:
+        """Packets each switch or firewall forwarded, in topology order."""
+        return {n.node_id: n.forwarded for n in self._nodes.values() if n.address is None}
+
     # -- component wiring ---------------------------------------------------
 
     def register_app(self, node_id: str, app: PacketApp) -> None:
-        if node_id not in self._host_address:
+        node = self._nodes.get(node_id)
+        if node is None or node.address is None:
             raise NetworkConfigError(f"cannot register app on {node_id!r}")
-        self._apps[node_id] = app
+        node.app = app
 
     # -- engine event handler -------------------------------------------------
 
     def handle(self, engine: Engine, kind: str, payload) -> None:
-        if kind == "arrival":
-            node_id, packet, ingress_link = payload
-            address = self._host_address.get(node_id)
-            if address is None:
-                self._forward(node_id, packet, ingress_link)
-            elif address == packet.dst:
-                app = self._apps.get(node_id)
-                if app is not None:
-                    app.on_packet(self, packet)
-            # a flooded packet at a host that does not own its address is dropped
-        elif kind == "set_link_state":
+        if kind != "arrival":
+            if kind != "set_link_state":
+                raise NetworkConfigError(f"unknown network event kind {kind!r}")
             link_id, up = payload
             self.set_link_state(link_id, up)
-        else:
-            raise NetworkConfigError(f"unknown network event kind {kind!r}")
+            return
+        node, packet, ingress = payload
+        address = node.address
+        if address is not None:
+            # a host; a flooded packet at one that does not own its address is dropped
+            if address == packet.dst and node.app is not None:
+                node.app.on_packet(self, packet)
+            return
+
+        # a switch or firewall: filter, learn the source port, mirror, then forward or flood
+        for prefix in node.blocked:
+            if packet.src.startswith(prefix) or packet.dst.startswith(prefix):
+                self.blocked_count += 1
+                return
+        table = node.mac_table
+        table[packet.src] = ingress
+        if node.is_span:
+            self.mirrored_count += 1
+            if self.mirror_sink is not None:
+                self.mirror_sink(packet)
+        node.forwarded += 1
+
+        out = table.get(packet.dst)
+        if out is None:
+            for port in node.ports:
+                if port is not ingress:
+                    self.transmit(packet, port)
+        elif out is not ingress:
+            self.transmit(packet, out)
+        # known destination behind the ingress port: nothing to do
 
     # -- sending --------------------------------------------------------------
 
@@ -180,61 +232,36 @@ class NetworkFabric:
                          length_bytes: int, payload: dict) -> Packet:
         """Build a packet from the host's address at the current sim time and push
         it onto the host link."""
-        packet = Packet(self.engine.now, self._host_address[from_node_id], dst_address, protocol,
-                        length_bytes, payload)
-        link = self._links_of[from_node_id][0]
-        self.transmit(packet, link, from_node_id)
+        node = self._nodes[from_node_id]
+        packet = Packet(self.engine.now, node.address, dst_address, protocol, length_bytes,
+                        payload)
+        self.transmit(packet, node.ports[0])
         return packet
 
-    def transmit(self, packet: Packet, link: NetLink, from_node: str) -> None:
-        """Queue one hop of one of this fabric's links: loss/down checks, then
-        FIFO serialization plus latency.
+    def transmit(self, packet: Packet, port: _Port) -> None:
+        """Queue one hop out of ``port``: loss/down checks, then FIFO
+        serialization plus latency.
 
         The link's state, loss, latency and bandwidth are read on every hop,
         so changes to them apply to the next packet.
         """
+        link = port.link
         if not link.up:
             return
         loss = link.loss_probability
-        if loss > 0.0 and self._loss_rng[link.link_id].random() < loss:
+        if loss > 0.0 and port.rng.random() < loss:
             return
-        now_ms = self.engine.now
+        engine = self.engine
+        now_ms = engine.now
         bandwidth = link.bandwidth_bps
         serialization_ms = (packet.length_bytes * 8000 + bandwidth - 1) // bandwidth
-        hop = self._hops[link.link_id, from_node]
-        start_ms = hop[1] if hop[1] > now_ms else now_ms
-        hop[1] = start_ms + serialization_ms
-        self.engine.schedule(hop[1] + link.latency_ms, "net", "arrival",
-                             (hop[0], packet, link.link_id))
+        start_ms = port.busy_until
+        if start_ms < now_ms:
+            start_ms = now_ms
+        port.busy_until = done_ms = start_ms + serialization_ms
+        engine.schedule(done_ms + link.latency_ms, "net", "arrival", (port.far, packet, port.back))
 
     def set_link_state(self, link_id: str, up: bool) -> None:
         if link_id not in self.links:
             raise NetworkConfigError(f"unknown link {link_id!r}")
         self.links[link_id].up = up
-
-    # -- forwarding -------------------------------------------------------------
-
-    def _forward(self, node_id: str, packet: Packet, ingress_link: str) -> None:
-        """A switch or firewall: filter, learn the source port, mirror, then forward or flood."""
-        for prefix in self._blocked.get(node_id, ()):
-            if packet.src.startswith(prefix) or packet.dst.startswith(prefix):
-                self.blocked_count += 1
-                return
-
-        table = self._mac_table[node_id]
-        table[packet.src] = ingress_link
-        if node_id == self._span_switch:
-            self.mirrored_count += 1
-            if self.mirror_sink is not None:
-                self.mirror_sink(packet)
-        self.forwarded_by_switch[node_id] += 1
-
-        out_link_id = table.get(packet.dst)
-        if out_link_id is not None and out_link_id != ingress_link:
-            link = self.links[out_link_id]
-            self.transmit(packet, link, node_id)
-        elif out_link_id is None:
-            for link in self._links_of[node_id]:
-                if link.link_id != ingress_link:
-                    self.transmit(packet, link, node_id)
-        # known destination behind the ingress port: nothing to do

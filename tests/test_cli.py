@@ -209,6 +209,9 @@ def _second_rtu(raw, offset_ms):
                  lambda raw: raw["scada"]["rtus"][0].update(report_offset_ms=-5), id="offset-neg"),
     # the second RTU reports 10 ms after its configured offset
     pytest.param("report_offset_ms", lambda raw: _second_rtu(raw, 990), id="offset-2nd-rtu-990"),
+    # the offset error of that second RTU does not hide that it shares rtu1's host
+    pytest.param("scada.rtus[1].host: 'rtu1-host' already runs RTU 'rtu1'",
+                 lambda raw: _second_rtu(raw, 990), id="offset-2nd-rtu-990-host"),
     # a host holds one SCADA app; the attacker's spoof would reach rtu2 alone
     pytest.param("scada.rtus[1].host", lambda raw: _second_rtu(raw, 0), id="second-rtu-on-one-host"),
     # one engine target per station: a second rtu1 on its own host is refused on reading

@@ -190,6 +190,22 @@ class TestValidation:
         assert len(err.value.errors) == 1
         assert err.value.errors[0].startswith(field)
 
+    @pytest.mark.parametrize("mutate, expected", [
+        pytest.param(lambda raw: raw["attacker"].update(probe_pacing_ms=-1, host="ghost"),
+                     ["attacker.probe_pacing_ms: must be at least 0, got -1",
+                      "attacker: unknown host 'ghost'"], id="attacker-pacing"),
+        pytest.param(lambda raw: raw["scada"]["rtus"][0].update(station="rtu,1", host="ghost"),
+                     ["scada.rtus[0].host: unknown host 'ghost'",
+                      "scada.rtus[0].station: 'rtu,1' holds a comma or line break, "
+                      "which an unquoted CSV cannot carry"], id="rtu-station-comma"),
+    ])
+    def test_field_error_does_not_hide_the_sections_host_error(self, mutate, expected):
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        mutate(raw)
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert sorted(err.value.errors) == sorted(expected)
+
     @pytest.mark.parametrize("address", ["x", "10.0.0", "10.0.0.256", ""])
     def test_node_address_must_be_an_ip_address(self, address):
         # the attacker's address range could never reach such a node

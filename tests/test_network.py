@@ -1,8 +1,13 @@
+import copy
 import math
+import random
+from typing import Callable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scadasim.engine import Engine
+from scadasim.engine import Engine, derive_seed
 from scadasim.network import (
     IctTopology,
     NetLink,
@@ -10,6 +15,7 @@ from scadasim.network import (
     NetworkConfigError,
     NetworkFabric,
     Packet,
+    PacketApp,
     SpanConfig,
 )
 
@@ -71,6 +77,15 @@ class TestTopologyValidation:
             links=[NetLink("l1", "a", "sw"), NetLink("l2", "a", "sw2")],
         )
         with pytest.raises(NetworkConfigError, match="exactly one link"):
+            topo.validate()
+
+    def test_link_with_both_ends_on_one_node_rejected(self):
+        # a flood out of one end of the link would come back in at the other
+        topo = IctTopology(
+            nodes=[NetNode("a", "host", "10.0.0.1"), NetNode("sw", "switch")],
+            links=[NetLink("l1", "a", "sw"), NetLink("l2", "sw", "sw")],
+        )
+        with pytest.raises(NetworkConfigError, match="both ends on 'sw'"):
             topo.validate()
 
     def test_span_must_name_a_switch(self):
@@ -334,3 +349,208 @@ class TestSpecExamples:
         # first request flooded through the core (unknown dst); the learned
         # reply and second request stay on the edge segment
         assert len(mirrored) == 1
+
+
+# ---------------------------------------------------------------------------
+# frozen oracle: the fabric keyed by node and link ids in dicts that the node
+# and port objects replaced, kept verbatim in what it schedules and when
+# ---------------------------------------------------------------------------
+
+class DictKeyedFabric:
+    """NetworkFabric as it was before nodes and ports became objects."""
+
+    def __init__(self, topology: IctTopology, engine: Engine, seed: int):
+        topology.validate()
+        self.engine = engine
+        self.links = {l.link_id: l for l in topology.links}
+        self._links_of: dict[str, list[NetLink]] = {n.node_id: [] for n in topology.nodes}
+        # per (link id, sending node): [far end, time the sender's FIFO is busy until]
+        self._hops: dict[tuple[str, str], list] = {}
+        for link in topology.links:
+            self._links_of[link.endpoint_a].append(link)
+            self._links_of[link.endpoint_b].append(link)
+            self._hops[link.link_id, link.endpoint_a] = [link.endpoint_b, 0]
+            self._hops[link.link_id, link.endpoint_b] = [link.endpoint_a, 0]
+        self._loss_rng = {
+            l.link_id: random.Random(derive_seed(seed, f"link:{l.link_id}")) for l in topology.links
+        }
+        self._host_address = {n.node_id: n.address for n in topology.nodes if n.kind == "host"}
+        self._blocked = {n.node_id: n.blocked_prefixes for n in topology.nodes
+                         if n.kind == "router_firewall"}
+        self._span_switch = topology.span.switch_id if topology.span is not None else None
+        self._mac_table: dict[str, dict[str, str]] = {
+            n.node_id: {} for n in topology.nodes if n.kind != "host"
+        }
+        self._apps: dict[str, PacketApp] = {}
+        self.mirror_sink: Callable[[Packet], None] | None = None
+        self.forwarded_by_switch: dict[str, int] = {
+            n.node_id: 0 for n in topology.nodes if n.kind != "host"
+        }
+        self.mirrored_count = 0
+        self.blocked_count = 0
+        engine.register("net", self.handle)
+
+    # -- component wiring ---------------------------------------------------
+
+    def register_app(self, node_id: str, app: PacketApp) -> None:
+        if node_id not in self._host_address:
+            raise NetworkConfigError(f"cannot register app on {node_id!r}")
+        self._apps[node_id] = app
+
+    # -- engine event handler -------------------------------------------------
+
+    def handle(self, engine: Engine, kind: str, payload) -> None:
+        if kind == "arrival":
+            node_id, packet, ingress_link = payload
+            address = self._host_address.get(node_id)
+            if address is None:
+                self._forward(node_id, packet, ingress_link)
+            elif address == packet.dst:
+                app = self._apps.get(node_id)
+                if app is not None:
+                    app.on_packet(self, packet)
+            # a flooded packet at a host that does not own its address is dropped
+        elif kind == "set_link_state":
+            link_id, up = payload
+            self.set_link_state(link_id, up)
+        else:
+            raise NetworkConfigError(f"unknown network event kind {kind!r}")
+
+    # -- sending --------------------------------------------------------------
+
+    def send_app_message(self, from_node_id: str, dst_address: str, protocol: str,
+                         length_bytes: int, payload: dict) -> Packet:
+        """Build a packet from the host's address at the current sim time and push
+        it onto the host link."""
+        packet = Packet(self.engine.now, self._host_address[from_node_id], dst_address, protocol,
+                        length_bytes, payload)
+        link = self._links_of[from_node_id][0]
+        self.transmit(packet, link, from_node_id)
+        return packet
+
+    def transmit(self, packet: Packet, link: NetLink, from_node: str) -> None:
+        """Queue one hop of one of this fabric's links: loss/down checks, then
+        FIFO serialization plus latency.
+
+        The link's state, loss, latency and bandwidth are read on every hop,
+        so changes to them apply to the next packet.
+        """
+        if not link.up:
+            return
+        loss = link.loss_probability
+        if loss > 0.0 and self._loss_rng[link.link_id].random() < loss:
+            return
+        now_ms = self.engine.now
+        bandwidth = link.bandwidth_bps
+        serialization_ms = (packet.length_bytes * 8000 + bandwidth - 1) // bandwidth
+        hop = self._hops[link.link_id, from_node]
+        start_ms = hop[1] if hop[1] > now_ms else now_ms
+        hop[1] = start_ms + serialization_ms
+        self.engine.schedule(hop[1] + link.latency_ms, "net", "arrival",
+                             (hop[0], packet, link.link_id))
+
+    def set_link_state(self, link_id: str, up: bool) -> None:
+        if link_id not in self.links:
+            raise NetworkConfigError(f"unknown link {link_id!r}")
+        self.links[link_id].up = up
+
+    # -- forwarding -------------------------------------------------------------
+
+    def _forward(self, node_id: str, packet: Packet, ingress_link: str) -> None:
+        """A switch or firewall: filter, learn the source port, mirror, then forward or flood."""
+        for prefix in self._blocked.get(node_id, ()):
+            if packet.src.startswith(prefix) or packet.dst.startswith(prefix):
+                self.blocked_count += 1
+                return
+
+        table = self._mac_table[node_id]
+        table[packet.src] = ingress_link
+        if node_id == self._span_switch:
+            self.mirrored_count += 1
+            if self.mirror_sink is not None:
+                self.mirror_sink(packet)
+        self.forwarded_by_switch[node_id] += 1
+
+        out_link_id = table.get(packet.dst)
+        if out_link_id is not None and out_link_id != ingress_link:
+            link = self.links[out_link_id]
+            self.transmit(packet, link, node_id)
+        elif out_link_id is None:
+            for link in self._links_of[node_id]:
+                if link.link_id != ingress_link:
+                    self.transmit(packet, link, node_id)
+        # known destination behind the ingress port: nothing to do
+
+
+ADDRESSES = [f"10.0.0.{i}" for i in range(1, 7)]
+
+
+@st.composite
+def fabric_cases(draw):
+    """A tree of 1-3 switches, optionally one firewall, 2-6 hosts; links in a
+    drawn order with drawn loss, latency and bandwidth; an optional SPAN port;
+    scheduled link flaps and sends, some to an address no host owns."""
+    nodes, ends = [], []
+    forwarders = [f"sw{i}" for i in range(draw(st.integers(1, 3)))]
+    for i, switch in enumerate(forwarders):
+        nodes.append(NetNode(switch, "switch"))
+        if i:
+            ends.append((draw(st.sampled_from(forwarders[:i])), switch))
+    if draw(st.booleans()):
+        prefixes = draw(st.lists(st.sampled_from(["10.0.0.1", "10.0.0.4", "10.9."]),
+                                 max_size=2, unique=True))
+        nodes.append(NetNode("fw", "router_firewall", blocked_prefixes=tuple(prefixes)))
+        ends.append((draw(st.sampled_from(forwarders)), "fw"))
+        forwarders.append("fw")
+    hosts = [f"h{i}" for i in range(draw(st.integers(2, 6)))]
+    for host, address in zip(hosts, ADDRESSES):
+        nodes.append(NetNode(host, "host", address))
+        ends.append((draw(st.sampled_from(forwarders)), host))
+    links = []
+    for k in draw(st.permutations(range(len(ends)))):
+        a, b = ends[k] if draw(st.booleans()) else ends[k][::-1]
+        links.append(NetLink(
+            f"l{k}", a, b, latency_ms=draw(st.integers(0, 5)),
+            loss_probability=draw(st.sampled_from([0.0, 0.0, 0.2, 0.5])),
+            bandwidth_bps=draw(st.sampled_from([64_000, 1_000_000, 10_000_000]))))
+    span = None
+    if draw(st.booleans()):
+        span = SpanConfig(draw(st.sampled_from(forwarders)), draw(st.sampled_from(hosts)))
+    topology = IctTopology(nodes, links, span)
+    flaps = draw(st.lists(st.tuples(st.integers(0, 200), st.sampled_from([l.link_id for l in links]),
+                                    st.booleans()), max_size=4))
+    destinations = ADDRESSES[:len(hosts)] + ["10.0.0.99", "10.9.0.1"]
+    sends = draw(st.lists(st.tuples(st.integers(0, 200), st.sampled_from(hosts),
+                                    st.sampled_from(destinations), st.integers(20, 1500)),
+                          min_size=1, max_size=12))
+    return topology, flaps, sends
+
+
+def run_fabric(fabric_cls, topology, flaps, sends, seed):
+    """Trace lines, per-host deliveries (time, packet), mirrored packets and counters."""
+    engine = Engine(trace=True)
+    fabric = fabric_cls(copy.deepcopy(topology), engine, seed)
+    deliveries = {}
+    for node in topology.nodes:
+        if node.kind == "host":
+            deliveries[node.node_id] = sink = Sink()
+            fabric.register_app(node.node_id, sink)
+    mirrored = []
+    fabric.mirror_sink = mirrored.append
+    engine.register("src", lambda e, kind, payload: fabric.send_app_message(*payload))
+    for at, link_id, up in flaps:
+        engine.schedule(at, "net", "set_link_state", (link_id, up))
+    for n, (at, host, dst, length) in enumerate(sends):
+        engine.schedule(at, "src", "send", (host, dst, "OTHER", length, {"n": n}))
+    engine.run(10_000)
+    return (engine.trace_lines,
+            {h: list(zip(s.arrived_at, s.received)) for h, s in deliveries.items()},
+            mirrored, fabric.mirrored_count, fabric.blocked_count, fabric.forwarded_by_switch)
+
+
+class TestAgainstDictKeyedFabric:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=fabric_cases(), seed=st.integers(0, 3))
+    def test_same_events_deliveries_and_counts(self, case, seed):
+        expected = run_fabric(DictKeyedFabric, *case, seed)
+        assert run_fabric(NetworkFabric, *case, seed) == expected
