@@ -169,22 +169,20 @@ def expand_address_range(spec) -> list[str]:
 
 
 def expand_port_set(spec) -> list[int]:
-    """Accept 'lo-hi' strings, single ints, or lists mixing both."""
+    """Accept single ports and 'lo-hi' inclusive spans, alone or in a list."""
     items = spec if isinstance(spec, list) else [spec]
     ports: list[int] = []
     for item in items:
-        if isinstance(item, int):
-            ports.append(item)
-            continue
         text = str(item)
-        if "-" in text:
-            lo_s, hi_s = text.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError(f"port range {text!r} runs backwards")
-            ports.extend(range(lo, hi + 1))
-        else:
-            ports.append(int(text))
+        lo_s, dash, hi_s = text.partition("-")
+        try:
+            lo = int(lo_s)
+            hi = int(hi_s) if dash else lo
+        except ValueError:
+            raise ValueError(f"port item {text!r} is neither a port nor a 'lo-hi' range") from None
+        if hi < lo:
+            raise ValueError(f"port range {text!r} runs backwards")
+        ports.extend(range(lo, hi + 1))
     for p in ports:
         if not 1 <= p <= 65535:
             raise ValueError(f"port {p} out of range")
@@ -439,17 +437,18 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     attacker = _read_attacker(raw.get("attacker", {}), errors, host_ids)
     config = _fill(ScenarioConfig, raw, "", errors, grid=grid, topology=topology, hosts=hosts,
                    scada=scada, attacker=attacker)
-    ops = config.ops if config is not None else None
 
     for node_id in hosts:
         if node_id not in host_ids:
             errors.append(f"hosts.{node_id}: not a host node in ict.nodes")
-    if ops is not None:
-        if ops.host not in host_ids:
-            errors.append(f"ops: unknown host {ops.host!r}")
-        for target in ops.http_targets + ops.keepalive_targets + ops.monitor_targets:
-            if target not in host_ids:
-                errors.append(f"ops: unknown target host {target!r}")
+    # ops's host names, checked as read, so that no field error hides them
+    ops = raw.get("ops")
+    if isinstance(ops, dict):
+        _known_host(ops, "ops", host_ids, errors)
+        for key in ("http_targets", "keepalive_targets", "monitor_targets"):
+            for target in _value(ops.get(key, []), list[str], key, []) or []:
+                if target is not None and target not in host_ids:
+                    errors.append(f"ops: unknown target host {target!r}")
     if topology is not None and topology.span is None and raw.get("capture") is not None:
         errors.append("capture: requires ict.span to be configured")
 

@@ -54,10 +54,6 @@ class FeatureDictionary:
     FIELDS = ("src_codes", "dst_codes", "protocol_codes", "length_min", "length_max")
 
     @classmethod
-    def build(cls, records: list[LabeledRecord]) -> "FeatureDictionary":
-        return cls._from_keys(_distinct_keys(records)[0])
-
-    @classmethod
     def _from_keys(cls, keys: dict[tuple, int]) -> "FeatureDictionary":
         """Codes in first-seen order over the distinct keys, which is their
         first-seen order over the records; the lengths' range is theirs too."""

@@ -154,10 +154,10 @@ class _Node:
 
 
 class NetworkFabric:
-    """Engine component owning all packet transport. Target name: ``net``."""
+    """Engine component owning all packet transport over a topology that passed
+    ``IctTopology.validate``. Target name: ``net``."""
 
     def __init__(self, topology: IctTopology, engine: Engine, seed: int):
-        topology.validate()
         self.engine = engine
         self.links = {l.link_id: l for l in topology.links}
         span_switch = topology.span.switch_id if topology.span is not None else None

@@ -161,7 +161,8 @@ class RtuBinding:
 # ---------------------------------------------------------------------------
 
 class Feeder:
-    """A validated grid, prepared once for repeated backward/forward sweeps.
+    """A grid that passed ``GridModel.validate``, prepared once for repeated
+    backward/forward sweeps.
 
     Buses are indexed in ``grid.buses`` order and edges in BFS order from the
     slack; each step then sweeps over plain lists. The float operations and
@@ -170,7 +171,6 @@ class Feeder:
     """
 
     def __init__(self, grid: GridModel):
-        grid.validate()
         tx = grid.transformer
         self.s_base = tx.rating_kva
         self.bus_ids = [b.bus_id for b in grid.buses]
@@ -301,36 +301,6 @@ class Feeder:
         return voltage, branch_current, converged, iterations
 
 
-def check_power_balance(
-    grid: GridModel,
-    load_scaling: dict[str, float] | None = None,
-    der_scaling: dict[str, float] | None = None,
-) -> float:
-    """Solve tightly, then return the worst per-bus power mismatch in per-unit.
-
-    For every non-slack bus the power arriving over the parent edge must equal
-    the local net consumption plus the power sent down every child edge.
-    """
-    feeder = Feeder(grid)
-    s_net = feeder._injections(load_scaling, der_scaling)
-    voltage, branch_current, converged, _ = feeder._sweep(s_net, 1e-10, 500)
-    if not converged:
-        raise GridConfigError("power balance check: sweep did not converge")
-
-    children_of: dict[int, list[int]] = {}
-    for k, (parent, _, _, _) in enumerate(feeder.edges):
-        children_of.setdefault(parent, []).append(k)
-    worst = 0.0
-    for k, (_, child, _, _) in enumerate(feeder.edges):
-        received = voltage[child] * branch_current[k].conjugate()
-        sent_down = sum(
-            (voltage[child] * branch_current[e].conjugate() for e in children_of.get(child, [])),
-            start=0j,
-        )
-        worst = max(worst, abs(received - s_net[child] - sent_down))
-    return worst
-
-
 def sample_load_profile(
     seed: int,
     step: int,
@@ -357,24 +327,14 @@ def sample_load_profile(
 def measurements_for(
     binding: RtuBinding, solution: PowerFlowSolution
 ) -> list[tuple[str, str, float]]:
-    """Copy the bound quantities out of a converged solution as
-    (point_id, quantity, value) points."""
-    if not solution.converged:
-        raise GridConfigError("measurements requested from a non-converged solution")
+    """Copy the bound quantities out of a solution as (point_id, quantity, value)
+    points; the binding was validated against the solution's grid."""
     values = {
         "transformer_loading_percent": solution.transformer_loading_percent,
         "P_kW": solution.transformer_p_kw,
         "Q_kvar": solution.transformer_q_kvar,
     }
-    out = []
-    for pt in binding.points:
-        if pt.quantity == "V_pu":
-            if pt.element not in solution.bus_voltage_pu:
-                raise GridConfigError(f"binding {pt.point_id}: unknown bus {pt.element!r}")
-            value = solution.bus_voltage_pu[pt.element]
-        else:
-            if pt.quantity not in values:
-                raise GridConfigError(f"binding {pt.point_id}: unknown quantity {pt.quantity!r}")
-            value = values[pt.quantity]
-        out.append((pt.point_id, pt.quantity, value))
-    return out
+    voltages = solution.bus_voltage_pu
+    return [(pt.point_id, pt.quantity,
+             voltages[pt.element] if pt.quantity == "V_pu" else values[pt.quantity])
+            for pt in binding.points]

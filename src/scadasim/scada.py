@@ -104,8 +104,6 @@ class RtuApp:
 
     def apply_manipulate(self, transform: dict[str, tuple[float, float]]) -> None:
         """Affine per-quantity transform applied to all subsequent reports."""
-        if not transform:
-            raise ValueError("manipulate effect requires a transform")
         self.transform = dict(transform)
 
 
@@ -189,7 +187,3 @@ class MtuApp:
             self.history.append(
                 (step, station, point_id, quantity, value, station in stale_stations)
             )
-
-    def value(self, station: str, point_id: str) -> float | None:
-        entry = self.table.get((station, point_id))
-        return None if entry is None else entry[1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .attacker import AttackerComponent
-from .capture import LabeledDataset, TrafficCollector, check_balance, label_records
+from .capture import LabeledDataset, TrafficCollector, label_records
 from .config import HostEntry, ScenarioConfig, load_config
 from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
@@ -295,18 +295,8 @@ def load_fixture(spec) -> ScenarioConfig:
         path = fixture_path(name)
         if path.is_file():
             return load_config(str(path))
-    return load_config(str(spec))
-
-
-def make_scenario(scenario_id: int, seed: int) -> LabeledDataset:
-    """Run one of the six reference scenarios end to end and return its dataset.
-
-    Raises CalibrationError when the achieved attack share misses the
-    fixture's balance target.
-    """
-    if scenario_id not in range(1, 7):
-        raise ValueError(f"scenario_id must be 1..6, got {scenario_id}")
-    config = load_fixture(scenario_id)
-    dataset = run_scenario(config, seed=seed).dataset
-    check_balance(scenario_id, config.capture.balance_target, dataset)
-    return dataset
+    try:
+        return load_config(str(spec))
+    except FileNotFoundError:
+        raise FileNotFoundError(f"scenario {str(spec)!r}: not a shipped fixture (1..6, "
+                                f"reference), and no file at {str(spec)!r}") from None

@@ -32,9 +32,10 @@ from scadasim.powergrid import (
     Line,
     Load,
     Transformer,
-    check_power_balance,
 )
 from scadasim.scenario import load_fixture, run_scenario
+
+from power_balance import check_power_balance
 
 SEEDS = list(range(10))
 TABLE1_ATTACK_SHARES = {1: 98.05, 2: 97.75, 3: 98.01, 4: 72.80, 5: 71.86, 6: 71.02}

@@ -20,12 +20,17 @@ from scadasim.capture import (
     import_csv,
     label_records,
 )
-from scadasim.ids.models import FeatureDictionary, train_model
+from scadasim.ids.models import FeatureDictionary, _distinct_keys, train_model
 from scadasim.network import Packet
 from scadasim.writers import BLOCK_ROWS
 
 
 ATTACKER = "10.0.0.66"
+
+
+def dictionary_of(records):
+    """The feature dictionary that ``train_model`` freezes from ``records``."""
+    return FeatureDictionary._from_keys(_distinct_keys(records)[0])
 
 
 def snap(time_ms, src=ATTACKER, dst="10.0.0.11",
@@ -127,14 +132,14 @@ class TestFeatures:
             LabeledRecord(1, "b", "m", "HTTP", 300, "normal"),
             LabeledRecord(2, "a", "n", "SCADA", 25, "normal"),
         ]
-        fd = FeatureDictionary.build(records)
+        fd = dictionary_of(records)
         assert fd.src_codes == {"a": 1, "b": 2}
         assert fd.dst_codes == {"m": 1, "n": 2}
         assert fd.protocol_codes == {"SCADA": 1, "HTTP": 2}
 
     def test_unseen_category_maps_to_zero(self):
         train = [LabeledRecord(0, "a", "m", "SCADA", 61, "normal")]
-        fd = FeatureDictionary.build(train)
+        fd = dictionary_of(train)
         row = fd.encode([LabeledRecord(5, "zz", "m", "SSH", 61, "normal")])[0]
         assert row[0] == 0.0  # unseen src
         assert row[1] == 1.0
@@ -145,7 +150,7 @@ class TestFeatures:
             LabeledRecord(0, "a", "m", "SCADA", 25, "normal"),
             LabeledRecord(1, "a", "m", "SCADA", 525, "normal"),
         ]
-        fd = FeatureDictionary.build(train)
+        fd = dictionary_of(train)
         rows = fd.encode(train + [LabeledRecord(2, "a", "m", "SCADA", 275, "normal")])
         assert rows[0][3] == 0.0
         assert rows[1][3] == 1.0
@@ -153,7 +158,7 @@ class TestFeatures:
 
     def test_degenerate_length_span_encodes_zero(self):
         train = [LabeledRecord(0, "a", "m", "SCADA", 61, "normal")] * 3
-        fd = FeatureDictionary.build(train)
+        fd = dictionary_of(train)
         assert fd.encode(train)[:, 3].tolist() == [0.0, 0.0, 0.0]
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -167,7 +172,7 @@ class TestFeatures:
         # the test set repeats records and holds values (and lengths) training never saw
         test = data.draw(st.lists(st.one_of(st.sampled_from(train), record) if train else record,
                                   max_size=30), label="test")
-        fd = FeatureDictionary.build(train)
+        fd = dictionary_of(train)
 
         codes = ({}, {}, {})
         for r in train:

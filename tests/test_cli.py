@@ -125,6 +125,13 @@ class TestSimulate:
         assert run_cli("simulate", "--scenario", str(tmp_path / "nope.yaml"),
                        "--out", str(tmp_path / "o")) == 2
 
+    def test_unknown_scenario_number_exits_2_naming_the_fixtures(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert run_cli("simulate", "--scenario", "9", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "1..6" in err and "reference" in err and "'9'" in err
+        assert not out.exists()
+
     def test_directory_as_scenario_exits_2_naming_path(self, tmp_path, capsys):
         assert run_cli("simulate", "--scenario", str(tmp_path),
                        "--out", str(tmp_path / "o")) == 2

@@ -83,6 +83,15 @@ class TestHelpers:
         with pytest.raises(ValueError, match="out of range"):
             expand_port_set([0])
 
+    @pytest.mark.parametrize("item", [-5, "80-", "a"])
+    def test_port_set_error_names_the_item(self, item):
+        raw = minimal_raw()
+        raw["attacker"]["port_set"] = [80, item]
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == [f"attacker.port_set: port item {str(item)!r} "
+                                    "is neither a port nor a 'lo-hi' range"]
+
 
 class TestValidation:
     def test_minimal_config_loads(self):
@@ -179,6 +188,11 @@ class TestValidation:
                      id="unknown-host"),
         pytest.param(lambda rtu: rtu["points"][0].update(element="ghost-tx"), "scada.rtus[0]: ",
                      id="unknown-element"),
+        pytest.param(lambda rtu: rtu["points"][0].update(quantity="I_A"),
+                     "scada.rtus[0]: binding m1: unknown quantity 'I_A'",
+                     id="unknown-quantity"),
+        pytest.param(lambda rtu: rtu["points"][0].update(quantity="V_pu", element="ghost-bus"),
+                     "scada.rtus[0]: binding m1: unknown bus 'ghost-bus'", id="unknown-bus"),
         pytest.param(lambda rtu: rtu.update(report_offset_ms=1000),
                      "scada.rtus[0].report_offset_ms: ", id="offset-1000"),
     ])
@@ -198,6 +212,17 @@ class TestValidation:
                      ["scada.rtus[0].host: unknown host 'ghost'",
                       "scada.rtus[0].station: 'rtu,1' holds a comma or line break, "
                       "which an unquoted CSV cannot carry"], id="rtu-station-comma"),
+        # a field error outside ops, or in ops itself, hides none of ops's host checks
+        pytest.param(lambda raw: (raw.update(format_version=7), raw["ops"].update(host="ghost")),
+                     ["format_version: must be in [1, 1], got 7",
+                      "ops: unknown host 'ghost'"], id="top-level-version"),
+        pytest.param(lambda raw: (raw["capture"].update(balance_target="x"),
+                                  raw["ops"].update(http_targets=["ghost"])),
+                     ["capture.balance_target: expected a number, got 'x'",
+                      "ops: unknown target host 'ghost'"], id="capture-balance-target"),
+        pytest.param(lambda raw: raw["ops"].update(http_period_steps=0, host="ghost"),
+                     ["ops.http_period_steps: must be at least 1, got 0",
+                      "ops: unknown host 'ghost'"], id="ops-period"),
     ])
     def test_field_error_does_not_hide_the_sections_host_error(self, mutate, expected):
         raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))

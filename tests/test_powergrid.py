@@ -17,10 +17,11 @@ from scadasim.powergrid import (
     PowerFlowSolution,
     RtuBinding,
     Transformer,
-    check_power_balance,
     measurements_for,
     sample_load_profile,
 )
+
+from power_balance import check_power_balance
 
 
 def feeder(loads=(), ders=(), lines=(), buses=()):

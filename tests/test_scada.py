@@ -109,8 +109,8 @@ class TestReporting:
     def test_report_cycle_fills_mtu_table_with_true_values(self):
         engine, fabric, rtu, mtu, grid = rig()
         engine.run(5999)
-        assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
-        assert mtu.value("rtu1", "m1") == grid.solution.transformer_loading_percent
+        assert mtu.table[("rtu1", "m2")][1] == grid.solution.transformer_p_kw
+        assert mtu.table[("rtu1", "m1")][1] == grid.solution.transformer_loading_percent
         assert mtu.out_of_order_count == 0
 
     def test_points_of_the_same_quantity_keep_their_own_ids(self):
@@ -120,8 +120,8 @@ class TestReporting:
         engine, fabric, rtu, mtu, grid = rig(binding=binding)
         engine.run(1999)
         assert sorted(point_id for _, point_id in mtu.table) == ["va", "vb"]
-        assert mtu.value("rtu1", "va") == grid.solution.bus_voltage_pu["lv"]
-        assert mtu.value("rtu1", "vb") == grid.solution.bus_voltage_pu["b2"]
+        assert mtu.table[("rtu1", "va")][1] == grid.solution.bus_voltage_pu["lv"]
+        assert mtu.table[("rtu1", "vb")][1] == grid.solution.bus_voltage_pu["b2"]
 
     def test_one_report_per_cycle_with_strictly_increasing_sequence(self):
         engine, fabric, rtu, mtu, grid = rig()
@@ -133,9 +133,9 @@ class TestReporting:
         engine, fabric, rtu, mtu, grid = rig()
         rtu.apply_manipulate({"P_kW": (0.5, 0.0)})
         engine.run(3999)
-        assert mtu.value("rtu1", "m2") == pytest.approx(grid.solution.transformer_p_kw * 0.5)
+        assert mtu.table[("rtu1", "m2")][1] == pytest.approx(grid.solution.transformer_p_kw * 0.5)
         # untransformed quantity passes through
-        assert mtu.value("rtu1", "m1") == grid.solution.transformer_loading_percent
+        assert mtu.table[("rtu1", "m1")][1] == grid.solution.transformer_loading_percent
 
     def test_identity_transform_reports_true_values_unflagged(self):
         engine, fabric, rtu, mtu, grid = rig()
@@ -144,7 +144,7 @@ class TestReporting:
         engine.run(2999)
         reports = [p for p in captured if p.payload.get("type") == "telemetry_report"]
         assert reports and all(p.payload["manipulated"] is False for p in reports)
-        assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
+        assert mtu.table[("rtu1", "m2")][1] == grid.solution.transformer_p_kw
 
     def test_dos_stops_all_reports_after_activation(self):
         engine, fabric, rtu, mtu, grid = rig(interrogate=False)
@@ -179,15 +179,7 @@ class TestCompromiseHooks:
         assert mtu.host.silenced is False
         engine.run(3999)
         assert sorted({row[0] for row in mtu.history}) == [0, 1, 2, 3]  # one check per step
-        assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
-
-    def test_spoof_without_a_quantity_is_refused(self):
-        engine, fabric, rtu, mtu, grid = rig()
-        session = root_session(rtu.host)
-        with pytest.raises(ValueError, match="manipulate effect requires a transform"):
-            rtu.host.exec_command(session, "spoof")
-        engine.run(2999)
-        assert mtu.value("rtu1", "m2") == grid.solution.transformer_p_kw
+        assert mtu.table[("rtu1", "m2")][1] == grid.solution.transformer_p_kw
 
 
 class TestMtuIngest:
@@ -196,7 +188,7 @@ class TestMtuIngest:
         assert mtu.ingest(report("rtu1", 5, [("m2", "P_kW", 60.0)])) is True
         assert mtu.ingest(report("rtu1", 5, [("m2", "P_kW", 30.0)])) is True  # acked but ignored
         assert mtu.ingest(report("rtu1", 4, [("m2", "P_kW", 10.0)])) is True
-        assert mtu.value("rtu1", "m2") == 60.0
+        assert mtu.table[("rtu1", "m2")][1] == 60.0
         assert mtu.out_of_order_count == 2
 
     def test_malformed_frame_counted_and_dropped(self):

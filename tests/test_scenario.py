@@ -1,10 +1,10 @@
 import pytest
 import yaml
 
-from scadasim.capture import export_csv
+from scadasim.capture import check_balance, export_csv
 from scadasim.config import load_config_dict
 from scadasim.engine import Engine
-from scadasim.scenario import fixture_path, load_fixture, make_scenario, run_scenario
+from scadasim.scenario import fixture_path, load_fixture, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -168,12 +168,10 @@ class TestScenarioShapes:
         assert all(r.label == "normal" for r in warmup)
 
 
-class TestMakeScenario:
-    def test_make_scenario_checks_balance_and_returns_dataset(self):
-        ds = make_scenario(4, seed=2)
-        assert ds.records == run_scenario(load_fixture(4), seed=2).dataset.records
+class TestBalance:
+    def test_fixture_run_passes_its_balance_check(self):
+        # what `simulate` does: run the fixture, then check its attack share
+        config = load_fixture(4)
+        ds = run_scenario(config, seed=2).dataset
+        check_balance(config.scenario_id, config.capture.balance_target, ds)
         assert abs(ds.balance[0] - 72.80) <= 3.0
-
-    def test_make_scenario_rejects_bad_id(self):
-        with pytest.raises(ValueError, match="1..6"):
-            make_scenario(9, seed=0)
