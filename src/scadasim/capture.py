@@ -3,8 +3,8 @@
 Labeling rule: a record is attack when its source address is the attacker's
 (the stage is whatever attack stage was active when it was sent), or when it is
 an RTU measurement report emitted under an active manipulation effect (stage
-S4, toggleable). Everything else is normal. Records outside the ground-truth log
-coverage are a hard error, never a guess.
+S4, toggleable). Everything else is normal. An attacker record sent before the
+first attack stage is a hard error, never a guess.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ _ROW_STAGE = {("normal", ""): None, **{("attack", tag): tag for tag in STAGE_TAG
 
 
 class LabelingError(RuntimeError):
-    """A captured record falls outside ground-truth log coverage."""
+    """An attacker record precedes the first logged attack stage."""
 
 
 class DatasetFormatError(ValueError):
@@ -100,7 +100,6 @@ def label_records(
     snapshots: list[CapturedPacket],
     attacker_address: str,
     stage_times: list[tuple[int, str]],
-    coverage_end_ms: int,
     label_manipulated_reports: bool = True,
 ) -> list[LabeledRecord]:
     """Apply the ground-truth labeling rule to collected snapshots."""
@@ -108,10 +107,6 @@ def label_records(
     times = [ms for ms, _ in transitions]
     out: list[LabeledRecord] = []
     for time_ms, src, dst, protocol, length_bytes, manipulated in snapshots:
-        if time_ms > coverage_end_ms:
-            raise LabelingError(
-                f"record at {time_ms}ms is outside log coverage (ends {coverage_end_ms}ms)"
-            )
         if src == attacker_address:
             idx = bisect.bisect_right(times, time_ms) - 1
             if idx < 0:

@@ -6,7 +6,7 @@ the first. Cross-references (bus ids, host ids, link endpoints, bindings) must
 all resolve before a simulation is allowed to start.
 
 The dataclasses are the schema: ``_fill`` reads each field with its annotated
-type, its default and its ``_bounded`` bounds, and never raises.
+type, its default and its ``_bounded`` bounds, refuses other keys, and never raises.
 """
 
 from __future__ import annotations
@@ -252,11 +252,19 @@ def _read(raw: dict, key, kind, path: str, errors: list[str], default=MISSING,
     return default
 
 
-def _fill(cls, raw, path: str, errors: list[str], /, **given):
+def _check_keys(raw: dict, keys, path: str, errors: list[str]) -> None:
+    """Refuse each key of mapping ``raw`` outside ``keys``: a misspelt key
+    would otherwise leave its setting at the default without a word."""
+    where = f"{path}." if path else ""
+    errors.extend(f"{where}{key}: unknown key" for key in raw if key not in keys)
+
+
+def _fill(cls, raw, path: str, errors: list[str], hand_read=(), /, **given):
     """An instance of dataclass ``cls`` read from mapping ``raw`` at ``path``.
 
     Each field not in ``given`` is read under its YAML key (its name, or its
     ``_KEYS`` entry) with its annotated type, default and ``_bounded`` bounds.
+    Any other key is refused, unless it is one the caller reads (``hand_read``).
     Returns None after appending errors, including a ValueError raised by the
     class's own validation.
     """
@@ -264,11 +272,14 @@ def _fill(cls, raw, path: str, errors: list[str], /, **given):
     if _value(raw, dict, path, errors) is None:
         return None
     hints = _hints(cls)
+    keys = set(hand_read)
     for f in fields(cls):
         if f.name not in given:
+            key = _KEYS.get(f.name, f.name)
+            keys.add(key)
             default = f.default if f.default_factory is MISSING else f.default_factory()
-            given[f.name] = _read(raw, _KEYS.get(f.name, f.name), hints[f.name], path, errors,
-                                  default, **f.metadata)
+            given[f.name] = _read(raw, key, hints[f.name], path, errors, default, **f.metadata)
+    _check_keys(raw, keys, path, errors)
     if len(errors) > start:
         return None
     return _checked(path, errors, cls, **given)
@@ -296,6 +307,7 @@ def _read_grid(raw, errors: list[str]) -> GridSection | None:
     start = len(errors)
     if _value(raw, dict, "grid", errors) is None:
         return None
+    _check_keys(raw, {*GridModel.__dataclass_fields__, "profile"}, "grid", errors)
     model = GridModel(
         _read(raw, "buses", tuple[Bus, ...], "grid", errors, ()),
         _read(raw, "lines", tuple[Line, ...], "grid", errors, ()),
@@ -315,6 +327,7 @@ def _read_topology(raw, errors: list[str]) -> IctTopology | None:
     start = len(errors)
     if _value(raw, dict, "ict", errors) is None:
         return None
+    _check_keys(raw, ("nodes", "links", "span"), "ict", errors)
     nodes = _read(raw, "nodes", list[NetNode], "ict", errors, []) or []
     for i, node in enumerate(nodes):
         if node is None:
@@ -343,7 +356,7 @@ def _read_hosts(raw, errors: list[str]) -> dict[str, HostEntry]:
         for i, svc in enumerate(listed):
             if svc is not None and services.setdefault(svc.port, svc) is not svc:
                 errors.append(f"{path}.services[{i}]: duplicate service on port {svc.port}")
-        host = _fill(HostEntry, entry, path, errors, services=services)
+        host = _fill(HostEntry, entry, path, errors, ("services",), services=services)
         node_id = _value(key, str, path, errors)
         if host is not None and node_id is not None:
             for pe in sorted(host.pe_paths.difference(PE_METHODS)):
@@ -366,35 +379,48 @@ def _known_host(raw, where: str, host_ids: set[str], errors: list[str]) -> str |
     return name
 
 
-def _read_scada(raw, errors: list[str], grid: GridSection | None,
-                host_ids: set[str]) -> ScadaSection | None:
+def _grid_names(raw) -> tuple[set[str], str | None]:
+    """The bus ids and the transformer id of grid mapping ``raw`` as read: RTU
+    bindings are checked against them, so that no grid field error hides them."""
+    def id_of(item) -> str | None:
+        return str(item["id"]) if isinstance(item, dict) and "id" in item else None
+
+    raw = raw if isinstance(raw, dict) else {}
+    buses = raw.get("buses") if isinstance(raw.get("buses"), list) else []
+    return {id_of(b) for b in buses} - {None}, id_of(raw.get("transformer"))
+
+
+def _read_scada(raw, errors: list[str], grid_names: tuple[set[str], str | None],
+                host_ids: set[str], apps: dict[str, str]) -> ScadaSection | None:
     start = len(errors)
     if _value(raw, dict, "scada", errors) is None:
         return None
+    _check_keys(raw, ("mtu", "rtus"), "scada", errors)
     # a host holds one SCADA app: a second one would take over its telemetry
-    apps = {_known_host(raw.get("mtu"), "scada.mtu", host_ids, errors): "the MTU"}
+    mtu_host = _known_host(raw.get("mtu"), "scada.mtu", host_ids, errors)
+    if mtu_host is not None:
+        apps[mtu_host] = "the MTU"
     rtus = []
     first_of: dict[str, int] = {}  # station -> index of the RTU that names it first
     for i, r in enumerate(_read(raw, "rtus", list, "scada", errors, []) or []):
         path = f"scada.rtus[{i}]"
         host = _known_host(r, f"{path}.host", host_ids, errors)
-        # an RTU's mapping holds its binding's fields (station, points) too
-        binding = _fill(RtuBinding, r, path, errors)
-        if binding is None:
-            continue
         if host in apps:
             errors.append(f"{path}.host: {host!r} already runs {apps[host]}")
         elif host is not None:
-            apps[host] = f"RTU {binding.station!r}"
+            apps[host] = f"RTU {r.get('station')!r}"
+        # an RTU's mapping holds the fields of its binding and of its RtuConfig
+        binding = _fill(RtuBinding, r, path, errors, ("host", "report_offset_ms"))
+        if binding is None:
+            continue
         _check_csv_name(f"{path}.station", binding.station, errors)
         if first_of.setdefault(binding.station, i) != i:
             errors.append(f"{path}.station: {binding.station!r} already names "
                           f"scada.rtus[{first_of[binding.station]}]")
         for j, point in enumerate(binding.points):
             _check_csv_name(f"{path}.points[{j}].id", point.point_id, errors)
-        if grid is not None:
-            _checked(path, errors, binding.validate, grid.model)
-        rtu = _fill(RtuConfig, r, path, errors, binding=binding)
+        _checked(path, errors, binding.validate, *grid_names)
+        rtu = _fill(RtuConfig, r, path, errors, ("station", "points"), binding=binding)
         if rtu is not None:
             rtu.report_offset_ms += RTU_STAGGER_MS * i
             if not 0 <= rtu.report_offset_ms < MS_PER_STEP:
@@ -405,11 +431,14 @@ def _read_scada(raw, errors: list[str], grid: GridSection | None,
     return section if len(errors) == start else None
 
 
-def _read_attacker(raw, errors: list[str], host_ids: set[str]) -> AttackerSection | None:
+def _read_attacker(raw, errors: list[str], host_ids: set[str],
+                   apps: dict[str, str]) -> AttackerSection | None:
     if _value(raw, dict, "attacker", errors) is None:
         return None
-    _known_host(raw, "attacker", host_ids, errors)
-    start = len(errors)  # after the host check: an unknown host stops no read below
+    host = _known_host(raw, "attacker", host_ids, errors)
+    if host in apps:  # the attacker takes its host's packets, and all it sends is attack
+        errors.append(f"attacker.host: {host!r} already runs {apps[host]}")
+    start = len(errors)  # after the host checks: a host error stops no read below
     address_range = _read(raw, "address_range", str | list[str], "attacker", errors)
     port_set = _read(raw, "port_set", str | list[str], "attacker", errors)
     if len(errors) == start:
@@ -418,8 +447,8 @@ def _read_attacker(raw, errors: list[str], host_ids: set[str]) -> AttackerSectio
         port_set = _checked("attacker.port_set", errors, expand_port_set, port_set)
         if port_set == []:
             errors.append("attacker: empty port set")
-    section = _fill(AttackerSection, raw, "attacker", errors, address_range=address_range,
-                    port_set=port_set)
+    section = _fill(AttackerSection, raw, "attacker", errors, ("address_range", "port_set"),
+                    address_range=address_range, port_set=port_set)
     return section if len(errors) == start else None
 
 
@@ -433,22 +462,26 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     # checks still run (and report) when topology validation itself failed
     host_ids = {n.node_id for n in topology.nodes if n.kind == "host"} if topology else set()
     hosts = _read_hosts(raw.get("hosts", {}), errors)
-    scada = _read_scada(raw.get("scada", {}), errors, grid, host_ids)
-    attacker = _read_attacker(raw.get("attacker", {}), errors, host_ids)
-    config = _fill(ScenarioConfig, raw, "", errors, grid=grid, topology=topology, hosts=hosts,
-                   scada=scada, attacker=attacker)
-
-    for node_id in hosts:
-        if node_id not in host_ids:
-            errors.append(f"hosts.{node_id}: not a host node in ict.nodes")
+    apps: dict[str, str] = {}  # host -> what runs on it, by the names as read
+    scada = _read_scada(raw.get("scada", {}), errors, _grid_names(raw.get("grid")), host_ids,
+                        apps)
     # ops's host names, checked as read, so that no field error hides them
     ops = raw.get("ops")
     if isinstance(ops, dict):
-        _known_host(ops, "ops", host_ids, errors)
+        ops_host = _known_host(ops, "ops", host_ids, errors)
+        if ops_host is not None:
+            apps.setdefault(ops_host, "the ops traffic")
         for key in ("http_targets", "keepalive_targets", "monitor_targets"):
             for target in _value(ops.get(key, []), list[str], key, []) or []:
                 if target is not None and target not in host_ids:
                     errors.append(f"ops: unknown target host {target!r}")
+    attacker = _read_attacker(raw.get("attacker", {}), errors, host_ids, apps)
+    config = _fill(ScenarioConfig, raw, "", errors, ("grid", "ict", "hosts", "scada", "attacker"),
+                   grid=grid, topology=topology, hosts=hosts, scada=scada, attacker=attacker)
+
+    for node_id in hosts:
+        if node_id not in host_ids:
+            errors.append(f"hosts.{node_id}: not a host node in ict.nodes")
     if topology is not None and topology.span is None and raw.get("capture") is not None:
         errors.append("capture: requires ict.span to be configured")
 

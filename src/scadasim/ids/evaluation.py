@@ -35,13 +35,11 @@ def evaluate(
     train_scenario: str = "",
     test_scenario: str = "",
 ) -> EvalCell:
-    """Count the confusion matrix and derive precision/recall/F1.
+    """Count the confusion matrix of one prediction per true label; derive precision/recall/F1.
 
     F1 is defined as 0 when there are no true positives (and so when
     precision + recall is 0).
     """
-    if len(predictions) != len(truth):
-        raise ValueError(f"length mismatch: {len(predictions)} predictions vs {len(truth)} labels")
     tp = fp = tn = fn = 0
     for predicted, actual in zip(predictions, truth):
         if actual == "attack":

@@ -149,8 +149,6 @@ class RandomForestDetector:
         return int(self.max_features)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestDetector":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
         classes = np.unique(y)
         if len(classes) < 2:
             raise TrainingDataError(
@@ -173,11 +171,7 @@ class RandomForestDetector:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees:
-            raise ValueError("model not fitted")
-        X = np.asarray(X, dtype=np.float64)
         forest = FlatForest(self.trees, "threshold")
-        forest.check_columns(X)
         rows, inverse = unique_rows(X)
         label = np.concatenate([t["label"] for t in self.trees]).astype(np.int64)
         votes = np.zeros(len(rows), dtype=np.int64)

@@ -86,7 +86,6 @@ class IsolationForestDetector:
         self.threshold: float | None = None
 
     def fit(self, X: np.ndarray) -> "IsolationForestDetector":
-        X = np.asarray(X, dtype=np.float64)
         if self.subsample > len(X):
             raise TrainingDataError(f"subsample {self.subsample} exceeds training set size {len(X)}")
         size = min(self.subsample, len(X))
@@ -102,13 +101,7 @@ class IsolationForestDetector:
         return self
 
     def score(self, Xq: np.ndarray) -> np.ndarray:
-        if not self.trees:
-            raise ValueError("model not fitted")
-        Xq = np.asarray(Xq, dtype=np.float64)
         forest = FlatForest(self.trees, "split")
-        forest.check_columns(Xq)
-        if len(Xq) == 0:
-            return np.zeros(0)
         rows, inverse = unique_rows(Xq)
         # h(x) at each leaf: its depth plus c(leaf size), c taken once per distinct size
         sizes, size_of = np.unique(np.concatenate([t["leaf_size"] for t in self.trees]),

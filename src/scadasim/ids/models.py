@@ -127,15 +127,13 @@ def fields_of(obj) -> dict:
 
 
 def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> TrafficModel:
-    """Fit one of the four detectors, with its default settings, on labeled records.
+    """Fit one of the four ``ALGORITHMS``, with its default settings, on labeled records.
 
     Supervised algorithms (rf, knn) need both classes present. Semi-supervised
     algorithms (lof, iforest) refuse any attack-labeled input and calibrate
     their threshold on training scores. Records too few or too uniform to fit
     the detector raise TrainingDataError.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if not records:
         raise TrainingDataError("empty training set")
     keys, inverse = _distinct_keys(records)

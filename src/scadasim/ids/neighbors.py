@@ -55,15 +55,11 @@ class KnnDetector:
     FIELDS = ("k", "X", "y")
 
     def __init__(self, k: int = 5):
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.k = k
         self.X: np.ndarray | None = None
         self.y: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnDetector":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
         if len(X) < self.k:
             raise TrainingDataError(f"k={self.k} exceeds training set size {len(X)}")
         self.X = X
@@ -71,13 +67,6 @@ class KnnDetector:
         return self
 
     def predict(self, Xq: np.ndarray) -> np.ndarray:
-        if self.X is None:
-            raise ValueError("model not fitted")
-        Xq = np.asarray(Xq, dtype=np.float64)
-        if Xq.ndim != 2 or Xq.shape[1] != self.X.shape[1]:
-            raise ValueError(f"feature dimension mismatch: {Xq.shape} vs {self.X.shape}")
-        if len(Xq) == 0:
-            return np.zeros(0, dtype=np.int64)
         rows, inverse = unique_rows(Xq)
         # Identical training rows lie at bit-identical distances, so distances
         # are taken to each distinct training row once; only the group tied at
@@ -123,8 +112,6 @@ class LofDetector:
     FIELDS = ("k", "quantile", "X", "k_dist", "lrd", "train_scores", "threshold")
 
     def __init__(self, k: int = 20, quantile: float = 99.0):
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.k = k
         self.quantile = quantile
         self.X: np.ndarray | None = None
@@ -134,7 +121,6 @@ class LofDetector:
         self.threshold: float | None = None
 
     def fit(self, X: np.ndarray) -> "LofDetector":
-        X = np.asarray(X, dtype=np.float64)
         if len(X) <= self.k:  # a point is not its own neighbor
             raise TrainingDataError(f"need more than k={self.k} training points, got {len(X)}")
         self.X = X
@@ -168,13 +154,6 @@ class LofDetector:
 
     def score(self, Xq: np.ndarray) -> np.ndarray:
         """LOF of query points against the training set (unique rows cached)."""
-        if self.X is None:
-            raise ValueError("model not fitted")
-        Xq = np.asarray(Xq, dtype=np.float64)
-        if Xq.ndim != 2 or Xq.shape[1] != self.X.shape[1]:
-            raise ValueError(f"feature dimension mismatch: {Xq.shape} vs {self.X.shape}")
-        if len(Xq) == 0:
-            return np.zeros(0)
         rows, inverse = unique_rows(Xq)
         out = np.zeros(len(rows))
         for i, row in enumerate(rows):

@@ -72,12 +72,6 @@ class FlatForest:
         self.left = np.where(leaf, node, stacked("left", np.intp) + offset)
         self.right = np.where(leaf, node, stacked("right", np.intp) + offset)
 
-    def check_columns(self, X: np.ndarray) -> None:
-        """Refuse X unless it is 2-D with a column for every feature a split reads."""
-        if X.ndim != 2 or X.shape[1] <= self.feature.max():
-            raise ValueError(f"feature dimension mismatch: {X.shape} vs trees that split "
-                             f"on column {self.feature.max()}")
-
     def leaves(self, X: np.ndarray, goes_left: Callable) -> np.ndarray:
         """(trees, rows) index of the leaf each row of X reaches in each tree;
         a row goes left where ``goes_left(value, cut)`` holds."""

@@ -33,12 +33,6 @@ class Packet:
     length_bytes: int
     payload: dict
 
-    def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise NetworkConfigError(f"unknown protocol tag {self.protocol!r}")
-        if self.length_bytes < MIN_PACKET_BYTES:
-            raise NetworkConfigError(f"packet length {self.length_bytes} below {MIN_PACKET_BYTES} bytes")
-
 
 @dataclass
 class NetNode:
@@ -182,17 +176,12 @@ class NetworkFabric:
     # -- component wiring ---------------------------------------------------
 
     def register_app(self, node_id: str, app: PacketApp) -> None:
-        node = self._nodes.get(node_id)
-        if node is None or node.address is None:
-            raise NetworkConfigError(f"cannot register app on {node_id!r}")
-        node.app = app
+        self._nodes[node_id].app = app
 
     # -- engine event handler -------------------------------------------------
 
     def handle(self, engine: Engine, kind: str, payload) -> None:
-        if kind != "arrival":
-            if kind != "set_link_state":
-                raise NetworkConfigError(f"unknown network event kind {kind!r}")
+        if kind != "arrival":  # "set_link_state"
             link_id, up = payload
             self.set_link_state(link_id, up)
             return

@@ -144,15 +144,14 @@ class RtuBinding:
     station: str
     points: tuple[BoundPoint, ...] = field(default_factory=tuple)
 
-    def validate(self, grid: GridModel) -> None:
-        bus_ids = {b.bus_id for b in grid.buses}
+    def validate(self, bus_ids: set[str], transformer_id: str | None) -> None:
         for pt in self.points:
             if pt.quantity not in QUANTITIES:
                 raise GridConfigError(f"binding {pt.point_id}: unknown quantity {pt.quantity!r}")
             if pt.quantity == "V_pu":
                 if pt.element not in bus_ids:
                     raise GridConfigError(f"binding {pt.point_id}: unknown bus {pt.element!r}")
-            elif pt.element != grid.transformer.transformer_id:
+            elif pt.element != transformer_id:
                 raise GridConfigError(f"binding {pt.point_id}: unknown grid element {pt.element!r}")
 
 

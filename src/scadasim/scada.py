@@ -47,19 +47,14 @@ class RtuApp:
         self.grid = grid
         self.report_offset_ms = report_offset_ms
         self.transform: dict[str, tuple[float, float]] | None = None  # quantity -> (scale, offset)
-        self.sequence_no = 0
-        self.reports_sent = 0
+        self.reports_sent = 0  # also the seq of the last report
         engine.register(f"rtu:{binding.station}", self.handle)
         engine.schedule(report_offset_ms, f"rtu:{binding.station}", "report")
 
     def handle(self, engine: Engine, kind: str, payload) -> None:
-        if kind == "report":
-            self.emit_report()
-            engine.schedule(
-                (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + self.report_offset_ms,
-                f"rtu:{self.binding.station}",
-                "report",
-            )
+        self.emit_report()
+        engine.schedule((engine.now // MS_PER_STEP + 1) * MS_PER_STEP + self.report_offset_ms,
+                        f"rtu:{self.binding.station}", "report")
 
     def emit_report(self) -> None:
         """One measurement report per cycle, unless the host was silenced."""
@@ -79,16 +74,15 @@ class RtuApp:
                     manipulated = True
                 value = transformed
             points.append((point_id, quantity, value))
-        self.sequence_no += 1
+        self.reports_sent += 1
         self.fabric.send_app_message(
             self.host.node_id,
             self.mtu_address,
             "SCADA",
             frame_length(len(points)),
-            {"type": "telemetry_report", "station": self.binding.station, "seq": self.sequence_no,
+            {"type": "telemetry_report", "station": self.binding.station, "seq": self.reports_sent,
              "points": points, "manipulated": manipulated},
         )
-        self.reports_sent += 1
 
     def on_telemetry(self, fabric: NetworkFabric, packet: Packet) -> None:
         kind = packet.payload["type"]
@@ -140,12 +134,9 @@ class MtuApp:
         engine.schedule(CHECK_OFFSET_MS, "mtu", "cycle_check")
 
     def handle(self, engine: Engine, kind: str, payload) -> None:
-        if kind == "cycle_check":
-            self.cycle_check()
-            engine.schedule(
-                (engine.now // MS_PER_STEP + 1) * MS_PER_STEP + CHECK_OFFSET_MS,
-                "mtu", "cycle_check",
-            )
+        self.cycle_check()
+        engine.schedule((engine.now // MS_PER_STEP + 1) * MS_PER_STEP + CHECK_OFFSET_MS,
+                        "mtu", "cycle_check")
 
     def on_telemetry(self, fabric: NetworkFabric, packet: Packet) -> None:
         report = packet.payload

@@ -39,8 +39,6 @@ class GridComponent:
         engine.schedule(0, "grid", "tick")
 
     def handle(self, engine: Engine, kind: str, payload) -> None:
-        if kind != "tick":
-            return
         step = engine.now // MS_PER_STEP
         scaling = sample_load_profile(
             self.seed, step, self.load_ids,
@@ -86,8 +84,6 @@ class OpsComponent:
         engine.schedule(OPS_OFFSET_MS, "ops", "tick")
 
     def handle(self, engine: Engine, kind: str, payload) -> None:
-        if kind != "tick":
-            return
         step = engine.now // MS_PER_STEP
         section = self.section
         if step % section.http_period_steps == 0:
@@ -269,7 +265,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, trace: bool = 
         sim.collector.snapshots,
         attacker.address,
         attacker.state.stage_times,
-        _last_ms_of(sim.final_step),
         label_manipulated_reports=config.capture.label_manipulated_reports,
     )
     sim.dataset = LabeledDataset.from_records(records)

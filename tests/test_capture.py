@@ -62,7 +62,7 @@ class TestLabeling:
     def test_attacker_packets_get_stage_of_send_time(self):
         records = label_records(
             [snap(1500), snap(5500), snap(7200)],
-            ATTACKER, STAGES, coverage_end_ms=10_000,
+            ATTACKER, STAGES,
         )
         assert [(r.label, r.stage) for r in records] == [
             ("attack", "S1"), ("attack", "S2"), ("attack", "S4")]
@@ -71,7 +71,7 @@ class TestLabeling:
         records = label_records(
             [snap(500, src="10.0.0.11", dst="10.0.0.10", protocol="SCADA", length=61),
              snap(800, src="10.0.0.10", dst="10.0.0.11", protocol="SCADA", length=25)],
-            ATTACKER, STAGES, coverage_end_ms=10_000,
+            ATTACKER, STAGES,
         )
         assert all(r.label == "normal" and r.stage is None for r in records)
 
@@ -79,7 +79,7 @@ class TestLabeling:
         records = label_records(
             [snap(8000, src="10.0.0.11", dst="10.0.0.10",
                   protocol="SCADA", length=61, manipulated=True)],
-            ATTACKER, STAGES, coverage_end_ms=10_000,
+            ATTACKER, STAGES,
         )
         assert records[0].label == "attack"
         assert records[0].stage == "S4"
@@ -87,19 +87,13 @@ class TestLabeling:
     def test_manipulated_labeling_can_be_toggled_off(self):
         records = label_records(
             [snap(8000, src="10.0.0.11", dst="10.0.0.10", manipulated=True)],
-            ATTACKER, STAGES, coverage_end_ms=10_000,
-            label_manipulated_reports=False,
+            ATTACKER, STAGES, label_manipulated_reports=False,
         )
         assert records[0].label == "normal"
 
-    def test_record_outside_coverage_is_fatal(self):
-        with pytest.raises(LabelingError, match="outside log coverage"):
-            label_records([snap(99_999, src="10.0.0.10")], ATTACKER, STAGES,
-                          coverage_end_ms=10_000)
-
     def test_attacker_packet_before_first_stage_is_fatal(self):
         with pytest.raises(LabelingError, match="precedes"):
-            label_records([snap(10)], ATTACKER, STAGES, coverage_end_ms=10_000)
+            label_records([snap(10)], ATTACKER, STAGES)
 
 
 class TestDataset:

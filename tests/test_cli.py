@@ -138,6 +138,43 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "config error" in err and f"{tmp_path}: cannot read" in err
 
+    @pytest.mark.parametrize("mutate, error", [
+        # the ops traffic would leave from the attacker's address before the first attack stage
+        pytest.param(lambda raw: raw["ops"].update(host="attacker-host"),
+                     "attacker.host: 'attacker-host' already runs the ops traffic",
+                     id="ops-on-attacker-host"),
+        pytest.param(lambda raw: raw["attacker"].update(host="ops-host"),
+                     "attacker.host: 'ops-host' already runs the ops traffic",
+                     id="attacker-on-ops-host"),
+        pytest.param(lambda raw: raw["attacker"].update(host="mtu-host"),
+                     "attacker.host: 'mtu-host' already runs the MTU", id="attacker-on-mtu-host"),
+        pytest.param(lambda raw: raw["attacker"].update(host="rtu1-host"),
+                     "attacker.host: 'rtu1-host' already runs RTU 'rtu1'",
+                     id="attacker-on-rtu-host"),
+    ])
+    def test_attacker_on_a_host_that_runs_another_app_exits_2(self, tmp_path, capsys, mutate,
+                                                               error):
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        mutate(raw)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", str(bad), "--out", str(out)) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("capture", "balance_targt"),
+                                              ("durations", "warmup_stpes")])
+    def test_misspelled_key_exits_2_naming_it(self, tmp_path, capsys, section, key):
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw[section][key] = 50
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", str(bad), "--out", str(out)) == 2
+        assert f"{section}.{key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_ip_node_address_exits_2_naming_field(self, tmp_path, capsys):
         raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
         node = next(n for n in raw["ict"]["nodes"] if n["id"] == "mtu-host")

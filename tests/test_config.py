@@ -231,6 +231,27 @@ class TestValidation:
             load_config_dict(raw)
         assert sorted(err.value.errors) == sorted(expected)
 
+    @pytest.mark.parametrize("path", [
+        ("scenario_idd",), ("durations", "warmup_stpes"), ("grid", "buss"),
+        ("grid", "profile", "day_stpes"), ("grid", "buses", 0, "nominal_k"), ("ict", "nodez"),
+        ("ict", "nodes", 0, "adress"), ("ict", "links", 0, "latncy_ms"),
+        ("hosts", "rtu1-host", "pe_pathz"), ("hosts", "rtu1-host", "services", 0, "bannr"),
+        ("scada", "rtuz"), ("scada", "mtu", "interrogate_stal"), ("scada", "rtus", 0, "statoin"),
+        ("scada", "rtus", 0, "points", 0, "elemnt"), ("attacker", "probe_pacng_ms"),
+        ("attacker", "goal", "transfrom"), ("ops", "give_up_aftr"), ("capture", "balance_targt"),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_misspelled_key_is_refused_naming_its_path(self, path):
+        # without the check the setting it meant would keep its default without a word
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 5
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        assert err.value.errors == [f"{where}: unknown key"]
+
     @pytest.mark.parametrize("address", ["x", "10.0.0", "10.0.0.256", ""])
     def test_node_address_must_be_an_ip_address(self, address):
         # the attacker's address range could never reach such a node
@@ -323,3 +344,84 @@ def test_single_field_mutation_loads_or_raises_config_error(data):
         load_config_dict(raw)
     except ConfigError:
         pass
+
+
+def _set(*path_and_value):
+    """A fault that sets the value at a key path of a parsed fixture."""
+    *path, value = path_and_value
+
+    def fault(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(value)
+    return fault
+
+
+# section -> its faults, each (kind, fault, the start of the error that must name it),
+# where the kind is a bad field value, a bad cross-reference or a misspelled key. No
+# fault moves an app off its host, so each cross-reference stays wrong whatever else is.
+FAULTS = {
+    "top": [("field", _set("format_version", 7), "format_version: must be"),
+            ("key", _set("scenario_idd", "x"), "scenario_idd: unknown key")],
+    "durations": [
+        ("field", _set("durations", "warmup_steps", -1), "durations.warmup_steps: must be"),
+        ("key", _set("durations", "warmup_stpes", 5), "durations.warmup_stpes: unknown key")],
+    "grid": [
+        ("field", _set("grid", "transformer", "rating_kva", "x"), "grid.transformer.rating_kva: "),
+        ("field", _set("grid", "profile", "day_steps", 0), "grid.profile.day_steps: must be"),
+        ("ref", _set("grid", "loads", 0, "bus", "ghost"), "grid: load "),
+        ("key", _set("grid", "profile", "day_stpes", 5), "grid.profile.day_stpes: unknown key")],
+    "ict": [
+        ("field", _set("ict", "links", 0, "loss_probability", "x"),
+         "ict.links[0].loss_probability: "),
+        ("ref", _set("ict", "links", 0, "a", "ghost"), "ict: link "),
+        ("key", _set("ict", "links", 0, "latncy_ms", 1), "ict.links[0].latncy_ms: unknown key")],
+    "hosts": [
+        ("field", _set("hosts", "rtu1-host", "services", 0, "port", 0),
+         "hosts.rtu1-host.services[0]: port 0"),
+        ("ref", _set("hosts", "ghost", {}), "hosts.ghost: not a host node"),
+        ("key", _set("hosts", "rtu1-host", "pe_pathz", []),
+         "hosts.rtu1-host.pe_pathz: unknown key")],
+    "scada": [
+        ("field", _set("scada", "mtu", "interrogate_stale", "x"), "scada.mtu.interrogate_stale: "),
+        ("field", _set("scada", "rtus", 0, "report_offset_ms", "x"),
+         "scada.rtus[0].report_offset_ms: "),
+        ("ref", _set("scada", "mtu", "host", "ghost"), "scada.mtu: unknown host"),
+        ("ref", lambda raw: raw["scada"]["rtus"].append({"station": "rtu9", "host": "ghost"}),
+         "scada.rtus[1].host: unknown host"),
+        ("ref", _set("scada", "rtus", 0, "points", 0, "element", "ghost"),
+         "scada.rtus[0]: binding "),
+        ("key", _set("scada", "rtus", 0, "statoin", "x"), "scada.rtus[0].statoin: unknown key")],
+    "attacker": [
+        ("field", _set("attacker", "probe_pacing_ms", -1), "attacker.probe_pacing_ms: must be"),
+        ("ref", _set("attacker", "host", "ghost"), "attacker: unknown host"),
+        ("ref", _set("attacker", "host", "rtu1-host"), "attacker.host: 'rtu1-host' already runs"),
+        ("key", _set("attacker", "probe_pacng_ms", 2), "attacker.probe_pacng_ms: unknown key")],
+    "ops": [("field", _set("ops", "http_period_steps", 0), "ops.http_period_steps: must be"),
+            ("ref", _set("ops", "host", "ghost"), "ops: unknown host"),
+            ("ref", _set("ops", "http_targets", ["ghost"]), "ops: unknown target host"),
+            ("key", _set("ops", "give_up_aftr", 5), "ops.give_up_aftr: unknown key")],
+    "capture": [("field", _set("capture", "balance_target", "x"), "capture.balance_target: "),
+                ("key", _set("capture", "balance_targt", 50), "capture.balance_targt: unknown key")],
+}
+_ALL_FAULTS = [(section, *fault) for section, faults in FAULTS.items() for fault in faults]
+
+
+# derandomized: the same 500 pairs on every run, among them each cross-reference
+# after a fault of every other section
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_two_faults_in_different_sections_are_both_named(data):
+    # "lists every error found": a field value or a key read is never skipped, so
+    # what a fault elsewhere could hide is a cross-reference check
+    base, _ = _fixture_tree(data.draw(st.sampled_from(FIXTURES), label="fixture"))
+    ref = data.draw(st.sampled_from([f for f in _ALL_FAULTS if f[1] == "ref"]), label="reference")
+    other = data.draw(st.sampled_from([f for f in _ALL_FAULTS if f[0] != ref[0]]), label="other")
+    raw = copy.deepcopy(base)
+    for _, _, fault, _ in (ref, other):
+        fault(raw)
+    with pytest.raises(ConfigError) as err:
+        load_config_dict(raw)
+    for *_, start in (ref, other):
+        assert any(e.startswith(start) for e in err.value.errors), (start, err.value.errors)

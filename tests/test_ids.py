@@ -87,16 +87,6 @@ class TestRandomForest:
         pred = det.predict(np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0]]))
         assert pred.tolist() == [1, 0]
 
-    def test_rows_without_a_column_a_split_reads_are_refused(self):
-        X = np.array([[0.0, float(i)] for i in range(8)])
-        det = RandomForestDetector(n_trees=1, max_features=None, bootstrap=False, seed=0).fit(
-            X, np.array([0] * 4 + [1] * 4))
-        assert det.trees[0]["feature"][0] == 1  # the root splits on the second column
-        with pytest.raises(ValueError, match="feature dimension mismatch"):
-            det.predict(X[:, :1])
-        with pytest.raises(ValueError, match="feature dimension mismatch"):
-            det.predict(np.zeros(8))
-
 
 class TestKnn:
     def test_k1_returns_label_of_identical_training_point(self):
@@ -160,11 +150,6 @@ class TestKnn:
 
         got = KnnDetector(k=k).fit(X, y).predict(queries)
         assert got.tolist() == [oracle(q) for q in queries]
-
-    def test_dimension_mismatch_refused(self):
-        det = KnnDetector(k=1).fit(np.zeros((3, 4)), np.array([0, 1, 0]))
-        with pytest.raises(ValueError, match="dimension"):
-            det.predict(np.zeros((2, 3)))
 
 
 class TestUniqueRows:
@@ -358,15 +343,6 @@ class TestIsolationForest:
         scores = det.score(np.array([[0.0, 0.0], [50.0, 50.0], [4.0, 4.0]]))
         assert scores[0] == scores[1] == scores[2]
 
-    def test_loaded_tree_with_a_bad_feature_is_refused_or_cannot_score(self):
-        X = self.two_clusters()
-        det = IsolationForestDetector(n_trees=2, subsample=64, seed=1).fit(X)
-        assert max(max(tree["feature"]) for tree in det.trees) == 1  # splits read the second column
-        with pytest.raises(ValueError, match="feature dimension mismatch"):
-            det.score(X[:, :1])
-        with pytest.raises(ValueError, match="feature dimension mismatch"):
-            det.predict(X[:0, :1])
-
     def test_subsample_larger_than_training_refused(self):
         with pytest.raises(ValueError, match="subsample"):
             IsolationForestDetector(subsample=64).fit(np.zeros((10, 2)))
@@ -406,10 +382,6 @@ class TestEvaluate:
             cell = evaluate(preds, truth)
             assert cell.f1 == pytest.approx(f1_score(cell.precision, cell.recall), abs=1e-15)
 
-    def test_length_mismatch_refused(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            evaluate(["attack"], ["attack", "normal"])
-
 
 class TestTrafficModel:
     def test_purity_enforced_for_semi_supervised(self):
@@ -441,10 +413,6 @@ class TestTrafficModel:
             preds = model.predict_records(records)
             rate = preds.count("attack") / len(preds)
             assert rate <= 0.01 + 0.02
-
-    def test_unknown_algorithm_refused(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            train_model("svm", toy_records())
 
     def test_model_file_is_versioned(self, tmp_path):
         model = train_model("knn", toy_records(), seed=0)

@@ -103,12 +103,6 @@ class TestTopologyValidation:
         with pytest.raises(NetworkConfigError, match="loss_probability"):
             topo.validate()
 
-    def test_bad_packet_rejected(self):
-        with pytest.raises(NetworkConfigError, match="protocol"):
-            Packet(0, "a", "b", "BOGUS", 60, {})
-        with pytest.raises(NetworkConfigError, match="length"):
-            Packet(0, "a", "b", "HTTP", 10, {})
-
 
 class TestDelivery:
     def test_delay_is_latency_plus_serialization(self):

@@ -388,4 +388,4 @@ class TestMeasurements:
         grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)
         binding = RtuBinding("rtu1", (BoundPoint("m1", "V_pu", "ghost-bus"),))
         with pytest.raises(GridConfigError, match="unknown bus"):
-            binding.validate(grid)
+            binding.validate({b.bus_id for b in grid.buses}, grid.transformer.transformer_id)

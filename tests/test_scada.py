@@ -127,7 +127,7 @@ class TestReporting:
         engine, fabric, rtu, mtu, grid = rig()
         engine.run(9999)
         assert rtu.reports_sent == 10
-        assert rtu.sequence_no == 10
+        assert mtu.last_sequence["rtu1"] == 10  # each report's seq counts the reports sent
 
     def test_manipulate_scales_reported_values(self):
         engine, fabric, rtu, mtu, grid = rig()
