@@ -397,7 +397,7 @@ def _read_scada(raw, errors: list[str], grid_names: tuple[set[str], str | None],
         return None
     _check_keys(raw, ("mtu", "rtus"), "scada", errors)
     # a host holds one SCADA app: a second one would take over its telemetry
-    mtu_host = _known_host(raw.get("mtu"), "scada.mtu", host_ids, errors)
+    mtu_host = _known_host(raw.get("mtu"), "scada.mtu.host", host_ids, errors)
     if mtu_host is not None:
         apps[mtu_host] = "the MTU"
     rtus = []
@@ -435,7 +435,7 @@ def _read_attacker(raw, errors: list[str], host_ids: set[str],
                    apps: dict[str, str]) -> AttackerSection | None:
     if _value(raw, dict, "attacker", errors) is None:
         return None
-    host = _known_host(raw, "attacker", host_ids, errors)
+    host = _known_host(raw, "attacker.host", host_ids, errors)
     if host in apps:  # the attacker takes its host's packets, and all it sends is attack
         errors.append(f"attacker.host: {host!r} already runs {apps[host]}")
     start = len(errors)  # after the host checks: a host error stops no read below
@@ -468,13 +468,13 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     # ops's host names, checked as read, so that no field error hides them
     ops = raw.get("ops")
     if isinstance(ops, dict):
-        ops_host = _known_host(ops, "ops", host_ids, errors)
+        ops_host = _known_host(ops, "ops.host", host_ids, errors)
         if ops_host is not None:
             apps.setdefault(ops_host, "the ops traffic")
         for key in ("http_targets", "keepalive_targets", "monitor_targets"):
             for target in _value(ops.get(key, []), list[str], key, []) or []:
                 if target is not None and target not in host_ids:
-                    errors.append(f"ops: unknown target host {target!r}")
+                    errors.append(f"ops.{key}: unknown target host {target!r}")
     attacker = _read_attacker(raw.get("attacker", {}), errors, host_ids, apps)
     config = _fill(ScenarioConfig, raw, "", errors, ("grid", "ict", "hosts", "scada", "attacker"),
                    grid=grid, topology=topology, hosts=hosts, scada=scada, attacker=attacker)

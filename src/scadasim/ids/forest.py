@@ -36,16 +36,12 @@ def _gini(pos: float, tot: float) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def _gini_vec(pos: np.ndarray, tot: np.ndarray) -> np.ndarray:
-    p = np.divide(pos, tot, out=np.zeros_like(pos), where=tot > 0)
-    return 2.0 * p * (1.0 - p)
-
-
 def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
               max_depth: int | None, min_samples_split: int,
               max_features: int | None) -> dict[str, list]:
     """One CART-style tree on weighted rows: Gini impurity, <= threshold goes left.
 
+    Every row weighs more than 0, so both sides of a split hold weight.
     Returns the TREE_FIELDS node lists in preorder. Leaves carry feature -1
     and their majority label, inner nodes label -1.
     """
@@ -79,7 +75,7 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
             candidates = rng.choice(n_features, max_features, replace=False)
 
         parent_gini = _gini(pos_sum, tot_sum)
-        best = None  # (gain, feature, threshold, order, split_at)
+        best = None  # (gain, feature, threshold, ordered, split_at)
         for f in candidates:
             values = rows[idx, f]
             order = np.argsort(values, kind="mergesort")
@@ -87,15 +83,15 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
             distinct = np.nonzero(sv[1:] != sv[:-1])[0]  # split after these positions
             if len(distinct) == 0:
                 continue
-            cum_pos = np.cumsum(positive[idx][order])
-            cum_tot = np.cumsum(total[idx][order])
-            left_pos = cum_pos[distinct]
-            left_tot = cum_tot[distinct]
-            right_pos = pos_sum - left_pos
+            ordered = idx[order]
+            left_pos = np.cumsum(positive[ordered])[distinct]
+            left_tot = np.cumsum(total[ordered])[distinct]
             right_tot = tot_sum - left_tot
+            p_left = left_pos / left_tot
+            p_right = (pos_sum - left_pos) / right_tot
             weighted = (
-                left_tot * _gini_vec(left_pos, left_tot)
-                + right_tot * _gini_vec(right_pos, right_tot)
+                left_tot * (2.0 * p_left * (1.0 - p_left))
+                + right_tot * (2.0 * p_right * (1.0 - p_right))
             ) / tot_sum
             gains = parent_gini - weighted
             at = int(np.argmax(gains))  # first maximum: lowest threshold wins ties
@@ -103,14 +99,14 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
             if gain > GINI_EPS and (best is None or gain > best[0] + GINI_EPS):
                 pos = distinct[at]
                 threshold = float((sv[pos] + sv[pos + 1]) / 2.0)
-                best = (gain, int(f), threshold, order, pos)
+                best = (gain, int(f), threshold, ordered, pos)
         if best is None:
             return index
 
-        _, f, threshold, order, pos = best
+        _, f, threshold, ordered, pos = best
         features[index], thresholds[index], labels[index] = f, threshold, -1
-        lefts[index] = grow(idx[order[: pos + 1]], depth + 1)
-        rights[index] = grow(idx[order[pos + 1:]], depth + 1)
+        lefts[index] = grow(ordered[: pos + 1], depth + 1)
+        rights[index] = grow(ordered[pos + 1:], depth + 1)
         return index
 
     grow(np.arange(len(rows)), 0)
@@ -157,13 +153,14 @@ class RandomForestDetector:
         rows, positive, total = _unique_weighted(X, y)
         n = int(total.sum())
         k = self._resolved_max_features(X.shape[1])
+        share = total / n
         self.trees = []
         for i in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, f"tree:{i}"))
             sample = rows, positive, total
             if self.bootstrap:
-                counts = rng.multinomial(n, total / n)
-                scale = np.divide(counts, total, out=np.zeros_like(total), where=total > 0)
+                counts = rng.multinomial(n, share)
+                scale = counts / total  # every distinct row was seen at least once
                 tree_tot = total * scale
                 keep = tree_tot > 0
                 sample = rows[keep], (positive * scale)[keep], tree_tot[keep]

@@ -4,11 +4,18 @@ Anomaly score s(x) = 2 ** (-E[h(x)] / c(n)) with the standard average
 unsuccessful-search normalizer c(n); h(x) is the path depth plus c(leaf size)
 for unresolved leaves. The decision threshold is a quantile (default 99th
 percentile) of the training scores; anomalies must score strictly above it.
+
+Each tree is grown on its sample's distinct rows, each with the number of
+times the sample drew it: a node's size is the sum of its rows' counts, and
+its column ranges are those of its distinct rows, so the tree is the one the
+full sample would grow, at the cost of the few distinct rows that captured
+traffic has.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,15 +37,15 @@ def average_path_length(n: int) -> float:
     return 2.0 * harmonic - 2.0 * (n - 1) / n
 
 
-def grow_tree(X: np.ndarray, rng, max_depth: int) -> dict[str, list]:
-    """One isolation tree on the sample X: the TREE_FIELDS node lists in
-    preorder, leaves with feature -1. A row goes left where its value is
-    below the split."""
+def grow_tree(sample: list[tuple[list[float], int]], rng, max_depth: int) -> dict[str, list]:
+    """One isolation tree on a sample given as (distinct row, count) pairs:
+    the TREE_FIELDS node lists in preorder, leaves with feature -1. A row
+    goes left where its value is below the split."""
     tree: dict[str, list] = {name: [] for name in TREE_FIELDS}
     features, splits, lefts, rights, leaf_sizes = tree.values()
 
-    def grow(X: np.ndarray, depth: int) -> int:
-        n = len(X)
+    def grow(sample: list[tuple[list[float], int]], depth: int) -> int:
+        n = sum(map(itemgetter(1), sample))
         index = len(features)  # a leaf unless a split is drawn below
         features.append(-1)
         splits.append(0.0)
@@ -47,20 +54,20 @@ def grow_tree(X: np.ndarray, rng, max_depth: int) -> dict[str, list]:
         leaf_sizes.append(n)
         if n <= 1 or depth >= max_depth:
             return index
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
-        splittable = np.nonzero(hi > lo)[0]
-        if len(splittable) == 0:  # all duplicates
+        columns = list(zip(*map(itemgetter(0), sample)))
+        lo = list(map(min, columns))
+        hi = list(map(max, columns))
+        splittable = [f for f, (a, b) in enumerate(zip(lo, hi)) if b > a]
+        if not splittable:  # all duplicates
             return index
-        f = int(splittable[rng.integers(len(splittable))])
+        f = splittable[rng.integers(len(splittable))]
         value = float(rng.uniform(lo[f], hi[f]))
         features[index], splits[index] = f, value
-        mask = X[:, f] < value
-        lefts[index] = grow(X[mask], depth + 1)
-        rights[index] = grow(X[~mask], depth + 1)
+        lefts[index] = grow([s for s in sample if s[0][f] < value], depth + 1)
+        rights[index] = grow([s for s in sample if not s[0][f] < value], depth + 1)
         return index
 
-    grow(X, 0)
+    grow(sample, 0)
     return tree
 
 
@@ -91,11 +98,15 @@ class IsolationForestDetector:
         size = min(self.subsample, len(X))
         self.sample_size = size
         max_depth = max(1, math.ceil(math.log2(max(2, size))))
+        rows, inverse = unique_rows(X)
+        rows = rows.tolist()
         self.trees = []
         for i in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, f"itree:{i}"))
-            idx = rng.choice(len(X), size, replace=False)
-            self.trees.append(grow_tree(X[idx], rng, max_depth))
+            counts = np.bincount(inverse[rng.choice(len(X), size, replace=False)])
+            drawn = np.flatnonzero(counts)
+            sample = list(zip(map(rows.__getitem__, drawn.tolist()), counts[drawn].tolist()))
+            self.trees.append(grow_tree(sample, rng, max_depth))
         self.train_scores = self.score(X)
         self.threshold = float(np.percentile(self.train_scores, self.quantile))
         return self

@@ -10,6 +10,8 @@ offending indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,13 +33,17 @@ def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.n
     Returns each distinct (src, dst, protocol, length, label) key numbered in
     first-seen order, and each record's key number. The label rides along so
     that training takes its labels from the same pass; encoding ignores it.
+    The pass runs in C-level iterators: it maps each key to the position of
+    the record that has it first, and the sorted first positions then give
+    each record its key's number.
     """
-    index: dict[tuple, int] = {}
-    inverse = np.fromiter(
-        (index.setdefault(r[1:6], len(index)) for r in records),  # fields src .. label
+    first: dict[tuple, int] = {}
+    positions = np.fromiter(
+        map(first.setdefault, map(itemgetter(slice(1, 6)), records), count()),  # src .. label
         dtype=np.intp, count=len(records),
     )
-    return index, inverse
+    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return dict(zip(first, count())), np.searchsorted(firsts, positions)
 
 
 @dataclass

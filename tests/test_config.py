@@ -207,7 +207,7 @@ class TestValidation:
     @pytest.mark.parametrize("mutate, expected", [
         pytest.param(lambda raw: raw["attacker"].update(probe_pacing_ms=-1, host="ghost"),
                      ["attacker.probe_pacing_ms: must be at least 0, got -1",
-                      "attacker: unknown host 'ghost'"], id="attacker-pacing"),
+                      "attacker.host: unknown host 'ghost'"], id="attacker-pacing"),
         pytest.param(lambda raw: raw["scada"]["rtus"][0].update(station="rtu,1", host="ghost"),
                      ["scada.rtus[0].host: unknown host 'ghost'",
                       "scada.rtus[0].station: 'rtu,1' holds a comma or line break, "
@@ -215,14 +215,14 @@ class TestValidation:
         # a field error outside ops, or in ops itself, hides none of ops's host checks
         pytest.param(lambda raw: (raw.update(format_version=7), raw["ops"].update(host="ghost")),
                      ["format_version: must be in [1, 1], got 7",
-                      "ops: unknown host 'ghost'"], id="top-level-version"),
+                      "ops.host: unknown host 'ghost'"], id="top-level-version"),
         pytest.param(lambda raw: (raw["capture"].update(balance_target="x"),
                                   raw["ops"].update(http_targets=["ghost"])),
                      ["capture.balance_target: expected a number, got 'x'",
-                      "ops: unknown target host 'ghost'"], id="capture-balance-target"),
+                      "ops.http_targets: unknown target host 'ghost'"], id="capture-balance-target"),
         pytest.param(lambda raw: raw["ops"].update(http_period_steps=0, host="ghost"),
                      ["ops.http_period_steps: must be at least 1, got 0",
-                      "ops: unknown host 'ghost'"], id="ops-period"),
+                      "ops.host: unknown host 'ghost'"], id="ops-period"),
     ])
     def test_field_error_does_not_hide_the_sections_host_error(self, mutate, expected):
         raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
@@ -387,7 +387,7 @@ FAULTS = {
         ("field", _set("scada", "mtu", "interrogate_stale", "x"), "scada.mtu.interrogate_stale: "),
         ("field", _set("scada", "rtus", 0, "report_offset_ms", "x"),
          "scada.rtus[0].report_offset_ms: "),
-        ("ref", _set("scada", "mtu", "host", "ghost"), "scada.mtu: unknown host"),
+        ("ref", _set("scada", "mtu", "host", "ghost"), "scada.mtu.host: unknown host"),
         ("ref", lambda raw: raw["scada"]["rtus"].append({"station": "rtu9", "host": "ghost"}),
          "scada.rtus[1].host: unknown host"),
         ("ref", _set("scada", "rtus", 0, "points", 0, "element", "ghost"),
@@ -395,12 +395,12 @@ FAULTS = {
         ("key", _set("scada", "rtus", 0, "statoin", "x"), "scada.rtus[0].statoin: unknown key")],
     "attacker": [
         ("field", _set("attacker", "probe_pacing_ms", -1), "attacker.probe_pacing_ms: must be"),
-        ("ref", _set("attacker", "host", "ghost"), "attacker: unknown host"),
+        ("ref", _set("attacker", "host", "ghost"), "attacker.host: unknown host"),
         ("ref", _set("attacker", "host", "rtu1-host"), "attacker.host: 'rtu1-host' already runs"),
         ("key", _set("attacker", "probe_pacng_ms", 2), "attacker.probe_pacng_ms: unknown key")],
     "ops": [("field", _set("ops", "http_period_steps", 0), "ops.http_period_steps: must be"),
-            ("ref", _set("ops", "host", "ghost"), "ops: unknown host"),
-            ("ref", _set("ops", "http_targets", ["ghost"]), "ops: unknown target host"),
+            ("ref", _set("ops", "host", "ghost"), "ops.host: unknown host"),
+            ("ref", _set("ops", "http_targets", ["ghost"]), "ops.http_targets: unknown target host"),
             ("key", _set("ops", "give_up_aftr", 5), "ops.give_up_aftr: unknown key")],
     "capture": [("field", _set("capture", "balance_target", "x"), "capture.balance_target: "),
                 ("key", _set("capture", "balance_targt", 50), "capture.balance_targt: unknown key")],

@@ -2,11 +2,15 @@
 of the row-by-row code they replaced.
 
 The CSV reader checks each distinct row tail once; KNN scores blocks of
-distinct query rows; both forests walk all their trees together. Each must
-give exactly what the row-by-row code gave: the same records and error
-messages, the same predictions, and scores equal byte for byte.
+distinct query rows; both forests walk all their trees together; isolation
+trees grow on each sample's distinct rows; the random forest's split search
+divides without guards; the key pass numbers records in C-level iterators.
+Each must give exactly what the row-by-row code gave: the same records and
+error messages, the same predictions, scores equal byte for byte, and the
+same trees and key numbers.
 """
 
+import math
 import os
 import tempfile
 from unittest import mock
@@ -24,9 +28,12 @@ from scadasim.capture import (
     LabeledRecord,
     import_csv,
 )
+from scadasim.engine import derive_seed
 from scadasim.ids import IsolationForestDetector, KnnDetector, RandomForestDetector
 from scadasim.ids import rows as rows_module
+from scadasim.ids.forest import GINI_EPS, _gini, _unique_weighted
 from scadasim.ids.iforest import average_path_length
+from scadasim.ids.models import _distinct_keys
 from scadasim.ids.rows import unique_rows
 from scadasim.network import MIN_PACKET_BYTES
 
@@ -164,6 +171,141 @@ def frozen_iforest_score(det, Xq):
     if denom <= 0:
         return np.ones(len(Xq))
     return (2.0 ** (-mean_depth / denom))[inverse]
+
+
+def frozen_iforest_trees(X, n_trees, subsample, seed):
+    """Isolation trees grown on each sample's rows with their duplicates, as
+    ``IsolationForestDetector.fit`` grew them."""
+    def grow_tree(X, rng, max_depth):
+        tree = {name: [] for name in ("feature", "split", "left", "right", "leaf_size")}
+        features, splits, lefts, rights, leaf_sizes = tree.values()
+
+        def grow(X, depth):
+            n = len(X)
+            index = len(features)
+            features.append(-1)
+            splits.append(0.0)
+            lefts.append(-1)
+            rights.append(-1)
+            leaf_sizes.append(n)
+            if n <= 1 or depth >= max_depth:
+                return index
+            lo = X.min(axis=0)
+            hi = X.max(axis=0)
+            splittable = np.nonzero(hi > lo)[0]
+            if len(splittable) == 0:
+                return index
+            f = int(splittable[rng.integers(len(splittable))])
+            value = float(rng.uniform(lo[f], hi[f]))
+            features[index], splits[index] = f, value
+            mask = X[:, f] < value
+            lefts[index] = grow(X[mask], depth + 1)
+            rights[index] = grow(X[~mask], depth + 1)
+            return index
+
+        grow(X, 0)
+        return tree
+
+    size = min(subsample, len(X))
+    max_depth = max(1, math.ceil(math.log2(max(2, size))))
+    trees = []
+    for i in range(n_trees):
+        rng = np.random.default_rng(derive_seed(seed, f"itree:{i}"))
+        idx = rng.choice(len(X), size, replace=False)
+        trees.append(grow_tree(X[idx], rng, max_depth))
+    return trees
+
+
+def frozen_gini_vec(pos, tot):
+    p = np.divide(pos, tot, out=np.zeros_like(pos), where=tot > 0)
+    return 2.0 * p * (1.0 - p)
+
+
+def frozen_rf_grow_tree(rows, positive, total, rng, max_depth, min_samples_split, max_features):
+    """The split search whose divisions were guarded against empty sides."""
+    tree = {name: [] for name in ("feature", "threshold", "left", "right", "label")}
+    features, thresholds, lefts, rights, labels = tree.values()
+    n_features = rows.shape[1]
+
+    def grow(idx, depth):
+        pos_sum = float(positive[idx].sum())
+        tot_sum = float(total[idx].sum())
+        index = len(features)
+        features.append(-1)
+        thresholds.append(0.0)
+        lefts.append(-1)
+        rights.append(-1)
+        labels.append(1 if pos_sum * 2 >= tot_sum else 0)
+        pure = pos_sum < GINI_EPS or pos_sum > tot_sum - GINI_EPS
+        if (pure or len(idx) < 2 or tot_sum < min_samples_split
+                or (max_depth is not None and depth >= max_depth)):
+            return index
+        if max_features is None or max_features >= n_features:
+            candidates = np.arange(n_features)
+        else:
+            candidates = rng.choice(n_features, max_features, replace=False)
+        parent_gini = _gini(pos_sum, tot_sum)
+        best = None
+        for f in candidates:
+            values = rows[idx, f]
+            order = np.argsort(values, kind="mergesort")
+            sv = values[order]
+            distinct = np.nonzero(sv[1:] != sv[:-1])[0]
+            if len(distinct) == 0:
+                continue
+            cum_pos = np.cumsum(positive[idx][order])
+            cum_tot = np.cumsum(total[idx][order])
+            left_pos = cum_pos[distinct]
+            left_tot = cum_tot[distinct]
+            right_pos = pos_sum - left_pos
+            right_tot = tot_sum - left_tot
+            weighted = (
+                left_tot * frozen_gini_vec(left_pos, left_tot)
+                + right_tot * frozen_gini_vec(right_pos, right_tot)
+            ) / tot_sum
+            gains = parent_gini - weighted
+            at = int(np.argmax(gains))
+            gain = float(gains[at])
+            if gain > GINI_EPS and (best is None or gain > best[0] + GINI_EPS):
+                pos = distinct[at]
+                threshold = float((sv[pos] + sv[pos + 1]) / 2.0)
+                best = (gain, int(f), threshold, order, pos)
+        if best is None:
+            return index
+        _, f, threshold, order, pos = best
+        features[index], thresholds[index], labels[index] = f, threshold, -1
+        lefts[index] = grow(idx[order[: pos + 1]], depth + 1)
+        rights[index] = grow(idx[order[pos + 1:]], depth + 1)
+        return index
+
+    grow(np.arange(len(rows)), 0)
+    return tree
+
+
+def frozen_rf_trees(X, y, n_trees, max_depth, max_features, bootstrap, seed):
+    """``RandomForestDetector.fit``'s trees, bootstrap weights divided under a guard."""
+    rows, positive, total = _unique_weighted(X, y)
+    n = int(total.sum())
+    trees = []
+    for i in range(n_trees):
+        rng = np.random.default_rng(derive_seed(seed, f"tree:{i}"))
+        sample = rows, positive, total
+        if bootstrap:
+            counts = rng.multinomial(n, total / n)
+            scale = np.divide(counts, total, out=np.zeros_like(total), where=total > 0)
+            tree_tot = total * scale
+            keep = tree_tot > 0
+            sample = rows[keep], (positive * scale)[keep], tree_tot[keep]
+        trees.append(frozen_rf_grow_tree(*sample, rng, max_depth, 2, max_features))
+    return trees
+
+
+def frozen_distinct_keys(records):
+    """The key pass numbering each record's key in a generator."""
+    index = {}
+    inverse = np.fromiter((index.setdefault(r[1:6], len(index)) for r in records),
+                          dtype=np.intp, count=len(records))
+    return index, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +506,76 @@ class TestForestWalk:
         with mock.patch.object(rows_module, "BLOCK_VALUES", block):
             got = det.predict(Xq)
         assert got.tolist() == frozen_forest_predict(det, Xq).tolist()
+
+
+# ---------------------------------------------------------------------------
+# tree growth and the key pass
+# ---------------------------------------------------------------------------
+
+def tree_rows(data):
+    """Rows whose columns are each constant, a few codes, two adjacent floats
+    (a drawn split can round onto one of them, where ``<`` and ``<=`` part)
+    or spread floats; heavily duplicated, or made all distinct."""
+    columns = []
+    for c in range(4):
+        kind = data.draw(st.sampled_from(["constant", "codes", "adjacent", "spread"]),
+                         label=f"column {c}")
+        if kind == "constant":
+            columns.append([float(data.draw(st.integers(0, 3), label="constant"))])
+        elif kind == "codes":
+            columns.append([0.0, 1.0, 2.0, 3.0])
+        elif kind == "adjacent":
+            x = data.draw(st.floats(0, 1), label="adjacent")
+            columns.append([x, float(np.nextafter(x, 2.0))])
+        else:
+            columns.append(data.draw(st.lists(st.floats(0, 1), min_size=2, max_size=20,
+                                              unique=True), label="spread"))
+    X = np.array(data.draw(st.lists(st.tuples(*map(st.sampled_from, columns)),
+                                    min_size=2, max_size=120), label="rows"),
+                 dtype=np.float64)
+    distinct = unique_rows(X)[0]
+    if len(distinct) > 1 and data.draw(st.booleans(), label="all distinct"):
+        return distinct
+    return X
+
+
+class TestTreeGrowth:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_isolation_trees_equal_the_ones_grown_on_every_sampled_row(self, data):
+        X = tree_rows(data)
+        subsample = data.draw(st.integers(1, len(X)), label="subsample")
+        n_trees = data.draw(st.integers(1, 8), label="n_trees")
+        seed = data.draw(st.integers(0, 3), label="seed")
+        det = IsolationForestDetector(n_trees=n_trees, subsample=subsample, seed=seed).fit(X)
+        assert det.trees == frozen_iforest_trees(X, n_trees, subsample, seed)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_forest_trees_equal_the_guarded_split_search(self, data):
+        X = tree_rows(data)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X)),
+                               label="y"), dtype=np.int64)
+        y[:2] = (0, 1)  # both classes
+        kwargs = dict(n_trees=data.draw(st.integers(1, 6), label="n_trees"),
+                      max_depth=data.draw(st.sampled_from([1, 3, None]), label="max_depth"),
+                      max_features=data.draw(st.sampled_from([None, 1, 2]), label="max_features"),
+                      bootstrap=data.draw(st.booleans(), label="bootstrap"),
+                      seed=data.draw(st.integers(0, 3), label="seed"))
+        det = RandomForestDetector(**kwargs).fit(X, y)
+        assert det.trees == frozen_rf_trees(X, y, **kwargs)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(picks=st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "d"]),
+                                    st.sampled_from(["SCADA", "HTTP"]), st.integers(20, 23),
+                                    st.sampled_from(["normal", "attack"]), st.integers(0, 9)),
+                          max_size=80))
+    def test_key_pass_numbers_records_as_the_generator_did(self, picks):
+        records = [LabeledRecord(t, src, dst, protocol, length, label,
+                                 "S1" if label == "attack" else None)
+                   for src, dst, protocol, length, label, t in picks]
+        keys, inverse = _distinct_keys(records)
+        frozen_keys, frozen_inverse = frozen_distinct_keys(records)
+        assert list(keys.items()) == list(frozen_keys.items())
+        assert inverse.dtype == frozen_inverse.dtype
+        assert inverse.tolist() == frozen_inverse.tolist()
