@@ -193,9 +193,8 @@ class AttackerComponent:
             if reply is None:
                 continue
             if reply.get("ok"):
-                user = reply.get("output", "?")
                 state.sessions[addr] = SessionInfo(addr, reply["session"], protocol)
-                self._log("rce_attempt", target, f"session user={user}")
+                self._log("rce_attempt", target, f"session user={reply['output']}")
             else:
                 self._log("rce_attempt", target, f"failed: {reply.get('error', refusal)}")
             yield self._pause()
@@ -272,9 +271,9 @@ class AttackerComponent:
         return "no_open_ports"
 
     def _session_cmd(self, kind: str, session: SessionInfo, command: str) -> Exchange:
-        lens = SESSION_CMD_LENS.get(session.protocol, SESSION_CMD_LENS["HTTP"])
         return Exchange(
-            kind, session.address, session.address, session.protocol, lens[0],
+            kind, session.address, session.address, session.protocol,
+            SESSION_CMD_LENS[session.protocol][0],
             {"type": "session_cmd", "session": session.session_id,
              "protocol": session.protocol, "command": command},
         )
@@ -321,13 +320,13 @@ class AttackerComponent:
 
     def on_packet(self, fabric: NetworkFabric, packet: Packet) -> None:
         payload = packet.payload
-        kind = payload.get("type")
+        kind = payload["type"]
         src = packet.src
         if kind == "probe_reply" or (kind == "refused" and self.state.stage == "S1_scan"):
             self.state.reachable.add(src)
-            if kind == "probe_reply" and payload.get("state") == "open":
+            if kind == "probe_reply" and payload["state"] == "open":
                 self.state.discovered.setdefault(src, set()).add(
-                    (payload["port"], payload.get("service", "OTHER"))
+                    (payload["port"], payload["service"])
                 )
             return
         if self._pending is None or payload.get("attempt") != self._pending[0]:

@@ -30,24 +30,24 @@ def _unique_weighted(X: np.ndarray, y: np.ndarray):
 
 
 def _gini(pos: float, tot: float) -> float:
-    if tot <= 0:
-        return 0.0
     p = pos / tot
     return 2.0 * p * (1.0 - p)
 
 
 def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
-              max_depth: int | None, min_samples_split: int,
-              max_features: int | None) -> dict[str, list]:
+              max_depth: int) -> dict[str, list]:
     """One CART-style tree on weighted rows: Gini impurity, <= threshold goes left.
 
-    Every row weighs more than 0, so both sides of a split hold weight.
-    Returns the TREE_FIELDS node lists in preorder. Leaves carry feature -1
-    and their majority label, inner nodes label -1.
+    Every row weighs more than 0, so both sides of a split hold weight. A node
+    that weighs less than 2 is a leaf, and each split tries
+    max(1, int(sqrt(n_features))) features drawn at random. Returns the
+    TREE_FIELDS node lists in preorder. Leaves carry feature -1 and their
+    majority label, inner nodes label -1.
     """
     tree: dict[str, list] = {name: [] for name in TREE_FIELDS}
     features, thresholds, lefts, rights, labels = tree.values()
     n_features = rows.shape[1]
+    n_candidates = max(1, int(np.sqrt(n_features)))
 
     def grow(idx: np.ndarray, depth: int) -> int:
         pos_sum = float(positive[idx].sum())
@@ -61,19 +61,12 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
         rights.append(-1)
         labels.append(1 if pos_sum * 2 >= tot_sum else 0)
         pure = pos_sum < GINI_EPS or pos_sum > tot_sum - GINI_EPS
-        if (
-            pure
-            or len(idx) < 2
-            or tot_sum < min_samples_split
-            or (max_depth is not None and depth >= max_depth)
-        ):
+        # a bootstrap weight can sit an ulp below an integer, so a node of two
+        # rows can weigh less than 2
+        if pure or len(idx) < 2 or tot_sum < 2 or depth >= max_depth:
             return index
 
-        if max_features is None or max_features >= n_features:
-            candidates = np.arange(n_features)
-        else:
-            candidates = rng.choice(n_features, max_features, replace=False)
-
+        candidates = rng.choice(n_features, n_candidates, replace=False)
         parent_gini = _gini(pos_sum, tot_sum)
         best = None  # (gain, feature, threshold, ordered, split_at)
         for f in candidates:
@@ -120,29 +113,15 @@ class RandomForestDetector:
     FIELDS = ("n_trees", "max_depth", "min_samples_split", "bootstrap", "seed", "max_features",
               "trees")
 
-    def __init__(
-        self,
-        n_trees: int = 100,
-        max_depth: int | None = 16,
-        min_samples_split: int = 2,
-        max_features: str | int | None = "sqrt",
-        bootstrap: bool = True,
-        seed: int = 0,
-    ):
+    def __init__(self, n_trees: int = 100, max_depth: int = 16, seed: int = 0):
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.bootstrap = bootstrap
         self.seed = seed
+        # fixed settings, which a model file records: see fit and grow_tree
+        self.min_samples_split = 2
+        self.bootstrap = True
+        self.max_features = "sqrt"
         self.trees: list[dict[str, list]] = []
-
-    def _resolved_max_features(self, n_features: int) -> int | None:
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if self.max_features is None:
-            return None
-        return int(self.max_features)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestDetector":
         classes = np.unique(y)
@@ -152,19 +131,16 @@ class RandomForestDetector:
             )
         rows, positive, total = _unique_weighted(X, y)
         n = int(total.sum())
-        k = self._resolved_max_features(X.shape[1])
         share = total / n
         self.trees = []
         for i in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, f"tree:{i}"))
-            sample = rows, positive, total
-            if self.bootstrap:
-                counts = rng.multinomial(n, share)
-                scale = counts / total  # every distinct row was seen at least once
-                tree_tot = total * scale
-                keep = tree_tot > 0
-                sample = rows[keep], (positive * scale)[keep], tree_tot[keep]
-            self.trees.append(grow_tree(*sample, rng, self.max_depth, self.min_samples_split, k))
+            counts = rng.multinomial(n, share)
+            scale = counts / total  # every distinct row was seen at least once
+            tree_tot = total * scale
+            keep = tree_tot > 0
+            self.trees.append(grow_tree(rows[keep], (positive * scale)[keep], tree_tot[keep],
+                                        rng, self.max_depth))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -119,11 +119,11 @@ class GridModel:
 
 @dataclass
 class PowerFlowSolution:
+    """One step's solve: the bus voltages and the flow through the transformer,
+    the quantities an RTU binding can measure."""
+
     converged: bool
-    iterations: int
     bus_voltage_pu: dict[str, float]
-    line_p_kw: dict[str, float]
-    line_q_kvar: dict[str, float]
     transformer_p_kw: float
     transformer_q_kvar: float
     transformer_loading_percent: float
@@ -181,105 +181,80 @@ class Feeder:
             z_base = v_kv * v_kv * 1000.0 / self.s_base
             return complex(r_ohm, x_ohm) / z_base
 
-        adjacency: list[list[tuple[int, complex, str]]] = [[] for _ in self.bus_ids]
+        adjacency: list[list[tuple[int, complex]]] = [[] for _ in self.bus_ids]
         lv = index[tx.lv_bus]
         z_tx = z_pu(tx.resistance_ohm, tx.reactance_ohm, tx.lv_bus)
-        adjacency[hv].append((lv, z_tx, tx.transformer_id))
-        adjacency[lv].append((hv, z_tx, tx.transformer_id))
+        adjacency[hv].append((lv, z_tx))
+        adjacency[lv].append((hv, z_tx))
         for ln in grid.lines:
             a, b = index[ln.from_bus], index[ln.to_bus]
             z = z_pu(ln.resistance_ohm, ln.reactance_ohm, ln.to_bus)
-            adjacency[a].append((b, z, ln.line_id))
-            adjacency[b].append((a, z, ln.line_id))
+            adjacency[a].append((b, z))
+            adjacency[b].append((a, z))
 
-        # (parent index, child index, z_pu, edge id), parents before children
-        self.edges: list[tuple[int, int, complex, str]] = []
+        # (parent index, child index, z_pu), parents before children
+        self.edges: list[tuple[int, int, complex]] = []
         seen = {hv}
         queue = deque([hv])
         while queue:
             parent = queue.popleft()
-            for child, z, edge_id in adjacency[parent]:
+            for child, z in adjacency[parent]:
                 if child not in seen:
                     seen.add(child)
-                    self.edges.append((parent, child, z, edge_id))
+                    self.edges.append((parent, child, z))
                     queue.append(child)
 
-        into_bus = {child: k for k, (_, child, _, _) in enumerate(self.edges)}
+        into_bus = {child: k for k, (_, child, _) in enumerate(self.edges)}
         # backward sweep, leaves first: (edge, child, parent's edge or -1 at the slack)
         self._backward = [
             (k, child, -1 if parent == hv else into_bus[parent])
-            for k, (parent, child, _, _) in reversed(list(enumerate(self.edges)))
+            for k, (parent, child, _) in reversed(list(enumerate(self.edges)))
         ]
-        self._forward = [(parent, child, z) for parent, child, z, _ in self.edges]
         self._loads = [(ld.load_id, index[ld.bus], complex(ld.p_kw, ld.q_kvar))
                        for ld in grid.loads]
-        self._ders = [(der.der_id, index[der.bus], complex(der.p_kw, 0.0)) for der in grid.ders]
-        # edge 0 is the transformer, the slack's first adjacency entry
-        self._lines = [(k, parent, edge_id)
-                       for k, (parent, _, _, edge_id) in enumerate(self.edges) if k]
+        self._ders = [(index[der.bus], complex(der.p_kw, 0.0)) for der in grid.ders]
 
     def solve(
-        self,
-        load_scaling: dict[str, float] | None = None,
-        der_scaling: dict[str, float] | None = None,
-        tol_pu: float = 1e-8,
-        max_iterations: int = 50,
+        self, load_scaling: dict[str, float] | None = None, max_iterations: int = 50
     ) -> PowerFlowSolution:
         """Backward/forward sweep to a fixed point.
 
-        Scaling factors default to 1.0 per element; they must be finite and >= 0.
-        Convergence means the largest per-bus voltage change of a sweep fell
-        below tol_pu before hitting the iteration cap.
+        Load scaling factors default to 1.0 per load; every DER injects its
+        configured p_kw. Convergence means the largest per-bus voltage change of
+        a sweep fell below 1e-8 pu before hitting the iteration cap.
         """
         s_base = self.s_base
-        s_net = self._injections(load_scaling, der_scaling)
-        voltage, branch_current, converged, iterations = self._sweep(s_net, tol_pu, max_iterations)
-
-        line_p: dict[str, float] = {}
-        line_q: dict[str, float] = {}
-        for k, parent, edge_id in self._lines:
-            sending = voltage[parent] * branch_current[k].conjugate() * s_base
-            line_p[edge_id] = sending.real
-            line_q[edge_id] = sending.imag
+        s_net = self._injections(load_scaling)
+        voltage, branch_current, converged = self._sweep(s_net, 1e-8, max_iterations)
+        # edge 0 is the transformer, the slack's first adjacency entry
         tx_s = voltage[self.slack] * branch_current[0].conjugate() * s_base
-
         return PowerFlowSolution(
             converged=converged,
-            iterations=iterations,
             bus_voltage_pu={bus: abs(v) for bus, v in zip(self.bus_ids, voltage)},
-            line_p_kw=line_p,
-            line_q_kvar=line_q,
             transformer_p_kw=tx_s.real,
             transformer_q_kvar=tx_s.imag,
             transformer_loading_percent=abs(tx_s) / s_base * 100.0,
         )
 
-    def _injections(
-        self, load_scaling: dict[str, float] | None, der_scaling: dict[str, float] | None
-    ) -> list[complex]:
+    def _injections(self, load_scaling: dict[str, float] | None) -> list[complex]:
         """Net constant-power consumption per bus in per-unit (DER negative)."""
         load_scaling = load_scaling or {}
-        der_scaling = der_scaling or {}
-        for name, factor in list(load_scaling.items()) + list(der_scaling.items()):
-            if not math.isfinite(factor) or factor < 0:
-                raise GridConfigError(f"scaling for {name!r} must be finite and >= 0, got {factor}")
         s_base = self.s_base
         s_net = [0j] * len(self.bus_ids)
         for load_id, bus, s in self._loads:
             s_net[bus] += s * load_scaling.get(load_id, 1.0) / s_base
-        for der_id, bus, s in self._ders:
-            s_net[bus] -= s * der_scaling.get(der_id, 1.0) / s_base
+        for bus, s in self._ders:
+            s_net[bus] -= s / s_base
         return s_net
 
     def _sweep(
         self, s_net: list[complex], tol_pu: float, max_iterations: int
-    ) -> tuple[list[complex], list[complex], bool, int]:
+    ) -> tuple[list[complex], list[complex], bool]:
         """Iterate backward/forward sweeps to a voltage fixed point."""
         voltage = [1.0 + 0j] * len(s_net)
         branch_current = [0j] * len(self.edges)
         converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
+        for _ in range(max_iterations):
             inj = [(s / v).conjugate() for s, v in zip(s_net, voltage)]
             branch_current = [0j] * len(self.edges)
             for k, child, up in self._backward:
@@ -288,7 +263,7 @@ class Feeder:
                 if up >= 0:
                     branch_current[up] += current
             max_delta = 0.0
-            for (parent, child, z), current in zip(self._forward, branch_current):
+            for (parent, child, z), current in zip(self.edges, branch_current):
                 new_v = voltage[parent] - z * current
                 delta = abs(new_v - voltage[child])
                 if delta > max_delta:
@@ -297,7 +272,7 @@ class Feeder:
             if max_delta < tol_pu:
                 converged = True
                 break
-        return voltage, branch_current, converged, iterations
+        return voltage, branch_current, converged
 
 
 def sample_load_profile(

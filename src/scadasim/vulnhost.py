@@ -87,28 +87,33 @@ class SimHost:
     # -- inbound -------------------------------------------------------------
 
     def on_packet(self, fabric: NetworkFabric, packet: Packet) -> None:
+        """Answer one request, unless the host is silenced.
+
+        A request to a port looks its service up once: a probe of a port with
+        no service gets a "closed" reply, any other request to it a refusal.
+        Telemetry goes to the SCADA app, a session command to its session, and
+        anything else, such as a reply to the ops host, is dropped.
+        """
         if self.silenced:
             return
-        kind = packet.payload.get("type")
-        if kind in ("telemetry_report", "telemetry_ack", "interrogation"):
+        payload = packet.payload
+        kind = payload["type"]
+        on_service = _ON_SERVICE.get(kind)
+        if on_service is not None:
+            port = payload["port"]
+            svc = self.services.get(port)
+            if svc is not None:
+                on_service(self, fabric, packet, port, svc)
+            elif kind == "probe":
+                self._reply(fabric, packet, "OTHER", REFUSAL_LEN,
+                            {"type": "probe_reply", "port": port, "state": "closed"})
+            else:
+                self._refuse(fabric, packet, port)
+        elif kind in ("telemetry_report", "telemetry_ack", "interrogation"):
             if self.scada_app is not None:
                 self.scada_app.on_telemetry(fabric, packet)
-            return
-        if kind == "probe":
-            self._on_probe(fabric, packet)
-        elif kind == "http_get":
-            self._on_http_get(fabric, packet)
-        elif kind == "keepalive":
-            self._on_keepalive(fabric, packet)
-        elif kind == "rce_attempt":
-            self._on_rce_attempt(fabric, packet)
-        elif kind == "login_hello":
-            self._on_login_hello(fabric, packet)
-        elif kind == "login_auth":
-            self._on_login_auth(fabric, packet)
         elif kind == "session_cmd":
             self._on_session_cmd(fabric, packet)
-        # anything else is silently dropped: not addressed to a modeled service
 
     def _reply(self, fabric, packet, protocol, length, payload) -> None:
         # Deliberately not guarded by `silenced`: the confirmation of the very
@@ -124,25 +129,17 @@ class SimHost:
             fabric, packet, "OTHER", REFUSAL_LEN, {"type": "refused", "port": port}
         )
 
-    def _on_probe(self, fabric, packet) -> None:
-        port = packet.payload["port"]
-        svc = self.services.get(port)
-        if svc is None:
-            self._reply(
-                fabric, packet, "OTHER", REFUSAL_LEN,
-                {"type": "probe_reply", "port": port, "state": "closed"},
-            )
-        else:
-            self._reply(
-                fabric, packet, svc.protocol, BANNER_LEN,
-                {"type": "probe_reply", "port": port, "state": "open",
-                 "service": svc.protocol, "banner": svc.banner},
-            )
+    # -- requests to a port with a service: (fabric, packet, port, service) --------
 
-    def _on_http_get(self, fabric, packet) -> None:
-        port = packet.payload.get("port", 80)
-        svc = self.services.get(port)
-        if svc is None or svc.protocol != "HTTP":
+    def _on_probe(self, fabric, packet, port, svc) -> None:
+        self._reply(
+            fabric, packet, svc.protocol, BANNER_LEN,
+            {"type": "probe_reply", "port": port, "state": "open",
+             "service": svc.protocol, "banner": svc.banner},
+        )
+
+    def _on_http_get(self, fabric, packet, port, svc) -> None:
+        if svc.protocol != "HTTP":
             self._refuse(fabric, packet, port)
             return
         self._reply(
@@ -150,10 +147,8 @@ class SimHost:
             {"type": "http_response", "status": 200, "port": port},
         )
 
-    def _on_keepalive(self, fabric, packet) -> None:
-        port = packet.payload.get("port", 22)
-        svc = self.services.get(port)
-        if svc is None or svc.protocol not in KEEPALIVE_LENS:
+    def _on_keepalive(self, fabric, packet, port, svc) -> None:
+        if svc.protocol not in KEEPALIVE_LENS:
             self._refuse(fabric, packet, port)
             return
         self._reply(
@@ -163,13 +158,8 @@ class SimHost:
 
     # -- remote code execution paths ------------------------------------------
 
-    def _on_rce_attempt(self, fabric, packet) -> None:
+    def _on_rce_attempt(self, fabric, packet, port, svc) -> None:
         """Command-parameter exploit against a web service, single exchange."""
-        port = packet.payload["port"]
-        svc = self.services.get(port)
-        if svc is None:
-            self._refuse(fabric, packet, port)
-            return
         if svc.rce is None or svc.rce.method != "cmd_param":
             self._reply(
                 fabric, packet, svc.protocol, HTTP_RESPONSE_LEN,
@@ -177,19 +167,14 @@ class SimHost:
             )
             return
         session = self._open_session(svc)
-        output = self.exec_command(session, packet.payload.get("command", "whoami"))
+        output = self.exec_command(session, packet.payload["command"])
         self._reply(
             fabric, packet, svc.protocol, HTTP_RESPONSE_LEN,
             {"type": "rce_result", "ok": True, "port": port,
              "session": session.session_id, "output": output},
         )
 
-    def _on_login_hello(self, fabric, packet) -> None:
-        port = packet.payload["port"]
-        svc = self.services.get(port)
-        if svc is None:
-            self._refuse(fabric, packet, port)
-            return
+    def _on_login_hello(self, fabric, packet, port, svc) -> None:
         lens = LOGIN_LENS.get(svc.protocol)
         if lens is None:
             self._reply(
@@ -202,13 +187,9 @@ class SimHost:
             {"type": "login_challenge", "ok": True, "port": port},
         )
 
-    def _on_login_auth(self, fabric, packet) -> None:
-        port = packet.payload["port"]
-        svc = self.services.get(port)
-        if svc is None:
-            self._refuse(fabric, packet, port)
-            return
-        lens = LOGIN_LENS.get(svc.protocol, LOGIN_LENS["SSH"])
+    def _on_login_auth(self, fabric, packet, port, svc) -> None:
+        # sent only after an ok challenge, so the protocol has login lengths
+        lens = LOGIN_LENS[svc.protocol]
         if svc.rce is None or svc.rce.method != "known_credentials":
             self._reply(
                 fabric, packet, svc.protocol, lens[3],
@@ -231,17 +212,18 @@ class SimHost:
     # -- command execution inside a session ------------------------------------
 
     def _on_session_cmd(self, fabric, packet) -> None:
-        sid = packet.payload.get("session")
+        payload = packet.payload
+        sid = payload["session"]
         session = self.sessions.get(sid)
-        proto = packet.payload.get("protocol", "HTTP")
-        out_len = SESSION_CMD_LENS.get(proto, SESSION_CMD_LENS["HTTP"])[1]
+        proto = payload["protocol"]
+        out_len = SESSION_CMD_LENS[proto][1]
         if session is None:
             self._reply(
                 fabric, packet, proto, out_len,
                 {"type": "cmd_output", "ok": False, "error": "session closed"},
             )
             return
-        output = self.exec_command(session, packet.payload.get("command", ""))
+        output = self.exec_command(session, payload["command"])
         self._reply(
             fabric, packet, proto, out_len,
             {"type": "cmd_output", "ok": True, "session": sid, "output": output},
@@ -294,3 +276,14 @@ class SimHost:
             transform[quantity] = (float(scale_s), float(offset_s or 0.0))
         self.scada_app.apply_manipulate(transform)
         return "spoofing active"
+
+
+# request kind -> its handler, for the requests addressed to one port's service
+_ON_SERVICE = {
+    "probe": SimHost._on_probe,
+    "http_get": SimHost._on_http_get,
+    "keepalive": SimHost._on_keepalive,
+    "rce_attempt": SimHost._on_rce_attempt,
+    "login_hello": SimHost._on_login_hello,
+    "login_auth": SimHost._on_login_auth,
+}

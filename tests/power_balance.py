@@ -6,31 +6,37 @@ conservation at every bus; a solver change that breaks either shows here.
 
 from __future__ import annotations
 
+import math
+
 from scadasim.powergrid import Feeder, GridConfigError, GridModel
 
 
 def check_power_balance(
     grid: GridModel,
     load_scaling: dict[str, float] | None = None,
-    der_scaling: dict[str, float] | None = None,
 ) -> float:
     """Solve tightly, then return the worst per-bus power mismatch in per-unit.
 
     For every non-slack bus the power arriving over the parent edge must equal
-    the local net consumption plus the power sent down every child edge.
+    the local net consumption plus the power sent down every child edge. A
+    scaling factor must be finite and >= 0, as ``sample_load_profile``'s are;
+    a NaN one would make every voltage NaN and the mismatch read 0.0.
     """
+    for name, factor in (load_scaling or {}).items():
+        if not math.isfinite(factor) or factor < 0:
+            raise GridConfigError(f"scaling for {name!r} must be finite and >= 0, got {factor}")
     grid.validate()
     feeder = Feeder(grid)
-    s_net = feeder._injections(load_scaling, der_scaling)
-    voltage, branch_current, converged, _ = feeder._sweep(s_net, 1e-10, 500)
+    s_net = feeder._injections(load_scaling)
+    voltage, branch_current, converged = feeder._sweep(s_net, 1e-10, 500)
     if not converged:
         raise GridConfigError("power balance check: sweep did not converge")
 
     children_of: dict[int, list[int]] = {}
-    for k, (parent, _, _, _) in enumerate(feeder.edges):
+    for k, (parent, _, _) in enumerate(feeder.edges):
         children_of.setdefault(parent, []).append(k)
     worst = 0.0
-    for k, (_, child, _, _) in enumerate(feeder.edges):
+    for k, (_, child, _) in enumerate(feeder.edges):
         received = voltage[child] * branch_current[k].conjugate()
         sent_down = sum(
             (voltage[child] * branch_current[e].conjugate() for e in children_of.get(child, [])),

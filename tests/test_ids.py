@@ -26,6 +26,7 @@ from scadasim.ids import (
     save_model,
     train_model,
 )
+from scadasim.ids.forest import grow_tree
 from scadasim.ids.models import FeatureDictionary, fields_of
 from scadasim.ids.neighbors import LRD_EPS, _row_distances
 from scadasim.ids.rows import unique_rows
@@ -41,17 +42,6 @@ def toy_records(n_attack=5, n_normal=5):
 
 
 class TestRandomForest:
-    def test_single_tree_full_depth_memorizes_training_points(self):
-        rng = np.random.default_rng(1)
-        X = rng.uniform(0, 10, size=(40, 4))
-        y = (rng.random(40) < 0.5).astype(np.int64)
-        y[0] = 1  # ensure both classes
-        y[1] = 0
-        det = RandomForestDetector(
-            n_trees=1, max_depth=None, max_features=None, bootstrap=False, seed=3
-        ).fit(X, y)
-        assert det.predict(X).tolist() == y.tolist()
-
     def test_linearly_separable_set_reaches_full_train_accuracy(self):
         rng = np.random.default_rng(7)
         X0 = rng.normal(0.0, 0.5, size=(60, 2))
@@ -79,13 +69,14 @@ class TestRandomForest:
             RandomForestDetector().fit(X, y)
 
     def test_duplicate_rows_with_conflicting_labels_take_majority(self):
-        X = np.array([[1.0, 0, 0, 0]] * 10 + [[2.0, 0, 0, 0]] * 10)
-        y = np.array([1] * 8 + [0] * 2 + [0] * 10)  # first row mostly attack
-        det = RandomForestDetector(
-            n_trees=5, bootstrap=False, max_features=None, seed=0
-        ).fit(X, y)
-        pred = det.predict(np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0]]))
-        assert pred.tolist() == [1, 0]
+        # two distinct rows carrying their duplicates as weight: 10 copies of the
+        # first, 8 of them attack, and 10 of the second, none attack; one column,
+        # so the split always has it to try
+        rows = np.array([[1.0], [2.0]])
+        det = RandomForestDetector(n_trees=1)
+        det.trees = [grow_tree(rows, np.array([8.0, 0.0]), np.array([10.0, 10.0]),
+                               np.random.default_rng(0), det.max_depth)]
+        assert det.predict(rows).tolist() == [1, 0]
 
 
 class TestKnn:
