@@ -27,11 +27,11 @@ Attack timing:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 from .engine import MS_PER_STEP, Engine
 from .network import NetworkFabric, Packet
-from .powergrid import QUANTITIES
+from .powergrid import Quantity
 from .vulnhost import HTTP_REQUEST_LEN, LOGIN_LENS, PE_METHODS, PROBE_LEN, SESSION_CMD_LENS
 
 RESPONSE_TIMEOUT_MS = 100
@@ -40,21 +40,15 @@ ENFORCE_OFFSET_MS = 500
 
 @dataclass(frozen=True)
 class AttackGoal:
-    kind: str  # dos | manipulate
+    kind: Literal["dos", "manipulate"]
     target_addresses: tuple[str, ...] | None = None  # None: any compromised RTU
-    manipulation: dict[str, tuple[float, float]] | None = None
+    manipulation: dict[Quantity, tuple[float, float]] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("dos", "manipulate"):
-            raise ValueError(f"unknown goal kind {self.kind!r}")
         if self.kind == "manipulate" and not self.manipulation:
             raise ValueError("manipulate goal requires a manipulation spec")
         if self.kind == "dos" and self.manipulation:
             raise ValueError("dos goal carries no manipulation spec")
-        for quantity in self.manipulation or ():
-            if quantity not in QUANTITIES:
-                raise ValueError(f"unknown manipulated quantity {quantity!r}; "
-                                 f"expected one of {', '.join(QUANTITIES)}")
 
     def matches(self, address: str) -> bool:
         return self.target_addresses is None or address in self.target_addresses

@@ -6,7 +6,9 @@ the first. Cross-references (bus ids, host ids, link endpoints, bindings) must
 all resolve before a simulation is allowed to start.
 
 The dataclasses are the schema: ``_fill`` reads each field with its annotated
-type, its default and its ``_bounded`` bounds, refuses other keys, and never raises.
+type (a ``Literal`` lists the values it takes), its default and its bounds, the
+``{"lo", "hi"}`` metadata that ``_bounded`` writes, refuses other keys, and never
+raises. The grid, topology and bindings then list their structural problems.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -33,7 +35,7 @@ from .powergrid import (
     RtuBinding,
     Transformer,
 )
-from .vulnhost import PE_METHODS, HostService, RceVuln
+from .vulnhost import HostService, PePath, RceVuln
 
 FORMAT_VERSION = 1
 # the i-th RTU reports RTU_STAGGER_MS * i after its configured offset
@@ -80,7 +82,7 @@ class GridSection:
 @dataclass
 class HostEntry:
     services: dict[int, HostService] = field(default_factory=dict)
-    pe_paths: frozenset[str] = frozenset()
+    pe_paths: frozenset[PePath] = frozenset()
 
 
 @dataclass
@@ -197,9 +199,10 @@ _hints = cache(get_type_hints)
 
 def _value(value, kind, where: str, errors: list[str], lo=None, hi=None):
     """``value`` read as ``kind`` and converted to it; ``kind`` is a ``_SCALARS``
-    key, a dataclass, ``X | None``, ``str | list[str]``, ``dict[K, V]``, or a list,
-    frozenset or tuple of one kind. A wrong type or a value outside the inclusive
-    bounds appends an error naming ``where`` and reads as None.
+    key, a ``Literal``, a dataclass, ``X | None``, ``str | list[str]``,
+    ``dict[K, V]``, or a list, frozenset or tuple of one kind. A wrong type, a
+    value the ``Literal`` does not list or a value outside the inclusive bounds
+    appends an error naming ``where`` and reads as None.
     """
     if kind in _SCALARS:
         accepts, name = _SCALARS[kind]
@@ -218,6 +221,11 @@ def _value(value, kind, where: str, errors: list[str], lo=None, hi=None):
     if is_dataclass(kind):
         return _fill(kind, value, where, errors)
     origin, args = get_origin(kind), get_args(kind)
+    if origin is Literal:
+        if value not in args:
+            errors.append(f"{where}: expected one of {', '.join(args)}, got {value!r:.60}")
+            return None
+        return value
     if origin is UnionType:
         if value is None and NoneType in args:
             return None
@@ -319,7 +327,7 @@ def _read_grid(raw, errors: list[str]) -> GridSection | None:
         _check_csv_name("grid.transformer.id", model.transformer.transformer_id, errors)
     section = _fill(GridSection, raw.get("profile", {}), "grid.profile", errors, model=model)
     if len(errors) == start:
-        _checked("grid", errors, model.validate)
+        errors.extend(f"grid: {problem}" for problem in model.problems())
     return section if len(errors) == start else None
 
 
@@ -341,7 +349,7 @@ def _read_topology(raw, errors: list[str]) -> IctTopology | None:
         span=_read(raw, "span", SpanConfig | None, "ict", errors, None),
     )
     if len(errors) == start:
-        _checked("ict", errors, topology.validate)
+        errors.extend(f"ict: {problem}" for problem in topology.problems())
     return topology
 
 
@@ -359,8 +367,6 @@ def _read_hosts(raw, errors: list[str]) -> dict[str, HostEntry]:
         host = _fill(HostEntry, entry, path, errors, ("services",), services=services)
         node_id = _value(key, str, path, errors)
         if host is not None and node_id is not None:
-            for pe in sorted(host.pe_paths.difference(PE_METHODS)):
-                errors.append(f"{path}.pe_paths: unknown pe path {pe!r}")
             hosts[node_id] = host
     return hosts
 
@@ -419,7 +425,7 @@ def _read_scada(raw, errors: list[str], grid_names: tuple[set[str], str | None],
                           f"scada.rtus[{first_of[binding.station]}]")
         for j, point in enumerate(binding.points):
             _check_csv_name(f"{path}.points[{j}].id", point.point_id, errors)
-        _checked(path, errors, binding.validate, *grid_names)
+        errors.extend(f"{path}: {problem}" for problem in binding.problems(*grid_names))
         rtu = _fill(RtuConfig, r, path, errors, ("station", "points"), binding=binding)
         if rtu is not None:
             rtu.report_offset_ms += RTU_STAGGER_MS * i

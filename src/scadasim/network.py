@@ -10,18 +10,17 @@ packet the mirrored switch handles is passed to the monitor exactly once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Literal, Protocol
 
 from .engine import Engine, derive_seed
 
-PROTOCOLS = ("SCADA", "HTTP", "SSH", "TELNET", "SCAN_PROBE", "OTHER")
-NODE_KINDS = ("host", "switch", "router_firewall")
 MIN_PACKET_BYTES = 20
 
 
 class NetworkConfigError(ValueError):
-    """Topology description is inconsistent."""
+    """A link state change names no link of the fabric."""
 
 
 @dataclass(slots=True)
@@ -37,7 +36,7 @@ class Packet:
 @dataclass
 class NetNode:
     node_id: str
-    kind: str
+    kind: Literal["host", "switch", "router_firewall"]
     address: str | None = None
     blocked_prefixes: tuple[str, ...] = ()
 
@@ -47,9 +46,10 @@ class NetLink:
     link_id: str
     endpoint_a: str
     endpoint_b: str
-    latency_ms: int = 1
-    loss_probability: float = 0.0
-    bandwidth_bps: int = 10_000_000
+    # the loader's inclusive bounds, as config._bounded states them
+    latency_ms: int = field(default=1, metadata={"lo": 0})
+    loss_probability: float = field(default=0.0, metadata={"lo": 0, "hi": 1})
+    bandwidth_bps: int = field(default=10_000_000, metadata={"lo": 1})
     up: bool = True
 
 
@@ -65,46 +65,56 @@ class IctTopology:
     links: list[NetLink]
     span: SpanConfig | None = None
 
-    def validate(self) -> None:
-        node_ids = [n.node_id for n in self.nodes]
-        if len(set(node_ids)) != len(node_ids):
-            raise NetworkConfigError("duplicate node ids")
+    def problems(self) -> Iterator[str]:
+        """Every way in which the topology is not a loop-free network of
+        uniquely named nodes; the checks of how links attach run only when
+        every link names known nodes."""
+        for what, ids in (("node id", [n.node_id for n in self.nodes]),
+                          ("address", [n.address for n in self.nodes if n.address is not None]),
+                          ("link id", [l.link_id for l in self.links])):
+            for i, count in Counter(ids).items():
+                if count > 1:
+                    yield f"duplicate {what} {i!r}"
         by_id = {n.node_id: n for n in self.nodes}
-        addresses = [n.address for n in self.nodes if n.address is not None]
-        if len(set(addresses)) != len(addresses):
-            raise NetworkConfigError("duplicate addresses")
         for n in self.nodes:
-            if n.kind not in NODE_KINDS:
-                raise NetworkConfigError(f"node {n.node_id}: unknown kind {n.kind!r}")
             if n.kind == "host" and n.address is None:
-                raise NetworkConfigError(f"host {n.node_id} has no address")
-        link_ids = [l.link_id for l in self.links]
-        if len(set(link_ids)) != len(link_ids):
-            raise NetworkConfigError("duplicate link ids")
-        attach_count: dict[str, int] = {}
+                yield f"host {n.node_id} has no address"
+        ends_known = True
         for l in self.links:
             for end in (l.endpoint_a, l.endpoint_b):
                 if end not in by_id:
-                    raise NetworkConfigError(f"link {l.link_id}: unknown node {end!r}")
-                attach_count[end] = attach_count.get(end, 0) + 1
+                    ends_known = False
+                    yield f"link {l.link_id}: unknown node {end!r}"
             if l.endpoint_a == l.endpoint_b:
                 # a flood out of one end would come back in at the other, forever
-                raise NetworkConfigError(f"link {l.link_id}: both ends on {l.endpoint_a!r}")
-            if not 0.0 <= l.loss_probability <= 1.0:
-                raise NetworkConfigError(f"link {l.link_id}: loss_probability out of [0,1]")
-            if l.latency_ms < 0 or l.bandwidth_bps <= 0:
-                raise NetworkConfigError(f"link {l.link_id}: bad latency/bandwidth")
-        for n in self.nodes:
-            if n.kind == "host" and attach_count.get(n.node_id, 0) != 1:
-                raise NetworkConfigError(
-                    f"host {n.node_id} must attach by exactly one link, has {attach_count.get(n.node_id, 0)}"
-                )
+                yield f"link {l.link_id}: both ends on {l.endpoint_a!r}"
         if self.span is not None:
             sw = by_id.get(self.span.switch_id)
-            if sw is None or sw.kind not in ("switch", "router_firewall"):
-                raise NetworkConfigError(f"span switch {self.span.switch_id!r} is not a switch")
+            if sw is None or sw.kind == "host":
+                yield f"span switch {self.span.switch_id!r} is not a switch"
             if self.span.monitor_node_id not in by_id:
-                raise NetworkConfigError(f"span monitor {self.span.monitor_node_id!r} unknown")
+                yield f"span monitor {self.span.monitor_node_id!r} unknown"
+        if not ends_known:
+            return
+        attach_count = Counter(end for l in self.links for end in (l.endpoint_a, l.endpoint_b))
+        for n in self.nodes:
+            if n.kind == "host" and attach_count[n.node_id] != 1:
+                yield (f"host {n.node_id} must attach by exactly one link, "
+                       f"has {attach_count[n.node_id]}")
+        # a loop, whether its links start up or down, would carry a flood around
+        # it forever: the learning switches run no spanning tree
+        root_of = {node_id: node_id for node_id in by_id}
+
+        def root(node_id: str) -> str:
+            while root_of[node_id] != node_id:
+                node_id = root_of[node_id]
+            return node_id
+
+        for l in self.links:
+            a, b = root(l.endpoint_a), root(l.endpoint_b)
+            if a == b and l.endpoint_a != l.endpoint_b:  # a link on one node is named above
+                yield f"link {l.link_id}: closes a loop"
+            root_of[a] = b
 
 
 class PacketApp(Protocol):
@@ -148,8 +158,8 @@ class _Node:
 
 
 class NetworkFabric:
-    """Engine component owning all packet transport over a topology that passed
-    ``IctTopology.validate``. Target name: ``net``."""
+    """Engine component owning all packet transport over a topology with no
+    ``IctTopology.problems``. Target name: ``net``."""
 
     def __init__(self, topology: IctTopology, engine: Engine, seed: int):
         self.engine = engine

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import Iterator, Literal
 
 from .engine import derive_seed
-
-
-class GridConfigError(ValueError):
-    """Grid description violates the radial-feeder invariants."""
 
 
 @dataclass(frozen=True)
@@ -69,39 +66,45 @@ class GridModel:
     loads: tuple[Load, ...]
     ders: tuple[Der, ...]
 
-    def validate(self) -> None:
-        """Raise GridConfigError unless the grid is a connected radial feeder."""
+    def problems(self) -> Iterator[str]:
+        """Every way in which the grid is not a connected radial feeder;
+        connectivity is checked only when every edge names known buses."""
         bus_ids = [b.bus_id for b in self.buses]
-        if len(set(bus_ids)) != len(bus_ids):
-            raise GridConfigError("duplicate bus ids")
+        edge_ids = [self.transformer.transformer_id] + [ln.line_id for ln in self.lines]
+        for what, ids in (("bus id", bus_ids), ("transformer/line id", edge_ids)):
+            for i, count in Counter(ids).items():
+                if count > 1:
+                    yield f"duplicate {what} {i!r}"
+        for b in self.buses:
+            if b.nominal_kv <= 0:  # it divides every impedance on its side
+                yield f"bus {b.bus_id}: nominal_kv must be > 0"
         known = set(bus_ids)
         edges = [(self.transformer.hv_bus, self.transformer.lv_bus)]
         edges += [(ln.from_bus, ln.to_bus) for ln in self.lines]
+        ends_known = True
         for a, b in edges:
             if a not in known or b not in known:
-                raise GridConfigError(f"edge references unknown bus: {a!r}-{b!r}")
-        edge_ids = [self.transformer.transformer_id] + [ln.line_id for ln in self.lines]
-        if len(set(edge_ids)) != len(edge_ids):
-            raise GridConfigError("duplicate transformer/line ids")
+                ends_known = False
+                yield f"edge references unknown bus: {a!r}-{b!r}"
         if len(edges) != len(self.buses) - 1:
-            raise GridConfigError(
-                f"not radial: {len(edges)} edges for {len(self.buses)} buses (need buses-1)"
-            )
+            yield f"not radial: {len(edges)} edges for {len(self.buses)} buses (need buses-1)"
         for ln in self.lines:
             if ln.resistance_ohm <= 0 and ln.reactance_ohm <= 0:
-                raise GridConfigError(f"line {ln.line_id}: impedance must be > 0")
+                yield f"line {ln.line_id}: impedance must be > 0"
             if ln.rating_kva <= 0:
-                raise GridConfigError(f"line {ln.line_id}: rating must be > 0")
+                yield f"line {ln.line_id}: rating must be > 0"
         if self.transformer.rating_kva <= 0:
-            raise GridConfigError("transformer rating must be > 0")
+            yield "transformer rating must be > 0"
         if self.transformer.resistance_ohm <= 0 and self.transformer.reactance_ohm <= 0:
-            raise GridConfigError("transformer impedance must be > 0")
+            yield "transformer impedance must be > 0"
         for ld in self.loads:
             if ld.bus not in known:
-                raise GridConfigError(f"load {ld.load_id}: unknown bus {ld.bus!r}")
+                yield f"load {ld.load_id}: unknown bus {ld.bus!r}"
         for der in self.ders:
             if der.bus not in known:
-                raise GridConfigError(f"der {der.der_id}: unknown bus {der.bus!r}")
+                yield f"der {der.der_id}: unknown bus {der.bus!r}"
+        if not ends_known:
+            return
         adjacency: dict[str, list[str]] = {b: [] for b in known}
         for a, b in edges:
             adjacency[a].append(b)
@@ -114,7 +117,7 @@ class GridModel:
                     seen.add(nxt)
                     stack.append(nxt)
         if seen != known:
-            raise GridConfigError(f"disconnected buses: {sorted(known - seen)}")
+            yield f"disconnected buses: {sorted(known - seen)}"
 
 
 @dataclass
@@ -129,13 +132,13 @@ class PowerFlowSolution:
     transformer_loading_percent: float
 
 
-QUANTITIES = ("transformer_loading_percent", "P_kW", "Q_kvar", "V_pu")
+Quantity = Literal["transformer_loading_percent", "P_kW", "Q_kvar", "V_pu"]
 
 
 @dataclass(frozen=True)
 class BoundPoint:
     point_id: str
-    quantity: str
+    quantity: Quantity
     element: str
 
 
@@ -144,15 +147,14 @@ class RtuBinding:
     station: str
     points: tuple[BoundPoint, ...] = field(default_factory=tuple)
 
-    def validate(self, bus_ids: set[str], transformer_id: str | None) -> None:
+    def problems(self, bus_ids: set[str], transformer_id: str | None) -> Iterator[str]:
+        """Each bound point whose element is not on the grid."""
         for pt in self.points:
-            if pt.quantity not in QUANTITIES:
-                raise GridConfigError(f"binding {pt.point_id}: unknown quantity {pt.quantity!r}")
             if pt.quantity == "V_pu":
                 if pt.element not in bus_ids:
-                    raise GridConfigError(f"binding {pt.point_id}: unknown bus {pt.element!r}")
+                    yield f"binding {pt.point_id}: unknown bus {pt.element!r}"
             elif pt.element != transformer_id:
-                raise GridConfigError(f"binding {pt.point_id}: unknown grid element {pt.element!r}")
+                yield f"binding {pt.point_id}: unknown grid element {pt.element!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +162,7 @@ class RtuBinding:
 # ---------------------------------------------------------------------------
 
 class Feeder:
-    """A grid that passed ``GridModel.validate``, prepared once for repeated
+    """A grid with no ``GridModel.problems``, prepared once for repeated
     backward/forward sweeps.
 
     Buses are indexed in ``grid.buses`` order and edges in BFS order from the

@@ -9,12 +9,13 @@ sudoers script). Exploit success is deterministic given the configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Literal, get_args
 
-from .network import PROTOCOLS, NetworkFabric, Packet
+from .network import NetworkFabric, Packet
 
-USERS = ("www-data", "operator", "root")
-PE_METHODS = ("suid_binary", "sudoers_script")
+PePath = Literal["suid_binary", "sudoers_script"]
+PE_METHODS = get_args(PePath)
 
 PROBE_LEN = 60
 REFUSAL_LEN = 54
@@ -29,34 +30,18 @@ SESSION_CMD_LENS = {"HTTP": (300, 500), "SSH": (120, 160), "TELNET": (110, 150)}
 KEEPALIVE_LENS = {"SSH": (160, 120), "TELNET": (110, 100)}
 
 
-class HostConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RceVuln:
-    method: str  # cmd_param | known_credentials
-    executing_user: str
+    method: Literal["cmd_param", "known_credentials"]
+    executing_user: Literal["www-data", "operator", "root"]
 
 
 @dataclass(frozen=True)
 class HostService:
-    port: int
-    protocol: str
+    port: int = field(metadata={"lo": 1, "hi": 65535})  # the loader's bounds
+    protocol: Literal["SCADA", "HTTP", "SSH", "TELNET", "SCAN_PROBE", "OTHER"]
     banner: str = ""
     rce: RceVuln | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.port <= 65535:
-            raise HostConfigError(f"port {self.port} out of range")
-        if self.protocol not in PROTOCOLS:
-            raise HostConfigError(f"unknown protocol {self.protocol!r}; "
-                                  f"expected one of {', '.join(PROTOCOLS)}")
-        if self.rce is not None:
-            if self.rce.method not in ("cmd_param", "known_credentials"):
-                raise HostConfigError(f"unknown rce method {self.rce.method!r}")
-            if self.rce.executing_user not in USERS:
-                raise HostConfigError(f"unknown user {self.rce.executing_user!r}")
 
 
 @dataclass

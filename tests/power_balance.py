@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import math
 
-from scadasim.powergrid import Feeder, GridConfigError, GridModel
+from scadasim.powergrid import Feeder, GridModel
+
+
+class PowerBalanceError(ValueError):
+    """The check cannot run: a bad scaling, a grid with problems, or no convergence."""
 
 
 def check_power_balance(
@@ -24,13 +28,15 @@ def check_power_balance(
     """
     for name, factor in (load_scaling or {}).items():
         if not math.isfinite(factor) or factor < 0:
-            raise GridConfigError(f"scaling for {name!r} must be finite and >= 0, got {factor}")
-    grid.validate()
+            raise PowerBalanceError(f"scaling for {name!r} must be finite and >= 0, got {factor}")
+    problems = list(grid.problems())
+    if problems:
+        raise PowerBalanceError(f"grid problems: {problems}")
     feeder = Feeder(grid)
     s_net = feeder._injections(load_scaling)
     voltage, branch_current, converged = feeder._sweep(s_net, 1e-10, 500)
     if not converged:
-        raise GridConfigError("power balance check: sweep did not converge")
+        raise PowerBalanceError("power balance check: sweep did not converge")
 
     children_of: dict[int, list[int]] = {}
     for k, (parent, _, _) in enumerate(feeder.edges):

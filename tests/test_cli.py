@@ -189,6 +189,29 @@ class TestSimulate:
         bad.write_text("format_version: 1\n")
         assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("mutate, error", [
+        # the switches run no spanning tree: this ran with exit 0 as a broadcast
+        # storm of 94,660 records, and the attack failed
+        pytest.param(lambda raw: raw["ict"]["links"].append(
+                         {"id": "k-trunk2", "a": "sw-core", "b": "sw-station"}),
+                     "ict: link k-trunk2: closes a loop", id="second-trunk-link"),
+        # this exited 1 with a complex division by zero in the solver's setup
+        pytest.param(lambda raw: raw["grid"]["buses"][2].update(nominal_kv=0),
+                     "grid: bus b1: nominal_kv must be > 0", id="zero-bus-voltage"),
+    ])
+    def test_structural_problem_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                          mutate, error):
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        mutate(raw)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", str(bad), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid scenario config:") and error in err
+        assert not out.exists()
+
     def test_reference_seed_1_artifact_hashes_are_pinned(self, tmp_path):
         out = tmp_path / "pinned"
         assert run_cli("simulate", "--scenario", "reference", "--seed", "1",

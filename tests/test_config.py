@@ -173,7 +173,8 @@ class TestValidation:
         raw["hosts"]["rtu1-host"]["pe_paths"] = ["kernel_bug"]
         with pytest.raises(ConfigError) as err:
             load_config_dict(raw)
-        assert err.value.errors == ["hosts.rtu1-host.pe_paths: unknown pe path 'kernel_bug'"]
+        assert err.value.errors == ["hosts.rtu1-host.pe_paths[0]: expected one of suid_binary, "
+                                    "sudoers_script, got 'kernel_bug'"]
 
     def test_duplicate_station_rejected(self):
         # both RTUs would be engine target rtu:rtu1, and their MTU rows would mix
@@ -189,7 +190,8 @@ class TestValidation:
         pytest.param(lambda rtu: rtu["points"][0].update(element="ghost-tx"), "scada.rtus[0]: ",
                      id="unknown-element"),
         pytest.param(lambda rtu: rtu["points"][0].update(quantity="I_A"),
-                     "scada.rtus[0]: binding m1: unknown quantity 'I_A'",
+                     "scada.rtus[0].points[0].quantity: expected one of "
+                     "transformer_loading_percent, P_kW, Q_kvar, V_pu, got 'I_A'",
                      id="unknown-quantity"),
         pytest.param(lambda rtu: rtu["points"][0].update(quantity="V_pu", element="ghost-bus"),
                      "scada.rtus[0]: binding m1: unknown bus 'ghost-bus'", id="unknown-bus"),
@@ -379,7 +381,7 @@ FAULTS = {
         ("key", _set("ict", "links", 0, "latncy_ms", 1), "ict.links[0].latncy_ms: unknown key")],
     "hosts": [
         ("field", _set("hosts", "rtu1-host", "services", 0, "port", 0),
-         "hosts.rtu1-host.services[0]: port 0"),
+         "hosts.rtu1-host.services[0].port: must be"),
         ("ref", _set("hosts", "ghost", {}), "hosts.ghost: not a host node"),
         ("key", _set("hosts", "rtu1-host", "pe_pathz", []),
          "hosts.rtu1-host.pe_pathz: unknown key")],
@@ -425,3 +427,45 @@ def test_two_faults_in_different_sections_are_both_named(data):
         load_config_dict(raw)
     for *_, start in (ref, other):
         assert any(e.startswith(start) for e in err.value.errors), (start, err.value.errors)
+
+
+_QUANTITIES = "transformer_loading_percent, P_kW, Q_kvar, V_pu"
+
+
+@pytest.mark.parametrize("faults, expected", [
+    pytest.param([lambda raw: raw["grid"]["buses"].append({"id": "b1", "nominal_kv": 0.4}),
+                  _set("grid", "loads", 0, "bus", "ghost")],
+                 ["grid: duplicate bus id 'b1'", "grid: load ld1: unknown bus 'ghost'"],
+                 id="duplicate-bus-and-load-bus"),
+    pytest.param([_set("grid", "loads", 0, "bus", "ghost"),
+                  _set("grid", "ders", 0, "bus", "ghost")],
+                 ["grid: load ld1: unknown bus 'ghost'", "grid: der pv1: unknown bus 'ghost'"],
+                 id="load-bus-and-der-bus"),
+    pytest.param([_set("ict", "links", 0, "loss_probability", 2.0),
+                  _set("ict", "links", 1, "latency_ms", -1)],
+                 ["ict.links[0].loss_probability: must be in [0, 1], got 2.0",
+                  "ict.links[1].latency_ms: must be at least 0, got -1"], id="loss-and-latency"),
+    pytest.param([_set("hosts", "rtu1-host", "services", 0, "port", 0),
+                  _set("hosts", "rtu1-host", "services", 0, "protocol", "FTP")],
+                 ["hosts.rtu1-host.services[0].port: must be in [1, 65535], got 0",
+                  "hosts.rtu1-host.services[0].protocol: expected one of SCADA, HTTP, SSH, "
+                  "TELNET, SCAN_PROBE, OTHER, got 'FTP'"], id="port-and-protocol"),
+    pytest.param([_set("attacker", "goal", "transform", {"I_A": [1, 0], "S_kVA": [1, 0]})],
+                 [f"attacker.goal.transform: expected one of {_QUANTITIES}, got 'I_A'",
+                  f"attacker.goal.transform: expected one of {_QUANTITIES}, got 'S_kVA'"],
+                 id="two-transform-quantities"),
+    pytest.param([_set("scada", "rtus", 0, "points", 0, "quantity", "I_A"),
+                  _set("scada", "rtus", 0, "points", 2, "quantity", "S_kVA")],
+                 [f"scada.rtus[0].points[0].quantity: expected one of {_QUANTITIES}, got 'I_A'",
+                  f"scada.rtus[0].points[2].quantity: expected one of {_QUANTITIES}, got 'S_kVA'"],
+                 id="two-binding-quantities"),
+])
+def test_two_faults_in_one_section_are_both_named(faults, expected):
+    # a section's field values are all read, and its structural problems all listed
+    raw, _ = _fixture_tree("reference")
+    raw = copy.deepcopy(raw)
+    for fault in faults:
+        fault(raw)
+    with pytest.raises(ConfigError) as err:
+        load_config_dict(raw)
+    assert set(expected) <= set(err.value.errors), err.value.errors

@@ -4,9 +4,11 @@ import random
 from typing import Callable
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scadasim.config import ConfigError, load_config_dict
 from scadasim.engine import Engine, derive_seed
 from scadasim.network import (
     IctTopology,
@@ -18,6 +20,7 @@ from scadasim.network import (
     PacketApp,
     SpanConfig,
 )
+from scadasim.scenario import fixture_path
 
 
 class Sink:
@@ -67,8 +70,7 @@ class TestTopologyValidation:
                    NetNode("sw", "switch")],
             links=[NetLink("l1", "a", "sw"), NetLink("l2", "b", "sw")],
         )
-        with pytest.raises(NetworkConfigError, match="duplicate addresses"):
-            topo.validate()
+        assert list(topo.problems()) == ["duplicate address '10.0.0.1'"]
 
     def test_host_with_two_links_rejected(self):
         topo = IctTopology(
@@ -76,8 +78,7 @@ class TestTopologyValidation:
                    NetNode("sw2", "switch")],
             links=[NetLink("l1", "a", "sw"), NetLink("l2", "a", "sw2")],
         )
-        with pytest.raises(NetworkConfigError, match="exactly one link"):
-            topo.validate()
+        assert list(topo.problems()) == ["host a must attach by exactly one link, has 2"]
 
     def test_link_with_both_ends_on_one_node_rejected(self):
         # a flood out of one end of the link would come back in at the other
@@ -85,8 +86,7 @@ class TestTopologyValidation:
             nodes=[NetNode("a", "host", "10.0.0.1"), NetNode("sw", "switch")],
             links=[NetLink("l1", "a", "sw"), NetLink("l2", "sw", "sw")],
         )
-        with pytest.raises(NetworkConfigError, match="both ends on 'sw'"):
-            topo.validate()
+        assert list(topo.problems()) == ["link l2: both ends on 'sw'"]
 
     def test_span_must_name_a_switch(self):
         topo = IctTopology(
@@ -94,14 +94,35 @@ class TestTopologyValidation:
             links=[NetLink("l1", "a", "sw")],
             span=SpanConfig("a", "a"),
         )
-        with pytest.raises(NetworkConfigError, match="not a switch"):
-            topo.validate()
+        assert list(topo.problems()) == ["span switch 'a' is not a switch"]
 
     def test_loss_probability_range_checked(self):
-        topo = line_topology()
-        topo.links[0].loss_probability = 1.5
-        with pytest.raises(NetworkConfigError, match="loss_probability"):
-            topo.validate()
+        # the range is declared on NetLink's field, and the loader checks it
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw["ict"]["links"][0]["loss_probability"] = 1.5
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == ["ict.links[0].loss_probability: must be in [0, 1], got 1.5"]
+
+    def test_switch_loop_rejected_whatever_its_links_state(self):
+        # the learning switches run no spanning tree: a flood would circle forever
+        topo = IctTopology(
+            nodes=[NetNode("a", "host", "10.0.0.1"), NetNode("sw", "switch"),
+                   NetNode("sw2", "switch")],
+            links=[NetLink("l1", "a", "sw"), NetLink("l2", "sw", "sw2"),
+                   NetLink("l3", "sw2", "sw", up=False)],
+        )
+        assert list(topo.problems()) == ["link l3: closes a loop"]
+
+    def test_every_problem_is_listed(self):
+        topo = IctTopology(
+            nodes=[NetNode("a", "host"), NetNode("a", "switch"), NetNode("sw", "switch")],
+            links=[NetLink("l1", "a", "sw"), NetLink("l1", "sw", "ghost")],
+            span=SpanConfig("sw", "nobody"),
+        )
+        assert list(topo.problems()) == [
+            "duplicate node id 'a'", "duplicate link id 'l1'", "host a has no address",
+            "link l1: unknown node 'ghost'", "span monitor 'nobody' unknown"]
 
 
 class TestDelivery:
@@ -354,7 +375,7 @@ class DictKeyedFabric:
     """NetworkFabric as it was before nodes and ports became objects."""
 
     def __init__(self, topology: IctTopology, engine: Engine, seed: int):
-        topology.validate()
+        assert not list(topology.problems())
         self.engine = engine
         self.links = {l.link_id: l for l in topology.links}
         self._links_of: dict[str, list[NetLink]] = {n.node_id: [] for n in topology.nodes}

@@ -1,12 +1,14 @@
 import pytest
+import yaml
 
+from scadasim.config import ConfigError, load_config_dict
 from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric
 from scadasim.powergrid import RtuBinding
 from scadasim.scada import RtuApp
+from scadasim.scenario import fixture_path
 from scadasim.vulnhost import (
     BANNER_LEN,
-    HostConfigError,
     HostService,
     RceVuln,
     REFUSAL_LEN,
@@ -234,8 +236,13 @@ class TestCommandsAndEscalation:
 
 class TestConfigChecks:
     def test_bad_port_rejected(self):
-        with pytest.raises(HostConfigError):
-            HostService(0, "HTTP")
+        # the range is declared on HostService's field, and the loader checks it
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw["hosts"]["rtu1-host"]["services"][0]["port"] = 0
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == [
+            "hosts.rtu1-host.services[0].port: must be in [1, 65535], got 0"]
 
     def test_silenced_host_answers_nothing(self):
         engine, fabric, client, host = rig(services=WEB)
