@@ -10,6 +10,8 @@ first attack stage is a hard error, never a guess.
 from __future__ import annotations
 
 import bisect
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -53,6 +55,33 @@ def check_balance(scenario_id: int | str, target: float | None, dataset: "Labele
     achieved = dataset.balance[0]
     if target is not None and abs(achieved - target) > BALANCE_TOLERANCE_PP:
         raise CalibrationError(scenario_id, target, achieved)
+
+
+@contextmanager
+def _one_young_collection():
+    """Build a long-lived record list under one young-generation collection.
+
+    A record is a tuple subclass, which CPython's cyclic collector never
+    untracks, so while a list of tens of thousands of records grows, each one
+    is walked by the gen-0 and the gen-1 collections its own allocations set
+    off, and then by the full collection that so many survivors trigger. The
+    record lists hold no reference cycles, so those walks find nothing. When
+    the collector is enabled, it is disabled while the body runs; one
+    ``gc.collect(1)`` then moves every survivor to the oldest generation in a
+    single visit, and the collector is enabled again. That explicit collection
+    keeps the deferred visits out of whatever the caller does next. A caller
+    that disabled the collector keeps it disabled, and nothing is collected.
+    A columnar dataset (ROADMAP item 5) holds no per-record objects and
+    deletes this helper.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.collect(1)
+            gc.enable()
 
 
 class CapturedPacket(NamedTuple):
@@ -102,24 +131,30 @@ def label_records(
     stage_times: list[tuple[int, str]],
     label_manipulated_reports: bool = True,
 ) -> list[LabeledRecord]:
-    """Apply the ground-truth labeling rule to collected snapshots."""
+    """Apply the ground-truth labeling rule to collected snapshots.
+
+    The list is built under ``_one_young_collection``: the cyclic collector
+    visits the new records once, in one gen-1 collection, not in the gen-0,
+    gen-1 and full collections their allocations would set off.
+    """
     transitions = [(ms, STAGE_TAGS[stage]) for ms, stage in stage_times if stage in STAGE_TAGS]
     times = [ms for ms, _ in transitions]
     out: list[LabeledRecord] = []
-    for time_ms, src, dst, protocol, length_bytes, manipulated in snapshots:
-        if src == attacker_address:
-            idx = bisect.bisect_right(times, time_ms) - 1
-            if idx < 0:
-                raise LabelingError(
-                    f"attacker packet at {time_ms}ms precedes the first attack stage"
-                )
-            label, stage = "attack", transitions[idx][1]
-        elif manipulated and label_manipulated_reports:
-            label, stage = "attack", "S4"
-        else:
-            label, stage = "normal", None
-        out.append(tuple.__new__(
-            LabeledRecord, (time_ms, src, dst, protocol, length_bytes, label, stage)))
+    with _one_young_collection():
+        for time_ms, src, dst, protocol, length_bytes, manipulated in snapshots:
+            if src == attacker_address:
+                idx = bisect.bisect_right(times, time_ms) - 1
+                if idx < 0:
+                    raise LabelingError(
+                        f"attacker packet at {time_ms}ms precedes the first attack stage"
+                    )
+                label, stage = "attack", transitions[idx][1]
+            elif manipulated and label_manipulated_reports:
+                label, stage = "attack", "S4"
+            else:
+                label, stage = "normal", None
+            out.append(tuple.__new__(
+                LabeledRecord, (time_ms, src, dst, protocol, length_bytes, label, stage)))
     return out
 
 
@@ -224,6 +259,10 @@ def import_csv(path: str) -> LabeledDataset:
     so the first bad row still raises the same error as a full check of
     every row. Records are built by ``tuple.__new__``, in C, as
     ``LabeledRecord._make`` does, not by the NamedTuple's Python ``__new__``.
+    The records and the dataset are built under ``_one_young_collection``:
+    the cyclic collector visits the new records once, in one gen-1
+    collection, not in the gen-0, gen-1 and full collections their
+    allocations would set off.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -238,22 +277,24 @@ def import_csv(path: str) -> LabeledDataset:
         raise DatasetFormatError(f"{path}: missing or wrong header")
     records: list[LabeledRecord] = []
     fields_of: dict[str, tuple] = {}
-    for line in lines[1:]:
-        time_s, _, tail = line.partition(",")
-        fields = fields_of.get(tail)
-        try:
-            time_ms = int(time_s)
-        except ValueError:
-            time_ms = -1
-        if fields is None or time_ms < 0:
-            # a new tail or a bad time: every check, in order, names the fault
+    append, new_record, known_fields = records.append, tuple.__new__, fields_of.get
+    with _one_young_collection():
+        for line in lines[1:]:
+            time_s, _, tail = line.partition(",")
+            fields = known_fields(tail)
             try:
-                if fields is None:
-                    fields = fields_of[tail] = _row_fields(line)
-                time_ms = _check_time(_integer(time_s))
-            except _RowProblem as exc:
-                # each row before this one made a record; the header is row 1
-                row_no = len(records) + 2
-                raise DatasetFormatError(f"{path} row {row_no}: {exc}") from exc.__cause__
-        records.append(tuple.__new__(LabeledRecord, (time_ms,) + fields))
-    return LabeledDataset.from_records(records)
+                time_ms = int(time_s)
+            except ValueError:
+                time_ms = -1
+            if fields is None or time_ms < 0:
+                # a new tail or a bad time: every check, in order, names the fault
+                try:
+                    if fields is None:
+                        fields = fields_of[tail] = _row_fields(line)
+                    time_ms = _check_time(_integer(time_s))
+                except _RowProblem as exc:
+                    # each row before this one made a record; the header is row 1
+                    row_no = len(records) + 2
+                    raise DatasetFormatError(f"{path} row {row_no}: {exc}") from exc.__cause__
+            append(new_record(LabeledRecord, (time_ms,) + fields))
+        return LabeledDataset.from_records(records)

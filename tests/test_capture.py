@@ -1,3 +1,4 @@
+import gc
 import os
 import string
 import tempfile
@@ -343,3 +344,89 @@ class TestCsv:
         assert back.records == ds.records
         assert back.warmup_slice() == ds.warmup_slice()
         assert back.balance == ds.balance
+
+
+@pytest.fixture
+def collections():
+    """The generation of each cyclic collection that runs while the test does.
+
+    Counting starts from a full collection, so no young generation is near
+    its threshold when the code under test begins; the collector is enabled
+    again afterwards, whatever the test did to it.
+    """
+    generations = []
+
+    def count(phase, info):
+        if phase == "stop":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        yield generations
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable()
+
+
+def many_snapshots(n: int) -> list[CapturedPacket]:
+    """n snapshots after the first stage: attacker probes, telemetry and
+    manipulated reports."""
+    return [snap(1000 + 3 * i) if i % 2
+            else snap(1000 + 3 * i, src="10.0.0.11", dst="10.0.0.10", protocol="SCADA",
+                      length=61, manipulated=i % 5 == 0)
+            for i in range(n)]
+
+
+class TestCyclicCollector:
+    """A record list is built under one gen-1 collection, and the collector's
+    state is the caller's again afterwards."""
+
+    def test_import_runs_one_young_collection(self, tmp_path, collections):
+        path = str(tmp_path / "big.csv")
+        export_csv(LabeledDataset.from_records(mixed_records(20_000)), path)
+        gc.collect()
+        collections.clear()
+        assert len(import_csv(path).records) == 20_000
+        assert collections == [1]
+
+    def test_labelling_runs_one_young_collection(self, collections):
+        snapshots = many_snapshots(20_000)
+        gc.collect()
+        collections.clear()
+        assert len(label_records(snapshots, ATTACKER, STAGES)) == 20_000
+        assert collections == [1]
+
+    def test_import_leaves_the_collector_enabled(self, tmp_path, collections):
+        path = tmp_path / "ds.csv"
+        export_csv(LabeledDataset.from_records(mixed_records(100)), str(path))
+        import_csv(str(path))
+        assert gc.isenabled()
+
+    def test_a_bad_row_mid_file_leaves_the_collector_enabled(self, tmp_path, collections):
+        path = tmp_path / "bad.csv"
+        export_csv(LabeledDataset.from_records(mixed_records(5_000)), str(path))
+        rows = path.read_text().splitlines()
+        rows.insert(2_500, "200,a,b,SCADA,61,suspicious,")
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DatasetFormatError, match="row 2501: bad label"):
+            import_csv(str(path))
+        assert gc.isenabled()
+
+    def test_a_labelling_error_leaves_the_collector_enabled(self, collections):
+        with pytest.raises(LabelingError, match="precedes"):
+            label_records(many_snapshots(100) + [snap(10)], ATTACKER, STAGES)
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled_and_collects_nothing(
+            self, tmp_path, collections):
+        path = tmp_path / "ds.csv"
+        export_csv(LabeledDataset.from_records(mixed_records(5_000)), str(path))
+        snapshots = many_snapshots(5_000)
+        gc.disable()
+        collections.clear()
+        import_csv(str(path))
+        assert not gc.isenabled()
+        label_records(snapshots, ATTACKER, STAGES)
+        assert not gc.isenabled()
+        assert collections == []
