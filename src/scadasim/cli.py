@@ -25,6 +25,7 @@ from .capture import (
     CalibrationError,
     DatasetFormatError,
     LabeledDataset,
+    RecordList,
     check_balance,
     export_csv,
     import_csv,
@@ -138,12 +139,14 @@ def _load_datasets(paths: list[str]) -> list[tuple[str, LabeledDataset]]:
     return out
 
 
-def _train(args, train_sets: list[tuple[str, LabeledDataset]], algorithm: str):
-    """The model of one algorithm, trained on the --train files."""
-    warmup = algorithm in SEMI_SUPERVISED and args.semi_train == "warmup"
-    records = []
-    for _, ds in train_sets:
-        records.extend(ds.warmup_slice() if warmup else ds.records)
+def _training_list(train_sets: list[tuple[str, LabeledDataset]], warmup: bool) -> RecordList:
+    """The --train files' records, or their warm-up slices, as one list."""
+    return RecordList(chain.from_iterable(ds.warmup_slice() if warmup else ds.records
+                                          for _, ds in train_sets))
+
+
+def _train(args, records: RecordList, warmup: bool, algorithm: str):
+    """The model of one algorithm, trained on ``records`` from the --train files."""
     try:
         return train_model(algorithm, records, seed=args.seed)
     except TrainingDataError as exc:
@@ -169,9 +172,14 @@ def cmd_ids_eval(args) -> int:
     train_name = "+".join(name for name, _ in train_sets)
     # each test set's true labels, taken once for every algorithm
     tests = [(name, ds.records, [r.label for r in ds.records]) for name, ds in test_sets]
+    # whether each algorithm trains on the warm-up slices; each list that some
+    # algorithm trains on is built once, so the algorithms share its key pass
+    warmups = {algorithm: algorithm in SEMI_SUPERVISED and args.semi_train == "warmup"
+               for algorithm in algorithms}
+    training_lists = {warmup: _training_list(train_sets, warmup) for warmup in set(warmups.values())}
     cells = []
-    for algorithm in algorithms:
-        model = _train(args, train_sets, algorithm)
+    for algorithm, warmup in warmups.items():
+        model = _train(args, training_lists[warmup], warmup, algorithm)
         save_model(model, os.path.join(models_dir, f"{algorithm}.json"))
         for name, records, truth in tests:
             predictions = model.predict_records(records)

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import io
 import json
 import math
 import tempfile
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scadasim import writers
-from scadasim.capture import LabeledRecord
+from scadasim.capture import LabeledDataset, LabeledRecord, export_csv, import_csv
+from scadasim.cli import main
 from scadasim.ids import (
+    ALGORITHMS,
     IsolationForestDetector,
     KnnDetector,
     LofDetector,
@@ -26,8 +30,9 @@ from scadasim.ids import (
     save_model,
     train_model,
 )
+from scadasim.ids import models
 from scadasim.ids.forest import grow_tree
-from scadasim.ids.models import FeatureDictionary, fields_of
+from scadasim.ids.models import SEMI_SUPERVISED, FeatureDictionary, _distinct_keys, fields_of
 from scadasim.ids.neighbors import LRD_EPS, _row_distances
 from scadasim.ids.rows import unique_rows
 
@@ -428,6 +433,81 @@ class TestTrafficModel:
         assert peak < 4 * 2**20
         saved = json.loads((tmp_path / "knn.json").read_text())
         assert (np.array(saved["detector"]["X"]) == X).all()
+
+
+def write_dataset(path, seed, n_warmup=40, n_mixed=80):
+    """A dataset CSV that all four algorithms can train on: an attack-free
+    warm-up of ``n_warmup`` records, then a mix of normal and attack records."""
+    rng = np.random.default_rng(seed)
+
+    def normal(t):
+        return LabeledRecord(t, f"h{rng.integers(4)}", "mtu", "SCADA",
+                             int(rng.integers(60, 90)), "normal")
+
+    records = [normal(t) for t in range(n_warmup)]
+    records += [LabeledRecord(t, "atk", f"h{rng.integers(4)}", "SCAN_PROBE", 60, "attack", "S1")
+                if rng.random() < 0.4 else normal(t)
+                for t in range(n_warmup, n_warmup + n_mixed)]
+    export_csv(LabeledDataset.from_records(records), str(path))
+    return path
+
+
+@pytest.fixture
+def key_passes(monkeypatch):
+    """The length of every list that the key pass really runs over, in order."""
+    lengths = []
+    key_pass = models._key_pass
+
+    def counted(records):
+        lengths.append(len(records))
+        return key_pass(records)
+
+    monkeypatch.setattr(models, "_key_pass", counted)
+    return lengths
+
+
+class TestKeyPassPerList:
+    def test_evaluation_runs_one_pass_per_imported_list_plus_the_warmup_slices(
+            self, tmp_path, key_passes):
+        train = import_csv(str(write_dataset(tmp_path / "train.csv", seed=1)))
+        test = import_csv(str(write_dataset(tmp_path / "test.csv", seed=2)))
+        predictions = {}
+        for algorithm in ALGORITHMS:  # the benchmark's order and inputs
+            records = train.warmup_slice() if algorithm in SEMI_SUPERVISED else train.records
+            model = train_model(algorithm, records, seed=0)
+            predictions[algorithm] = model.predict_records(test.records)
+        # rf: the training list, then the test list; knn reuses both; lof and
+        # iforest each take a new warm-up slice, a plain list
+        warmup = train.warmup_end
+        assert key_passes == [len(train.records), len(test.records), warmup, warmup]
+        for algorithm in ALGORITHMS:
+            records = train.warmup_slice() if algorithm in SEMI_SUPERVISED else list(train.records)
+            model = train_model(algorithm, records, seed=0)
+            assert model.predict_records(list(test.records)) == predictions[algorithm]
+
+    def test_cli_runs_one_pass_per_list_with_two_test_files(self, tmp_path, key_passes):
+        train = write_dataset(tmp_path / "train.csv", seed=1)
+        tests = [write_dataset(tmp_path / f"test{seed}.csv", seed=seed) for seed in (2, 3)]
+        assert main(["ids", "eval", "--algo", "rf,knn,lof,iforest", "--train", str(train),
+                     "--test", *map(str, tests), "--out", str(tmp_path / "out")]) == 0
+        train_ds, *test_ds = (import_csv(str(path)) for path in (train, *tests))
+        # rf: the training list and both test lists; lof: the warm-up list;
+        # knn and iforest reuse them
+        assert key_passes == [len(train_ds.records), *(len(ds.records) for ds in test_ds),
+                              train_ds.warmup_end]
+
+    def test_held_pass_dies_with_its_list_and_callers_cannot_change_it(self, tmp_path):
+        dataset = import_csv(str(write_dataset(tmp_path / "train.csv", seed=1)))
+        model = train_model("rf", dataset.records, seed=0)
+        model.predict_records(dataset.records)
+        keys, inverse = _distinct_keys(dataset.records)
+        expected = inverse.tolist()
+        inverse[:] = 0  # a caller's copy, not the held pass
+        assert _distinct_keys(dataset.records)[1].tolist() == expected
+        held = weakref.ref(dataset.records.key_pass[2])
+        del keys, inverse, dataset, model
+        gc.collect()
+        assert held() is None  # a module-level memo would keep it
 
 
 class TestModelFileRoundTrip:

@@ -7,12 +7,15 @@ trees grow on each sample's distinct rows; the random forest's split search
 divides without guards; the key pass numbers records in C-level iterators.
 Each must give exactly what the row-by-row code gave: the same records and
 error messages, the same predictions, scores equal byte for byte, and the
-same trees and key numbers.
+same trees and key numbers. A record list holds its key pass, and what it
+returns, also after the list is changed in place, must be the generator's
+numbering of the list as it then is.
 """
 
 import math
 import os
 import tempfile
+from operator import is_, itemgetter
 from unittest import mock
 
 import numpy as np
@@ -26,6 +29,7 @@ from scadasim.capture import (
     DatasetFormatError,
     LabeledDataset,
     LabeledRecord,
+    RecordList,
     import_csv,
 )
 from scadasim.engine import derive_seed
@@ -578,3 +582,61 @@ class TestTreeGrowth:
         assert list(keys.items()) == list(frozen_keys.items())
         assert inverse.dtype == frozen_inverse.dtype
         assert inverse.tolist() == frozen_inverse.tolist()
+
+
+# ---------------------------------------------------------------------------
+# key pass held by a record list
+# ---------------------------------------------------------------------------
+
+def pick_record(pick):
+    src, dst, protocol, length, label, t = pick
+    return LabeledRecord(t, src, dst, protocol, length, label, "S1" if label == "attack" else None)
+
+
+KEY_PICKS = st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "d"]),
+                      st.sampled_from(["SCADA", "HTTP"]), st.integers(20, 23),
+                      st.sampled_from(["normal", "attack"]), st.integers(0, 9))
+MUTATIONS = ["append", "extend", "del", "sort", "reverse", "setitem"]
+
+
+def mutate(records, mutation, data):
+    """One in-place change of a non-empty record list."""
+    index = data.draw(st.integers(0, len(records) - 1), label="index")
+    if mutation == "append":
+        records.append(pick_record(data.draw(KEY_PICKS, label="appended")))
+    elif mutation == "extend":
+        records.extend(map(pick_record, data.draw(st.lists(KEY_PICKS, max_size=5), label="added")))
+    elif mutation == "del":
+        del records[index:index + data.draw(st.integers(1, 3), label="deleted")]
+    elif mutation == "sort":
+        records.sort(key=itemgetter(data.draw(st.integers(1, 4), label="sort field")))
+    elif mutation == "reverse":
+        records.reverse()
+    else:
+        # an equal record that is another object: the pass must see the new object
+        records[index] = LabeledRecord(*records[index])
+
+
+def as_frozen(result):
+    keys, inverse = result
+    return list(keys.items()), inverse.dtype, inverse.tolist()
+
+
+class TestHeldKeyPass:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(picks=st.lists(KEY_PICKS, min_size=1, max_size=60),
+           mutation=st.sampled_from(MUTATIONS), data=st.data())
+    def test_held_pass_equals_the_generator_before_and_after_a_mutation(
+            self, picks, mutation, data):
+        plain = [pick_record(pick) for pick in picks]
+        held = RecordList(plain)
+        frozen = as_frozen(frozen_distinct_keys(plain))
+        first = _distinct_keys(held)
+        stored = held.key_pass
+        second = _distinct_keys(held)
+        assert as_frozen(first) == as_frozen(second) == as_frozen(_distinct_keys(plain)) == frozen
+        assert held.key_pass is stored  # held, not run again
+        mutate(held, mutation, data)
+        assert as_frozen(_distinct_keys(held)) == as_frozen(frozen_distinct_keys(held))
+        snapshot = held.key_pass[0]
+        assert len(snapshot) == len(held) and all(map(is_, snapshot, held))
