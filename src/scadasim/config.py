@@ -21,6 +21,9 @@ from types import NoneType, UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import ConstructorError
+from yaml.nodes import ScalarNode
 
 from .attacker import AttackGoal
 from .engine import MS_PER_STEP
@@ -153,18 +156,24 @@ class ScenarioConfig:
 
 
 def expand_address_range(spec) -> list[str]:
-    """Accept single addresses and 'a.b.c.d-e.f.g.h' inclusive spans."""
+    """Accept single addresses and 'a.b.c.d-e.f.g.h' inclusive spans, whose two ends
+    are of one IP version."""
     items = spec if isinstance(spec, list) else [spec]
     out: list[str] = []
     for item in items:
         text = str(item)
         if "-" in text:
             start_s, end_s = text.split("-", 1)
-            start = int(ipaddress.ip_address(start_s.strip()))
-            end = int(ipaddress.ip_address(end_s.strip()))
+            start = ipaddress.ip_address(start_s.strip())
+            end = ipaddress.ip_address(end_s.strip())
+            if start.version != end.version:
+                raise ValueError(f"address range {text!r} mixes IPv{start.version} "
+                                 f"and IPv{end.version}")
             if end < start:
                 raise ValueError(f"address range {text!r} runs backwards")
-            out.extend(str(ipaddress.ip_address(v)) for v in range(start, end + 1))
+            # ip_address(int) would give IPv4 for any value below 2**32
+            version = type(start)
+            out.extend(str(version(v)) for v in range(int(start), int(end) + 1))
         else:
             out.append(str(ipaddress.ip_address(text)))
     return out
@@ -496,14 +505,68 @@ def load_config_dict(raw: dict) -> ScenarioConfig:
     return config
 
 
+# keys that flatten_mapping itself rewrites: the '<<' merge and the '=' value key
+_MERGE_TAGS = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+
+
+class _StrictLoading:
+    """What a scenario loader adds to a PyYAML safe loader: Python composition and
+    refusal of a key written twice in one mapping. List it before the loader."""
+
+    # libyaml's composer recurses in C and overflows the stack near 20,000 levels of
+    # nesting; PyYAML's, over the same parser events, stops at the recursion limit
+    get_single_node = Composer.get_single_node
+    compose_document = Composer.compose_document
+    compose_node = Composer.compose_node
+    compose_scalar_node = Composer.compose_scalar_node
+    compose_sequence_node = Composer.compose_sequence_node
+    compose_mapping_node = Composer.compose_mapping_node
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.anchors = {}  # the Python composer's; libyaml's keeps its own in C
+        self._keys_checked = set()  # mapping nodes
+
+    def flatten_mapping(self, node):
+        # a mapping merged with '<<' is flattened when the first mapping that merges it
+        # is, which may come before its own construction: check each node once, as written
+        if node not in self._keys_checked:
+            self._keys_checked.add(node)
+            seen = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, ScalarNode) and key_node.tag not in _MERGE_TAGS:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise ConstructorError("while constructing a mapping", node.start_mark,
+                                               f"found duplicate key {key!r}",
+                                               key_node.start_mark)
+                    seen.add(key)
+        super().flatten_mapping(node)
+
+
+class ScenarioLoader(_StrictLoading, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The one YAML loader of scenario files: libyaml's C parser where PyYAML was built
+    with it, else PyYAML's pure-Python one. PyYAML's Python composer, safe constructor
+    and resolver build the objects either way, so both give the same documents; the
+    parsers do differ on some malformed input."""
+
+
 def load_config(path: str) -> ScenarioConfig:
+    """Parse and validate the scenario file at ``path``.
+
+    A file that cannot be read or parsed, a key written twice in one mapping and
+    nesting deeper than the parser's recursion limit raise ``ConfigError`` naming
+    the file; a missing file raises ``FileNotFoundError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=ScenarioLoader)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise ConfigError([f"{path}: cannot read the scenario file: {exc.strerror}"]) from None
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path}: not a readable YAML document: {exc}"]) from None
+    except RecursionError:
+        raise ConfigError([f"{path}: nested too deeply to parse"]) from None
     return load_config_dict(raw)

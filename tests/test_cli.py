@@ -189,6 +189,32 @@ class TestSimulate:
         bad.write_text("format_version: 1\n")
         assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
 
+    def test_key_written_twice_exits_2_naming_file_key_and_line(self, tmp_path, capsys,
+                                                                monkeypatch, scenario_loader):
+        # this ran with exit 0, and the second block quietly stopped the labelling
+        text = fixture_path("reference").read_text(encoding="utf-8")
+        line = text.count("\n") + 1
+        bad = tmp_path / "twice.yaml"
+        bad.write_text(text + "capture:\n  label_manipulated_reports: false\n",
+                       encoding="utf-8")
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", str(bad), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid scenario config:\n  {bad}: ")
+        assert f"found duplicate key 'capture'\n  in \"{bad}\", line {line}," in err
+        assert not out.exists()
+
+    def test_nesting_too_deep_exits_2_naming_the_file(self, tmp_path, capsys, scenario_loader):
+        # this exited 1 with "maximum recursion depth exceeded"
+        bad = tmp_path / "deep.yaml"
+        bad.write_text("format_version: 1\ngrid: " + "[" * 3000 + "]" * 3000 + "\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", str(bad), "--out", str(out)) == 2
+        assert f"{bad}: nested too deeply to parse" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mutate, error", [
         # the switches run no spanning tree: this ran with exit 0 as a broadcast
         # storm of 94,660 records, and the attack failed
@@ -198,6 +224,10 @@ class TestSimulate:
         # this exited 1 with a complex division by zero in the solver's setup
         pytest.param(lambda raw: raw["grid"]["buses"][2].update(nominal_kv=0),
                      "grid: bus b1: nominal_kv must be > 0", id="zero-bus-voltage"),
+        # this scanned 0.0.0.1 to 0.0.0.3
+        pytest.param(lambda raw: raw["attacker"].update(address_range="0.0.0.1-::3"),
+                     "attacker.address_range: address range '0.0.0.1-::3' mixes IPv4 and IPv6",
+                     id="mixed-version-address-range"),
     ])
     def test_structural_problem_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                           mutate, error):

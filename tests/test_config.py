@@ -1,12 +1,18 @@
 import copy
+import os
 import re
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PurePythonLoader
+from scadasim import config as config_module
 from scadasim.config import (
     ConfigError,
     expand_address_range,
@@ -76,6 +82,10 @@ class TestHelpers:
             "10.0.0.5", "10.0.1.254", "10.0.1.255", "10.0.2.0", "10.0.2.1"]
         with pytest.raises(ValueError, match="backwards"):
             expand_address_range("10.0.0.5-10.0.0.1")
+        # each address keeps the version of the span's ends, even below 2**32
+        assert expand_address_range("::1-::3") == ["::1", "::2", "::3"]
+        with pytest.raises(ValueError, match="mixes IPv4 and IPv6"):
+            expand_address_range("0.0.0.1-::3")
 
     def test_expand_port_set(self):
         assert expand_port_set("1-4") == [1, 2, 3, 4]
@@ -304,6 +314,104 @@ class TestShippedFixtures:
 
 
 FIXTURES = ["reference"] + [f"scenario{i}" for i in range(1, 7)]
+
+# inputs that both PyYAML parsers refuse, each with the same YAMLError subclass
+MALFORMED_YAML = {
+    "tab-indent": "format_version: 1\ngrid:\n\tbuses: []\n",
+    "nul-byte": "format_version: 1\nscenario_id: a\x00b\n",
+    "unclosed-quote": 'format_version: 1\nscenario_id: "a\n',
+    "bad-escape": 'format_version: 1\nscenario_id: "\\q"\n',
+    "unknown-anchor": "format_version: 1\ngrid: *nope\n",
+    "python-tag": "format_version: 1\ngrid: !!python/object:os.system x\n",
+    "unclosed-flow": "format_version: 1\ngrid: [\n",
+    "two-documents": "format_version: 1\n---\nformat_version: 1\n",
+}
+
+
+class TestScenarioLoader:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture_parses_as_under_pyyaml_safe_loader(self, name, scenario_loader):
+        text = fixture_path(name).read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=scenario_loader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_pure_python_fallback_gives_the_same_config(self, name, monkeypatch):
+        package = repr(load_fixture(name))
+        monkeypatch.setattr(config_module, "ScenarioLoader", PurePythonLoader)
+        assert repr(load_fixture(name)) == package
+
+    @pytest.mark.parametrize("text", MALFORMED_YAML.values(), ids=MALFORMED_YAML)
+    def test_both_parsers_refuse_malformed_yaml_alike(self, text):
+        refused = []
+        for loader in (config_module.ScenarioLoader, PurePythonLoader):
+            with pytest.raises(yaml.YAMLError) as err:
+                yaml.load(text, Loader=loader)
+            refused.append(type(err.value))
+        assert refused[0] is refused[1]
+
+    @pytest.mark.parametrize("text", MALFORMED_YAML.values(), ids=MALFORMED_YAML)
+    def test_malformed_yaml_is_a_config_error_naming_the_file(self, tmp_path, text,
+                                                              scenario_loader):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.errors[0].startswith(f"{path}: not a readable YAML document: ")
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("format_version: 1\ncapture: {}\ncapture: {}\n", "'capture'", 3),
+        ("format_version: 1\ncapture:\n  balance_target: 1\n  balance_target: 2\n",
+         "'balance_target'", 4),
+        # one key however it is written: quoted, and as another spelling of one int
+        ("format_version: 1\n'format_version': 1\n", "'format_version'", 2),
+        ("format_version: 1\nhosts: {1: a, 01: b}\n", "1", 2),
+    ], ids=["top-level", "nested", "quoted", "one-int"])
+    def test_key_written_twice_is_refused_naming_key_and_line(self, tmp_path, text, key, line,
+                                                              scenario_loader):
+        # a second value silently replaced the first
+        path = tmp_path / "twice.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        message = err.value.errors[0]
+        assert message.startswith(f"{path}: ")
+        assert f"found duplicate key {key}\n  in \"{path}\", line {line}," in message
+
+    @pytest.mark.parametrize("text, expected", [
+        ("base: &b {x: 1, y: 2}\nover: {<<: *b, x: 3}\n",
+         {"base": {"x": 1, "y": 2}, "over": {"x": 3, "y": 2}}),
+        ("a: &a {x: 1}\nb: &b {x: 2}\nover: {<<: [*a, *b], x: 3}\n",
+         {"a": {"x": 1}, "b": {"x": 2}, "over": {"x": 3}}),
+        # 'derived' is merged into 'late', and so flattened, before it is constructed
+        ("a:\n  derived: &d {<<: {x: 1}, x: 2}\nlate: {<<: *d, y: 1}\n",
+         {"a": {"derived": {"x": 2}}, "late": {"x": 2, "y": 1}}),
+    ], ids=["merge", "merge-list", "merged-before-constructed"])
+    def test_merge_overrides_are_not_duplicate_keys(self, text, expected, scenario_loader):
+        assert yaml.load(text, Loader=scenario_loader) == expected == yaml.safe_load(text)
+
+    def test_nesting_deeper_than_the_recursion_limit_is_a_config_error(self, tmp_path,
+                                                                       scenario_loader):
+        # block sequences in one another; the CLI test nests flow sequences
+        path = tmp_path / "deep.yaml"
+        path.write_text("format_version: 1\ngrid:\n  " + "- " * 3000 + "x\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.errors == [f"{path}: nested too deeply to parse"]
+
+    def test_nesting_that_overflows_libyamls_composer_is_a_config_error(self, tmp_path):
+        # libyaml's own composer recurses in C: at this depth it crashed the process
+        # with a segmentation fault, so the run is kept out of the test process
+        path = tmp_path / "deeper.yaml"
+        path.write_text("format_version: 1\ngrid: " + "[" * 100_000 + "]" * 100_000 + "\n",
+                        encoding="utf-8")
+        src = str(Path(config_module.__file__).parents[1])
+        code = ("import sys; from scadasim.cli import main; "
+                "sys.exit(main(['simulate', '--scenario', sys.argv[1], '--out', sys.argv[2]]))")
+        done = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "o")],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert f"{path}: nested too deeply to parse" in done.stderr
 
 
 @cache
