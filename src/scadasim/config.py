@@ -8,7 +8,8 @@ all resolve before a simulation is allowed to start.
 The dataclasses are the schema: ``_fill`` reads each field with its annotated
 type (a ``Literal`` lists the values it takes), its default and its bounds, the
 ``{"lo", "hi"}`` metadata that ``_bounded`` writes, refuses other keys, and never
-raises. The grid, topology and bindings then list their structural problems.
+raises. A field naming other entities declares their namespace, ``{"ref": ...}``,
+for ``_check_references``. The grid and topology then list their structural problems.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .attacker import AttackGoal
 from .engine import MS_PER_STEP
 from .network import IctTopology, NetLink, NetNode, SpanConfig
 from .powergrid import (
-    BoundPoint,
     Bus,
     Der,
     GridModel,
@@ -38,11 +38,13 @@ from .powergrid import (
     RtuBinding,
     Transformer,
 )
-from .vulnhost import HostService, PePath, RceVuln
+from .vulnhost import HostService, PePath
 
 FORMAT_VERSION = 1
 # the i-th RTU reports RTU_STAGGER_MS * i after its configured offset
 RTU_STAGGER_MS = 10
+# the most addresses one scan covers: 128 times scenario 1's 508
+MAX_SCAN = 65_536
 # dataclass field -> YAML key, where the two differ
 _KEYS = {
     "bus_id": "id", "line_id": "id", "transformer_id": "id", "load_id": "id", "der_id": "id",
@@ -51,6 +53,7 @@ _KEYS = {
     "executing_user": "user", "target_addresses": "targets", "manipulation": "transform",
     "mtu_host": "host",
 }
+_HOST = {"ref": "host"}  # a field naming host nodes: a name, a list of them or a mapping's keys
 
 
 class ConfigError(ValueError):
@@ -59,6 +62,13 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         super().__init__("invalid scenario config:\n  " + "\n  ".join(errors))
         self.errors = errors
+
+
+class _Errors(list):
+    """A load's error messages; ``read`` holds each item ``_fill`` read: (class, path, fields)."""
+
+    def __init__(self):
+        self.read: list[tuple[type, str, dict]] = []
 
 
 def _bounded(default, lo, hi=None):
@@ -90,7 +100,7 @@ class HostEntry:
 
 @dataclass
 class RtuConfig:
-    host: str
+    host: str = field(metadata=_HOST)
     binding: RtuBinding
     # the loader adds the RTU's stagger, so a loaded config holds the ms into
     # each step at which the RTU reports
@@ -100,21 +110,21 @@ class RtuConfig:
 @dataclass
 class ScadaSection:
     # mtu_host and interrogate_stale are read from scada.mtu, mtu_host as its `host`
-    mtu_host: str
+    mtu_host: str = field(metadata=_HOST)
     rtus: list[RtuConfig]
     interrogate_stale: bool = True
 
 
 @dataclass
 class OpsSection:
-    host: str
-    http_targets: list[str] = field(default_factory=list)
+    host: str = field(metadata=_HOST)
+    http_targets: list[str] = field(default_factory=list, metadata=_HOST)
     http_period_steps: int = _bounded(5, lo=1)
     http_port: int = _bounded(80, lo=1, hi=65535)
-    keepalive_targets: list[str] = field(default_factory=list)
+    keepalive_targets: list[str] = field(default_factory=list, metadata=_HOST)
     keepalive_period_steps: int = _bounded(7, lo=1)
     keepalive_port: int = _bounded(22, lo=1, hi=65535)
-    monitor_targets: list[str] = field(default_factory=list)
+    monitor_targets: list[str] = field(default_factory=list, metadata=_HOST)
     monitor_period_steps: int = _bounded(6, lo=1)
     monitor_port: int = _bounded(2404, lo=1, hi=65535)
     # consecutive missed liveness probes; 0 = never give up
@@ -123,7 +133,7 @@ class OpsSection:
 
 @dataclass
 class AttackerSection:
-    host: str
+    host: str = field(metadata=_HOST)
     goal: AttackGoal
     address_range: list[str]
     port_set: list[int]
@@ -148,7 +158,7 @@ class ScenarioConfig:
     durations: DurationsConfig = field(default_factory=DurationsConfig)
     grid: GridSection
     topology: IctTopology
-    hosts: dict[str, HostEntry]
+    hosts: dict[str, HostEntry] = field(metadata=_HOST)
     scada: ScadaSection
     attacker: AttackerSection
     capture: CaptureSection = field(default_factory=CaptureSection)
@@ -157,7 +167,7 @@ class ScenarioConfig:
 
 def expand_address_range(spec) -> list[str]:
     """Accept single addresses and 'a.b.c.d-e.f.g.h' inclusive spans, whose two ends
-    are of one IP version."""
+    are of one IP version, to at most ``MAX_SCAN`` addresses in all."""
     items = spec if isinstance(spec, list) else [spec]
     out: list[str] = []
     for item in items:
@@ -171,9 +181,11 @@ def expand_address_range(spec) -> list[str]:
                                  f"and IPv{end.version}")
             if end < start:
                 raise ValueError(f"address range {text!r} runs backwards")
+            if len(out) + int(end) - int(start) >= MAX_SCAN:  # refused before it is expanded
+                raise ValueError(f"address range {text!r} takes the scan past {MAX_SCAN} "
+                                 "addresses")
             # ip_address(int) would give IPv4 for any value below 2**32
-            version = type(start)
-            out.extend(str(version(v)) for v in range(int(start), int(end) + 1))
+            out.extend(str(type(start)(v)) for v in range(int(start), int(end) + 1))
         else:
             out.append(str(ipaddress.ip_address(text)))
     return out
@@ -204,6 +216,8 @@ def expand_port_set(spec) -> list[int]:
 _SCALARS = {bool: (bool, "a boolean"), int: (int, "an integer"), float: ((int, float), "a number"),
             str: ((str, int, float), "a string"), list: (list, "a list"), dict: (dict, "a mapping")}
 _hints = cache(get_type_hints)
+# the fields of a dataclass that declare a ``ref``
+_references = cache(lambda cls: [f for f in fields(cls) if "ref" in f.metadata])
 
 
 def _value(value, kind, where: str, errors: list[str], lo=None, hi=None):
@@ -221,6 +235,9 @@ def _value(value, kind, where: str, errors: list[str], lo=None, hi=None):
         value = kind(value)
         if kind is float and not math.isfinite(value):
             errors.append(f"{where}: expected a finite number, got {value!r}")
+            return None
+        if kind is str and not value.isascii() and value.encode(errors="replace").decode() != value:
+            errors.append(f"{where}: {value!r:.60} holds a lone surrogate, not UTF-8 text")
             return None
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
@@ -280,10 +297,10 @@ def _fill(cls, raw, path: str, errors: list[str], hand_read=(), /, **given):
     """An instance of dataclass ``cls`` read from mapping ``raw`` at ``path``.
 
     Each field not in ``given`` is read under its YAML key (its name, or its
-    ``_KEYS`` entry) with its annotated type, default and ``_bounded`` bounds.
-    Any other key is refused, unless it is one the caller reads (``hand_read``).
-    Returns None after appending errors, including a ValueError raised by the
-    class's own validation.
+    ``_KEYS`` entry) with its annotated type, default and ``_bounded`` bounds;
+    all go to ``errors.read`` as read. Any other key is refused, unless the caller
+    reads it (``hand_read``). Returns None after appending errors, including a
+    ValueError raised by the class's own validation.
     """
     start = len(errors)
     if _value(raw, dict, path, errors) is None:
@@ -295,8 +312,10 @@ def _fill(cls, raw, path: str, errors: list[str], hand_read=(), /, **given):
             key = _KEYS.get(f.name, f.name)
             keys.add(key)
             default = f.default if f.default_factory is MISSING else f.default_factory()
-            given[f.name] = _read(raw, key, hints[f.name], path, errors, default, **f.metadata)
+            given[f.name] = _read(raw, key, hints[f.name], path, errors, default,
+                                  f.metadata.get("lo"), f.metadata.get("hi"))
     _check_keys(raw, keys, path, errors)
+    errors.read.append((cls, path, given))
     if len(errors) > start:
         return None
     return _checked(path, errors, cls, **given)
@@ -362,70 +381,49 @@ def _read_topology(raw, errors: list[str]) -> IctTopology | None:
     return topology
 
 
-def _read_hosts(raw, errors: list[str]) -> dict[str, HostEntry]:
-    hosts: dict[str, HostEntry] = {}
-    for key, entry in (_value(raw, dict, "hosts", errors) or {}).items():
-        path = f"hosts.{key}"
-        if _value(entry, dict, path, errors) is None:
-            continue
-        services: dict[int, HostService] = {}
-        listed = _read(entry, "services", list[HostService], path, errors, []) or []
-        for i, svc in enumerate(listed):
-            if svc is not None and services.setdefault(svc.port, svc) is not svc:
-                errors.append(f"{path}.services[{i}]: duplicate service on port {svc.port}")
-        host = _fill(HostEntry, entry, path, errors, ("services",), services=services)
-        node_id = _value(key, str, path, errors)
-        if host is not None and node_id is not None:
-            hosts[node_id] = host
+def _read_hosts(raw, errors: list[str]) -> dict[str, HostEntry | None]:
+    # an entry that does not read stays None, so that its node id is still checked
+    hosts = _value(raw, dict[str, dict], "hosts", errors) or {}
+    for node_id, entry in hosts.items():
+        path = f"hosts.{node_id}"
+        if entry is not None and node_id is not None:
+            services: dict[int, HostService] = {}
+            listed = _read(entry, "services", list[HostService], path, errors, []) or []
+            for i, svc in enumerate(listed):
+                if svc is not None and services.setdefault(svc.port, svc) is not svc:
+                    errors.append(f"{path}.services[{i}]: duplicate service on port {svc.port}")
+            hosts[node_id] = _fill(HostEntry, entry, path, errors, ("services",),
+                                   services=services)
     return hosts
 
 
-def _known_host(raw, where: str, host_ids: set[str], errors: list[str]) -> str | None:
-    """The host node that mapping ``raw`` names under ``host``, checked on the
-    name as read, so that an error in the section's other fields cannot hide it.
-
-    None after appending an error when the name is no host node, and None
-    without one when ``raw`` holds no name: the section's own read reports that.
-    """
-    name = _value(raw["host"], str, where, []) if isinstance(raw, dict) and "host" in raw else None
-    if name is not None and name not in host_ids:
-        errors.append(f"{where}: unknown host {name!r}")
-        return None
-    return name
+def _host_as_read(raw) -> str | None:
+    """The name under ``host`` of mapping ``raw`` as read, or None."""
+    return _value(raw["host"], str, "", []) if isinstance(raw, dict) and "host" in raw else None
 
 
-def _grid_names(raw) -> tuple[set[str], str | None]:
-    """The bus ids and the transformer id of grid mapping ``raw`` as read: RTU
-    bindings are checked against them, so that no grid field error hides them."""
-    def id_of(item) -> str | None:
-        return str(item["id"]) if isinstance(item, dict) and "id" in item else None
-
-    raw = raw if isinstance(raw, dict) else {}
-    buses = raw.get("buses") if isinstance(raw.get("buses"), list) else []
-    return {id_of(b) for b in buses} - {None}, id_of(raw.get("transformer"))
-
-
-def _read_scada(raw, errors: list[str], grid_names: tuple[set[str], str | None],
-                host_ids: set[str], apps: dict[str, str]) -> ScadaSection | None:
-    start = len(errors)
+def _read_scada(raw, errors: list[str], apps: dict[str, str]) -> ScadaSection | None:
     if _value(raw, dict, "scada", errors) is None:
         return None
     _check_keys(raw, ("mtu", "rtus"), "scada", errors)
     # a host holds one SCADA app: a second one would take over its telemetry
-    mtu_host = _known_host(raw.get("mtu"), "scada.mtu.host", host_ids, errors)
+    mtu_host = _host_as_read(raw.get("mtu"))
     if mtu_host is not None:
         apps[mtu_host] = "the MTU"
     rtus = []
     first_of: dict[str, int] = {}  # station -> index of the RTU that names it first
     for i, r in enumerate(_read(raw, "rtus", list, "scada", errors, []) or []):
         path = f"scada.rtus[{i}]"
-        host = _known_host(r, f"{path}.host", host_ids, errors)
+        host = _host_as_read(r)
         if host in apps:
             errors.append(f"{path}.host: {host!r} already runs {apps[host]}")
         elif host is not None:
             apps[host] = f"RTU {r.get('station')!r}"
         # an RTU's mapping holds the fields of its binding and of its RtuConfig
         binding = _fill(RtuBinding, r, path, errors, ("host", "report_offset_ms"))
+        # read whether or not the binding did, so that its host is checked; the binding's
+        # read has refused a value that is no mapping and each key of neither
+        rtu = _fill(RtuConfig, r, path, errors, r, binding=binding) if isinstance(r, dict) else None
         if binding is None:
             continue
         _check_csv_name(f"{path}.station", binding.station, errors)
@@ -434,26 +432,22 @@ def _read_scada(raw, errors: list[str], grid_names: tuple[set[str], str | None],
                           f"scada.rtus[{first_of[binding.station]}]")
         for j, point in enumerate(binding.points):
             _check_csv_name(f"{path}.points[{j}].id", point.point_id, errors)
-        errors.extend(f"{path}: {problem}" for problem in binding.problems(*grid_names))
-        rtu = _fill(RtuConfig, r, path, errors, ("station", "points"), binding=binding)
         if rtu is not None:
             rtu.report_offset_ms += RTU_STAGGER_MS * i
             if not 0 <= rtu.report_offset_ms < MS_PER_STEP:
                 errors.append(f"{path}.report_offset_ms: reports {rtu.report_offset_ms} ms "
                               f"into the step, outside [0, {MS_PER_STEP})")
             rtus.append(rtu)
-    section = _fill(ScadaSection, raw.get("mtu"), "scada.mtu", errors, rtus=rtus)
-    return section if len(errors) == start else None
+    return _fill(ScadaSection, raw.get("mtu"), "scada.mtu", errors, rtus=rtus)
 
 
-def _read_attacker(raw, errors: list[str], host_ids: set[str],
-                   apps: dict[str, str]) -> AttackerSection | None:
+def _read_attacker(raw, errors: list[str], apps: dict[str, str]) -> AttackerSection | None:
     if _value(raw, dict, "attacker", errors) is None:
         return None
-    host = _known_host(raw, "attacker.host", host_ids, errors)
+    host = _host_as_read(raw)
     if host in apps:  # the attacker takes its host's packets, and all it sends is attack
         errors.append(f"attacker.host: {host!r} already runs {apps[host]}")
-    start = len(errors)  # after the host checks: a host error stops no read below
+    start = len(errors)  # after the host check: a host error stops no read below
     address_range = _read(raw, "address_range", str | list[str], "attacker", errors)
     port_set = _read(raw, "port_set", str | list[str], "attacker", errors)
     if len(errors) == start:
@@ -462,44 +456,49 @@ def _read_attacker(raw, errors: list[str], host_ids: set[str],
         port_set = _checked("attacker.port_set", errors, expand_port_set, port_set)
         if port_set == []:
             errors.append("attacker: empty port set")
-    section = _fill(AttackerSection, raw, "attacker", errors, ("address_range", "port_set"),
-                    address_range=address_range, port_set=port_set)
-    return section if len(errors) == start else None
+    return _fill(AttackerSection, raw, "attacker", errors, ("address_range", "port_set"),
+                 address_range=address_range, port_set=port_set)
+
+
+def _check_references(errors: _Errors) -> None:
+    """Name each reference to an unknown entity, by the ids as read, in every item read."""
+    read = errors.read
+    names = {"bus": {r["bus_id"] for c, _, r in read if c is Bus},
+             "transformer": {r["transformer_id"] for c, _, r in read if c is Transformer},
+             "node": {r["node_id"] for c, _, r in read if c is NetNode},
+             "host": {r["node_id"] for c, _, r in read if c is NetNode and r["kind"] == "host"}}
+    for cls, path, item in read:
+        for f in _references(cls):
+            namespace = f.metadata["ref"]
+            if namespace == "grid_element":  # a V_pu point names a bus, any other the transformer
+                namespace = {"V_pu": "bus", None: None}.get(item["quantity"], "transformer")
+            if namespace is None:  # a point whose quantity did not read
+                continue
+            key, value = _KEYS.get(f.name, f.name), item[f.name]
+            errors.extend(f"{path}.{key}".lstrip(".") + f": unknown {namespace} {name!r}"
+                          for name in ([value] if isinstance(value, str) else value or ())
+                          if name is not None and name not in names[namespace])
 
 
 def load_config_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a mapping"])
-    errors: list[str] = []
+    errors = _Errors()
     grid = _read_grid(raw.get("grid", {}), errors)
     topology = _read_topology(raw.get("ict", {}), errors)
-    # cross references; the host set comes from the nodes as read, so these
-    # checks still run (and report) when topology validation itself failed
-    host_ids = {n.node_id for n in topology.nodes if n.kind == "host"} if topology else set()
     hosts = _read_hosts(raw.get("hosts", {}), errors)
     apps: dict[str, str] = {}  # host -> what runs on it, by the names as read
-    scada = _read_scada(raw.get("scada", {}), errors, _grid_names(raw.get("grid")), host_ids,
-                        apps)
-    # ops's host names, checked as read, so that no field error hides them
-    ops = raw.get("ops")
-    if isinstance(ops, dict):
-        ops_host = _known_host(ops, "ops.host", host_ids, errors)
-        if ops_host is not None:
-            apps.setdefault(ops_host, "the ops traffic")
-        for key in ("http_targets", "keepalive_targets", "monitor_targets"):
-            for target in _value(ops.get(key, []), list[str], key, []) or []:
-                if target is not None and target not in host_ids:
-                    errors.append(f"ops.{key}: unknown target host {target!r}")
-    attacker = _read_attacker(raw.get("attacker", {}), errors, host_ids, apps)
+    scada = _read_scada(raw.get("scada", {}), errors, apps)
+    # the ops traffic may share a SCADA app's host, but not the attacker's
+    ops_host = _host_as_read(raw.get("ops"))
+    if ops_host is not None:
+        apps.setdefault(ops_host, "the ops traffic")
+    attacker = _read_attacker(raw.get("attacker", {}), errors, apps)
     config = _fill(ScenarioConfig, raw, "", errors, ("grid", "ict", "hosts", "scada", "attacker"),
                    grid=grid, topology=topology, hosts=hosts, scada=scada, attacker=attacker)
-
-    for node_id in hosts:
-        if node_id not in host_ids:
-            errors.append(f"hosts.{node_id}: not a host node in ict.nodes")
     if topology is not None and topology.span is None and raw.get("capture") is not None:
         errors.append("capture: requires ict.span to be configured")
-
+    _check_references(errors)
     if errors:
         raise ConfigError(errors)
     return config

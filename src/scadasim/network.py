@@ -44,8 +44,9 @@ class NetNode:
 @dataclass
 class NetLink:
     link_id: str
-    endpoint_a: str
-    endpoint_b: str
+    # node ids, as are the span's switch and monitor; the loader checks each one
+    endpoint_a: str = field(metadata={"ref": "node"})
+    endpoint_b: str = field(metadata={"ref": "node"})
     # the loader's inclusive bounds, as config._bounded states them
     latency_ms: int = field(default=1, metadata={"lo": 0})
     loss_probability: float = field(default=0.0, metadata={"lo": 0, "hi": 1})
@@ -55,8 +56,8 @@ class NetLink:
 
 @dataclass(frozen=True)
 class SpanConfig:
-    switch_id: str
-    monitor_node_id: str
+    switch_id: str = field(metadata={"ref": "node"})
+    monitor_node_id: str = field(metadata={"ref": "node"})
 
 
 @dataclass
@@ -67,8 +68,9 @@ class IctTopology:
 
     def problems(self) -> Iterator[str]:
         """Every way in which the topology is not a loop-free network of
-        uniquely named nodes; the checks of how links attach run only when
-        every link names known nodes."""
+        uniquely named nodes, but for a name of no node, which the loader
+        reports; the checks of how links attach run only when every link names
+        known nodes."""
         for what, ids in (("node id", [n.node_id for n in self.nodes]),
                           ("address", [n.address for n in self.nodes if n.address is not None]),
                           ("link id", [l.link_id for l in self.links])):
@@ -79,22 +81,15 @@ class IctTopology:
         for n in self.nodes:
             if n.kind == "host" and n.address is None:
                 yield f"host {n.node_id} has no address"
-        ends_known = True
         for l in self.links:
-            for end in (l.endpoint_a, l.endpoint_b):
-                if end not in by_id:
-                    ends_known = False
-                    yield f"link {l.link_id}: unknown node {end!r}"
             if l.endpoint_a == l.endpoint_b:
                 # a flood out of one end would come back in at the other, forever
                 yield f"link {l.link_id}: both ends on {l.endpoint_a!r}"
         if self.span is not None:
             sw = by_id.get(self.span.switch_id)
-            if sw is None or sw.kind == "host":
+            if sw is not None and sw.kind == "host":
                 yield f"span switch {self.span.switch_id!r} is not a switch"
-            if self.span.monitor_node_id not in by_id:
-                yield f"span monitor {self.span.monitor_node_id!r} unknown"
-        if not ends_known:
+        if not all(end in by_id for l in self.links for end in (l.endpoint_a, l.endpoint_b)):
             return
         attach_count = Counter(end for l in self.links for end in (l.endpoint_a, l.endpoint_b))
         for n in self.nodes:
@@ -158,8 +153,8 @@ class _Node:
 
 
 class NetworkFabric:
-    """Engine component owning all packet transport over a topology with no
-    ``IctTopology.problems``. Target name: ``net``."""
+    """Engine component owning all packet transport over a topology the loader
+    accepts. Target name: ``net``."""
 
     def __init__(self, topology: IctTopology, engine: Engine, seed: int):
         self.engine = engine

@@ -16,6 +16,9 @@ from typing import Iterator, Literal
 
 from .engine import derive_seed
 
+# a field naming a bus; the scenario loader checks each such name
+_BUS = {"ref": "bus"}
+
 
 @dataclass(frozen=True)
 class Bus:
@@ -26,8 +29,8 @@ class Bus:
 @dataclass(frozen=True)
 class Line:
     line_id: str
-    from_bus: str
-    to_bus: str
+    from_bus: str = field(metadata=_BUS)
+    to_bus: str = field(metadata=_BUS)
     resistance_ohm: float
     reactance_ohm: float
     rating_kva: float
@@ -36,8 +39,8 @@ class Line:
 @dataclass(frozen=True)
 class Transformer:
     transformer_id: str
-    hv_bus: str
-    lv_bus: str
+    hv_bus: str = field(metadata=_BUS)
+    lv_bus: str = field(metadata=_BUS)
     rating_kva: float
     resistance_ohm: float
     reactance_ohm: float
@@ -46,7 +49,7 @@ class Transformer:
 @dataclass(frozen=True)
 class Load:
     load_id: str
-    bus: str
+    bus: str = field(metadata=_BUS)
     p_kw: float
     q_kvar: float
 
@@ -54,7 +57,7 @@ class Load:
 @dataclass(frozen=True)
 class Der:
     der_id: str
-    bus: str
+    bus: str = field(metadata=_BUS)
     p_kw: float
 
 
@@ -67,8 +70,9 @@ class GridModel:
     ders: tuple[Der, ...]
 
     def problems(self) -> Iterator[str]:
-        """Every way in which the grid is not a connected radial feeder;
-        connectivity is checked only when every edge names known buses."""
+        """Every way in which the grid is not a connected radial feeder, but for
+        a name of no bus, which the loader reports; connectivity is checked only
+        when every edge names known buses."""
         bus_ids = [b.bus_id for b in self.buses]
         edge_ids = [self.transformer.transformer_id] + [ln.line_id for ln in self.lines]
         for what, ids in (("bus id", bus_ids), ("transformer/line id", edge_ids)):
@@ -81,11 +85,6 @@ class GridModel:
         known = set(bus_ids)
         edges = [(self.transformer.hv_bus, self.transformer.lv_bus)]
         edges += [(ln.from_bus, ln.to_bus) for ln in self.lines]
-        ends_known = True
-        for a, b in edges:
-            if a not in known or b not in known:
-                ends_known = False
-                yield f"edge references unknown bus: {a!r}-{b!r}"
         if len(edges) != len(self.buses) - 1:
             yield f"not radial: {len(edges)} edges for {len(self.buses)} buses (need buses-1)"
         for ln in self.lines:
@@ -97,13 +96,7 @@ class GridModel:
             yield "transformer rating must be > 0"
         if self.transformer.resistance_ohm <= 0 and self.transformer.reactance_ohm <= 0:
             yield "transformer impedance must be > 0"
-        for ld in self.loads:
-            if ld.bus not in known:
-                yield f"load {ld.load_id}: unknown bus {ld.bus!r}"
-        for der in self.ders:
-            if der.bus not in known:
-                yield f"der {der.der_id}: unknown bus {der.bus!r}"
-        if not ends_known:
+        if not known.issuperset(end for edge in edges for end in edge):
             return
         adjacency: dict[str, list[str]] = {b: [] for b in known}
         for a, b in edges:
@@ -139,7 +132,8 @@ Quantity = Literal["transformer_loading_percent", "P_kW", "Q_kvar", "V_pu"]
 class BoundPoint:
     point_id: str
     quantity: Quantity
-    element: str
+    # a bus for a V_pu point, the transformer for any other
+    element: str = field(metadata={"ref": "grid_element"})
 
 
 @dataclass(frozen=True)
@@ -147,23 +141,14 @@ class RtuBinding:
     station: str
     points: tuple[BoundPoint, ...] = field(default_factory=tuple)
 
-    def problems(self, bus_ids: set[str], transformer_id: str | None) -> Iterator[str]:
-        """Each bound point whose element is not on the grid."""
-        for pt in self.points:
-            if pt.quantity == "V_pu":
-                if pt.element not in bus_ids:
-                    yield f"binding {pt.point_id}: unknown bus {pt.element!r}"
-            elif pt.element != transformer_id:
-                yield f"binding {pt.point_id}: unknown grid element {pt.element!r}"
-
 
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
 
 class Feeder:
-    """A grid with no ``GridModel.problems``, prepared once for repeated
-    backward/forward sweeps.
+    """A grid the loader accepts, prepared once for repeated backward/forward
+    sweeps.
 
     Buses are indexed in ``grid.buses`` order and edges in BFS order from the
     slack; each step then sweeps over plain lists. The float operations and

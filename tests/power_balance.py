@@ -12,7 +12,8 @@ from scadasim.powergrid import Feeder, GridModel
 
 
 class PowerBalanceError(ValueError):
-    """The check cannot run: a bad scaling, a grid with problems, or no convergence."""
+    """The check cannot run: a bad scaling, a grid with problems or an unknown bus, or
+    no convergence."""
 
 
 def check_power_balance(
@@ -32,7 +33,10 @@ def check_power_balance(
     problems = list(grid.problems())
     if problems:
         raise PowerBalanceError(f"grid problems: {problems}")
-    feeder = Feeder(grid)
+    try:
+        feeder = Feeder(grid)
+    except KeyError as exc:  # a name of no bus, which the scenario loader would refuse
+        raise PowerBalanceError(f"grid names an unknown bus: {exc}") from None
     s_net = feeder._injections(load_scaling)
     voltage, branch_current, converged = feeder._sweep(s_net, 1e-10, 500)
     if not converged:

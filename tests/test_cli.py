@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 
+from conftest import PurePythonLoader
 from scadasim import cli
 from scadasim.capture import CSV_HEADER, import_csv
 from scadasim.cli import main
@@ -203,6 +204,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: invalid scenario config:\n  {bad}: ")
         assert f"found duplicate key 'capture'\n  in \"{bad}\", line {line}," in err
+        assert not out.exists()
+
+    def test_lone_surrogate_exits_2(self, tmp_path, capsys, monkeypatch, scenario_loader):
+        # the pure-Python parser reads this escape, and simulate exited 1 writing the
+        # artifacts; libyaml refuses the escape itself
+        text = fixture_path("reference").read_text(encoding="utf-8")
+        bad = tmp_path / "surrogate.yaml"
+        bad.write_text(text.replace("scenario_id: reference", 'scenario_id: "r\\ud800"'),
+                       encoding="utf-8")
+        assert 'scenario_id: "r\\ud800"' in bad.read_text(encoding="utf-8")
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", str(bad), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        if scenario_loader is PurePythonLoader:
+            assert "scenario_id: 'r\\ud800' holds a lone surrogate, not UTF-8 text" in err
         assert not out.exists()
 
     def test_nesting_too_deep_exits_2_naming_the_file(self, tmp_path, capsys, scenario_loader):

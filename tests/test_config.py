@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import PurePythonLoader
 from scadasim import config as config_module
 from scadasim.config import (
+    MAX_SCAN,
     ConfigError,
     expand_address_range,
     expand_port_set,
@@ -86,6 +88,31 @@ class TestHelpers:
         assert expand_address_range("::1-::3") == ["::1", "::2", "::3"]
         with pytest.raises(ValueError, match="mixes IPv4 and IPv6"):
             expand_address_range("0.0.0.1-::3")
+
+    def test_scan_is_bounded(self):
+        assert len(expand_address_range("10.0.0.0-10.0.255.255")) == MAX_SCAN == 65_536
+        past = "takes the scan past 65536 addresses"
+        with pytest.raises(ValueError, match=f"'10.0.0.0-10.1.0.0' {past}"):
+            expand_address_range("10.0.0.0-10.1.0.0")
+        # spans that each fit cannot add up past the bound either
+        with pytest.raises(ValueError, match=f"'10.2.0.0-10.2.0.1' {past}"):
+            expand_address_range(["10.0.0.1", "10.1.0.0-10.1.255.254", "10.2.0.0-10.2.0.1"])
+
+    def test_wide_address_span_is_refused_before_it_is_expanded(self):
+        # a /8 expanded to 16.7M address strings at load time, and an IPv6 span such as
+        # this one would have exhausted memory
+        raw = minimal_raw()
+        raw["attacker"]["address_range"] = ["10.0.0.10-10.0.0.13", "::1-::ffff:ffff"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                load_config_dict(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.errors == ["attacker.address_range: address range '::1-::ffff:ffff' "
+                                    "takes the scan past 65536 addresses"]
+        assert peak < 1_000_000
 
     def test_expand_port_set(self):
         assert expand_port_set("1-4") == [1, 2, 3, 4]
@@ -178,6 +205,23 @@ class TestValidation:
         assert err.value.errors == [f"{field}: {raw['scada']['rtus'][-1]['host']!r} "
                                     f"already runs {runs}"]
 
+    @pytest.mark.parametrize("mutate, where", [
+        pytest.param(lambda raw: raw.update(scenario_id="r\ud800"), "scenario_id",
+                     id="scenario-id"),
+        pytest.param(lambda raw: raw["scada"]["rtus"][0].update(station="rtu\udc801"),
+                     "scada.rtus[0].station", id="station"),
+    ])
+    def test_lone_surrogate_is_refused_by_name(self, mutate, where):
+        # the pure-Python parser reads an escaped one, and simulate then exited 1 when
+        # it wrote the artifacts, which are UTF-8
+        raw = minimal_raw()
+        mutate(raw)
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(f"{where}: ")
+        assert err.value.errors[0].endswith(" holds a lone surrogate, not UTF-8 text")
+
     def test_unknown_pe_path_rejected(self):
         raw = minimal_raw()
         raw["hosts"]["rtu1-host"]["pe_paths"] = ["kernel_bug"]
@@ -197,14 +241,15 @@ class TestValidation:
     @pytest.mark.parametrize("mutate, field", [
         pytest.param(lambda rtu: rtu.update(host="ghost-host"), "scada.rtus[0].host: ",
                      id="unknown-host"),
-        pytest.param(lambda rtu: rtu["points"][0].update(element="ghost-tx"), "scada.rtus[0]: ",
+        pytest.param(lambda rtu: rtu["points"][0].update(element="ghost-tx"),
+                     "scada.rtus[0].points[0].element: unknown transformer 'ghost-tx'",
                      id="unknown-element"),
         pytest.param(lambda rtu: rtu["points"][0].update(quantity="I_A"),
                      "scada.rtus[0].points[0].quantity: expected one of "
                      "transformer_loading_percent, P_kW, Q_kvar, V_pu, got 'I_A'",
                      id="unknown-quantity"),
         pytest.param(lambda rtu: rtu["points"][0].update(quantity="V_pu", element="ghost-bus"),
-                     "scada.rtus[0]: binding m1: unknown bus 'ghost-bus'", id="unknown-bus"),
+                     "scada.rtus[0].points[0].element: unknown bus 'ghost-bus'", id="unknown-bus"),
         pytest.param(lambda rtu: rtu.update(report_offset_ms=1000),
                      "scada.rtus[0].report_offset_ms: ", id="offset-1000"),
     ])
@@ -231,7 +276,7 @@ class TestValidation:
         pytest.param(lambda raw: (raw["capture"].update(balance_target="x"),
                                   raw["ops"].update(http_targets=["ghost"])),
                      ["capture.balance_target: expected a number, got 'x'",
-                      "ops.http_targets: unknown target host 'ghost'"], id="capture-balance-target"),
+                      "ops.http_targets: unknown host 'ghost'"], id="capture-balance-target"),
         pytest.param(lambda raw: raw["ops"].update(http_period_steps=0, host="ghost"),
                      ["ops.http_period_steps: must be at least 1, got 0",
                       "ops.host: unknown host 'ghost'"], id="ops-period"),
@@ -480,17 +525,22 @@ FAULTS = {
     "grid": [
         ("field", _set("grid", "transformer", "rating_kva", "x"), "grid.transformer.rating_kva: "),
         ("field", _set("grid", "profile", "day_steps", 0), "grid.profile.day_steps: must be"),
-        ("ref", _set("grid", "loads", 0, "bus", "ghost"), "grid: load "),
+        ("ref", _set("grid", "loads", 0, "bus", "ghost"), "grid.loads[0].bus: unknown bus"),
+        ("ref", _set("grid", "lines", 0, "from", "ghost"), "grid.lines[0].from: unknown bus"),
+        ("ref", _set("grid", "transformer", "hv_bus", "ghost"),
+         "grid.transformer.hv_bus: unknown bus"),
         ("key", _set("grid", "profile", "day_stpes", 5), "grid.profile.day_stpes: unknown key")],
     "ict": [
         ("field", _set("ict", "links", 0, "loss_probability", "x"),
          "ict.links[0].loss_probability: "),
-        ("ref", _set("ict", "links", 0, "a", "ghost"), "ict: link "),
+        ("ref", _set("ict", "links", 0, "a", "ghost"), "ict.links[0].a: unknown node"),
+        ("ref", _set("ict", "span", "monitor", "ghost"), "ict.span.monitor: unknown node"),
+        ("ref", _set("ict", "span", "switch", "ghost"), "ict.span.switch: unknown node"),
         ("key", _set("ict", "links", 0, "latncy_ms", 1), "ict.links[0].latncy_ms: unknown key")],
     "hosts": [
         ("field", _set("hosts", "rtu1-host", "services", 0, "port", 0),
          "hosts.rtu1-host.services[0].port: must be"),
-        ("ref", _set("hosts", "ghost", {}), "hosts.ghost: not a host node"),
+        ("ref", _set("hosts", "ghost", {}), "hosts: unknown host 'ghost'"),
         ("key", _set("hosts", "rtu1-host", "pe_pathz", []),
          "hosts.rtu1-host.pe_pathz: unknown key")],
     "scada": [
@@ -501,7 +551,7 @@ FAULTS = {
         ("ref", lambda raw: raw["scada"]["rtus"].append({"station": "rtu9", "host": "ghost"}),
          "scada.rtus[1].host: unknown host"),
         ("ref", _set("scada", "rtus", 0, "points", 0, "element", "ghost"),
-         "scada.rtus[0]: binding "),
+         "scada.rtus[0].points[0].element: unknown "),
         ("key", _set("scada", "rtus", 0, "statoin", "x"), "scada.rtus[0].statoin: unknown key")],
     "attacker": [
         ("field", _set("attacker", "probe_pacing_ms", -1), "attacker.probe_pacing_ms: must be"),
@@ -510,7 +560,7 @@ FAULTS = {
         ("key", _set("attacker", "probe_pacng_ms", 2), "attacker.probe_pacng_ms: unknown key")],
     "ops": [("field", _set("ops", "http_period_steps", 0), "ops.http_period_steps: must be"),
             ("ref", _set("ops", "host", "ghost"), "ops.host: unknown host"),
-            ("ref", _set("ops", "http_targets", ["ghost"]), "ops.http_targets: unknown target host"),
+            ("ref", _set("ops", "http_targets", ["ghost"]), "ops.http_targets: unknown host"),
             ("key", _set("ops", "give_up_aftr", 5), "ops.give_up_aftr: unknown key")],
     "capture": [("field", _set("capture", "balance_target", "x"), "capture.balance_target: "),
                 ("key", _set("capture", "balance_targt", 50), "capture.balance_targt: unknown key")],
@@ -543,12 +593,21 @@ _QUANTITIES = "transformer_loading_percent, P_kW, Q_kvar, V_pu"
 @pytest.mark.parametrize("faults, expected", [
     pytest.param([lambda raw: raw["grid"]["buses"].append({"id": "b1", "nominal_kv": 0.4}),
                   _set("grid", "loads", 0, "bus", "ghost")],
-                 ["grid: duplicate bus id 'b1'", "grid: load ld1: unknown bus 'ghost'"],
+                 ["grid: duplicate bus id 'b1'", "grid.loads[0].bus: unknown bus 'ghost'"],
                  id="duplicate-bus-and-load-bus"),
     pytest.param([_set("grid", "loads", 0, "bus", "ghost"),
                   _set("grid", "ders", 0, "bus", "ghost")],
-                 ["grid: load ld1: unknown bus 'ghost'", "grid: der pv1: unknown bus 'ghost'"],
+                 ["grid.loads[0].bus: unknown bus 'ghost'", "grid.ders[0].bus: unknown bus 'ghost'"],
                  id="load-bus-and-der-bus"),
+    # a bus whose other field does not read still defines its id, and the load's bus is
+    # checked all the same
+    pytest.param([_set("grid", "buses", 2, "nominal_kv", "x"),
+                  _set("grid", "loads", 0, "bus", "ghost")],
+                 ["grid.buses[2].nominal_kv: expected a number, got 'x'",
+                  "grid.loads[0].bus: unknown bus 'ghost'"], id="bus-field-and-load-bus"),
+    pytest.param([_set("ict", "nodes", 0, "kind", "hub"), _set("ict", "links", 1, "b", "ghost")],
+                 ["ict.nodes[0].kind: expected one of host, switch, router_firewall, got 'hub'",
+                  "ict.links[1].b: unknown node 'ghost'"], id="node-kind-and-link-node"),
     pytest.param([_set("ict", "links", 0, "loss_probability", 2.0),
                   _set("ict", "links", 1, "latency_ms", -1)],
                  ["ict.links[0].loss_probability: must be in [0, 1], got 2.0",

@@ -121,8 +121,17 @@ class TestTopologyValidation:
             span=SpanConfig("sw", "nobody"),
         )
         assert list(topo.problems()) == [
-            "duplicate node id 'a'", "duplicate link id 'l1'", "host a has no address",
-            "link l1: unknown node 'ghost'", "span monitor 'nobody' unknown"]
+            "duplicate node id 'a'", "duplicate link id 'l1'", "host a has no address"]
+
+    def test_unknown_link_node_and_span_monitor_are_named_by_the_loader(self):
+        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw["ict"]["links"].append({"id": "k-ghost", "a": "sw-core", "b": "ghost"})
+        raw["ict"]["span"].update(switch="nowhere", monitor="nobody")
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == ["ict.links[6].b: unknown node 'ghost'",
+                                    "ict.span.switch: unknown node 'nowhere'",
+                                    "ict.span.monitor: unknown node 'nobody'"]
 
 
 class TestDelivery:

@@ -3,9 +3,11 @@ import random
 from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scadasim.config import ConfigError, load_config_dict
 from scadasim.powergrid import (
     BoundPoint,
     Bus,
@@ -20,6 +22,7 @@ from scadasim.powergrid import (
     measurements_for,
     sample_load_profile,
 )
+from scadasim.scenario import fixture_path
 
 from power_balance import PowerBalanceError, check_power_balance
 
@@ -33,6 +36,15 @@ def feeder(loads=(), ders=(), lines=(), buses=()):
         loads=tuple(loads),
         ders=tuple(ders),
     )
+
+
+def reference_errors(mutate):
+    """The loader's errors on the reference fixture after ``mutate`` edits its YAML."""
+    raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+    mutate(raw)
+    with pytest.raises(ConfigError) as err:
+        load_config_dict(raw)
+    return err.value.errors
 
 
 def two_bus_grid(r_ohm, x_ohm, p_kw, q_kvar):
@@ -185,8 +197,14 @@ class TestValidation:
         assert list(grid.problems()) == ["duplicate transformer/line id 'tx'"]
 
     def test_unknown_load_bus_rejected(self):
+        errors = reference_errors(lambda raw: raw["grid"]["loads"][0].update(bus="nope"))
+        assert errors == ["grid.loads[0].bus: unknown bus 'nope'"]
+
+    def test_unknown_bus_is_refused_by_the_power_balance_check_by_name(self):
+        # the oracle solves grids built in tests, which no loader has read
         grid = feeder(loads=(Load("ld", "nope", 10, 0),))
-        assert list(grid.problems()) == ["load ld: unknown bus 'nope'"]
+        with pytest.raises(PowerBalanceError, match="grid names an unknown bus: 'nope'"):
+            check_power_balance(grid)
 
     def test_bus_without_a_positive_voltage_rejected(self):
         # the solver divides each impedance by its bus's base impedance, nominal_kv squared
@@ -200,10 +218,21 @@ class TestValidation:
         # connectivity would look up the unknown bus, so it is not checked
         grid = feeder(buses=(Bus("lv", 0.4),), lines=(Line("l1", "lv", "ghost", 0.1, 0.1, 0),),
                       loads=(Load("ld", "nope", 10, 0),), ders=(Der("pv", "nope", 5),))
-        assert list(grid.problems()) == [
-            "duplicate bus id 'lv'", "edge references unknown bus: 'lv'-'ghost'",
-            "line l1: rating must be > 0", "load ld: unknown bus 'nope'",
-            "der pv: unknown bus 'nope'"]
+        assert list(grid.problems()) == ["duplicate bus id 'lv'", "line l1: rating must be > 0"]
+
+    def test_every_unknown_bus_is_named_by_the_loader_with_the_grid_problems(self):
+        def mutate(raw):
+            grid = raw["grid"]
+            grid["buses"].append({"id": "lv", "nominal_kv": 0.4})
+            grid["lines"][0].update(to="ghost", rating_kva=0)
+            grid["loads"][0]["bus"] = grid["ders"][0]["bus"] = "nope"
+            grid["transformer"]["hv_bus"] = "ghost-mv"
+        assert sorted(reference_errors(mutate)) == sorted([
+            "grid: duplicate bus id 'lv'", "grid: not radial: 4 edges for 6 buses (need buses-1)",
+            "grid: line lf1: rating must be > 0",
+            "grid.transformer.hv_bus: unknown bus 'ghost-mv'",
+            "grid.lines[0].to: unknown bus 'ghost'", "grid.loads[0].bus: unknown bus 'nope'",
+            "grid.ders[0].bus: unknown bus 'nope'"])
 
 
 class TestSolver:
@@ -406,8 +435,12 @@ class TestMeasurements:
         assert measurements_for(self.binding(), sol)[1] == ("m2", "P_kW", 120.0)
 
     def test_unknown_element_rejected_at_validation(self):
-        grid = two_bus_grid(0.1, 0.1, 50.0, 10.0)
-        binding = RtuBinding("rtu1", (BoundPoint("m1", "V_pu", "ghost-bus"),))
-        assert list(binding.problems({b.bus_id for b in grid.buses},
-                                     grid.transformer.transformer_id)) == [
-            "binding m1: unknown bus 'ghost-bus'"]
+        def mutate(raw):
+            raw["scada"]["rtus"][0]["points"] = [
+                {"id": "m1", "quantity": "V_pu", "element": "ghost-bus"},
+                {"id": "m2", "quantity": "P_kW", "element": "b1"},
+                {"id": "m3", "quantity": "V_pu", "element": "b1"}]
+        # a V_pu point names a bus, any other the transformer
+        assert reference_errors(mutate) == [
+            "scada.rtus[0].points[0].element: unknown bus 'ghost-bus'",
+            "scada.rtus[0].points[1].element: unknown transformer 'b1'"]
