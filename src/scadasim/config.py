@@ -471,9 +471,9 @@ def _check_references(errors: _Errors) -> None:
         for f in _references(cls):
             namespace = f.metadata["ref"]
             if namespace == "grid_element":  # a V_pu point names a bus, any other the transformer
-                namespace = {"V_pu": "bus", None: None}.get(item["quantity"], "transformer")
-            if namespace is None:  # a point whose quantity did not read
-                continue
+                if item["quantity"] is None:  # its own error names it
+                    continue
+                namespace = "bus" if item["quantity"] == "V_pu" else "transformer"
             key, value = _KEYS.get(f.name, f.name), item[f.name]
             errors.extend(f"{path}.{key}".lstrip(".") + f": unknown {namespace} {name!r}"
                           for name in ([value] if isinstance(value, str) else value or ())
