@@ -17,7 +17,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .network import MIN_PACKET_BYTES, Packet
-from .writers import write_lines
+from .writers import BLOCK_ROWS, write_lines
 
 BALANCE_TOLERANCE_PP = 3.0
 
@@ -58,20 +58,24 @@ def check_balance(scenario_id: int | str, target: float | None, dataset: "Labele
 
 
 @contextmanager
-def _one_young_collection():
-    """Build a long-lived record list under one young-generation collection.
+def _collector_off(collect_young: bool):
+    """Run the body with CPython's cyclic collector disabled.
 
-    A record is a tuple subclass, which CPython's cyclic collector never
-    untracks, so while a list of tens of thousands of records grows, each one
-    is walked by the gen-0 and the gen-1 collections its own allocations set
-    off, and then by the full collection that so many survivors trigger. The
-    record lists hold no reference cycles, so those walks find nothing. When
-    the collector is enabled, it is disabled while the body runs; one
-    ``gc.collect(1)`` then moves every survivor to the oldest generation in a
-    single visit, and the collector is enabled again. That explicit collection
-    keeps the deferred visits out of whatever the caller does next. A caller
-    that disabled the collector keeps it disabled, and nothing is collected.
-    A columnar dataset (ROADMAP item 5) holds no per-record objects and
+    A record is a tuple subclass, which the cyclic collector never untracks,
+    so each record a growing list gains is walked by the gen-0 and the gen-1
+    collections that its own allocations set off. The record lists hold no
+    reference cycles, so those walks find nothing. When the collector is
+    enabled, it is disabled while the body runs and enabled again after; a
+    caller that disabled it keeps it disabled, and nothing is collected.
+
+    With ``collect_young``, one ``gc.collect(1)`` before the collector is
+    enabled again moves every survivor to the oldest generation in a single
+    visit, which keeps the deferred visits out of whatever the caller does
+    next. That suits a whole record list built at once (``import_csv``), not
+    one built a block at a time during a run: each explicit gen-1 collection
+    counts toward the trigger of a full collection, and one per block set off
+    1.4 full collections per scenario 1 run where the automatic ones set off
+    0.8. A columnar dataset (ROADMAP item 5) holds no per-record objects and
     deletes this helper.
     """
     enabled = gc.isenabled()
@@ -80,7 +84,8 @@ def _one_young_collection():
         yield
     finally:
         if enabled:
-            gc.collect(1)
+            if collect_young:
+                gc.collect(1)
             gc.enable()
 
 
@@ -114,7 +119,7 @@ class LabeledRecord(NamedTuple):
 class RecordList(list):
     """A list of records that holds the IDS key pass made over it.
 
-    ``import_csv`` and ``label_records`` build their records as one. The IDS
+    ``import_csv`` and ``TrafficCollector`` build their records as one. The IDS
     scores the same traffic with several detectors, and each would otherwise
     run the key pass (``ids.models._distinct_keys``) over the same records
     again. ``key_pass`` holds that pass's result with a snapshot of the
@@ -130,17 +135,55 @@ class RecordList(list):
 
 
 class TrafficCollector:
-    """Mirror sink for the SPAN port; records in forwarding order."""
+    """Mirror sink for the SPAN port: labels its frames a block at a time.
 
-    def __init__(self):
+    ``record`` takes one snapshot per mirrored frame, in forwarding order.
+    Once ``BLOCK_ROWS`` snapshots are pending, ``label_records`` labels them,
+    their records are appended to ``records`` and the snapshots are dropped,
+    so at most one block of snapshots is alive. ``flush`` labels the last
+    partial block when the run ends.
+
+    Labelling during the run gives the records one pass after it would. A
+    frame mirrored at time t was sent at least 1 ms earlier, the
+    serialization of a ``MIN_PACKET_BYTES`` frame, so every stage transition
+    its label needs is already in the attacker's live ``stage_times``; a
+    transition logged later is at or after t, and ``bisect_right`` ignores
+    it.
+    """
+
+    def __init__(self, attacker_address: str, stage_times: list[tuple[int, str]],
+                 label_manipulated_reports: bool = True):
+        self.attacker_address = attacker_address
+        self.stage_times = stage_times
+        self.label_manipulated_reports = label_manipulated_reports
         self.snapshots: list[CapturedPacket] = []
+        self.records = RecordList()
 
     def record(self, packet: Packet) -> None:
+        snapshots = self.snapshots
         # built in C, as CapturedPacket._make does, not by the Python __new__
-        self.snapshots.append(tuple.__new__(CapturedPacket, (
+        snapshots.append(tuple.__new__(CapturedPacket, (
             packet.sent_at, packet.src, packet.dst, packet.protocol, packet.length_bytes,
             bool(packet.payload.get("manipulated", False)),
         )))
+        if len(snapshots) >= BLOCK_ROWS:
+            self.flush()
+
+    def flush(self) -> RecordList:
+        """Label the pending snapshots; returns every record labelled so far.
+
+        The block is labelled with the cyclic collector off, and its
+        snapshots are dropped before the collector is on again, so the
+        block's records take the snapshots' place in the count of young
+        allocations and labelling sets off no collection of its own.
+        """
+        if self.snapshots:
+            with _collector_off(collect_young=False):
+                self.records += label_records(self.snapshots, self.attacker_address,
+                                              self.stage_times, self.label_manipulated_reports)
+                # in place: ``record`` still holds the list
+                self.snapshots.clear()
+        return self.records
 
 
 def label_records(
@@ -148,31 +191,25 @@ def label_records(
     attacker_address: str,
     stage_times: list[tuple[int, str]],
     label_manipulated_reports: bool = True,
-) -> RecordList:
-    """Apply the ground-truth labeling rule to collected snapshots.
-
-    The list is built under ``_one_young_collection``: the cyclic collector
-    visits the new records once, in one gen-1 collection, not in the gen-0,
-    gen-1 and full collections their allocations would set off.
-    """
+) -> list[LabeledRecord]:
+    """Apply the ground-truth labeling rule to collected snapshots."""
     transitions = [(ms, STAGE_TAGS[stage]) for ms, stage in stage_times if stage in STAGE_TAGS]
     times = [ms for ms, _ in transitions]
-    out = RecordList()
-    with _one_young_collection():
-        for time_ms, src, dst, protocol, length_bytes, manipulated in snapshots:
-            if src == attacker_address:
-                idx = bisect.bisect_right(times, time_ms) - 1
-                if idx < 0:
-                    raise LabelingError(
-                        f"attacker packet at {time_ms}ms precedes the first attack stage"
-                    )
-                label, stage = "attack", transitions[idx][1]
-            elif manipulated and label_manipulated_reports:
-                label, stage = "attack", "S4"
-            else:
-                label, stage = "normal", None
-            out.append(tuple.__new__(
-                LabeledRecord, (time_ms, src, dst, protocol, length_bytes, label, stage)))
+    out = []
+    for time_ms, src, dst, protocol, length_bytes, manipulated in snapshots:
+        if src == attacker_address:
+            idx = bisect.bisect_right(times, time_ms) - 1
+            if idx < 0:
+                raise LabelingError(
+                    f"attacker packet at {time_ms}ms precedes the first attack stage"
+                )
+            label, stage = "attack", transitions[idx][1]
+        elif manipulated and label_manipulated_reports:
+            label, stage = "attack", "S4"
+        else:
+            label, stage = "normal", None
+        out.append(tuple.__new__(
+            LabeledRecord, (time_ms, src, dst, protocol, length_bytes, label, stage)))
     return out
 
 
@@ -277,9 +314,9 @@ def import_csv(path: str) -> LabeledDataset:
     so the first bad row still raises the same error as a full check of
     every row. Records are built by ``tuple.__new__``, in C, as
     ``LabeledRecord._make`` does, not by the NamedTuple's Python ``__new__``.
-    The records and the dataset are built under ``_one_young_collection``:
-    the cyclic collector visits the new records once, in one gen-1
-    collection, not in the gen-0, gen-1 and full collections their
+    The records and the dataset are built under ``_collector_off`` with one
+    young collection: the cyclic collector visits the new records once, in
+    one gen-1 collection, not in the gen-0, gen-1 and full collections their
     allocations would set off.
     """
     with open(path, "rb") as fh:
@@ -296,7 +333,7 @@ def import_csv(path: str) -> LabeledDataset:
     records = RecordList()
     fields_of: dict[str, tuple] = {}
     append, new_record, known_fields = records.append, tuple.__new__, fields_of.get
-    with _one_young_collection():
+    with _collector_off(collect_young=True):
         for line in lines[1:]:
             time_s, _, tail = line.partition(",")
             fields = known_fields(tail)

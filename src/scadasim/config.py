@@ -225,7 +225,8 @@ def _value(value, kind, where: str, errors: list[str], lo=None, hi=None):
     key, a ``Literal``, a dataclass, ``X | None``, ``str | list[str]``,
     ``dict[K, V]``, or a list, frozenset or tuple of one kind. A wrong type, a
     value the ``Literal`` does not list or a value outside the inclusive bounds
-    appends an error naming ``where`` and reads as None.
+    appends an error naming ``where`` and reads as None. Two mapping keys that
+    read as one key append an error too; the later value is kept.
     """
     if kind in _SCALARS:
         accepts, name = _SCALARS[kind]
@@ -260,9 +261,16 @@ def _value(value, kind, where: str, errors: list[str], lo=None, hi=None):
         return _value(value, arm, where, errors, lo, hi)
     if origin is dict:
         items = _value(value, dict, where, errors)
-        return None if items is None else {
-            _value(k, args[0], where, errors): _value(v, args[1], f"{where}.{k}", errors)
-            for k, v in items.items()}
+        if items is None:
+            return None
+        out = {}
+        for k, v in items.items():
+            # YAML keeps 7 and "7" apart; read as a string they are one key
+            key = _value(k, args[0], where, errors)
+            if key is not None and key in out:
+                errors.append(f"{where}: duplicate key {key!r}")
+            out[key] = _value(v, args[1], f"{where}.{k}", errors)
+        return out
     if origin in (list, tuple, frozenset):
         items = _value(value, list, where, errors)
         if items is None:

@@ -1,6 +1,6 @@
 """Scenario assembly: wire grid, network, hosts, telemetry, operator traffic
 and the attacker onto one engine, run the three phases (warm-up, attack,
-post), and label the captured traffic.
+post), and build the dataset the SPAN collector labelled as the run went.
 
 The six reference scenarios and the exemplary attack-replication scenario ship
 as YAML fixtures under ``scadasim/data``.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .attacker import AttackerComponent
-from .capture import LabeledDataset, TrafficCollector, label_records
+from .capture import LabeledDataset, TrafficCollector
 from .config import HostEntry, ScenarioConfig, load_config
 from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
@@ -229,7 +229,8 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> 
         else:
             fabric.register_app(node_id, host)
 
-    collector = TrafficCollector()
+    collector = TrafficCollector(attacker.address, attacker.state.stage_times,
+                                 config.capture.label_manipulated_reports)
     if config.topology.span is not None:
         fabric.mirror_sink = collector.record
 
@@ -261,13 +262,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, trace: bool = 
     sim.final_step = step + config.durations.post_steps
     sim.events_processed += engine.run(_last_ms_of(sim.final_step))
 
-    records = label_records(
-        sim.collector.snapshots,
-        attacker.address,
-        attacker.state.stage_times,
-        label_manipulated_reports=config.capture.label_manipulated_reports,
-    )
-    sim.dataset = LabeledDataset.from_records(records)
+    # the collector labelled every full block as the run went
+    sim.dataset = LabeledDataset.from_records(sim.collector.flush())
     return sim
 
 

@@ -1,16 +1,20 @@
 import gc
 import os
+import re
 import string
 import tempfile
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scadasim import capture
 from scadasim.capture import (
     CSV_HEADER,
+    STAGE_TAGS,
     CapturedPacket,
     DatasetFormatError,
     LabeledDataset,
@@ -21,8 +25,10 @@ from scadasim.capture import (
     import_csv,
     label_records,
 )
+from scadasim.engine import Engine, SimulationError
 from scadasim.ids.models import FeatureDictionary, _distinct_keys, train_model
 from scadasim.network import Packet
+from scadasim.scenario import load_fixture, run_scenario
 from scadasim.writers import BLOCK_ROWS
 
 
@@ -44,7 +50,7 @@ STAGES = [(1000, "S1_scan"), (5000, "S2_rce"), (6000, "S3_pe"), (7000, "S4_impac
 
 class TestCollector:
     def test_snapshot_copies_packet_fields(self):
-        collector = TrafficCollector()
+        collector = TrafficCollector(ATTACKER, STAGES)
         packet = Packet(2345, "a", "b", "HTTP", 222, {"type": "x"})
         collector.record(packet)
         s = collector.snapshots[0]
@@ -53,7 +59,7 @@ class TestCollector:
         assert s.manipulated is False
 
     def test_manipulated_flag_carried_through(self):
-        collector = TrafficCollector()
+        collector = TrafficCollector(ATTACKER, STAGES)
         packet = Packet(1, "a", "b", "SCADA", 61, {"manipulated": True})
         collector.record(packet)
         assert collector.snapshots[0].manipulated is True
@@ -95,6 +101,113 @@ class TestLabeling:
     def test_attacker_packet_before_first_stage_is_fatal(self):
         with pytest.raises(LabelingError, match="precedes"):
             label_records([snap(10)], ATTACKER, STAGES)
+
+
+# a stage name label_records skips, and the four it tags
+STAGE_NAMES = ["done", *STAGE_TAGS]
+
+
+@st.composite
+def mirrored_run(draw):
+    """Frames and stage transitions of a run, in the order a collector sees them.
+
+    Each frame is sent at some time and mirrored at least 1 ms later; frames
+    reach the collector in mirror order. A transition at time ms is logged
+    at engine time ms, so it is appended before every frame mirrored after
+    ms, and after the frames mirrored at ms itself (which were sent before
+    ms).
+    """
+    frames = draw(st.lists(st.tuples(
+        st.integers(0, 60),                                   # sent at
+        st.integers(1, 5),                                    # mirrored this much later
+        st.sampled_from([ATTACKER, "10.0.0.11", "10.0.0.10"]),
+        st.booleans(),                                        # manipulated
+    ), max_size=40))
+    times = sorted(draw(st.lists(st.integers(0, 70), max_size=6)))
+    transitions = [(ms, draw(st.sampled_from(STAGE_NAMES))) for ms in times]
+    frames.sort(key=lambda f: f[0] + f[1])  # mirror order; sort is stable
+    return frames, transitions
+
+
+def mirror_into(collector, stage_times, frames, transitions):
+    """Feed ``frames`` to ``collector`` one at a time, appending each transition
+    to the live ``stage_times`` once the frames mirrored at or before its time
+    are in."""
+    pending = list(transitions)
+    for sent_at, delay, src, manipulated in frames:
+        while pending and pending[0][0] < sent_at + delay:
+            stage_times.append(pending.pop(0))
+        collector.record(Packet(sent_at, src, "10.0.0.12", "SCADA", 61,
+                                {"manipulated": manipulated}))
+    stage_times.extend(pending)
+
+
+class TestBlockLabelling:
+    """The collector labels full blocks during the run and the last partial
+    block at its end; the records are those of one pass after the run."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=mirrored_run(), block=st.integers(1, 7), label_manipulated=st.booleans())
+    def test_block_records_equal_one_pass_over_every_frame(self, run, block, label_manipulated):
+        frames, transitions = run
+        stage_times = []
+        collector = TrafficCollector(ATTACKER, stage_times, label_manipulated)
+        try:
+            expected = label_records(
+                [snap(sent_at, src=src, dst="10.0.0.12", protocol="SCADA", length=61,
+                      manipulated=manipulated) for sent_at, _, src, manipulated in frames],
+                ATTACKER, transitions, label_manipulated)
+        except LabelingError as exc:
+            # an attacker frame before the first stage fails either way, with one message
+            with patch.object(capture, "BLOCK_ROWS", block), \
+                    pytest.raises(LabelingError, match=re.escape(str(exc))):
+                mirror_into(collector, stage_times, frames, transitions)
+                collector.flush()
+            return
+        with patch.object(capture, "BLOCK_ROWS", block):
+            mirror_into(collector, stage_times, frames, transitions)
+            assert len(collector.snapshots) == len(frames) % block
+            records = collector.flush()
+        assert records == expected
+        assert collector.snapshots == []
+
+    def test_reference_run_never_holds_a_full_block(self, monkeypatch):
+        pending, blocks = [], []
+        record, label = TrafficCollector.record, capture.label_records
+
+        def counted_record(self, packet):
+            record(self, packet)
+            pending.append(len(self.snapshots))
+
+        def counted_label(snapshots, *args):
+            blocks.append(len(snapshots))
+            return label(snapshots, *args)
+
+        monkeypatch.setattr(TrafficCollector, "record", counted_record)
+        monkeypatch.setattr(capture, "label_records", counted_label)
+        result = run_scenario(load_fixture("reference"), seed=7)
+        records = len(result.dataset.records)
+        assert records == result.fabric.mirrored_count > 2 * BLOCK_ROWS
+        assert max(pending) == BLOCK_ROWS - 1
+        assert blocks == [BLOCK_ROWS] * (records // BLOCK_ROWS) + [records % BLOCK_ROWS]
+
+    def test_attacker_frame_before_first_stage_is_fatal_at_its_block(self):
+        collector = TrafficCollector(ATTACKER, [])
+        with patch.object(capture, "BLOCK_ROWS", 2):
+            collector.record(Packet(10, "10.0.0.11", "10.0.0.10", "SCADA", 61, {}))
+            with pytest.raises(LabelingError,
+                               match="attacker packet at 10ms precedes the first attack stage"):
+                collector.record(Packet(10, ATTACKER, "10.0.0.11", "SCAN_PROBE", 60, {}))
+
+    def test_a_labelling_error_in_a_run_is_the_cause_of_a_simulation_error(self):
+        engine = Engine()
+        collector = TrafficCollector(ATTACKER, [])
+        engine.register("net", lambda engine, kind, packet: collector.record(packet))
+        engine.schedule(11, "net", "arrival", Packet(10, ATTACKER, "10.0.0.11", "SCAN_PROBE", 60, {}))
+        with patch.object(capture, "BLOCK_ROWS", 1), pytest.raises(SimulationError) as err:
+            engine.run(11)
+        assert isinstance(err.value.__cause__, LabelingError)
+        assert "precedes the first attack stage" in str(err.value)
 
 
 class TestDataset:
@@ -379,8 +492,9 @@ def many_snapshots(n: int) -> list[CapturedPacket]:
 
 
 class TestCyclicCollector:
-    """A record list is built under one gen-1 collection, and the collector's
-    state is the caller's again afterwards."""
+    """The CSV reader builds its record list under one gen-1 collection, the
+    SPAN collector labels a block under none, and the collector's state is
+    the caller's again afterwards."""
 
     def test_import_runs_one_young_collection(self, tmp_path, collections):
         path = str(tmp_path / "big.csv")
@@ -390,12 +504,17 @@ class TestCyclicCollector:
         assert len(import_csv(path).records) == 20_000
         assert collections == [1]
 
-    def test_labelling_runs_one_young_collection(self, collections):
-        snapshots = many_snapshots(20_000)
+    def test_block_labelling_sets_off_no_collection(self, collections):
+        collector = TrafficCollector(ATTACKER, STAGES)
+        collector.snapshots = many_snapshots(BLOCK_ROWS - 1)
         gc.collect()
         collections.clear()
-        assert len(label_records(snapshots, ATTACKER, STAGES)) == 20_000
-        assert collections == [1]
+        collector.record(Packet(9000, "10.0.0.11", "10.0.0.10", "SCADA", 61, {}))
+        assert len(collector.records) == BLOCK_ROWS and collector.snapshots == []
+        assert collections == []
+        # the records took the dropped snapshots' place in the young count,
+        # so the next allocations do not set off a collection either
+        assert gc.get_count()[0] < gc.get_threshold()[0] // 2
 
     def test_import_leaves_the_collector_enabled(self, tmp_path, collections):
         path = tmp_path / "ds.csv"
@@ -414,19 +533,23 @@ class TestCyclicCollector:
         assert gc.isenabled()
 
     def test_a_labelling_error_leaves_the_collector_enabled(self, collections):
-        with pytest.raises(LabelingError, match="precedes"):
-            label_records(many_snapshots(100) + [snap(10)], ATTACKER, STAGES)
+        collector = TrafficCollector(ATTACKER, STAGES)
+        collector.snapshots = many_snapshots(100) + [snap(10)]
+        with pytest.raises(LabelingError,
+                           match="attacker packet at 10ms precedes the first attack stage"):
+            collector.flush()
         assert gc.isenabled()
 
     def test_a_disabled_collector_stays_disabled_and_collects_nothing(
             self, tmp_path, collections):
         path = tmp_path / "ds.csv"
         export_csv(LabeledDataset.from_records(mixed_records(5_000)), str(path))
-        snapshots = many_snapshots(5_000)
+        collector = TrafficCollector(ATTACKER, STAGES)
+        collector.snapshots = many_snapshots(BLOCK_ROWS)
         gc.disable()
         collections.clear()
         import_csv(str(path))
         assert not gc.isenabled()
-        label_records(snapshots, ATTACKER, STAGES)
+        collector.flush()
         assert not gc.isenabled()
         assert collections == []

@@ -238,6 +238,18 @@ class TestValidation:
             load_config_dict(raw)
         assert err.value.errors == ["scada.rtus[1].station: 'rtu1' already names scada.rtus[0]"]
 
+    def test_two_hosts_keys_that_read_as_one_node_id_rejected(self):
+        # YAML keeps 7 and "7" apart, but both name node '7': the later entry would
+        # silently replace the earlier one's services
+        raw = minimal_raw()
+        nodes, links = raw["ict"]["nodes"], raw["ict"]["links"]
+        nodes[4]["id"] = links[3]["a"] = raw["ict"]["span"]["monitor"] = 7
+        raw["hosts"][7] = {"services": [{"port": 22, "protocol": "SSH"}]}
+        raw["hosts"]["7"] = {}
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == ["hosts: duplicate key '7'"]
+
     @pytest.mark.parametrize("mutate, field", [
         pytest.param(lambda rtu: rtu.update(host="ghost-host"), "scada.rtus[0].host: ",
                      id="unknown-host"),

@@ -71,14 +71,14 @@ class TestReferenceRun:
         assert checked > 50
 
     def test_every_attacker_packet_is_attack_labeled(self, reference_result):
-        snapshots = reference_result.collector.snapshots
         records = reference_result.dataset.records
-        assert len(snapshots) == len(records)
+        assert len(records) == reference_result.fabric.mirrored_count
         attacker_address = reference_result.attacker.address
         assert attacker_address == "10.0.0.66"
-        for snap, rec in zip(snapshots, records):
-            if snap.src == attacker_address:
-                assert rec.label == "attack"
+        attacker_records = [r for r in records if r.src == attacker_address]
+        assert attacker_records
+        for rec in attacker_records:
+            assert rec.label == "attack" and rec.stage is not None
 
     def test_only_rtu1_carries_a_manipulation_effect(self, reference_result):
         rtus = reference_result.rtus
