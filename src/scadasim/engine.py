@@ -9,6 +9,14 @@ The heap holds plain ``(due, seq, target, kind, payload)`` tuples; ``seq`` is
 unique, so ordering never compares ``target``. A component registers a handler
 under its target name, and the handler is called as
 ``handler(engine, kind, payload)``, with ``engine.now`` set to the due time.
+
+``schedule`` refuses an event due before the clock. A producer whose due time
+cannot be in the past by construction may instead push its tuple straight
+onto ``engine.heap``, taking its ``seq`` from ``next(engine.seq)``, and so
+skip a Python call per event. The network fabric is the one such producer: a
+hop is due at max(port busy time, now) + serialization + latency, and the
+loader bounds latency at 0 or more, so a hop is never due before now. Every
+other event goes through ``schedule``.
 """
 
 from __future__ import annotations
@@ -47,8 +55,9 @@ class Engine:
 
     def __init__(self, trace: bool = False):
         self.now = 0
-        self._heap: list[tuple[int, int, str, str, Any]] = []
-        self._seq = count()
+        # public for producers that cannot schedule in the past (module docstring)
+        self.heap: list[tuple[int, int, str, str, Any]] = []
+        self.seq = count()
         self._handlers: dict[str, Handler] = {}
         self.trace_lines: list[str] | None = [] if trace else None
 
@@ -62,31 +71,33 @@ class Engine:
             raise SimulationError(
                 f"event {event_name(target, kind)} scheduled at {due}ms in the past (clock {self.now}ms)"
             )
-        heappush(self._heap, (due, next(self._seq), target, kind, payload))
+        heappush(self.heap, (due, next(self.seq), target, kind, payload))
 
     def run(self, until_ms: int) -> int:
         """Dispatch every event with due <= until_ms, exactly once; returns their number.
 
         The clock ends at the due time of the last dispatched event and never
-        advances past it on an empty queue.
+        advances past it on an empty queue. An event for an unknown target
+        fails before its trace line is written; a failing handler fails after.
         """
-        heap = self._heap
+        heap = self.heap
         handlers = self._handlers
         trace = self.trace_lines
         processed = 0
         while heap and heap[0][0] <= until_ms:
             due, seq, target, kind, payload = heappop(heap)
             self.now = due
-            handler = handlers.get(target)
-            if handler is None:
-                raise SimulationError(f"no component registered for event {event_name(target, kind)}")
-            if trace is not None:
-                trace.append(f"{due // MS_PER_STEP},{due % MS_PER_STEP},{seq},{target},{kind}")
             try:
+                handler = handlers[target]
+                if trace is not None:
+                    trace.append(f"{due // MS_PER_STEP},{due % MS_PER_STEP},{seq},{target},{kind}")
                 handler(self, kind, payload)
             except SimulationError:
                 raise
             except Exception as exc:
+                if target not in handlers:
+                    raise SimulationError(
+                        f"no component registered for event {event_name(target, kind)}") from None
                 raise SimulationError(
                     f"handler failed on event {event_name(target, kind)} at {due}ms: {exc}"
                 ) from exc

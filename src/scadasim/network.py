@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Callable, Iterator, Literal, Protocol
 
 from .engine import Engine, derive_seed
@@ -234,7 +235,8 @@ class NetworkFabric:
 
     def transmit(self, packet: Packet, port: _Port) -> None:
         """Queue one hop out of ``port``: loss/down checks, then FIFO
-        serialization plus latency.
+        serialization plus latency. The arrival goes straight onto the
+        engine's heap: it is never due before now, and this runs once per hop.
 
         The link's state, loss, latency and bandwidth are read on every hop,
         so changes to them apply to the next packet.
@@ -253,7 +255,8 @@ class NetworkFabric:
         if start_ms < now_ms:
             start_ms = now_ms
         port.busy_until = done_ms = start_ms + serialization_ms
-        engine.schedule(done_ms + link.latency_ms, "net", "arrival", (port.far, packet, port.back))
+        heappush(engine.heap, (done_ms + link.latency_ms, next(engine.seq), "net", "arrival",
+                               (port.far, packet, port.back)))
 
     def set_link_state(self, link_id: str, up: bool) -> None:
         if link_id not in self.links:

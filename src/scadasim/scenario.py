@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .attacker import AttackerComponent
-from .capture import LabeledDataset, TrafficCollector
+from .capture import LabeledDataset, TrafficCollector, collector_off
 from .config import HostEntry, ScenarioConfig, load_config
 from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
@@ -242,28 +242,35 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> 
 
 
 def run_scenario(config: ScenarioConfig, seed: int | None = None, trace: bool = False) -> Simulation:
-    """Warm-up phase, attack phase (until impact or terminal stage), post phase."""
+    """Warm-up phase, attack phase (until impact or terminal stage), post phase.
+
+    The run goes with CPython's cyclic collector off and one young collection
+    after it (``capture.collector_off``): it makes no cyclic garbage, so the
+    collections its allocations would set off find nothing.
+    """
     seed = config.seed if seed is None else seed
     sim = build_simulation(config, seed, trace)
     engine, attacker = sim.engine, sim.attacker
 
-    step = sim.attack_start_step
-    sim.events_processed += engine.run(_last_ms_of(step))
-
-    deadline = sim.attack_start_step + config.durations.max_attack_steps
-    while (
-        attacker.state.stage not in ("done", "failed")
-        and not attacker.state.impact
-        and step < deadline
-    ):
-        step += 1
+    with collector_off(collect_young=True):
+        step = sim.attack_start_step
         sim.events_processed += engine.run(_last_ms_of(step))
 
-    sim.final_step = step + config.durations.post_steps
-    sim.events_processed += engine.run(_last_ms_of(sim.final_step))
+        deadline = sim.attack_start_step + config.durations.max_attack_steps
+        while (
+            attacker.state.stage not in ("done", "failed")
+            and not attacker.state.impact
+            and step < deadline
+        ):
+            step += 1
+            sim.events_processed += engine.run(_last_ms_of(step))
 
-    # the collector labelled every full block as the run went
-    sim.dataset = LabeledDataset.from_records(sim.collector.flush())
+        sim.final_step = step + config.durations.post_steps
+        sim.events_processed += engine.run(_last_ms_of(sim.final_step))
+
+        # the collector labelled every full block as the run went
+        records = sim.collector.flush()
+    sim.dataset = LabeledDataset.from_records(records)
     return sim
 
 

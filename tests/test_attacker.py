@@ -114,7 +114,7 @@ class TestScan:
     @pytest.mark.xfail(strict=True, reason=(
         "open FOUND in CHANGES.md: the scan_host row of an address is logged before "
         "replies to its last probes arrive, so it under-reports open ports; the fix "
-        "changes attacker_actions.csv bytes (ROADMAP item 8(b))"))
+        "changes attacker_actions.csv bytes (ROADMAP item 9(b))"))
     def test_scan_host_row_lists_every_discovered_port(self):
         engine, fabric, attacker, _, _ = rig()
         engine.run(120_000)

@@ -1,3 +1,5 @@
+from heapq import heappush
+
 import pytest
 
 from scadasim.engine import MS_PER_STEP, Engine, SimulationError, derive_seed
@@ -56,15 +58,48 @@ def test_scheduling_in_the_past_is_fatal():
     engine = Engine()
     engine.register("a", lambda e, kind, payload: e.schedule(0, "a", "bad"))
     engine.schedule(2000, "a", "go")
-    with pytest.raises(SimulationError, match="in the past"):
+    # raised in a handler, the SimulationError is not wrapped as a handler failure
+    with pytest.raises(SimulationError,
+                       match=r"^event a/bad scheduled at 0ms in the past \(clock 2000ms\)$"):
         engine.run(3000)
 
 
 def test_unknown_target_is_fatal_and_names_the_event():
-    engine = Engine()
+    engine = Engine(trace=True)
     engine.schedule(1000, "ghost", "boo")
-    with pytest.raises(SimulationError, match="ghost/boo"):
+    with pytest.raises(SimulationError,
+                       match=r"^no component registered for event ghost/boo$") as info:
         engine.run(2000)
+    assert info.value.__cause__ is None
+    # it fails before its trace line is written
+    assert engine.trace_lines == []
+
+
+def test_a_handler_raising_key_error_is_a_handler_failure():
+    engine = Engine(trace=True)
+
+    def lookup(eng, kind, payload):
+        return {}[payload]
+
+    engine.register("a", lookup)
+    engine.schedule(1005, "a", "k", "missing")
+    with pytest.raises(SimulationError,
+                       match=r"^handler failed on event a/k at 1005ms: 'missing'$") as info:
+        engine.run(2000)
+    assert isinstance(info.value.__cause__, KeyError)
+    # it fails after its trace line is written
+    assert engine.trace_lines == ["1,5,0,a,k"]
+
+
+def test_events_pushed_onto_the_heap_share_the_seq_order_of_scheduled_ones():
+    engine = Engine(trace=True)
+    engine.register("a", lambda e, kind, payload: None)
+    engine.schedule(1000, "a", "scheduled")
+    heappush(engine.heap, (1000, next(engine.seq), "a", "pushed", None))
+    engine.schedule(1000, "a", "scheduled-again")
+    assert engine.run(2000) == 3
+    assert engine.trace_lines == ["1,0,0,a,scheduled", "1,0,1,a,pushed",
+                                  "1,0,2,a,scheduled-again"]
 
 
 def test_handler_failure_aborts_with_event_name():

@@ -1,9 +1,11 @@
+import gc
+
 import pytest
 import yaml
 
 from scadasim.capture import check_balance, export_csv
 from scadasim.config import load_config_dict
-from scadasim.engine import Engine
+from scadasim.engine import Engine, SimulationError
 from scadasim.scenario import fixture_path, load_fixture, run_scenario
 
 
@@ -145,6 +147,54 @@ class TestDeterminism:
         va = [v for _, _, _, _, v, _ in a.mtu.history]
         vb = [v for _, _, _, _, v, _ in b.mtu.history]
         assert va != vb
+
+
+class TestCyclicCollector:
+    """A run goes with CPython's cyclic collector off. That is sound because a
+    run makes no cyclic garbage, and the caller's setting is kept."""
+
+    @pytest.mark.parametrize("scenario, seed", [("reference", 1), (4, 0)])
+    def test_a_run_makes_no_cyclic_garbage(self, scenario, seed):
+        config = load_fixture(scenario)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_scenario(config, seed=seed)
+            # while the result is held, nothing the run made is unreachable
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert result.dataset.records
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_run_leaves_the_collector_as_it_found_it(self, monkeypatch, enabled):
+        seen = []
+        run = Engine.run
+
+        def watched_run(engine, until_ms):
+            seen.append(gc.isenabled())
+            return run(engine, until_ms)
+
+        monkeypatch.setattr(Engine, "run", watched_run)
+        config = load_fixture("reference")
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_scenario(config, seed=1)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert len(seen) >= 3 and not any(seen)
+
+    def test_a_failed_run_leaves_the_collector_enabled(self, monkeypatch):
+        def failing_run(engine, until_ms):
+            raise SimulationError("no component registered for event ghost/boo")
+
+        monkeypatch.setattr(Engine, "run", failing_run)
+        config = load_fixture("reference")
+        gc.enable()
+        with pytest.raises(SimulationError, match="ghost/boo"):
+            run_scenario(config, seed=1)
+        assert gc.isenabled()
 
 
 class TestScenarioShapes:
