@@ -58,32 +58,20 @@ def check_balance(scenario_id: int | str, target: float | None, dataset: "Labele
 
 
 @contextmanager
-def collector_off(collect_young: bool):
-    """Run the body with CPython's cyclic collector disabled.
+def collector_off():
+    """Run the body with CPython's cyclic collector disabled, then, if it was
+    enabled, run one ``gc.collect(1)`` and enable it again.
 
-    A record is a tuple subclass, which the cyclic collector never untracks,
-    so each record a growing list gains is walked by the gen-0 and the gen-1
-    collections that its own allocations set off. The record lists hold no
-    reference cycles, so those walks find nothing. When the collector is
-    enabled, it is disabled while the body runs and enabled again after; a
-    caller that disabled it keeps it disabled, and nothing is collected.
-
-    With ``collect_young``, one ``gc.collect(1)`` before the collector is
-    enabled again moves every survivor to the oldest generation in a single
-    visit, which keeps the deferred visits out of whatever the caller does
-    next. That suits a body that builds its objects all at once: the CSV
-    reader (``import_csv``), and a whole simulation run
-    (``scenario.run_scenario``). A run makes no cyclic garbage (a
-    ``gc.collect()`` while its result is held finds nothing), so the 88
-    gen-0, 8 gen-1 and 0.7 full collections that a scenario 1 run would set
-    off find nothing; under this helper it runs one gen-1 collection. The
-    SPAN collector labels each block with ``collect_young=False``: inside a
-    run it finds the collector off and leaves it off, and outside one an
-    explicit gen-1 collection per block would count toward the trigger of a
-    full collection (one per block set off 1.4 full collections per
-    scenario 1 run where the automatic ones set off 0.8). A columnar dataset
-    (ROADMAP item 5) holds no per-record objects, so the record lists would
-    no longer need this helper.
+    A record is a tuple subclass, which the collector never untracks, so each
+    record a growing list gains is walked by the collections its own
+    allocations set off, and finds nothing: records hold no cycles. The one
+    gen-1 collection moves every survivor to the oldest generation in a
+    single visit. The CSV reader and a whole run (``scenario.run_scenario``,
+    with every block the SPAN collector labels) go under this helper; a run
+    makes no cyclic garbage, so the 88 gen-0, 8 gen-1 and 0.7 full
+    collections that a scenario 1 run would set off find nothing. A columnar
+    dataset (ROADMAP item 5) holds no per-record objects, so the record lists
+    would no longer need this helper.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -91,8 +79,7 @@ def collector_off(collect_young: bool):
         yield
     finally:
         if enabled:
-            if collect_young:
-                gc.collect(1)
+            gc.collect(1)
             gc.enable()
 
 
@@ -177,20 +164,12 @@ class TrafficCollector:
             self.flush()
 
     def flush(self) -> RecordList:
-        """Label the pending snapshots; returns every record labelled so far.
-
-        The block is labelled with the cyclic collector off, and its
-        snapshots are dropped before the collector is on again, so the
-        block's records take the snapshots' place in the count of young
-        allocations and labelling sets off no collection of its own. Inside
-        ``run_scenario`` the collector is already off, and stays off.
-        """
+        """Label the pending snapshots; returns every record labelled so far."""
         if self.snapshots:
-            with collector_off(collect_young=False):
-                self.records += label_records(self.snapshots, self.attacker_address,
-                                              self.stage_times, self.label_manipulated_reports)
-                # in place: ``record`` still holds the list
-                self.snapshots.clear()
+            self.records += label_records(self.snapshots, self.attacker_address,
+                                          self.stage_times, self.label_manipulated_reports)
+            # in place: ``record`` still holds the list
+            self.snapshots.clear()
         return self.records
 
 
@@ -321,11 +300,8 @@ def import_csv(path: str) -> LabeledDataset:
     and one sign test; a new tail or a bad time goes through the checkers,
     so the first bad row still raises the same error as a full check of
     every row. Records are built by ``tuple.__new__``, in C, as
-    ``LabeledRecord._make`` does, not by the NamedTuple's Python ``__new__``.
-    The records and the dataset are built under ``collector_off`` with one
-    young collection: the cyclic collector visits the new records once, in
-    one gen-1 collection, not in the gen-0, gen-1 and full collections their
-    allocations would set off.
+    ``LabeledRecord._make`` does, not by the NamedTuple's Python ``__new__``,
+    and under ``collector_off``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -341,7 +317,7 @@ def import_csv(path: str) -> LabeledDataset:
     records = RecordList()
     fields_of: dict[str, tuple] = {}
     append, new_record, known_fields = records.append, tuple.__new__, fields_of.get
-    with collector_off(collect_young=True):
+    with collector_off():
         for line in lines[1:]:
             time_s, _, tail = line.partition(",")
             fields = known_fields(tail)

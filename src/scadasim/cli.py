@@ -1,12 +1,13 @@
-"""Command-line entry point: simulate scenarios, export datasets, train and
-evaluate detectors (saving each model file), render reports.
+"""Command-line entry point: options, --out checks and printing. The work is
+the package's: ``run_scenario`` and ``write_artifacts``, ``evaluate_grid``.
 
 Exit codes: 0 success, 2 configuration or dataset error (including training
 data a detector cannot fit), 3 balance calibration failure, 4 IDS
 training-protocol violation (semi-supervised purity), 1 anything else.
 An option value that cannot be used (an --algo list that names no known
 algorithm or one twice, two --test files with one name, an --out that cannot
-be what the command writes) is refused with exit code 2 before any work.
+be what the command writes, a directory at one of its file paths) is refused
+with exit code 2 before any work.
 ``simulate`` and ``ids eval`` write into an existing --out directory; before
 any work they remove the optional files of an earlier run that this run does
 not write (``trace.csv``, ``grid_truth.csv``, ``models/<algo>.json``), so a
@@ -19,13 +20,11 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 
 from .capture import (
     CalibrationError,
     DatasetFormatError,
     LabeledDataset,
-    RecordList,
     check_balance,
     export_csv,
     import_csv,
@@ -34,14 +33,13 @@ from .config import ConfigError
 from .ids import (
     ALGORITHMS,
     EvalCell,
+    GridTrainingError,
     PurityError,
     TrainingDataError,
-    evaluate,
+    evaluate_grid,
     save_model,
-    train_model,
 )
-from .ids.models import SEMI_SUPERVISED
-from .scenario import load_fixture, run_scenario
+from .scenario import ARTIFACTS, artifact_names, load_fixture, run_scenario, write_artifacts
 from .writers import write_json, write_lines
 
 EXIT_OK = 0
@@ -50,24 +48,27 @@ EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
 EXIT_PROTOCOL = 4
 
+# the report files of ``ids eval``, beside its models/<algo>.json files
+REPORT_FILES = ("eval_report.json", "f1_per_scenario.csv", "report_table.txt")
+
 
 class OptionError(ValueError):
     """A command-line option's value cannot be used; the message names the option."""
 
 
-def _make_out_dir(out: str, directory: str) -> None:
-    """Create ``directory`` (and its parents) for the files of ``--out out``,
-    before any work is done."""
+def _prepare_out(out: str, directory: str, written=(), stale=()) -> None:
+    """Before any work, for the files of ``--out out``: create ``directory`` and
+    its parents, refuse a directory at a ``written`` path, and remove each of
+    ``stale`` that an earlier run left there."""
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise OptionError(f"--out {out}: cannot create directory {directory}: "
                           f"{exc.strerror}") from None
-
-
-def _remove_stale(out: str, paths: list[str]) -> None:
-    """Remove each of ``paths`` that an earlier run left in ``--out out``."""
-    for path in paths:
+    for path in written:
+        if os.path.isdir(path):
+            raise OptionError(f"--out {out}: cannot write {path}: it is a directory")
+    for path in stale:
         try:
             os.remove(path)
         except FileNotFoundError:
@@ -78,21 +79,11 @@ def _remove_stale(out: str, paths: list[str]) -> None:
 
 def cmd_simulate(args) -> int:
     config = load_fixture(args.scenario)
-    _make_out_dir(args.out, args.out)
-    _remove_stale(args.out, [os.path.join(args.out, name) for name, written in
-                             (("trace.csv", args.trace), ("grid_truth.csv", args.grid_csv))
-                             if not written])
+    names = artifact_names(args.trace, args.grid_csv)
+    _prepare_out(args.out, args.out, [os.path.join(args.out, name) for name in names],
+                 [os.path.join(args.out, name) for name in ARTIFACTS if name not in names])
     result = run_scenario(config, seed=args.seed, trace=args.trace)
-    export_csv(result.dataset, os.path.join(args.out, "dataset.csv"))
-    write_lines(os.path.join(args.out, "attacker_actions.csv"),
-                result.attacker.export_action_log())
-    write_lines(os.path.join(args.out, "mtu_measurements.csv"), result.mtu_history_lines())
-    write_json(os.path.join(args.out, "run_summary.json"), result.run_summary())
-    if args.trace:
-        write_lines(os.path.join(args.out, "trace.csv"),
-                    chain(("step,offset_ms,seq,target,kind",), result.trace_lines))
-    if args.grid_csv:
-        write_lines(os.path.join(args.out, "grid_truth.csv"), result.grid_history_lines())
+    write_artifacts(result, args.out, grid_csv=args.grid_csv)
     check_balance(config.scenario_id, config.capture.balance_target, result.dataset)
     print(f"simulated scenario {config.scenario_id} seed {result.seed}: "
           f"{len(result.dataset.records)} records, attack share {result.dataset.balance[0]:.2f}%")
@@ -105,7 +96,7 @@ def cmd_dataset_export(args) -> int:
         raise OptionError(f"--out {args.out}: is a directory; expected the path of the CSV file")
     out_dir = os.path.dirname(args.out)
     if out_dir:
-        _make_out_dir(args.out, out_dir)
+        _prepare_out(args.out, out_dir)
     result = run_scenario(config, seed=args.seed)
     export_csv(result.dataset, args.out)
     print(f"wrote {args.out}: {len(result.dataset.records)} records")
@@ -139,23 +130,6 @@ def _load_datasets(paths: list[str]) -> list[tuple[str, LabeledDataset]]:
     return out
 
 
-def _training_list(train_sets: list[tuple[str, LabeledDataset]], warmup: bool) -> RecordList:
-    """The --train files' records, or their warm-up slices, as one list."""
-    return RecordList(chain.from_iterable(ds.warmup_slice() if warmup else ds.records
-                                          for _, ds in train_sets))
-
-
-def _train(args, records: RecordList, warmup: bool, algorithm: str):
-    """The model of one algorithm, trained on ``records`` from the --train files."""
-    try:
-        return train_model(algorithm, records, seed=args.seed)
-    except TrainingDataError as exc:
-        source = "the warm-up slice of " if warmup else ""
-        raise TrainingDataError(
-            f"cannot train {algorithm} on {source}{' '.join(args.train)}: {exc}"
-        ) from None
-
-
 def cmd_ids_eval(args) -> int:
     algorithms = _parse_algorithms(args.algo)
     test_names = [_dataset_name(path) for path in args.test]
@@ -166,31 +140,27 @@ def cmd_ids_eval(args) -> int:
     train_sets = _load_datasets(args.train)
     test_sets = _load_datasets(args.test)
     models_dir = os.path.join(args.out, "models")
-    _make_out_dir(args.out, models_dir)
-    _remove_stale(args.out, [os.path.join(models_dir, f"{algorithm}.json")
-                             for algorithm in ALGORITHMS if algorithm not in algorithms])
-    train_name = "+".join(name for name, _ in train_sets)
-    # each test set's true labels, taken once for every algorithm
-    tests = [(name, ds.records, [r.label for r in ds.records]) for name, ds in test_sets]
-    # whether each algorithm trains on the warm-up slices; each list that some
-    # algorithm trains on is built once, so the algorithms share its key pass
-    warmups = {algorithm: algorithm in SEMI_SUPERVISED and args.semi_train == "warmup"
-               for algorithm in algorithms}
-    training_lists = {warmup: _training_list(train_sets, warmup) for warmup in set(warmups.values())}
-    cells = []
-    for algorithm, warmup in warmups.items():
-        model = _train(args, training_lists[warmup], warmup, algorithm)
-        save_model(model, os.path.join(models_dir, f"{algorithm}.json"))
-        for name, records, truth in tests:
-            predictions = model.predict_records(records)
-            cells.append(evaluate(predictions, truth, algorithm, train_name, name))
-    write_json(os.path.join(args.out, "eval_report.json"), [cell.to_dict() for cell in cells])
-    f1_lines = ["algorithm,train,test,f1"]
-    for cell in cells:
-        f1_lines.append(f"{cell.algorithm},{cell.train_scenario},{cell.test_scenario},{cell.f1!r}")
-    write_lines(os.path.join(args.out, "f1_per_scenario.csv"), f1_lines)
+    model_paths = {algorithm: os.path.join(models_dir, f"{algorithm}.json")
+                   for algorithm in ALGORITHMS}
+    report_paths = [os.path.join(args.out, name) for name in REPORT_FILES]
+    _prepare_out(args.out, models_dir,
+                 [model_paths[algorithm] for algorithm in algorithms] + report_paths,
+                 [path for algorithm, path in model_paths.items() if algorithm not in algorithms])
+    try:
+        cells, models = evaluate_grid(train_sets, test_sets, algorithms, args.seed,
+                                      args.semi_train)
+    except GridTrainingError as exc:
+        source = "the warm-up slice of " if exc.warmup else ""
+        raise TrainingDataError(f"cannot train {exc.algorithm} on {source}"
+                                f"{' '.join(args.train)}: {exc}") from None
+    for algorithm, model in models.items():
+        save_model(model, model_paths[algorithm])
+    report_json, f1_csv, table_txt = report_paths
+    write_json(report_json, [cell.to_dict() for cell in cells])
+    write_lines(f1_csv, ["algorithm,train,test,f1"] + [
+        f"{cell.algorithm},{cell.train_scenario},{cell.test_scenario},{cell.f1!r}" for cell in cells])
     table = render_table(cells)
-    write_lines(os.path.join(args.out, "report_table.txt"), table)
+    write_lines(table_txt, table)
     print("\n".join(table))
     return EXIT_OK
 

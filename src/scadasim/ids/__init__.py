@@ -5,7 +5,7 @@ attack-free traffic only, threshold at a high quantile of training scores):
 local outlier factor, isolation forest.
 """
 
-from .evaluation import EvalCell, evaluate, f1_score
+from .evaluation import EvalCell, GridTrainingError, evaluate, evaluate_grid, f1_score
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
@@ -21,6 +21,7 @@ from .models import (
 __all__ = [
     "ALGORITHMS",
     "EvalCell",
+    "GridTrainingError",
     "IsolationForestDetector",
     "KnnDetector",
     "LofDetector",
@@ -29,6 +30,7 @@ __all__ = [
     "TrafficModel",
     "TrainingDataError",
     "evaluate",
+    "evaluate_grid",
     "f1_score",
     "save_model",
     "train_model",

@@ -1,8 +1,14 @@
-"""Confusion counts and precision/recall/F1, attack as the positive class."""
+"""Confusion counts and precision/recall/F1, attack as the positive class, and
+the train-and-test grid that ``ids eval`` reports."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
+
+from ..capture import LabeledDataset, RecordList
+from . import models
+from .rows import TrainingDataError
 
 
 @dataclass
@@ -66,3 +72,42 @@ def evaluate(
         recall=recall,
         f1=f1_score(precision, recall),
     )
+
+
+class GridTrainingError(TrainingDataError):
+    """``evaluate_grid`` cannot train ``algorithm`` on the training sets, or on
+    their warm-up slices when ``warmup``; the message is the detector's."""
+
+    def __init__(self, algorithm: str, warmup: bool, detail: TrainingDataError):
+        super().__init__(str(detail))
+        self.algorithm, self.warmup = algorithm, warmup
+
+
+def evaluate_grid(train_sets: list[tuple[str, LabeledDataset]],
+                  test_sets: list[tuple[str, LabeledDataset]], algorithms, seed: int = 0,
+                  semi_train: str = "warmup") -> tuple[list[EvalCell], dict]:
+    """Train each algorithm on the (name, dataset) training sets together, the
+    semi-supervised ones on their warm-up slices unless ``semi_train`` is
+    "full", and evaluate it on each test set, whose labels are taken once.
+    Returns the cells, algorithm by algorithm, and each algorithm's model; a
+    cell's train scenario is the training names joined by "+". Each training
+    list is built once, as a ``RecordList``, so the algorithms share its key pass."""
+    train_name = "+".join(name for name, _ in train_sets)
+    warmups = {algorithm: algorithm in models.SEMI_SUPERVISED and semi_train == "warmup"
+               for algorithm in algorithms}
+    training_lists = {warmup: RecordList(chain.from_iterable(
+                          ds.warmup_slice() if warmup else ds.records for _, ds in train_sets))
+                      for warmup in set(warmups.values())}
+    tests = [(name, ds.records, [r.label for r in ds.records]) for name, ds in test_sets]
+    cells, trained = [], {}
+    for algorithm, warmup in warmups.items():
+        try:
+            # looked up at each call, so that a wrapper of models.train_model sees it
+            model = models.train_model(algorithm, training_lists[warmup], seed=seed)
+        except TrainingDataError as exc:
+            raise GridTrainingError(algorithm, warmup, exc) from None
+        trained[algorithm] = model
+        for name, records, truth in tests:
+            cells.append(evaluate(model.predict_records(records), truth,
+                                  algorithm, train_name, name))
+    return cells, trained

@@ -8,19 +8,23 @@ as YAML fixtures under ``scadasim/data``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 from .attacker import AttackerComponent
-from .capture import LabeledDataset, TrafficCollector, collector_off
+from .capture import LabeledDataset, TrafficCollector, collector_off, export_csv
 from .config import HostEntry, ScenarioConfig, load_config
 from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
 from .powergrid import Feeder, PowerFlowSolution, sample_load_profile
 from .scada import MtuApp, RtuApp
 from .vulnhost import KEEPALIVE_LENS, HTTP_REQUEST_LEN, PROBE_LEN, SimHost
+from .writers import write_json, write_lines
 
 OPS_OFFSET_MS = 150  # operator traffic goes out 150 ms into each step
+TRACE_HEADER = "step,offset_ms,seq,target,kind"
 
 
 class GridComponent:
@@ -144,20 +148,34 @@ class Simulation:
     def trace_lines(self) -> list[str] | None:
         return self.engine.trace_lines
 
+    def counts(self) -> dict[str, int]:
+        """The run's counts, the same on every run of one config and seed."""
+        return {
+            "events": self.events_processed,
+            "records": len(self.dataset.records),
+            "mirrored": self.fabric.mirrored_count,
+            "solves": len(self.grid.history),
+            "rtu_reports": sum(rtu.reports_sent for rtu in self.rtus.values()),
+            "attacker_actions": len(self.attacker.state.action_log),
+            "stale_solves": self.grid.stale_solves,
+            "out_of_order_frames": self.mtu.out_of_order_count,
+        }
+
     def run_summary(self) -> dict:
         attack_pct, normal_pct = self.dataset.balance
+        counts = self.counts()
         return {
             "scenario_id": self.config.scenario_id,
             "seed": self.seed,
-            "events_processed": self.events_processed,
+            "events_processed": counts["events"],
             "final_step": self.final_step,
             "attack_start_step": self.attack_start_step,
-            "packets_captured": len(self.dataset.records),
+            "packets_captured": counts["records"],
             "attack_pct": attack_pct,
             "normal_pct": normal_pct,
             "attacker_stage": self.attacker.state.stage,
-            "stale_solves": self.grid.stale_solves,
-            "out_of_order_frames": self.mtu.out_of_order_count,
+            "stale_solves": counts["stale_solves"],
+            "out_of_order_frames": counts["out_of_order_frames"],
         }
 
     def mtu_history_lines(self) -> list[str]:
@@ -176,6 +194,31 @@ class Simulation:
             lines.append(f"{step},{tx},P_kW,{sol.transformer_p_kw!r}")
             lines.append(f"{step},{tx},Q_kvar,{sol.transformer_q_kvar!r}")
         return lines
+
+
+# Every file a run can write, in writing order, and its writer; trace.csv is
+# written for a traced run only, and grid_truth.csv on request.
+_ARTIFACT_WRITERS = {
+    "dataset.csv": lambda sim, path: export_csv(sim.dataset, path),
+    "attacker_actions.csv": lambda sim, path: write_lines(path, sim.attacker.export_action_log()),
+    "mtu_measurements.csv": lambda sim, path: write_lines(path, sim.mtu_history_lines()),
+    "run_summary.json": lambda sim, path: write_json(path, sim.run_summary()),
+    "trace.csv": lambda sim, path: write_lines(path, chain((TRACE_HEADER,), sim.trace_lines)),
+    "grid_truth.csv": lambda sim, path: write_lines(path, sim.grid_history_lines()),
+}
+ARTIFACTS = tuple(_ARTIFACT_WRITERS)
+
+
+def artifact_names(trace: bool, grid_csv: bool) -> list[str]:
+    """The files a run writes: trace.csv only when traced, grid_truth.csv only when asked."""
+    optional = {"trace.csv": trace, "grid_truth.csv": grid_csv}
+    return [name for name in ARTIFACTS if optional.get(name, True)]
+
+
+def write_artifacts(sim: Simulation, out: str, grid_csv: bool = False) -> None:
+    """Write the files of a finished run into the directory ``out``."""
+    for name in artifact_names(sim.trace_lines is not None, grid_csv):
+        _ARTIFACT_WRITERS[name](sim, os.path.join(out, name))
 
 
 def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> Simulation:
@@ -242,17 +285,13 @@ def build_simulation(config: ScenarioConfig, seed: int, trace: bool = False) -> 
 
 
 def run_scenario(config: ScenarioConfig, seed: int | None = None, trace: bool = False) -> Simulation:
-    """Warm-up phase, attack phase (until impact or terminal stage), post phase.
-
-    The run goes with CPython's cyclic collector off and one young collection
-    after it (``capture.collector_off``): it makes no cyclic garbage, so the
-    collections its allocations would set off find nothing.
-    """
+    """Warm-up phase, attack phase (until impact or terminal stage), post phase,
+    all under ``capture.collector_off``."""
     seed = config.seed if seed is None else seed
     sim = build_simulation(config, seed, trace)
     engine, attacker = sim.engine, sim.attacker
 
-    with collector_off(collect_young=True):
+    with collector_off():
         step = sim.attack_start_step
         sim.events_processed += engine.run(_last_ms_of(step))
 

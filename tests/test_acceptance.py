@@ -15,7 +15,7 @@ import pytest
 from scadasim.capture import export_csv
 from scadasim.cli import main as cli_main
 from scadasim.engine import Engine
-from scadasim.ids import evaluate, train_model
+from scadasim.ids import evaluate_grid
 from scadasim.ids.neighbors import KnnDetector, LofDetector
 from scadasim.network import (
     IctTopology,
@@ -82,30 +82,20 @@ def scenario_runs():
 
 
 @pytest.fixture(scope="session")
-def trained_models(scenario_runs):
-    """One model per (algorithm, training scenario) on the seed-0 datasets."""
+def ids_grid(scenario_runs):
+    """``evaluate_grid`` on the seed-0 datasets, once per training scenario:
+    the F1 cell of each (algorithm, test scenario) and the model of each
+    (algorithm, training scenario)."""
     _, seed0 = scenario_runs
-    models = {}
-    for algo in ALGOS:
-        for train_sid in (1, 2, 4, 5):  # every pairing the protocol can ask for
-            ds = seed0[train_sid].dataset
-            records = ds.warmup_slice() if algo in ("lof", "iforest") else ds.records
-            models[(algo, train_sid)] = train_model(algo, records, seed=0)
-    return models
-
-
-def f1_matrix(scenario_runs, trained_models):
-    _, seed0 = scenario_runs
-    out = {}
-    for algo in ALGOS:
-        for sid in range(1, 7):
-            train_sid = train_scenario_for(sid)
-            model = trained_models[(algo, train_sid)]
-            records = seed0[sid].dataset.records
-            cell = evaluate(model.predict_records(records), [r.label for r in records],
-                            algo, str(train_sid), str(sid))
-            out[(algo, sid)] = cell
-    return out
+    cells, models = {}, {}
+    for train_sid in (1, 2, 4, 5):  # every pairing the protocol can ask for
+        tests = [(str(sid), seed0[sid].dataset) for sid in range(1, 7)
+                 if train_scenario_for(sid) == train_sid]
+        grid_cells, grid_models = evaluate_grid([(str(train_sid), seed0[train_sid].dataset)],
+                                                tests, ALGOS, seed=0, semi_train="warmup")
+        cells.update(((c.algorithm, int(c.test_scenario)), c) for c in grid_cells)
+        models.update(((algo, train_sid), model) for algo, model in grid_models.items())
+    return cells, models
 
 
 def test_criterion_1_reference_attack_replication():
@@ -181,8 +171,8 @@ def test_criterion_3_dos_effect(scenario_runs):
           "strictly lower normal-traffic rate")
 
 
-def test_criterion_4_f1_orderings(scenario_runs, trained_models):
-    cells = f1_matrix(scenario_runs, trained_models)
+def test_criterion_4_f1_orderings(ids_grid):
+    cells, _ = ids_grid
 
     # (a) LOF beats IF by at least 0.05 on every scenario
     min_margin = min(cells[("lof", s)].f1 - cells[("iforest", s)].f1 for s in range(1, 7))
@@ -192,14 +182,11 @@ def test_criterion_4_f1_orderings(scenario_runs, trained_models):
         for seed in SEEDS:
             ok = True
             for sid in range(1, 7):
-                result = run_scenario(load_fixture(sid), seed=seed)
+                test = run_scenario(load_fixture(sid), seed=seed).dataset
                 train = run_scenario(load_fixture(train_scenario_for(sid)), seed=seed).dataset
-                lof = train_model("lof", train.warmup_slice(), seed=seed)
-                iforest = train_model("iforest", train.warmup_slice(), seed=seed)
-                records = result.dataset.records
-                truth = [r.label for r in records]
-                if not (evaluate(lof.predict_records(records), truth).f1
-                        > evaluate(iforest.predict_records(records), truth).f1):
+                (lof, iforest), _ = evaluate_grid([("train", train)], [("test", test)],
+                                                  ("lof", "iforest"), seed=seed)
+                if not (lof.f1 > iforest.f1):
                     ok = False
                     break
             wins += ok
@@ -222,10 +209,11 @@ def test_criterion_4_f1_orderings(scenario_runs, trained_models):
           f"RF~KNN on 4-6; mean F1 {mean_46:.4f} (4-6) > {mean_13:.4f} (1-3)")
 
 
-def test_criterion_5_per_packet_blind_spot(scenario_runs, trained_models):
+def test_criterion_5_per_packet_blind_spot(scenario_runs, ids_grid):
     """Removing the RTU-originated records of the attack window (the packets a
     DoS makes disappear) must not change any prediction on the survivors."""
     _, seed0 = scenario_runs
+    _, models = ids_grid
     checked = 0
     for sid in (1, 4):
         result = seed0[sid]
@@ -235,7 +223,7 @@ def test_criterion_5_per_packet_blind_spot(scenario_runs, trained_models):
         kept_index = [i for i, r in enumerate(records)
                       if not (r.src == RTU_ADDRESS and r.time_ms > impact_ms)]
         for algo in ALGOS:
-            model = trained_models[(algo, train_scenario_for(sid))]
+            model = models[(algo, train_scenario_for(sid))]
             full = model.predict_records(records)
             filtered = model.predict_records(kept)
             assert filtered == [full[i] for i in kept_index]

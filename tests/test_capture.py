@@ -21,6 +21,7 @@ from scadasim.capture import (
     LabeledRecord,
     LabelingError,
     TrafficCollector,
+    collector_off,
     export_csv,
     import_csv,
     label_records,
@@ -492,9 +493,8 @@ def many_snapshots(n: int) -> list[CapturedPacket]:
 
 
 class TestCyclicCollector:
-    """The CSV reader builds its record list under one gen-1 collection, the
-    SPAN collector labels a block under none, and the collector's state is
-    the caller's again afterwards."""
+    """The CSV reader and a run's labelling go under one gen-1 collection, and
+    the collector's state is the caller's again afterwards."""
 
     def test_import_runs_one_young_collection(self, tmp_path, collections):
         path = str(tmp_path / "big.csv")
@@ -505,16 +505,16 @@ class TestCyclicCollector:
         assert collections == [1]
 
     def test_block_labelling_sets_off_no_collection(self, collections):
+        # a run labels its blocks under collector_off, which then runs one gen-1 collection
         collector = TrafficCollector(ATTACKER, STAGES)
         collector.snapshots = many_snapshots(BLOCK_ROWS - 1)
         gc.collect()
         collections.clear()
-        collector.record(Packet(9000, "10.0.0.11", "10.0.0.10", "SCADA", 61, {}))
-        assert len(collector.records) == BLOCK_ROWS and collector.snapshots == []
-        assert collections == []
-        # the records took the dropped snapshots' place in the young count,
-        # so the next allocations do not set off a collection either
-        assert gc.get_count()[0] < gc.get_threshold()[0] // 2
+        with collector_off():
+            collector.record(Packet(9000, "10.0.0.11", "10.0.0.10", "SCADA", 61, {}))
+            assert len(collector.records) == BLOCK_ROWS and collector.snapshots == []
+            assert collections == []
+        assert collections == [1]
 
     def test_import_leaves_the_collector_enabled(self, tmp_path, collections):
         path = tmp_path / "ds.csv"

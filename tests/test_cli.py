@@ -9,6 +9,7 @@ from conftest import PurePythonLoader
 from scadasim import cli
 from scadasim.capture import CSV_HEADER, import_csv
 from scadasim.cli import main
+from scadasim.ids import models
 from scadasim.scenario import fixture_path
 
 # sha256 of `simulate --scenario reference --seed 1 --trace`; a refactor that
@@ -302,6 +303,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"--out {out}: cannot remove" in err and "trace.csv" in err
 
+    def test_directory_at_an_artifact_path_exits_2_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        (out / "dataset.csv").mkdir(parents=True)
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        assert run_cli("simulate", "--scenario", "reference", "--seed", "1",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: cannot write {out / 'dataset.csv'}: it is a directory" in err
+        assert not (out / "run_summary.json").exists()
+
     @pytest.mark.parametrize("scenario", sorted(PINNED_GRID_SEED_0))
     def test_fixture_grid_hashes_are_pinned(self, tmp_path, scenario):
         out = tmp_path / "grid"
@@ -492,7 +504,7 @@ class TestIdsCommands:
         a, _ = two_datasets
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
-        monkeypatch.setattr(cli, "train_model", refuse_work)
+        monkeypatch.setattr(models, "train_model", refuse_work)
         code = run_cli("ids", command, "--algo", "rf", "--train", str(a), "--test", str(a),
                        "--out", str(taken))
         assert code == 2
@@ -524,7 +536,7 @@ class TestIdsCommands:
         twin = tmp_path / "elsewhere" / a.name
         twin.parent.mkdir()
         twin.write_bytes(b.read_bytes())
-        monkeypatch.setattr(cli, "train_model", refuse_work)
+        monkeypatch.setattr(models, "train_model", refuse_work)
         out = tmp_path / "out"
         code = run_cli("ids", "eval", "--algo", "rf", "--train", str(a),
                        "--test", str(a), str(twin), "--out", str(out))
@@ -532,6 +544,20 @@ class TestIdsCommands:
         err = capsys.readouterr().err
         assert "--test" in err and "'ref-a'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rel", ["models/rf.json", "eval_report.json"])
+    def test_directory_at_an_output_path_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, two_datasets, rel):
+        a, _ = two_datasets
+        out = tmp_path / "out"
+        (out / rel).mkdir(parents=True)
+        monkeypatch.setattr(models, "train_model", refuse_work)
+        code = run_cli("ids", "eval", "--algo", "rf,knn", "--train", str(a), "--test", str(a),
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: cannot write {out / rel}: it is a directory" in err
+        assert not (out / "models" / "knn.json").exists()
 
     def test_eval_into_one_out_removes_the_models_of_algorithms_it_does_not_run(
             self, tmp_path, two_datasets):

@@ -638,6 +638,12 @@ _QUANTITIES = "transformer_loading_percent, P_kW, Q_kvar, V_pu"
                  [f"scada.rtus[0].points[0].quantity: expected one of {_QUANTITIES}, got 'I_A'",
                   f"scada.rtus[0].points[2].quantity: expected one of {_QUANTITIES}, got 'S_kVA'"],
                  id="two-binding-quantities"),
+    # a field error of a bus hides the duplicate line id after it
+    pytest.param([_set("grid", "buses", 2, "nominal_kv", "x"),
+                  _set("grid", "lines", 1, "id", "lf1")],
+                 ["grid.buses[2].nominal_kv: expected a number, got 'x'",
+                  "grid: duplicate transformer/line id 'lf1'"], id="bus-field-and-duplicate-line",
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 15")),
 ])
 def test_two_faults_in_one_section_are_both_named(faults, expected):
     # a section's field values are all read, and its structural problems all listed

@@ -1,4 +1,5 @@
 import gc
+import json
 
 import pytest
 import yaml
@@ -6,7 +7,7 @@ import yaml
 from scadasim.capture import check_balance, export_csv
 from scadasim.config import load_config_dict
 from scadasim.engine import Engine, SimulationError
-from scadasim.scenario import fixture_path, load_fixture, run_scenario
+from scadasim.scenario import fixture_path, load_fixture, run_scenario, write_artifacts
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,26 @@ class TestCyclicCollector:
         with pytest.raises(SimulationError, match="ghost/boo"):
             run_scenario(config, seed=1)
         assert gc.isenabled()
+
+
+class TestCounts:
+    def test_counts_agree_with_the_files_of_a_traced_run(self, tmp_path):
+        sim = run_scenario(load_fixture("reference"), seed=1, trace=True)
+        write_artifacts(sim, str(tmp_path))
+        counts = sim.counts()
+
+        def rows(name):
+            # the lines of a file after its header
+            return len((tmp_path / name).read_text(encoding="utf-8").splitlines()) - 1
+
+        assert counts["records"] == rows("dataset.csv")
+        assert counts["events"] == rows("trace.csv")
+        assert counts["attacker_actions"] == rows("attacker_actions.csv")
+        assert counts["mirrored"] == counts["records"]
+        assert counts["solves"] == sim.final_step + 1
+        summary = json.loads((tmp_path / "run_summary.json").read_text(encoding="utf-8"))
+        assert counts["stale_solves"] == summary["stale_solves"]
+        assert counts["out_of_order_frames"] == summary["out_of_order_frames"]
 
 
 class TestScenarioShapes:
