@@ -2,7 +2,10 @@
 
 Trees are grown on weighted unique rows: captured traffic is heavily
 duplicated, so collapsing identical feature vectors and carrying multiplicity
-as sample weight gives identical splits at a fraction of the cost. Bootstrap
+as sample weight gives identical splits at a fraction of the cost.
+``train_model`` hands ``fit_weighted`` the distinct rows of its distinct keys,
+weighted by each key's record count; ``fit`` derives them from a per-record
+matrix and gives the same trees. Bootstrap
 resampling draws per-row multinomial counts, equivalent to resampling the
 expanded multiset. All randomness flows from per-tree generators derived from
 the model seed, so fitting is deterministic and trees are independent of each
@@ -21,11 +24,18 @@ GINI_EPS = 1e-12
 TREE_FIELDS = ("feature", "threshold", "left", "right", "label")
 
 
-def _unique_weighted(X: np.ndarray, y: np.ndarray):
-    """Collapse duplicate rows; returns (rows, pos_weight, total_weight)."""
+def _unique_weighted(X: np.ndarray, y: np.ndarray, counts: np.ndarray | None = None):
+    """Collapse duplicate rows; returns (rows, pos_weight, total_weight).
+
+    Row i of X stands for ``counts[i]`` records of label ``y[i]``, one by
+    default. The weights are sums of whole numbers, exact in float64, so
+    they do not depend on how the records were grouped into rows.
+    """
     rows, inverse = unique_rows(X)
-    total = np.bincount(inverse, minlength=len(rows)).astype(np.float64)
-    positive = np.bincount(inverse, weights=y, minlength=len(rows))
+    if counts is None:
+        counts = np.ones(len(X))
+    total = np.bincount(inverse, weights=counts, minlength=len(rows))
+    positive = np.bincount(inverse, weights=y * counts, minlength=len(rows))
     return rows, positive, total
 
 
@@ -48,6 +58,8 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
     features, thresholds, lefts, rights, labels = tree.values()
     n_features = rows.shape[1]
     n_candidates = max(1, int(np.sqrt(n_features)))
+    # one contiguous copy per feature, so a node gathers its values in one run
+    columns = rows.T.copy()
 
     def grow(idx: np.ndarray, depth: int) -> int:
         pos_sum = float(positive[idx].sum())
@@ -69,16 +81,16 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
         candidates = rng.choice(n_features, n_candidates, replace=False)
         parent_gini = _gini(pos_sum, tot_sum)
         best = None  # (gain, feature, threshold, ordered, split_at)
-        for f in candidates:
-            values = rows[idx, f]
-            order = np.argsort(values, kind="mergesort")
+        for f in candidates.tolist():
+            values = columns[f][idx]
+            order = values.argsort(kind="mergesort")
             sv = values[order]
-            distinct = np.nonzero(sv[1:] != sv[:-1])[0]  # split after these positions
+            distinct = (sv[1:] != sv[:-1]).nonzero()[0]  # split after these positions
             if len(distinct) == 0:
                 continue
             ordered = idx[order]
-            left_pos = np.cumsum(positive[ordered])[distinct]
-            left_tot = np.cumsum(total[ordered])[distinct]
+            left_pos = positive[ordered].cumsum()[distinct]
+            left_tot = total[ordered].cumsum()[distinct]
             right_tot = tot_sum - left_tot
             p_left = left_pos / left_tot
             p_right = (pos_sum - left_pos) / right_tot
@@ -87,12 +99,12 @@ def grow_tree(rows: np.ndarray, positive: np.ndarray, total: np.ndarray, rng,
                 + right_tot * (2.0 * p_right * (1.0 - p_right))
             ) / tot_sum
             gains = parent_gini - weighted
-            at = int(np.argmax(gains))  # first maximum: lowest threshold wins ties
+            at = int(gains.argmax())  # first maximum: lowest threshold wins ties
             gain = float(gains[at])
             if gain > GINI_EPS and (best is None or gain > best[0] + GINI_EPS):
                 pos = distinct[at]
                 threshold = float((sv[pos] + sv[pos + 1]) / 2.0)
-                best = (gain, int(f), threshold, ordered, pos)
+                best = (gain, f, threshold, ordered, pos)
         if best is None:
             return index
 
@@ -124,12 +136,18 @@ class RandomForestDetector:
         self.trees: list[dict[str, list]] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestDetector":
-        classes = np.unique(y)
+        return self.fit_weighted(*_unique_weighted(X, y))
+
+    def fit_weighted(self, rows: np.ndarray, positive: np.ndarray,
+                     total: np.ndarray) -> "RandomForestDetector":
+        """Fit on distinct feature rows, each with its attack weight and its
+        total weight: the rows' counts in the training multiset."""
+        classes = [label for label, present in ((0, (total > positive).any()),
+                                                (1, (positive > 0).any())) if present]
         if len(classes) < 2:
             raise TrainingDataError(
-                f"random forest needs both classes in the training set, got only {classes.tolist()}"
+                f"random forest needs both classes in the training set, got only {classes}"
             )
-        rows, positive, total = _unique_weighted(X, y)
         n = int(total.sum())
         share = total / n
         self.trees = []

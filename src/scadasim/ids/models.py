@@ -17,7 +17,7 @@ import numpy as np
 
 from ..capture import LabeledRecord, RecordList
 from ..writers import write_json
-from .forest import RandomForestDetector
+from .forest import RandomForestDetector, _unique_weighted
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
 from .rows import TrainingDataError
@@ -25,6 +25,8 @@ from .rows import TrainingDataError
 MODEL_FORMAT_VERSION = 1
 ALGORITHMS = ("rf", "knn", "lof", "iforest")
 SEMI_SUPERVISED = ("lof", "iforest")
+# the label of each detector flag, 0 or 1, as the str objects a list of them holds
+PREDICTED_LABELS = np.array(["normal", "attack"], dtype=object)
 
 
 def _key_pass(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarray]:
@@ -139,9 +141,8 @@ class TrafficModel:
         """Pure per-record prediction: 'attack' or 'normal' for each input."""
         if not records:
             return []
-        X = self.dictionary.encode(records)
-        flags = self.detector.predict(X)
-        return ["attack" if f else "normal" for f in flags]
+        flags = self.detector.predict(self.dictionary.encode(records))
+        return PREDICTED_LABELS[flags].tolist()
 
     def to_dict(self) -> dict:
         return {
@@ -169,17 +170,20 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
         raise TrainingDataError("empty training set")
     keys, inverse = _distinct_keys(records)
     dictionary = FeatureDictionary._from_keys(keys)
-    X = dictionary._table(keys)[inverse]
-    y = np.array([label == "attack" for *_, label in keys], dtype=np.int64)[inverse]
+    table = dictionary._table(keys)
+    attack = np.array([label == "attack" for *_, label in keys], dtype=np.int64)
 
     if algorithm == "rf":
-        detector = RandomForestDetector(seed=seed).fit(X, y)
+        # each key's encoded row stands for the records that have the key
+        counts = np.bincount(inverse, minlength=len(keys))
+        detector = RandomForestDetector(seed=seed).fit_weighted(
+            *_unique_weighted(table, attack, counts))
     elif algorithm == "knn":
-        detector = KnnDetector().fit(X, y)
+        detector = KnnDetector().fit(table[inverse], attack[inverse])
     else:
-        bad = np.flatnonzero(y).tolist()
-        if bad:
-            raise PurityError(bad)
+        if attack.any():
+            raise PurityError(np.flatnonzero(attack[inverse]).tolist())
+        X = table[inverse]
         if algorithm == "lof":
             detector = LofDetector().fit(X)
         else:

@@ -30,7 +30,7 @@ from scadasim.ids import (
     save_model,
     train_model,
 )
-from scadasim.ids import models
+from scadasim.ids import models, neighbors
 from scadasim.ids.forest import grow_tree
 from scadasim.ids.models import SEMI_SUPERVISED, FeatureDictionary, _distinct_keys, fields_of
 from scadasim.ids.neighbors import LRD_EPS, _row_distances
@@ -146,6 +146,19 @@ class TestKnn:
 
         got = KnnDetector(k=k).fit(X, y).predict(queries)
         assert got.tolist() == [oracle(q) for q in queries]
+
+    def test_training_rows_are_grouped_at_fit_not_on_every_predict(self):
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 3, size=(50, 4)).astype(np.float64)
+        y = (rng.random(50) < 0.5).astype(np.int64)
+        queries = rng.integers(0, 4, size=(7, 4)).astype(np.float64)
+        with mock.patch.object(neighbors, "unique_rows", wraps=unique_rows) as grouped:
+            det = KnnDetector().fit(X, y)
+            first = det.predict(queries).tolist()
+            assert det.predict(queries).tolist() == first
+        grouped_sizes = [len(call.args[0]) for call in grouped.call_args_list]
+        assert grouped_sizes == [len(X), len(queries), len(queries)]
+        assert "_groups" not in fields_of(det)  # the model file holds X and y only
 
 
 class TestUniqueRows:
@@ -391,6 +404,21 @@ class TestTrafficModel:
         model = train_model("rf", records, seed=0)
         preds = model.predict_records(records)
         assert preds == [r.label for r in records]
+
+    def test_label_list_is_the_flag_comprehension_as_str(self, tmp_path):
+        train = import_csv(str(write_dataset(tmp_path / "train.csv", seed=1)))
+        test = import_csv(str(write_dataset(tmp_path / "test.csv", seed=2)))
+        seen = set()
+        for algorithm in ALGORITHMS:
+            records = train.warmup_slice() if algorithm in SEMI_SUPERVISED else train.records
+            model = train_model(algorithm, records, seed=0)
+            flags = model.detector.predict(model.dictionary.encode(test.records))
+            got = model.predict_records(test.records)
+            assert got == ["attack" if f else "normal" for f in flags], algorithm
+            assert all(type(label) is str for label in got)
+            seen.update(got)
+            assert model.predict_records([]) == []
+        assert seen == {"attack", "normal"}
 
     def test_empty_predict_returns_empty(self):
         records = toy_records(n_attack=30, n_normal=30)

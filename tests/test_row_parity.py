@@ -9,7 +9,9 @@ Each must give exactly what the row-by-row code gave: the same records and
 error messages, the same predictions, scores equal byte for byte, and the
 same trees and key numbers. A record list holds its key pass, and what it
 returns, also after the list is changed in place, must be the generator's
-numbering of the list as it then is.
+numbering of the list as it then is. The forest that ``train_model`` grows
+from the distinct rows and key counts it hands over must be the forest that
+``fit`` grows on the expanded matrix.
 """
 
 import math
@@ -19,6 +21,7 @@ from operator import is_, itemgetter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,11 +36,17 @@ from scadasim.capture import (
     import_csv,
 )
 from scadasim.engine import derive_seed
-from scadasim.ids import IsolationForestDetector, KnnDetector, RandomForestDetector
+from scadasim.ids import (
+    IsolationForestDetector,
+    KnnDetector,
+    RandomForestDetector,
+    TrainingDataError,
+    train_model,
+)
 from scadasim.ids import rows as rows_module
 from scadasim.ids.forest import GINI_EPS, _gini, _unique_weighted
 from scadasim.ids.iforest import average_path_length
-from scadasim.ids.models import _distinct_keys
+from scadasim.ids.models import FeatureDictionary, _distinct_keys
 from scadasim.ids.rows import unique_rows
 from scadasim.network import MIN_PACKET_BYTES
 
@@ -640,3 +649,57 @@ class TestHeldKeyPass:
         assert as_frozen(_distinct_keys(held)) == as_frozen(frozen_distinct_keys(held))
         snapshot = held.key_pass[0]
         assert len(snapshot) == len(held) and all(map(is_, snapshot, held))
+
+
+# ---------------------------------------------------------------------------
+# the random forest's distinct rows, handed over by train_model
+# ---------------------------------------------------------------------------
+
+def handover_records(data):
+    """Records drawn from a few keys, so heavily duplicated; in some draws all
+    of one length, which spans 0, and in some with one feature row that
+    carries both labels."""
+    lengths = st.just(60) if data.draw(st.booleans(), label="one length") else st.integers(60, 63)
+    pool = data.draw(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "d"]),
+                                        st.sampled_from(["SCADA", "HTTP"]), lengths,
+                                        st.sampled_from(["normal", "attack"])),
+                              min_size=1, max_size=8), label="keys")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=120),
+                      label="picks")
+    records = [pick_record((*pool[i], t)) for t, i in enumerate(picks)]
+    if data.draw(st.booleans(), label="both labels on one row"):
+        *row, _ = data.draw(st.sampled_from(pool), label="row with both labels")
+        records += [pick_record((*row, label, len(records))) for label in ("attack", "normal")]
+    return records
+
+
+def expanded(records):
+    """The (N, 4) matrix and 0/1 labels of the records, one row each."""
+    dictionary = FeatureDictionary._from_keys(_distinct_keys(records)[0])
+    y = np.array([r.label == "attack" for r in records], dtype=np.int64)
+    return dictionary.encode(records), y
+
+
+class TestForestHandover:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_train_model_grows_the_trees_fit_grows_on_the_expanded_matrix(self, data):
+        records = handover_records(data)
+        seed = data.draw(st.integers(0, 3), label="seed")
+        X, y = expanded(records)
+        if y.min() == y.max():
+            with pytest.raises(TrainingDataError) as handed:
+                train_model("rf", records, seed=seed)
+            with pytest.raises(TrainingDataError) as direct:
+                RandomForestDetector(seed=seed).fit(X, y)
+            assert str(handed.value) == str(direct.value)
+            return
+        model = train_model("rf", records, seed=seed)
+        assert model.detector.trees == RandomForestDetector(seed=seed).fit(X, y).trees
+
+    @pytest.mark.parametrize("label, shown", [("normal", r"\[0\]"), ("attack", r"\[1\]")])
+    def test_one_class_is_refused_naming_the_class_it_holds(self, label, shown):
+        records = [pick_record(("a", "b", "SCADA", 60 + t % 3, label, t)) for t in range(12)]
+        with pytest.raises(TrainingDataError,
+                           match=f"needs both classes in the training set, got only {shown}"):
+            train_model("rf", records, seed=0)
