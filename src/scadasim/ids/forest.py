@@ -3,9 +3,8 @@
 Trees are grown on weighted unique rows: captured traffic is heavily
 duplicated, so collapsing identical feature vectors and carrying multiplicity
 as sample weight gives identical splits at a fraction of the cost.
-``train_model`` hands ``fit_weighted`` the distinct rows of its distinct keys,
-weighted by each key's record count; ``fit`` derives them from a per-record
-matrix and gives the same trees. Bootstrap
+``train_model`` hands ``fit`` the encoded rows of its distinct keys with each
+key's record count, which gives the same trees as the per-record matrix. Bootstrap
 resampling draws per-row multinomial counts, equivalent to resampling the
 expanded multiset. All randomness flows from per-tree generators derived from
 the model seed, so fitting is deterministic and trees are independent of each
@@ -135,26 +134,23 @@ class RandomForestDetector:
         self.max_features = "sqrt"
         self.trees: list[dict[str, list]] = []
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestDetector":
-        return self.fit_weighted(*_unique_weighted(X, y))
-
-    def fit_weighted(self, rows: np.ndarray, positive: np.ndarray,
-                     total: np.ndarray) -> "RandomForestDetector":
-        """Fit on distinct feature rows, each with its attack weight and its
-        total weight: the rows' counts in the training multiset."""
-        classes = [label for label, present in ((0, (total > positive).any()),
-                                                (1, (positive > 0).any())) if present]
+    def fit(self, X: np.ndarray, y: np.ndarray,
+            counts: np.ndarray | None = None) -> "RandomForestDetector":
+        """Fit on feature rows X with 0/1 labels y; row i stands for
+        ``counts[i]`` training records, one each by default."""
+        classes = np.unique(y)
         if len(classes) < 2:
             raise TrainingDataError(
-                f"random forest needs both classes in the training set, got only {classes}"
+                f"random forest needs both classes in the training set, got only {classes.tolist()}"
             )
+        rows, positive, total = _unique_weighted(X, y, counts)
         n = int(total.sum())
         share = total / n
         self.trees = []
         for i in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, f"tree:{i}"))
-            counts = rng.multinomial(n, share)
-            scale = counts / total  # every distinct row was seen at least once
+            drawn = rng.multinomial(n, share)
+            scale = drawn / total  # every distinct row was seen at least once
             tree_tot = total * scale
             keep = tree_tot > 0
             self.trees.append(grow_tree(rows[keep], (positive * scale)[keep], tree_tot[keep],

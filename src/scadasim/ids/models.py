@@ -17,7 +17,7 @@ import numpy as np
 
 from ..capture import LabeledRecord, RecordList
 from ..writers import write_json
-from .forest import RandomForestDetector, _unique_weighted
+from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
 from .rows import TrainingDataError
@@ -176,8 +176,7 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
     if algorithm == "rf":
         # each key's encoded row stands for the records that have the key
         counts = np.bincount(inverse, minlength=len(keys))
-        detector = RandomForestDetector(seed=seed).fit_weighted(
-            *_unique_weighted(table, attack, counts))
+        detector = RandomForestDetector(seed=seed).fit(table, attack, counts)
     elif algorithm == "knn":
         detector = KnnDetector().fit(table[inverse], attack[inverse])
     else:

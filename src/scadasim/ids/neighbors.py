@@ -64,28 +64,20 @@ class KnnDetector:
             raise TrainingDataError(f"k={self.k} exceeds training set size {len(X)}")
         self.X = X
         self.y = y
-        # Identical training rows lie at bit-identical distances, so predict
-        # takes distances to each distinct training row once; only the group
-        # tied at the k-th distance needs the training index to break its tie.
-        # Its first `need` members in training-index order carry the votes
-        # read off a running attack count over the members of each group.
-        # Derived from X and y once, and off FIELDS: a model file does not hold
-        # them. The two per-record arrays are held in the smallest unsigned
-        # type that holds their values.
-        train_rows, group = unique_rows(X)
-        sizes = np.bincount(group)
-        running = np.concatenate(([0], np.cumsum(y[np.argsort(group, kind="stable")])))
-        self._groups = (
-            train_rows, group.astype(np.min_scalar_type(len(train_rows))), sizes,
-            np.bincount(group, weights=y).astype(np.int64),  # attacks
-            np.cumsum(sizes) - sizes,  # first member
-            running.astype(np.min_scalar_type(int(running[-1]))),
-        )
         return self
 
     def predict(self, Xq: np.ndarray) -> np.ndarray:
         rows, inverse = unique_rows(Xq)
-        train_rows, group, sizes, attacks, first_member, running = self._groups
+        # Identical training rows lie at bit-identical distances, so distances
+        # are taken to each distinct training row once; only the group tied at
+        # the k-th distance needs the training index to break its tie. Its
+        # first `need` members in training-index order carry the votes read
+        # off a running attack count over the members of each group.
+        train_rows, group = unique_rows(self.X)
+        sizes = np.bincount(group)
+        attacks = np.bincount(group, weights=self.y).astype(np.int64)
+        first_member = np.cumsum(sizes) - sizes
+        running = np.concatenate(([0], np.cumsum(self.y[np.argsort(group, kind="stable")])))
         out = np.empty(len(rows), dtype=np.int64)
         for block in row_blocks(len(rows), train_rows.size):
             diff = train_rows - rows[block, None]

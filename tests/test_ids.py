@@ -30,7 +30,7 @@ from scadasim.ids import (
     save_model,
     train_model,
 )
-from scadasim.ids import models, neighbors
+from scadasim.ids import models
 from scadasim.ids.forest import grow_tree
 from scadasim.ids.models import SEMI_SUPERVISED, FeatureDictionary, _distinct_keys, fields_of
 from scadasim.ids.neighbors import LRD_EPS, _row_distances
@@ -146,19 +146,6 @@ class TestKnn:
 
         got = KnnDetector(k=k).fit(X, y).predict(queries)
         assert got.tolist() == [oracle(q) for q in queries]
-
-    def test_training_rows_are_grouped_at_fit_not_on_every_predict(self):
-        rng = np.random.default_rng(3)
-        X = rng.integers(0, 3, size=(50, 4)).astype(np.float64)
-        y = (rng.random(50) < 0.5).astype(np.int64)
-        queries = rng.integers(0, 4, size=(7, 4)).astype(np.float64)
-        with mock.patch.object(neighbors, "unique_rows", wraps=unique_rows) as grouped:
-            det = KnnDetector().fit(X, y)
-            first = det.predict(queries).tolist()
-            assert det.predict(queries).tolist() == first
-        grouped_sizes = [len(call.args[0]) for call in grouped.call_args_list]
-        assert grouped_sizes == [len(X), len(queries), len(queries)]
-        assert "_groups" not in fields_of(det)  # the model file holds X and y only
 
 
 class TestUniqueRows:
