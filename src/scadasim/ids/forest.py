@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import FlatForest, TrainingDataError, row_blocks, unique_rows
+from .rows import EncodedRows, FlatForest, TrainingDataError, distinct, row_blocks, unique_rows
 
 GINI_EPS = 1e-12
 # a tree's node lists, as its model file holds them
@@ -157,9 +157,9 @@ class RandomForestDetector:
                                         rng, self.max_depth))
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: EncodedRows | np.ndarray) -> np.ndarray:
         forest = FlatForest(self.trees, "threshold")
-        rows, inverse = unique_rows(X)
+        rows, inverse = distinct(X)
         label = np.concatenate([t["label"] for t in self.trees]).astype(np.int64)
         votes = np.zeros(len(rows), dtype=np.int64)
         for block in row_blocks(len(rows), len(self.trees)):

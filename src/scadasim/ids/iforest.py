@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import FlatForest, TrainingDataError, row_blocks, unique_rows
+from .rows import EncodedRows, FlatForest, TrainingDataError, distinct, row_blocks, unique_rows
 
 EULER_GAMMA = 0.5772156649015329
 # a tree's node lists, as its model file holds them
@@ -111,9 +111,9 @@ class IsolationForestDetector:
         self.threshold = float(np.percentile(self.train_scores, self.quantile))
         return self
 
-    def score(self, Xq: np.ndarray) -> np.ndarray:
+    def score(self, Xq: EncodedRows | np.ndarray) -> np.ndarray:
         forest = FlatForest(self.trees, "split")
-        rows, inverse = unique_rows(Xq)
+        rows, inverse = distinct(Xq)
         # h(x) at each leaf: its depth plus c(leaf size), c taken once per distinct size
         sizes, size_of = np.unique(np.concatenate([t["leaf_size"] for t in self.trees]),
                                    return_inverse=True)
@@ -130,5 +130,5 @@ class IsolationForestDetector:
             return np.ones(len(Xq))
         return (2.0 ** (-mean_depth / denom))[inverse]
 
-    def predict(self, Xq: np.ndarray) -> np.ndarray:
+    def predict(self, Xq: EncodedRows | np.ndarray) -> np.ndarray:
         return (self.score(Xq) > self.threshold).astype(np.int64)

@@ -20,7 +20,7 @@ from ..writers import write_json
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
-from .rows import TrainingDataError
+from .rows import EncodedRows, TrainingDataError, unique_rows
 
 MODEL_FORMAT_VERSION = 1
 ALGORITHMS = ("rf", "knn", "lof", "iforest")
@@ -98,14 +98,18 @@ class FeatureDictionary:
         return cls(first_seen_codes(0), first_seen_codes(1), first_seen_codes(2),
                    min(lengths), max(lengths))
 
-    def encode(self, records: list[LabeledRecord]) -> np.ndarray:
-        """(N, 4) float matrix: src code, dst code, protocol code, normalized length.
+    def encode(self, records: list[LabeledRecord]) -> EncodedRows:
+        """The records' distinct encoded rows (src code, dst code, protocol
+        code, normalized length) and each record's index into them.
 
-        Each distinct record is coded once, and the matrix is gathered from
-        those rows.
+        Each distinct key is coded once, and its rows are grouped, so keys
+        that encode alike share a row. Every key occurs among the records,
+        so these are the rows, order and inverse that ``unique_rows`` gives
+        on the per-record matrix, which is never built.
         """
-        keys, inverse = _distinct_keys(records)
-        return self._table(keys)[inverse]
+        keys, key_inverse = _distinct_keys(records)
+        rows, group = unique_rows(self._table(keys))
+        return EncodedRows(rows, group[key_inverse])
 
     def _table(self, keys: dict[tuple, int]) -> np.ndarray:
         """One encoded row per distinct key, in key order."""

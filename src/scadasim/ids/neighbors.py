@@ -25,14 +25,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rows import TrainingDataError, row_blocks, unique_rows
+from .rows import EncodedRows, TrainingDataError, distinct, row_blocks, unique_rows
 
 LRD_EPS = 1e-12
 
 
-def _row_distances(X: np.ndarray, row: np.ndarray) -> np.ndarray:
-    diff = X - row
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of a 2-D array of differences."""
     return np.sqrt(np.maximum(np.einsum("ij,ij->i", diff, diff), 0.0))
+
+
+def _row_distances(X: np.ndarray, row: np.ndarray) -> np.ndarray:
+    return _lengths(X - row)
+
+
+def _block_distances(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), n) distances from each of ``rows`` to n training rows given
+    as their contiguous (c, n) columns: each row's line equals
+    ``_row_distances`` to the training rows, bit for bit, since it takes the
+    same differences and the same reduction of them."""
+    diff = np.empty((len(rows), columns.shape[1], len(columns)))
+    for j, column in enumerate(columns):
+        np.subtract(column, rows[:, j, None], out=diff[:, :, j])
+    return _lengths(diff.reshape(-1, len(columns))).reshape(len(rows), -1)
 
 
 def _means_without_self(values: np.ndarray, idx: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -66,8 +81,8 @@ class KnnDetector:
         self.y = y
         return self
 
-    def predict(self, Xq: np.ndarray) -> np.ndarray:
-        rows, inverse = unique_rows(Xq)
+    def predict(self, Xq: EncodedRows | np.ndarray) -> np.ndarray:
+        rows, inverse = distinct(Xq)
         # Identical training rows lie at bit-identical distances, so distances
         # are taken to each distinct training row once; only the group tied at
         # the k-th distance needs the training index to break its tie. Its
@@ -78,11 +93,10 @@ class KnnDetector:
         attacks = np.bincount(group, weights=self.y).astype(np.int64)
         first_member = np.cumsum(sizes) - sizes
         running = np.concatenate(([0], np.cumsum(self.y[np.argsort(group, kind="stable")])))
+        columns = train_rows.T.copy()
         out = np.empty(len(rows), dtype=np.int64)
         for block in row_blocks(len(rows), train_rows.size):
-            diff = train_rows - rows[block, None]
-            # the elementwise operations of _row_distances, a block of rows at once
-            d = np.sqrt(np.maximum(np.einsum("qij,qij->qi", diff, diff), 0.0))
+            d = _block_distances(columns, rows[block])
             by_distance = np.argsort(d, axis=1, kind="stable")
             reach = np.argmax(np.cumsum(sizes[by_distance], axis=1) >= self.k, axis=1)
             kth_group = by_distance[np.arange(len(d)), reach]
@@ -152,9 +166,9 @@ class LofDetector:
         self.threshold = float(np.percentile(scores, self.quantile))
         return self
 
-    def score(self, Xq: np.ndarray) -> np.ndarray:
-        """LOF of query points against the training set (unique rows cached)."""
-        rows, inverse = unique_rows(Xq)
+    def score(self, Xq: EncodedRows | np.ndarray) -> np.ndarray:
+        """LOF of query points against the training set, once per distinct query row."""
+        rows, inverse = distinct(Xq)
         out = np.zeros(len(rows))
         for i, row in enumerate(rows):
             d = _row_distances(self.X, row)
@@ -165,5 +179,5 @@ class LofDetector:
             out[i] = float(self.lrd[neigh].mean()) / lrd_q
         return out[inverse]
 
-    def predict(self, Xq: np.ndarray) -> np.ndarray:
+    def predict(self, Xq: EncodedRows | np.ndarray) -> np.ndarray:
         return (self.score(Xq) > self.threshold).astype(np.int64)

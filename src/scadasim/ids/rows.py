@@ -4,6 +4,11 @@ raises on unusable rows.
 Captured SCADA traffic is heavily duplicated (tens of thousands of records,
 a few hundred distinct feature rows), so every detector does its per-row work
 once per distinct row and expands the result through the inverse index.
+``FeatureDictionary.encode`` returns records in that form, as ``EncodedRows``:
+their distinct encoded rows and each record's index into them, grouped from
+the few hundred distinct keys, never from a per-record matrix. A detector's
+``predict`` and ``score`` take their pair through ``distinct``, which groups
+a plain feature matrix with ``unique_rows`` instead.
 KNN and both forests score the distinct rows as array blocks: a block of
 query rows against every distinct training row, or every (tree, row) pair
 stepped one tree level at a time. Blocks are sized by ``row_blocks`` so that
@@ -39,6 +44,29 @@ def unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(X), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return ordered[first], inverse
+
+
+class EncodedRows:
+    """Records as distinct feature rows and each record's row index:
+    ``rows[inverse]`` is the per-record matrix, in record order. ``rows``
+    are in ``unique_rows`` order, and ``len()`` is the number of records."""
+
+    __slots__ = ("rows", "inverse")
+
+    def __init__(self, rows: np.ndarray, inverse: np.ndarray):
+        self.rows = rows
+        self.inverse = inverse
+
+    def __len__(self) -> int:
+        return len(self.inverse)
+
+
+def distinct(X: EncodedRows | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse) of encoded records, which they hold, or of a feature
+    matrix, by ``unique_rows``; both give the same pair for the same rows."""
+    if isinstance(X, EncodedRows):
+        return X.rows, X.inverse
+    return unique_rows(X)
 
 
 def row_blocks(n_rows: int, values_per_row: int) -> Iterator[slice]:

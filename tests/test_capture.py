@@ -249,7 +249,8 @@ class TestFeatures:
     def test_unseen_category_maps_to_zero(self):
         train = [LabeledRecord(0, "a", "m", "SCADA", 61, "normal")]
         fd = dictionary_of(train)
-        row = fd.encode([LabeledRecord(5, "zz", "m", "SSH", 61, "normal")])[0]
+        e = fd.encode([LabeledRecord(5, "zz", "m", "SSH", 61, "normal")])
+        row = e.rows[e.inverse][0]
         assert row[0] == 0.0  # unseen src
         assert row[1] == 1.0
         assert row[2] == 0.0  # unseen protocol
@@ -260,7 +261,8 @@ class TestFeatures:
             LabeledRecord(1, "a", "m", "SCADA", 525, "normal"),
         ]
         fd = dictionary_of(train)
-        rows = fd.encode(train + [LabeledRecord(2, "a", "m", "SCADA", 275, "normal")])
+        e = fd.encode(train + [LabeledRecord(2, "a", "m", "SCADA", 275, "normal")])
+        rows = e.rows[e.inverse]
         assert rows[0][3] == 0.0
         assert rows[1][3] == 1.0
         assert rows[2][3] == 0.5
@@ -268,7 +270,8 @@ class TestFeatures:
     def test_degenerate_length_span_encodes_zero(self):
         train = [LabeledRecord(0, "a", "m", "SCADA", 61, "normal")] * 3
         fd = dictionary_of(train)
-        assert fd.encode(train)[:, 3].tolist() == [0.0, 0.0, 0.0]
+        e = fd.encode(train)
+        assert e.rows[e.inverse][:, 3].tolist() == [0.0, 0.0, 0.0]
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(data=st.data())
@@ -298,7 +301,8 @@ class TestFeatures:
              fd.protocol_codes.get(r.protocol, 0),
              0.0 if span == 0 else (r.length_bytes - fd.length_min) / span]
             for r in test], dtype=np.float64).reshape(len(test), 4)
-        got = fd.encode(test)
+        e = fd.encode(test)
+        got = e.rows[e.inverse]
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 

@@ -11,7 +11,10 @@ same trees and key numbers. A record list holds its key pass, and what it
 returns, also after the list is changed in place, must be the generator's
 numbering of the list as it then is. The forest that ``train_model`` grows
 from the distinct rows and key counts it hands over must be the forest that
-``fit`` grows on the expanded matrix.
+``fit`` grows on the expanded matrix. The distinct rows and inverse that
+``encode`` groups from the distinct keys must be those of the per-record
+matrix, and every detector must predict on them what it predicts on that
+matrix; KNN's block distances must equal ``_row_distances`` byte for byte.
 """
 
 import math
@@ -39,6 +42,7 @@ from scadasim.engine import derive_seed
 from scadasim.ids import (
     IsolationForestDetector,
     KnnDetector,
+    LofDetector,
     RandomForestDetector,
     TrainingDataError,
     train_model,
@@ -47,7 +51,8 @@ from scadasim.ids import rows as rows_module
 from scadasim.ids.forest import GINI_EPS, _gini, _unique_weighted
 from scadasim.ids.iforest import average_path_length
 from scadasim.ids.models import FeatureDictionary, _distinct_keys
-from scadasim.ids.rows import unique_rows
+from scadasim.ids.neighbors import _block_distances, _row_distances
+from scadasim.ids.rows import row_blocks, unique_rows
 from scadasim.network import MIN_PACKET_BYTES
 
 # ---------------------------------------------------------------------------
@@ -675,9 +680,15 @@ def handover_records(data):
 
 def expanded(records):
     """The (N, 4) matrix and 0/1 labels of the records, one row each."""
-    dictionary = FeatureDictionary._from_keys(_distinct_keys(records)[0])
+    return expanded_by(FeatureDictionary._from_keys(_distinct_keys(records)[0]), records)
+
+
+def expanded_by(dictionary, records):
+    """The (N, 4) matrix of the records under `dictionary`, one row each
+    and unseen values coded 0, and their 0/1 labels."""
+    e = dictionary.encode(records)
     y = np.array([r.label == "attack" for r in records], dtype=np.int64)
-    return dictionary.encode(records), y
+    return e.rows[e.inverse], y
 
 
 class TestForestHandover:
@@ -703,3 +714,81 @@ class TestForestHandover:
         with pytest.raises(TrainingDataError,
                            match=f"needs both classes in the training set, got only {shown}"):
             train_model("rf", records, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# encoded records: the distinct rows and inverse every detector starts from
+# ---------------------------------------------------------------------------
+
+# keys that mix the values of KEY_PICKS with values no draw of it holds (z, y, SSH,
+# lengths 18, 19, 24 and 25)
+UNSEEN_PICKS = st.tuples(st.sampled_from(["a", "z"]), st.sampled_from(["d", "y"]),
+                         st.sampled_from(["SCADA", "SSH"]), st.integers(18, 25),
+                         st.sampled_from(["normal", "attack"]), st.integers(0, 9))
+
+
+def encoding_case(data, min_records):
+    """Training records, a dictionary of all of them or of a warm-up prefix,
+    and tie-heavy records to encode, drawn from a few keys of the training
+    records and of values the dictionary never saw."""
+    train = [pick_record(pick) for pick in
+             data.draw(st.lists(KEY_PICKS, min_size=2, max_size=40), label="train")]
+    if data.draw(st.booleans(), label="warm-up dictionary"):
+        seen = train[:data.draw(st.integers(1, len(train)), label="warm-up size")]
+    else:
+        seen = train
+    dictionary = FeatureDictionary._from_keys(_distinct_keys(seen)[0])
+    pool = data.draw(st.lists(st.one_of(st.sampled_from(train), UNSEEN_PICKS.map(pick_record)),
+                              min_size=1, max_size=8), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=min_records,
+                               max_size=80), label="picks")
+    return train, dictionary, [pool[i] for i in picks]
+
+
+class TestEncodedRows:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_encode_equals_unique_rows_of_the_expanded_key_table(self, data):
+        _, dictionary, records = encoding_case(data, 0)
+        keys, key_inverse = _distinct_keys(records)
+        rows, inverse = unique_rows(dictionary._table(keys)[key_inverse])
+        encoded = dictionary.encode(records)
+        assert len(encoded) == len(records)
+        assert encoded.rows.shape == rows.shape
+        assert encoded.rows.tobytes() == rows.tobytes()
+        assert encoded.inverse.tolist() == inverse.tolist()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_detector_predicts_on_the_encoded_form_what_it_does_on_the_matrix(self, data):
+        train, dictionary, records = encoding_case(data, 1)
+        X, y = expanded_by(dictionary, train)
+        y[:2] = (0, 1)  # both classes
+        seed = data.draw(st.integers(0, 3), label="seed")
+        encoded = dictionary.encode(records)
+        matrix = encoded.rows[encoded.inverse]
+        rf = RandomForestDetector(n_trees=5, seed=seed).fit(X, y)
+        knn = KnnDetector(k=data.draw(st.integers(1, len(X)), label="knn k")).fit(X, y)
+        lof = LofDetector(k=data.draw(st.integers(1, len(X) - 1), label="lof k")).fit(X)
+        iforest = IsolationForestDetector(n_trees=5, subsample=min(16, len(X)), seed=seed).fit(X)
+        for detector in (rf, knn, lof, iforest):
+            assert detector.predict(encoded).tolist() == detector.predict(matrix).tolist()
+        for detector in (lof, iforest):
+            assert detector.score(encoded).tobytes() == detector.score(matrix).tobytes()
+
+
+class TestKnnBlockDistances:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), block=block_values, n_columns=st.integers(1, 4))
+    def test_block_distances_equal_row_distances_byte_for_byte(self, data, block, n_columns):
+        values = st.lists(st.floats(-1e3, 1e3), min_size=n_columns, max_size=n_columns)
+        train = np.array(data.draw(st.lists(values, min_size=1, max_size=40), label="train"))
+        query = np.array(data.draw(st.lists(values, min_size=1, max_size=40), label="query"))
+        columns = train.T.copy()
+        with mock.patch.object(rows_module, "BLOCK_VALUES", block):
+            blocks = list(row_blocks(len(query), train.size))
+        for rows in (query[b] for b in blocks):
+            got = _block_distances(columns, rows)
+            assert got.shape == (len(rows), len(train))
+            for row, line in zip(rows, got):
+                assert line.tobytes() == _row_distances(train, row).tobytes()
