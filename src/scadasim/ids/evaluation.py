@@ -44,8 +44,10 @@ def evaluate(
     """Count the confusion matrix of one prediction per true label; derive precision/recall/F1.
 
     F1 is defined as 0 when there are no true positives (and so when
-    precision + recall is 0).
+    precision + recall is 0). Lists of different lengths raise ValueError.
     """
+    if len(predictions) != len(truth):
+        raise ValueError(f"{len(predictions)} predictions for {len(truth)} true labels")
     tp = fp = tn = fn = 0
     for predicted, actual in zip(predictions, truth):
         if actual == "attack":

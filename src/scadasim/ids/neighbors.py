@@ -2,7 +2,18 @@
 
 KNN neighbor order is the lexicographic (distance, training index) order, which
 makes predictions a pure function of the training set and reproducible against
-a brute-force oracle. LOF follows the standard pipeline: k-distance, the
+a brute-force oracle. Captured traffic repeats its training rows, so a query
+row equal to a distinct training row that stands for at least k records is
+answered without distances: its k-th distance is 0, no row is closer, and its
+votes are those of that row's first k members in training-index order. That
+holds only when no two different rows lie at distance 0, so the rule is used
+only when every value of both row sets is finite and, column by column, any
+two values are equal or at least ``SEPARATION`` apart, which keeps every
+squared gap a nonzero double. The other query rows (novel rows, copies of a
+row held by fewer than k records, or every row when the values do not
+separate) take their distances to every distinct training row as before.
+
+LOF follows the standard pipeline: k-distance, the
 tie-inclusive k-neighborhood, reachability distance, local reachability
 density, then the density ratio. Duplicate-collapsed neighborhoods (zero mean
 reachability) are floored at a shared epsilon so scores stay finite and exact
@@ -28,6 +39,8 @@ import numpy as np
 from .rows import EncodedRows, TrainingDataError, distinct, row_blocks, unique_rows
 
 LRD_EPS = 1e-12
+# values closer than this may square to 0; its own square, 2**-1000, is a normal double
+SEPARATION = 2.0 ** -500
 
 
 def _lengths(diff: np.ndarray) -> np.ndarray:
@@ -48,6 +61,25 @@ def _block_distances(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for j, column in enumerate(columns):
         np.subtract(column, rows[:, j, None], out=diff[:, :, j])
     return _lengths(diff.reshape(-1, len(columns))).reshape(len(rows), -1)
+
+
+def _separated(*row_sets: np.ndarray) -> bool:
+    """Whether two different rows of ``row_sets`` can never lie at distance 0:
+    every value is finite and, in each column, any two values are equal or at
+    least SEPARATION apart."""
+    values = np.vstack(row_sets)
+    if not np.isfinite(values).all():
+        return False
+    gaps = np.diff(np.sort(values, axis=0), axis=0)
+    return bool(((gaps == 0) | (gaps >= SEPARATION)).all())
+
+
+def _matches(train_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per query row, the index of the distinct training row it equals, or -1."""
+    _, group = unique_rows(np.vstack((train_rows, rows)))
+    owner = np.full(len(train_rows) + len(rows), -1)
+    owner[group[:len(train_rows)]] = np.arange(len(train_rows))
+    return owner[group[len(train_rows):]]
 
 
 def _means_without_self(values: np.ndarray, idx: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -93,9 +125,20 @@ class KnnDetector:
         attacks = np.bincount(group, weights=self.y).astype(np.int64)
         first_member = np.cumsum(sizes) - sizes
         running = np.concatenate(([0], np.cumsum(self.y[np.argsort(group, kind="stable")])))
-        columns = train_rows.T.copy()
         out = np.empty(len(rows), dtype=np.int64)
-        for block in row_blocks(len(rows), train_rows.size):
+        pending = np.arange(len(rows))
+        if _separated(train_rows, rows):
+            # a copy of a group of k or more lies at distance 0 from it alone,
+            # and the group's first k members carry its votes
+            match = _matches(train_rows, rows)
+            copy = match >= 0
+            copy[copy] = sizes[match[copy]] >= self.k
+            start = first_member[match[copy]]
+            out[copy] = (running[start + self.k] - running[start]) * 2 >= self.k
+            pending = np.flatnonzero(~copy)
+        columns = train_rows.T.copy()
+        for block in row_blocks(len(pending), train_rows.size):
+            block = pending[block]
             d = _block_distances(columns, rows[block])
             by_distance = np.argsort(d, axis=1, kind="stable")
             reach = np.argmax(np.cumsum(sizes[by_distance], axis=1) >= self.k, axis=1)

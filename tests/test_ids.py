@@ -370,6 +370,12 @@ class TestEvaluate:
         assert cell.recall == pytest.approx(0.8)
         assert cell.f1 == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("n_predictions, n_truth", [(3, 4), (4, 3), (0, 2)])
+    def test_lists_of_different_lengths_are_refused(self, n_predictions, n_truth):
+        # zip would score the shorter prefix alone, here one perfect cell
+        with pytest.raises(ValueError, match=f"{n_predictions} predictions .* {n_truth} true labels"):
+            evaluate(["attack"] * n_predictions, ["attack"] * n_truth)
+
     def test_f1_identity_recomputed_from_precision_recall(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

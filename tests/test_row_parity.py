@@ -20,12 +20,13 @@ matrix; KNN's block distances must equal ``_row_distances`` byte for byte.
 import math
 import os
 import tempfile
+from itertools import zip_longest
 from operator import is_, itemgetter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scadasim.capture import (
@@ -47,6 +48,7 @@ from scadasim.ids import (
     TrainingDataError,
     train_model,
 )
+from scadasim.ids import neighbors
 from scadasim.ids import rows as rows_module
 from scadasim.ids.forest import GINI_EPS, _gini, _unique_weighted
 from scadasim.ids.iforest import average_path_length
@@ -457,6 +459,37 @@ def rows_on_cuts(trees, cut, row):
 # one block of one row, a few rows, and the default size
 block_values = st.sampled_from([1, 2000, rows_module.BLOCK_VALUES])
 
+# values whose squared gaps are ordinary doubles, and values that do not
+# separate: gaps that underflow to a zero square, a signed zero, non-finite
+SEPARATE_VALUES = (0.0, 0.5, 1.0, 2.0)
+OTHER_VALUES = (-0.0, 5e-324, 1e-200, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def duplicate_queries(draw):
+    """(X, y, k, Xq): training rows in groups of sizes around k, shuffled, and
+    queries that are mostly copies of those rows, with a few other rows."""
+    values = SEPARATE_VALUES + tuple(draw(st.lists(st.sampled_from(OTHER_VALUES), max_size=2,
+                                                   unique_by=repr), label="odd values"))
+    row = st.tuples(*[st.sampled_from(values)] * 3)
+    pool = draw(st.lists(row, min_size=1, max_size=6), label="pool")
+    k = draw(st.integers(1, 6), label="k")
+    sizes = draw(st.lists(st.integers(max(1, k - 2), k + 1), min_size=len(pool),
+                          max_size=len(pool)), label="sizes")
+    X = [r for r, size in zip(pool, sizes) for _ in range(size)]
+    assume(len(X) >= k)
+    X = np.array(draw(st.permutations(X), label="order"), dtype=np.float64)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X)),
+                      label="y"), dtype=np.int64)
+    copies = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20), label="copies")
+    others = draw(st.lists(row, max_size=3), label="others")
+    return X, y, k, np.array(copies + others, dtype=np.float64)
+
+
+def knn_case(rows, y, k, queries):
+    return (np.array(rows, dtype=np.float64), np.array(y, dtype=np.int64), k,
+            np.array(queries, dtype=np.float64))
+
 
 class TestKnnBlocks:
     @settings(max_examples=300, deadline=None, database=None)
@@ -470,6 +503,51 @@ class TestKnnBlocks:
         with mock.patch.object(rows_module, "BLOCK_VALUES", block):
             got = KnnDetector(k=k).fit(X, y).predict(Xq)
         assert got.tolist() == frozen_knn_predict(X, y, k, Xq).tolist()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=duplicate_queries(), block=block_values)
+    # 5e-324 and 1e-200 lie at distance 0 from 0.0 but are other rows: the
+    # query's own group of k would carry the vote alone, not the tied union
+    @example(case=knn_case([[5e-324, 0, 0], [0, 0, 0], [0, 0, 0]], [1, 0, 0], 2, [[0, 0, 0]]),
+             block=rows_module.BLOCK_VALUES)
+    @example(case=knn_case([[0, 1e-200, 0], [0, 0, 0], [0, 0, 0], [0, 1e-200, 0]], [1, 0, 0, 1],
+                           3, [[0, 0, 0], [0, 1e-200, 0]]), block=rows_module.BLOCK_VALUES)
+    @example(case=knn_case([[-0.0, 1, 0], [0, 1, 0], [1, 1, 0]], [0, 1, 1], 2, [[0, 1, 0]]),
+             block=1)
+    def test_copies_of_training_rows_equal_the_row_by_row_code(self, case, block):
+        X, y, k, Xq = case
+        # inf - inf differences are NaN distances on both sides
+        with mock.patch.object(rows_module, "BLOCK_VALUES", block), np.errstate(invalid="ignore"):
+            got = KnnDetector(k=k).fit(X, y).predict(Xq)
+            want = frozen_knn_predict(X, y, k, Xq)
+        assert got.tolist() == want.tolist()
+
+    def test_copies_of_groups_of_k_or_more_take_no_distances(self):
+        k = 5
+        a, b, c, off = [0.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0], [0.5, 0.5, 0, 0]
+        # a holds exactly k members and b k + 2, whose first k vote 2 of 5 (any
+        # later k would vote 4); c holds k - 1, so its copies need distances
+        groups = [(a, [1, 1, 1, 0, 0]), (b, [0, 0, 0, 1, 1, 1, 1]), (c, [1, 1, 1, 1])]
+        # members interleaved by training index, each group's labels in order
+        members = [m for layer in zip_longest(*[[(row, label) for label in labels]
+                                                for row, labels in groups]) for m in layer if m]
+        X = np.array([row for row, _ in members])
+        y = np.array([label for _, label in members])
+        det = KnnDetector(k=k).fit(X, y)
+        seen = []
+
+        def recording(columns, rows):
+            seen.append(rows.copy())
+            return _block_distances(columns, rows)
+
+        with mock.patch.object(neighbors, "_block_distances", recording):
+            copies = det.predict(np.array([b, a, a, b]))
+            assert seen == []
+            mixed = det.predict(np.array([off, a, c, b, c]))
+        assert copies.tolist() == [0, 1, 1, 0]
+        assert mixed.tolist() == frozen_knn_predict(X, y, k, np.array([off, a, c, b, c])).tolist()
+        assert mixed[[1, 3]].tolist() == [1, 0]
+        assert sorted(map(tuple, np.vstack(seen))) == sorted([tuple(c), tuple(off)])
 
     def test_several_groups_tied_at_the_kth_distance(self):
         # two groups at distance 1 from the query, members interleaved by
