@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import bisect
 import gc
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from functools import wraps
+from itertools import chain, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from .network import MIN_PACKET_BYTES, Packet
@@ -110,22 +113,62 @@ class LabeledRecord(NamedTuple):
     stage: str | None = None
 
 
-class RecordList(list):
-    """A list of records that holds the IDS key pass made over it.
+# a record's IDS key, (src, dst, protocol, length, label): what the detectors
+# encode and train on
+record_key = itemgetter(slice(1, 6))
 
-    ``import_csv`` and ``TrafficCollector`` build their records as one. The IDS
-    scores the same traffic with several detectors, and each would otherwise
-    run the key pass (``ids.models._distinct_keys``) over the same records
-    again. ``key_pass`` holds that pass's result with a snapshot of the
-    records it saw, so the pass runs once per list for as long as the list
-    holds the same record objects. A mutated list gets a fresh pass. The pass
-    is held by the list and dies with it: a module-level memo of recent
-    passes kept the previous evaluation's datasets alive through the next
-    one, and raised the ``ids_eval`` benchmark's peak RSS from 78.7 to
-    92.6 MB.
+
+def _drops_key_pass(method):
+    """``list.method`` for a ``RecordList``: it drops the held key pass first."""
+    @wraps(method)
+    def dropping(self, *args, **kwargs):
+        self.key_pass = None
+        return method(self, *args, **kwargs)
+    return dropping
+
+
+class RecordList(list):
+    """A list of records that can hold the IDS key pass made over it.
+
+    ``key_pass`` is ``(keys, numbers)``: each distinct ``record_key`` numbered
+    in first-seen order, and each record's key number, an ``array("I")``.
+    ``import_csv`` numbers the keys as it reads the rows, so an imported list
+    holds its pass from the start; ``ids.models._distinct_keys`` runs the pass
+    on any other list and stores it here. The IDS scores the same traffic
+    with several detectors, and each reuses the held pass.
+
+    Every list method that can replace, reorder or remove a record drops the
+    pass; the others only append. So a held pass is valid exactly when its
+    column is as long as the list (``held_key_pass``): after an append it is
+    shorter, and only a method that drops it can shorten the list again. A
+    list changed through ``list``'s own methods called on it directly gets no
+    such guarantee. The pass is held by the list and dies with it: a
+    module-level memo of recent passes kept the previous evaluation's
+    datasets alive through the next one, and raised the ``ids_eval``
+    benchmark's peak RSS from 78.7 to 92.6 MB.
     """
 
     __slots__ = ("key_pass",)
+
+    __init__ = _drops_key_pass(list.__init__)
+    __setitem__ = _drops_key_pass(list.__setitem__)
+    __delitem__ = _drops_key_pass(list.__delitem__)
+    __imul__ = _drops_key_pass(list.__imul__)
+    insert = _drops_key_pass(list.insert)
+    pop = _drops_key_pass(list.pop)
+    remove = _drops_key_pass(list.remove)
+    clear = _drops_key_pass(list.clear)
+    sort = _drops_key_pass(list.sort)
+    reverse = _drops_key_pass(list.reverse)
+
+
+def held_key_pass(records: list) -> tuple[dict[tuple, int], array] | None:
+    """The key pass that ``records`` holds while it is valid; otherwise, and
+    for a plain list, None."""
+    held = getattr(records, "key_pass", None)
+    if held is not None and len(held[1]) == len(records):
+        return held
+    return None
 
 
 class TrafficCollector:
@@ -222,9 +265,18 @@ class LabeledDataset:
         attack_pct = 100.0 * attacks / len(self.records)
         return (attack_pct, 100.0 - attack_pct)
 
-    def warmup_slice(self) -> list[LabeledRecord]:
-        """The attack-free prefix used to train semi-supervised detectors."""
-        return self.records[:self.warmup_end]
+    def warmup_slice(self) -> RecordList:
+        """The attack-free prefix used to train semi-supervised detectors; it
+        holds its part of the records' key pass."""
+        end = self.warmup_end
+        prefix = RecordList(self.records[:end])
+        held = held_key_pass(self.records)
+        if held is not None:
+            keys, numbers = held
+            numbers = numbers[:end]
+            # numbered in first-seen order, the prefix's keys are the first ones
+            prefix.key_pass = (dict(islice(keys.items(), max(numbers, default=-1) + 1)), numbers)
+        return prefix
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +354,10 @@ def import_csv(path: str) -> LabeledDataset:
     every row. Records are built by ``tuple.__new__``, in C, as
     ``LabeledRecord._make`` does, not by the NamedTuple's Python ``__new__``,
     and under ``collector_off``.
+
+    The returned ``RecordList`` holds its IDS key pass. A new tail's key is
+    numbered in first-seen order when the tail is checked, and the tail
+    keeps its number, so each row adds one number to the column.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -314,26 +370,33 @@ def import_csv(path: str) -> LabeledDataset:
             f"{path} row {row_no}: byte {raw[exc.start]:#04x} is not valid UTF-8") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise DatasetFormatError(f"{path}: missing or wrong header")
-    records = RecordList()
-    fields_of: dict[str, tuple] = {}
-    append, new_record, known_fields = records.append, tuple.__new__, fields_of.get
+    records, numbers, keys = RecordList(), array("I"), {}
+    # each distinct tail: its fields as a record holds them, and its key's number
+    tails: dict[str, tuple[tuple, int]] = {}
+    append, append_number, new_record, known_tail = (
+        records.append, numbers.append, tuple.__new__, tails.get)
     with collector_off():
         for line in lines[1:]:
             time_s, _, tail = line.partition(",")
-            fields = known_fields(tail)
+            known = known_tail(tail)
             try:
                 time_ms = int(time_s)
             except ValueError:
                 time_ms = -1
-            if fields is None or time_ms < 0:
+            if known is None or time_ms < 0:
                 # a new tail or a bad time: every check, in order, names the fault
                 try:
-                    if fields is None:
-                        fields = fields_of[tail] = _row_fields(line)
+                    fields = _row_fields(line) if known is None else known[0]
                     time_ms = _check_time(_integer(time_s))
                 except _RowProblem as exc:
                     # each row before this one made a record; the header is row 1
                     row_no = len(records) + 2
                     raise DatasetFormatError(f"{path} row {row_no}: {exc}") from exc.__cause__
+                if known is None:
+                    key = record_key((time_ms,) + fields)
+                    known = tails[tail] = (fields, keys.setdefault(key, len(keys)))
+            fields, number = known
             append(new_record(LabeledRecord, (time_ms,) + fields))
+            append_number(number)
+        records.key_pass = (keys, numbers)
         return LabeledDataset.from_records(records)

@@ -92,14 +92,21 @@ def evaluate_grid(train_sets: list[tuple[str, LabeledDataset]],
     semi-supervised ones on their warm-up slices unless ``semi_train`` is
     "full", and evaluate it on each test set, whose labels are taken once.
     Returns the cells, algorithm by algorithm, and each algorithm's model; a
-    cell's train scenario is the training names joined by "+". Each training
-    list is built once, as a ``RecordList``, so the algorithms share its key pass."""
+    cell's train scenario is the training names joined by "+". A single
+    training set's list, or its warm-up slice, is trained on as it is, with
+    the key pass it holds; several are joined once into a ``RecordList``, so
+    the algorithms share its key pass."""
     train_name = "+".join(name for name, _ in train_sets)
     warmups = {algorithm: algorithm in models.SEMI_SUPERVISED and semi_train == "warmup"
                for algorithm in algorithms}
-    training_lists = {warmup: RecordList(chain.from_iterable(
-                          ds.warmup_slice() if warmup else ds.records for _, ds in train_sets))
-                      for warmup in set(warmups.values())}
+
+    def training_list(warmup: bool) -> RecordList:
+        lists = [ds.warmup_slice() if warmup else ds.records for _, ds in train_sets]
+        if len(lists) == 1 and isinstance(lists[0], RecordList):
+            return lists[0]
+        return RecordList(chain.from_iterable(lists))
+
+    training_lists = {warmup: training_list(warmup) for warmup in set(warmups.values())}
     tests = [(name, ds.records, [r.label for r in ds.records]) for name, ds in test_sets]
     cells, trained = [], {}
     for algorithm, warmup in warmups.items():

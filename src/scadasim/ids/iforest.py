@@ -9,7 +9,9 @@ Each tree is grown on its sample's distinct rows, each with the number of
 times the sample drew it: a node's size is the sum of its rows' counts, and
 its column ranges are those of its distinct rows, so the tree is the one the
 full sample would grow, at the cost of the few distinct rows that captured
-traffic has.
+traffic has. A node that holds one distinct row is a leaf before its sample
+is transposed: no feature splits it, so the full-sample tree ends there too,
+having drawn nothing from the tree's generator.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ def grow_tree(sample: list[tuple[list[float], int]], rng, max_depth: int) -> dic
         lefts.append(-1)
         rights.append(-1)
         leaf_sizes.append(n)
-        if n <= 1 or depth >= max_depth:
-            return index
+        if len(sample) <= 1 or depth >= max_depth:
+            return index  # at most one distinct row: no feature splits it, and nothing is drawn
         columns = list(zip(*map(itemgetter(0), sample)))
         lo = list(map(min, columns))
         hi = list(map(max, columns))
         splittable = [f for f, (a, b) in enumerate(zip(lo, hi)) if b > a]
-        if not splittable:  # all duplicates
+        if not splittable:  # no column tells the rows apart: NaN copies
             return index
         f = splittable[rng.integers(len(splittable))]
         value = float(rng.uniform(lo[f], hi[f]))

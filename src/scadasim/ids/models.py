@@ -9,13 +9,13 @@ offending indices.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import count
-from operator import is_, itemgetter
 
 import numpy as np
 
-from ..capture import LabeledRecord, RecordList
+from ..capture import LabeledRecord, RecordList, held_key_pass, record_key
 from ..writers import write_json
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
@@ -30,14 +30,13 @@ PREDICTED_LABELS = np.array(["normal", "attack"], dtype=object)
 
 
 def _key_pass(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarray]:
-    """The pass itself: it runs in C-level iterators. It maps each key to the
-    position of the record that has it first, and the sorted first positions
-    then give each record its key's number."""
+    """The pass itself, for a list that no reader numbered: it runs in C-level
+    iterators. It maps each key to the position of the record that has it
+    first, and the sorted first positions then give each record its key's
+    number."""
     first: dict[tuple, int] = {}
-    positions = np.fromiter(
-        map(first.setdefault, map(itemgetter(slice(1, 6)), records), count()),  # src .. label
-        dtype=np.intp, count=len(records),
-    )
+    positions = np.fromiter(map(first.setdefault, map(record_key, records), count()),
+                            dtype=np.intp, count=len(records))
     firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     return dict(zip(first, count())), np.searchsorted(firsts, positions)
 
@@ -45,31 +44,27 @@ def _key_pass(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarra
 def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarray]:
     """The one pass over the records that encoding and training make.
 
-    Returns each distinct (src, dst, protocol, length, label) key numbered in
-    first-seen order, and each record's key number. The label rides along so
-    that training takes its labels from the same pass; encoding ignores it.
+    Returns each distinct ``record_key``, (src, dst, protocol, length,
+    label), numbered in first-seen order, and each record's key number. The
+    label rides along so that training takes its labels from the same pass;
+    encoding ignores it.
 
-    The pass runs once per ``RecordList``: the list holds the result with a
-    tuple snapshot of its records, and while it holds the identical record
-    objects, position by position, the held result is returned. The check
-    costs about a tenth of the pass. A list that changed since gets a fresh
-    pass, and a plain list, such as a warm-up slice, gets one on every call.
-    The result dies with its list; a module-level memo of recent passes kept
-    the previous evaluation's datasets alive through the next one. The list
-    holds the inverse in the smallest unsigned type that numbers its keys,
-    and each call returns its own ``np.intp`` copy, so a caller that writes
-    into the inverse cannot change what later calls return. Callers do not
-    change the keys.
+    A ``RecordList`` that holds a valid pass (``capture.held_key_pass``)
+    returns it: an imported list and its warm-up slice hold theirs from the
+    reader. Any other list gets ``_key_pass``, and a ``RecordList`` stores
+    the result as its column, so the pass runs once per list until the list
+    is changed; a plain list gets a pass on every call. Each call returns
+    its own ``np.intp`` copy of the column, so a caller that writes into the
+    inverse cannot change what later calls return. Callers do not change the
+    keys.
     """
-    held = getattr(records, "key_pass", None)
+    held = held_key_pass(records)
     if held is not None:
-        snapshot, keys, inverse = held
-        if len(snapshot) == len(records) and all(map(is_, snapshot, records)):
-            return keys, inverse.astype(np.intp)
+        keys, numbers = held
+        return keys, np.array(numbers, dtype=np.intp)
     keys, inverse = _key_pass(records)
     if isinstance(records, RecordList):
-        records.key_pass = (tuple(records), keys,
-                            inverse.astype(np.min_scalar_type(len(keys))))
+        records.key_pass = (keys, array("I", inverse.astype(np.uintc).tobytes()))
     return keys, inverse
 
 

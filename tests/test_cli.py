@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -402,6 +404,29 @@ def test_out_of_range_timing_exits_2_naming_field(tmp_path, capsys, field, mutat
     bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
     assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
     assert field in capsys.readouterr().err
+
+
+class TestRunAsModule:
+    """``python -m scadasim``, each in a child process, as a user starts it."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "scadasim", *argv], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+    def test_help_exits_0(self):
+        done = self.run_module("--help")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: scadasim")
+
+    def test_unknown_scenario_exits_2_and_creates_no_out(self, tmp_path):
+        out = tmp_path / "bad"
+        done = self.run_module("simulate", "--scenario", "9", "--out", str(out))
+        assert done.returncode == 2, done.stderr
+        assert "scenario '9'" in done.stderr
+        assert not out.exists()
 
 
 class TestDatasetExport:

@@ -488,8 +488,7 @@ def key_passes(monkeypatch):
 
 
 class TestKeyPassPerList:
-    def test_evaluation_runs_one_pass_per_imported_list_plus_the_warmup_slices(
-            self, tmp_path, key_passes):
+    def test_evaluation_on_imported_lists_runs_no_key_pass(self, tmp_path, key_passes):
         train = import_csv(str(write_dataset(tmp_path / "train.csv", seed=1)))
         test = import_csv(str(write_dataset(tmp_path / "test.csv", seed=2)))
         predictions = {}
@@ -497,25 +496,20 @@ class TestKeyPassPerList:
             records = train.warmup_slice() if algorithm in SEMI_SUPERVISED else train.records
             model = train_model(algorithm, records, seed=0)
             predictions[algorithm] = model.predict_records(test.records)
-        # rf: the training list, then the test list; knn reuses both; lof and
-        # iforest each take a new warm-up slice, a plain list
-        warmup = train.warmup_end
-        assert key_passes == [len(train.records), len(test.records), warmup, warmup]
+        # the reader numbered both lists' keys, and each warm-up slice holds its part
+        assert key_passes == []
         for algorithm in ALGORITHMS:
-            records = train.warmup_slice() if algorithm in SEMI_SUPERVISED else list(train.records)
+            records = list(train.warmup_slice() if algorithm in SEMI_SUPERVISED else train.records)
             model = train_model(algorithm, records, seed=0)
             assert model.predict_records(list(test.records)) == predictions[algorithm]
 
-    def test_cli_runs_one_pass_per_list_with_two_test_files(self, tmp_path, key_passes):
+    def test_cli_with_one_training_file_runs_no_key_pass(self, tmp_path, key_passes):
         train = write_dataset(tmp_path / "train.csv", seed=1)
         tests = [write_dataset(tmp_path / f"test{seed}.csv", seed=seed) for seed in (2, 3)]
         assert main(["ids", "eval", "--algo", "rf,knn,lof,iforest", "--train", str(train),
                      "--test", *map(str, tests), "--out", str(tmp_path / "out")]) == 0
-        train_ds, *test_ds = (import_csv(str(path)) for path in (train, *tests))
-        # rf: the training list and both test lists; lof: the warm-up list;
-        # knn and iforest reuse them
-        assert key_passes == [len(train_ds.records), *(len(ds.records) for ds in test_ds),
-                              train_ds.warmup_end]
+        # every list, the warm-up slice included, holds the pass of its reader
+        assert key_passes == []
 
     def test_held_pass_dies_with_its_list_and_callers_cannot_change_it(self, tmp_path):
         dataset = import_csv(str(write_dataset(tmp_path / "train.csv", seed=1)))
@@ -523,9 +517,9 @@ class TestKeyPassPerList:
         model.predict_records(dataset.records)
         keys, inverse = _distinct_keys(dataset.records)
         expected = inverse.tolist()
-        inverse[:] = 0  # a caller's copy, not the held pass
+        inverse[:] = 0  # a caller's copy, not the held column
         assert _distinct_keys(dataset.records)[1].tolist() == expected
-        held = weakref.ref(dataset.records.key_pass[2])
+        held = weakref.ref(dataset.records.key_pass[1])
         del keys, inverse, dataset, model
         gc.collect()
         assert held() is None  # a module-level memo would keep it

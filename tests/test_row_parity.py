@@ -21,7 +21,7 @@ import math
 import os
 import tempfile
 from itertools import zip_longest
-from operator import is_, itemgetter
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -51,8 +51,8 @@ from scadasim.ids import (
 from scadasim.ids import neighbors
 from scadasim.ids import rows as rows_module
 from scadasim.ids.forest import GINI_EPS, _gini, _unique_weighted
-from scadasim.ids.iforest import average_path_length
-from scadasim.ids.models import FeatureDictionary, _distinct_keys
+from scadasim.ids.iforest import average_path_length, grow_tree
+from scadasim.ids.models import FeatureDictionary, _distinct_keys, _key_pass
 from scadasim.ids.neighbors import _block_distances, _row_distances
 from scadasim.ids.rows import row_blocks, unique_rows
 from scadasim.network import MIN_PACKET_BYTES
@@ -234,6 +234,39 @@ def frozen_iforest_trees(X, n_trees, subsample, seed):
         idx = rng.choice(len(X), size, replace=False)
         trees.append(grow_tree(X[idx], rng, max_depth))
     return trees
+
+
+def frozen_grow_tree(sample, rng, max_depth):
+    """``iforest.grow_tree`` as it was when a node of one distinct row found
+    no splittable feature in its transposed sample before it became a leaf."""
+    tree = {name: [] for name in ("feature", "split", "left", "right", "leaf_size")}
+    features, splits, lefts, rights, leaf_sizes = tree.values()
+
+    def grow(sample, depth):
+        n = sum(map(itemgetter(1), sample))
+        index = len(features)
+        features.append(-1)
+        splits.append(0.0)
+        lefts.append(-1)
+        rights.append(-1)
+        leaf_sizes.append(n)
+        if n <= 1 or depth >= max_depth:
+            return index
+        columns = list(zip(*map(itemgetter(0), sample)))
+        lo = list(map(min, columns))
+        hi = list(map(max, columns))
+        splittable = [f for f, (a, b) in enumerate(zip(lo, hi)) if b > a]
+        if not splittable:
+            return index
+        f = splittable[rng.integers(len(splittable))]
+        value = float(rng.uniform(lo[f], hi[f]))
+        features[index], splits[index] = f, value
+        lefts[index] = grow([s for s in sample if s[0][f] < value], depth + 1)
+        rights[index] = grow([s for s in sample if not s[0][f] < value], depth + 1)
+        return index
+
+    grow(sample, 0)
+    return tree
 
 
 def frozen_gini_vec(pos, tot):
@@ -648,6 +681,24 @@ class TestTreeGrowth:
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data())
+    def test_isolation_tree_equals_the_one_that_split_one_row_nodes_in_vain(self, data):
+        rows = unique_rows(tree_rows(data))[0].tolist()
+        picked = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6,
+                                    unique=True), label="distinct rows")
+        sample = [rows[i] for i in picked]
+        if data.draw(st.booleans(), label="NaN copies"):
+            # two rows no column tells apart: the one node a split search still ends
+            sample += [[math.nan, *sample[0][1:]]] * 2
+        counts = data.draw(st.lists(st.integers(1, 4), min_size=len(sample),
+                                    max_size=len(sample)), label="counts")
+        max_depth = data.draw(st.integers(1, 8), label="max_depth")
+        seed = data.draw(st.integers(0, 3), label="seed")
+        sample = list(zip(sample, counts))
+        assert grow_tree(sample, np.random.default_rng(seed), max_depth) == \
+            frozen_grow_tree(sample, np.random.default_rng(seed), max_depth)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
     def test_forest_trees_equal_the_guarded_split_search(self, data):
         X = tree_rows(data)
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X)),
@@ -730,8 +781,92 @@ class TestHeldKeyPass:
         assert held.key_pass is stored  # held, not run again
         mutate(held, mutation, data)
         assert as_frozen(_distinct_keys(held)) == as_frozen(frozen_distinct_keys(held))
-        snapshot = held.key_pass[0]
-        assert len(snapshot) == len(held) and all(map(is_, snapshot, held))
+        assert len(held.key_pass[1]) == len(held)
+
+
+# the tails of an imported key-pass file: normal ones first; a stage splits
+# each attack key across several tails
+KEY_TAILS = [
+    "h1,mtu,SCADA,61,normal,",
+    "mtu,h1,SCADA,64,normal,",
+    "h2,mtu,SCADA,61,normal,",
+    "atk,h1,SSH,120,attack,S1",
+    "atk,h1,SSH,120,attack,S2",
+    "atk,h1,SSH,120,attack,S3",
+    "atk,h2,SCAN_PROBE,60,attack,S1",
+    "atk,h2,SCAN_PROBE,60,attack,S4",
+]
+N_NORMAL_TAILS = 3
+
+
+def import_key_csv(data) -> LabeledDataset:
+    """A dataset read from a drawn CSV: an attack-free warm-up of any length,
+    then any tails."""
+    warmup = data.draw(st.lists(st.integers(0, N_NORMAL_TAILS - 1), max_size=20), label="warm-up")
+    rest = data.draw(st.lists(st.integers(0, len(KEY_TAILS) - 1), max_size=60), label="rest")
+    text = "".join(f"{t},{KEY_TAILS[i]}\n" for t, i in enumerate(warmup + rest))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CSV_HEADER + "\n" + text)
+        return import_csv(path)
+
+
+def assert_holds_a_fresh_pass(records):
+    keys, numbers = records.key_pass
+    fresh_keys, fresh_inverse = _key_pass(list(records))
+    assert list(keys.items()) == list(fresh_keys.items())
+    assert list(numbers) == fresh_inverse.tolist()
+
+
+# each RecordList method that can replace, reorder or remove a record
+DROPPING = {
+    "__init__": lambda r: r.__init__(list(r)),
+    "__setitem__": lambda r: r.__setitem__(0, r[0]),
+    "__delitem__": lambda r: r.__delitem__(slice(0, 0)),
+    "__imul__": lambda r: r.__imul__(1),
+    "insert": lambda r: r.insert(0, r[0]),
+    "pop": lambda r: r.pop(),
+    "remove": lambda r: r.remove(r[0]),
+    "clear": lambda r: r.clear(),
+    "sort": lambda r: r.sort(key=itemgetter(0)),
+    "reverse": lambda r: r.reverse(),
+}
+
+
+class TestImportedKeyPass:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_imported_list_and_warmup_slice_hold_the_pass_of_their_records(self, data):
+        dataset = import_key_csv(data)
+        assert_holds_a_fresh_pass(dataset.records)
+        prefix = dataset.warmup_slice()
+        assert prefix == dataset.records[:dataset.warmup_end]
+        assert_holds_a_fresh_pass(prefix)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), added=st.lists(KEY_PICKS, min_size=1, max_size=5))
+    def test_an_appended_list_gets_a_fresh_pass(self, data, added):
+        dataset = import_key_csv(data)
+        for records in (dataset.records, dataset.warmup_slice()):
+            records += map(pick_record, added)
+            assert as_frozen(_distinct_keys(records)) == as_frozen(_key_pass(list(records)))
+            assert_holds_a_fresh_pass(records)
+
+    @pytest.mark.parametrize("method", sorted(DROPPING))
+    def test_every_method_that_can_replace_reorder_or_remove_drops_the_pass(self, method):
+        records = RecordList(map(pick_record, [("a", "b", "SCADA", 60, "normal", 1),
+                                               ("c", "d", "HTTP", 61, "normal", 0)]))
+        _distinct_keys(records)
+        assert records.key_pass is not None
+        DROPPING[method](records)
+        assert records.key_pass is None
+
+    def test_only_the_dropping_methods_are_overridden(self):
+        # append, extend and += only append, which leaves a held pass shorter than its list
+        overridden = {name for name, value in vars(RecordList).items()
+                      if callable(value) and name in vars(list)}
+        assert overridden == set(DROPPING)
 
 
 # ---------------------------------------------------------------------------
