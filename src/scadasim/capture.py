@@ -133,8 +133,9 @@ class RecordList(list):
     ``key_pass`` is ``(keys, numbers)``: each distinct ``record_key`` numbered
     in first-seen order, and each record's key number, an ``array("I")``.
     ``import_csv`` numbers the keys as it reads the rows, so an imported list
-    holds its pass from the start; ``ids.models._distinct_keys`` runs the pass
-    on any other list and stores it here. The IDS scores the same traffic
+    holds its pass from the start, and ``join_record_lists`` joins the passes
+    of the lists it joins; ``ids.models._distinct_keys`` runs the pass on any
+    other list and stores it here. The IDS scores the same traffic
     with several detectors, and each reuses the held pass.
 
     Every list method that can replace, reorder or remove a record drops the
@@ -169,6 +170,28 @@ def held_key_pass(records: list) -> tuple[dict[tuple, int], array] | None:
     if held is not None and len(held[1]) == len(records):
         return held
     return None
+
+
+def join_record_lists(lists: list[list]) -> RecordList:
+    """The records of ``lists``, in order, as one ``RecordList``.
+
+    When every list holds a valid key pass, the joined list holds theirs
+    joined, and no pass runs over it: each later list's keys go, in order,
+    through ``setdefault`` into a copy of the first list's keys, and its
+    number column, remapped, is appended to a copy of the first one's. That
+    is the first-seen numbering a pass over the joined list would give.
+    """
+    joined = RecordList(chain.from_iterable(lists))
+    held = [held_key_pass(records) for records in lists]
+    if held and None not in held:
+        (keys, numbers), *later = held
+        keys, numbers = dict(keys), array("I", numbers)
+        for later_keys, later_numbers in later:
+            # a held pass numbers its keys 0, 1, ... in its dict's order
+            remap = [keys.setdefault(key, len(keys)) for key in later_keys]
+            numbers.extend(map(remap.__getitem__, later_numbers))
+        joined.key_pass = (keys, numbers)
+    return joined
 
 
 class TrafficCollector:

@@ -4,9 +4,8 @@ the train-and-test grid that ``ids eval`` reports."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import chain
 
-from ..capture import LabeledDataset, RecordList
+from ..capture import LabeledDataset, RecordList, join_record_lists
 from . import models
 from .rows import TrainingDataError
 
@@ -94,8 +93,9 @@ def evaluate_grid(train_sets: list[tuple[str, LabeledDataset]],
     Returns the cells, algorithm by algorithm, and each algorithm's model; a
     cell's train scenario is the training names joined by "+". A single
     training set's list, or its warm-up slice, is trained on as it is, with
-    the key pass it holds; several are joined once into a ``RecordList``, so
-    the algorithms share its key pass."""
+    the key pass it holds; several are joined once into a ``RecordList``
+    that holds their passes joined, so no key pass runs and the algorithms
+    share the joined one."""
     train_name = "+".join(name for name, _ in train_sets)
     warmups = {algorithm: algorithm in models.SEMI_SUPERVISED and semi_train == "warmup"
                for algorithm in algorithms}
@@ -104,7 +104,7 @@ def evaluate_grid(train_sets: list[tuple[str, LabeledDataset]],
         lists = [ds.warmup_slice() if warmup else ds.records for _, ds in train_sets]
         if len(lists) == 1 and isinstance(lists[0], RecordList):
             return lists[0]
-        return RecordList(chain.from_iterable(lists))
+        return join_record_lists(lists)
 
     training_lists = {warmup: training_list(warmup) for warmup in set(warmups.values())}
     tests = [(name, ds.records, [r.label for r in ds.records]) for name, ds in test_sets]

@@ -11,7 +11,10 @@ its column ranges are those of its distinct rows, so the tree is the one the
 full sample would grow, at the cost of the few distinct rows that captured
 traffic has. A node that holds one distinct row is a leaf before its sample
 is transposed: no feature splits it, so the full-sample tree ends there too,
-having drawn nothing from the tree's generator.
+having drawn nothing from the tree's generator. The fit takes its distinct
+rows and the sample's counts from the training rows' (rows, inverse) pair,
+which ``train_model`` hands over as ``EncodedRows``, and scores the training
+rows from the same pair.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from operator import itemgetter
 import numpy as np
 
 from ..engine import derive_seed
-from .rows import EncodedRows, FlatForest, TrainingDataError, distinct, row_blocks, unique_rows
+from .rows import EncodedRows, FlatForest, TrainingDataError, distinct, row_blocks
 
 EULER_GAMMA = 0.5772156649015329
 # a tree's node lists, as its model file holds them
@@ -94,13 +97,13 @@ class IsolationForestDetector:
         self.train_scores: np.ndarray | None = None
         self.threshold: float | None = None
 
-    def fit(self, X: np.ndarray) -> "IsolationForestDetector":
+    def fit(self, X: EncodedRows | np.ndarray) -> "IsolationForestDetector":
         if self.subsample > len(X):
             raise TrainingDataError(f"subsample {self.subsample} exceeds training set size {len(X)}")
         size = min(self.subsample, len(X))
         self.sample_size = size
         max_depth = max(1, math.ceil(math.log2(max(2, size))))
-        rows, inverse = unique_rows(X)
+        rows, inverse = distinct(X)
         rows = rows.tolist()
         self.trees = []
         for i in range(self.n_trees):

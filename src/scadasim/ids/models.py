@@ -20,7 +20,7 @@ from ..writers import write_json
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
-from .rows import EncodedRows, TrainingDataError, unique_rows
+from .rows import EncodedRows, TrainingDataError
 
 MODEL_FORMAT_VERSION = 1
 ALGORITHMS = ("rf", "knn", "lof", "iforest")
@@ -51,7 +51,8 @@ def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.n
 
     A ``RecordList`` that holds a valid pass (``capture.held_key_pass``)
     returns it: an imported list and its warm-up slice hold theirs from the
-    reader. Any other list gets ``_key_pass``, and a ``RecordList`` stores
+    reader, and lists joined by ``capture.join_record_lists`` hold theirs
+    joined. Any other list gets ``_key_pass``, and a ``RecordList`` stores
     the result as its column, so the pass runs once per list until the list
     is changed; a plain list gets a pass on every call. Each call returns
     its own ``np.intp`` copy of the column, so a caller that writes into the
@@ -103,8 +104,7 @@ class FeatureDictionary:
         on the per-record matrix, which is never built.
         """
         keys, key_inverse = _distinct_keys(records)
-        rows, group = unique_rows(self._table(keys))
-        return EncodedRows(rows, group[key_inverse])
+        return EncodedRows.grouped(self._table(keys), key_inverse)
 
     def _table(self, keys: dict[tuple, int]) -> np.ndarray:
         """One encoded row per distinct key, in key order."""
@@ -164,6 +164,12 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
     algorithms (lof, iforest) refuse any attack-labeled input and calibrate
     their threshold on training scores. Records too few or too uniform to fit
     the detector raise TrainingDataError.
+
+    The fits start from the one key pass over the records: the random forest
+    from each distinct key's encoded row and record count, and KNN, LOF and
+    the isolation forest from the records as ``EncodedRows``, grouped from
+    those key rows, which the fitted detectors keep. No per-record feature
+    matrix is built.
     """
     if not records:
         raise TrainingDataError("empty training set")
@@ -177,11 +183,11 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
         counts = np.bincount(inverse, minlength=len(keys))
         detector = RandomForestDetector(seed=seed).fit(table, attack, counts)
     elif algorithm == "knn":
-        detector = KnnDetector().fit(table[inverse], attack[inverse])
+        detector = KnnDetector().fit(EncodedRows.grouped(table, inverse), attack[inverse])
     else:
         if attack.any():
             raise PurityError(np.flatnonzero(attack[inverse]).tolist())
-        X = table[inverse]
+        X = EncodedRows.grouped(table, inverse)
         if algorithm == "lof":
             detector = LofDetector().fit(X)
         else:
@@ -191,5 +197,7 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
 
 def save_model(model: TrafficModel, path: str) -> None:
     """Versioned JSON, stable bytes for identical models; arrays are written
-    a block of rows at a time."""
+    a block of rows at a time, and the training rows a detector keeps as
+    ``EncodedRows`` as their per-record nested list, each distinct row
+    formatted once."""
     write_json(path, model.to_dict())

@@ -13,6 +13,12 @@ squared gap a nonzero double. The other query rows (novel rows, copies of a
 row held by fewer than k records, or every row when the values do not
 separate) take their distances to every distinct training row as before.
 
+Both detectors keep their training rows as they are given, and
+``train_model`` gives them ``EncodedRows``: the distinct rows and each
+training record's row index. KNN's ``predict`` reads its groups from that
+pair without regrouping, and LOF takes its distances to the distinct rows
+and gathers them per training record wherever a mean runs over records.
+
 LOF follows the standard pipeline: k-distance, the
 tie-inclusive k-neighborhood, reachability distance, local reachability
 density, then the density ratio. Duplicate-collapsed neighborhoods (zero mean
@@ -82,6 +88,23 @@ def _matches(train_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return owner[group[len(train_rows):]]
 
 
+def _kth_smallest(d: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Per row of the 2-D ``d``, its k-th smallest value when value j counts
+    ``counts[..., j]`` times, as ``np.partition(np.repeat(row, counts),
+    k - 1)[k - 1]`` gives it. A row's counts must all be positive but at
+    most one; then its k + 1 smallest values count at least k times, so only
+    those are sorted."""
+    line = np.arange(len(d))
+    if d.shape[1] > k + 1:
+        near = np.argpartition(d, k, axis=1)[:, :k + 1]
+        near = near[line[:, None], np.argsort(d[line[:, None], near], axis=1)]
+    else:
+        near = np.argsort(d, axis=1)
+    # the first position, in ascending order, whose running count reaches k
+    counts = np.broadcast_to(counts, d.shape)[line[:, None], near]
+    return d[line, near[line, (np.cumsum(counts, axis=1) < k).sum(axis=1)]]
+
+
 def _means_without_self(values: np.ndarray, idx: np.ndarray, members: np.ndarray) -> np.ndarray:
     """np.mean of `values` (one per index in `idx`) with each member's own position deleted.
 
@@ -106,7 +129,8 @@ class KnnDetector:
         self.X: np.ndarray | None = None
         self.y: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnDetector":
+    def fit(self, X: EncodedRows | np.ndarray, y: np.ndarray) -> "KnnDetector":
+        """Keep the training rows X as they are given, with their 0/1 labels y."""
         if len(X) < self.k:
             raise TrainingDataError(f"k={self.k} exceeds training set size {len(X)}")
         self.X = X
@@ -120,7 +144,7 @@ class KnnDetector:
         # the k-th distance needs the training index to break its tie. Its
         # first `need` members in training-index order carry the votes read
         # off a running attack count over the members of each group.
-        train_rows, group = unique_rows(self.X)
+        train_rows, group = distinct(self.X)
         sizes = np.bincount(group)
         attacks = np.bincount(group, weights=self.y).astype(np.int64)
         first_member = np.cumsum(sizes) - sizes
@@ -177,24 +201,28 @@ class LofDetector:
         self.train_scores: np.ndarray | None = None
         self.threshold: float | None = None
 
-    def fit(self, X: np.ndarray) -> "LofDetector":
+    def fit(self, X: EncodedRows | np.ndarray) -> "LofDetector":
+        """Keep the training rows X as they are given, with each record's
+        k-distance and lrd, its training score and the threshold."""
         if len(X) <= self.k:  # a point is not its own neighbor
             raise TrainingDataError(f"need more than k={self.k} training points, got {len(X)}")
         self.X = X
-        rows, group = unique_rows(X)
+        rows, group = distinct(X)
         sizes = np.bincount(group)
         members = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
         group_k_dist = np.empty(len(rows))
         neighborhoods = []
-        for g, row in enumerate(rows):
-            d = _row_distances(rows, row)
-            others = sizes.copy()
-            others[g] -= 1  # a point's duplicates are its neighbors, the point is not
-            kth = np.partition(np.repeat(d, others), self.k - 1)[self.k - 1]
-            # ascending training indices within the k-distance, own members included
-            idx = np.flatnonzero((d <= kth)[group])
-            group_k_dist[g] = kth
-            neighborhoods.append((idx, d[group[idx]]))
+        columns = rows.T.copy()
+        for block in row_blocks(len(rows), rows.size):
+            d = _block_distances(columns, rows[block])
+            others = np.tile(sizes, (len(d), 1))
+            # a point's duplicates are its neighbors, the point is not
+            others[np.arange(len(d)), range(len(rows))[block]] -= 1
+            group_k_dist[block] = _kth_smallest(d, others, self.k)
+            for line, kth in zip(d, group_k_dist[block]):
+                # ascending training indices within the k-distance, own members included
+                idx = np.flatnonzero((line <= kth)[group])
+                neighborhoods.append((idx, line[group[idx]]))
         k_dist = group_k_dist[group]
         lrd = np.empty(len(X))
         for m, (idx, near_d) in zip(members, neighborhoods):
@@ -210,16 +238,22 @@ class LofDetector:
         return self
 
     def score(self, Xq: EncodedRows | np.ndarray) -> np.ndarray:
-        """LOF of query points against the training set, once per distinct query row."""
+        """LOF of query points against the training set, once per distinct
+        query row; its distances to the training records are those to their
+        distinct rows, and its means run over its neighbors in training
+        index order."""
         rows, inverse = distinct(Xq)
+        train_rows, group = distinct(self.X)
+        sizes = np.bincount(group)
+        columns = train_rows.T.copy()
         out = np.zeros(len(rows))
-        for i, row in enumerate(rows):
-            d = _row_distances(self.X, row)
-            kth = float(np.partition(d, self.k - 1)[self.k - 1])
-            neigh = np.nonzero(d <= kth)[0]
-            reach = np.maximum(self.k_dist[neigh], d[neigh])
-            lrd_q = 1.0 / max(LRD_EPS, float(reach.mean()))
-            out[i] = float(self.lrd[neigh].mean()) / lrd_q
+        for block in row_blocks(len(rows), train_rows.size):
+            d = _block_distances(columns, rows[block])
+            for i, line, kth in zip(range(len(rows))[block], d, _kth_smallest(d, sizes, self.k)):
+                neigh = (line <= kth)[group].nonzero()[0]
+                reach = np.maximum(self.k_dist[neigh], line[group[neigh]])
+                lrd_q = 1.0 / max(LRD_EPS, float(reach.mean()))
+                out[i] = float(self.lrd[neigh].mean()) / lrd_q
         return out[inverse]
 
     def predict(self, Xq: EncodedRows | np.ndarray) -> np.ndarray:

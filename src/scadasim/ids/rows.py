@@ -4,11 +4,13 @@ raises on unusable rows.
 Captured SCADA traffic is heavily duplicated (tens of thousands of records,
 a few hundred distinct feature rows), so every detector does its per-row work
 once per distinct row and expands the result through the inverse index.
-``FeatureDictionary.encode`` returns records in that form, as ``EncodedRows``:
-their distinct encoded rows and each record's index into them, grouped from
-the few hundred distinct keys, never from a per-record matrix. A detector's
-``predict`` and ``score`` take their pair through ``distinct``, which groups
-a plain feature matrix with ``unique_rows`` instead.
+Records come in that form, as ``EncodedRows``: their distinct encoded rows
+and each record's index into them, grouped from the few hundred distinct
+keys, never from a per-record matrix. ``FeatureDictionary.encode`` returns
+them for prediction, and ``train_model`` hands them to the KNN, LOF and
+isolation-forest fits, which keep them. A detector's fit, ``predict`` and
+``score`` take their pair through ``distinct``, which groups a plain feature
+matrix with ``unique_rows`` instead.
 KNN and both forests score the distinct rows as array blocks: a block of
 query rows against every distinct training row, or every (tree, row) pair
 stepped one tree level at a time. Blocks are sized by ``row_blocks`` so that
@@ -49,13 +51,23 @@ def unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class EncodedRows:
     """Records as distinct feature rows and each record's row index:
     ``rows[inverse]`` is the per-record matrix, in record order. ``rows``
-    are in ``unique_rows`` order, and ``len()`` is the number of records."""
+    are in ``unique_rows`` order, and ``len()`` is the number of records.
+    A model file holds the per-record matrix (``writers.write_json``)."""
 
     __slots__ = ("rows", "inverse")
 
     def __init__(self, rows: np.ndarray, inverse: np.ndarray):
         self.rows = rows
         self.inverse = inverse
+
+    @classmethod
+    def grouped(cls, table: np.ndarray, inverse: np.ndarray) -> "EncodedRows":
+        """The records whose rows are ``table[inverse]``, where every row of
+        ``table`` belongs to some record: its rows are grouped with
+        ``unique_rows``, which gives the rows and inverse of the per-record
+        matrix without building it."""
+        rows, group = unique_rows(table)
+        return cls(rows, group[inverse])
 
     def __len__(self) -> int:
         return len(self.inverse)
@@ -102,15 +114,29 @@ class FlatForest:
 
     def leaves(self, X: np.ndarray, goes_left: Callable) -> np.ndarray:
         """(trees, rows) index of the leaf each row of X reaches in each tree;
-        a row goes left where ``goes_left(value, cut)`` holds."""
+        a row goes left where ``goes_left(value, cut)`` holds. The pairs that
+        sit at a leaf are dropped from the walk once they make up half of it,
+        so deep trees are stepped only for the pairs still inside them."""
         node = np.repeat(self.roots[:, None], len(X), axis=1)
-        row = np.arange(len(X))
+        # the walked pairs' nodes and rows; once pairs are dropped, also their
+        # flat positions in node
+        at, row, pair = node, np.arange(len(X)), None
         while True:
-            feature = self.feature[node]
-            if (feature == -1).all():
-                return node
-            left = goes_left(X[row, feature], self.cut[node])
-            node = np.where(left, self.left[node], self.right[node])
+            feature = self.feature[at]
+            inner = feature != -1
+            n_inner = np.count_nonzero(inner)
+            if 2 * n_inner <= inner.size:
+                if pair is None:
+                    node[...] = at
+                    pair = np.flatnonzero(inner)
+                    row = pair % max(1, len(X))
+                    at, feature = at.reshape(-1)[pair], feature.reshape(-1)[pair]
+                else:
+                    node.reshape(-1)[pair] = at
+                    pair, row, at, feature = pair[inner], row[inner], at[inner], feature[inner]
+                if not n_inner:
+                    return node
+            at = np.where(goes_left(X[row, feature], self.cut[at]), self.left[at], self.right[at])
 
     def depth(self) -> np.ndarray:
         """Each node's depth in its tree (root 0), as float."""

@@ -35,6 +35,17 @@ PINNED_IDS_EVAL = {
     "models/rf.json": "2457e0428001124d2909d29ab955a55fd1bca209615f3bf120f1910bb28df2af",
 }
 
+# sha256 of the same `ids eval`, trained on both files: `--train ref-a.csv ref-b.csv
+# --test ref-a.csv ref-b.csv --seed 0`; the two training lists are joined with their
+# key passes, and every detector fits on the joined list.
+PINNED_IDS_EVAL_TWO_TRAIN = {
+    "eval_report.json": "3d0bfd3a2bf34e6fcbe4ab41a7141e199cca40afd5e2e052b6b9544138b21c64",
+    "models/iforest.json": "98fee044367d9ed1002db397fce58a7862cd6551d9ddbaaa4851f8ee346ac76a",
+    "models/knn.json": "32be6769ccbf231a9a9df81769256a04cee9125f5f037f02d8f66ed4ac3ca76f",
+    "models/lof.json": "1eb9f579b000400f19797ed75396f3d1fa35c443c77e86cc9fb9b7833b856648",
+    "models/rf.json": "4c00b044b23a8e1b3e898e2ab10fb41c7095b85c3f628fe995753341982c655a",
+}
+
 # sha256 of `simulate --scenario N --seed 0 --grid-csv` for the fixtures that
 # the reference pin and the benchmark goldens (scenarios 1 and 4) leave out;
 # every value in the grid and MTU files comes out of one power-flow solve, and
@@ -410,16 +421,34 @@ class TestRunAsModule:
     """``python -m scadasim``, each in a child process, as a user starts it."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, **env):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run([sys.executable, "-m", "scadasim", *argv], capture_output=True,
-                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path, **env))
 
     def test_help_exits_0(self):
         done = self.run_module("--help")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: scadasim")
+
+    def test_ids_eval_bytes_do_not_depend_on_the_string_hash_seed(self, tmp_path, two_datasets):
+        # the pinned `ids eval`, under two string-hash seeds: no byte of any file
+        # may depend on set or dict hash order
+        a, b = two_datasets
+        digests = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            done = self.run_module("ids", "eval", "--algo", "rf,knn,lof,iforest",
+                                   "--train", str(a), "--test", str(a), str(b),
+                                   "--out", str(out), "--seed", "0", PYTHONHASHSEED=hash_seed)
+            assert done.returncode == 0, done.stderr
+            digests.append({path.relative_to(out).as_posix():
+                            hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in out.rglob("*") if path.is_file()})
+        assert digests[0] == digests[1]
+        assert {name: digests[0][name] for name in PINNED_IDS_EVAL} == PINNED_IDS_EVAL
 
     def test_unknown_scenario_exits_2_and_creates_no_out(self, tmp_path):
         out = tmp_path / "bad"
@@ -608,6 +637,15 @@ class TestIdsCommands:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in PINNED_IDS_EVAL}
         assert digests == PINNED_IDS_EVAL
+
+    def test_eval_on_two_training_files_hashes_are_pinned(self, tmp_path, two_datasets):
+        a, b = two_datasets
+        out = tmp_path / "pinned"
+        assert run_cli("ids", "eval", "--algo", "rf,knn,lof,iforest", "--train", str(a), str(b),
+                       "--test", str(a), str(b), "--out", str(out), "--seed", "0") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in PINNED_IDS_EVAL_TWO_TRAIN}
+        assert digests == PINNED_IDS_EVAL_TWO_TRAIN
 
     def test_eval_reruns_are_byte_identical(self, tmp_path, two_datasets):
         a, b = two_datasets

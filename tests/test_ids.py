@@ -34,7 +34,7 @@ from scadasim.ids import models
 from scadasim.ids.forest import grow_tree
 from scadasim.ids.models import SEMI_SUPERVISED, FeatureDictionary, _distinct_keys, fields_of
 from scadasim.ids.neighbors import LRD_EPS, _row_distances
-from scadasim.ids.rows import unique_rows
+from scadasim.ids.rows import EncodedRows, unique_rows
 
 
 def toy_records(n_attack=5, n_normal=5):
@@ -511,6 +511,17 @@ class TestKeyPassPerList:
         # every list, the warm-up slice included, holds the pass of its reader
         assert key_passes == []
 
+    def test_cli_with_two_training_files_runs_no_key_pass(self, tmp_path_factory, key_passes):
+        data = tmp_path_factory.mktemp("scenarios")
+        train = [data / f"s{scenario}.csv" for scenario in (2, 5)]
+        for scenario, path in zip((2, 5), train):
+            assert main(["dataset", "export", "--scenario", str(scenario), "--seed", "0",
+                         "--out", str(path)]) == 0
+        assert main(["ids", "eval", "--algo", "rf,knn,lof,iforest", "--train", *map(str, train),
+                     "--test", *map(str, train), "--out", str(data / "out")]) == 0
+        # the joined list and the joined warm-up slices hold their readers' passes, joined
+        assert key_passes == []
+
     def test_held_pass_dies_with_its_list_and_callers_cannot_change_it(self, tmp_path):
         dataset = import_csv(str(write_dataset(tmp_path / "train.csv", seed=1)))
         model = train_model("rf", dataset.records, seed=0)
@@ -537,9 +548,12 @@ class TestModelFileRoundTrip:
 
 
 def _as_lists(value):
-    """The payload json.dump is given when every array is its nested list."""
+    """The payload json.dump is given when every array, and every row-indexed
+    one, is its nested list."""
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, EncodedRows):
+        return value.rows[value.inverse].tolist()
     if isinstance(value, dict):
         return {key: _as_lists(v) for key, v in value.items()}
     return value
@@ -553,18 +567,37 @@ _JSON_VALUES = st.recursive(
 )
 _ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.int64]),
                      hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5))
+
+
+
+@st.composite
+def _encoded_rows(draw):
+    """Distinct rows, non-finite values included, and an index into them,
+    which may be empty."""
+    rows = draw(hnp.arrays(st.sampled_from([np.float64, np.int64]),
+                           hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)))
+    inverse = draw(hnp.arrays(np.intp, st.integers(0, 12 if len(rows) else 0),
+                              elements=st.integers(0, max(0, len(rows) - 1))))
+    return EncodedRows(rows, inverse)
+
+
 _EDGE_PAYLOAD = {
     "empty": np.zeros((0,)), "no rows": np.zeros((0, 4)), "no columns": np.zeros((3, 0)),
     "special": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.5]),
     "rows": {"ints": np.arange(-3, 9, dtype=np.int64).reshape(4, 3),
              "floats": np.array([[0.1, np.nan], [-np.inf, 2.0], [5e-324, -0.0]])},
     "n\u00e4me": ["\u00fcn\u00efc\u00f8de", {"b": [], "a": {}}, 1e300, -7],
+    "encoded": {"special": EncodedRows(np.array([[np.nan, 1.5], [-np.inf, -0.0], [0.1, 2.0]]),
+                                       np.array([2, 0, 0, 1, 2, 2, 1])),
+                "ints": EncodedRows(np.arange(6, dtype=np.int64).reshape(3, 2), np.array([1, 1])),
+                "no index": EncodedRows(np.ones((2, 4)), np.zeros(0, dtype=np.intp)),
+                "no columns": EncodedRows(np.zeros((1, 0)), np.zeros(3, dtype=np.intp))},
 }
 
 
 class TestJsonWriter:
     @settings(max_examples=150, deadline=None)
-    @given(payload=st.recursive(_JSON_VALUES | _ARRAYS,
+    @given(payload=st.recursive(_JSON_VALUES | _ARRAYS | _encoded_rows(),
                                 lambda children: st.dictionaries(st.text(), children, max_size=4),
                                 max_leaves=10),
            block=st.sampled_from([1, 2, writers.BLOCK_ROWS]))

@@ -15,6 +15,10 @@ from the distinct rows and key counts it hands over must be the forest that
 ``encode`` groups from the distinct keys must be those of the per-record
 matrix, and every detector must predict on them what it predicts on that
 matrix; KNN's block distances must equal ``_row_distances`` byte for byte.
+KNN, LOF and the isolation forest, fitted on ``EncodedRows`` as
+``train_model`` fits them, must keep, predict and save exactly what they do
+when fitted on the per-record matrix, and the key pass that several joined
+lists hold must be the pass over the joined records.
 """
 
 import math
@@ -38,6 +42,7 @@ from scadasim.capture import (
     LabeledRecord,
     RecordList,
     import_csv,
+    join_record_lists,
 )
 from scadasim.engine import derive_seed
 from scadasim.ids import (
@@ -45,7 +50,9 @@ from scadasim.ids import (
     KnnDetector,
     LofDetector,
     RandomForestDetector,
+    TrafficModel,
     TrainingDataError,
+    save_model,
     train_model,
 )
 from scadasim.ids import neighbors
@@ -54,7 +61,7 @@ from scadasim.ids.forest import GINI_EPS, _gini, _unique_weighted
 from scadasim.ids.iforest import average_path_length, grow_tree
 from scadasim.ids.models import FeatureDictionary, _distinct_keys, _key_pass
 from scadasim.ids.neighbors import _block_distances, _row_distances
-from scadasim.ids.rows import row_blocks, unique_rows
+from scadasim.ids.rows import EncodedRows, row_blocks, unique_rows
 from scadasim.network import MIN_PACKET_BYTES
 
 # ---------------------------------------------------------------------------
@@ -853,6 +860,21 @@ class TestImportedKeyPass:
             assert as_frozen(_distinct_keys(records)) == as_frozen(_key_pass(list(records)))
             assert_holds_a_fresh_pass(records)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), n_lists=st.integers(1, 3))
+    def test_joined_lists_hold_the_pass_of_the_joined_records(self, data, n_lists):
+        datasets = [import_key_csv(data) for _ in range(n_lists)]
+        for lists in ([d.records for d in datasets], [d.warmup_slice() for d in datasets]):
+            first_keys = list(lists[0].key_pass[0].items())
+            joined = join_record_lists(lists)
+            assert joined == [record for records in lists for record in records]
+            assert_holds_a_fresh_pass(joined)
+            # the first list's own pass is left as it was
+            assert list(lists[0].key_pass[0].items()) == first_keys
+            assert_holds_a_fresh_pass(lists[0])
+            # a list that holds no pass leaves the joined one to its own pass
+            assert join_record_lists([*lists, list(lists[0])]).key_pass is None
+
     @pytest.mark.parametrize("method", sorted(DROPPING))
     def test_every_method_that_can_replace_reorder_or_remove_drops_the_pass(self, method):
         records = RecordList(map(pick_record, [("a", "b", "SCADA", 60, "normal", 1),
@@ -1005,3 +1027,93 @@ class TestKnnBlockDistances:
             assert got.shape == (len(rows), len(train))
             for row, line in zip(rows, got):
                 assert line.tobytes() == _row_distances(train, row).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# KNN, LOF and the isolation forest fitted on encoded rows
+# ---------------------------------------------------------------------------
+
+def fitted_pair(data):
+    """Each of knn, lof and iforest fitted on the EncodedRows of drawn rows,
+    heavily duplicated or all distinct, and on their per-record matrix; and
+    query rows of both kinds."""
+    X = tree_rows(data)
+    encoded = EncodedRows(*unique_rows(X))
+    matrix = encoded.rows[encoded.inverse]
+    assert matrix.tobytes() == X.tobytes()
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X)),
+                           label="y"), dtype=np.int64)
+    knn_k = data.draw(st.integers(1, len(X)), label="knn k")
+    lof_k = data.draw(st.integers(1, len(X) - 1), label="lof k")
+    forest = dict(n_trees=data.draw(st.integers(1, 8), label="n_trees"),
+                  subsample=data.draw(st.integers(1, len(X)), label="subsample"),
+                  seed=data.draw(st.integers(0, 3), label="seed"))
+    pairs = {name: tuple(fit(rows) for rows in (encoded, matrix)) for name, fit in (
+        ("knn", lambda rows: KnnDetector(k=knn_k).fit(rows, y)),
+        ("lof", lambda rows: LofDetector(k=lof_k).fit(rows)),
+        ("iforest", lambda rows: IsolationForestDetector(**forest).fit(rows)),
+    )}
+    Xq = np.vstack([X, tree_rows(data)])
+    return pairs, Xq
+
+
+def normal_records(data):
+    """More than lof's k=20 attack-free records: drawn from a few keys, so
+    heavily duplicated, or each of a length of its own."""
+    if data.draw(st.booleans(), label="all distinct"):
+        lengths = data.draw(st.lists(st.integers(60, 400), min_size=21, max_size=60, unique=True),
+                            label="lengths")
+        return [pick_record(("a", "b", "SCADA", length, "normal", t))
+                for t, length in enumerate(lengths)]
+    pool = data.draw(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "d"]),
+                                        st.sampled_from(["SCADA", "HTTP"]), st.integers(60, 63)),
+                              min_size=1, max_size=8), label="keys")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=21, max_size=120),
+                      label="picks")
+    return [pick_record((*pool[i], "normal", t)) for t, i in enumerate(picks)]
+
+
+def saved_bytes(algorithm, detector):
+    model = TrafficModel(algorithm, FeatureDictionary({"a": 1}, {"b": 1}, {"SCADA": 1}, 60, 61),
+                         detector)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+class TestEncodedFits:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_fits_on_encoded_rows_equal_fits_on_the_matrix(self, data):
+        pairs, Xq = fitted_pair(data)
+        encoded_q = EncodedRows(*unique_rows(Xq))
+        for algorithm, (encoded, matrix) in pairs.items():
+            expected = matrix.predict(Xq).tolist()
+            assert encoded.predict(Xq).tolist() == expected
+            assert encoded.predict(encoded_q).tolist() == expected
+            assert saved_bytes(algorithm, encoded) == saved_bytes(algorithm, matrix)
+        (lof, lof_m), (iforest, iforest_m) = pairs["lof"], pairs["iforest"]
+        for name in ("k_dist", "lrd", "train_scores"):
+            assert getattr(lof, name).tobytes() == getattr(lof_m, name).tobytes()
+        assert lof.score(Xq).tobytes() == lof_m.score(Xq).tobytes()
+        assert lof.threshold == lof_m.threshold
+        assert iforest.trees == iforest_m.trees
+        assert iforest.train_scores.tobytes() == iforest_m.train_scores.tobytes()
+        assert iforest.threshold == iforest_m.threshold
+
+    # each example fits two 100-tree isolation forests
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_train_model_fits_encoded_rows_that_save_as_the_matrix_fit(self, data):
+        records = normal_records(data)
+        X, y = expanded(records)
+        direct = {"knn": KnnDetector().fit(X, y), "lof": LofDetector().fit(X),
+                  "iforest": IsolationForestDetector(subsample=min(256, len(X)), seed=1).fit(X)}
+        for algorithm, detector in direct.items():
+            model = train_model(algorithm, records, seed=1)
+            # no per-record feature matrix: the training rows are kept distinct
+            assert not any(isinstance(value, np.ndarray) and value.ndim == 2
+                           for value in vars(model.detector).values())
+            assert saved_bytes(algorithm, model.detector) == saved_bytes(algorithm, detector)
