@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a scenario and write its artifacts")
     sim.add_argument("--scenario", required=True,
-                     help="1..6, 'reference', or a config file path")
+                     help="1..6, 'reference', or the path of one complete config file")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", required=True)
     sim.add_argument("--trace", action="store_true", help="also write the event trace")

@@ -446,7 +446,8 @@ def _read_scada(raw, errors: list[str], apps: dict[str, str]) -> ScadaSection | 
                 errors.append(f"{path}.report_offset_ms: reports {rtu.report_offset_ms} ms "
                               f"into the step, outside [0, {MS_PER_STEP})")
             rtus.append(rtu)
-    return _fill(ScadaSection, raw.get("mtu"), "scada.mtu", errors, rtus=rtus)
+    mtu = _read(raw, "mtu", dict, "scada", errors)
+    return None if mtu is None else _fill(ScadaSection, mtu, "scada.mtu", errors, rtus=rtus)
 
 
 def _read_attacker(raw, errors: list[str], apps: dict[str, str]) -> AttackerSection | None:
@@ -559,21 +560,25 @@ class ScenarioLoader(_StrictLoading, getattr(yaml, "CSafeLoader", yaml.SafeLoade
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate the scenario file at ``path``.
-
-    A file that cannot be read or parsed, a key written twice in one mapping and
-    nesting deeper than the parser's recursion limit raise ``ConfigError`` naming
-    the file; a missing file raises ``FileNotFoundError``.
-    """
+    """``parse_config`` of the scenario file at ``path``. A file that cannot be read
+    raises ``ConfigError`` naming it; a missing file raises ``FileNotFoundError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=ScenarioLoader)
+            return parse_config(fh, path)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise ConfigError([f"{path}: cannot read the scenario file: {exc.strerror}"]) from None
+
+
+def parse_config(stream, source: str) -> ScenarioConfig:
+    """Parse and validate the scenario document in ``stream``, an open text file or a
+    str. Text that does not parse, a key written twice in one mapping and nesting deeper
+    than the parser's recursion limit raise ``ConfigError`` naming ``source``."""
+    try:
+        raw = yaml.load(stream, Loader=ScenarioLoader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ConfigError([f"{path}: not a readable YAML document: {exc}"]) from None
+        raise ConfigError([f"{source}: not a readable YAML document: {exc}"]) from None
     except RecursionError:
-        raise ConfigError([f"{path}: nested too deeply to parse"]) from None
+        raise ConfigError([f"{source}: nested too deeply to parse"]) from None
     return load_config_dict(raw)

@@ -3,7 +3,7 @@ and the attacker onto one engine, run the three phases (warm-up, attack,
 post), and build the dataset the SPAN collector labelled as the run went.
 
 The six reference scenarios and the exemplary attack-replication scenario ship
-as YAML fixtures under ``scadasim/data``.
+as YAML fixtures under ``scadasim/data``: one shared ``world.yaml``, and a campaign each.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import chain
 
 from .attacker import AttackerComponent
 from .capture import LabeledDataset, TrafficCollector, collector_off, export_csv
-from .config import HostEntry, ScenarioConfig, load_config
+from .config import HostEntry, ScenarioConfig, load_config, parse_config
 from .engine import MS_PER_STEP, Engine, derive_seed
 from .network import NetworkFabric, Packet
 from .powergrid import Feeder, PowerFlowSolution, sample_load_profile
@@ -317,9 +317,10 @@ def _last_ms_of(step: int) -> int:
     return step * MS_PER_STEP + MS_PER_STEP - 1
 
 
-def fixture_path(name: str):
-    """Path to a shipped scenario fixture, e.g. 'scenario1' or 'reference'."""
-    return resources.files("scadasim").joinpath("data", f"{name}.yaml")
+def fixture_text(name: str) -> str:
+    """Shipped fixture ``name``, e.g. 'scenario1': the shared world, then its campaign."""
+    data = resources.files("scadasim").joinpath("data")
+    return "".join(data.joinpath(f"{p}.yaml").read_text(encoding="utf-8") for p in ("world", name))
 
 
 def load_fixture(spec) -> ScenarioConfig:
@@ -329,9 +330,12 @@ def load_fixture(spec) -> ScenarioConfig:
     else:
         name = str(spec)
     if name in ("reference",) or name.startswith("scenario"):
-        path = fixture_path(name)
-        if path.is_file():
-            return load_config(str(path))
+        try:
+            text = fixture_text(name)
+        except OSError:  # no such fixture: try it as a path
+            pass
+        else:
+            return parse_config(text, name)
     try:
         return load_config(str(spec))
     except FileNotFoundError:

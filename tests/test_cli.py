@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 import yaml
@@ -12,7 +13,7 @@ from scadasim import cli
 from scadasim.capture import CSV_HEADER, import_csv
 from scadasim.cli import main
 from scadasim.ids import models
-from scadasim.scenario import fixture_path
+from scadasim.scenario import fixture_text
 
 # sha256 of `simulate --scenario reference --seed 1 --trace`; a refactor that
 # changes any of these bytes must say why and re-pin them.
@@ -169,7 +170,7 @@ class TestSimulate:
     ])
     def test_attacker_on_a_host_that_runs_another_app_exits_2(self, tmp_path, capsys, mutate,
                                                                error):
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         mutate(raw)
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
@@ -181,7 +182,7 @@ class TestSimulate:
     @pytest.mark.parametrize("section, key", [("capture", "balance_targt"),
                                               ("durations", "warmup_stpes")])
     def test_misspelled_key_exits_2_naming_it(self, tmp_path, capsys, section, key):
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         raw[section][key] = 50
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
@@ -191,7 +192,7 @@ class TestSimulate:
         assert not out.exists()
 
     def test_non_ip_node_address_exits_2_naming_field(self, tmp_path, capsys):
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         node = next(n for n in raw["ict"]["nodes"] if n["id"] == "mtu-host")
         node["address"] = "x"
         bad = tmp_path / "bad.yaml"
@@ -207,7 +208,7 @@ class TestSimulate:
     def test_key_written_twice_exits_2_naming_file_key_and_line(self, tmp_path, capsys,
                                                                 monkeypatch, scenario_loader):
         # this ran with exit 0, and the second block quietly stopped the labelling
-        text = fixture_path("reference").read_text(encoding="utf-8")
+        text = fixture_text("reference")
         line = text.count("\n") + 1
         bad = tmp_path / "twice.yaml"
         bad.write_text(text + "capture:\n  label_manipulated_reports: false\n",
@@ -223,7 +224,7 @@ class TestSimulate:
     def test_lone_surrogate_exits_2(self, tmp_path, capsys, monkeypatch, scenario_loader):
         # the pure-Python parser reads this escape, and simulate exited 1 writing the
         # artifacts; libyaml refuses the escape itself
-        text = fixture_path("reference").read_text(encoding="utf-8")
+        text = fixture_text("reference")
         bad = tmp_path / "surrogate.yaml"
         bad.write_text(text.replace("scenario_id: reference", 'scenario_id: "r\\ud800"'),
                        encoding="utf-8")
@@ -263,7 +264,7 @@ class TestSimulate:
     ])
     def test_structural_problem_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                           mutate, error):
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         mutate(raw)
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
@@ -282,8 +283,21 @@ class TestSimulate:
                    for name in PINNED_REFERENCE_SEED_1}
         assert digests == PINNED_REFERENCE_SEED_1
 
+    def test_world_then_campaign_in_one_file_runs_as_the_fixture(self, tmp_path):
+        # the README's recipe for a config of one's own: world.yaml, then a campaign
+        data = resources.files("scadasim").joinpath("data")
+        config = tmp_path / "mine.yaml"
+        config.write_bytes(b"".join(data.joinpath(f"{part}.yaml").read_bytes()
+                                    for part in ("world", "reference")))
+        out = tmp_path / "mine"
+        assert run_cli("simulate", "--scenario", str(config), "--seed", "1",
+                       "--out", str(out), "--trace") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in PINNED_REFERENCE_SEED_1}
+        assert digests == PINNED_REFERENCE_SEED_1
+
     def test_missed_balance_target_exits_3_after_writing_artifacts(self, tmp_path, capsys):
-        raw = yaml.safe_load(fixture_path("scenario4").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("scenario4"))
         raw["capture"]["balance_target"] = 10.0
         config = tmp_path / "s4.yaml"
         config.write_text(yaml.safe_dump(raw), encoding="utf-8")
@@ -409,7 +423,7 @@ def _second_rtu(raw, offset_ms):
                  id="transformer-id-comma"),
 ])
 def test_out_of_range_timing_exits_2_naming_field(tmp_path, capsys, field, mutate):
-    raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+    raw = yaml.safe_load(fixture_text("reference"))
     mutate(raw)
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(raw), encoding="utf-8")

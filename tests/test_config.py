@@ -1,10 +1,12 @@
 import copy
+import hashlib
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
 from functools import cache
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from scadasim.config import (
     load_config,
     load_config_dict,
 )
-from scadasim.scenario import fixture_path, load_fixture
+from scadasim.scenario import fixture_text, load_fixture
 
 
 def minimal_raw():
@@ -294,7 +296,7 @@ class TestValidation:
                       "ops.host: unknown host 'ghost'"], id="ops-period"),
     ])
     def test_field_error_does_not_hide_the_sections_host_error(self, mutate, expected):
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         mutate(raw)
         with pytest.raises(ConfigError) as err:
             load_config_dict(raw)
@@ -311,7 +313,7 @@ class TestValidation:
     ], ids=lambda path: ".".join(map(str, path)))
     def test_misspelled_key_is_refused_naming_its_path(self, path):
         # without the check the setting it meant would keep its default without a word
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         node = raw
         for key in path[:-1]:
             node = node[key]
@@ -320,6 +322,18 @@ class TestValidation:
             load_config_dict(raw)
         where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
         assert err.value.errors == [f"{where}: unknown key"]
+
+    @pytest.mark.parametrize("delete", [lambda raw: raw.pop("scada"),
+                                        lambda raw: raw["scada"].pop("mtu")],
+                             ids=["scada", "scada.mtu"])
+    def test_missing_mtu_is_named_missing(self, delete):
+        # it read 'scada.mtu: expected a mapping, got None', unlike every other
+        # required field
+        raw = yaml.safe_load(fixture_text("reference"))
+        delete(raw)
+        with pytest.raises(ConfigError) as err:
+            load_config_dict(raw)
+        assert err.value.errors == ["scada.mtu: missing"]
 
     @pytest.mark.parametrize("address", ["x", "10.0.0", "10.0.0.256", ""])
     def test_node_address_must_be_an_ip_address(self, address):
@@ -342,16 +356,59 @@ class TestValidation:
             load_config(str(path))
 
 
+FIXTURES = ["reference"] + [f"scenario{i}" for i in range(1, 7)]
+
+# sha256 of each fixture's text and of its config's repr, taken when each fixture was
+# one whole file: composing it from the shared world and its campaign changes neither
+PINNED_FIXTURES = {
+    "reference": ("74a0bde1ffc9e57a2ab3445d005bc12f6d08be9ea989d4774758f8e78efab6ff",
+                  "65b31a5c1b7735749fafa84b4b4dd0ffee2e359b00e2d5f2459a6ebf6e0472f7"),
+    "scenario1": ("a518d64f3e882f2d8f565ca778dfa044f7012ed2e006db94602dac00d6476358",
+                  "a9315330f08186dba0aa7ba7f38d43dfa778f88f9807f82c8cc86208d2efa323"),
+    "scenario2": ("11eb08bbf6ea256eadeb56afdb6ff16f814660cb20c4132bc10953e1c0153306",
+                  "277d352ebefab60f65cd0bc69a5c9f9b05aca7feff0ae2f794647f77909deba0"),
+    "scenario3": ("954ff1f94e8a642d028c8872539908abe20f70253bd5389f01d29b1218b4a28d",
+                  "e3089d6643adb331fd6f3a9e03c9a50df7053250656ba56f8dfcdcf5c1b7a016"),
+    "scenario4": ("6d12d3b08d3e9932d44bce7fcefe5fdf3ef1421e88ff447ec33aaabbabcf4493",
+                  "c2cf14cf49c2e873d76970aa953ec0855e6da6e7f570a8f8d6bd48bf9f24f033"),
+    "scenario5": ("5c8eea7b74a578dcaf38be5d9dec549aafe7e347e810dc14535e0e39aea8d6a1",
+                  "fd5cf6c33f46885fa34f788a426c47fea297110df1086583e2c1030316f0cb82"),
+    "scenario6": ("5218144ae1e7148f5dc4f81f9deeddd29803ac74d00082e4b1b59081522b7ee6",
+                  "0dbfac6e78674642b843059839b3b1ddbbf0e73e0c2dc14a7c04a11db9f87687"),
+}
+WORLD_KEYS = {"format_version", "seed", "grid", "ict", "hosts", "scada", "ops"}
+CAMPAIGN_KEYS = {"scenario_id", "durations", "attacker", "capture"}
+
+
+def data_text(name):
+    """The text of ``scadasim/data/<name>.yaml``: the world or one campaign."""
+    return resources.files("scadasim").joinpath("data", f"{name}.yaml").read_text(
+        encoding="utf-8")
+
+
 class TestShippedFixtures:
-    @pytest.mark.parametrize("name", ["reference"] + [f"scenario{i}" for i in range(1, 7)])
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_fixture_loads_cleanly(self, name):
         config = load_fixture(name)
         assert config.format_version == 1
         assert config.topology.span is not None
         assert config.attacker.port_set
 
-    def test_fixture_files_exist(self):
-        assert fixture_path("reference").is_file()
+    @pytest.mark.parametrize("name", PINNED_FIXTURES)
+    def test_fixture_text_and_config_are_pinned(self, name):
+        text, config = PINNED_FIXTURES[name]
+        assert hashlib.sha256(fixture_text(name).encode("utf-8")).hexdigest() == text
+        assert hashlib.sha256(repr(load_fixture(name)).encode("utf-8")).hexdigest() == config
+
+    @pytest.mark.parametrize("name", ["world"] + FIXTURES)
+    def test_world_and_campaigns_hold_their_own_keys(self, name):
+        # a key in both parts would be written twice in the composed document, and a
+        # document marker or directive line would split it in two
+        text = data_text(name)
+        keys = yaml.load(text, Loader=config_module.ScenarioLoader)
+        assert set(keys) == (WORLD_KEYS if name == "world" else CAMPAIGN_KEYS)
+        assert not [line for line in text.splitlines() if line.startswith(("---", "...", "%"))]
+        assert text.endswith("\n")
 
     def test_scenario_targets_match_table(self):
         targets = {1: 98.05, 2: 97.75, 3: 98.01, 4: 72.80, 5: 71.86, 6: 71.02}
@@ -370,8 +427,6 @@ class TestShippedFixtures:
             assert config.attacker.goal.manipulation
 
 
-FIXTURES = ["reference"] + [f"scenario{i}" for i in range(1, 7)]
-
 # inputs that both PyYAML parsers refuse, each with the same YAMLError subclass
 MALFORMED_YAML = {
     "tab-indent": "format_version: 1\ngrid:\n\tbuses: []\n",
@@ -388,7 +443,7 @@ MALFORMED_YAML = {
 class TestScenarioLoader:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_fixture_parses_as_under_pyyaml_safe_loader(self, name, scenario_loader):
-        text = fixture_path(name).read_text(encoding="utf-8")
+        text = fixture_text(name)
         assert yaml.load(text, Loader=scenario_loader) == yaml.load(text, Loader=yaml.SafeLoader)
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -422,7 +477,10 @@ class TestScenarioLoader:
         # one key however it is written: quoted, and as another spelling of one int
         ("format_version: 1\n'format_version': 1\n", "'format_version'", 2),
         ("format_version: 1\nhosts: {1: a, 01: b}\n", "1", 2),
-    ], ids=["top-level", "nested", "quoted", "one-int"])
+        # a campaign that repeats a world key, after the world it is composed with
+        (data_text("world") + "grid: {}\n" + data_text("reference"), "'grid'",
+         data_text("world").count("\n") + 1),
+    ], ids=["top-level", "nested", "quoted", "one-int", "campaign-repeats-world-key"])
     def test_key_written_twice_is_refused_naming_key_and_line(self, tmp_path, text, key, line,
                                                               scenario_loader):
         # a second value silently replaced the first
@@ -474,7 +532,7 @@ class TestScenarioLoader:
 @cache
 def _fixture_tree(name):
     """A shipped fixture's parsed YAML and every key path in it."""
-    raw = yaml.safe_load(fixture_path(name).read_text(encoding="utf-8"))
+    raw = yaml.safe_load(fixture_text(name))
     paths = []
 
     def walk(node, prefix):

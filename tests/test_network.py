@@ -20,7 +20,7 @@ from scadasim.network import (
     PacketApp,
     SpanConfig,
 )
-from scadasim.scenario import fixture_path
+from scadasim.scenario import fixture_text
 
 
 class Sink:
@@ -98,7 +98,7 @@ class TestTopologyValidation:
 
     def test_loss_probability_range_checked(self):
         # the range is declared on NetLink's field, and the loader checks it
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         raw["ict"]["links"][0]["loss_probability"] = 1.5
         with pytest.raises(ConfigError) as err:
             load_config_dict(raw)
@@ -124,7 +124,7 @@ class TestTopologyValidation:
             "duplicate node id 'a'", "duplicate link id 'l1'", "host a has no address"]
 
     def test_unknown_link_node_and_span_monitor_are_named_by_the_loader(self):
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         raw["ict"]["links"].append({"id": "k-ghost", "a": "sw-core", "b": "ghost"})
         raw["ict"]["span"].update(switch="nowhere", monitor="nobody")
         with pytest.raises(ConfigError) as err:

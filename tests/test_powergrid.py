@@ -22,7 +22,7 @@ from scadasim.powergrid import (
     measurements_for,
     sample_load_profile,
 )
-from scadasim.scenario import fixture_path
+from scadasim.scenario import fixture_text
 
 from power_balance import PowerBalanceError, check_power_balance
 
@@ -40,7 +40,7 @@ def feeder(loads=(), ders=(), lines=(), buses=()):
 
 def reference_errors(mutate):
     """The loader's errors on the reference fixture after ``mutate`` edits its YAML."""
-    raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+    raw = yaml.safe_load(fixture_text("reference"))
     mutate(raw)
     with pytest.raises(ConfigError) as err:
         load_config_dict(raw)

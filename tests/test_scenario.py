@@ -7,7 +7,7 @@ import yaml
 from scadasim.capture import check_balance, export_csv
 from scadasim.config import load_config_dict
 from scadasim.engine import Engine, SimulationError
-from scadasim.scenario import fixture_path, load_fixture, run_scenario, write_artifacts
+from scadasim.scenario import fixture_text, load_fixture, run_scenario, write_artifacts
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ class TestReferenceRun:
 
 class TestRtuStagger:
     def test_second_rtu_reports_10_ms_after_the_first(self):
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         raw["scada"]["rtus"].append(dict(raw["scada"]["rtus"][0], station="rtu2", host="ops-host"))
         result = run_scenario(load_config_dict(raw), seed=1, trace=True)
         # trace rows as trace.csv holds them: step,offset_ms,seq,target,kind

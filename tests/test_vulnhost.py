@@ -6,7 +6,7 @@ from scadasim.engine import Engine
 from scadasim.network import IctTopology, NetLink, NetNode, NetworkFabric
 from scadasim.powergrid import RtuBinding
 from scadasim.scada import RtuApp
-from scadasim.scenario import fixture_path
+from scadasim.scenario import fixture_text
 from scadasim.vulnhost import (
     BANNER_LEN,
     HostService,
@@ -237,7 +237,7 @@ class TestCommandsAndEscalation:
 class TestConfigChecks:
     def test_bad_port_rejected(self):
         # the range is declared on HostService's field, and the loader checks it
-        raw = yaml.safe_load(fixture_path("reference").read_text(encoding="utf-8"))
+        raw = yaml.safe_load(fixture_text("reference"))
         raw["hosts"]["rtu1-host"]["services"][0]["port"] = 0
         with pytest.raises(ConfigError) as err:
             load_config_dict(raw)
