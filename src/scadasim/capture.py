@@ -39,6 +39,23 @@ class DatasetFormatError(ValueError):
     """CSV import failed; the message names the offending row."""
 
 
+class TrainingDataError(ValueError):
+    """The training rows cannot fit the model: too few of them, or one class only."""
+
+
+class PurityError(ValueError):
+    """Semi-supervised training input contained attack-labeled records."""
+
+    def __init__(self, indices: list[int]):
+        shown = ", ".join(str(i) for i in indices[:10])
+        suffix = "" if len(indices) <= 10 else f" (+{len(indices) - 10} more)"
+        super().__init__(
+            f"semi-supervised training input contains {len(indices)} attack-labeled "
+            f"records at indices [{shown}{suffix}]; it must be attack-free"
+        )
+        self.indices = indices
+
+
 class CalibrationError(RuntimeError):
     """Scenario balance missed its target share."""
 

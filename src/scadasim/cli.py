@@ -20,27 +20,24 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .capture import (
     CalibrationError,
     DatasetFormatError,
     LabeledDataset,
+    PurityError,
+    TrainingDataError,
     check_balance,
     export_csv,
     import_csv,
 )
 from .config import ConfigError
-from .ids import (
-    ALGORITHMS,
-    EvalCell,
-    GridTrainingError,
-    PurityError,
-    TrainingDataError,
-    evaluate_grid,
-    save_model,
-)
 from .scenario import ARTIFACTS, artifact_names, load_fixture, run_scenario, write_artifacts
 from .writers import write_json, write_lines
+
+if TYPE_CHECKING:
+    from .ids import EvalCell
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -94,6 +91,8 @@ def cmd_dataset_export(args) -> int:
     config = load_fixture(args.scenario)
     if os.path.isdir(args.out):
         raise OptionError(f"--out {args.out}: is a directory; expected the path of the CSV file")
+    if os.path.basename(args.out) in ("", ".", ".."):
+        raise OptionError(f"--out {args.out!r}: names no file; expected the path of the CSV file")
     out_dir = os.path.dirname(args.out)
     if out_dir:
         _prepare_out(args.out, out_dir)
@@ -104,6 +103,7 @@ def cmd_dataset_export(args) -> int:
 
 
 def _parse_algorithms(spec: str) -> list[str]:
+    from .ids import ALGORITHMS
     algorithms = [a.strip() for a in spec.split(",") if a.strip()]
     if not algorithms:
         raise OptionError(f"--algo names no algorithm; expected some of {'/'.join(ALGORITHMS)}")
@@ -131,6 +131,7 @@ def _load_datasets(paths: list[str]) -> list[tuple[str, LabeledDataset]]:
 
 
 def cmd_ids_eval(args) -> int:
+    from .ids import ALGORITHMS, GridTrainingError, evaluate_grid, save_model
     algorithms = _parse_algorithms(args.algo)
     test_names = [_dataset_name(path) for path in args.test]
     for i, name in enumerate(test_names):
@@ -177,6 +178,7 @@ def _table_row(c: EvalCell) -> str:
 
 
 def cmd_report(args) -> int:
+    from .ids import EvalCell
     if not os.path.isfile(args.report):
         raise FileNotFoundError(f"report file not found: {args.report}")
     with open(args.report, "r", encoding="utf-8") as fh:

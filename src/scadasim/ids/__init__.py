@@ -5,18 +5,12 @@ attack-free traffic only, threshold at a high quantile of training scores):
 local outlier factor, isolation forest.
 """
 
+from ..capture import PurityError, TrainingDataError
 from .evaluation import EvalCell, GridTrainingError, evaluate, evaluate_grid, f1_score
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
-from .models import (
-    ALGORITHMS,
-    PurityError,
-    TrafficModel,
-    TrainingDataError,
-    save_model,
-    train_model,
-)
+from .models import ALGORITHMS, TrafficModel, save_model, train_model
 
 __all__ = [
     "ALGORITHMS",

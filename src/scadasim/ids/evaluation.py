@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ..capture import LabeledDataset, RecordList, join_record_lists
+from ..capture import LabeledDataset, RecordList, TrainingDataError, join_record_lists
 from . import models
-from .rows import TrainingDataError
 
 
 @dataclass

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..capture import TrainingDataError
 from ..engine import derive_seed
-from .rows import EncodedRows, FlatForest, TrainingDataError, distinct, row_blocks, unique_rows
+from .rows import EncodedRows, FlatForest, distinct, row_blocks, unique_rows
 
 GINI_EPS = 1e-12
 # a tree's node lists, as its model file holds them

@@ -24,8 +24,9 @@ from operator import itemgetter
 
 import numpy as np
 
+from ..capture import TrainingDataError
 from ..engine import derive_seed
-from .rows import EncodedRows, FlatForest, TrainingDataError, distinct, row_blocks
+from .rows import EncodedRows, FlatForest, distinct, row_blocks
 
 EULER_GAMMA = 0.5772156649015329
 # a tree's node lists, as its model file holds them

@@ -9,18 +9,27 @@ offending indices.
 
 from __future__ import annotations
 
+import json
 from array import array
 from dataclasses import dataclass
 from itertools import count
+from typing import Iterator
 
 import numpy as np
 
-from ..capture import LabeledRecord, RecordList, held_key_pass, record_key
-from ..writers import write_json
+from ..capture import (
+    LabeledRecord,
+    PurityError,
+    RecordList,
+    TrainingDataError,
+    held_key_pass,
+    record_key,
+)
+from ..writers import BLOCK_ROWS
 from .forest import RandomForestDetector
 from .iforest import IsolationForestDetector
 from .neighbors import KnnDetector, LofDetector
-from .rows import EncodedRows, TrainingDataError
+from .rows import EncodedRows
 
 MODEL_FORMAT_VERSION = 1
 ALGORITHMS = ("rf", "knn", "lof", "iforest")
@@ -117,19 +126,6 @@ class FeatureDictionary:
         ).reshape(len(keys), 4)
 
 
-class PurityError(ValueError):
-    """Semi-supervised training input contained attack-labeled records."""
-
-    def __init__(self, indices: list[int]):
-        shown = ", ".join(str(i) for i in indices[:10])
-        suffix = "" if len(indices) <= 10 else f" (+{len(indices) - 10} more)"
-        super().__init__(
-            f"semi-supervised training input contains {len(indices)} attack-labeled "
-            f"records at indices [{shown}{suffix}]; it must be attack-free"
-        )
-        self.indices = indices
-
-
 @dataclass
 class TrafficModel:
     algorithm: str
@@ -196,8 +192,75 @@ def train_model(algorithm: str, records: list[LabeledRecord], seed: int = 0) -> 
 
 
 def save_model(model: TrafficModel, path: str) -> None:
-    """Versioned JSON, stable bytes for identical models; arrays are written
-    a block of rows at a time, and the training rows a detector keeps as
-    ``EncodedRows`` as their per-record nested list, each distinct row
-    formatted once."""
-    write_json(path, model.to_dict())
+    """Versioned JSON, stable bytes for identical models: ``json.dump(model.to_dict(),
+    fh, sort_keys=True, indent=1)`` and "\\n", where arrays and ``EncodedRows`` are
+    their per-record nested lists. Arrays are written a block of rows at a time,
+    and each distinct row of ``EncodedRows`` is formatted once."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_json_chunks(model.to_dict(), 0))
+        fh.write("\n")
+
+
+def _json_chunks(value, level: int) -> Iterator[str]:
+    """The JSON text of ``value`` nested ``level`` deep, in pieces.
+
+    Dicts with string keys are walked in sorted key order, and numeric arrays
+    of one or two dimensions, row-indexed ones too, are written a block of
+    rows at a time. Any other value is json's own text, re-indented to its
+    level: a JSON string never holds a raw newline.
+    """
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        indent = "\n" + " " * (level + 1)
+        sep = "{"
+        for key in sorted(value):
+            yield f"{sep}{indent}{json.dumps(key)}: "
+            yield from _json_chunks(value[key], level + 1)
+            sep = ","
+        yield "\n" + " " * level + "}"
+    elif isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.dtype.kind in "fiu":
+        yield from _array_chunks(value, level)
+    elif isinstance(value, EncodedRows):
+        yield from _array_chunks(value.rows, level, value.inverse)
+    else:
+        yield json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + " " * level)
+
+
+def _array_chunks(array: np.ndarray, level: int, index: np.ndarray | None = None) -> Iterator[str]:
+    """A 1-D or 2-D numeric array as json writes its nested list, one chunk
+    per BLOCK_ROWS rows; with ``index``, the nested list of ``array[index]``,
+    one chunk per BLOCK_ROWS indices, where each row of ``array`` is
+    formatted once and its text is repeated by index."""
+    n_rows = len(array) if index is None else len(index)
+    if n_rows == 0:
+        yield "[]"
+        return
+    outer = "\n" + " " * (level + 1)
+    inner = "\n" + " " * (level + 2)
+    columns = array.shape[1] if array.ndim == 2 else None
+    # one row of a 2-D array, its values filled in by str.format
+    row = "[" + inner + ("," + inner).join(["{}"] * columns) + outer + "]" if columns else "[]"
+
+    def texts(start: int) -> list[str]:
+        """The JSON text of each row of the block of ``array`` at ``start``."""
+        block = array[start:start + BLOCK_ROWS]
+        # repr is json's text for an int and a finite float; NaN and the
+        # infinities take json's own spelling
+        finite = block.dtype.kind != "f" or np.isfinite(block).all()
+        values = list(map(repr if finite else json.dumps, block.ravel().tolist()))
+        if columns is None:
+            return values
+        if columns:
+            return list(map(row.format, *(values[j::columns] for j in range(columns))))
+        return [row] * len(block)
+
+    if index is not None:
+        distinct = [text for start in range(0, len(array), BLOCK_ROWS) for text in texts(start)]
+    sep = "["
+    for start in range(0, n_rows, BLOCK_ROWS):
+        if index is None:
+            items = texts(start)
+        else:
+            items = map(distinct.__getitem__, index[start:start + BLOCK_ROWS].tolist())
+        yield sep + outer + ("," + outer).join(items)
+        sep = ","
+    yield "\n" + " " * level + "]"

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rows import EncodedRows, TrainingDataError, distinct, row_blocks, unique_rows
+from ..capture import TrainingDataError
+from .rows import EncodedRows, distinct, row_blocks, unique_rows
 
 LRD_EPS = 1e-12
 # values closer than this may square to 0; its own square, 2**-1000, is a normal double

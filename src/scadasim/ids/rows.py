@@ -1,5 +1,4 @@
-"""Distinct feature rows, row blocks, tree walks, and the error a detector
-raises on unusable rows.
+"""Distinct feature rows, row blocks and tree walks.
 
 Captured SCADA traffic is heavily duplicated (tens of thousands of records,
 a few hundred distinct feature rows), so every detector does its per-row work
@@ -27,10 +26,6 @@ import numpy as np
 BLOCK_VALUES = 1 << 16
 
 
-class TrainingDataError(ValueError):
-    """The training rows cannot fit the model: too few of them, or one class only."""
-
-
 def unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, inverse) with rows[inverse] == X, like np.unique(X, axis=0, return_inverse=True).
 
@@ -52,7 +47,7 @@ class EncodedRows:
     """Records as distinct feature rows and each record's row index:
     ``rows[inverse]`` is the per-record matrix, in record order. ``rows``
     are in ``unique_rows`` order, and ``len()`` is the number of records.
-    A model file holds the per-record matrix (``writers.write_json``)."""
+    A model file holds the per-record matrix (``models.save_model``)."""
 
     __slots__ = ("rows", "inverse")
 

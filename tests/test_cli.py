@@ -432,15 +432,18 @@ def test_out_of_range_timing_exits_2_naming_field(tmp_path, capsys, field, mutat
 
 
 class TestRunAsModule:
-    """``python -m scadasim``, each in a child process, as a user starts it."""
+    """``python -m scadasim``, each in a child process, as a user starts it, and
+    the CLI in a child interpreter that cannot import numpy."""
 
     @staticmethod
-    def run_module(*argv, **env):
+    def run_python(*args, **env):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run([sys.executable, "-m", "scadasim", *argv], capture_output=True,
-                              text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=path, **env))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              timeout=120, env=dict(os.environ, PYTHONPATH=path, **env))
+
+    def run_module(self, *argv, **env):
+        return self.run_python("-m", "scadasim", *argv, **env)
 
     def test_help_exits_0(self):
         done = self.run_module("--help")
@@ -471,6 +474,22 @@ class TestRunAsModule:
         assert "scenario '9'" in done.stderr
         assert not out.exists()
 
+    def test_simulate_and_dataset_export_run_with_numpy_blocked(self, tmp_path):
+        # numpy is the IDS's dependency: a None entry in sys.modules makes any
+        # import of it fail, and the simulator still writes the pinned bytes
+        script = ("import sys; sys.modules['numpy'] = None; from scadasim.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
+        out = tmp_path / "ref"
+        done = self.run_python("-c", script, "simulate", "--scenario", "reference",
+                               "--seed", "1", "--trace", "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in PINNED_REFERENCE_SEED_1}
+        assert digests == PINNED_REFERENCE_SEED_1
+        done = self.run_python("-c", script, "dataset", "export", "--scenario", "4",
+                               "--out", str(tmp_path / "s4.csv"))
+        assert done.returncode == 0, done.stderr
+
 
 class TestDatasetExport:
     def test_exported_csv_imports_cleanly(self, two_datasets):
@@ -495,6 +514,16 @@ class TestDatasetExport:
                        "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert f"--out {tmp_path}" in err and "is a directory" in err
+
+    @pytest.mark.parametrize("out", ["", f"new{os.sep}", f"new{os.sep}."],
+                             ids=["empty", "trailing-separator", "dot"])
+    def test_out_that_names_no_file_exits_2_before_simulating_and_creates_nothing(
+            self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_scenario", refuse_work)
+        assert run_cli("dataset", "export", "--scenario", "4", "--seed", "0", "--out", out) == 2
+        assert f"--out {out!r}: names no file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIdsCommands:

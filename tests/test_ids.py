@@ -6,6 +6,7 @@ import math
 import tempfile
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -608,9 +609,11 @@ class TestJsonWriter:
         expected = io.StringIO()
         json.dump(_as_lists(payload), expected, sort_keys=True, indent=1)
         expected.write("\n")
+        # save_model writes any payload that to_dict returns; BLOCK_ROWS is
+        # patched where the model-file writer reads it
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(writers, "BLOCK_ROWS", block):
+                mock.patch.object(models, "BLOCK_ROWS", block):
             path = f"{tmp}/payload.json"
-            writers.write_json(path, payload)
+            save_model(SimpleNamespace(to_dict=lambda: payload), path)
             with open(path, "rb") as fh:
                 assert fh.read() == expected.getvalue().encode("utf-8")
