@@ -103,17 +103,6 @@ def collector_off():
             gc.enable()
 
 
-class CapturedPacket(NamedTuple):
-    """Snapshot of one mirrored frame, taken as the SPAN switch handled it."""
-
-    time_ms: int
-    src: str
-    dst: str
-    protocol: str
-    length_bytes: int
-    manipulated: bool
-
-
 class LabeledRecord(NamedTuple):
     """One dataset row; ``stage`` is set exactly when ``label`` is attack.
 
@@ -214,7 +203,8 @@ def join_record_lists(lists: list[list]) -> RecordList:
 class TrafficCollector:
     """Mirror sink for the SPAN port: labels its frames a block at a time.
 
-    ``record`` takes one snapshot per mirrored frame, in forwarding order.
+    ``record`` takes one snapshot per mirrored frame, in forwarding order: a
+    plain ``(time_ms, src, dst, protocol, length_bytes, manipulated)`` tuple.
     Once ``BLOCK_ROWS`` snapshots are pending, ``label_records`` labels them,
     their records are appended to ``records`` and the snapshots are dropped,
     so at most one block of snapshots is alive. ``flush`` labels the last
@@ -233,16 +223,13 @@ class TrafficCollector:
         self.attacker_address = attacker_address
         self.stage_times = stage_times
         self.label_manipulated_reports = label_manipulated_reports
-        self.snapshots: list[CapturedPacket] = []
+        self.snapshots: list[tuple] = []
         self.records = RecordList()
 
     def record(self, packet: Packet) -> None:
         snapshots = self.snapshots
-        # built in C, as CapturedPacket._make does, not by the Python __new__
-        snapshots.append(tuple.__new__(CapturedPacket, (
-            packet.sent_at, packet.src, packet.dst, packet.protocol, packet.length_bytes,
-            bool(packet.payload.get("manipulated", False)),
-        )))
+        snapshots.append((packet.sent_at, packet.src, packet.dst, packet.protocol,
+                          packet.length_bytes, bool(packet.payload.get("manipulated", False))))
         if len(snapshots) >= BLOCK_ROWS:
             self.flush()
 
@@ -257,7 +244,7 @@ class TrafficCollector:
 
 
 def label_records(
-    snapshots: list[CapturedPacket],
+    snapshots: list[tuple],
     attacker_address: str,
     stage_times: list[tuple[int, str]],
     label_manipulated_reports: bool = True,

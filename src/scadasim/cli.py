@@ -144,8 +144,10 @@ def cmd_ids_eval(args) -> int:
     model_paths = {algorithm: os.path.join(models_dir, f"{algorithm}.json")
                    for algorithm in ALGORITHMS}
     report_paths = [os.path.join(args.out, name) for name in REPORT_FILES]
+    # --out itself first: "" names no directory, though models_dir is then "models"
+    _prepare_out(args.out, args.out, report_paths)
     _prepare_out(args.out, models_dir,
-                 [model_paths[algorithm] for algorithm in algorithms] + report_paths,
+                 [model_paths[algorithm] for algorithm in algorithms],
                  [path for algorithm, path in model_paths.items() if algorithm not in algorithms])
     try:
         cells, models = evaluate_grid(train_sets, test_sets, algorithms, args.seed,

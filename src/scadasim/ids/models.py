@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -39,15 +38,12 @@ PREDICTED_LABELS = np.array(["normal", "attack"], dtype=object)
 
 
 def _key_pass(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarray]:
-    """The pass itself, for a list that no reader numbered: it runs in C-level
-    iterators. It maps each key to the position of the record that has it
-    first, and the sorted first positions then give each record its key's
-    number."""
-    first: dict[tuple, int] = {}
-    positions = np.fromiter(map(first.setdefault, map(record_key, records), count()),
-                            dtype=np.intp, count=len(records))
-    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    return dict(zip(first, count())), np.searchsorted(firsts, positions)
+    """The pass itself, for a list that no reader numbered: each key is
+    numbered in first-seen order, and each record gets its key's number."""
+    keys: dict[tuple, int] = {}
+    numbers = np.fromiter((keys.setdefault(key, len(keys)) for key in map(record_key, records)),
+                          dtype=np.intp, count=len(records))
+    return keys, numbers
 
 
 def _distinct_keys(records: list[LabeledRecord]) -> tuple[dict[tuple, int], np.ndarray]:

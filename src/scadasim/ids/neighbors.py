@@ -91,19 +91,10 @@ def _matches(train_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _kth_smallest(d: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     """Per row of the 2-D ``d``, its k-th smallest value when value j counts
-    ``counts[..., j]`` times, as ``np.partition(np.repeat(row, counts),
-    k - 1)[k - 1]`` gives it. A row's counts must all be positive but at
-    most one; then its k + 1 smallest values count at least k times, so only
-    those are sorted."""
-    line = np.arange(len(d))
-    if d.shape[1] > k + 1:
-        near = np.argpartition(d, k, axis=1)[:, :k + 1]
-        near = near[line[:, None], np.argsort(d[line[:, None], near], axis=1)]
-    else:
-        near = np.argsort(d, axis=1)
-    # the first position, in ascending order, whose running count reaches k
-    counts = np.broadcast_to(counts, d.shape)[line[:, None], near]
-    return d[line, near[line, (np.cumsum(counts, axis=1) < k).sum(axis=1)]]
+    ``counts[..., j]`` times."""
+    return np.array([np.partition(np.repeat(line, line_counts), k - 1)[k - 1]
+                     for line, line_counts in zip(d, np.broadcast_to(counts, d.shape))],
+                    dtype=d.dtype)
 
 
 def _means_without_self(values: np.ndarray, idx: np.ndarray, members: np.ndarray) -> np.ndarray:

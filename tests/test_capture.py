@@ -15,7 +15,6 @@ from scadasim import capture
 from scadasim.capture import (
     CSV_HEADER,
     STAGE_TAGS,
-    CapturedPacket,
     DatasetFormatError,
     LabeledDataset,
     LabeledRecord,
@@ -43,7 +42,7 @@ def dictionary_of(records):
 
 def snap(time_ms, src=ATTACKER, dst="10.0.0.11",
          protocol="SCAN_PROBE", length=60, manipulated=False):
-    return CapturedPacket(time_ms, src, dst, protocol, length, manipulated)
+    return (time_ms, src, dst, protocol, length, manipulated)
 
 
 STAGES = [(1000, "S1_scan"), (5000, "S2_rce"), (6000, "S3_pe"), (7000, "S4_impact")]
@@ -54,16 +53,15 @@ class TestCollector:
         collector = TrafficCollector(ATTACKER, STAGES)
         packet = Packet(2345, "a", "b", "HTTP", 222, {"type": "x"})
         collector.record(packet)
-        s = collector.snapshots[0]
-        assert (s.time_ms, s.src, s.dst, s.protocol, s.length_bytes) == (
-            2345, "a", "b", "HTTP", 222)
-        assert s.manipulated is False
+        *fields, manipulated = collector.snapshots[0]
+        assert fields == [2345, "a", "b", "HTTP", 222]
+        assert manipulated is False
 
     def test_manipulated_flag_carried_through(self):
         collector = TrafficCollector(ATTACKER, STAGES)
         packet = Packet(1, "a", "b", "SCADA", 61, {"manipulated": True})
         collector.record(packet)
-        assert collector.snapshots[0].manipulated is True
+        assert collector.snapshots[0][-1] is True
 
 
 class TestLabeling:
@@ -487,7 +485,7 @@ def collections():
         gc.enable()
 
 
-def many_snapshots(n: int) -> list[CapturedPacket]:
+def many_snapshots(n: int) -> list[tuple]:
     """n snapshots after the first stage: attacker probes, telemetry and
     manipulated reports."""
     return [snap(1000 + 3 * i) if i % 2

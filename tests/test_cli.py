@@ -607,6 +607,18 @@ class TestIdsCommands:
         assert code == 2
         assert f"--out {taken}" in capsys.readouterr().err
 
+    def test_empty_out_exits_2_before_training_and_creates_nothing(
+            self, tmp_path, capsys, monkeypatch, two_datasets):
+        # os.path.join("", "models") is "models": the working directory is no --out
+        a, _ = two_datasets
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(models, "train_model", refuse_work)
+        code = run_cli("ids", "eval", "--algo", "rf", "--train", str(a), "--test", str(a),
+                       "--out", "")
+        assert code == 2
+        assert "--out : cannot create directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["eval"])
     @pytest.mark.parametrize("algo, rows, detail", [
         pytest.param("rf", [], "empty training set", id="rf-header-only"),

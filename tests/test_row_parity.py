@@ -4,7 +4,7 @@ of the row-by-row code they replaced.
 The CSV reader checks each distinct row tail once; KNN scores blocks of
 distinct query rows; both forests walk all their trees together; isolation
 trees grow on each sample's distinct rows; the random forest's split search
-divides without guards; the key pass numbers records in C-level iterators.
+divides without guards; the key pass numbers records in one first-seen pass.
 Each must give exactly what the row-by-row code gave: the same records and
 error messages, the same predictions, scores equal byte for byte, and the
 same trees and key numbers. A record list holds its key pass, and what it
@@ -14,7 +14,9 @@ from the distinct rows and key counts it hands over must be the forest that
 ``fit`` grows on the expanded matrix. The distinct rows and inverse that
 ``encode`` groups from the distinct keys must be those of the per-record
 matrix, and every detector must predict on them what it predicts on that
-matrix; KNN's block distances must equal ``_row_distances`` byte for byte.
+matrix; KNN's block distances must equal ``_row_distances`` byte for byte,
+and LOF's k-th distance with counts must be what the argpartition of the
+k + 1 nearest values and a walk of their running count gave.
 KNN, LOF and the isolation forest, fitted on ``EncodedRows`` as
 ``train_model`` fits them, must keep, predict and save exactly what they do
 when fitted on the per-record matrix, and the key pass that several joined
@@ -358,6 +360,20 @@ def frozen_rf_trees(X, y, n_trees, max_depth, max_features, bootstrap, seed):
             sample = rows[keep], (positive * scale)[keep], tree_tot[keep]
         trees.append(frozen_rf_grow_tree(*sample, rng, max_depth, 2, max_features))
     return trees
+
+
+def frozen_kth_smallest(d, counts, k):
+    """LOF's k-th distance with counts as an argpartition of each row's k + 1
+    nearest values took it, then a walk of their running count; a row's
+    counts must all be positive but at most one."""
+    line = np.arange(len(d))
+    if d.shape[1] > k + 1:
+        near = np.argpartition(d, k, axis=1)[:, :k + 1]
+        near = near[line[:, None], np.argsort(d[line[:, None], near], axis=1)]
+    else:
+        near = np.argsort(d, axis=1)
+    counts = np.broadcast_to(counts, d.shape)[line[:, None], near]
+    return d[line, near[line, (np.cumsum(counts, axis=1) < k).sum(axis=1)]]
 
 
 def frozen_distinct_keys(records):
@@ -1027,6 +1043,36 @@ class TestKnnBlockDistances:
             assert got.shape == (len(rows), len(train))
             for row, line in zip(rows, got):
                 assert line.tobytes() == _row_distances(train, row).tobytes()
+
+
+class TestKthSmallest:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_kth_smallest_equals_the_argpartition_walk(self, data):
+        n_rows = data.draw(st.integers(1, 6), label="n_rows")
+        n = data.draw(st.integers(1, 12), label="n")
+        # few values, so that distances tie within a row and repeat across rows
+        value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0, 10))
+        d = np.array(data.draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                        min_size=n_rows, max_size=n_rows), label="d"))
+        positive = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+        if data.draw(st.booleans(), label="counts per row"):
+            # as LOF's fit: a row may hold one zero, its own distinct row of one record
+            counts = np.array(data.draw(st.lists(positive, min_size=n_rows, max_size=n_rows),
+                                        label="counts"))
+            for row in counts:
+                zero = data.draw(st.none() | st.integers(0, n - 1), label="zero")
+                if zero is not None and n > 1:
+                    row[zero] = 0
+        else:
+            # as LOF's score: one count per column, shared by every row
+            counts = np.array(data.draw(positive, label="counts"))
+        total = int(np.broadcast_to(counts, d.shape).sum(axis=1).min())
+        k = data.draw(st.integers(1, total), label="k")
+        got = neighbors._kth_smallest(d, counts, k)
+        want = frozen_kth_smallest(d, counts, k)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
